@@ -32,6 +32,7 @@ over threshold), or "involvement" (neighborhood cohesion).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 from .diffusion import INDEPENDENT_CASCADE, InfluenceGraph
@@ -111,8 +112,8 @@ def _user_vertex(user):
     return user + "@u"
 
 
-def _require_complete(network):
-    for layer in network.layers:
+def _require_complete(layers):
+    for layer in layers:
         for (src, dst), weight in layer.edges.items():
             if weight is None:
                 raise ValueError(
@@ -140,7 +141,7 @@ def couple_clique_lossless(network, model_kind="linear_threshold"):
     Sizes: (k+1)*n vertices and sum(|E_i|) + n*k*(k+1) edges for n users
     and k layers.  Seeds map to gateways.
     """
-    _require_complete(network)
+    _require_complete(network.layers)
     ic = model_kind == INDEPENDENT_CASCADE
     k = network.k
     users = sorted(network.universe)
@@ -185,7 +186,7 @@ def couple_star_lossless(network, model_kind="linear_threshold"):
     intermediate hub, so the coupled network has (k+2)*n vertices and
     sum(|E_i|) + 2*n*(k+1) edges.
     """
-    _require_complete(network)
+    _require_complete(network.layers)
     ic = model_kind == INDEPENDENT_CASCADE
     k = network.k
     users = sorted(network.universe)
@@ -241,7 +242,7 @@ def couple_reduced(network, sync="clique", model_kind="linear_threshold"):
     """
     if sync not in ("clique", "star"):
         raise ValueError(f"unknown synchronization style {sync!r}")
-    _require_complete(network)
+    _require_complete(network.layers)
     ic = model_kind == INDEPENDENT_CASCADE
     k = network.k
     users = sorted(network.universe)
@@ -294,21 +295,56 @@ def couple_reduced(network, sync="clique", model_kind="linear_threshold"):
     return CoupledNetwork(graph, kinds, user_of, node_of_user, hop_scale, scheme, k, len(users))
 
 
+def _layer_alphas(layer, kind, floor):
+    """Multiplier alpha for every node of one complete layer.
+
+    One pass over ``layer.edges`` gathers what every node needs.  Sums
+    run in edge order and each neighborhood set is filled in edge order,
+    so every alpha is bit-identical to a separate per-user scan.
+    """
+    if kind == "average":
+        return dict.fromkeys(layer.nodes, 1.0)
+    alphas = {}
+    if kind == "easiness":
+        in_totals = layer.in_weight_sums()
+        for user in layer.nodes:
+            total = in_totals.get(user, 0.0)
+            alphas[user] = floor if total <= 0.0 else total / layer.thresholds[user]
+        return alphas
+    neighbors = {}
+    for (src, dst) in layer.edges:
+        neighbors.setdefault(src, []).append(dst)
+        neighbors.setdefault(dst, []).append(src)
+    adjacency = layer.out_adjacency()
+    for user in layer.nodes:
+        hood = {user}
+        hood.update(neighbors.get(user, ()))
+        total = 0.0
+        seen_edge = False
+        for x in hood:
+            for y, weight in adjacency.get(x, ()):
+                if y in hood:
+                    total += weight / layer.thresholds[y]
+                    seen_edge = True
+        alphas[user] = floor if not seen_edge or total <= 0.0 else total
+    return alphas
+
+
+def _alpha(network, user, layer_index, kind, floor):
+    layer = network.layer_by_index(layer_index)
+    if user not in layer.nodes:
+        raise ValueError(f"user {user!r} not in layer {layer_index}")
+    _require_complete([layer])
+    return _layer_alphas(layer, kind, floor)[user]
+
+
 def easiness(network, user, layer_index, floor=1.0):
     """How easily a user activates in one layer: total incoming weight
     divided by the threshold.  Users with no in-neighbors (or zero
     in-weight) get the configured floor so the multiplier stays positive.
+    The layer needs all weights and thresholds set.
     """
-    layer = network.layer_by_index(layer_index)
-    if user not in layer.nodes:
-        raise ValueError(f"user {user!r} not in layer {layer_index}")
-    total = 0.0
-    for (src, dst), weight in layer.edges.items():
-        if dst == user:
-            total += weight
-    if total <= 0.0:
-        return floor
-    return total / layer.thresholds[user]
+    return _alpha(network, user, layer_index, "easiness", floor)
 
 
 def involvement(network, user, layer_index, floor=1.0):
@@ -316,28 +352,10 @@ def involvement(network, user, layer_index, floor=1.0):
 
     Sums weight/threshold over every directed edge between members of
     the closed neighborhood (in- plus out-neighbors plus the user).
-    Falls back to the floor when the neighborhood has no edges.
+    Falls back to the floor when the neighborhood has no edges.  The
+    layer needs all weights and thresholds set.
     """
-    layer = network.layer_by_index(layer_index)
-    if user not in layer.nodes:
-        raise ValueError(f"user {user!r} not in layer {layer_index}")
-    hood = {user}
-    for (src, dst) in layer.edges:
-        if src == user:
-            hood.add(dst)
-        elif dst == user:
-            hood.add(src)
-    total = 0.0
-    seen_edge = False
-    adjacency = layer.out_adjacency()
-    for x in hood:
-        for y, weight in adjacency.get(x, ()):
-            if y in hood:
-                total += weight / layer.thresholds[y]
-                seen_edge = True
-    if not seen_edge or total <= 0.0:
-        return floor
-    return total
+    return _alpha(network, user, layer_index, "involvement", floor)
 
 
 _ALPHA_KINDS = ("easiness", "involvement", "average")
@@ -350,31 +368,27 @@ def couple_lossy(network, kind="average", floor=1.0):
     multipliers chosen by ``kind``; layers a user does not join
     contribute nothing.  Edges with zero folded weight are dropped.
     The folded threshold may exceed 1.
+
+    Each layer's multipliers come from one pass over its edges: the cost
+    is O(sum |E_i| + the edges out of each user's closed neighborhood,
+    summed over users), the second term for "involvement" only.
     """
     if kind not in _ALPHA_KINDS:
         raise ValueError(f"unknown lossy parameterization {kind!r}")
-    _require_complete(network)
+    _require_complete(network.layers)
     users = sorted(network.universe)
-    alpha = {}
-    for layer in network.layers:
-        for user in layer.nodes:
-            if kind == "average":
-                alpha[(user, layer.layer_index)] = 1.0
-            elif kind == "easiness":
-                alpha[(user, layer.layer_index)] = easiness(network, user, layer.layer_index, floor)
-            else:
-                alpha[(user, layer.layer_index)] = involvement(network, user, layer.layer_index, floor)
+    alphas = [_layer_alphas(layer, kind, floor) for layer in network.layers]
     thresholds = {}
     for user in users:
         total = 0.0
-        for layer in network.layers:
-            if user in layer.nodes:
-                total += alpha[(user, layer.layer_index)] * layer.thresholds[user]
+        for layer, alpha in zip(network.layers, alphas):
+            if user in alpha:
+                total += alpha[user] * layer.thresholds[user]
         thresholds[user] = total
     folded = {}
-    for layer in network.layers:
+    for layer, alpha in zip(network.layers, alphas):
         for (src, dst), weight in layer.edges.items():
-            folded[(src, dst)] = folded.get((src, dst), 0.0) + alpha[(dst, layer.layer_index)] * weight
+            folded[(src, dst)] = folded.get((src, dst), 0.0) + alpha[dst] * weight
     edges = [(src, dst, w) for (src, dst), w in sorted(folded.items()) if w > 0.0]
     kinds = {user: NodeKind(USER_VERTEX, user) for user in users}
     graph = InfluenceGraph(users, edges, thresholds, None)
@@ -445,7 +459,9 @@ def read_coupled(edge_lines, manifest_rows):
 
     ``manifest_rows`` is an iterable of CSV rows including the header.
     The seedable domain is recovered from the kind column (gateway and
-    user vertices).
+    user vertices).  Raises ValueError on an edge endpoint missing from
+    the manifest and on a non-finite threshold, node weight or edge
+    weight; folded lossy thresholds above 1 are legal.
     """
     reader = csv.reader(iter(manifest_rows))
     header = next(reader)
@@ -455,9 +471,13 @@ def read_coupled(edge_lines, manifest_rows):
     nodes, thresholds, weights, kinds, user_of = [], {}, {}, {}, {}
     for row in reader:
         node, kind, user, layer, theta, weight = row
+        theta, weight = float(theta), float(weight)
+        if not (math.isfinite(theta) and math.isfinite(weight)):
+            raise ValueError(
+                f"manifest node {node!r}: threshold {theta} and weight {weight} must be finite")
         nodes.append(node)
-        thresholds[node] = float(theta)
-        weights[node] = float(weight)
+        thresholds[node] = theta
+        weights[node] = weight
         kinds[node] = NodeKind(kind, user, int(layer) if layer else None)
         if kind in (GATEWAY, USER_VERTEX):
             user_of[node] = user
@@ -469,6 +489,12 @@ def read_coupled(edge_lines, manifest_rows):
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {line_no}: expected 'src dst weight'")
-        edges.append((parts[0], parts[1], float(parts[2])))
+        src, dst, weight = parts[0], parts[1], float(parts[2])
+        if src not in thresholds or dst not in thresholds:
+            unknown = dst if src in thresholds else src
+            raise ValueError(f"line {line_no}: node {unknown!r} is not in the manifest")
+        if not math.isfinite(weight):
+            raise ValueError(f"line {line_no}: weight {weight} must be finite")
+        edges.append((src, dst, weight))
     graph = InfluenceGraph(nodes, edges, thresholds, weights)
     return graph, kinds, user_of

@@ -285,6 +285,7 @@ def _load_files_network(spec):
         load_layer_file,
         needs_normalization,
         normalize_incoming_weights,
+        validate,
     )
 
     layers = [load_layer_file(path, i + 1) for i, path in enumerate(spec.layer_files)]
@@ -297,8 +298,11 @@ def _load_files_network(spec):
         if needs_normalization(layer) else layer
         for layer in layers
     ]
-    network = MultiplexNetwork(layers)
-    return fill_missing_thresholds(network, subseed(spec.base_seed, "thresholds"))
+    network = fill_missing_thresholds(MultiplexNetwork(layers), subseed(spec.base_seed, "thresholds"))
+    report = validate(network)
+    if report:
+        raise ValueError("invalid network:\n  " + "\n  ".join(report))
+    return network
 
 
 def _cells(spec):

@@ -18,6 +18,7 @@ draws and rescales them; missing thresholds stay unset until assignment.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -250,8 +251,9 @@ def validate(network):
     """Check every model invariant; returns a list of violation strings.
 
     Violations are data, not exceptions: an empty report means the
-    network is valid (weights set and normalized, thresholds in (0, 1],
-    no self-loops, in-weight sums <= 1, consistent universe).
+    network is valid (weights set, finite and normalized, thresholds
+    finite and in (0, 1], no self-loops, in-weight sums <= 1,
+    consistent universe).
     """
     report = []
     indices = [layer.layer_index for layer in network.layers]
@@ -266,12 +268,16 @@ def validate(network):
                 report.append(f"{tag}: edge {src!r}->{dst!r} endpoint outside node set")
             if weight is None:
                 report.append(f"{tag}: edge {src!r}->{dst!r} has unset weight")
+            elif not math.isfinite(weight):
+                report.append(f"{tag}: edge {src!r}->{dst!r} weight {weight} is not finite")
             elif not -WEIGHT_EPS <= weight <= 1.0 + WEIGHT_EPS:
                 report.append(f"{tag}: edge {src!r}->{dst!r} weight {weight} outside [0, 1]")
         for user in sorted(layer.nodes):
             theta = layer.thresholds.get(user)
             if theta is None:
                 report.append(f"{tag}: node {user!r} missing threshold")
+            elif not math.isfinite(theta):
+                report.append(f"{tag}: node {user!r} threshold {theta} is not finite")
             elif theta <= 0.0:
                 report.append(f"{tag}: node {user!r} non-positive threshold")
             elif theta > 1.0 + WEIGHT_EPS:

@@ -117,3 +117,55 @@ def naive_multiplex_st_mean(network, seeds, hops, samples, seed):
         active, _ = naive_multiplex_lt(MultiplexNetwork(layers), seeds, hops)
         total += len(active)
     return total / samples
+
+
+def naive_easiness(network, user, layer_index, floor=1.0):
+    """Easiness multiplier by a full edge scan for one (user, layer)."""
+    layer = network.layer_by_index(layer_index)
+    total = 0.0
+    for (src, dst), weight in layer.edges.items():
+        if dst == user:
+            total += weight
+    if total <= 0.0:
+        return floor
+    return total / layer.thresholds[user]
+
+
+def naive_involvement(network, user, layer_index, floor=1.0):
+    """Involvement multiplier by a full edge scan for one (user, layer)."""
+    layer = network.layer_by_index(layer_index)
+    hood = {user}
+    for (src, dst) in layer.edges:
+        if src == user:
+            hood.add(dst)
+        elif dst == user:
+            hood.add(src)
+    total = 0.0
+    seen_edge = False
+    adjacency = layer.out_adjacency()
+    for x in hood:
+        for y, weight in adjacency.get(x, ()):
+            if y in hood:
+                total += weight / layer.thresholds[y]
+                seen_edge = True
+    if not seen_edge or total <= 0.0:
+        return floor
+    return total
+
+
+def naive_lossy_fold(network, alpha):
+    """Lossy thresholds and positive folded edges from a multiplier
+    function alpha(user, layer_index), summed in layer order."""
+    thresholds = {}
+    for user in sorted(network.universe):
+        total = 0.0
+        for layer in network.layers:
+            if user in layer.nodes:
+                total += alpha(user, layer.layer_index) * layer.thresholds[user]
+        thresholds[user] = total
+    folded = {}
+    for layer in network.layers:
+        for (src, dst), weight in layer.edges.items():
+            folded[(src, dst)] = folded.get((src, dst), 0.0) + alpha(dst, layer.layer_index) * weight
+    edges = {(src, dst, w) for (src, dst), w in folded.items() if w > 0.0}
+    return thresholds, edges

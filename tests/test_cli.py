@@ -102,6 +102,27 @@ def test_simulate_coupled_graph_stochastic(tmp_path, layer_files, capsys):
     assert "gateway" in kinds
 
 
+def test_simulate_unknown_coupled_node_exit_code(tmp_path, layer_files, capsys):
+    edges = tmp_path / "coupled.txt"
+    manifest = tmp_path / "manifest.csv"
+    main([
+        "couple", "--layer", layer_files[0], "--layer", layer_files[1],
+        "--scheme", "lossy-average", "--seed", "1",
+        "--out-edges", str(edges), "--out-manifest", str(manifest),
+    ])
+    capsys.readouterr()
+    with open(edges, "a", encoding="utf-8") as handle:
+        handle.write("a zz 0.5\n")
+    bad_line = len(edges.read_text().splitlines())
+    seeds = write(tmp_path / "seeds.txt", "a\n")
+    code = main([
+        "simulate", "--coupled-edges", str(edges), "--coupled-manifest", str(manifest),
+        "--seeds-file", seeds, "--hops", "2",
+    ])
+    assert code == 3
+    assert f"line {bad_line}: node 'zz' is not in the manifest" in capsys.readouterr().err
+
+
 def test_solve_emits_complete_result(tmp_path, layer_files):
     out = tmp_path / "result.json"
     code = main([

@@ -1,10 +1,13 @@
 import io
+import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from muxlci import (
     GreedyConfig,
+    LayerGraph,
     MultiplexNetwork,
     couple,
     couple_clique_lossless,
@@ -22,6 +25,7 @@ from muxlci import (
 )
 
 from conftest import make_layer, random_network, random_seed_users
+from oracles import naive_easiness, naive_involvement, naive_lossy_fold
 
 
 def layer_edge_total(network):
@@ -225,6 +229,54 @@ class TestLossyParameters:
         network = MultiplexNetwork([layer])
         assert involvement(network, "v", 1, floor=2.5) == 2.5
 
+    def test_incomplete_layer_rejected(self):
+        network = MultiplexNetwork([make_layer(1, {("a", "b"): None}, {"a": 0.5, "b": 0.5})])
+        for multiplier in (easiness, involvement):
+            with pytest.raises(ValueError, match="unset weight"):
+                multiplier(network, "a", 1)
+
+
+def lossy_corner_network(seed):
+    """Random multiplex with zero-weight edges, plus in every layer an
+    isolated user and a source user (no in-edges, one zero-weight and one
+    positive out-edge)."""
+    network = random_network(seed, max_users=30)
+    rng = random.Random(seed)
+    layers = []
+    for layer in network.layers:
+        i = layer.layer_index
+        edges = {key: 0.0 if rng.random() < 0.2 else w for key, w in sorted(layer.edges.items())}
+        thresholds = dict(layer.thresholds)
+        thresholds[f"iso{i}"] = 1.0 - rng.random()
+        thresholds["source"] = 1.0 - rng.random()
+        for weight, dst in zip((0.0, rng.random()), rng.sample(sorted(layer.nodes), 2)):
+            edges[("source", dst)] = weight
+        layers.append(LayerGraph(i, set(thresholds), edges, thresholds))
+    return MultiplexNetwork(layers)
+
+
+class TestLossyMultipliersMatchReference:
+    """The one-pass multipliers equal per-user full scans bit for bit."""
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.floats(min_value=0.05, max_value=4.0))
+    def test_alphas_and_folded_coupling_exact(self, seed, floor):
+        network = lossy_corner_network(seed)
+        for kind, fast, slow in (("easiness", easiness, naive_easiness),
+                                 ("involvement", involvement, naive_involvement)):
+            for layer in network.layers:
+                for user in sorted(layer.nodes):
+                    assert fast(network, user, layer.layer_index, floor) == \
+                        slow(network, user, layer.layer_index, floor)
+            thresholds, edges = naive_lossy_fold(
+                network, lambda u, i: slow(network, u, i, floor))
+            graph = couple(network, "lossy-" + kind, floor=floor).graph
+            assert {u: graph.theta[graph.index[u]] for u in graph.node_ids} == thresholds
+            assert {
+                (graph.node_ids[u], graph.node_ids[v], w)
+                for u, targets in enumerate(graph.out) for v, w in targets
+            } == edges
+
 
 class TestLossyCoupling:
     def test_average_single_layer_is_identity(self):
@@ -313,6 +365,25 @@ class TestCoupledExport:
         assert rebuilt == original
         for node in graph.node_ids:
             assert graph.theta[graph.index[node]] == coupled.graph.theta[coupled.graph.index[node]]
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from([math.nan, math.inf, -math.inf]),
+           st.sampled_from(["threshold", "weight", "edge"]))
+    def test_non_finite_value_rejected(self, seed, bad, where):
+        network = random_network(seed, max_users=12)
+        coupled = couple(network, random.Random(seed).choice(["clique", "lossy-easiness"]))
+        edges_buf, manifest_buf = io.StringIO(), io.StringIO()
+        write_coupled(coupled, edges_buf, manifest_buf)
+        edge_lines = edges_buf.getvalue().splitlines()
+        rows = manifest_buf.getvalue().splitlines()
+        if where == "edge":
+            edge_lines.append(f"{coupled.graph.node_ids[0]} {coupled.graph.node_ids[-1]} {bad!r}")
+        else:
+            fields = rows[1].split(",")
+            fields[4 if where == "threshold" else 5] = repr(bad)
+            rows[1] = ",".join(fields)
+        with pytest.raises(ValueError, match="must be finite"):
+            read_coupled(edge_lines, rows)
 
     def test_manifest_lists_every_node_once(self, two_layer_toy):
         coupled = couple_reduced(two_layer_toy, "star")

@@ -212,6 +212,21 @@ class TestRunExperiment:
         parallel = run_experiment(spec, jobs=2)
         assert strip(serial) == strip(parallel)
 
+    @pytest.mark.parametrize("theta", ["1.5", "nan"])
+    def test_invalid_layer_file_rejected_before_cells(self, tmp_path, capsys, theta):
+        from muxlci.cli import main
+
+        path = tmp_path / "layer.txt"
+        path.write_text(f"# theta c {theta}\na c 0.8\nb c 0.8\n", encoding="utf-8")
+        spec = ExperimentSpec(schemes=["clique"], betas=[0.5], hops=2,
+                              base_seed=4, layer_files=[str(path)])
+        with pytest.raises(ValueError, match="invalid network") as caught:
+            run_experiment(spec)
+        code = main(["couple", "--layer", str(path), "--scheme", "clique", "--seed", "4",
+                     "--out-edges", str(tmp_path / "e.txt"), "--out-manifest", str(tmp_path / "m.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {caught.value}\n"
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="exactly one"):
             ExperimentSpec(schemes=["clique"], betas=[0.5])

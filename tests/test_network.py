@@ -1,4 +1,5 @@
 import io
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -196,6 +197,20 @@ class TestValidate:
     def test_missing_threshold_flagged(self):
         network = MultiplexNetwork([make_layer(1, {("a", "b"): 1.0}, {"a": 0.5})])
         assert any("missing threshold" in v for v in validate(network))
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from([math.nan, math.inf, -math.inf]),
+           st.booleans())
+    def test_non_finite_value_flagged(self, seed, bad, on_edge):
+        from conftest import random_network
+
+        network = random_network(seed, max_users=15)
+        layer = network.layers[-1]
+        if on_edge and layer.edges:
+            layer.edges[min(layer.edges)] = bad
+        else:
+            layer.thresholds[min(layer.nodes)] = bad
+        assert any("is not finite" in v for v in validate(network))
 
 
 class TestAliases:
