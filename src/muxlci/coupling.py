@@ -459,9 +459,11 @@ def read_coupled(edge_lines, manifest_rows):
 
     ``manifest_rows`` is an iterable of CSV rows including the header.
     The seedable domain is recovered from the kind column (gateway and
-    user vertices).  Raises ValueError on an edge endpoint missing from
-    the manifest and on a non-finite threshold, node weight or edge
-    weight; folded lossy thresholds above 1 are legal.
+    user vertices).  Raises ValueError, naming the line, on a manifest
+    row without six fields or with an unparsable number, on an edge
+    endpoint missing from the manifest, on a non-finite threshold, node
+    weight or edge weight, and on a negative edge weight; folded lossy
+    thresholds above 1 are legal.
     """
     reader = csv.reader(iter(manifest_rows))
     header = next(reader)
@@ -469,16 +471,25 @@ def read_coupled(edge_lines, manifest_rows):
     if header != expected:
         raise ValueError(f"unexpected manifest header {header!r}")
     nodes, thresholds, weights, kinds, user_of = [], {}, {}, {}, {}
+
+    def bad_row(problem):
+        node = row[0] if row else ""
+        return ValueError(f"manifest line {reader.line_num}, node {node!r}: {problem}")
+
     for row in reader:
+        if len(row) != len(expected):
+            raise bad_row(f"expected {len(expected)} fields, got {len(row)}")
         node, kind, user, layer, theta, weight = row
-        theta, weight = float(theta), float(weight)
+        try:
+            theta, weight, layer = float(theta), float(weight), int(layer) if layer else None
+        except ValueError:
+            raise bad_row(f"layer {layer!r}, threshold {theta!r} and weight {weight!r} must be numbers") from None
         if not (math.isfinite(theta) and math.isfinite(weight)):
-            raise ValueError(
-                f"manifest node {node!r}: threshold {theta} and weight {weight} must be finite")
+            raise bad_row(f"threshold {theta} and weight {weight} must be finite")
         nodes.append(node)
         thresholds[node] = theta
         weights[node] = weight
-        kinds[node] = NodeKind(kind, user, int(layer) if layer else None)
+        kinds[node] = NodeKind(kind, user, layer)
         if kind in (GATEWAY, USER_VERTEX):
             user_of[node] = user
     edges = []
@@ -493,8 +504,8 @@ def read_coupled(edge_lines, manifest_rows):
         if src not in thresholds or dst not in thresholds:
             unknown = dst if src in thresholds else src
             raise ValueError(f"line {line_no}: node {unknown!r} is not in the manifest")
-        if not math.isfinite(weight):
-            raise ValueError(f"line {line_no}: weight {weight} must be finite")
+        if not 0.0 <= weight < math.inf:
+            raise ValueError(f"line {line_no}: weight {weight} must be finite and >= 0")
         edges.append((src, dst, weight))
     graph = InfluenceGraph(nodes, edges, thresholds, weights)
     return graph, kinds, user_of

@@ -24,9 +24,10 @@ hop on.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .network import WEIGHT_EPS
 
@@ -59,13 +60,49 @@ class DiffusionModel:
             raise ValueError("mc_samples must be >= 1")
 
 
-@dataclass
 class ActiveSet:
     """Activation trace: per_hop[t] holds the ids newly active at hop t
-    (per_hop[0] is the seed set); members is their union."""
+    (per_hop[0] is the seed set); members is their union.
 
-    members: set = field(default_factory=set)
-    per_hop: list = field(default_factory=list)
+    ``ActiveSet(members, per_hop)`` stores both as given.  The graph
+    engines instead keep their per-hop index lists and the graph's node
+    ids (:meth:`from_indices`) and build ``per_hop`` and ``members`` as
+    id sets on first access, so a caller that reads only the coverage
+    numbers never pays for them.
+    """
+
+    def __init__(self, members=None, per_hop=None):
+        self._members = set() if members is None else members
+        self._per_hop = [] if per_hop is None else per_hop
+
+    @classmethod
+    def from_indices(cls, per_hop_idx, node_ids):
+        active = cls.__new__(cls)
+        active._members = active._per_hop = None
+        active._per_hop_idx = per_hop_idx
+        active._node_ids = node_ids
+        return active
+
+    @property
+    def per_hop(self):
+        if self._per_hop is None:
+            ids = self._node_ids
+            self._per_hop = [{ids[i] for i in hop} for hop in self._per_hop_idx]
+        return self._per_hop
+
+    @property
+    def members(self):
+        if self._members is None:
+            self._members = set().union(*self.per_hop)
+        return self._members
+
+    def __eq__(self, other):
+        if not isinstance(other, ActiveSet):
+            return NotImplemented
+        return self.members == other.members and self.per_hop == other.per_hop
+
+    def __repr__(self):
+        return f"ActiveSet(members={self.members!r}, per_hop={self.per_hop!r})"
 
 
 @dataclass
@@ -75,6 +112,8 @@ class DiffusionOutcome:
     For Monte Carlo models, ``coverage_count`` and ``coverage_weight``
     are means over the samples and ``active`` holds the final sample's
     trace; for deterministic runs coverage_count == len(active.members).
+    The two coverage numbers are tallied from node indices; the id sets
+    in ``active`` are built only when read.
     """
 
     active: ActiveSet
@@ -87,9 +126,11 @@ class InfluenceGraph:
     """Directed weighted graph with per-node thresholds and node weights.
 
     Nodes are opaque string ids mapped to dense indices in the order
-    given.  Instances are immutable after construction and safe to share
-    across concurrent read-only simulations: propagation keeps all
-    scratch state local to the call.
+    given.  Thresholds and node weights must be finite, and edge weights
+    finite and non-negative (the linear-threshold sweep relies on it);
+    anything else raises ValueError.  Instances are immutable after
+    construction and safe to share across concurrent read-only
+    simulations: propagation keeps all scratch state local to the call.
     """
 
     def __init__(self, nodes, edges, thresholds, node_weights=None):
@@ -102,16 +143,27 @@ class InfluenceGraph:
             self.node_weight = [1.0] * len(self.node_ids)
         else:
             self.node_weight = [float(node_weights.get(u, 1.0)) for u in self.node_ids]
+        for u, theta, weight in zip(self.node_ids, self.theta, self.node_weight):
+            if not (math.isfinite(theta) and math.isfinite(weight)):
+                raise ValueError(f"node {u!r}: threshold {theta} and weight {weight} must be finite")
+        # activation bar: a node activates once its received weight reaches it
+        self.bar = [t - WEIGHT_EPS for t in self.theta]
         self.out = [[] for _ in self.node_ids]
         seen = set()
         for src, dst, weight in edges:
-            iu, iv = self.index[src], self.index[dst]
+            try:
+                iu, iv = self.index[src], self.index[dst]
+            except KeyError as missing:
+                raise ValueError(f"edge {src!r}->{dst!r}: endpoint {missing.args[0]!r} is not a node") from None
             if iu == iv:
                 raise ValueError(f"self-loop on {src!r}")
             if (iu, iv) in seen:
                 raise ValueError(f"duplicate edge {src!r}->{dst!r}")
+            weight = float(weight)
+            if not 0.0 <= weight < math.inf:
+                raise ValueError(f"edge {src!r}->{dst!r}: weight {weight} must be finite and >= 0")
             seen.add((iu, iv))
-            self.out[iu].append((iv, float(weight)))
+            self.out[iu].append((iv, weight))
         self.total_weight = float(sum(self.node_weight))
 
     def __len__(self):
@@ -135,15 +187,29 @@ def _seed_indices(graph, seeds):
     return sorted(set(indices))
 
 
+def _tally(graph, per_hop_idx):
+    """(node count, node-weight sum) of disjoint per-hop index lists."""
+    weight = graph.node_weight
+    return sum(map(len, per_hop_idx)), sum(weight[i] for hop in per_hop_idx for i in hop)
+
+
 def _outcome(graph, per_hop_idx, hops_used):
-    per_hop = [{graph.node_ids[i] for i in hop} for hop in per_hop_idx]
-    members = set().union(*per_hop) if per_hop else set()
-    weight = sum(graph.node_weight[graph.index[u]] for u in members)
-    return DiffusionOutcome(ActiveSet(members, per_hop), float(len(members)), weight, hops_used)
+    count, weight = _tally(graph, per_hop_idx)
+    active = ActiveSet.from_indices(per_hop_idx, graph.node_ids)
+    return DiffusionOutcome(active, float(count), weight, hops_used)
 
 
-def _lt_rounds(graph, seed_idx, hops, theta):
-    """Shared linear-threshold sweep; returns (per-hop index lists, hops used)."""
+def _lt_rounds(graph, seed_idx, hops, bar):
+    """Shared linear-threshold sweep; returns (per-hop index lists, hops used).
+
+    A node activates at the first hop whose received weight reaches
+    ``bar`` (threshold minus slack).  Each hop walks the frontier's
+    out-edges in order and activates a node the moment its running sum
+    crosses the bar.  That equals testing the full hop sum afterwards
+    only because edge weights are non-negative (``InfluenceGraph``
+    enforces it): a sum can only grow within a hop.
+    """
+    out = graph.out
     active = bytearray(len(graph.node_ids))
     received = [0.0] * len(graph.node_ids)
     for i in seed_idx:
@@ -152,17 +218,18 @@ def _lt_rounds(graph, seed_idx, hops, theta):
     frontier = seed_idx
     hops_used = 0
     for t in range(1, hops + 1):
-        touched = set()
+        newly = []
         for u in frontier:
-            for v, w in graph.out[u]:
+            for v, w in out[u]:
                 if not active[v]:
-                    received[v] += w
-                    touched.add(v)
-        newly = sorted(v for v in touched if received[v] >= theta[v] - WEIGHT_EPS)
+                    total = received[v] + w
+                    received[v] = total
+                    if total >= bar[v]:
+                        active[v] = 1
+                        newly.append(v)
         if not newly:
             break
-        for v in newly:
-            active[v] = 1
+        newly.sort()
         per_hop.append(newly)
         frontier = newly
         hops_used = t
@@ -178,7 +245,7 @@ def lt_propagate(graph, seeds, hops):
     if hops < 0:
         raise ValueError("hop budget must be >= 0")
     seed_idx = _seed_indices(graph, seeds)
-    per_hop, hops_used = _lt_rounds(graph, seed_idx, hops, graph.theta)
+    per_hop, hops_used = _lt_rounds(graph, seed_idx, hops, graph.bar)
     return _outcome(graph, per_hop, hops_used)
 
 
@@ -267,9 +334,9 @@ def ic_propagate(graph, seeds, hops, model):
     last = None
     for _ in range(model.mc_samples):
         per_hop, hops_used = _ic_single(graph, seed_idx, hops, rng)
-        members = {i for hop in per_hop for i in hop}
-        count_total += len(members)
-        weight_total += sum(graph.node_weight[i] for i in members)
+        count, weight = _tally(graph, per_hop)
+        count_total += count
+        weight_total += weight
         last = (per_hop, hops_used)
     outcome = _outcome(graph, last[0], last[1])
     outcome.coverage_count = count_total / model.mc_samples
@@ -308,11 +375,11 @@ def st_propagate(graph, seeds, hops, model):
     weight_total = 0.0
     last = None
     for _ in range(model.mc_samples):
-        theta = [(1.0 - rng.random()) * b for b in bounds]
-        per_hop, hops_used = _lt_rounds(graph, seed_idx, hops, theta)
-        members = {i for hop in per_hop for i in hop}
-        count_total += len(members)
-        weight_total += sum(graph.node_weight[i] for i in members)
+        bar = [(1.0 - rng.random()) * b - WEIGHT_EPS for b in bounds]
+        per_hop, hops_used = _lt_rounds(graph, seed_idx, hops, bar)
+        count, weight = _tally(graph, per_hop)
+        count_total += count
+        weight_total += weight
         last = (per_hop, hops_used)
     outcome = _outcome(graph, last[0], last[1])
     outcome.coverage_count = count_total / model.mc_samples

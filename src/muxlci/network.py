@@ -270,7 +270,7 @@ def validate(network):
                 report.append(f"{tag}: edge {src!r}->{dst!r} has unset weight")
             elif not math.isfinite(weight):
                 report.append(f"{tag}: edge {src!r}->{dst!r} weight {weight} is not finite")
-            elif not -WEIGHT_EPS <= weight <= 1.0 + WEIGHT_EPS:
+            elif not 0.0 <= weight <= 1.0 + WEIGHT_EPS:
                 report.append(f"{tag}: edge {src!r}->{dst!r} weight {weight} outside [0, 1]")
         for user in sorted(layer.nodes):
             theta = layer.thresholds.get(user)

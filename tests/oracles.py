@@ -2,10 +2,16 @@
 
 Deliberately written straight-line (full rescans per round, no
 incremental bookkeeping) so they share no code path with the engines
-they check.
+they check.  The ``reference_*`` functions are the exception: they keep
+the eager form of the linear-threshold kernel (sum each touched node's
+hop total, test it afterwards, build id sets at once), against which
+the engine must agree exactly.
 """
 
 import random
+
+from muxlci.diffusion import ActiveSet, DiffusionOutcome, _resolve_bounds, _seed_indices
+from muxlci.network import WEIGHT_EPS
 
 TOL = 1e-12
 
@@ -169,3 +175,68 @@ def naive_lossy_fold(network, alpha):
             folded[(src, dst)] = folded.get((src, dst), 0.0) + alpha(dst, layer.layer_index) * weight
     edges = {(src, dst, w) for (src, dst), w in folded.items() if w > 0.0}
     return thresholds, edges
+
+
+def reference_outcome(graph, per_hop_idx, hops_used):
+    """Eager outcome: id sets built at once, weight summed over the ids."""
+    per_hop = [{graph.node_ids[i] for i in hop} for hop in per_hop_idx]
+    members = set().union(*per_hop) if per_hop else set()
+    weight = sum(graph.node_weight[graph.index[u]] for u in members)
+    return DiffusionOutcome(ActiveSet(members, per_hop), float(len(members)), weight, hops_used)
+
+
+def reference_lt_rounds(graph, seed_idx, hops, theta):
+    """Linear-threshold sweep that sums every touched node's hop total
+    first and tests it against its threshold afterwards."""
+    active = bytearray(len(graph.node_ids))
+    received = [0.0] * len(graph.node_ids)
+    for i in seed_idx:
+        active[i] = 1
+    per_hop = [list(seed_idx)]
+    frontier = seed_idx
+    hops_used = 0
+    for t in range(1, hops + 1):
+        touched = set()
+        for u in frontier:
+            for v, w in graph.out[u]:
+                if not active[v]:
+                    received[v] += w
+                    touched.add(v)
+        newly = sorted(v for v in touched if received[v] >= theta[v] - WEIGHT_EPS)
+        if not newly:
+            break
+        for v in newly:
+            active[v] = 1
+        per_hop.append(newly)
+        frontier = newly
+        hops_used = t
+    return per_hop, hops_used
+
+
+def reference_lt_propagate(graph, seeds, hops):
+    """Deterministic linear threshold through the reference sweep."""
+    seed_idx = _seed_indices(graph, seeds)
+    per_hop, hops_used = reference_lt_rounds(graph, seed_idx, hops, graph.theta)
+    return reference_outcome(graph, per_hop, hops_used)
+
+
+def reference_st_propagate(graph, seeds, hops, model):
+    """Stochastic threshold through the reference sweep, drawing the
+    same thresholds from the same rng stream as the engine."""
+    seed_idx = _seed_indices(graph, seeds)
+    bounds = _resolve_bounds(graph, model.st_bounds)
+    rng = random.Random(model.rng_seed)
+    count_total = 0.0
+    weight_total = 0.0
+    last = None
+    for _ in range(model.mc_samples):
+        theta = [(1.0 - rng.random()) * b for b in bounds]
+        per_hop, hops_used = reference_lt_rounds(graph, seed_idx, hops, theta)
+        members = {i for hop in per_hop for i in hop}
+        count_total += len(members)
+        weight_total += sum(graph.node_weight[i] for i in members)
+        last = (per_hop, hops_used)
+    outcome = reference_outcome(graph, last[0], last[1])
+    outcome.coverage_count = count_total / model.mc_samples
+    outcome.coverage_weight = weight_total / model.mc_samples
+    return outcome

@@ -123,6 +123,28 @@ def test_simulate_unknown_coupled_node_exit_code(tmp_path, layer_files, capsys):
     assert f"line {bad_line}: node 'zz' is not in the manifest" in capsys.readouterr().err
 
 
+def test_simulate_short_manifest_row_exit_code(tmp_path, layer_files, capsys):
+    edges = tmp_path / "coupled.txt"
+    manifest = tmp_path / "manifest.csv"
+    main([
+        "couple", "--layer", layer_files[0], "--layer", layer_files[1],
+        "--scheme", "clique", "--seed", "1",
+        "--out-edges", str(edges), "--out-manifest", str(manifest),
+    ])
+    capsys.readouterr()
+    rows = manifest.read_text().splitlines()
+    rows[2] = rows[2].rsplit(",", 1)[0]
+    manifest.write_text("\n".join(rows) + "\n")
+    seeds = write(tmp_path / "seeds.txt", "a@g\n")
+    code = main([
+        "simulate", "--coupled-edges", str(edges), "--coupled-manifest", str(manifest),
+        "--seeds-file", seeds, "--hops", "2",
+    ])
+    assert code == 3
+    node = rows[2].split(",")[0]
+    assert f"manifest line 3, node {node!r}: expected 6 fields, got 5" in capsys.readouterr().err
+
+
 def test_solve_emits_complete_result(tmp_path, layer_files):
     out = tmp_path / "result.json"
     code = main([

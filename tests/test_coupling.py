@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -384,6 +385,38 @@ class TestCoupledExport:
             rows[1] = ",".join(fields)
         with pytest.raises(ValueError, match="must be finite"):
             read_coupled(edge_lines, rows)
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from([-5e-324, -1e-13, -0.5]))
+    def test_negative_edge_weight_rejected(self, seed, bad):
+        network = random_network(seed, max_users=12)
+        coupled = couple(network, random.Random(seed).choice(["clique", "lossy-easiness"]))
+        edges_buf, manifest_buf = io.StringIO(), io.StringIO()
+        write_coupled(coupled, edges_buf, manifest_buf)
+        edge_lines = edges_buf.getvalue().splitlines()
+        edge_lines.append(f"{coupled.graph.node_ids[0]} {coupled.graph.node_ids[-1]} {bad!r}")
+        with pytest.raises(ValueError, match=f"line {len(edge_lines)}: weight .* must be finite and >= 0"):
+            read_coupled(edge_lines, manifest_buf.getvalue().splitlines())
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from(["short", "long", "threshold", "weight", "layer"]))
+    def test_malformed_manifest_row_names_line_and_node(self, seed, fault):
+        network = random_network(seed, max_users=12)
+        coupled = couple(network, random.Random(seed).choice(["star", "lossy-average"]))
+        edges_buf, manifest_buf = io.StringIO(), io.StringIO()
+        write_coupled(coupled, edges_buf, manifest_buf)
+        rows = manifest_buf.getvalue().splitlines()
+        line = random.Random(seed).randint(2, len(rows))
+        fields = rows[line - 1].split(",")
+        if fault == "short":
+            fields.pop()
+        elif fault == "long":
+            fields.append("extra")
+        else:
+            fields[{"layer": 3, "threshold": 4, "weight": 5}[fault]] = "x1"
+        rows[line - 1] = ",".join(fields)
+        with pytest.raises(ValueError, match=re.escape(f"manifest line {line}, node {fields[0]!r}: ")):
+            read_coupled(edges_buf.getvalue().splitlines(), rows)
 
     def test_manifest_lists_every_node_once(self, two_layer_toy):
         coupled = couple_reduced(two_layer_toy, "star")

@@ -1,9 +1,11 @@
 import io
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from muxlci import (
+    ActiveSet,
     DiffusionModel,
     InfluenceGraph,
     MultiplexNetwork,
@@ -16,7 +18,14 @@ from muxlci import (
 )
 
 from conftest import make_layer, random_network, random_seed_users
-from oracles import bfs_reachable, naive_graph_lt, naive_multiplex_lt
+from oracles import (
+    bfs_reachable,
+    naive_graph_lt,
+    naive_multiplex_lt,
+    reference_lt_propagate,
+    reference_lt_rounds,
+    reference_st_propagate,
+)
 
 
 def chain_graph(names, weight=1.0, theta=0.5):
@@ -300,3 +309,115 @@ def test_trace_export_format():
     assert lines[1] == "0,a,user"
     assert lines[2] == "1,b,user"
     assert lines[3] == "2,c,user"
+
+
+def corner_graph(seed):
+    """Random graph for the kernel differential test: zero-weight edges,
+    isolated nodes, integer node weights, in-weight sums at most 1, and
+    most thresholds set exactly to a prefix sum of a node's in-weights in
+    source-index order, so the hop sum can land exactly on the bar."""
+    import random
+
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    names = [f"n{i}" for i in range(n)]
+    p = rng.uniform(0.1, 0.6)
+    raw = {}
+    for a in range(n):
+        for b in range(n):
+            if a != b and rng.random() < p:
+                raw[(a, b)] = rng.choice([0.0, 0.25, 0.5, 1.0, rng.random()])
+    incoming = {b: [(a, w) for (a, bb), w in sorted(raw.items()) if bb == b] for b in range(n)}
+    edges, thetas = [], {}
+    for b in range(n):
+        scale = max(1.0, sum(w for _, w in incoming[b]))
+        weights = [w / scale for _, w in incoming[b]]
+        edges += [(names[a], names[b], w) for (a, _), w in zip(incoming[b], weights)]
+        prefix = sum(weights[:rng.randint(1, len(weights))]) if weights else 0.0
+        thetas[names[b]] = prefix if 0.0 < prefix <= 1.0 and rng.random() < 0.7 else 1.0 - rng.random()
+    names.append("iso")
+    thetas["iso"] = 1.0 - rng.random()
+    node_weights = {u: float(rng.randint(0, 3)) for u in names}
+    seeds = set(rng.sample(names, rng.randint(0, min(3, n))))
+    return InfluenceGraph(names, edges, thetas, node_weights), seeds
+
+
+def assert_same_outcome(ours, reference):
+    assert ours.active.per_hop == reference.active.per_hop
+    assert ours.active.members == reference.active.members
+    assert ours.hops_used == reference.hops_used
+    assert ours.coverage_count == reference.coverage_count
+    assert ours.coverage_weight == reference.coverage_weight
+
+
+class TestKernelMatchesReference:
+    """The activate-on-crossing sweep and the lazy outcome equal the
+    eager touched-set sweep exactly."""
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5))
+    def test_lt_propagate_exact(self, seed, hops):
+        graph, seeds = corner_graph(seed)
+        assert_same_outcome(lt_propagate(graph, seeds, hops), reference_lt_propagate(graph, seeds, hops))
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5),
+           st.sampled_from([None, 0.5, 1.0]))
+    def test_st_propagate_exact(self, seed, hops, bounds):
+        graph, seeds = corner_graph(seed)
+        model = DiffusionModel("stochastic_threshold", mc_samples=5, rng_seed=seed, st_bounds=bounds)
+        assert_same_outcome(st_propagate(graph, seeds, hops, model),
+                            reference_st_propagate(graph, seeds, hops, model))
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5),
+           st.booleans())
+    def test_lazy_active_set_equals_eager(self, seed, hops, members_first):
+        graph, seeds = corner_graph(seed)
+        per_hop_idx, _ = reference_lt_rounds(graph, sorted(graph.index[u] for u in seeds), hops, graph.theta)
+        per_hop = [{graph.node_ids[i] for i in hop} for hop in per_hop_idx]
+        eager = ActiveSet(set().union(*per_hop), per_hop)
+        lazy = ActiveSet.from_indices(per_hop_idx, graph.node_ids)
+        if members_first:
+            assert lazy.members == eager.members
+        assert lazy == eager and eager == lazy
+        assert lazy.per_hop == eager.per_hop and lazy.members == eager.members
+
+    def test_empty_active_sets_agree(self):
+        assert ActiveSet() == ActiveSet.from_indices([], ("a",))
+        assert ActiveSet().members == set() and ActiveSet().per_hop == []
+
+
+class TestGraphPreconditions:
+    """InfluenceGraph rejects input the LT sweep cannot handle."""
+
+    @staticmethod
+    def parts(graph):
+        edges = [(graph.node_ids[u], graph.node_ids[v], w)
+                 for u, targets in enumerate(graph.out) for v, w in targets]
+        return edges, dict(zip(graph.node_ids, graph.theta)), dict(zip(graph.node_ids, graph.node_weight))
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from([math.nan, math.inf, -math.inf]),
+           st.booleans())
+    def test_non_finite_node_value_rejected(self, seed, bad, on_threshold):
+        graph, _ = corner_graph(seed)
+        edges, thetas, weights = self.parts(graph)
+        (thetas if on_threshold else weights)[graph.node_ids[-1]] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            InfluenceGraph(graph.node_ids, edges, thetas, weights)
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from([math.nan, math.inf, -math.inf, -0.25, -5e-324]))
+    def test_bad_edge_weight_rejected(self, seed, bad):
+        graph, _ = corner_graph(seed)
+        edges, thetas, weights = self.parts(graph)
+        thetas["src"] = 0.5
+        edges.append(("src", graph.node_ids[-1], bad))
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            InfluenceGraph(list(thetas), edges, thetas, weights)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+    def test_unknown_endpoint_rejected(self, seed, at_src):
+        graph, _ = corner_graph(seed)
+        thetas = dict(zip(graph.node_ids, graph.theta))
+        edge = ("zz", graph.node_ids[0], 0.5) if at_src else (graph.node_ids[0], "zz", 0.5)
+        with pytest.raises(ValueError, match="endpoint 'zz' is not a node"):
+            InfluenceGraph(list(thetas), [edge], thetas)

@@ -16,7 +16,7 @@ from muxlci import (
     serialize_layer,
     validate,
 )
-from muxlci.network import needs_normalization
+from muxlci.network import WEIGHT_EPS, needs_normalization
 
 from conftest import make_layer
 
@@ -211,6 +211,16 @@ class TestValidate:
         else:
             layer.thresholds[min(layer.nodes)] = bad
         assert any("is not finite" in v for v in validate(network))
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from([-5e-324, -1e-13, -WEIGHT_EPS, -0.5]))
+    def test_negative_weight_flagged(self, seed, bad):
+        from conftest import random_network
+
+        network = random_network(seed, max_users=15)
+        layer = network.layers[-1]
+        layer.edges[tuple(sorted(layer.nodes)[:2])] = bad
+        assert any("outside [0, 1]" in v for v in validate(network))
 
 
 class TestAliases:

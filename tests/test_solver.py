@@ -135,6 +135,49 @@ class TestImprovedGreedy:
         assert a.users == b.users and a.gains == b.gains
 
 
+def expected_oracle_calls(domain, T, R, selections):
+    """Oracle calls of the lazy greedy from its parameters alone: one per
+    domain node to fill the heap, then per iteration i (1-based) the whole
+    heap of domain - (i - 1) entries when R divides i, else the top
+    min(T, heap), plus the base coverage and the popped node's fresh gain.
+    The benchmark (muxbench/spans.py, derived_evals) checks a traced run's
+    wrapped lt_propagate calls against this count."""
+    calls = domain + 2 * selections
+    for i in range(1, selections + 1):
+        heap = domain - (i - 1)
+        calls += heap if i % R == 0 else min(T, heap)
+    return calls
+
+
+class TestOracleCallCount:
+    @pytest.mark.parametrize("seed,scheme,T,R", [
+        (151, "clique", 8, 3), (152, "star", 3, 2),
+        (153, "reduced-clique", 2, 4), (154, "lossy-average", 5, 1),
+    ])
+    def test_one_lt_propagate_call_per_evaluation(self, monkeypatch, seed, scheme, T, R):
+        import muxlci.solver
+        from muxlci import couple
+
+        original = muxlci.solver.lt_propagate
+        calls = []
+
+        def counting(graph, seeds, hops):
+            outcome = original(graph, seeds, hops)
+            calls.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(muxlci.solver, "lt_propagate", counting)
+        network = random_network(seed, max_users=30)
+        coupled = couple(network, scheme)
+        mode = "weight" if scheme.startswith("reduced") else "count"
+        seed_set = improved_greedy(coupled, GreedyConfig(0.6, 2, T=T, R=R, coverage_mode=mode))
+        assert len(calls) == expected_oracle_calls(len(coupled.user_of), T, R, len(seed_set.users))
+        for outcome in calls:
+            per_hop = outcome.active.per_hop
+            assert sum(len(hop) for hop in per_hop) == len(outcome.active.members) == outcome.coverage_count
+            assert set().union(*per_hop) == outcome.active.members
+
+
 class TestBruteForce:
     def test_two_isolated_users_need_two_seeds(self):
         network = MultiplexNetwork([make_layer(1, {}, {"a": 0.5, "b": 0.5})])
