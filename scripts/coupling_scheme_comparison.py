@@ -23,7 +23,6 @@ def main(argv=None):
     parser.add_argument("--layer-size", type=int, default=50, dest="layer_size")
     parser.add_argument("--edge-prob", type=float, default=0.05, dest="edge_prob")
     parser.add_argument("--overlap", type=float, default=0.3)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     spec = ExperimentSpec(
@@ -43,7 +42,7 @@ def main(argv=None):
             "overlap_fraction": args.overlap,
         },
     )
-    rows = run_experiment(spec, jobs=args.jobs)
+    rows = run_experiment(spec)
     write_rows_csv(rows, args.out, spec=spec)
 
     by_scheme = {}

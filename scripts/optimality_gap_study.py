@@ -17,7 +17,7 @@ from muxlci import (
     GreedyConfig,
     SynthSpec,
     brute_force_optimal,
-    couple_clique_lossless,
+    couple,
     generate,
     improved_greedy,
     subseed,
@@ -46,7 +46,7 @@ def main(argv=None):
             subseed(args.seed, f"instance/{instance}"),
         )
         network = generate(recipe)
-        coupled = couple_clique_lossless(network)
+        coupled = couple(network, "clique")
         for hops in hop_values:
             for beta in betas:
                 started = time.perf_counter()

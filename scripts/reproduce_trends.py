@@ -24,7 +24,6 @@ def main(argv=None):
     parser.add_argument("--out", default="results")
     parser.add_argument("--seed", type=int, default=1000)
     parser.add_argument("--repetitions", type=int, default=10)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
 
@@ -59,7 +58,7 @@ def main(argv=None):
         ),
     }
     for name, spec in studies.items():
-        rows = run_experiment(spec, jobs=args.jobs)
+        rows = run_experiment(spec)
         path = os.path.join(args.out, name)
         write_rows_csv(rows, path, spec=spec)
         failed = sum(1 for row in rows if row["status"] != "ok")

@@ -43,9 +43,6 @@ from .diffusion import (
 from .coupling import (
     NodeKind,
     CoupledNetwork,
-    couple_clique_lossless,
-    couple_star_lossless,
-    couple_reduced,
     couple_lossy,
     couple,
     easiness,

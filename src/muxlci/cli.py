@@ -226,7 +226,7 @@ def cmd_export_ilp(args):
 def cmd_experiment(args):
     with open(args.config, encoding="utf-8") as handle:
         spec = ExperimentSpec.from_json(handle.read())
-    rows = run_experiment(spec, jobs=args.jobs)
+    rows = run_experiment(spec)
     out = args.out or spec.out
     if not out:
         raise ValueError("no output path: pass --out or set 'out' in the config")
@@ -311,7 +311,6 @@ def build_parser():
 
     p = sub.add_parser("experiment", help="run a sweep from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_experiment)
 

@@ -5,20 +5,23 @@ graph, a user<->node bijection F (``user_of`` / ``node_of_user``) on the
 seedable nodes, and a hop-scale factor: d hops of direct multiplex
 diffusion correspond to ``hop_scale * d`` hops on the coupled graph.
 
-Lossless schemes reproduce multiplex diffusion exactly:
+Lossless schemes reproduce multiplex diffusion exactly.  They are one
+construction with two switches.  Per user there is a seedable vertex
+and one representative per layer the user joins; all of a user's
+outgoing influence flows through the seedable vertex, and the user's
+vertices synchronize so that one active sibling activates the rest:
 
-* clique — per user, one gateway plus one representative per layer
-  (isolated dummies for layers the user does not join).  All of a
-  user's outgoing influence flows through its gateway; gateway and
-  representatives synchronize through a pairwise clique whose edge into
-  any vertex carries exactly that vertex's threshold.  Hop scale 2.
-* star — synchronization goes through one extra intermediate hub per
-  user instead of the clique, trading edges (2(k+1) per user instead of
-  k(k+1)) for one more synchronization hop.  Hop scale 3.
-* reduced clique / reduced star — representatives only for joined
-  layers, no dummies.  Representatives weigh 1, the seedable user
-  vertex weighs k - p for a user joining p of the k layers, so weighted
-  coverage on the coupled graph equals user coverage on the multiplex.
+* sync — "clique" ties them pairwise, each edge carrying exactly its
+  target's threshold (hop scale 2); "star" routes through one extra hub
+  per user, trading edges (2(k+1) per user instead of k(k+1)) for one
+  more synchronization hop (hop scale 3).
+* dummies — on ("clique", "star"): the seedable vertex is a gateway,
+  each layer the user does not join gets a dummy representative with
+  threshold 1 and no layer edges, and every vertex weighs 1.  Off
+  ("reduced-clique", "reduced-star"): no dummies; representatives weigh
+  1, the hub 0, and the seedable user vertex k - p for a user joining p
+  of the k layers, so weighted coverage on the coupled graph equals user
+  coverage on the multiplex.
 
 The lossy scheme keeps one vertex per user and folds the per-layer
 activation conditions into one inequality by positive per-layer
@@ -96,22 +99,6 @@ class CoupledNetwork:
         return {self.user_of[node] for node in members if node in self.user_of}
 
 
-def _gateway(user):
-    return user + "@g"
-
-
-def _rep(user, layer_index):
-    return f"{user}@{layer_index}"
-
-
-def _hub(user):
-    return user + "@s"
-
-
-def _user_vertex(user):
-    return user + "@u"
-
-
 def _require_complete(layers):
     for layer in layers:
         for (src, dst), weight in layer.edges.items():
@@ -128,169 +115,71 @@ def _require_complete(layers):
                 )
 
 
-def _sync_weight(thresholds, node, ic):
-    # IC synchronization edges fire with probability 1; threshold-model
-    # edges carry exactly the target's threshold so one active sibling
-    # is always enough.
-    return 1.0 if ic else thresholds[node]
+def _couple_lossless(network, sync, dummies, model_kind):
+    """Lossless coupling with ``sync`` "clique" or "star" and dummies on or off.
 
-
-def couple_clique_lossless(network, model_kind="linear_threshold"):
-    """Clique lossless coupling; hop scale 2.
-
-    Sizes: (k+1)*n vertices and sum(|E_i|) + n*k*(k+1) edges for n users
-    and k layers.  Seeds map to gateways.
+    Per user, in sorted order: the seedable vertex, the representatives
+    in layer order, then the star hub.  Sync edges fire with probability
+    1 under independent cascade.  Each layer edge u->v becomes seedable
+    vertex of u -> representative of v in that layer.
     """
     _require_complete(network.layers)
     ic = model_kind == INDEPENDENT_CASCADE
     k = network.k
     users = sorted(network.universe)
+    if dummies:
+        seed_kind, seed_tag, hub_weight = GATEWAY, "@g", 1.0
+    else:
+        seed_kind, seed_tag, hub_weight = USER_VERTEX, "@u", 0.0
     nodes, thresholds, kinds, node_weight = [], {}, {}, {}
     user_of, node_of_user = {}, {}
     edges = []
     for user in users:
-        gateway = _gateway(user)
-        nodes.append(gateway)
-        thresholds[gateway] = 1.0
-        kinds[gateway] = NodeKind(GATEWAY, user)
-        node_weight[gateway] = 1.0
-        user_of[gateway] = user
-        node_of_user[user] = gateway
-        ring = [gateway]
-        for layer in network.layers:
-            rep = _rep(user, layer.layer_index)
-            nodes.append(rep)
-            node_weight[rep] = 1.0
-            if user in layer.nodes:
-                thresholds[rep] = layer.thresholds[user]
-                kinds[rep] = NodeKind(REPRESENTATIVE, user, layer.layer_index)
-            else:
-                thresholds[rep] = 1.0
-                kinds[rep] = NodeKind(DUMMY, user, layer.layer_index)
-            ring.append(rep)
-        for src in ring:
-            for dst in ring:
-                if src != dst:
-                    edges.append((src, dst, _sync_weight(thresholds, dst, ic)))
-    for layer in network.layers:
-        for (src, dst) in sorted(layer.edges):
-            edges.append((_gateway(src), _rep(dst, layer.layer_index), layer.edges[(src, dst)]))
-    graph = InfluenceGraph(nodes, edges, thresholds, node_weight)
-    return CoupledNetwork(graph, kinds, user_of, node_of_user, 2, "clique", k, len(users))
-
-
-def couple_star_lossless(network, model_kind="linear_threshold"):
-    """Star lossless coupling; hop scale 3.
-
-    Like the clique scheme but per-user synchronization runs through one
-    intermediate hub, so the coupled network has (k+2)*n vertices and
-    sum(|E_i|) + 2*n*(k+1) edges.
-    """
-    _require_complete(network.layers)
-    ic = model_kind == INDEPENDENT_CASCADE
-    k = network.k
-    users = sorted(network.universe)
-    nodes, thresholds, kinds, node_weight = [], {}, {}, {}
-    user_of, node_of_user = {}, {}
-    edges = []
-    for user in users:
-        gateway = _gateway(user)
-        hub = _hub(user)
-        nodes.append(gateway)
-        thresholds[gateway] = 1.0
-        kinds[gateway] = NodeKind(GATEWAY, user)
-        node_weight[gateway] = 1.0
-        user_of[gateway] = user
-        node_of_user[user] = gateway
-        reps = []
-        for layer in network.layers:
-            rep = _rep(user, layer.layer_index)
-            nodes.append(rep)
-            node_weight[rep] = 1.0
-            if user in layer.nodes:
-                thresholds[rep] = layer.thresholds[user]
-                kinds[rep] = NodeKind(REPRESENTATIVE, user, layer.layer_index)
-            else:
-                thresholds[rep] = 1.0
-                kinds[rep] = NodeKind(DUMMY, user, layer.layer_index)
-            reps.append(rep)
-        nodes.append(hub)
-        thresholds[hub] = 1.0
-        kinds[hub] = NodeKind(INTERMEDIATE, user)
-        node_weight[hub] = 1.0
-        for rep in reps:
-            edges.append((rep, hub, 1.0))
-            edges.append((hub, rep, _sync_weight(thresholds, rep, ic)))
-        edges.append((hub, gateway, 1.0))
-        edges.append((gateway, hub, 1.0))
-    for layer in network.layers:
-        for (src, dst) in sorted(layer.edges):
-            edges.append((_gateway(src), _rep(dst, layer.layer_index), layer.edges[(src, dst)]))
-    graph = InfluenceGraph(nodes, edges, thresholds, node_weight)
-    return CoupledNetwork(graph, kinds, user_of, node_of_user, 3, "star", k, len(users))
-
-
-def couple_reduced(network, sync="clique", model_kind="linear_threshold"):
-    """Weight-reduced lossless coupling (clique or star synchronization).
-
-    Representatives exist only for layers a user joins (weight 1 each);
-    the seedable user vertex carries weight k - p for a user joining p
-    layers, so the weighted active fraction on the coupled graph equals
-    the active user fraction on the multiplex.  Coverage on these graphs
-    must be measured by weight.  Vertices: sum(|V_i|) + n (clique sync)
-    or sum(|V_i|) + 2n (star sync).
-    """
-    if sync not in ("clique", "star"):
-        raise ValueError(f"unknown synchronization style {sync!r}")
-    _require_complete(network.layers)
-    ic = model_kind == INDEPENDENT_CASCADE
-    k = network.k
-    users = sorted(network.universe)
-    nodes, thresholds, kinds, node_weight = [], {}, {}, {}
-    user_of, node_of_user = {}, {}
-    edges = []
-    for user in users:
-        vertex = _user_vertex(user)
+        vertex = user + seed_tag
         nodes.append(vertex)
         thresholds[vertex] = 1.0
-        kinds[vertex] = NodeKind(USER_VERTEX, user)
+        kinds[vertex] = NodeKind(seed_kind, user)
         user_of[vertex] = user
         node_of_user[user] = vertex
         reps = []
-        joined = 0
         for layer in network.layers:
-            if user not in layer.nodes:
+            i = layer.layer_index
+            rep = f"{user}@{i}"
+            if user in layer.nodes:
+                thresholds[rep] = layer.thresholds[user]
+                kinds[rep] = NodeKind(REPRESENTATIVE, user, i)
+            elif dummies:
+                thresholds[rep] = 1.0
+                kinds[rep] = NodeKind(DUMMY, user, i)
+            else:
                 continue
-            joined += 1
-            rep = _rep(user, layer.layer_index)
             nodes.append(rep)
-            thresholds[rep] = layer.thresholds[user]
-            kinds[rep] = NodeKind(REPRESENTATIVE, user, layer.layer_index)
             node_weight[rep] = 1.0
             reps.append(rep)
-        node_weight[vertex] = float(k - joined)
+        node_weight[vertex] = 1.0 if dummies else float(k - len(reps))
         if sync == "clique":
             ring = [vertex] + reps
             for src in ring:
                 for dst in ring:
                     if src != dst:
-                        edges.append((src, dst, _sync_weight(thresholds, dst, ic)))
+                        edges.append((src, dst, 1.0 if ic else thresholds[dst]))
         else:
-            hub = _hub(user)
+            hub = user + "@s"
             nodes.append(hub)
             thresholds[hub] = 1.0
             kinds[hub] = NodeKind(INTERMEDIATE, user)
-            node_weight[hub] = 0.0
+            node_weight[hub] = hub_weight
             for rep in reps:
                 edges.append((rep, hub, 1.0))
-                edges.append((hub, rep, _sync_weight(thresholds, rep, ic)))
+                edges.append((hub, rep, 1.0 if ic else thresholds[rep]))
             edges.append((hub, vertex, 1.0))
             edges.append((vertex, hub, 1.0))
     for layer in network.layers:
+        i = layer.layer_index
         for (src, dst) in sorted(layer.edges):
-            edges.append((_user_vertex(src), _rep(dst, layer.layer_index), layer.edges[(src, dst)]))
+            edges.append((src + seed_tag, f"{dst}@{i}", layer.edges[(src, dst)]))
     graph = InfluenceGraph(nodes, edges, thresholds, node_weight)
-    scheme = "reduced-" + sync
+    scheme = sync if dummies else "reduced-" + sync
     hop_scale = 2 if sync == "clique" else 3
     return CoupledNetwork(graph, kinds, user_of, node_of_user, hop_scale, scheme, k, len(users))
 
@@ -397,15 +286,20 @@ def couple_lossy(network, kind="average", floor=1.0):
 
 
 def couple(network, scheme, model_kind="linear_threshold", floor=1.0):
-    """Dispatch by scheme name (see COUPLING_SCHEMES)."""
-    if scheme == "clique":
-        return couple_clique_lossless(network, model_kind)
-    if scheme == "star":
-        return couple_star_lossless(network, model_kind)
-    if scheme == "reduced-clique":
-        return couple_reduced(network, "clique", model_kind)
-    if scheme == "reduced-star":
-        return couple_reduced(network, "star", model_kind)
+    """Couple a complete multiplex network by scheme name (see COUPLING_SCHEMES).
+
+    Sizes for n users, k layers and |V_i|, |E_i| per layer: "clique"
+    (k+1)n vertices and sum|E_i| + nk(k+1) edges, seeds on gateways;
+    "star" (k+2)n vertices and sum|E_i| + 2n(k+1) edges; "reduced-clique"
+    sum|V_i| + n and "reduced-star" sum|V_i| + 2n vertices, whose
+    coverage must be measured by weight; lossy schemes n vertices.
+    ``model_kind`` sets the lossless sync edge weights; ``floor`` is the
+    lossy multiplier floor.
+    """
+    if scheme in ("clique", "star"):
+        return _couple_lossless(network, scheme, True, model_kind)
+    if scheme in ("reduced-clique", "reduced-star"):
+        return _couple_lossless(network, scheme[len("reduced-"):], False, model_kind)
     if scheme.startswith("lossy-"):
         return couple_lossy(network, scheme[len("lossy-"):], floor)
     raise ValueError(f"unknown coupling scheme {scheme!r}")
@@ -461,7 +355,8 @@ def read_coupled(edge_lines, manifest_rows):
     The seedable domain is recovered from the kind column (gateway and
     user vertices).  Raises ValueError, naming the line, on a manifest
     row without six fields or with an unparsable number, on an edge
-    endpoint missing from the manifest, on a non-finite threshold, node
+    line with an unparsable weight or an endpoint missing from the
+    manifest, on a non-finite threshold, node
     weight or edge weight, and on a negative edge weight; folded lossy
     thresholds above 1 are legal.
     """
@@ -500,7 +395,11 @@ def read_coupled(edge_lines, manifest_rows):
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {line_no}: expected 'src dst weight'")
-        src, dst, weight = parts[0], parts[1], float(parts[2])
+        src, dst, weight = parts
+        try:
+            weight = float(weight)
+        except ValueError:
+            raise ValueError(f"line {line_no}: weight {weight!r} is not a number") from None
         if src not in thresholds or dst not in thresholds:
             unknown = dst if src in thresholds else src
             raise ValueError(f"line {line_no}: node {unknown!r} is not in the manifest")

@@ -291,6 +291,27 @@ def multiplex_lt_propagate(network, seeds, hops):
     return DiffusionOutcome(ActiveSet(members, per_hop), float(len(members)), float(len(members)), hops_used)
 
 
+def _monte_carlo(graph, model, run_sample):
+    """Mean coverage over ``model.mc_samples`` runs of ``run_sample(rng)``.
+
+    All samples draw from one ``random.Random(model.rng_seed)`` in turn;
+    each returns (per-hop index lists, hops used).  The outcome carries
+    the means and the last sample's trace.
+    """
+    rng = random.Random(model.rng_seed)
+    count_total = 0.0
+    weight_total = 0.0
+    for _ in range(model.mc_samples):
+        per_hop, hops_used = run_sample(rng)
+        count, weight = _tally(graph, per_hop)
+        count_total += count
+        weight_total += weight
+    outcome = _outcome(graph, per_hop, hops_used)
+    outcome.coverage_count = count_total / model.mc_samples
+    outcome.coverage_weight = weight_total / model.mc_samples
+    return outcome
+
+
 def _ic_single(graph, seed_idx, hops, rng):
     active = bytearray(len(graph.node_ids))
     for i in seed_idx:
@@ -328,20 +349,7 @@ def ic_propagate(graph, seeds, hops, model):
     if hops < 0:
         raise ValueError("hop budget must be >= 0")
     seed_idx = _seed_indices(graph, seeds)
-    rng = random.Random(model.rng_seed)
-    count_total = 0.0
-    weight_total = 0.0
-    last = None
-    for _ in range(model.mc_samples):
-        per_hop, hops_used = _ic_single(graph, seed_idx, hops, rng)
-        count, weight = _tally(graph, per_hop)
-        count_total += count
-        weight_total += weight
-        last = (per_hop, hops_used)
-    outcome = _outcome(graph, last[0], last[1])
-    outcome.coverage_count = count_total / model.mc_samples
-    outcome.coverage_weight = weight_total / model.mc_samples
-    return outcome
+    return _monte_carlo(graph, model, lambda rng: _ic_single(graph, seed_idx, hops, rng))
 
 
 def _resolve_bounds(graph, st_bounds):
@@ -370,21 +378,12 @@ def st_propagate(graph, seeds, hops, model):
         raise ValueError("hop budget must be >= 0")
     seed_idx = _seed_indices(graph, seeds)
     bounds = _resolve_bounds(graph, model.st_bounds)
-    rng = random.Random(model.rng_seed)
-    count_total = 0.0
-    weight_total = 0.0
-    last = None
-    for _ in range(model.mc_samples):
+
+    def sample(rng):
         bar = [(1.0 - rng.random()) * b - WEIGHT_EPS for b in bounds]
-        per_hop, hops_used = _lt_rounds(graph, seed_idx, hops, bar)
-        count, weight = _tally(graph, per_hop)
-        count_total += count
-        weight_total += weight
-        last = (per_hop, hops_used)
-    outcome = _outcome(graph, last[0], last[1])
-    outcome.coverage_count = count_total / model.mc_samples
-    outcome.coverage_weight = weight_total / model.mc_samples
-    return outcome
+        return _lt_rounds(graph, seed_idx, hops, bar)
+
+    return _monte_carlo(graph, model, sample)
 
 
 def coverage_fraction(outcome, mode, total):

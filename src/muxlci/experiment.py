@@ -20,7 +20,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
@@ -30,6 +29,7 @@ from .generator import SynthSpec, generate, subseed
 from .network import MultiplexNetwork, overlap_users
 from .solver import (
     GreedyConfig,
+    SeedSet,
     brute_force_optimal,
     improved_greedy,
     meets_fraction,
@@ -66,18 +66,46 @@ def single_layer_network(layer):
     return MultiplexNetwork([clone])
 
 
+def _result(network, cfg, scheme, solver, coverage_mode, seed_set, coupled_fraction, replay, started):
+    """The JSON-ready result record shared by the pipeline and the baselines."""
+    return {
+        "scheme": scheme,
+        "solver": solver,
+        "beta": cfg.beta,
+        "hops": cfg.hops,
+        "T": cfg.T,
+        "R": cfg.R,
+        "coverage_mode": coverage_mode,
+        "seed_users": list(seed_set.users),
+        "gains": list(seed_set.gains),
+        "seed_size": len(seed_set.users),
+        "achieved_fraction": seed_set.achieved_fraction,
+        "coupled_fraction": coupled_fraction,
+        "replayed_fraction": replay.coverage_count / len(network.universe),
+        "replay_outcome": replay,
+        "wall_time_ms": (time.perf_counter() - started) * 1000.0,
+        "model": _model_record(cfg.model),
+        "network": _network_record(network),
+        "version": __version__,
+    }
+
+
 def solve_pipeline(network, scheme, cfg, solver="improved"):
     """Couple, solve, map seeds through F, and replay on the multiplex.
 
     Returns a JSON-ready result dict with both the coupled-graph
-    fraction and the replayed direct-multiplex fraction.  Raises
-    RuntimeError if the replayed fraction misses the target (which a
-    correct coupling cannot produce).
+    fraction and the replayed direct-multiplex fraction, and the
+    coverage mode the greedy used (by weight on reduced couplings,
+    whatever ``cfg.coverage_mode`` says).  Raises RuntimeError if the
+    replayed fraction misses the target (which a correct coupling
+    cannot produce).
     """
     started = time.perf_counter()
     if scheme == "direct":
         seed_set = brute_force_optimal(network, cfg.beta, cfg.hops)
         coupled_fraction = None
+        mode = "count"
+        solver = "brute-force"
     else:
         model_kind = cfg.model.kind if cfg.model is not None else LINEAR_THRESHOLD
         coupled = couple(network, scheme, model_kind=model_kind)
@@ -94,27 +122,7 @@ def solve_pipeline(network, scheme, cfg, solver="improved"):
             f"pipeline soundness violated: replayed fraction {replayed_fraction:.6f}"
             f" below target {cfg.beta}"
         )
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return {
-        "scheme": scheme,
-        "solver": "brute-force" if scheme == "direct" else solver,
-        "beta": cfg.beta,
-        "hops": cfg.hops,
-        "T": cfg.T,
-        "R": cfg.R,
-        "coverage_mode": cfg.coverage_mode if scheme != "direct" else "count",
-        "seed_users": list(seed_set.users),
-        "gains": list(seed_set.gains),
-        "seed_size": len(seed_set.users),
-        "achieved_fraction": seed_set.achieved_fraction,
-        "coupled_fraction": coupled_fraction,
-        "replayed_fraction": replayed_fraction,
-        "replay_outcome": replay,
-        "wall_time_ms": elapsed_ms,
-        "model": _model_record(cfg.model),
-        "network": _network_record(network),
-        "version": __version__,
-    }
+    return _result(network, cfg, scheme, solver, mode, seed_set, coupled_fraction, replay, started)
 
 
 def union_baseline(network, cfg, solver="improved"):
@@ -126,41 +134,20 @@ def union_baseline(network, cfg, solver="improved"):
         result = solve_pipeline(sub, "lossy-average", cfg, solver=solver)
         pooled.extend(u for u in result["seed_users"] if u not in pooled)
     replay = multiplex_lt_propagate(network, set(pooled), cfg.hops)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return {
-        "scheme": "union",
-        "solver": solver,
-        "beta": cfg.beta,
-        "hops": cfg.hops,
-        "T": cfg.T,
-        "R": cfg.R,
-        "coverage_mode": "count",
-        "seed_users": pooled,
-        "gains": [],
-        "seed_size": len(pooled),
-        "achieved_fraction": replay.coverage_count / len(network.universe),
-        "coupled_fraction": None,
-        "replayed_fraction": replay.coverage_count / len(network.universe),
-        "replay_outcome": replay,
-        "wall_time_ms": elapsed_ms,
-        "model": _model_record(cfg.model),
-        "network": _network_record(network),
-        "version": __version__,
-    }
+    seed_set = SeedSet(pooled, [], replay.coverage_count / len(network.universe))
+    return _result(network, cfg, "union", solver, "count", seed_set, None, replay, started)
 
 
 def only_baseline(network, layer_index, cfg, solver="improved"):
     """Solve one layer in isolation (coverage target: beta of that
     layer's node count) and replay the seeds on the full multiplex."""
-    layer = network.layer_by_index(layer_index)
-    sub = single_layer_network(layer)
+    started = time.perf_counter()
+    sub = single_layer_network(network.layer_by_index(layer_index))
     result = solve_pipeline(sub, "lossy-average", cfg, solver=solver)
-    replay = multiplex_lt_propagate(network, set(result["seed_users"]), cfg.hops)
-    result["scheme"] = f"only:{layer_index}"
-    result["replayed_fraction"] = replay.coverage_count / len(network.universe)
-    result["replay_outcome"] = replay
-    result["network"] = _network_record(network)
-    return result
+    seed_set = SeedSet(result["seed_users"], result["gains"], result["achieved_fraction"])
+    replay = multiplex_lt_propagate(network, set(seed_set.users), cfg.hops)
+    return _result(network, cfg, f"only:{layer_index}", solver, result["coverage_mode"],
+                   seed_set, result["coupled_fraction"], replay, started)
 
 
 def external_influence_fraction(network, seeds, hops, target_layer_index):
@@ -367,39 +354,38 @@ CSV_FIELDS = [
 ]
 
 
-def run_experiment(spec, jobs=1):
+def run_experiment(spec):
     """Run every cell of the sweep; failed cells become marked rows.
 
     Returns the list of row dicts in deterministic cell order.  Networks
     are rebuilt per (sweep value, repetition) from derived sub-seeds, so
-    the whole table is reproducible from the spec alone.
+    the whole table is reproducible from the spec alone.  All networks
+    are built before the first cell, so a bad network recipe raises
+    instead of marking cells; a failed cell's ``error`` reads
+    "<exception type>: <message>".
     """
     if spec.layer_files is not None:
         file_network = _load_files_network(spec)
+    cells = list(_cells(spec))
     networks = {}
-
-    def network_for(axis_name, axis_value, repetition):
-        if spec.layer_files is not None:
-            return file_network
+    for axis_name, axis_value, repetition, _, _ in cells:
         key = (axis_value, repetition)
-        if key not in networks:
+        if key in networks:
+            continue
+        if spec.layer_files is not None:
+            networks[key] = file_network
+        else:
             seed = subseed(spec.base_seed, f"net/{axis_value}/{repetition}")
             k = axis_value if axis_name == "k" else None
             overlap = axis_value if axis_name == "overlap" else None
             networks[key] = generate(_synth_spec(spec, k, overlap, seed))
-        return networks[key]
-
-    cells = list(_cells(spec))
-    for axis_name, axis_value, repetition, _, _ in cells:
-        network_for(axis_name, axis_value, repetition)
-
-    def run(cell):
-        axis_name, axis_value, repetition, scheme, beta = cell
-        network = network_for(axis_name, axis_value, repetition)
+    rows = []
+    for axis_name, axis_value, repetition, scheme, beta in cells:
+        network = networks[(axis_value, repetition)]
         try:
-            return _run_cell(spec, network, axis_name, axis_value, repetition, scheme, beta)
+            row = _run_cell(spec, network, axis_name, axis_value, repetition, scheme, beta)
         except Exception as exc:  # mark the cell, keep the sweep going
-            return {
+            row = {
                 **{name: "" for name in CSV_FIELDS},
                 "sweep": axis_name or "",
                 "sweep_value": "" if axis_value is None else axis_value,
@@ -407,14 +393,9 @@ def run_experiment(spec, jobs=1):
                 "scheme": scheme,
                 "beta": beta,
                 "status": "error",
-                "error": str(exc),
+                "error": f"{type(exc).__name__}: {exc}",
             }
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run, cells))
-    else:
-        rows = [run(cell) for cell in cells]
+        rows.append(row)
     return rows
 
 

@@ -63,13 +63,6 @@ class LayerGraph:
             adj[u].append((v, w))
         return dict(adj)
 
-    def in_adjacency(self):
-        """Map node -> list of (predecessor, weight)."""
-        adj = defaultdict(list)
-        for (u, v), w in self.edges.items():
-            adj[v].append((u, w))
-        return dict(adj)
-
     def in_weight_sums(self):
         sums = defaultdict(float)
         for (_, v), w in self.edges.items():

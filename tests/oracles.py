@@ -3,14 +3,37 @@
 Deliberately written straight-line (full rescans per round, no
 incremental bookkeeping) so they share no code path with the engines
 they check.  The ``reference_*`` functions are the exception: they keep
-the eager form of the linear-threshold kernel (sum each touched node's
-hop total, test it afterwards, build id sets at once), against which
-the engine must agree exactly.
+earlier forms of fast paths, against which the package must agree
+exactly: the eager linear-threshold kernel (sum each touched node's hop
+total, test it afterwards, build id sets at once), the independent
+cascade loop written out in full, and the three separate lossless
+coupling builders (full clique, full star, reduced) that ``couple()``
+now builds in one function.
 """
 
 import random
 
-from muxlci.diffusion import ActiveSet, DiffusionOutcome, _resolve_bounds, _seed_indices
+from muxlci.coupling import (
+    DUMMY,
+    GATEWAY,
+    INTERMEDIATE,
+    REPRESENTATIVE,
+    USER_VERTEX,
+    CoupledNetwork,
+    NodeKind,
+    _require_complete,
+)
+from muxlci.diffusion import (
+    INDEPENDENT_CASCADE,
+    ActiveSet,
+    DiffusionOutcome,
+    InfluenceGraph,
+    _ic_single,
+    _outcome,
+    _resolve_bounds,
+    _seed_indices,
+    _tally,
+)
 from muxlci.network import WEIGHT_EPS
 
 TOL = 1e-12
@@ -240,3 +263,215 @@ def reference_st_propagate(graph, seeds, hops, model):
     outcome.coverage_count = count_total / model.mc_samples
     outcome.coverage_weight = weight_total / model.mc_samples
     return outcome
+
+
+def reference_ic_propagate(graph, seeds, hops, model):
+    """Independent-cascade diffusion, averaged over Monte Carlo samples.
+
+    Each newly active node attempts each out-edge exactly once, with
+    success probability equal to the edge weight; the cascade is
+    truncated after ``hops`` rounds.  Deterministic under the model's
+    rng seed.
+    """
+    if model.kind != INDEPENDENT_CASCADE:
+        raise ValueError("model.kind must be independent_cascade")
+    if hops < 0:
+        raise ValueError("hop budget must be >= 0")
+    seed_idx = _seed_indices(graph, seeds)
+    rng = random.Random(model.rng_seed)
+    count_total = 0.0
+    weight_total = 0.0
+    last = None
+    for _ in range(model.mc_samples):
+        per_hop, hops_used = _ic_single(graph, seed_idx, hops, rng)
+        count, weight = _tally(graph, per_hop)
+        count_total += count
+        weight_total += weight
+        last = (per_hop, hops_used)
+    outcome = _outcome(graph, last[0], last[1])
+    outcome.coverage_count = count_total / model.mc_samples
+    outcome.coverage_weight = weight_total / model.mc_samples
+    return outcome
+
+
+def _gateway(user):
+    return user + "@g"
+
+
+def _rep(user, layer_index):
+    return f"{user}@{layer_index}"
+
+
+def _hub(user):
+    return user + "@s"
+
+
+def _user_vertex(user):
+    return user + "@u"
+
+
+def _sync_weight(thresholds, node, ic):
+    # IC synchronization edges fire with probability 1; threshold-model
+    # edges carry exactly the target's threshold so one active sibling
+    # is always enough.
+    return 1.0 if ic else thresholds[node]
+
+
+def reference_couple_clique_lossless(network, model_kind="linear_threshold"):
+    """Clique lossless coupling; hop scale 2.
+
+    Sizes: (k+1)*n vertices and sum(|E_i|) + n*k*(k+1) edges for n users
+    and k layers.  Seeds map to gateways.
+    """
+    _require_complete(network.layers)
+    ic = model_kind == INDEPENDENT_CASCADE
+    k = network.k
+    users = sorted(network.universe)
+    nodes, thresholds, kinds, node_weight = [], {}, {}, {}
+    user_of, node_of_user = {}, {}
+    edges = []
+    for user in users:
+        gateway = _gateway(user)
+        nodes.append(gateway)
+        thresholds[gateway] = 1.0
+        kinds[gateway] = NodeKind(GATEWAY, user)
+        node_weight[gateway] = 1.0
+        user_of[gateway] = user
+        node_of_user[user] = gateway
+        ring = [gateway]
+        for layer in network.layers:
+            rep = _rep(user, layer.layer_index)
+            nodes.append(rep)
+            node_weight[rep] = 1.0
+            if user in layer.nodes:
+                thresholds[rep] = layer.thresholds[user]
+                kinds[rep] = NodeKind(REPRESENTATIVE, user, layer.layer_index)
+            else:
+                thresholds[rep] = 1.0
+                kinds[rep] = NodeKind(DUMMY, user, layer.layer_index)
+            ring.append(rep)
+        for src in ring:
+            for dst in ring:
+                if src != dst:
+                    edges.append((src, dst, _sync_weight(thresholds, dst, ic)))
+    for layer in network.layers:
+        for (src, dst) in sorted(layer.edges):
+            edges.append((_gateway(src), _rep(dst, layer.layer_index), layer.edges[(src, dst)]))
+    graph = InfluenceGraph(nodes, edges, thresholds, node_weight)
+    return CoupledNetwork(graph, kinds, user_of, node_of_user, 2, "clique", k, len(users))
+
+
+def reference_couple_star_lossless(network, model_kind="linear_threshold"):
+    """Star lossless coupling; hop scale 3.
+
+    Like the clique scheme but per-user synchronization runs through one
+    intermediate hub, so the coupled network has (k+2)*n vertices and
+    sum(|E_i|) + 2*n*(k+1) edges.
+    """
+    _require_complete(network.layers)
+    ic = model_kind == INDEPENDENT_CASCADE
+    k = network.k
+    users = sorted(network.universe)
+    nodes, thresholds, kinds, node_weight = [], {}, {}, {}
+    user_of, node_of_user = {}, {}
+    edges = []
+    for user in users:
+        gateway = _gateway(user)
+        hub = _hub(user)
+        nodes.append(gateway)
+        thresholds[gateway] = 1.0
+        kinds[gateway] = NodeKind(GATEWAY, user)
+        node_weight[gateway] = 1.0
+        user_of[gateway] = user
+        node_of_user[user] = gateway
+        reps = []
+        for layer in network.layers:
+            rep = _rep(user, layer.layer_index)
+            nodes.append(rep)
+            node_weight[rep] = 1.0
+            if user in layer.nodes:
+                thresholds[rep] = layer.thresholds[user]
+                kinds[rep] = NodeKind(REPRESENTATIVE, user, layer.layer_index)
+            else:
+                thresholds[rep] = 1.0
+                kinds[rep] = NodeKind(DUMMY, user, layer.layer_index)
+            reps.append(rep)
+        nodes.append(hub)
+        thresholds[hub] = 1.0
+        kinds[hub] = NodeKind(INTERMEDIATE, user)
+        node_weight[hub] = 1.0
+        for rep in reps:
+            edges.append((rep, hub, 1.0))
+            edges.append((hub, rep, _sync_weight(thresholds, rep, ic)))
+        edges.append((hub, gateway, 1.0))
+        edges.append((gateway, hub, 1.0))
+    for layer in network.layers:
+        for (src, dst) in sorted(layer.edges):
+            edges.append((_gateway(src), _rep(dst, layer.layer_index), layer.edges[(src, dst)]))
+    graph = InfluenceGraph(nodes, edges, thresholds, node_weight)
+    return CoupledNetwork(graph, kinds, user_of, node_of_user, 3, "star", k, len(users))
+
+
+def reference_couple_reduced(network, sync="clique", model_kind="linear_threshold"):
+    """Weight-reduced lossless coupling (clique or star synchronization).
+
+    Representatives exist only for layers a user joins (weight 1 each);
+    the seedable user vertex carries weight k - p for a user joining p
+    layers, so the weighted active fraction on the coupled graph equals
+    the active user fraction on the multiplex.  Coverage on these graphs
+    must be measured by weight.  Vertices: sum(|V_i|) + n (clique sync)
+    or sum(|V_i|) + 2n (star sync).
+    """
+    if sync not in ("clique", "star"):
+        raise ValueError(f"unknown synchronization style {sync!r}")
+    _require_complete(network.layers)
+    ic = model_kind == INDEPENDENT_CASCADE
+    k = network.k
+    users = sorted(network.universe)
+    nodes, thresholds, kinds, node_weight = [], {}, {}, {}
+    user_of, node_of_user = {}, {}
+    edges = []
+    for user in users:
+        vertex = _user_vertex(user)
+        nodes.append(vertex)
+        thresholds[vertex] = 1.0
+        kinds[vertex] = NodeKind(USER_VERTEX, user)
+        user_of[vertex] = user
+        node_of_user[user] = vertex
+        reps = []
+        joined = 0
+        for layer in network.layers:
+            if user not in layer.nodes:
+                continue
+            joined += 1
+            rep = _rep(user, layer.layer_index)
+            nodes.append(rep)
+            thresholds[rep] = layer.thresholds[user]
+            kinds[rep] = NodeKind(REPRESENTATIVE, user, layer.layer_index)
+            node_weight[rep] = 1.0
+            reps.append(rep)
+        node_weight[vertex] = float(k - joined)
+        if sync == "clique":
+            ring = [vertex] + reps
+            for src in ring:
+                for dst in ring:
+                    if src != dst:
+                        edges.append((src, dst, _sync_weight(thresholds, dst, ic)))
+        else:
+            hub = _hub(user)
+            nodes.append(hub)
+            thresholds[hub] = 1.0
+            kinds[hub] = NodeKind(INTERMEDIATE, user)
+            node_weight[hub] = 0.0
+            for rep in reps:
+                edges.append((rep, hub, 1.0))
+                edges.append((hub, rep, _sync_weight(thresholds, rep, ic)))
+            edges.append((hub, vertex, 1.0))
+            edges.append((vertex, hub, 1.0))
+    for layer in network.layers:
+        for (src, dst) in sorted(layer.edges):
+            edges.append((_user_vertex(src), _rep(dst, layer.layer_index), layer.edges[(src, dst)]))
+    graph = InfluenceGraph(nodes, edges, thresholds, node_weight)
+    scheme = "reduced-" + sync
+    hop_scale = 2 if sync == "clique" else 3
+    return CoupledNetwork(graph, kinds, user_of, node_of_user, hop_scale, scheme, k, len(users))

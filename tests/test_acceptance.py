@@ -14,10 +14,8 @@ from muxlci import (
     DiffusionModel,
     GreedyConfig,
     SynthSpec,
-    couple_clique_lossless,
+    couple,
     couple_lossy,
-    couple_reduced,
-    couple_star_lossless,
     generate,
     ic_propagate,
     improved_greedy,
@@ -70,7 +68,7 @@ def test_criterion_1_lossless_equivalence_suite(corpus200):
     for network, seeds, hops in corpus200:
         direct = multiplex_lt_propagate(network, seeds, hops).active.members
 
-        clique = couple_clique_lossless(network)
+        clique = couple(network, "clique")
         out2 = lt_propagate(clique.graph, clique.seed_nodes(seeds), 2 * hops)
         assert clique.active_users(out2.active.members) == direct
         assert out2.active.members == blowup_nodes(network, direct, with_hub=False)
@@ -78,7 +76,7 @@ def test_criterion_1_lossless_equivalence_suite(corpus200):
             if hop % 2 == 1:
                 assert not any(clique.kinds[m].kind == "gateway" for m in members)
 
-        star = couple_star_lossless(network)
+        star = couple(network, "star")
         out3 = lt_propagate(star.graph, star.seed_nodes(seeds), 3 * hops)
         assert star.active_users(out3.active.members) == direct
         assert out3.active.members == blowup_nodes(network, direct, with_hub=True)
@@ -99,13 +97,13 @@ def test_criterion_2_size_and_scale_up_formulas(corpus200):
         layer_nodes = sum(len(layer.nodes) for layer in network.layers)
         active = len(multiplex_lt_propagate(network, seeds, hops).active.members)
 
-        clique = couple_clique_lossless(network)
+        clique = couple(network, "clique")
         assert len(clique.graph) == (k + 1) * n
         assert sum(len(t) for t in clique.graph.out) == m + n * k * (k + 1)
         out2 = lt_propagate(clique.graph, clique.seed_nodes(seeds), 2 * hops)
         assert len(out2.active.members) == (k + 1) * active
 
-        star = couple_star_lossless(network)
+        star = couple(network, "star")
         assert len(star.graph) == (k + 2) * n
         assert sum(len(t) for t in star.graph.out) == m + 2 * n * (k + 1)
         out3 = lt_propagate(star.graph, star.seed_nodes(seeds), 3 * hops)
@@ -113,8 +111,8 @@ def test_criterion_2_size_and_scale_up_formulas(corpus200):
         # active-vertex multiple is k+2 (the clique scheme gives k+1)
         assert len(out3.active.members) == (k + 2) * active
 
-        assert len(couple_reduced(network, "clique").graph) == layer_nodes + n
-        assert len(couple_reduced(network, "star").graph) == layer_nodes + 2 * n
+        assert len(couple(network, "reduced-clique").graph) == layer_nodes + n
+        assert len(couple(network, "reduced-star").graph) == layer_nodes + 2 * n
     report(
         "criterion 2 size and scale-up formulas",
         True,
@@ -130,7 +128,7 @@ def test_criterion_3_reduced_weighted_equivalence(corpus200):
             / len(network.universe)
         )
         for sync, scale in (("clique", 2), ("star", 3)):
-            reduced = couple_reduced(network, sync)
+            reduced = couple(network, "reduced-" + sync)
             out = lt_propagate(reduced.graph, reduced.seed_nodes(seeds), scale * hops)
             weighted = out.coverage_weight / reduced.graph.total_weight
             worst = max(worst, abs(weighted - user_fraction))
@@ -186,7 +184,7 @@ def test_criterion_5_near_optimality_small_family():
     network = small_ilp_instance(1)
     assert not overlap_users(network)  # decomposition precondition
     n = len(network.universe)
-    clique = couple_clique_lossless(network)
+    clique = couple(network, "clique")
     betas = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
     targets = sorted({math.ceil(beta * n - 1e-9) for beta in betas})
 
@@ -230,7 +228,7 @@ def test_criterion_6_lazy_greedy_fidelity():
     element_mismatches = 0
     for i in range(20):
         network = random_network(200 + i, max_users=40)
-        coupled = couple_clique_lossless(network)
+        coupled = couple(network, "clique")
         beta = 0.4 if i % 2 == 0 else 0.6
         reference = naive_greedy(coupled, GreedyConfig(beta, 3))
         lazy = improved_greedy(coupled, GreedyConfig(beta, 3))

@@ -123,6 +123,27 @@ def test_simulate_unknown_coupled_node_exit_code(tmp_path, layer_files, capsys):
     assert f"line {bad_line}: node 'zz' is not in the manifest" in capsys.readouterr().err
 
 
+def test_simulate_unparsable_edge_weight_exit_code(tmp_path, layer_files, capsys):
+    edges = tmp_path / "coupled.txt"
+    manifest = tmp_path / "manifest.csv"
+    main([
+        "couple", "--layer", layer_files[0], "--layer", layer_files[1],
+        "--scheme", "reduced-star", "--seed", "1",
+        "--out-edges", str(edges), "--out-manifest", str(manifest),
+    ])
+    capsys.readouterr()
+    with open(edges, "a", encoding="utf-8") as handle:
+        handle.write("a@u b@1 x\n")
+    bad_line = len(edges.read_text().splitlines())
+    seeds = write(tmp_path / "seeds.txt", "a@u\n")
+    code = main([
+        "simulate", "--coupled-edges", str(edges), "--coupled-manifest", str(manifest),
+        "--seeds-file", seeds, "--hops", "2",
+    ])
+    assert code == 3
+    assert f"line {bad_line}: weight 'x' is not a number" in capsys.readouterr().err
+
+
 def test_simulate_short_manifest_row_exit_code(tmp_path, layer_files, capsys):
     edges = tmp_path / "coupled.txt"
     manifest = tmp_path / "manifest.csv"
@@ -192,7 +213,7 @@ def test_experiment_from_config(tmp_path, capsys):
     }
     config_path = write(tmp_path / "exp.json", json.dumps(config))
     out = tmp_path / "rows.csv"
-    code = main(["experiment", "--config", config_path, "--out", str(out), "--jobs", "2"])
+    code = main(["experiment", "--config", config_path, "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 3  # header + 2 cells

@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 import random
@@ -10,12 +11,11 @@ from muxlci import (
     GreedyConfig,
     LayerGraph,
     MultiplexNetwork,
+    SynthSpec,
     couple,
-    couple_clique_lossless,
     couple_lossy,
-    couple_reduced,
-    couple_star_lossless,
     easiness,
+    generate,
     improved_greedy,
     involvement,
     lt_propagate,
@@ -26,7 +26,14 @@ from muxlci import (
 )
 
 from conftest import make_layer, random_network, random_seed_users
-from oracles import naive_easiness, naive_involvement, naive_lossy_fold
+from oracles import (
+    naive_easiness,
+    naive_involvement,
+    naive_lossy_fold,
+    reference_couple_clique_lossless,
+    reference_couple_reduced,
+    reference_couple_star_lossless,
+)
 
 
 def layer_edge_total(network):
@@ -50,7 +57,7 @@ def lossless_expected_nodes(network, active_users, with_hub):
 
 class TestCliqueCoupling:
     def test_size_formulas_small_instance(self, four_user_three_layer):
-        coupled = couple_clique_lossless(four_user_three_layer)
+        coupled = couple(four_user_three_layer, "clique")
         n, k = 4, 3
         assert len(coupled.graph) == (k + 1) * n == 16
         sync_edges = edge_count(coupled.graph) - layer_edge_total(four_user_three_layer)
@@ -61,19 +68,19 @@ class TestCliqueCoupling:
 
         network = small_ilp_instance(3)
         assert len(network.universe) == 100
-        coupled = couple_clique_lossless(network)
+        coupled = couple(network, "clique")
         assert len(coupled.graph) == 300
 
     def test_single_layer_round_trip(self):
         network = random_network(41, max_users=20, max_layers=1)
         seeds = random_seed_users(network, 41)
-        coupled = couple_clique_lossless(network)
+        coupled = couple(network, "clique")
         direct = multiplex_lt_propagate(network, seeds, 3)
         mapped = lt_propagate(coupled.graph, coupled.seed_nodes(seeds), 6)
         assert coupled.active_users(mapped.active.members) == direct.active.members
 
     def test_active_set_is_full_blowup(self, four_user_three_layer):
-        coupled = couple_clique_lossless(four_user_three_layer)
+        coupled = couple(four_user_three_layer, "clique")
         seeds = {"red"}
         direct = multiplex_lt_propagate(four_user_three_layer, seeds, 2)
         out = lt_propagate(coupled.graph, coupled.seed_nodes(seeds), 4)
@@ -83,7 +90,7 @@ class TestCliqueCoupling:
 
     def test_gateways_only_activate_at_even_hops(self):
         network = random_network(17, max_users=30)
-        coupled = couple_clique_lossless(network)
+        coupled = couple(network, "clique")
         seeds = random_seed_users(network, 17)
         out = lt_propagate(coupled.graph, coupled.seed_nodes(seeds), 8)
         for hop, members in enumerate(out.active.per_hop):
@@ -94,13 +101,13 @@ class TestCliqueCoupling:
     def test_incomplete_network_rejected(self):
         layer = make_layer(1, {("a", "b"): None}, {"a": 0.5, "b": 0.5})
         with pytest.raises(ValueError, match="unset weight"):
-            couple_clique_lossless(MultiplexNetwork([layer]))
+            couple(MultiplexNetwork([layer]), "clique")
 
     @given(st.integers(min_value=0, max_value=120), st.integers(min_value=1, max_value=3))
     def test_equivalence_on_random_instances(self, seed, hops):
         network = random_network(seed, max_users=24)
         seeds = random_seed_users(network, seed)
-        coupled = couple_clique_lossless(network)
+        coupled = couple(network, "clique")
         direct = multiplex_lt_propagate(network, seeds, hops)
         out = lt_propagate(coupled.graph, coupled.seed_nodes(seeds), 2 * hops)
         assert coupled.active_users(out.active.members) == direct.active.members
@@ -110,13 +117,13 @@ class TestCliqueCoupling:
 class TestStarCoupling:
     def test_size_formulas(self):
         network = random_network(7, max_users=25)
-        coupled = couple_star_lossless(network)
+        coupled = couple(network, "star")
         n, k = len(network.universe), network.k
         assert len(coupled.graph) == (k + 2) * n
         assert edge_count(coupled.graph) == layer_edge_total(network) + 2 * n * (k + 1)
 
     def test_no_seeds_no_activity(self, four_user_three_layer):
-        coupled = couple_star_lossless(four_user_three_layer)
+        coupled = couple(four_user_three_layer, "star")
         out = lt_propagate(coupled.graph, [], 6)
         assert out.active.members == set()
 
@@ -124,7 +131,7 @@ class TestStarCoupling:
     def test_equivalence_at_triple_hops(self, seed, hops):
         network = random_network(seed, max_users=20)
         seeds = random_seed_users(network, seed)
-        coupled = couple_star_lossless(network)
+        coupled = couple(network, "star")
         direct = multiplex_lt_propagate(network, seeds, hops)
         out = lt_propagate(coupled.graph, coupled.seed_nodes(seeds), 3 * hops)
         assert coupled.active_users(out.active.members) == direct.active.members
@@ -135,7 +142,7 @@ class TestStarCoupling:
 
 class TestReducedCoupling:
     def test_user_in_all_layers_gets_zero_weight(self, two_layer_toy):
-        coupled = couple_reduced(two_layer_toy, "clique")
+        coupled = couple(two_layer_toy, "reduced-clique")
         graph = coupled.graph
         # b and c join both layers
         assert graph.node_weight[graph.index["b@u"]] == 0.0
@@ -145,8 +152,8 @@ class TestReducedCoupling:
         network = random_network(19, max_users=30)
         total_layer_nodes = sum(len(layer.nodes) for layer in network.layers)
         n = len(network.universe)
-        clique = couple_reduced(network, "clique")
-        star = couple_reduced(network, "star")
+        clique = couple(network, "reduced-clique")
+        star = couple(network, "reduced-star")
         assert len(clique.graph) == total_layer_nodes + n
         assert len(star.graph) == total_layer_nodes + 2 * n
 
@@ -161,8 +168,8 @@ class TestReducedCoupling:
         ]
         network = MultiplexNetwork(layers)
         assert len(network.universe) == 10
-        reduced = couple_reduced(network, "clique")
-        full = couple_clique_lossless(network)
+        reduced = couple(network, "reduced-clique")
+        full = couple(network, "clique")
         assert len(reduced.graph) == 19 + 10
         assert len(full.graph) == 50
 
@@ -173,10 +180,53 @@ class TestReducedCoupling:
         direct = multiplex_lt_propagate(network, seeds, hops)
         user_fraction = len(direct.active.members) / len(network.universe)
         for sync, scale in (("clique", 2), ("star", 3)):
-            coupled = couple_reduced(network, sync)
+            coupled = couple(network, "reduced-" + sync)
             out = lt_propagate(coupled.graph, coupled.seed_nodes(seeds), scale * hops)
             weighted = out.coverage_weight / coupled.graph.total_weight
             assert weighted == pytest.approx(user_fraction, abs=1e-9)
+
+
+def builder_network(seed, k):
+    """Random k-layer multiplex with users missing from some layers, an
+    isolated user in every layer, one isolated user in all of them, and
+    edges stored in shuffled order."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 16)
+    per_layer = [(rng.randint(2, n), rng.uniform(0.05, 0.4)) for _ in range(k)]
+    network = generate(SynthSpec(n, per_layer, None, seed))
+    layers = []
+    for layer in network.layers:
+        i = layer.layer_index
+        thresholds = {**layer.thresholds, f"iso{i}": 1.0 - rng.random(), "loner": 1.0 - rng.random()}
+        edges = dict(rng.sample(sorted(layer.edges.items()), len(layer.edges)))
+        layers.append(LayerGraph(i, set(thresholds), edges, thresholds))
+    return MultiplexNetwork(layers)
+
+
+LOSSLESS_REFERENCES = {
+    "clique": reference_couple_clique_lossless,
+    "star": reference_couple_star_lossless,
+    "reduced-clique": functools.partial(reference_couple_reduced, sync="clique"),
+    "reduced-star": functools.partial(reference_couple_reduced, sync="star"),
+}
+
+
+class TestLosslessBuilderMatchesReference:
+    """couple() builds every lossless scheme exactly as the three
+    separate builders it replaced did."""
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4),
+           st.sampled_from(sorted(LOSSLESS_REFERENCES)),
+           st.sampled_from(["linear_threshold", "independent_cascade"]))
+    def test_couple_equals_reference_builder(self, seed, k, scheme, model_kind):
+        network = builder_network(seed, k)
+        ours = couple(network, scheme, model_kind=model_kind)
+        ref = LOSSLESS_REFERENCES[scheme](network, model_kind=model_kind)
+        for field in ("node_ids", "out", "theta", "node_weight", "total_weight"):
+            assert getattr(ours.graph, field) == getattr(ref.graph, field), field
+        for field in ("kinds", "user_of", "node_of_user", "hop_scale", "scheme", "k", "n_users"):
+            assert getattr(ours, field) == getattr(ref, field), field
+        assert list(ours.kinds) == list(ref.kinds)
 
 
 class TestLossyParameters:
@@ -325,27 +375,27 @@ class TestLossyCoupling:
 
 class TestNodeUserMapping:
     def test_empty_maps_to_empty(self, four_user_three_layer):
-        coupled = couple_clique_lossless(four_user_three_layer)
+        coupled = couple(four_user_three_layer, "clique")
         assert map_nodes_to_users(coupled, set()) == set()
 
     def test_gateways_map_back(self, four_user_three_layer):
-        coupled = couple_clique_lossless(four_user_three_layer)
+        coupled = couple(four_user_three_layer, "clique")
         assert map_nodes_to_users(coupled, {"red@g", "blue@g"}) == {"red", "blue"}
 
     def test_representative_rejected(self, four_user_three_layer):
-        coupled = couple_clique_lossless(four_user_three_layer)
+        coupled = couple(four_user_three_layer, "clique")
         with pytest.raises(ValueError, match="not in the user mapping"):
             map_nodes_to_users(coupled, {"red@1"})
 
     def test_greedy_output_round_trip(self, four_user_three_layer):
-        coupled = couple_clique_lossless(four_user_three_layer)
+        coupled = couple(four_user_three_layer, "clique")
         seed_set = improved_greedy(coupled, GreedyConfig(0.5, 2))
         assert set(seed_set.users) <= four_user_three_layer.universe
 
 
 class TestCoupledExport:
     def test_write_read_round_trip(self, four_user_three_layer):
-        coupled = couple_star_lossless(four_user_three_layer)
+        coupled = couple(four_user_three_layer, "star")
         edges_buf, manifest_buf = io.StringIO(), io.StringIO()
         write_coupled(coupled, edges_buf, manifest_buf)
         graph, kinds, user_of = read_coupled(
@@ -398,6 +448,18 @@ class TestCoupledExport:
         with pytest.raises(ValueError, match=f"line {len(edge_lines)}: weight .* must be finite and >= 0"):
             read_coupled(edge_lines, manifest_buf.getvalue().splitlines())
 
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(["x", "1,5", "0.5w"]))
+    def test_unparsable_edge_weight_names_line(self, seed, bad):
+        network = random_network(seed, max_users=12)
+        coupled = couple(network, random.Random(seed).choice(["reduced-clique", "lossy-involvement"]))
+        edges_buf, manifest_buf = io.StringIO(), io.StringIO()
+        write_coupled(coupled, edges_buf, manifest_buf)
+        edge_lines = edges_buf.getvalue().splitlines()
+        line = random.Random(seed).randint(1, len(edge_lines) + 1)
+        edge_lines.insert(line - 1, f"{coupled.graph.node_ids[0]} {coupled.graph.node_ids[-1]} {bad}")
+        with pytest.raises(ValueError, match=re.escape(f"line {line}: weight {bad!r} is not a number")):
+            read_coupled(edge_lines, manifest_buf.getvalue().splitlines())
+
     @given(st.integers(min_value=0, max_value=10_000),
            st.sampled_from(["short", "long", "threshold", "weight", "layer"]))
     def test_malformed_manifest_row_names_line_and_node(self, seed, fault):
@@ -419,7 +481,7 @@ class TestCoupledExport:
             read_coupled(edges_buf.getvalue().splitlines(), rows)
 
     def test_manifest_lists_every_node_once(self, two_layer_toy):
-        coupled = couple_reduced(two_layer_toy, "star")
+        coupled = couple(two_layer_toy, "reduced-star")
         edges_buf, manifest_buf = io.StringIO(), io.StringIO()
         write_coupled(coupled, edges_buf, manifest_buf)
         rows = manifest_buf.getvalue().splitlines()
@@ -439,7 +501,7 @@ class TestStochasticModelCoupling:
 
         network = generate(SynthSpec(12, [(9, 0.25), (9, 0.25)], None, 2))
         seeds = set(sorted(network.universe)[:2])
-        coupled = couple_clique_lossless(network, model_kind="independent_cascade")
+        coupled = couple(network, "clique", model_kind="independent_cascade")
         # cascade probability through sync edges is 1
         sync_weights = {
             w for u, targets in enumerate(coupled.graph.out) for v, w in targets
@@ -460,7 +522,7 @@ class TestStochasticModelCoupling:
 
         network = generate(SynthSpec(12, [(9, 0.25), (9, 0.25)], None, 3))
         seeds = set(sorted(network.universe)[:2])
-        coupled = couple_clique_lossless(network)
+        coupled = couple(network, "clique")
         model = DiffusionModel("stochastic_threshold", mc_samples=3000, rng_seed=3)
         coupled_mean = st_propagate(
             coupled.graph, coupled.seed_nodes(seeds), 4, model

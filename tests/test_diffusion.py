@@ -23,6 +23,7 @@ from oracles import (
     naive_graph_lt,
     naive_multiplex_lt,
     reference_lt_propagate,
+    reference_ic_propagate,
     reference_lt_rounds,
     reference_st_propagate,
 )
@@ -352,7 +353,8 @@ def assert_same_outcome(ours, reference):
 
 class TestKernelMatchesReference:
     """The activate-on-crossing sweep and the lazy outcome equal the
-    eager touched-set sweep exactly."""
+    eager touched-set sweep exactly, and both Monte Carlo engines equal
+    their written-out loops."""
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5))
     def test_lt_propagate_exact(self, seed, hops):
@@ -366,6 +368,14 @@ class TestKernelMatchesReference:
         model = DiffusionModel("stochastic_threshold", mc_samples=5, rng_seed=seed, st_bounds=bounds)
         assert_same_outcome(st_propagate(graph, seeds, hops, model),
                             reference_st_propagate(graph, seeds, hops, model))
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5),
+           st.integers(min_value=1, max_value=6))
+    def test_ic_propagate_exact(self, seed, hops, samples):
+        graph, seeds = corner_graph(seed)
+        model = DiffusionModel("independent_cascade", mc_samples=samples, rng_seed=seed)
+        assert_same_outcome(ic_propagate(graph, seeds, hops, model),
+                            reference_ic_propagate(graph, seeds, hops, model))
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5),
            st.booleans())

@@ -53,6 +53,14 @@ class TestSolvePipeline:
                     "seed_size", "wall_time_ms", "model", "network", "version"):
             assert key in result
 
+    @pytest.mark.parametrize("scheme,mode", [
+        ("reduced-clique", "weight"), ("reduced-star", "weight"), ("clique", "count"),
+    ])
+    def test_reports_coverage_mode_used(self, overlap_network, scheme, mode):
+        # the config asks for "count"; reduced couplings are solved by weight
+        result = solve_pipeline(overlap_network, scheme, GreedyConfig(0.5, 3))
+        assert result["coverage_mode"] == mode
+
     def test_direct_uses_brute_force(self):
         network = random_network(151, max_users=8)
         result = solve_pipeline(network, "direct", GreedyConfig(0.6, 2))
@@ -128,16 +136,18 @@ class TestRunExperiment:
 
     def test_failed_cell_marked_not_fatal(self):
         spec = ExperimentSpec(
-            schemes=["direct"],  # brute force will refuse 30 users
+            schemes=["clique", "direct"],  # brute force will refuse 30 users
             betas=[0.5],
             hops=2,
             repetitions=1,
             base_seed=3,
             synth={"universe_size": 30, "layer_size": 30, "edge_prob": 0.1, "k": 1},
         )
-        rows = run_experiment(spec)
-        assert rows[0]["status"] == "error"
-        assert "brute-force cap" in rows[0]["error"]
+        ok, failed = run_experiment(spec)
+        assert ok["status"] == "ok" and ok["error"] == ""
+        assert failed["status"] == "error"
+        # the row keeps the exception type ahead of its message
+        assert failed["error"].startswith("ValueError: universe of 30 users exceeds the brute-force cap")
 
     def test_k_sweep_rebuilds_networks(self):
         spec = ExperimentSpec(
@@ -195,22 +205,6 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown experiment fields"):
             ExperimentSpec.from_json(json.dumps({"schemes": [], "betas": [], "bogus": 1,
                                                  "synth": {}}))
-
-    def test_jobs_parallel_rows_match_serial(self):
-        spec = ExperimentSpec(
-            schemes=["clique", "star"],
-            betas=[0.4],
-            hops=2,
-            repetitions=2,
-            base_seed=9,
-            synth={"universe_size": 20, "layer_size": 16, "edge_prob": 0.12, "k": 2},
-        )
-        def strip(rows):
-            return [{k: v for k, v in row.items() if k != "wall_time_ms"} for row in rows]
-
-        serial = run_experiment(spec, jobs=1)
-        parallel = run_experiment(spec, jobs=2)
-        assert strip(serial) == strip(parallel)
 
     @pytest.mark.parametrize("theta", ["1.5", "nan"])
     def test_invalid_layer_file_rejected_before_cells(self, tmp_path, capsys, theta):

@@ -5,7 +5,7 @@ import pytest
 
 from muxlci import (
     SynthSpec,
-    couple_clique_lossless,
+    couple,
     generate,
     overlap_users,
     serialize_layer,
@@ -109,7 +109,7 @@ class TestSmallIlpInstance:
         assert len(network.universe) == 100
         assert [len(layer.nodes) for layer in network.layers] == [50, 50]
         assert not overlap_users(network)
-        coupled = couple_clique_lossless(network)
+        coupled = couple(network, "clique")
         assert len(coupled.graph) == 300
 
     def test_expected_layer_degree_near_two(self):

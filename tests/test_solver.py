@@ -7,7 +7,7 @@ from muxlci import (
     InfluenceGraph,
     MultiplexNetwork,
     brute_force_optimal,
-    couple_clique_lossless,
+    couple,
     export_ilp,
     improved_greedy,
     marginal_gain,
@@ -46,13 +46,13 @@ class TestMarginalGain:
             marginal_gain(coupled, {"a"}, "a", GreedyConfig(1.0, 1))
 
     def test_non_domain_candidate_rejected(self, four_user_three_layer):
-        coupled = couple_clique_lossless(four_user_three_layer)
+        coupled = couple(four_user_three_layer, "clique")
         with pytest.raises(ValueError, match="not a seedable"):
             marginal_gain(coupled, set(), "red@1", GreedyConfig(0.5, 1))
 
     def test_initial_gains_match_single_seed_simulations(self):
         network = random_network(61, max_users=12)
-        coupled = couple_clique_lossless(network)
+        coupled = couple(network, "clique")
         cfg = GreedyConfig(0.9, 2)
         from muxlci import lt_propagate
 
@@ -72,7 +72,7 @@ class TestNaiveGreedy:
 
     def test_achieves_requested_fraction(self):
         network = random_network(71, max_users=25)
-        coupled = couple_clique_lossless(network)
+        coupled = couple(network, "clique")
         cfg = GreedyConfig(0.6, 3)
         seed_set = naive_greedy(coupled, cfg)
         assert seed_set.achieved_fraction >= 0.6 - 1e-9
@@ -81,7 +81,7 @@ class TestNaiveGreedy:
 
     def test_gain_log_matches_selection_order(self):
         network = random_network(73, max_users=15)
-        coupled = couple_clique_lossless(network)
+        coupled = couple(network, "clique")
         cfg = GreedyConfig(0.7, 2)
         seed_set = naive_greedy(coupled, cfg)
         assert len(seed_set.gains) == len(seed_set.users)
@@ -94,14 +94,14 @@ class TestNaiveGreedy:
 class TestImprovedGreedy:
     def test_single_seed_when_beta_tiny(self):
         network = random_network(83, max_users=20)
-        coupled = couple_clique_lossless(network)
+        coupled = couple(network, "clique")
         seed_set = improved_greedy(coupled, GreedyConfig(0.05, 2))
         assert len(seed_set.users) == 1
 
     def test_degenerate_parameters_equal_naive(self):
         for seed in (91, 92, 93):
             network = random_network(seed, max_users=25)
-            coupled = couple_clique_lossless(network)
+            coupled = couple(network, "clique")
             reference = naive_greedy(coupled, GreedyConfig(0.6, 2))
             collapsed = improved_greedy(
                 coupled, GreedyConfig(0.6, 2, T=len(coupled.user_of), R=1)
@@ -112,14 +112,14 @@ class TestImprovedGreedy:
     def test_default_parameters_match_naive_size(self):
         for seed in (101, 102, 103, 104):
             network = random_network(seed, max_users=30)
-            coupled = couple_clique_lossless(network)
+            coupled = couple(network, "clique")
             assert len(improved_greedy(coupled, GreedyConfig(0.5, 3)).users) == len(
                 naive_greedy(coupled, GreedyConfig(0.5, 3)).users
             )
 
     def test_logged_gains_are_fresh(self):
         network = random_network(107, max_users=20)
-        coupled = couple_clique_lossless(network)
+        coupled = couple(network, "clique")
         cfg = GreedyConfig(0.7, 2)
         seed_set = improved_greedy(coupled, cfg)
         nodes = [coupled.node_of_user[u] for u in seed_set.users]
@@ -129,7 +129,7 @@ class TestImprovedGreedy:
 
     def test_deterministic(self):
         network = random_network(109, max_users=25)
-        coupled = couple_clique_lossless(network)
+        coupled = couple(network, "clique")
         a = improved_greedy(coupled, GreedyConfig(0.6, 3))
         b = improved_greedy(coupled, GreedyConfig(0.6, 3))
         assert a.users == b.users and a.gains == b.gains
@@ -156,7 +156,6 @@ class TestOracleCallCount:
     ])
     def test_one_lt_propagate_call_per_evaluation(self, monkeypatch, seed, scheme, T, R):
         import muxlci.solver
-        from muxlci import couple
 
         original = muxlci.solver.lt_propagate
         calls = []
@@ -214,7 +213,7 @@ class TestBruteForce:
     def test_greedy_never_beats_optimum(self):
         network = random_network(137, max_users=8)
         optimum = brute_force_optimal(network, 0.6, 2)
-        coupled = couple_clique_lossless(network)
+        coupled = couple(network, "clique")
         greedy = improved_greedy(coupled, GreedyConfig(0.6, 2))
         assert len(greedy.users) >= len(optimum.users)
 
@@ -250,18 +249,16 @@ class TestIlpExport:
         # MILP solver on the exported program
         network = random_network(seed, max_users=8)
         optimum = brute_force_optimal(network, beta, 2)
-        coupled = couple_clique_lossless(network)
+        coupled = couple(network, "clique")
         buffer = io.StringIO()
         export_ilp(coupled, GreedyConfig(beta, 2), buffer)
         assert solve_lp_minimum(buffer.getvalue()) == len(optimum.users)
 
     def test_weight_mode_program_matches_brute_force(self):
-        from muxlci import couple_reduced
-
         for seed in (143, 144):
             network = random_network(seed, max_users=8)
             optimum = brute_force_optimal(network, 0.6, 2)
-            reduced = couple_reduced(network, "clique")
+            reduced = couple(network, "reduced-clique")
             buffer = io.StringIO()
             export_ilp(reduced, GreedyConfig(0.6, 2, coverage_mode="weight"), buffer)
             assert solve_lp_minimum(buffer.getvalue()) == len(optimum.users)
@@ -276,16 +273,14 @@ class TestIlpExport:
         assert names == ["x_n0_0", "x_n0_1", "x_n1_0", "x_n1_1"]
 
     def test_weight_mode_uses_node_weights(self, two_layer_toy):
-        from muxlci import couple_reduced
-
-        coupled = couple_reduced(two_layer_toy, "clique")
+        coupled = couple(two_layer_toy, "reduced-clique")
         buffer = io.StringIO()
         export_ilp(coupled, GreedyConfig(0.5, 1, coverage_mode="weight"), buffer)
         text = buffer.getvalue()
         assert "mode=weight" in text.splitlines()[0]
 
     def test_deterministic_output(self, four_user_three_layer):
-        coupled = couple_clique_lossless(four_user_three_layer)
+        coupled = couple(four_user_three_layer, "clique")
         bufs = []
         for _ in range(2):
             buffer = io.StringIO()
