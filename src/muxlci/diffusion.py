@@ -28,6 +28,8 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
 
 from .network import WEIGHT_EPS
 
@@ -128,9 +130,12 @@ class InfluenceGraph:
     Nodes are opaque string ids mapped to dense indices in the order
     given.  Thresholds and node weights must be finite, and edge weights
     finite and non-negative (the linear-threshold sweep relies on it);
-    anything else raises ValueError.  Instances are immutable after
-    construction and safe to share across concurrent read-only
-    simulations: propagation keeps all scratch state local to the call.
+    anything else raises ValueError.  Nodes, edges, thresholds and
+    weights are immutable after construction.  The one piece of mutable
+    state is a memo of the last stochastic-threshold draws (see
+    :func:`st_propagate`), replaced whole by a single assignment, so
+    instances stay safe to share across concurrent simulations; all
+    other scratch state is local to the call.
     """
 
     def __init__(self, nodes, edges, thresholds, node_weights=None):
@@ -165,6 +170,7 @@ class InfluenceGraph:
             seen.add((iu, iv))
             self.out[iu].append((iv, weight))
         self.total_weight = float(sum(self.node_weight))
+        self._st_memo = None
 
     def __len__(self):
         return len(self.node_ids)
@@ -189,8 +195,8 @@ def _seed_indices(graph, seeds):
 
 def _tally(graph, per_hop_idx):
     """(node count, node-weight sum) of disjoint per-hop index lists."""
-    weight = graph.node_weight
-    return sum(map(len, per_hop_idx)), sum(weight[i] for hop in per_hop_idx for i in hop)
+    weight = graph.node_weight.__getitem__
+    return sum(map(len, per_hop_idx)), sum(map(weight, chain.from_iterable(per_hop_idx)))
 
 
 def _outcome(graph, per_hop_idx, hops_used):
@@ -291,18 +297,17 @@ def multiplex_lt_propagate(network, seeds, hops):
     return DiffusionOutcome(ActiveSet(members, per_hop), float(len(members)), float(len(members)), hops_used)
 
 
-def _monte_carlo(graph, model, run_sample):
-    """Mean coverage over ``model.mc_samples`` runs of ``run_sample(rng)``.
+def _monte_carlo(graph, model, run_sample, samples):
+    """Mean coverage over the runs ``run_sample(s)`` for s in ``samples``.
 
-    All samples draw from one ``random.Random(model.rng_seed)`` in turn;
-    each returns (per-hop index lists, hops used).  The outcome carries
-    the means and the last sample's trace.
+    ``samples`` yields ``model.mc_samples`` items; each run returns
+    (per-hop index lists, hops used).  The outcome carries the means and
+    the last sample's trace.
     """
-    rng = random.Random(model.rng_seed)
     count_total = 0.0
     weight_total = 0.0
-    for _ in range(model.mc_samples):
-        per_hop, hops_used = run_sample(rng)
+    for sample in samples:
+        per_hop, hops_used = run_sample(sample)
         count, weight = _tally(graph, per_hop)
         count_total += count
         weight_total += weight
@@ -312,7 +317,15 @@ def _monte_carlo(graph, model, run_sample):
     return outcome
 
 
-def _ic_single(graph, seed_idx, hops, rng):
+def _ic_single(graph, seed_idx, hops, rand):
+    """One cascade drawing from ``rand()``; returns (per-hop index lists, hops used).
+
+    ``active`` marks a node 1 once committed and 2 while hit in the
+    current hop.  Every frontier edge into a node not committed before
+    the hop takes a draw, even when an earlier edge of the hop hit it, so
+    the stream follows the edge order alone.
+    """
+    out = graph.out
     active = bytearray(len(graph.node_ids))
     for i in seed_idx:
         active[i] = 1
@@ -320,14 +333,15 @@ def _ic_single(graph, seed_idx, hops, rng):
     frontier = seed_idx
     hops_used = 0
     for t in range(1, hops + 1):
-        newly = set()
+        newly = []
         for u in frontier:
-            for v, w in graph.out[u]:
-                if not active[v] and rng.random() < w:
-                    newly.add(v)
+            for v, w in out[u]:
+                if active[v] != 1 and rand() < w and not active[v]:
+                    active[v] = 2
+                    newly.append(v)
         if not newly:
             break
-        newly = sorted(newly)
+        newly.sort()
         for v in newly:
             active[v] = 1
         per_hop.append(newly)
@@ -342,27 +356,60 @@ def ic_propagate(graph, seeds, hops, model):
     Each newly active node attempts each out-edge exactly once, with
     success probability equal to the edge weight; the cascade is
     truncated after ``hops`` rounds.  Deterministic under the model's
-    rng seed.
+    rng seed: all samples draw in turn from one
+    ``random.Random(model.rng_seed)``.
     """
     if model.kind != INDEPENDENT_CASCADE:
         raise ValueError("model.kind must be independent_cascade")
     if hops < 0:
         raise ValueError("hop budget must be >= 0")
     seed_idx = _seed_indices(graph, seeds)
-    return _monte_carlo(graph, model, lambda rng: _ic_single(graph, seed_idx, hops, rng))
+    draws = repeat(random.Random(model.rng_seed).random, model.mc_samples)
+    return _monte_carlo(graph, model, partial(_ic_single, graph, seed_idx, hops), draws)
 
 
-def _resolve_bounds(graph, st_bounds):
+def _draw_bars(rng_seed, samples, bounds):
+    """Yield each sample's activation bars: sample by sample, node by node,
+    one draw u from ``random.Random(rng_seed)`` gives the bar
+    ``(1.0 - u) * bound - WEIGHT_EPS``."""
+    rng = random.Random(rng_seed)
+    for _ in range(samples):
+        yield [(1.0 - rng.random()) * b - WEIGHT_EPS for b in bounds]
+
+
+def _st_bars(graph, model):
+    """Per-sample activation bars of a stochastic-threshold run.
+
+    The bars depend on the graph, the rng seed, the sample count and the
+    bounds alone, never on the seeds.  The graph remembers the inputs of
+    its last call.  A call with new inputs checks the bounds and draws
+    the bars one sample at a time; the next call with equal inputs draws
+    them all again and keeps the list, which later equal calls reuse.
+    So a single call holds one sample's bars at a time, and a run of
+    calls under one rng seed draws twice in all.  The bounds count by
+    value: a mapping changed in place misses.
+    """
+    st_bounds = model.st_bounds
     if st_bounds is None:
-        bounds = list(graph.theta)
+        bounds = graph.theta
     elif isinstance(st_bounds, (int, float)):
         bounds = [float(st_bounds)] * len(graph.node_ids)
     else:
         bounds = [float(st_bounds[u]) for u in graph.node_ids]
+    # the seed's type is part of the key: 1e20 == 10**20, but they seed different streams
+    key = (type(model.rng_seed), model.rng_seed, model.mc_samples, bounds)
+    memo = graph._st_memo
+    if memo is not None and memo[0] == key:
+        # bounds equal to the memo's passed the check on the first call
+        if memo[1] is None:
+            memo = (key, list(_draw_bars(model.rng_seed, model.mc_samples, bounds)))
+            graph._st_memo = memo
+        return memo[1]
     for u, b in zip(graph.node_ids, bounds):
         if not 0.0 < b <= 1.0:
             raise ValueError(f"stochastic threshold bound for {u!r} outside (0, 1]: {b}")
-    return bounds
+    graph._st_memo = (key, None)
+    return _draw_bars(model.rng_seed, model.mc_samples, bounds)
 
 
 def st_propagate(graph, seeds, hops, model):
@@ -371,19 +418,22 @@ def st_propagate(graph, seeds, hops, model):
     Per sample, each node's threshold is drawn uniformly from
     (0, bound] and a linear-threshold run follows.  Deterministic under
     the model's rng seed.
+
+    The draws do not depend on the seeds, so a greedy that evaluates
+    many seed sets under one rng seed need not redraw them: from the
+    second call with the same rng seed, ``mc_samples`` and resolved
+    bounds (by value), the graph keeps every sample's bars and reuses
+    them.  That memo holds ``mc_samples * len(graph)`` floats for one key
+    per graph and is freed with the graph; a single call still holds one
+    sample's bars at a time.
     """
     if model.kind != STOCHASTIC_THRESHOLD:
         raise ValueError("model.kind must be stochastic_threshold")
     if hops < 0:
         raise ValueError("hop budget must be >= 0")
     seed_idx = _seed_indices(graph, seeds)
-    bounds = _resolve_bounds(graph, model.st_bounds)
-
-    def sample(rng):
-        bar = [(1.0 - rng.random()) * b - WEIGHT_EPS for b in bounds]
-        return _lt_rounds(graph, seed_idx, hops, bar)
-
-    return _monte_carlo(graph, model, sample)
+    bars = _st_bars(graph, model)
+    return _monte_carlo(graph, model, partial(_lt_rounds, graph, seed_idx, hops), bars)
 
 
 def coverage_fraction(outcome, mode, total):

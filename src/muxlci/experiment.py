@@ -194,11 +194,12 @@ class ExperimentSpec:
     Exactly one network source: ``layer_files`` (paths in layer order)
     or ``synth`` (uniform recipe: universe_size, layer_size, edge_prob,
     k, optional overlap_fraction; or an explicit per_layer list).
-    Optional sweeps regenerate the network per value: ``k_values``
-    sweeps the layer count, ``overlap_values`` the forced overlap
-    fraction.  With ``beta_of_base`` the coverage target is beta times
-    the universe *base* size instead of the realized union, matching
-    fixed-audience protocols.
+    Optional sweeps regenerate a ``synth`` network per value (combined
+    with ``layer_files`` they raise ValueError): ``k_values`` sweeps the
+    layer count, ``overlap_values`` the forced overlap fraction.  With
+    ``beta_of_base`` the coverage target is beta times the universe
+    *base* size instead of the realized union, matching fixed-audience
+    protocols.
     """
 
     schemes: list
@@ -222,6 +223,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if (self.synth is None) == (self.layer_files is None):
             raise ValueError("specify exactly one of synth or layer_files")
+        if self.layer_files is not None and (self.k_values or self.overlap_values):
+            raise ValueError("k_values and overlap_values sweep a synth network, not layer_files")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         for scheme in self.schemes:

@@ -96,10 +96,6 @@ class MultiplexNetwork:
                 return layer
         raise ValueError(f"no layer with index {layer_index}")
 
-    def layers_of(self, user):
-        """Indices of the layers a user participates in."""
-        return [layer.layer_index for layer in self.layers if user in layer.nodes]
-
 
 def _parse_float(token, line_no):
     try:

@@ -4,15 +4,22 @@ The small optimality-study family partitions its user base into two
 layers, so the least-cost seeding problem decomposes: the optimum for
 any coverage target is the cheapest split of the budget between the
 layers, combining per-layer maximum-coverage curves.  Each curve entry
-g_i(s) (max users of layer i activatable with s seeds in d hops) comes
-from an exact MILP solve, which stays small because layers have 50
-nodes.  One pair of curves per hop budget serves every beta at once.
+g_i(s) (max users of layer i activatable with s seeds in d hops) is
+exact: for s <= ENUMERATION_MAX_BUDGET it is the best of lt_propagate
+over every s-subset of the layer's 50 nodes, which is far faster than
+the MILP at small budgets, where HiGHS struggles most; larger budgets
+come from an exact MILP solve.  One pair of curves per hop budget serves
+every beta at once.
 """
 
-from muxlci import couple_lossy, overlap_users
+from itertools import combinations
+
+from muxlci import couple_lossy, lt_propagate, overlap_users
 from muxlci.experiment import single_layer_network
 
 from lp_solve import max_coverage
+
+ENUMERATION_MAX_BUDGET = 4
 
 
 def layer_graphs(network):
@@ -22,6 +29,13 @@ def layer_graphs(network):
         couple_lossy(single_layer_network(layer), "average").graph
         for layer in network.layers
     ]
+
+
+def enumerated_coverage(graph, hops, budget):
+    """Exact maximum number of nodes activatable with ``budget`` seeds,
+    by running every seed set of that size."""
+    return max(int(lt_propagate(graph, combo, hops).coverage_count)
+               for combo in combinations(graph.node_ids, budget))
 
 
 def coverage_curves_until(graphs, hops, target, time_limit=300):
@@ -39,6 +53,8 @@ def coverage_curves_until(graphs, hops, target, time_limit=300):
             s = len(curve)
             if curve[-1] >= sizes[li]:
                 curve.append(curve[-1])
+            elif s <= ENUMERATION_MAX_BUDGET:
+                curve.append(enumerated_coverage(graphs[li], hops, s))
             else:
                 curve.append(max_coverage(graphs[li], hops, s, time_limit))
         return curve[budget]

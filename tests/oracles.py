@@ -6,7 +6,9 @@ they check.  The ``reference_*`` functions are the exception: they keep
 earlier forms of fast paths, against which the package must agree
 exactly: the eager linear-threshold kernel (sum each touched node's hop
 total, test it afterwards, build id sets at once), the independent
-cascade loop written out in full, and the three separate lossless
+cascade loop written out in full (a set of the hop's hits, sorted at the
+end of the hop), stochastic-threshold bounds resolved and thresholds
+drawn afresh on every call, and the three separate lossless
 coupling builders (full clique, full star, reduced) that ``couple()``
 now builds in one function.
 """
@@ -28,11 +30,8 @@ from muxlci.diffusion import (
     ActiveSet,
     DiffusionOutcome,
     InfluenceGraph,
-    _ic_single,
     _outcome,
-    _resolve_bounds,
     _seed_indices,
-    _tally,
 )
 from muxlci.network import WEIGHT_EPS
 
@@ -243,11 +242,24 @@ def reference_lt_propagate(graph, seeds, hops):
     return reference_outcome(graph, per_hop, hops_used)
 
 
+def reference_resolve_bounds(graph, st_bounds):
+    if st_bounds is None:
+        bounds = list(graph.theta)
+    elif isinstance(st_bounds, (int, float)):
+        bounds = [float(st_bounds)] * len(graph.node_ids)
+    else:
+        bounds = [float(st_bounds[u]) for u in graph.node_ids]
+    for u, b in zip(graph.node_ids, bounds):
+        if not 0.0 < b <= 1.0:
+            raise ValueError(f"stochastic threshold bound for {u!r} outside (0, 1]: {b}")
+    return bounds
+
+
 def reference_st_propagate(graph, seeds, hops, model):
     """Stochastic threshold through the reference sweep, drawing the
     same thresholds from the same rng stream as the engine."""
     seed_idx = _seed_indices(graph, seeds)
-    bounds = _resolve_bounds(graph, model.st_bounds)
+    bounds = reference_resolve_bounds(graph, model.st_bounds)
     rng = random.Random(model.rng_seed)
     count_total = 0.0
     weight_total = 0.0
@@ -263,6 +275,35 @@ def reference_st_propagate(graph, seeds, hops, model):
     outcome.coverage_count = count_total / model.mc_samples
     outcome.coverage_weight = weight_total / model.mc_samples
     return outcome
+
+
+def reference_tally(graph, per_hop_idx):
+    weight = graph.node_weight
+    return sum(map(len, per_hop_idx)), sum(weight[i] for hop in per_hop_idx for i in hop)
+
+
+def reference_ic_single(graph, seed_idx, hops, rng):
+    active = bytearray(len(graph.node_ids))
+    for i in seed_idx:
+        active[i] = 1
+    per_hop = [list(seed_idx)]
+    frontier = seed_idx
+    hops_used = 0
+    for t in range(1, hops + 1):
+        newly = set()
+        for u in frontier:
+            for v, w in graph.out[u]:
+                if not active[v] and rng.random() < w:
+                    newly.add(v)
+        if not newly:
+            break
+        newly = sorted(newly)
+        for v in newly:
+            active[v] = 1
+        per_hop.append(newly)
+        frontier = newly
+        hops_used = t
+    return per_hop, hops_used
 
 
 def reference_ic_propagate(graph, seeds, hops, model):
@@ -283,8 +324,8 @@ def reference_ic_propagate(graph, seeds, hops, model):
     weight_total = 0.0
     last = None
     for _ in range(model.mc_samples):
-        per_hop, hops_used = _ic_single(graph, seed_idx, hops, rng)
-        count, weight = _tally(graph, per_hop)
+        per_hop, hops_used = reference_ic_single(graph, seed_idx, hops, rng)
+        count, weight = reference_tally(graph, per_hop)
         count_total += count
         weight_total += weight
         last = (per_hop, hops_used)

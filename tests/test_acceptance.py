@@ -2,7 +2,7 @@
 
 Each test prints one [PASS]/[FAIL] line (run with -s to see them all).
 The optimality gate solves exact covering programs with an external MILP
-solver and is the slow test of the suite (several minutes).
+solver and is the slow test of the suite.
 """
 
 import math
@@ -221,6 +221,18 @@ def test_criterion_5_near_optimality_small_family():
         worst <= 2 and elapsed < 600.0,
         f"21 cells at d>=3, worst greedy-vs-optimum gap = +{worst} ({lines}) in {elapsed:.0f}s",
     )
+
+
+def test_enumerated_curve_entries_match_milp():
+    # criterion 5 takes budgets up to 4 from enumeration; both methods must
+    # give the same optimum where the MILP is cheap
+    from lp_solve import max_coverage
+    from optimality import enumerated_coverage, layer_graphs
+
+    graphs = layer_graphs(small_ilp_instance(1))
+    cells = [(graph, hops, 1) for graph in graphs for hops in (3, 4, 5)] + [(graphs[0], 3, 2)]
+    for graph, hops, budget in cells:
+        assert enumerated_coverage(graph, hops, budget) == max_coverage(graph, hops, budget)
 
 
 def test_criterion_6_lazy_greedy_fidelity():

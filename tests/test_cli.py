@@ -220,6 +220,19 @@ def test_experiment_from_config(tmp_path, capsys):
     assert "clique" in lines[1]
 
 
+@pytest.mark.parametrize("sweep", [{"k_values": [2, 5]}, {"overlap_values": [0.2, 0.6]}])
+def test_experiment_rejects_sweep_over_layer_files(tmp_path, layer_files, capsys, sweep):
+    # the sweep would label rows with values it never applied to the file network
+    config = {"schemes": ["clique"], "betas": [0.4], "hops": 2, "layer_files": layer_files, **sweep}
+    config_path = write(tmp_path / "exp.json", json.dumps(config))
+    out = tmp_path / "rows.csv"
+    code = main(["experiment", "--config", config_path, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: k_values and overlap_values sweep a synth network, not layer_files\n")
+    assert not out.exists()
+
+
 def test_alias_file_merges_users_across_layers(tmp_path, capsys):
     one = write(tmp_path / "fsq.txt", "fsq_1 fsq_2 1.0\n")
     two = write(tmp_path / "tw.txt", "tw_9 tw_8 1.0\n")

@@ -4,13 +4,17 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import muxlci.solver
 from muxlci import (
     ActiveSet,
     DiffusionModel,
+    GreedyConfig,
     InfluenceGraph,
     MultiplexNetwork,
+    couple,
     coverage_fraction,
     ic_propagate,
+    improved_greedy,
     lt_propagate,
     multiplex_lt_propagate,
     st_propagate,
@@ -393,6 +397,92 @@ class TestKernelMatchesReference:
     def test_empty_active_sets_agree(self):
         assert ActiveSet() == ActiveSet.from_indices([], ("a",))
         assert ActiveSet().members == set() and ActiveSet().per_hop == []
+
+
+class TestMonteCarloMatchesReference:
+    """The per-graph draw memo of st_propagate and the marked-hop IC loop
+    give exactly the outcomes of drawing afresh on every call."""
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_st_call_sequence_exact(self, seed):
+        # twenty calls over two interleaved graphs that vary the seed set,
+        # rng seed, sample count, hops and bounds, or repeat the graph's last
+        # model; each graph has one bounds dict that "mutate" changes in
+        # place before passing it again
+        import random
+
+        rng = random.Random(seed)
+        graphs = [corner_graph(seed)[0], corner_graph(seed + 1)[0]]
+        shared = [{u: 1.0 - rng.random() for u in graph.node_ids} for graph in graphs]
+        last = [None, None]
+        for _ in range(20):
+            which = rng.randint(0, 1)
+            graph, bounds_dict = graphs[which], shared[which]
+            kind = rng.choice(["repeat", "none", "float", "dict", "mutate"])
+            if kind == "repeat" and last[which] is not None:
+                model = last[which]
+            else:
+                if kind == "mutate":
+                    for u in rng.sample(graph.node_ids, rng.randint(1, len(graph))):
+                        bounds_dict[u] = rng.choice([0.01, 0.25, 1.0, 1.0 - rng.random()])
+                bounds = {"none": None, "float": rng.choice([0.5, 1.0])}.get(kind, bounds_dict)
+                model = DiffusionModel("stochastic_threshold", mc_samples=rng.randint(2, 3),
+                                       rng_seed=rng.randint(0, 1), st_bounds=bounds)
+            last[which] = model
+            seeds = set(rng.sample(graph.node_ids, rng.randint(1, min(3, len(graph)))))
+            hops = rng.randint(1, 4)
+            assert_same_outcome(st_propagate(graph, seeds, hops, model),
+                                reference_st_propagate(graph, seeds, hops, model))
+
+    def test_invalid_bounds_raise_on_every_call(self):
+        graph = small_random_graph(5)
+        bounds = {u: 0.5 for u in graph.node_ids}
+        model = DiffusionModel("stochastic_threshold", mc_samples=3, rng_seed=1, st_bounds=bounds)
+        st_propagate(graph, {"n0"}, 2, model)
+        bounds["n3"] = 1.5
+        for _ in range(2):
+            with pytest.raises(ValueError, match="'n3' outside"):
+                st_propagate(graph, {"n0"}, 2, model)
+        bounds["n3"] = 0.5
+        assert_same_outcome(st_propagate(graph, {"n1"}, 2, model),
+                            reference_st_propagate(graph, {"n1"}, 2, model))
+
+    def test_draws_kept_only_from_the_second_equal_call(self):
+        # a single call holds one sample's bars at a time; a repeat keeps all
+        graph = small_random_graph(5)
+        model = DiffusionModel("stochastic_threshold", mc_samples=4, rng_seed=2)
+        for seeds in ({"n0"}, {"n1"}, {"n2"}):
+            assert_same_outcome(st_propagate(graph, seeds, 2, model),
+                                reference_st_propagate(graph, seeds, 2, model))
+            assert (graph._st_memo[1] is None) == (seeds == {"n0"})
+        assert len(graph._st_memo[1]) == 4
+
+    def test_ic_node_hit_twice_in_one_hop_consumes_both_draws(self):
+        # c is hit from a (weight 1) and then tried from b in the same hop;
+        # b's draw for c must still be taken before b's draw for d
+        graph = InfluenceGraph(["a", "b", "c", "d", "e"],
+                               [("a", "c", 1.0), ("b", "c", 0.5), ("b", "d", 0.5), ("c", "e", 0.5)],
+                               {u: 0.5 for u in "abcde"})
+        for rng_seed in range(20):
+            model = DiffusionModel("independent_cascade", mc_samples=30, rng_seed=rng_seed)
+            assert_same_outcome(ic_propagate(graph, {"a", "b"}, 2, model),
+                                reference_ic_propagate(graph, {"a", "b"}, 2, model))
+
+    @pytest.mark.parametrize("kind, scheme, name, reference", [
+        ("stochastic_threshold", "reduced-clique", "st_propagate", reference_st_propagate),
+        ("independent_cascade", "clique", "ic_propagate", reference_ic_propagate),
+    ])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_greedy_matches_reference_engine(self, monkeypatch, kind, scheme, name, reference, seed):
+        network = random_network(seed, max_users=25, max_layers=2)
+        coupled = couple(network, scheme, model_kind=kind)
+        cfg = GreedyConfig(0.5, 3, model=DiffusionModel(kind, mc_samples=8, rng_seed=seed))
+        ours = improved_greedy(coupled, cfg)
+        monkeypatch.setattr(muxlci.solver, name, reference)
+        theirs = improved_greedy(coupled, cfg)
+        assert ours.users == theirs.users
+        assert ours.gains == theirs.gains
+        assert ours.achieved_fraction == theirs.achieved_fraction
 
 
 class TestGraphPreconditions:
