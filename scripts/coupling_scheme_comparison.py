@@ -6,6 +6,11 @@ seed size, wall time, and the replayed coverage fraction.  Lossless
 schemes land on identical seed-set sizes (they preserve the diffusion
 exactly); the lossy ones trade a few extra seeds for far smaller
 coupled graphs.
+
+The betas of one scheme and repetition share one coupling and one
+greedy run, so "mean ms" averages rows whose wall time is that shared
+time plus the row's own replay: it is the cost of one beta, with the
+shared work counted in full for each.
 """
 
 import argparse

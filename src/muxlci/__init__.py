@@ -47,7 +47,6 @@ from .coupling import (
     couple,
     easiness,
     involvement,
-    map_nodes_to_users,
     write_coupled,
     read_coupled,
     COUPLING_SCHEMES,

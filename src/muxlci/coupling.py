@@ -94,6 +94,20 @@ class CoupledNetwork:
             nodes.append(self.node_of_user[user])
         return sorted(nodes)
 
+    def users_of(self, nodes):
+        """Users of a node sequence under F, in order.
+
+        Every node must be in F's domain (gateways for lossless schemes,
+        user vertices for reduced and lossy ones); a representative,
+        for example, is an error.
+        """
+        users = []
+        for node in nodes:
+            if node not in self.user_of:
+                raise ValueError(f"node {node!r} is not in the user mapping domain")
+            users.append(self.user_of[node])
+        return users
+
     def active_users(self, members):
         """Users whose F-image node appears in a set of active nodes."""
         return {self.user_of[node] for node in members if node in self.user_of}
@@ -303,21 +317,6 @@ def couple(network, scheme, model_kind="linear_threshold", floor=1.0):
     if scheme.startswith("lossy-"):
         return couple_lossy(network, scheme[len("lossy-"):], floor)
     raise ValueError(f"unknown coupling scheme {scheme!r}")
-
-
-def map_nodes_to_users(coupled, nodes):
-    """Image of a node set under the user<->node bijection F.
-
-    Every node must be in F's domain (gateways for lossless schemes,
-    user vertices for reduced and lossy ones); selecting e.g. a
-    representative is an error.
-    """
-    users = set()
-    for node in nodes:
-        if node not in coupled.user_of:
-            raise ValueError(f"node {node!r} is not in the user mapping domain")
-        users.add(coupled.user_of[node])
-    return users
 
 
 def write_coupled(coupled, edges_stream, manifest_stream):

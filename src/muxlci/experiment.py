@@ -8,7 +8,8 @@ fraction, for lossy ones it may only exceed it.
 
 ``run_experiment`` executes a cross-product of (sweep value x scheme x
 beta x repetition) cells and emits one CSV row per cell with seed-set
-composition metrics.  Besides the coupling schemes it supports three
+composition metrics; cells that differ only in beta share one coupling
+and one greedy run.  Besides the coupling schemes it supports three
 baselines: "union" (solve each layer separately and take the union of
 the seed sets), "only:<i>" (solve layer i alone), and "direct"
 (brute-force optimum on the multiplex, small universes only).
@@ -17,6 +18,8 @@ the seed sets), "only:<i>" (solve layer i alone), and "direct"
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import json
 import os
 import time
@@ -66,7 +69,7 @@ def single_layer_network(layer):
     return MultiplexNetwork([clone])
 
 
-def _result(network, cfg, scheme, solver, coverage_mode, seed_set, coupled_fraction, replay, started):
+def _result(network, cfg, scheme, solver, coverage_mode, seed_set, coupled_fraction, replay, wall_ms):
     """The JSON-ready result record shared by the pipeline and the baselines."""
     return {
         "scheme": scheme,
@@ -83,11 +86,63 @@ def _result(network, cfg, scheme, solver, coverage_mode, seed_set, coupled_fract
         "coupled_fraction": coupled_fraction,
         "replayed_fraction": replay.coverage_count / len(network.universe),
         "replay_outcome": replay,
-        "wall_time_ms": (time.perf_counter() - started) * 1000.0,
+        "wall_time_ms": wall_ms,
         "model": _model_record(cfg.model),
         "network": _network_record(network),
         "version": __version__,
     }
+
+
+def _ms_since(started):
+    return (time.perf_counter() - started) * 1000.0
+
+
+def _pipeline_solvers(network, scheme, cfgs, solver):
+    """Solve one scheme for configs that differ only in beta.
+
+    The greedies read beta only in their stop test, and their Monte
+    Carlo seeds follow the iteration counter, so one coupling and one
+    greedy run at the largest beta hold every smaller beta's run as a
+    prefix (``SeedSet.prefix``).  Brute force ("direct") is not
+    prefix-shaped and searches once per config.
+
+    Returns one thunk per config.  A thunk replays its config's seeds on
+    the multiplex, checks the target and returns the result record; its
+    ``wall_time_ms`` is the shared coupling and solve time plus its own
+    replay.
+    """
+    started = time.perf_counter()
+    if scheme == "direct":
+        seed_sets = [brute_force_optimal(network, cfg.beta, cfg.hops) for cfg in cfgs]
+        mode = "count"
+        solver = "brute-force"
+    else:
+        cfg = cfgs[0]
+        model_kind = cfg.model.kind if cfg.model is not None else LINEAR_THRESHOLD
+        coupled = couple(network, scheme, model_kind=model_kind)
+        mode = coupled.default_coverage_mode
+        beta = max(each.beta for each in cfgs)
+        run_cfg = GreedyConfig(beta, cfg.hops, cfg.T, cfg.R, mode, cfg.model)
+        solve = improved_greedy if solver == "improved" else naive_greedy
+        full = solve(coupled, run_cfg)
+        seed_sets = [full.prefix(each.beta) for each in cfgs]
+    shared_ms = _ms_since(started)
+
+    def finish(cfg, seed_set):
+        started = time.perf_counter()
+        replay = multiplex_lt_propagate(network, set(seed_set.users), cfg.hops)
+        replayed_fraction = replay.coverage_count / len(network.universe)
+        deterministic = cfg.model is None or cfg.model.kind == LINEAR_THRESHOLD
+        if deterministic and not meets_fraction(replayed_fraction, cfg.beta, 1.0):
+            raise RuntimeError(
+                f"pipeline soundness violated: replayed fraction {replayed_fraction:.6f}"
+                f" below target {cfg.beta}"
+            )
+        coupled_fraction = None if scheme == "direct" else seed_set.achieved_fraction
+        return _result(network, cfg, scheme, solver, mode, seed_set, coupled_fraction, replay,
+                       shared_ms + _ms_since(started))
+
+    return [functools.partial(finish, cfg, seed_set) for cfg, seed_set in zip(cfgs, seed_sets)]
 
 
 def solve_pipeline(network, scheme, cfg, solver="improved"):
@@ -100,67 +155,79 @@ def solve_pipeline(network, scheme, cfg, solver="improved"):
     replayed fraction misses the target (which a correct coupling
     cannot produce).
     """
+    (finish,) = _pipeline_solvers(network, scheme, [cfg], solver)
+    return finish()
+
+
+def _union_solvers(network, cfgs, solver):
+    """Per config, the union of each layer's own lossy-average seeds,
+    with one shared solve per layer (see ``_pipeline_solvers``)."""
     started = time.perf_counter()
-    if scheme == "direct":
-        seed_set = brute_force_optimal(network, cfg.beta, cfg.hops)
-        coupled_fraction = None
-        mode = "count"
-        solver = "brute-force"
-    else:
-        model_kind = cfg.model.kind if cfg.model is not None else LINEAR_THRESHOLD
-        coupled = couple(network, scheme, model_kind=model_kind)
-        mode = coupled.default_coverage_mode
-        run_cfg = GreedyConfig(cfg.beta, cfg.hops, cfg.T, cfg.R, mode, cfg.model)
-        solve = improved_greedy if solver == "improved" else naive_greedy
-        seed_set = solve(coupled, run_cfg)
-        coupled_fraction = seed_set.achieved_fraction
-    replay = multiplex_lt_propagate(network, set(seed_set.users), cfg.hops)
-    replayed_fraction = replay.coverage_count / len(network.universe)
-    deterministic = cfg.model is None or cfg.model.kind == LINEAR_THRESHOLD
-    if deterministic and not meets_fraction(replayed_fraction, cfg.beta, 1.0):
-        raise RuntimeError(
-            f"pipeline soundness violated: replayed fraction {replayed_fraction:.6f}"
-            f" below target {cfg.beta}"
-        )
-    return _result(network, cfg, scheme, solver, mode, seed_set, coupled_fraction, replay, started)
+    per_layer = [_pipeline_solvers(single_layer_network(layer), "lossy-average", cfgs, solver)
+                 for layer in network.layers]
+    shared_ms = _ms_since(started)
+
+    def finish(i):
+        started = time.perf_counter()
+        cfg = cfgs[i]
+        pooled = []
+        for layer_finishers in per_layer:
+            result = layer_finishers[i]()
+            pooled.extend(u for u in result["seed_users"] if u not in pooled)
+        replay = multiplex_lt_propagate(network, set(pooled), cfg.hops)
+        seed_set = SeedSet(pooled, [], replay.coverage_count / len(network.universe))
+        return _result(network, cfg, "union", solver, "count", seed_set, None, replay,
+                       shared_ms + _ms_since(started))
+
+    return [functools.partial(finish, i) for i in range(len(cfgs))]
 
 
 def union_baseline(network, cfg, solver="improved"):
     """Solve each layer separately at the same beta and pool the seeds."""
+    (finish,) = _union_solvers(network, [cfg], solver)
+    return finish()
+
+
+def _only_solvers(network, layer_index, cfgs, solver):
+    """Per config, one layer's own lossy-average seeds replayed on the
+    full multiplex, with one shared solve (see ``_pipeline_solvers``)."""
     started = time.perf_counter()
-    pooled = []
-    for layer in network.layers:
-        sub = single_layer_network(layer)
-        result = solve_pipeline(sub, "lossy-average", cfg, solver=solver)
-        pooled.extend(u for u in result["seed_users"] if u not in pooled)
-    replay = multiplex_lt_propagate(network, set(pooled), cfg.hops)
-    seed_set = SeedSet(pooled, [], replay.coverage_count / len(network.universe))
-    return _result(network, cfg, "union", solver, "count", seed_set, None, replay, started)
+    sub = single_layer_network(network.layer_by_index(layer_index))
+    finishers = _pipeline_solvers(sub, "lossy-average", cfgs, solver)
+    shared_ms = _ms_since(started)
+
+    def finish(cfg, sub_finish):
+        started = time.perf_counter()
+        result = sub_finish()
+        seed_set = SeedSet(result["seed_users"], result["gains"], result["achieved_fraction"])
+        replay = multiplex_lt_propagate(network, set(seed_set.users), cfg.hops)
+        return _result(network, cfg, f"only:{layer_index}", solver, result["coverage_mode"],
+                       seed_set, result["coupled_fraction"], replay, shared_ms + _ms_since(started))
+
+    return [functools.partial(finish, cfg, sub_finish) for cfg, sub_finish in zip(cfgs, finishers)]
 
 
 def only_baseline(network, layer_index, cfg, solver="improved"):
     """Solve one layer in isolation (coverage target: beta of that
     layer's node count) and replay the seeds on the full multiplex."""
-    started = time.perf_counter()
-    sub = single_layer_network(network.layer_by_index(layer_index))
-    result = solve_pipeline(sub, "lossy-average", cfg, solver=solver)
-    seed_set = SeedSet(result["seed_users"], result["gains"], result["achieved_fraction"])
-    replay = multiplex_lt_propagate(network, set(seed_set.users), cfg.hops)
-    return _result(network, cfg, f"only:{layer_index}", solver, result["coverage_mode"],
-                   seed_set, result["coupled_fraction"], replay, started)
+    (finish,) = _only_solvers(network, layer_index, [cfg], solver)
+    return finish()
 
 
-def external_influence_fraction(network, seeds, hops, target_layer_index):
+def external_influence_fraction(network, seeds, hops, target_layer_index, full=None):
     """Share of the target layer's activations that vanish when
     cross-layer propagation is disabled.
 
     The restricted run simulates the target layer alone from the seeds
     it contains; activations present in the full multiplex run but not
     in the restricted one were only reachable through influence entering
-    via overlapping users.
+    via overlapping users.  ``full`` is the full run's outcome, if the
+    caller already has it (``multiplex_lt_propagate`` of the same seeds
+    and hops); it is computed when omitted.
     """
     layer = network.layer_by_index(target_layer_index)
-    full = multiplex_lt_propagate(network, set(seeds), hops)
+    if full is None:
+        full = multiplex_lt_propagate(network, set(seeds), hops)
     in_target = full.active.members & layer.nodes
     if not in_target:
         return 0.0, 0, 0
@@ -187,6 +254,13 @@ def seed_composition(network, seeds, replay_outcome):
     }
 
 
+def _check_layer(label, index, layers):
+    """Raise unless layer ``index`` exists in every network of the sweep,
+    whose smallest has ``layers`` layers numbered from 1 (None: unknown)."""
+    if layers is not None and not 1 <= index <= layers:
+        raise ValueError(f"{label}: layer {index} is missing from a network of {layers} layers in this sweep")
+
+
 @dataclass
 class ExperimentSpec:
     """Declarative sweep configuration.
@@ -200,6 +274,11 @@ class ExperimentSpec:
     ``beta_of_base`` the coverage target is beta times the universe
     *base* size instead of the realized union, matching fixed-audience
     protocols.
+
+    A sweep that could only fail cell by cell raises ValueError here:
+    no schemes or betas, a beta outside (0, 1], ``hops``, ``T``, ``R``
+    or ``repetitions`` below 1, an unknown solver, or a ``target_layer``
+    or ``only:<i>`` layer that some network of the sweep lacks.
     """
 
     schemes: list
@@ -225,14 +304,37 @@ class ExperimentSpec:
             raise ValueError("specify exactly one of synth or layer_files")
         if self.layer_files is not None and (self.k_values or self.overlap_values):
             raise ValueError("k_values and overlap_values sweep a synth network, not layer_files")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        if not self.schemes or not self.betas:
+            raise ValueError("schemes and betas must each list at least one value")
+        for beta in self.betas:
+            if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not 0.0 < beta <= 1.0:
+                raise ValueError(f"beta {beta!r} is not a number in (0, 1]")
+        if min(self.hops, self.T, self.R, self.repetitions) < 1:
+            name = next(name for name in ("hops", "T", "R", "repetitions") if getattr(self, name) < 1)
+            raise ValueError(f"{name} must be >= 1")
+        if self.solver not in ("improved", "naive"):
+            raise ValueError(f"unknown solver {self.solver!r}")
+        layers = self._fewest_layers()
+        _check_layer("target_layer", self.target_layer, layers)
         for scheme in self.schemes:
             if scheme in COUPLING_SCHEMES or scheme in BASELINE_SCHEMES:
                 continue
             if scheme.startswith("only:") and scheme[5:].isdigit():
+                _check_layer(scheme, int(scheme[5:]), layers)
                 continue
             raise ValueError(f"unknown scheme {scheme!r}")
+
+    def _fewest_layers(self):
+        """Layer count of the smallest network the sweep builds, or None
+        if the recipe does not say."""
+        if self.layer_files is not None:
+            return len(self.layer_files)
+        if "per_layer" in self.synth:
+            return len(self.synth["per_layer"])
+        if self.k_values:
+            return min(self.k_values) if all(isinstance(k, int) for k in self.k_values) else None
+        k = self.synth.get("k")
+        return k if isinstance(k, int) else None
 
     @classmethod
     def from_json(cls, text):
@@ -309,22 +411,26 @@ def _cells(spec):
                     yield axis_name, axis_value, repetition, scheme, beta
 
 
-def _run_cell(spec, network, axis_name, axis_value, repetition, scheme, beta):
-    model = _diffusion_model(spec)
-    effective_beta = beta
+def _effective_beta(spec, network, beta):
     if spec.beta_of_base and spec.synth is not None:
         base = spec.synth["universe_size"]
-        effective_beta = min(1.0, beta * base / len(network.universe))
-    cfg = GreedyConfig(effective_beta, spec.hops, spec.T, spec.R, model=model)
+        return min(1.0, beta * base / len(network.universe))
+    return beta
+
+
+def _solvers(spec, network, scheme, cfgs):
     if scheme == "union":
-        result = union_baseline(network, cfg, solver=spec.solver)
-    elif scheme.startswith("only:"):
-        result = only_baseline(network, int(scheme[5:]), cfg, solver=spec.solver)
-    else:
-        result = solve_pipeline(network, scheme, cfg, solver=spec.solver)
+        return _union_solvers(network, cfgs, spec.solver)
+    if scheme.startswith("only:"):
+        return _only_solvers(network, int(scheme[5:]), cfgs, spec.solver)
+    return _pipeline_solvers(network, scheme, cfgs, spec.solver)
+
+
+def _row(spec, network, cell, result):
+    axis_name, axis_value, repetition, scheme, beta = cell
     composition = seed_composition(network, result["seed_users"], result["replay_outcome"])
     external, _, _ = external_influence_fraction(
-        network, result["seed_users"], spec.hops, spec.target_layer
+        network, result["seed_users"], spec.hops, spec.target_layer, result["replay_outcome"]
     )
     return {
         "sweep": axis_name or "",
@@ -332,7 +438,7 @@ def _run_cell(spec, network, axis_name, axis_value, repetition, scheme, beta):
         "repetition": repetition,
         "scheme": scheme,
         "beta": beta,
-        "effective_beta": effective_beta,
+        "effective_beta": result["beta"],
         "seed_size": result["seed_size"],
         "wall_time_ms": round(result["wall_time_ms"], 3),
         "coupled_fraction": "" if result["coupled_fraction"] is None else result["coupled_fraction"],
@@ -346,6 +452,41 @@ def _run_cell(spec, network, axis_name, axis_value, repetition, scheme, beta):
         "status": "ok",
         "error": "",
     }
+
+
+def _error_row(cell, exc):
+    axis_name, axis_value, repetition, scheme, beta = cell
+    return {
+        **{name: "" for name in CSV_FIELDS},
+        "sweep": axis_name or "",
+        "sweep_value": "" if axis_value is None else axis_value,
+        "repetition": repetition,
+        "scheme": scheme,
+        "beta": beta,
+        "status": "error",
+        "error": f"{type(exc).__name__}: {exc}",
+    }
+
+
+def _group_rows(spec, network, cells):
+    """Rows for cells of one (sweep value, repetition, scheme), solved
+    together; if the shared solve raises, each cell is solved alone."""
+    try:
+        model = _diffusion_model(spec)
+        cfgs = [GreedyConfig(_effective_beta(spec, network, beta), spec.hops, spec.T, spec.R, model=model)
+                for *_, beta in cells]
+        solvers = _solvers(spec, network, cells[0][3], cfgs)
+    except Exception as exc:  # mark the cell, keep the sweep going
+        if len(cells) > 1:
+            return [row for cell in cells for row in _group_rows(spec, network, [cell])]
+        return [_error_row(cells[0], exc)]
+    rows = []
+    for cell, finish in zip(cells, solvers):
+        try:
+            rows.append(_row(spec, network, cell, finish()))
+        except Exception as exc:
+            rows.append(_error_row(cell, exc))
+    return rows
 
 
 CSV_FIELDS = [
@@ -366,6 +507,16 @@ def run_experiment(spec):
     are built before the first cell, so a bad network recipe raises
     instead of marking cells; a failed cell's ``error`` reads
     "<exception type>: <message>".
+
+    The cells of one (sweep value, repetition, scheme) share one
+    coupling and one greedy run, at their largest effective beta; each
+    beta takes the shortest prefix of that selection that meets it,
+    which is the seed set a run at that beta alone returns.  Every row
+    still gets its own replay and soundness check, and its
+    ``wall_time_ms`` counts the shared coupling and greedy time plus
+    that replay, so the shared time appears in each row of the group.
+    "direct" cells are solved one at a time, and so is every cell of a
+    group whose shared coupling or greedy raises.
     """
     if spec.layer_files is not None:
         file_network = _load_files_network(spec)
@@ -383,22 +534,12 @@ def run_experiment(spec):
             overlap = axis_value if axis_name == "overlap" else None
             networks[key] = generate(_synth_spec(spec, k, overlap, seed))
     rows = []
-    for axis_name, axis_value, repetition, scheme, beta in cells:
+    for (_, axis_value, repetition, scheme), group in itertools.groupby(cells, key=lambda cell: cell[:4]):
         network = networks[(axis_value, repetition)]
-        try:
-            row = _run_cell(spec, network, axis_name, axis_value, repetition, scheme, beta)
-        except Exception as exc:  # mark the cell, keep the sweep going
-            row = {
-                **{name: "" for name in CSV_FIELDS},
-                "sweep": axis_name or "",
-                "sweep_value": "" if axis_value is None else axis_value,
-                "repetition": repetition,
-                "scheme": scheme,
-                "beta": beta,
-                "status": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        rows.append(row)
+        group = list(group)
+        batches = [[cell] for cell in group] if scheme == "direct" else [group]
+        for batch in batches:
+            rows.extend(_group_rows(spec, network, batch))
     return rows
 
 

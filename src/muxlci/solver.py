@@ -70,11 +70,30 @@ class GreedyConfig:
 
 @dataclass
 class SeedSet:
-    """Ordered selection with its per-selection marginal-gain log."""
+    """Ordered selection with its per-selection marginal-gain log.
+
+    A greedy run also logs ``coverages``, the coverage after each
+    selection, and the ``total`` its fractions are taken of.
+    """
 
     users: list
     gains: list = field(default_factory=list)
     achieved_fraction: float = 0.0
+    coverages: list = field(default_factory=list)
+    total: float = 0.0
+
+    def prefix(self, beta):
+        """The seed set the same greedy run returns at target ``beta``.
+
+        The greedies read beta only in their stop test, so a run at a
+        target no larger than this run's stops at the shortest prefix
+        whose coverage meets it.
+        """
+        for size, coverage in enumerate([0.0] + self.coverages):
+            if meets_fraction(coverage, beta, self.total):
+                return SeedSet(self.users[:size], self.gains[:size], coverage / self.total,
+                               self.coverages[:size], self.total)
+        raise ValueError(f"target {beta} is beyond this run's coverage")
 
 
 def _coverage_total(coupled, cfg):
@@ -123,9 +142,9 @@ def _iteration_seed(cfg, iteration):
     return model.rng_seed + 7919 * iteration
 
 
-def _finish(coupled, selected, gains, coverage, total):
-    users = [coupled.user_of[node] for node in selected]
-    return SeedSet(users, gains, coverage / total)
+def _finish(coupled, selected, gains, coverages, total):
+    coverage = coverages[-1] if coverages else 0.0
+    return SeedSet(coupled.users_of(selected), gains, coverage / total, coverages, total)
 
 
 def naive_greedy(coupled, cfg):
@@ -133,7 +152,7 @@ def naive_greedy(coupled, cfg):
     iteration and take the best, ties to the smallest node index."""
     total = _coverage_total(coupled, cfg)
     remaining = _domain(coupled)
-    selected, gains = [], []
+    selected, gains, coverages = [], [], []
     coverage = 0.0
     iteration = 0
     while not meets_fraction(coverage, cfg.beta, total):
@@ -151,7 +170,8 @@ def naive_greedy(coupled, cfg):
         remaining.remove(best)
         gains.append(best_gain)
         coverage = base + best_gain
-    return _finish(coupled, selected, gains, coverage, total)
+        coverages.append(coverage)
+    return _finish(coupled, selected, gains, coverages, total)
 
 
 def improved_greedy(coupled, cfg):
@@ -170,7 +190,7 @@ def improved_greedy(coupled, cfg):
     graph = coupled.graph
     total = _coverage_total(coupled, cfg)
     domain = _domain(coupled)
-    selected, gains = [], []
+    selected, gains, coverages = [], [], []
     coverage = 0.0
     init_seed = _iteration_seed(cfg, 0)
     heap = [
@@ -204,7 +224,8 @@ def improved_greedy(coupled, cfg):
         selected.append(node)
         gains.append(fresh)
         coverage = base + fresh
-    return _finish(coupled, selected, gains, coverage, total)
+        coverages.append(coverage)
+    return _finish(coupled, selected, gains, coverages, total)
 
 
 def brute_force_optimal(network, beta, hops, max_users=22):

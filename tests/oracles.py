@@ -8,9 +8,10 @@ exactly: the eager linear-threshold kernel (sum each touched node's hop
 total, test it afterwards, build id sets at once), the independent
 cascade loop written out in full (a set of the hop's hits, sorted at the
 end of the hop), stochastic-threshold bounds resolved and thresholds
-drawn afresh on every call, and the three separate lossless
+drawn afresh on every call, the three separate lossless
 coupling builders (full clique, full star, reduced) that ``couple()``
-now builds in one function.
+now builds in one function, and the experiment loop that solves every
+cell on its own instead of once per (sweep value, repetition, scheme).
 """
 
 import random
@@ -516,3 +517,73 @@ def reference_couple_reduced(network, sync="clique", model_kind="linear_threshol
     scheme = "reduced-" + sync
     hop_scale = 2 if sync == "clique" else 3
     return CoupledNetwork(graph, kinds, user_of, node_of_user, hop_scale, scheme, k, len(users))
+
+
+def reference_run_experiment(spec):
+    """``run_experiment`` cell by cell: one ``solve_pipeline``,
+    ``union_baseline`` or ``only_baseline`` call per cell, and the full
+    multiplex run recomputed for the external influence."""
+    from muxlci import experiment as ex
+    from muxlci.generator import generate, subseed
+    from muxlci.solver import GreedyConfig
+
+    file_network = ex._load_files_network(spec) if spec.layer_files is not None else None
+    cells = list(ex._cells(spec))
+    networks = {}
+    for axis_name, axis_value, repetition, _, _ in cells:
+        if (axis_value, repetition) not in networks:
+            if file_network is not None:
+                network = file_network
+            else:
+                seed = subseed(spec.base_seed, f"net/{axis_value}/{repetition}")
+                k = axis_value if axis_name == "k" else None
+                overlap = axis_value if axis_name == "overlap" else None
+                network = generate(ex._synth_spec(spec, k, overlap, seed))
+            networks[(axis_value, repetition)] = network
+    rows = []
+    for axis_name, axis_value, repetition, scheme, beta in cells:
+        network = networks[(axis_value, repetition)]
+        label = {
+            "sweep": axis_name or "",
+            "sweep_value": "" if axis_value is None else axis_value,
+            "repetition": repetition,
+            "scheme": scheme,
+            "beta": beta,
+        }
+        try:
+            model = ex._diffusion_model(spec)
+            effective_beta = beta
+            if spec.beta_of_base and spec.synth is not None:
+                effective_beta = min(1.0, beta * spec.synth["universe_size"] / len(network.universe))
+            cfg = GreedyConfig(effective_beta, spec.hops, spec.T, spec.R, model=model)
+            if scheme == "union":
+                result = ex.union_baseline(network, cfg, solver=spec.solver)
+            elif scheme.startswith("only:"):
+                result = ex.only_baseline(network, int(scheme[5:]), cfg, solver=spec.solver)
+            else:
+                result = ex.solve_pipeline(network, scheme, cfg, solver=spec.solver)
+            composition = ex.seed_composition(network, result["seed_users"], result["replay_outcome"])
+            external, _, _ = ex.external_influence_fraction(
+                network, result["seed_users"], spec.hops, spec.target_layer)
+            row = {
+                **label,
+                "effective_beta": effective_beta,
+                "seed_size": result["seed_size"],
+                "wall_time_ms": round(result["wall_time_ms"], 3),
+                "coupled_fraction": "" if result["coupled_fraction"] is None else result["coupled_fraction"],
+                "replayed_fraction": result["replayed_fraction"],
+                "overlap_seed_fraction": composition["overlap_seed_fraction"],
+                "overlap_population_fraction": composition["overlap_population_fraction"],
+                "per_layer_seed_counts": ";".join(map(str, composition["per_layer_seed_counts"])),
+                "per_layer_influenced_counts": ";".join(
+                    map(str, composition["per_layer_influenced_counts"])),
+                "external_influence_fraction": external,
+                "seed_users": ";".join(result["seed_users"]),
+                "status": "ok",
+                "error": "",
+            }
+        except Exception as exc:
+            row = {**{name: "" for name in ex.CSV_FIELDS}, **label,
+                   "status": "error", "error": f"{type(exc).__name__}: {exc}"}
+        rows.append(row)
+    return rows

@@ -233,6 +233,23 @@ def test_experiment_rejects_sweep_over_layer_files(tmp_path, layer_files, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"target_layer": 5}, "target_layer: layer 5 is missing from a network of 2 layers in this sweep"),
+    ({"betas": []}, "schemes and betas must each list at least one value"),
+    ({"betas": [0.4, float("nan")]}, "beta nan is not a number in (0, 1]"),
+    ({"hops": 0}, "hops must be >= 1"),
+])
+def test_experiment_rejects_bad_sweep(tmp_path, capsys, fields, message):
+    config = {"schemes": ["clique"], "betas": [0.4], "hops": 2,
+              "synth": {"universe_size": 20, "layer_size": 15, "edge_prob": 0.12, "k": 2}, **fields}
+    config_path = write(tmp_path / "exp.json", json.dumps(config))
+    out = tmp_path / "rows.csv"
+    code = main(["experiment", "--config", config_path, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_alias_file_merges_users_across_layers(tmp_path, capsys):
     one = write(tmp_path / "fsq.txt", "fsq_1 fsq_2 1.0\n")
     two = write(tmp_path / "tw.txt", "tw_9 tw_8 1.0\n")

@@ -19,7 +19,6 @@ from muxlci import (
     improved_greedy,
     involvement,
     lt_propagate,
-    map_nodes_to_users,
     multiplex_lt_propagate,
     read_coupled,
     write_coupled,
@@ -376,16 +375,17 @@ class TestLossyCoupling:
 class TestNodeUserMapping:
     def test_empty_maps_to_empty(self, four_user_three_layer):
         coupled = couple(four_user_three_layer, "clique")
-        assert map_nodes_to_users(coupled, set()) == set()
+        assert coupled.users_of([]) == []
 
     def test_gateways_map_back(self, four_user_three_layer):
         coupled = couple(four_user_three_layer, "clique")
-        assert map_nodes_to_users(coupled, {"red@g", "blue@g"}) == {"red", "blue"}
+        assert coupled.users_of(["red@g", "blue@g"]) == ["red", "blue"]
+        assert coupled.users_of(["blue@g", "red@g"]) == ["blue", "red"]
 
     def test_representative_rejected(self, four_user_three_layer):
         coupled = couple(four_user_three_layer, "clique")
         with pytest.raises(ValueError, match="not in the user mapping"):
-            map_nodes_to_users(coupled, {"red@1"})
+            coupled.users_of(["red@g", "red@1"])
 
     def test_greedy_output_round_trip(self, four_user_three_layer):
         coupled = couple(four_user_three_layer, "clique")

@@ -20,6 +20,7 @@ from muxlci.experiment import (
 )
 
 from conftest import make_layer, random_network
+from oracles import reference_run_experiment
 
 
 @pytest.fixture
@@ -106,6 +107,16 @@ class TestMetrics:
         fraction, external, total = external_influence_fraction(network, {"s"}, 3, 1)
         assert external == 2 and total == 2  # both x and u enter from outside
         assert fraction == 1.0
+
+    @pytest.mark.parametrize("seed", [4, 9, 23])
+    def test_external_influence_reuses_given_outcome(self, seed):
+        network = random_network(seed, max_layers=3)
+        seeds = sorted(network.universe)[:3]
+        full = multiplex_lt_propagate(network, set(seeds), 3)
+        for layer in network.layers:
+            index = layer.layer_index
+            assert (external_influence_fraction(network, seeds, 3, index, full)
+                    == external_influence_fraction(network, seeds, 3, index))
 
     def test_seed_composition_counts(self, overlap_network):
         seeds = sorted(overlap_network.universe)[:4]
@@ -227,6 +238,114 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown scheme"):
             ExperimentSpec(schemes=["zigzag"], betas=[0.5],
                            synth={"universe_size": 10, "layer_size": 8, "edge_prob": 0.1, "k": 1})
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"schemes": []}, "at least one value"),
+        ({"betas": []}, "at least one value"),
+        ({"betas": [0.5, 0.0]}, r"beta 0\.0 is not"),
+        ({"betas": [-0.2]}, r"beta -0\.2 is not"),
+        ({"betas": [1.5]}, r"beta 1\.5 is not"),
+        ({"betas": [float("nan")]}, "beta nan is not"),
+        ({"betas": ["0.5"]}, "beta '0.5' is not"),
+        ({"hops": 0}, "hops must be >= 1"),
+        ({"T": 0}, "T must be >= 1"),
+        ({"R": 0}, "R must be >= 1"),
+        ({"solver": "improvd"}, "unknown solver 'improvd'"),
+        ({"target_layer": 5}, "target_layer: layer 5 is missing from a network of 2 layers"),
+        ({"target_layer": 0}, "target_layer: layer 0 is missing"),
+        ({"target_layer": 3, "k_values": [3, 2]}, "target_layer: layer 3 is missing from a network of 2"),
+        ({"schemes": ["clique", "only:3"]}, "only:3: layer 3 is missing"),
+        ({"synth": {"universe_size": 10, "per_layer": [[8, 0.1]]}, "target_layer": 2},
+         "target_layer: layer 2 is missing from a network of 1 layers"),
+    ])
+    def test_bad_sweep_rejected_before_any_cell(self, fields, message):
+        spec = {"schemes": ["clique"], "betas": [0.5], "hops": 2,
+                "synth": {"universe_size": 10, "layer_size": 8, "edge_prob": 0.1, "k": 2}, **fields}
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(**spec)
+
+    def test_target_layer_checked_against_layer_files(self, tmp_path):
+        path = tmp_path / "layer.txt"
+        path.write_text("a b 1.0\n", encoding="utf-8")
+        ExperimentSpec(schemes=["clique"], betas=[0.5], layer_files=[str(path)])
+        with pytest.raises(ValueError, match="target_layer: layer 2 is missing from a network of 1"):
+            ExperimentSpec(schemes=["clique"], betas=[0.5], layer_files=[str(path)], target_layer=2)
+
+
+def _untimed(rows):
+    return [{key: value for key, value in row.items() if key != "wall_time_ms"} for row in rows]
+
+
+TINY = {"universe_size": 11, "layer_size": 8, "edge_prob": 0.1}
+SMALL = {"universe_size": 26, "layer_size": 18, "edge_prob": 0.06, "k": 2}
+
+
+class TestSharedSolve:
+    """Cells of one (sweep value, repetition, scheme) share a coupling
+    and a greedy run; the rows equal those of solving every cell alone."""
+
+    @pytest.mark.parametrize("fields", [
+        # unsorted and repeated betas, beta of base, a k sweep, every scheme and baseline
+        {"schemes": ["clique", "star", "reduced-clique", "reduced-star", "lossy-easiness",
+                     "lossy-involvement", "lossy-average", "union", "only:2", "direct"],
+         "betas": [0.6, 0.3, 0.6, 0.45], "hops": 2, "repetitions": 2, "base_seed": 12,
+         "synth": TINY, "k_values": [3, 2], "beta_of_base": True},
+        {"schemes": ["clique", "reduced-star", "lossy-involvement", "union", "only:2"],
+         "betas": [0.5, 0.2, 0.5], "hops": 2, "base_seed": 5, "solver": "naive",
+         "synth": SMALL, "model": {"kind": "independent_cascade", "mc_samples": 8, "rng_seed": 3}},
+        {"schemes": ["star", "reduced-clique", "lossy-average", "union", "only:1"],
+         "betas": [0.4, 0.7, 0.15], "hops": 2, "base_seed": 6,
+         "synth": {**SMALL, "universe_size": 30}, "overlap_values": [0.4, 0.7],
+         "model": {"kind": "stochastic_threshold", "mc_samples": 8, "rng_seed": 4}},
+        # direct refuses a 30-user universe: those cells fail, the others do not
+        {"schemes": ["direct", "clique"], "betas": [0.5, 0.3], "hops": 2, "base_seed": 3,
+         "synth": {"universe_size": 30, "layer_size": 30, "edge_prob": 0.1, "k": 1}},
+    ])
+    def test_rows_match_cell_by_cell(self, fields):
+        spec = ExperimentSpec(**fields)
+        rows = run_experiment(spec)
+        assert _untimed(rows) == _untimed(reference_run_experiment(spec))
+        assert any(row["status"] == "ok" for row in rows)
+
+    def test_failed_shared_solve_falls_back_to_cells(self, monkeypatch):
+        from muxlci import experiment
+
+        greedy = experiment.improved_greedy
+
+        def refuses_high_targets(coupled, cfg):
+            if cfg.beta > 0.5:
+                raise ValueError(f"refused beta {cfg.beta}")
+            return greedy(coupled, cfg)
+
+        monkeypatch.setattr(experiment, "improved_greedy", refuses_high_targets)
+        spec = ExperimentSpec(schemes=["clique", "union", "only:1"], betas=[0.3, 0.8, 0.5],
+                              hops=2, base_seed=2, synth=SMALL)
+        rows = run_experiment(spec)
+        assert _untimed(rows) == _untimed(reference_run_experiment(spec))
+        assert [row["status"] for row in rows] == ["ok", "error", "ok"] * 3
+        assert rows[1]["error"] == "ValueError: refused beta 0.8"
+
+    def test_one_coupling_and_greedy_per_group(self, monkeypatch):
+        from muxlci import experiment
+
+        calls = []
+
+        def counted(name):
+            original = getattr(experiment, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("couple", "improved_greedy"):
+            monkeypatch.setattr(experiment, name, counted(name))
+        spec = ExperimentSpec(schemes=["clique", "lossy-average", "union"], betas=[0.3, 0.6, 0.45],
+                              hops=2, repetitions=2, base_seed=8, synth=SMALL)
+        rows = run_experiment(spec)
+        assert len(rows) == 18 and all(row["status"] == "ok" for row in rows)
+        # per repetition: clique, lossy-average, and union's two layers
+        assert calls.count("couple") == calls.count("improved_greedy") == 2 * 4
 
 
 class TestStochasticPipeline:

@@ -3,6 +3,7 @@ import io
 import pytest
 
 from muxlci import (
+    DiffusionModel,
     GreedyConfig,
     InfluenceGraph,
     MultiplexNetwork,
@@ -147,6 +148,52 @@ def expected_oracle_calls(domain, T, R, selections):
         heap = domain - (i - 1)
         calls += heap if i % R == 0 else min(T, heap)
     return calls
+
+
+class TestPrefixAcrossTargets:
+    """The greedies read beta only in their stop test, so a run at a
+    smaller target is a prefix of a run at a larger one."""
+
+    MODELS = {
+        "lt": None,
+        "ic": DiffusionModel("independent_cascade", mc_samples=6, rng_seed=5),
+        "st": DiffusionModel("stochastic_threshold", mc_samples=6, rng_seed=5),
+    }
+
+    @pytest.mark.parametrize("solver", [improved_greedy, naive_greedy])
+    @pytest.mark.parametrize("seed,scheme,model", [
+        (5, "clique", "lt"), (6, "reduced-star", "lt"), (20, "lossy-average", "lt"), (19, "star", "lt"),
+        (19, "clique", "ic"), (6, "reduced-star", "ic"), (6, "lossy-average", "ic"),
+        # lossy thresholds can exceed 1, which stochastic threshold refuses
+        (6, "clique", "st"), (19, "reduced-star", "st"), (20, "star", "st"),
+    ])
+    def test_smaller_target_is_prefix(self, solver, seed, scheme, model):
+        # 22-29 users; at one hop every run takes 3-9 seeds
+        network = random_network(seed, max_users=30)
+        coupled = couple(network, scheme)
+        mode = coupled.default_coverage_mode
+
+        def config(beta):
+            return GreedyConfig(beta, 1, T=3, R=2, coverage_mode=mode, model=self.MODELS[model])
+
+        full = solver(coupled, config(0.6))
+        assert len(full.coverages) == len(full.users) == len(full.gains)
+        assert full.achieved_fraction == full.coverages[-1] / full.total
+        assert full.prefix(0.6) == full
+        for beta in (0.05, 0.15, 0.3, 0.45, 0.6):
+            alone = solver(coupled, config(beta))
+            part = full.prefix(beta)
+            assert (part.users, part.gains, part.achieved_fraction, part.coverages) == (
+                alone.users, alone.gains, alone.achieved_fraction, alone.coverages)
+            assert part == alone
+
+    def test_target_beyond_run_rejected(self):
+        coupled = flat_coupled(["a", "b", "c"], [], {"a": 0.5, "b": 0.5, "c": 0.5})
+        run = improved_greedy(coupled, GreedyConfig(0.5, 1))
+        assert run.coverages == [1.0, 2.0] and run.total == 3.0
+        assert run.prefix(0.3).users == run.users[:1]
+        with pytest.raises(ValueError, match="beyond this run"):
+            run.prefix(0.9)
 
 
 class TestOracleCallCount:
