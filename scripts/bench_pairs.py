@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Compare two commits on the benchmark in alternating pairs of runs.
+
+    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
+        --seeds 51-60 --traced-seed 17 --out BENCH_8.json \\
+        --what "what the change does" --claim "what it should show"
+
+Both sides are built the same way: ``git archive`` of each revision
+(a commit, or any tree, for example the ``git write-tree`` of the
+index) is unpacked into its own temporary directory, with no ``.git``.
+A plain copy and a clone of one commit measure a few percent apart, so
+the two sides must not be made differently.
+
+For every workload and seed the two sides run ``muxbench/run.py`` one
+process at a time, the parent first on odd seeds and the change first
+on even ones, each for the ``run_seconds`` of the change's
+``BENCHMARK.json``.  With ``--traced-seed`` each side also makes one
+``--trace 1`` run of ``sweep``.  The record written to
+``--out`` holds every run's report and result lines and, per workload
+and end-to-end metric (from the change's ``BENCHMARK.json``), the two
+medians, the parent's quartiles (``statistics.quantiles``, exclusive
+method), and the number of pairs in which the change was lower and in
+which the two were equal.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+WORKLOADS = ("sweep", "lt-greedy", "mc-greedy", "couple-simulate")
+TRACED_METRICS = (
+    "solver.evals", "solver.selections", "solver.greedy_s", "coupling.couple_s",
+    "diffusion.replay_calls", "diffusion.replay_s", "experiment.baseline_s",
+    "experiment.composition_s", "experiment.cells",
+)
+
+
+def git(repo, *args):
+    return subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True).stdout
+
+
+def unpack(repo, rev, into):
+    """Unpack ``git archive rev`` into the directory ``into``."""
+    data = git(repo, "archive", "--format=tar", rev)
+    with tarfile.open(fileobj=io.BytesIO(data)) as archive:
+        archive.extractall(into, filter="data")
+
+
+def parse_seeds(text):
+    seeds = []
+    for part in text.split(","):
+        low, _, high = part.partition("-")
+        seeds.extend(range(int(low), int(high or low) + 1))
+    return seeds
+
+
+def run_once(tree, workload, seed, seconds, trace):
+    """One runner process; returns its (report line, result line)."""
+    command = [sys.executable, "muxbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    lines = [line for line in done.stdout.splitlines() if line.startswith("{")]
+    if done.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"{' '.join(command)} in {tree} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(lines[0]), json.loads(lines[-1])
+
+
+def compare(runs, metric):
+    """Medians, parent quartiles and pair counts of one metric."""
+    parent = {run["seed"]: run["result"]["metrics"][metric]["value"] for run in runs if run["side"] == "parent"}
+    change = {run["seed"]: run["result"]["metrics"][metric]["value"] for run in runs if run["side"] == "change"}
+    quartiles = statistics.quantiles(parent.values(), n=4)
+    return {
+        "parent_median": statistics.median(parent.values()),
+        "change_median": statistics.median(change.values()),
+        "parent_quartiles": [quartiles[0], quartiles[2]],
+        "change_lower_pairs": sum(change[seed] < parent[seed] for seed in parent),
+        "equal_pairs": sum(change[seed] == parent[seed] for seed in parent),
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--repo", default=Path(__file__).resolve().parent.parent, type=Path)
+    parser.add_argument("--parent", required=True, help="revision of the parent side")
+    parser.add_argument("--change", default="HEAD", help="revision or tree of the change side")
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("51-60"), help="e.g. 51-60 or 3,5,8")
+    parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--traced-seed", type=int, default=None)
+    parser.add_argument("--what", default="")
+    parser.add_argument("--claim", default="")
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--workdir", default=None, help="where to unpack both sides (default: system temp)")
+    args = parser.parse_args(argv)
+
+    parent_commit = git(args.repo, "rev-parse", args.parent).decode().strip()
+    change_rev = git(args.repo, "rev-parse", args.change).decode().strip()
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_", dir=args.workdir) as scratch:
+        trees = {"parent": Path(scratch) / "parent", "change": Path(scratch) / "change"}
+        unpack(args.repo, parent_commit, trees["parent"])
+        unpack(args.repo, change_rev, trees["change"])
+        benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        seconds = benchmark["run_seconds"]
+        metrics = [entry["name"] for entry in benchmark["end_to_end"]]
+
+        runs, summary, host = [], {}, None
+        for workload in args.workloads.split(","):
+            for seed in args.seeds:
+                order = ("parent", "change") if seed % 2 else ("change", "parent")
+                for side in order:
+                    report, result = run_once(trees[side], workload, seed, seconds, 0)
+                    runs.append({"workload": workload, "seed": seed, "side": side, "trace": 0,
+                                 "report": report, "result": result})
+                    host = host or report["report"]["provenance"]
+                    print(f"{workload} seed {seed} {side}: {result['metrics']['wall_s']['value']:.3f} s",
+                          file=sys.stderr)
+            mine = [run for run in runs if run["workload"] == workload]
+            summary[workload] = {
+                "seeds": list(args.seeds),
+                "all_correct": all(run["result"]["correct"] for run in mine),
+                **{metric: compare(mine, metric) for metric in metrics},
+            }
+        if args.traced_seed is not None:
+            traced = {"parent": {}, "change": {}, "correct": {}}
+            for side in ("parent", "change"):
+                report, result = run_once(trees[side], "sweep", args.traced_seed, seconds, 1)
+                runs.append({"workload": "sweep", "seed": args.traced_seed, "side": side,
+                             "trace": 1, "report": report, "result": result})
+                layer = report["report"]["metrics"]
+                traced[side] = {name: layer[name] for name in TRACED_METRICS}
+                traced["correct"][side] = result["correct"]
+            summary[f"sweep_traced_seed_{args.traced_seed}"] = traced
+
+    record = {
+        "what": args.what,
+        "claim": args.claim,
+        "command": f"python3 muxbench/run.py --workload W --seed S --seconds {seconds:g} --trace T",
+        "parent_commit": parent_commit,
+        "change": f"git archive of {args.change} ({change_rev}), run without .git, so its provenance"
+                  " reads commit 'unknown'",
+        "method": "alternating pairs per seed: parent first on odd seeds, change first on even seeds;"
+                  " one process at a time; both sides unpacked by git archive into temporary"
+                  " directories (scripts/bench_pairs.py)",
+        "host": f"{host['nproc']}-vCPU {host['cpu']}, Python {host['python']}; times in reference"
+                " seconds (see muxbench/README.md)",
+        "summary": summary,
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
@@ -66,16 +65,11 @@ class ActiveSet:
     """Activation trace: per_hop[t] holds the ids newly active at hop t
     (per_hop[0] is the seed set); members is their union.
 
-    ``ActiveSet(members, per_hop)`` stores both as given.  The graph
-    engines instead keep their per-hop index lists and the graph's node
-    ids (:meth:`from_indices`) and build ``per_hop`` and ``members`` as
-    id sets on first access, so a caller that reads only the coverage
-    numbers never pays for them.
+    Built by :meth:`from_indices` from per-hop index lists and the ids
+    those indices name.  ``per_hop`` and ``members`` are built as id sets
+    on first access, so a caller that reads only the coverage numbers
+    never pays for them.
     """
-
-    def __init__(self, members=None, per_hop=None):
-        self._members = set() if members is None else members
-        self._per_hop = [] if per_hop is None else per_hop
 
     @classmethod
     def from_indices(cls, per_hop_idx, node_ids):
@@ -255,46 +249,79 @@ def lt_propagate(graph, seeds, hops):
     return _outcome(graph, per_hop, hops_used)
 
 
+def _multiplex_rounds(lt_layers, seed_idx, hops):
+    """Linear-threshold sweep over the layers of a :class:`UserIndex`;
+    returns (per-hop index lists, hops used).
+
+    Each hop walks the layers in order, and per layer the frontier's
+    out-edges, adding into that layer's running sums.  A user activates
+    the moment one of its sums crosses that layer's bar, as in
+    :func:`_lt_rounds`; a sum only grows within a hop because the index
+    rejects negative weights.
+    """
+    n = len(lt_layers[0][1])
+    active = bytearray(n)
+    received = [[0.0] * n for _ in lt_layers]
+    for i in seed_idx:
+        active[i] = 1
+    per_hop = [list(seed_idx)]
+    frontier = seed_idx
+    hops_used = 0
+    for t in range(1, hops + 1):
+        newly = []
+        for (out, bar), sums in zip(lt_layers, received):
+            for u in frontier:
+                for v, w in out[u]:
+                    if not active[v]:
+                        total = sums[v] + w
+                        sums[v] = total
+                        if total >= bar[v]:
+                            active[v] = 1
+                            newly.append(v)
+        if not newly:
+            break
+        newly.sort()
+        per_hop.append(newly)
+        frontier = newly
+        hops_used = t
+    return per_hop, hops_used
+
+
+def _multiplex_run(network, seeds, hops, lt_layers):
+    if hops < 0:
+        raise ValueError("hop budget must be >= 0")
+    index = network.user_index
+    seeds = set(seeds)
+    unknown = seeds - network.universe
+    if unknown:
+        raise ValueError(f"unknown seed users: {sorted(unknown)!r}")
+    seed_idx = sorted(index.position[u] for u in seeds)
+    per_hop, hops_used = _multiplex_rounds(lt_layers, seed_idx, hops)
+    count = float(sum(map(len, per_hop)))
+    return DiffusionOutcome(ActiveSet.from_indices(per_hop, index.users), count, count, hops_used)
+
+
 def multiplex_lt_propagate(network, seeds, hops):
     """Linear-threshold diffusion directly on a multiplex network.
 
     A user activates at hop t as soon as, in some layer, the summed
     weights of its in-neighbors active after hop t-1 reach that layer's
     threshold.  Activation is global: from the next hop the user exerts
-    influence in every layer it joins.
+    influence in every layer it joins.  Runs on the network's
+    :attr:`~muxlci.network.MultiplexNetwork.user_index`, which is built
+    on the first call and rejects unset, negative or non-finite weights
+    and missing thresholds with ValueError.
     """
-    if hops < 0:
-        raise ValueError("hop budget must be >= 0")
-    unknown = set(seeds) - network.universe
-    if unknown:
-        raise ValueError(f"unknown seed users: {sorted(unknown)!r}")
-    layers = [(layer.out_adjacency(), layer.thresholds) for layer in network.layers]
-    active = set(seeds)
-    per_hop = [set(seeds)]
-    received = [defaultdict(float) for _ in layers]
-    frontier = sorted(active)
-    hops_used = 0
-    for t in range(1, hops + 1):
-        touched = set()
-        for li, (adjacency, _) in enumerate(layers):
-            sums = received[li]
-            for u in frontier:
-                for v, w in adjacency.get(u, ()):
-                    if v not in active:
-                        sums[v] += w
-                        touched.add((li, v))
-        newly = set()
-        for li, v in touched:
-            if received[li][v] >= layers[li][1][v] - WEIGHT_EPS:
-                newly.add(v)
-        if not newly:
-            break
-        active |= newly
-        per_hop.append(newly)
-        frontier = sorted(newly)
-        hops_used = t
-    members = set().union(*per_hop)
-    return DiffusionOutcome(ActiveSet(members, per_hop), float(len(members)), float(len(members)), hops_used)
+    return _multiplex_run(network, seeds, hops, network.user_index.lt_layers)
+
+
+def _layer_lt_propagate(network, layer_index, seeds, hops):
+    """Linear threshold on the layer numbered ``layer_index`` alone, from
+    seeds of that layer: the run :func:`multiplex_lt_propagate` makes on
+    a network of that one layer, over the whole network's index."""
+    position = next(i for i, layer in enumerate(network.layers) if layer.layer_index == layer_index)
+    lt_layers = network.user_index.lt_layers
+    return _multiplex_run(network, seeds, hops, lt_layers[position:position + 1])
 
 
 def _monte_carlo(graph, model, run_sample, samples):

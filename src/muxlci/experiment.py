@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .coupling import COUPLING_SCHEMES, couple
-from .diffusion import DiffusionModel, LINEAR_THRESHOLD, multiplex_lt_propagate
+from .diffusion import DiffusionModel, LINEAR_THRESHOLD, _layer_lt_propagate, multiplex_lt_propagate
 from .generator import SynthSpec, generate, subseed
 from .network import MultiplexNetwork, overlap_users
 from .solver import (
@@ -159,20 +159,38 @@ def solve_pipeline(network, scheme, cfg, solver="improved"):
     return finish()
 
 
-def _union_solvers(network, cfgs, solver):
-    """Per config, the union of each layer's own lossy-average seeds,
-    with one shared solve per layer (see ``_pipeline_solvers``)."""
+def _layer_solvers(network, layer_index, cfgs, solver, memo):
+    """One layer's own lossy-average solve for configs that differ only
+    in beta (see ``_pipeline_solvers``).
+
+    Returns one thunk per config, each computing its result once, and
+    the shared solve's time in ms.  ``memo`` keeps the answer under
+    (layer index, betas), so the "union" and "only:<i>" cells of
+    one network share one solve per layer; it must not outlive the
+    network or mix configs that differ in anything but beta.
+    """
+    key = (layer_index, tuple(cfg.beta for cfg in cfgs))
+    if key in memo:
+        return memo[key]
     started = time.perf_counter()
-    per_layer = [_pipeline_solvers(single_layer_network(layer), "lossy-average", cfgs, solver)
-                 for layer in network.layers]
-    shared_ms = _ms_since(started)
+    sub = single_layer_network(network.layer_by_index(layer_index))
+    finishers = [functools.cache(finish) for finish in _pipeline_solvers(sub, "lossy-average", cfgs, solver)]
+    memo[key] = finishers, _ms_since(started)
+    return memo[key]
+
+
+def _union_solvers(network, cfgs, solver, memo):
+    """Per config, the union of each layer's own lossy-average seeds,
+    with one shared solve per layer (see ``_layer_solvers``)."""
+    per_layer = [_layer_solvers(network, layer.layer_index, cfgs, solver, memo) for layer in network.layers]
+    shared_ms = sum(ms for _, ms in per_layer)
 
     def finish(i):
         started = time.perf_counter()
         cfg = cfgs[i]
         pooled = []
-        for layer_finishers in per_layer:
-            result = layer_finishers[i]()
+        for finishers, _ in per_layer:
+            result = finishers[i]()
             pooled.extend(u for u in result["seed_users"] if u not in pooled)
         replay = multiplex_lt_propagate(network, set(pooled), cfg.hops)
         seed_set = SeedSet(pooled, [], replay.coverage_count / len(network.universe))
@@ -184,17 +202,14 @@ def _union_solvers(network, cfgs, solver):
 
 def union_baseline(network, cfg, solver="improved"):
     """Solve each layer separately at the same beta and pool the seeds."""
-    (finish,) = _union_solvers(network, [cfg], solver)
+    (finish,) = _union_solvers(network, [cfg], solver, {})
     return finish()
 
 
-def _only_solvers(network, layer_index, cfgs, solver):
+def _only_solvers(network, layer_index, cfgs, solver, memo):
     """Per config, one layer's own lossy-average seeds replayed on the
-    full multiplex, with one shared solve (see ``_pipeline_solvers``)."""
-    started = time.perf_counter()
-    sub = single_layer_network(network.layer_by_index(layer_index))
-    finishers = _pipeline_solvers(sub, "lossy-average", cfgs, solver)
-    shared_ms = _ms_since(started)
+    full multiplex, with one shared solve (see ``_layer_solvers``)."""
+    finishers, shared_ms = _layer_solvers(network, layer_index, cfgs, solver, memo)
 
     def finish(cfg, sub_finish):
         started = time.perf_counter()
@@ -210,7 +225,7 @@ def _only_solvers(network, layer_index, cfgs, solver):
 def only_baseline(network, layer_index, cfg, solver="improved"):
     """Solve one layer in isolation (coverage target: beta of that
     layer's node count) and replay the seeds on the full multiplex."""
-    (finish,) = _only_solvers(network, layer_index, [cfg], solver)
+    (finish,) = _only_solvers(network, layer_index, [cfg], solver, {})
     return finish()
 
 
@@ -232,7 +247,7 @@ def external_influence_fraction(network, seeds, hops, target_layer_index, full=N
     if not in_target:
         return 0.0, 0, 0
     local_seeds = set(seeds) & layer.nodes
-    restricted = multiplex_lt_propagate(single_layer_network(layer), local_seeds, hops)
+    restricted = _layer_lt_propagate(network, target_layer_index, local_seeds, hops)
     external = in_target - restricted.active.members
     return len(external) / len(in_target), len(external), len(in_target)
 
@@ -277,8 +292,11 @@ class ExperimentSpec:
 
     A sweep that could only fail cell by cell raises ValueError here:
     no schemes or betas, a beta outside (0, 1], ``hops``, ``T``, ``R``
-    or ``repetitions`` below 1, an unknown solver, or a ``target_layer``
-    or ``only:<i>`` layer that some network of the sweep lacks.
+    or ``repetitions`` below 1, an unknown solver, a ``model`` record
+    that does not build a DiffusionModel, or a ``target_layer`` or
+    ``only:<i>`` layer that some network of the sweep lacks.  The model
+    is built here once, as ``diffusion_model`` (None for deterministic
+    linear threshold), and every cell uses it.
     """
 
     schemes: list
@@ -314,6 +332,7 @@ class ExperimentSpec:
             raise ValueError(f"{name} must be >= 1")
         if self.solver not in ("improved", "naive"):
             raise ValueError(f"unknown solver {self.solver!r}")
+        self.diffusion_model = _diffusion_model(self)
         layers = self._fewest_layers()
         _check_layer("target_layer", self.target_layer, layers)
         for scheme in self.schemes:
@@ -347,13 +366,15 @@ class ExperimentSpec:
 
 
 def _diffusion_model(spec):
+    """The spec's DiffusionModel, or None for deterministic linear
+    threshold; raises ValueError on a bad ``model`` record."""
     if spec.model is None:
         return None
-    record = dict(spec.model)
-    kind = record.pop("kind", LINEAR_THRESHOLD)
-    if kind == LINEAR_THRESHOLD:
-        return None
-    return DiffusionModel(kind=kind, **record)
+    try:
+        model = DiffusionModel(**spec.model)
+    except TypeError as exc:
+        raise ValueError(f"model {spec.model!r}: {exc}") from None
+    return None if model.kind == LINEAR_THRESHOLD else model
 
 
 def _synth_spec(spec, k, overlap, seed):
@@ -418,11 +439,11 @@ def _effective_beta(spec, network, beta):
     return beta
 
 
-def _solvers(spec, network, scheme, cfgs):
+def _solvers(spec, network, scheme, cfgs, memo):
     if scheme == "union":
-        return _union_solvers(network, cfgs, spec.solver)
+        return _union_solvers(network, cfgs, spec.solver, memo)
     if scheme.startswith("only:"):
-        return _only_solvers(network, int(scheme[5:]), cfgs, spec.solver)
+        return _only_solvers(network, int(scheme[5:]), cfgs, spec.solver, memo)
     return _pipeline_solvers(network, scheme, cfgs, spec.solver)
 
 
@@ -468,17 +489,18 @@ def _error_row(cell, exc):
     }
 
 
-def _group_rows(spec, network, cells):
+def _group_rows(spec, network, cells, memo):
     """Rows for cells of one (sweep value, repetition, scheme), solved
-    together; if the shared solve raises, each cell is solved alone."""
+    together; if the shared solve raises, each cell is solved alone.
+    ``memo`` holds the network's single-layer solves (``_layer_solvers``)."""
     try:
-        model = _diffusion_model(spec)
-        cfgs = [GreedyConfig(_effective_beta(spec, network, beta), spec.hops, spec.T, spec.R, model=model)
+        cfgs = [GreedyConfig(_effective_beta(spec, network, beta), spec.hops, spec.T, spec.R,
+                             model=spec.diffusion_model)
                 for *_, beta in cells]
-        solvers = _solvers(spec, network, cells[0][3], cfgs)
+        solvers = _solvers(spec, network, cells[0][3], cfgs, memo)
     except Exception as exc:  # mark the cell, keep the sweep going
         if len(cells) > 1:
-            return [row for cell in cells for row in _group_rows(spec, network, [cell])]
+            return [row for cell in cells for row in _group_rows(spec, network, [cell], memo)]
         return [_error_row(cells[0], exc)]
     rows = []
     for cell, finish in zip(cells, solvers):
@@ -516,7 +538,9 @@ def run_experiment(spec):
     ``wall_time_ms`` counts the shared coupling and greedy time plus
     that replay, so the shared time appears in each row of the group.
     "direct" cells are solved one at a time, and so is every cell of a
-    group whose shared coupling or greedy raises.
+    group whose shared coupling or greedy raises.  The "union" and
+    "only:<i>" groups of one network share one single-layer solve per
+    layer, whose time likewise appears in every row of both.
     """
     if spec.layer_files is not None:
         file_network = _load_files_network(spec)
@@ -534,12 +558,14 @@ def run_experiment(spec):
             overlap = axis_value if axis_name == "overlap" else None
             networks[key] = generate(_synth_spec(spec, k, overlap, seed))
     rows = []
-    for (_, axis_value, repetition, scheme), group in itertools.groupby(cells, key=lambda cell: cell[:4]):
+    for (_, axis_value, repetition), network_cells in itertools.groupby(cells, key=lambda cell: cell[:3]):
         network = networks[(axis_value, repetition)]
-        group = list(group)
-        batches = [[cell] for cell in group] if scheme == "direct" else [group]
-        for batch in batches:
-            rows.extend(_group_rows(spec, network, batch))
+        memo = {}
+        for scheme, group in itertools.groupby(network_cells, key=lambda cell: cell[3]):
+            group = list(group)
+            batches = [[cell] for cell in group] if scheme == "direct" else [group]
+            for batch in batches:
+                rows.extend(_group_rows(spec, network, batch, memo))
     return rows
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +96,84 @@ class MultiplexNetwork:
             if layer.layer_index == layer_index:
                 return layer
         raise ValueError(f"no layer with index {layer_index}")
+
+    @cached_property
+    def user_index(self):
+        """The network's :class:`UserIndex`, built on first use and kept;
+        valid because layers are not changed once the network is built."""
+        return UserIndex(self.layers, self.universe)
+
+
+class UserIndex:
+    """Dense user indices of a multiplex network, in sorted-id order.
+
+    ``users[i]`` is the id of index i and ``position`` maps it back;
+    ``overlap`` is the frozenset of users in two or more layers.
+    ``lt_layers`` holds per layer, in layer order, the out-adjacency
+    ``out[i]`` as (target index, weight) pairs in the layer's edge order
+    and the activation bar ``bar[i]`` (threshold minus ``WEIGHT_EPS``;
+    infinite for users outside the layer).  It is built on first use and
+    raises ValueError, naming the layer and the edge or user, on an edge
+    with an unset, negative or non-finite weight or an endpoint outside
+    the layer, and on a layer user without a finite threshold.  The
+    linear-threshold sweep activates a user the moment a running sum
+    crosses its bar, which is exact only for non-negative weights.
+    """
+
+    def __init__(self, layers, universe):
+        self._layers = layers
+        self.users = tuple(sorted(universe))
+        self.position = {user: i for i, user in enumerate(self.users)}
+        count = defaultdict(int)
+        for layer in layers:
+            for user in layer.nodes:
+                count[user] += 1
+        self.overlap = frozenset(user for user, c in count.items() if c >= 2)
+
+    @cached_property
+    def lt_layers(self):
+        return tuple(self._lt_layer(layer) for layer in self._layers)
+
+    def _lt_layer(self, layer):
+        fault = next(_layer_faults(layer), None)
+        if fault is not None:
+            raise ValueError(fault)
+        position = self.position
+        bar = [math.inf] * len(self.users)
+        for user in layer.nodes:
+            bar[position[user]] = layer.thresholds[user] - WEIGHT_EPS
+        out = [[] for _ in self.users]
+        for (src, dst), weight in layer.edges.items():
+            if weight < 0.0:
+                raise ValueError(f"layer {layer.layer_index}: edge {src!r}->{dst!r} weight {weight} is negative")
+            out[position[src]].append((position[dst], weight))
+        return out, bar
+
+
+def _layer_faults(layer):
+    """Yield the faults that leave diffusion on ``layer`` undefined: an
+    edge endpoint outside the node set, an unset or non-finite edge
+    weight, a node without a finite threshold.  :func:`validate` reports
+    them among its other rules; :class:`UserIndex` raises on the first.
+    """
+    tag = f"layer {layer.layer_index}"
+    for (src, dst), weight in layer.edges.items():
+        if src not in layer.nodes or dst not in layer.nodes:
+            yield f"{tag}: edge {src!r}->{dst!r} endpoint outside node set"
+        if weight is None:
+            yield f"{tag}: edge {src!r}->{dst!r} has unset weight"
+        elif not math.isfinite(weight):
+            yield f"{tag}: edge {src!r}->{dst!r} weight {weight} is not finite"
+    for user in layer.nodes:
+        theta = layer.thresholds.get(user)
+        if theta is None:
+            yield f"{tag}: node {user!r} missing threshold"
+        elif not math.isfinite(theta):
+            yield f"{tag}: node {user!r} threshold {theta} is not finite"
+
+
+def _finite(value):
+    return value is not None and math.isfinite(value)
 
 
 def _parse_float(token, line_no):
@@ -228,12 +307,9 @@ def fill_missing_thresholds(network, rng_seed):
 
 
 def overlap_users(network):
-    """Users present in at least two layers."""
-    count = defaultdict(int)
-    for layer in network.layers:
-        for user in layer.nodes:
-            count[user] += 1
-    return {user for user, c in count.items() if c >= 2}
+    """Users present in at least two layers, as a frozenset kept with the
+    network (see :attr:`MultiplexNetwork.user_index`)."""
+    return network.user_index.overlap
 
 
 def validate(network):
@@ -250,24 +326,17 @@ def validate(network):
         report.append(f"layer indices {indices} are not 1..{len(network.layers)}")
     for layer in network.layers:
         tag = f"layer {layer.layer_index}"
+        report.extend(sorted(_layer_faults(layer)))
         for (src, dst), weight in sorted(layer.edges.items()):
             if src == dst:
                 report.append(f"{tag}: self-loop on {src!r}")
-            if src not in layer.nodes or dst not in layer.nodes:
-                report.append(f"{tag}: edge {src!r}->{dst!r} endpoint outside node set")
-            if weight is None:
-                report.append(f"{tag}: edge {src!r}->{dst!r} has unset weight")
-            elif not math.isfinite(weight):
-                report.append(f"{tag}: edge {src!r}->{dst!r} weight {weight} is not finite")
-            elif not 0.0 <= weight <= 1.0 + WEIGHT_EPS:
+            if _finite(weight) and not 0.0 <= weight <= 1.0 + WEIGHT_EPS:
                 report.append(f"{tag}: edge {src!r}->{dst!r} weight {weight} outside [0, 1]")
         for user in sorted(layer.nodes):
             theta = layer.thresholds.get(user)
-            if theta is None:
-                report.append(f"{tag}: node {user!r} missing threshold")
-            elif not math.isfinite(theta):
-                report.append(f"{tag}: node {user!r} threshold {theta} is not finite")
-            elif theta <= 0.0:
+            if not _finite(theta):
+                continue
+            if theta <= 0.0:
                 report.append(f"{tag}: node {user!r} non-positive threshold")
             elif theta > 1.0 + WEIGHT_EPS:
                 report.append(f"{tag}: node {user!r} threshold {theta} exceeds 1")

@@ -4,17 +4,20 @@ Deliberately written straight-line (full rescans per round, no
 incremental bookkeeping) so they share no code path with the engines
 they check.  The ``reference_*`` functions are the exception: they keep
 earlier forms of fast paths, against which the package must agree
-exactly: the eager linear-threshold kernel (sum each touched node's hop
-total, test it afterwards, build id sets at once), the independent
-cascade loop written out in full (a set of the hop's hits, sorted at the
-end of the hop), stochastic-threshold bounds resolved and thresholds
-drawn afresh on every call, the three separate lossless
-coupling builders (full clique, full star, reduced) that ``couple()``
-now builds in one function, and the experiment loop that solves every
-cell on its own instead of once per (sweep value, repetition, scheme).
+exactly: the eager linear-threshold kernels on the coupled graph and on
+the multiplex (sum each touched node's hop total, test it afterwards,
+build id sets at once), the independent cascade loop written out in
+full (a set of the hop's hits, sorted at the end of the hop),
+stochastic-threshold bounds resolved and thresholds drawn afresh on
+every call, the three separate lossless coupling builders (full clique,
+full star, reduced) that ``couple()`` now builds in one function, and
+the experiment loop that solves every cell on its own instead of once
+per (sweep value, repetition, scheme) and measures external influence
+on a standalone single-layer copy of the target layer.
 """
 
 import random
+from collections import defaultdict
 
 from muxlci.coupling import (
     DUMMY,
@@ -201,11 +204,52 @@ def naive_lossy_fold(network, alpha):
 
 
 def reference_outcome(graph, per_hop_idx, hops_used):
-    """Eager outcome: id sets built at once, weight summed over the ids."""
-    per_hop = [{graph.node_ids[i] for i in hop} for hop in per_hop_idx]
-    members = set().union(*per_hop) if per_hop else set()
+    """Eager outcome: id sets read at once, weight summed over the ids."""
+    active = ActiveSet.from_indices(per_hop_idx, graph.node_ids)
+    members = active.members
     weight = sum(graph.node_weight[graph.index[u]] for u in members)
-    return DiffusionOutcome(ActiveSet(members, per_hop), float(len(members)), weight, hops_used)
+    return DiffusionOutcome(active, float(len(members)), weight, hops_used)
+
+
+def reference_multiplex_lt_propagate(network, seeds, hops):
+    """Multiplex linear threshold on id dicts: each hop sums every
+    layer's frontier edges into per-layer running sums, then tests each
+    touched (layer, user) against that layer's threshold."""
+    if hops < 0:
+        raise ValueError("hop budget must be >= 0")
+    unknown = set(seeds) - network.universe
+    if unknown:
+        raise ValueError(f"unknown seed users: {sorted(unknown)!r}")
+    layers = [(layer.out_adjacency(), layer.thresholds) for layer in network.layers]
+    active = set(seeds)
+    per_hop = [set(seeds)]
+    received = [defaultdict(float) for _ in layers]
+    frontier = sorted(active)
+    hops_used = 0
+    for t in range(1, hops + 1):
+        touched = set()
+        for li, (adjacency, _) in enumerate(layers):
+            sums = received[li]
+            for u in frontier:
+                for v, w in adjacency.get(u, ()):
+                    if v not in active:
+                        sums[v] += w
+                        touched.add((li, v))
+        newly = set()
+        for li, v in touched:
+            if received[li][v] >= layers[li][1][v] - WEIGHT_EPS:
+                newly.add(v)
+        if not newly:
+            break
+        active |= newly
+        per_hop.append(newly)
+        frontier = sorted(newly)
+        hops_used = t
+    users = tuple(sorted(network.universe))
+    position = {u: i for i, u in enumerate(users)}
+    per_hop_idx = [sorted(position[u] for u in hop) for hop in per_hop]
+    count = float(len(active))
+    return DiffusionOutcome(ActiveSet.from_indices(per_hop_idx, users), count, count, hops_used)
 
 
 def reference_lt_rounds(graph, seed_idx, hops, theta):
@@ -519,10 +563,25 @@ def reference_couple_reduced(network, sync="clique", model_kind="linear_threshol
     return CoupledNetwork(graph, kinds, user_of, node_of_user, hop_scale, scheme, k, len(users))
 
 
+def reference_external_influence(network, seeds, hops, target_layer_index):
+    """External influence fraction from two reference runs: the full
+    multiplex, and a standalone single-layer network of the target layer
+    from the seeds it contains."""
+    from muxlci.experiment import single_layer_network
+
+    layer = network.layer_by_index(target_layer_index)
+    full = reference_multiplex_lt_propagate(network, set(seeds), hops)
+    in_target = full.active.members & layer.nodes
+    if not in_target:
+        return 0.0
+    restricted = reference_multiplex_lt_propagate(single_layer_network(layer), set(seeds) & layer.nodes, hops)
+    return len(in_target - restricted.active.members) / len(in_target)
+
+
 def reference_run_experiment(spec):
     """``run_experiment`` cell by cell: one ``solve_pipeline``,
-    ``union_baseline`` or ``only_baseline`` call per cell, and the full
-    multiplex run recomputed for the external influence."""
+    ``union_baseline`` or ``only_baseline`` call per cell, and the
+    external influence from ``reference_external_influence``."""
     from muxlci import experiment as ex
     from muxlci.generator import generate, subseed
     from muxlci.solver import GreedyConfig
@@ -563,8 +622,8 @@ def reference_run_experiment(spec):
             else:
                 result = ex.solve_pipeline(network, scheme, cfg, solver=spec.solver)
             composition = ex.seed_composition(network, result["seed_users"], result["replay_outcome"])
-            external, _, _ = ex.external_influence_fraction(
-                network, result["seed_users"], spec.hops, spec.target_layer)
+            external = reference_external_influence(network, result["seed_users"], spec.hops,
+                                                    spec.target_layer)
             row = {
                 **label,
                 "effective_beta": effective_beta,

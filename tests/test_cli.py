@@ -250,6 +250,23 @@ def test_experiment_rejects_bad_sweep(tmp_path, capsys, fields, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model,message", [
+    ({"kind": "bogus"}, "unknown diffusion model 'bogus'"),
+    ({"kind": "independent_cascade", "samples": 5},
+     "model {'kind': 'independent_cascade', 'samples': 5}: "
+     "DiffusionModel.__init__() got an unexpected keyword argument 'samples'"),
+])
+def test_experiment_rejects_bad_model(tmp_path, capsys, model, message):
+    config = {"schemes": ["clique"], "betas": [0.4], "hops": 2, "model": model,
+              "synth": {"universe_size": 20, "layer_size": 15, "edge_prob": 0.12, "k": 2}}
+    config_path = write(tmp_path / "exp.json", json.dumps(config))
+    out = tmp_path / "rows.csv"
+    code = main(["experiment", "--config", config_path, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_alias_file_merges_users_across_layers(tmp_path, capsys):
     one = write(tmp_path / "fsq.txt", "fsq_1 fsq_2 1.0\n")
     two = write(tmp_path / "tw.txt", "tw_9 tw_8 1.0\n")

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import muxlci.solver
+from muxlci.diffusion import _layer_lt_propagate
+from muxlci.experiment import single_layer_network
 from muxlci import (
     ActiveSet,
     DiffusionModel,
@@ -29,6 +31,7 @@ from oracles import (
     reference_lt_propagate,
     reference_ic_propagate,
     reference_lt_rounds,
+    reference_multiplex_lt_propagate,
     reference_st_propagate,
 )
 
@@ -347,6 +350,40 @@ def corner_graph(seed):
     return InfluenceGraph(names, edges, thetas, node_weights), seeds
 
 
+def corner_multiplex(seed):
+    """Random multiplex for the kernel differential test: one to three
+    layers over random subsets of the users (so some users join one
+    layer only), zero-weight edges, edges stored in random order,
+    in-weight sums at most 1, and most thresholds set exactly to a
+    prefix sum of a user's in-weights in source-id order, so a hop sum
+    can land exactly on the bar.  Returns the network and a seed set,
+    possibly empty."""
+    import random
+
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    users = [f"u{i:02d}" for i in range(n)]
+    layers = []
+    for index in range(1, rng.randint(1, 3) + 1):
+        nodes = rng.sample(users, rng.randint(1, n))
+        p = rng.uniform(0.1, 0.7)
+        raw = [(a, b, rng.choice([0.0, 0.25, 0.5, 1.0, rng.random()]))
+               for a in nodes for b in nodes if a != b and rng.random() < p]
+        edges, thetas = [], {}
+        for b in nodes:
+            incoming = sorted((a, w) for a, bb, w in raw if bb == b)
+            scale = max(1.0, sum(w for _, w in incoming))
+            weights = [w / scale for _, w in incoming]
+            edges += [((a, b), w) for (a, _), w in zip(incoming, weights)]
+            prefix = sum(weights[:rng.randint(1, len(weights))]) if weights else 0.0
+            thetas[b] = prefix if 0.0 < prefix <= 1.0 and rng.random() < 0.7 else 1.0 - rng.random()
+        rng.shuffle(edges)
+        layers.append(make_layer(index, dict(edges), thetas))
+    network = MultiplexNetwork(layers)
+    seeds = set(rng.sample(sorted(network.universe), rng.randint(0, min(3, len(network.universe)))))
+    return network, seeds
+
+
 def assert_same_outcome(ours, reference):
     assert ours.active.per_hop == reference.active.per_hop
     assert ours.active.members == reference.active.members
@@ -384,19 +421,43 @@ class TestKernelMatchesReference:
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5),
            st.booleans())
     def test_lazy_active_set_equals_eager(self, seed, hops, members_first):
+        # the id sets built on first read, in either order, equal those
+        # mapped from the index lists at once
         graph, seeds = corner_graph(seed)
         per_hop_idx, _ = reference_lt_rounds(graph, sorted(graph.index[u] for u in seeds), hops, graph.theta)
         per_hop = [{graph.node_ids[i] for i in hop} for hop in per_hop_idx]
-        eager = ActiveSet(set().union(*per_hop), per_hop)
+        members = set().union(*per_hop)
         lazy = ActiveSet.from_indices(per_hop_idx, graph.node_ids)
         if members_first:
-            assert lazy.members == eager.members
-        assert lazy == eager and eager == lazy
-        assert lazy.per_hop == eager.per_hop and lazy.members == eager.members
+            assert lazy.members == members
+        assert lazy.per_hop == per_hop and lazy.members == members
+        assert lazy == ActiveSet.from_indices([list(hop) for hop in per_hop_idx], graph.node_ids)
 
     def test_empty_active_sets_agree(self):
-        assert ActiveSet() == ActiveSet.from_indices([], ("a",))
-        assert ActiveSet().members == set() and ActiveSet().per_hop == []
+        empty = ActiveSet.from_indices([], ("a",))
+        assert empty.members == set() and empty.per_hop == []
+        assert empty == ActiveSet.from_indices([], ("b",))
+        assert ActiveSet.from_indices([[]], ("a",)) != empty
+
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=4))
+    def test_multiplex_lt_propagate_exact(self, seed, hops):
+        network, seeds = corner_multiplex(seed)
+        ours = multiplex_lt_propagate(network, seeds, hops)
+        assert_same_outcome(ours, reference_multiplex_lt_propagate(network, seeds, hops))
+        # a second call reuses the network's index and agrees
+        assert_same_outcome(multiplex_lt_propagate(network, seeds, hops), ours)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=4))
+    def test_restricted_run_exact(self, seed, hops):
+        # one layer over the whole network's index runs like a standalone
+        # single-layer network of that layer
+        network, seeds = corner_multiplex(seed)
+        for layer in network.layers:
+            local = seeds & layer.nodes
+            ours = _layer_lt_propagate(network, layer.layer_index, local, hops)
+            alone = reference_multiplex_lt_propagate(single_layer_network(layer), local, hops)
+            assert_same_outcome(ours, alone)
 
 
 class TestMonteCarloMatchesReference:
@@ -521,3 +582,38 @@ class TestGraphPreconditions:
         edge = ("zz", graph.node_ids[0], 0.5) if at_src else (graph.node_ids[0], "zz", 0.5)
         with pytest.raises(ValueError, match="endpoint 'zz' is not a node"):
             InfluenceGraph(list(thetas), [edge], thetas)
+
+
+class TestMultiplexIndexPreconditions:
+    """The multiplex index rejects layers the LT sweep cannot handle and
+    names the layer and the edge or user."""
+
+    @pytest.mark.parametrize("weight", [None, -0.25, -5e-324, math.nan, math.inf])
+    def test_bad_edge_weight_rejected(self, two_layer_toy, weight):
+        two_layer_toy.layers[1].edges[("e", "c")] = weight
+        message = {None: "has unset weight", -0.25: "is negative", -5e-324: "is negative"}.get(weight, "is not finite")
+        with pytest.raises(ValueError, match=f"layer 2: edge 'e'->'c' .*{message}"):
+            multiplex_lt_propagate(two_layer_toy, {"b"}, 2)
+
+    @pytest.mark.parametrize("theta", [None, math.nan, -math.inf])
+    def test_bad_threshold_rejected(self, two_layer_toy, theta):
+        if theta is None:
+            del two_layer_toy.layers[0].thresholds["b"]
+        else:
+            two_layer_toy.layers[0].thresholds["b"] = theta
+        message = "missing threshold" if theta is None else "is not finite"
+        with pytest.raises(ValueError, match=f"layer 1: node 'b' .*{message}"):
+            multiplex_lt_propagate(two_layer_toy, {"a"}, 2)
+
+    def test_endpoint_outside_layer_rejected(self, two_layer_toy):
+        two_layer_toy.layers[1].edges[("a", "e")] = 0.5
+        with pytest.raises(ValueError, match="layer 2: edge 'a'->'e' endpoint outside node set"):
+            multiplex_lt_propagate(two_layer_toy, {"a"}, 2)
+
+    def test_index_built_once(self, two_layer_toy):
+        index = two_layer_toy.user_index
+        multiplex_lt_propagate(two_layer_toy, {"b"}, 2)
+        layers = index.lt_layers
+        multiplex_lt_propagate(two_layer_toy, {"e"}, 2)
+        assert two_layer_toy.user_index is index and index.lt_layers is layers
+        assert index.users == ("a", "b", "c", "d", "e") and index.overlap == {"b", "c"}

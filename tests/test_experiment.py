@@ -264,6 +264,28 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(**spec)
 
+    @pytest.mark.parametrize("model,message", [
+        ({"kind": "bogus"}, "unknown diffusion model 'bogus'"),
+        ({"kind": "independent_cascade", "samples": 5}, "unexpected keyword argument 'samples'"),
+        ({"kind": "stochastic_threshold", "mc_samples": 0}, "mc_samples must be >= 1"),
+        ({"kind": "independent_cascade", "mc_samples": "5"}, "model .*not supported between"),
+        (["independent_cascade"], "must be a mapping"),
+    ])
+    def test_bad_model_rejected_at_spec_load(self, model, message):
+        spec = {"schemes": ["clique"], "betas": [0.5], "hops": 2, "model": model,
+                "synth": {"universe_size": 10, "layer_size": 8, "edge_prob": 0.1, "k": 2}}
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(**spec)
+
+    def test_model_built_once_at_spec_load(self):
+        spec = ExperimentSpec(schemes=["clique"], betas=[0.5], hops=2,
+                              model={"kind": "independent_cascade", "mc_samples": 4, "rng_seed": 9},
+                              synth={"universe_size": 10, "layer_size": 8, "edge_prob": 0.1, "k": 2})
+        assert spec.diffusion_model == DiffusionModel("independent_cascade", mc_samples=4, rng_seed=9)
+        lt = ExperimentSpec(schemes=["clique"], betas=[0.5], model={"kind": "linear_threshold"},
+                            synth={"universe_size": 10, "layer_size": 8, "edge_prob": 0.1, "k": 2})
+        assert lt.diffusion_model is None
+
     def test_target_layer_checked_against_layer_files(self, tmp_path):
         path = tmp_path / "layer.txt"
         path.write_text("a b 1.0\n", encoding="utf-8")
@@ -325,7 +347,9 @@ class TestSharedSolve:
         assert [row["status"] for row in rows] == ["ok", "error", "ok"] * 3
         assert rows[1]["error"] == "ValueError: refused beta 0.8"
 
-    def test_one_coupling_and_greedy_per_group(self, monkeypatch):
+    @staticmethod
+    def count_solves(monkeypatch):
+        """Record every coupling and greedy call run_experiment makes."""
         from muxlci import experiment
 
         calls = []
@@ -340,12 +364,41 @@ class TestSharedSolve:
 
         for name in ("couple", "improved_greedy"):
             monkeypatch.setattr(experiment, name, counted(name))
+        return calls
+
+    def test_one_coupling_and_greedy_per_group(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
         spec = ExperimentSpec(schemes=["clique", "lossy-average", "union"], betas=[0.3, 0.6, 0.45],
                               hops=2, repetitions=2, base_seed=8, synth=SMALL)
         rows = run_experiment(spec)
         assert len(rows) == 18 and all(row["status"] == "ok" for row in rows)
         # per repetition: clique, lossy-average, and union's two layers
         assert calls.count("couple") == calls.count("improved_greedy") == 2 * 4
+
+    def test_union_and_only_share_layer_solves(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        spec = ExperimentSpec(schemes=["only:2", "union", "clique", "only:1"], betas=[0.3, 0.6],
+                              hops=2, repetitions=2, base_seed=8, synth=SMALL)
+        rows = run_experiment(spec)
+        assert len(rows) == 16 and all(row["status"] == "ok" for row in rows)
+        # per repetition: clique, and one single-layer solve per layer
+        assert calls.count("couple") == calls.count("improved_greedy") == 2 * 3
+        monkeypatch.undo()
+        assert _untimed(rows) == _untimed(reference_run_experiment(spec))
+
+    def test_shared_layer_solve_time_in_every_row(self, overlap_network):
+        from muxlci import experiment
+
+        cfgs = [GreedyConfig(beta, 2) for beta in (0.3, 0.6)]
+        memo = {}
+        union = experiment._union_solvers(overlap_network, cfgs, "improved", memo)
+        only = experiment._only_solvers(overlap_network, 2, cfgs, "improved", memo)
+        assert len(memo) == 2
+        layer_ms = {layer: ms for (layer, _), (_, ms) in memo.items()}
+        for finish in union:
+            assert finish()["wall_time_ms"] >= layer_ms[1] + layer_ms[2]
+        for finish in only:
+            assert finish()["wall_time_ms"] >= layer_ms[2]
 
 
 class TestStochasticPipeline:

@@ -20,6 +20,7 @@ from muxlci.coupling import CoupledNetwork, NodeKind
 
 from conftest import make_layer, random_network
 from lp_solve import parse_lp, solve_lp_minimum
+from oracles import reference_multiplex_lt_propagate
 
 
 def flat_coupled(names, edges, thetas):
@@ -256,6 +257,15 @@ class TestBruteForce:
             for combo in itertools.combinations(sorted(network.universe), size):
                 outcome = multiplex_lt_propagate(network, set(combo), hops)
                 assert not meets_fraction(outcome.coverage_count, beta, n)
+
+    @pytest.mark.parametrize("seed,beta,hops", [(127, 0.7, 2), (137, 0.6, 3), (151, 0.5, 1), (163, 0.9, 4)])
+    def test_same_optimum_as_reference_kernel(self, monkeypatch, seed, beta, hops):
+        import muxlci.solver
+
+        network = random_network(seed, max_users=9)
+        optimum = brute_force_optimal(network, beta, hops)
+        monkeypatch.setattr(muxlci.solver, "multiplex_lt_propagate", reference_multiplex_lt_propagate)
+        assert brute_force_optimal(network, beta, hops) == optimum
 
     def test_greedy_never_beats_optimum(self):
         network = random_network(137, max_users=8)
