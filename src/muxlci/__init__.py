@@ -37,7 +37,6 @@ from .diffusion import (
     multiplex_lt_propagate,
     ic_propagate,
     st_propagate,
-    coverage_fraction,
     write_trace,
 )
 from .coupling import (

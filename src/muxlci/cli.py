@@ -215,7 +215,7 @@ def cmd_solve(args):
 def cmd_export_ilp(args):
     network, _ = _load_network(args)
     coupled = couple(network, args.scheme, model_kind=MODEL_NAMES[args.model])
-    cfg = GreedyConfig(args.beta, args.hops, coverage_mode=coupled.default_coverage_mode)
+    cfg = GreedyConfig(args.beta, args.hops)
     with open(args.out, "w", encoding="utf-8") as handle:
         summary = export_ilp(coupled, cfg, handle)
     summary.update({"scheme": coupled.scheme, "out": args.out, "version": __version__})

@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 
 from .diffusion import INDEPENDENT_CASCADE, InfluenceGraph
+from .network import _require_complete
 
 GATEWAY = "gateway"
 REPRESENTATIVE = "representative"
@@ -111,22 +112,6 @@ class CoupledNetwork:
     def active_users(self, members):
         """Users whose F-image node appears in a set of active nodes."""
         return {self.user_of[node] for node in members if node in self.user_of}
-
-
-def _require_complete(layers):
-    for layer in layers:
-        for (src, dst), weight in layer.edges.items():
-            if weight is None:
-                raise ValueError(
-                    f"layer {layer.layer_index}: edge {src!r}->{dst!r} has unset weight; "
-                    "normalize weights before coupling"
-                )
-        for user in layer.nodes:
-            if user not in layer.thresholds:
-                raise ValueError(
-                    f"layer {layer.layer_index}: node {user!r} missing threshold; "
-                    "assign thresholds before coupling"
-                )
 
 
 def _couple_lossless(network, sync, dummies, model_kind):

@@ -463,21 +463,6 @@ def st_propagate(graph, seeds, hops, model):
     return _monte_carlo(graph, model, partial(_lt_rounds, graph, seed_idx, hops), bars)
 
 
-def coverage_fraction(outcome, mode, total):
-    """Coverage divided by an explicit denominator.
-
-    ``mode`` picks the numerator: "count" uses coverage_count (user or
-    node count), "weight" uses coverage_weight (needed for weight-
-    reduced couplings).
-    """
-    if mode not in ("count", "weight"):
-        raise ValueError(f"unknown coverage mode {mode!r}")
-    if total <= 0:
-        raise ValueError("coverage denominator must be positive")
-    value = outcome.coverage_count if mode == "count" else outcome.coverage_weight
-    return value / total
-
-
 def write_trace(outcome, stream, kinds=None):
     """Write the per-hop activation trace as CSV rows hop,node_id,node_kind."""
     writer = csv.writer(stream, lineterminator="\n")

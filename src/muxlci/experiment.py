@@ -18,12 +18,11 @@ the seed sets), "only:<i>" (solve layer i alone), and "direct"
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__
 from .coupling import COUPLING_SCHEMES, couple
@@ -97,7 +96,7 @@ def _ms_since(started):
     return (time.perf_counter() - started) * 1000.0
 
 
-def _pipeline_solvers(network, scheme, cfgs, solver):
+def _pipeline_results(network, scheme, cfgs, solver):
     """Solve one scheme for configs that differ only in beta.
 
     The greedies read beta only in their stop test, and their Monte
@@ -106,8 +105,8 @@ def _pipeline_solvers(network, scheme, cfgs, solver):
     prefix (``SeedSet.prefix``).  Brute force ("direct") is not
     prefix-shaped and searches once per config.
 
-    Returns one thunk per config.  A thunk replays its config's seeds on
-    the multiplex, checks the target and returns the result record; its
+    Returns one result record per config.  Each config's seeds are
+    replayed on the multiplex and checked against its target; its
     ``wall_time_ms`` is the shared coupling and solve time plus its own
     replay.
     """
@@ -121,14 +120,12 @@ def _pipeline_solvers(network, scheme, cfgs, solver):
         model_kind = cfg.model.kind if cfg.model is not None else LINEAR_THRESHOLD
         coupled = couple(network, scheme, model_kind=model_kind)
         mode = coupled.default_coverage_mode
-        beta = max(each.beta for each in cfgs)
-        run_cfg = GreedyConfig(beta, cfg.hops, cfg.T, cfg.R, mode, cfg.model)
         solve = improved_greedy if solver == "improved" else naive_greedy
-        full = solve(coupled, run_cfg)
+        full = solve(coupled, replace(cfg, beta=max(each.beta for each in cfgs)))
         seed_sets = [full.prefix(each.beta) for each in cfgs]
     shared_ms = _ms_since(started)
-
-    def finish(cfg, seed_set):
+    results = []
+    for cfg, seed_set in zip(cfgs, seed_sets):
         started = time.perf_counter()
         replay = multiplex_lt_propagate(network, set(seed_set.users), cfg.hops)
         replayed_fraction = replay.coverage_count / len(network.universe)
@@ -139,94 +136,86 @@ def _pipeline_solvers(network, scheme, cfgs, solver):
                 f" below target {cfg.beta}"
             )
         coupled_fraction = None if scheme == "direct" else seed_set.achieved_fraction
-        return _result(network, cfg, scheme, solver, mode, seed_set, coupled_fraction, replay,
-                       shared_ms + _ms_since(started))
-
-    return [functools.partial(finish, cfg, seed_set) for cfg, seed_set in zip(cfgs, seed_sets)]
+        results.append(_result(network, cfg, scheme, solver, mode, seed_set, coupled_fraction, replay,
+                               shared_ms + _ms_since(started)))
+    return results
 
 
 def solve_pipeline(network, scheme, cfg, solver="improved"):
     """Couple, solve, map seeds through F, and replay on the multiplex.
 
     Returns a JSON-ready result dict with both the coupled-graph
-    fraction and the replayed direct-multiplex fraction, and the
-    coverage mode the greedy used (by weight on reduced couplings,
-    whatever ``cfg.coverage_mode`` says).  Raises RuntimeError if the
-    replayed fraction misses the target (which a correct coupling
-    cannot produce).
+    fraction and the replayed direct-multiplex fraction.  Its
+    ``coverage_mode`` is the coupling's ``default_coverage_mode``:
+    "weight" on the reduced couplings, "count" elsewhere, where every
+    node weighs 1 and the weight the greedy counts is the node count.
+    Raises RuntimeError if the replayed fraction misses the target
+    (which a correct coupling cannot produce).
     """
-    (finish,) = _pipeline_solvers(network, scheme, [cfg], solver)
-    return finish()
+    (result,) = _pipeline_results(network, scheme, [cfg], solver)
+    return result
 
 
-def _layer_solvers(network, layer_index, cfgs, solver, memo):
-    """One layer's own lossy-average solve for configs that differ only
-    in beta (see ``_pipeline_solvers``).
+def _layer_results(network, layer_index, cfgs, solver, memo):
+    """One layer's own lossy-average results for configs that differ
+    only in beta (see ``_pipeline_results``).
 
-    Returns one thunk per config, each computing its result once, and
-    the shared solve's time in ms.  ``memo`` keeps the answer under
-    (layer index, betas), so the "union" and "only:<i>" cells of
-    one network share one solve per layer; it must not outlive the
-    network or mix configs that differ in anything but beta.
+    ``memo`` keeps them under (layer index, betas), so the "union" and
+    "only:<i>" cells of one network share one solve per layer; it must
+    not outlive the network or mix configs that differ in anything but
+    beta.
     """
     key = (layer_index, tuple(cfg.beta for cfg in cfgs))
-    if key in memo:
-        return memo[key]
-    started = time.perf_counter()
-    sub = single_layer_network(network.layer_by_index(layer_index))
-    finishers = [functools.cache(finish) for finish in _pipeline_solvers(sub, "lossy-average", cfgs, solver)]
-    memo[key] = finishers, _ms_since(started)
+    if key not in memo:
+        sub = single_layer_network(network.layer_by_index(layer_index))
+        memo[key] = _pipeline_results(sub, "lossy-average", cfgs, solver)
     return memo[key]
 
 
-def _union_solvers(network, cfgs, solver, memo):
+def _union_results(network, cfgs, solver, memo):
     """Per config, the union of each layer's own lossy-average seeds,
-    with one shared solve per layer (see ``_layer_solvers``)."""
-    per_layer = [_layer_solvers(network, layer.layer_index, cfgs, solver, memo) for layer in network.layers]
-    shared_ms = sum(ms for _, ms in per_layer)
-
-    def finish(i):
+    with one shared solve per layer (see ``_layer_results``), whose
+    times are counted in every row."""
+    per_layer = [_layer_results(network, layer.layer_index, cfgs, solver, memo) for layer in network.layers]
+    results = []
+    for cfg, layer_results in zip(cfgs, zip(*per_layer)):
         started = time.perf_counter()
-        cfg = cfgs[i]
         pooled = []
-        for finishers, _ in per_layer:
-            result = finishers[i]()
+        for result in layer_results:
             pooled.extend(u for u in result["seed_users"] if u not in pooled)
         replay = multiplex_lt_propagate(network, set(pooled), cfg.hops)
         seed_set = SeedSet(pooled, [], replay.coverage_count / len(network.universe))
-        return _result(network, cfg, "union", solver, "count", seed_set, None, replay,
-                       shared_ms + _ms_since(started))
-
-    return [functools.partial(finish, i) for i in range(len(cfgs))]
+        shared_ms = sum(result["wall_time_ms"] for result in layer_results)
+        results.append(_result(network, cfg, "union", solver, "count", seed_set, None, replay,
+                               shared_ms + _ms_since(started)))
+    return results
 
 
 def union_baseline(network, cfg, solver="improved"):
     """Solve each layer separately at the same beta and pool the seeds."""
-    (finish,) = _union_solvers(network, [cfg], solver, {})
-    return finish()
+    (result,) = _union_results(network, [cfg], solver, {})
+    return result
 
 
-def _only_solvers(network, layer_index, cfgs, solver, memo):
+def _only_results(network, layer_index, cfgs, solver, memo):
     """Per config, one layer's own lossy-average seeds replayed on the
-    full multiplex, with one shared solve (see ``_layer_solvers``)."""
-    finishers, shared_ms = _layer_solvers(network, layer_index, cfgs, solver, memo)
-
-    def finish(cfg, sub_finish):
+    full multiplex, with one shared solve (see ``_layer_results``)."""
+    results = []
+    for cfg, result in zip(cfgs, _layer_results(network, layer_index, cfgs, solver, memo)):
         started = time.perf_counter()
-        result = sub_finish()
         seed_set = SeedSet(result["seed_users"], result["gains"], result["achieved_fraction"])
         replay = multiplex_lt_propagate(network, set(seed_set.users), cfg.hops)
-        return _result(network, cfg, f"only:{layer_index}", solver, result["coverage_mode"],
-                       seed_set, result["coupled_fraction"], replay, shared_ms + _ms_since(started))
-
-    return [functools.partial(finish, cfg, sub_finish) for cfg, sub_finish in zip(cfgs, finishers)]
+        results.append(_result(network, cfg, f"only:{layer_index}", solver, result["coverage_mode"],
+                               seed_set, result["coupled_fraction"], replay,
+                               result["wall_time_ms"] + _ms_since(started)))
+    return results
 
 
 def only_baseline(network, layer_index, cfg, solver="improved"):
     """Solve one layer in isolation (coverage target: beta of that
     layer's node count) and replay the seeds on the full multiplex."""
-    (finish,) = _only_solvers(network, layer_index, [cfg], solver, {})
-    return finish()
+    (result,) = _only_results(network, layer_index, [cfg], solver, {})
+    return result
 
 
 def external_influence_fraction(network, seeds, hops, target_layer_index, full=None):
@@ -439,12 +428,12 @@ def _effective_beta(spec, network, beta):
     return beta
 
 
-def _solvers(spec, network, scheme, cfgs, memo):
+def _results(spec, network, scheme, cfgs, memo):
     if scheme == "union":
-        return _union_solvers(network, cfgs, spec.solver, memo)
+        return _union_results(network, cfgs, spec.solver, memo)
     if scheme.startswith("only:"):
-        return _only_solvers(network, int(scheme[5:]), cfgs, spec.solver, memo)
-    return _pipeline_solvers(network, scheme, cfgs, spec.solver)
+        return _only_results(network, int(scheme[5:]), cfgs, spec.solver, memo)
+    return _pipeline_results(network, scheme, cfgs, spec.solver)
 
 
 def _row(spec, network, cell, result):
@@ -491,24 +480,19 @@ def _error_row(cell, exc):
 
 def _group_rows(spec, network, cells, memo):
     """Rows for cells of one (sweep value, repetition, scheme), solved
-    together; if the shared solve raises, each cell is solved alone.
-    ``memo`` holds the network's single-layer solves (``_layer_solvers``)."""
+    together; if anything in the group raises, each cell is solved
+    alone.  ``memo`` holds the network's single-layer results
+    (``_layer_results``)."""
     try:
         cfgs = [GreedyConfig(_effective_beta(spec, network, beta), spec.hops, spec.T, spec.R,
                              model=spec.diffusion_model)
                 for *_, beta in cells]
-        solvers = _solvers(spec, network, cells[0][3], cfgs, memo)
+        results = _results(spec, network, cells[0][3], cfgs, memo)
+        return [_row(spec, network, cell, result) for cell, result in zip(cells, results)]
     except Exception as exc:  # mark the cell, keep the sweep going
         if len(cells) > 1:
             return [row for cell in cells for row in _group_rows(spec, network, [cell], memo)]
         return [_error_row(cells[0], exc)]
-    rows = []
-    for cell, finish in zip(cells, solvers):
-        try:
-            rows.append(_row(spec, network, cell, finish()))
-        except Exception as exc:
-            rows.append(_error_row(cell, exc))
-    return rows
 
 
 CSV_FIELDS = [
@@ -538,9 +522,10 @@ def run_experiment(spec):
     ``wall_time_ms`` counts the shared coupling and greedy time plus
     that replay, so the shared time appears in each row of the group.
     "direct" cells are solved one at a time, and so is every cell of a
-    group whose shared coupling or greedy raises.  The "union" and
-    "only:<i>" groups of one network share one single-layer solve per
-    layer, whose time likewise appears in every row of both.
+    group in which anything raises, so a failing cell fails no other.
+    The "union" and "only:<i>" groups of one network share one
+    single-layer solve per layer, whose time likewise appears in every
+    row of both.
     """
     if spec.layer_files is not None:
         file_network = _load_files_network(spec)

@@ -121,6 +121,20 @@ def _memberships(spec, users, rng):
     return member_sets
 
 
+def _network(users, member_sets, probs, rng_seed):
+    """Layers 1..k over the given member index lists: Erdős–Rényi edges
+    from sub-stream ``edges/<i>``, incoming weights normalized from
+    ``weights/<i>``, then thresholds for the network from
+    ``thresholds``."""
+    layers = []
+    for li, (members_idx, prob) in enumerate(zip(member_sets, probs), start=1):
+        members = [users[i] for i in members_idx]
+        edges = _er_edges(members, prob, np.random.default_rng(subseed(rng_seed, f"edges/{li}")))
+        layer = LayerGraph(li, set(members), edges, {})
+        layers.append(normalize_incoming_weights(layer, subseed(rng_seed, f"weights/{li}")))
+    return assign_random_thresholds(MultiplexNetwork(layers), subseed(rng_seed, "thresholds"))
+
+
 def generate(spec):
     """Build a multiplex network from a :class:`SynthSpec`.
 
@@ -131,16 +145,7 @@ def generate(spec):
     users = _user_ids(spec.universe_size)
     membership_rng = np.random.default_rng(subseed(spec.rng_seed, "membership"))
     member_sets = _memberships(spec, users, membership_rng)
-    layers = []
-    for li, ((_, prob), members_idx) in enumerate(zip(spec.per_layer, member_sets), start=1):
-        members = [users[i] for i in members_idx]
-        edge_rng = np.random.default_rng(subseed(spec.rng_seed, f"edges/{li}"))
-        edges = _er_edges(members, prob, edge_rng)
-        layer = LayerGraph(li, set(members), edges, {})
-        layer = normalize_incoming_weights(layer, subseed(spec.rng_seed, f"weights/{li}"))
-        layers.append(layer)
-    network = MultiplexNetwork(layers)
-    return assign_random_thresholds(network, subseed(spec.rng_seed, "thresholds"))
+    return _network(users, member_sets, [prob for _, prob in spec.per_layer], spec.rng_seed)
 
 
 def small_ilp_instance(rng_seed):
@@ -155,16 +160,7 @@ def small_ilp_instance(rng_seed):
     rng = np.random.default_rng(subseed(rng_seed, "partition"))
     order = rng.permutation(100)
     halves = [sorted(order[:50]), sorted(order[50:])]
-    layers = []
-    for li, members_idx in enumerate(halves, start=1):
-        members = [users[i] for i in members_idx]
-        edge_rng = np.random.default_rng(subseed(rng_seed, f"edges/{li}"))
-        edges = _er_edges(members, 0.04, edge_rng)
-        layer = LayerGraph(li, set(members), edges, {})
-        layer = normalize_incoming_weights(layer, subseed(rng_seed, f"weights/{li}"))
-        layers.append(layer)
-    network = MultiplexNetwork(layers)
-    return assign_random_thresholds(network, subseed(rng_seed, "thresholds"))
+    return _network(users, halves, [0.04, 0.04], rng_seed)
 
 
 def spec_echo(spec):

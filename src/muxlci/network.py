@@ -135,9 +135,7 @@ class UserIndex:
         return tuple(self._lt_layer(layer) for layer in self._layers)
 
     def _lt_layer(self, layer):
-        fault = next(_layer_faults(layer), None)
-        if fault is not None:
-            raise ValueError(fault)
+        _require_complete([layer])
         position = self.position
         bar = [math.inf] * len(self.users)
         for user in layer.nodes:
@@ -154,7 +152,8 @@ def _layer_faults(layer):
     """Yield the faults that leave diffusion on ``layer`` undefined: an
     edge endpoint outside the node set, an unset or non-finite edge
     weight, a node without a finite threshold.  :func:`validate` reports
-    them among its other rules; :class:`UserIndex` raises on the first.
+    them among its other rules; :func:`_require_complete` raises the
+    first, for :class:`UserIndex` and the couplings.
     """
     tag = f"layer {layer.layer_index}"
     for (src, dst), weight in layer.edges.items():
@@ -170,6 +169,15 @@ def _layer_faults(layer):
             yield f"{tag}: node {user!r} missing threshold"
         elif not math.isfinite(theta):
             yield f"{tag}: node {user!r} threshold {theta} is not finite"
+
+
+def _require_complete(layers):
+    """Raise ValueError with the first of the layers' faults (see
+    :func:`_layer_faults`)."""
+    for layer in layers:
+        fault = next(_layer_faults(layer), None)
+        if fault is not None:
+            raise ValueError(fault)
 
 
 def _finite(value):

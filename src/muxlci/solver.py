@@ -44,7 +44,6 @@ class GreedyConfig:
 
     ``T`` is the number of heap entries re-evaluated in a light
     iteration, ``R`` the period of full (heavy) re-evaluations.
-    ``coverage_mode`` must be "weight" for weight-reduced couplings.
     ``model`` defaults to deterministic linear threshold; stochastic
     models are evaluated by Monte Carlo means with a shared per-
     iteration seed so candidate comparisons use common random numbers.
@@ -54,7 +53,6 @@ class GreedyConfig:
     hops: int
     T: int = 8
     R: int = 3
-    coverage_mode: str = "count"
     model: object = None
 
     def __post_init__(self):
@@ -64,8 +62,6 @@ class GreedyConfig:
             raise ValueError("hops must be >= 1")
         if self.T < 1 or self.R < 1:
             raise ValueError("T and R must be >= 1")
-        if self.coverage_mode not in ("count", "weight"):
-            raise ValueError(f"unknown coverage mode {self.coverage_mode!r}")
 
 
 @dataclass
@@ -96,11 +92,6 @@ class SeedSet:
         raise ValueError(f"target {beta} is beyond this run's coverage")
 
 
-def _coverage_total(coupled, cfg):
-    graph = coupled.graph
-    return graph.total_weight if cfg.coverage_mode == "weight" else float(len(graph))
-
-
 def _coverage(coupled, seed_nodes, cfg, rng_seed=None):
     budget = coupled.hop_scale * cfg.hops
     model = cfg.model
@@ -115,7 +106,7 @@ def _coverage(coupled, seed_nodes, cfg, rng_seed=None):
             outcome = st_propagate(coupled.graph, seed_nodes, budget, model)
         else:
             raise ValueError(f"unknown diffusion model {model.kind!r}")
-    return outcome.coverage_weight if cfg.coverage_mode == "weight" else outcome.coverage_count
+    return outcome.coverage_weight
 
 
 def marginal_gain(coupled, current, candidate, cfg, base_coverage=None, rng_seed=None):
@@ -150,7 +141,7 @@ def _finish(coupled, selected, gains, coverages, total):
 def naive_greedy(coupled, cfg):
     """Reference greedy: re-evaluate every unselected candidate each
     iteration and take the best, ties to the smallest node index."""
-    total = _coverage_total(coupled, cfg)
+    total = coupled.graph.total_weight
     remaining = _domain(coupled)
     selected, gains, coverages = [], [], []
     coverage = 0.0
@@ -188,7 +179,7 @@ def improved_greedy(coupled, cfg):
     greedy's O(n*(m+n)); a full run is O((m+n)*n*d) worst case.
     """
     graph = coupled.graph
-    total = _coverage_total(coupled, cfg)
+    total = graph.total_weight
     domain = _domain(coupled)
     selected, gains, coverages = [], [], []
     coverage = 0.0
@@ -285,7 +276,8 @@ def export_ilp(coupled, cfg, out):
     objective); a node may turn active only if it was active before or
     its incoming active weight reaches its threshold; activity is
     monotone; coverage in the final round must reach beta times the
-    node count (or total node weight for weight-mode configurations).
+    node count, or the total node weight on the reduced couplings
+    (``CoupledNetwork.default_coverage_mode``).
     Deterministic ordering throughout.  Returns a summary dict.
     """
     graph = coupled.graph
@@ -294,14 +286,15 @@ def export_ilp(coupled, cfg, out):
     var = lambda i, t: f"x_{names[i]}_{t}"
     incoming = graph.in_edges()
     n = len(graph)
+    mode = coupled.default_coverage_mode
 
     out.write(f"\\ scheme={coupled.scheme} hops={cfg.hops} rounds={rounds}"
-              f" beta={cfg.beta!r} mode={cfg.coverage_mode}\n")
+              f" beta={cfg.beta!r} mode={mode}\n")
     out.write("Minimize\n obj:\n")
     for chunk in _terms_lines([f"+ {var(i, 0)}" for i in range(n)]):
         out.write(chunk + "\n")
     out.write("Subject To\n")
-    if cfg.coverage_mode == "weight":
+    if mode == "weight":
         terms = [f"+ {graph.node_weight[i]!r} {var(i, rounds)}"
                  for i in range(n) if graph.node_weight[i] != 0.0]
         rhs = cfg.beta * graph.total_weight

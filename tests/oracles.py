@@ -27,7 +27,6 @@ from muxlci.coupling import (
     USER_VERTEX,
     CoupledNetwork,
     NodeKind,
-    _require_complete,
 )
 from muxlci.diffusion import (
     INDEPENDENT_CASCADE,
@@ -37,7 +36,7 @@ from muxlci.diffusion import (
     _outcome,
     _seed_indices,
 )
-from muxlci.network import WEIGHT_EPS
+from muxlci.network import WEIGHT_EPS, _require_complete
 
 TOL = 1e-12
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from muxlci import (
+    COUPLING_SCHEMES,
     GreedyConfig,
     LayerGraph,
     MultiplexNetwork,
@@ -101,6 +102,12 @@ class TestCliqueCoupling:
         layer = make_layer(1, {("a", "b"): None}, {"a": 0.5, "b": 0.5})
         with pytest.raises(ValueError, match="unset weight"):
             couple(MultiplexNetwork([layer]), "clique")
+
+    @pytest.mark.parametrize("scheme", COUPLING_SCHEMES)
+    def test_non_finite_threshold_named(self, scheme):
+        layer = make_layer(1, {("a", "b"): 1.0}, {"a": 0.5, "b": math.nan})
+        with pytest.raises(ValueError, match="layer 1: node 'b' threshold nan is not finite"):
+            couple(MultiplexNetwork([layer]), scheme)
 
     @given(st.integers(min_value=0, max_value=120), st.integers(min_value=1, max_value=3))
     def test_equivalence_on_random_instances(self, seed, hops):
@@ -283,6 +290,12 @@ class TestLossyParameters:
         network = MultiplexNetwork([make_layer(1, {("a", "b"): None}, {"a": 0.5, "b": 0.5})])
         for multiplier in (easiness, involvement):
             with pytest.raises(ValueError, match="unset weight"):
+                multiplier(network, "a", 1)
+
+    def test_non_finite_threshold_named(self):
+        network = MultiplexNetwork([make_layer(1, {("a", "b"): 1.0}, {"a": 0.5, "b": math.nan})])
+        for multiplier in (easiness, involvement):
+            with pytest.raises(ValueError, match="layer 1: node 'b' threshold nan is not finite"):
                 multiplier(network, "a", 1)
 
 

@@ -14,7 +14,6 @@ from muxlci import (
     InfluenceGraph,
     MultiplexNetwork,
     couple,
-    coverage_fraction,
     ic_propagate,
     improved_greedy,
     lt_propagate,
@@ -268,30 +267,6 @@ class TestStochasticThreshold:
         model = DiffusionModel("stochastic_threshold", mc_samples=2, st_bounds=1.5)
         with pytest.raises(ValueError, match="outside"):
             st_propagate(graph, {"a"}, 1, model)
-
-
-class TestCoverageFraction:
-    def test_all_active(self):
-        graph = chain_graph(["a", "b"])
-        outcome = lt_propagate(graph, {"a"}, 2)
-        assert coverage_fraction(outcome, "count", len(graph)) == 1.0
-
-    def test_seeds_only(self):
-        graph = InfluenceGraph([f"n{i}" for i in range(10)], [], {f"n{i}": 0.5 for i in range(10)})
-        outcome = lt_propagate(graph, {"n0", "n1"}, 3)
-        assert coverage_fraction(outcome, "count", 10) == pytest.approx(0.2)
-
-    def test_zero_denominator_rejected(self):
-        graph = chain_graph(["a", "b"])
-        outcome = lt_propagate(graph, {"a"}, 1)
-        with pytest.raises(ValueError, match="positive"):
-            coverage_fraction(outcome, "count", 0)
-
-    def test_weight_mode_uses_node_weights(self):
-        graph = InfluenceGraph(["a", "b"], [("a", "b", 1.0)], {"a": 0.5, "b": 0.5},
-                               {"a": 2.0, "b": 0.0})
-        outcome = lt_propagate(graph, {"a"}, 1)
-        assert coverage_fraction(outcome, "weight", graph.total_weight) == 1.0
 
 
 def test_concurrent_runs_share_one_graph():

@@ -58,7 +58,7 @@ class TestSolvePipeline:
         ("reduced-clique", "weight"), ("reduced-star", "weight"), ("clique", "count"),
     ])
     def test_reports_coverage_mode_used(self, overlap_network, scheme, mode):
-        # the config asks for "count"; reduced couplings are solved by weight
+        # the greedy counts node weight, which is 1 off the reduced couplings
         result = solve_pipeline(overlap_network, scheme, GreedyConfig(0.5, 3))
         assert result["coverage_mode"] == mode
 
@@ -391,14 +391,14 @@ class TestSharedSolve:
 
         cfgs = [GreedyConfig(beta, 2) for beta in (0.3, 0.6)]
         memo = {}
-        union = experiment._union_solvers(overlap_network, cfgs, "improved", memo)
-        only = experiment._only_solvers(overlap_network, 2, cfgs, "improved", memo)
+        union = experiment._union_results(overlap_network, cfgs, "improved", memo)
+        only = experiment._only_results(overlap_network, 2, cfgs, "improved", memo)
         assert len(memo) == 2
-        layer_ms = {layer: ms for (layer, _), (_, ms) in memo.items()}
-        for finish in union:
-            assert finish()["wall_time_ms"] >= layer_ms[1] + layer_ms[2]
-        for finish in only:
-            assert finish()["wall_time_ms"] >= layer_ms[2]
+        for i, cfg in enumerate(cfgs):
+            layer_ms = {layer: results[i]["wall_time_ms"] for (layer, _), results in memo.items()}
+            assert union[i]["beta"] == only[i]["beta"] == cfg.beta
+            assert union[i]["wall_time_ms"] >= layer_ms[1] + layer_ms[2]
+            assert only[i]["wall_time_ms"] >= layer_ms[2]
 
 
 class TestStochasticPipeline:

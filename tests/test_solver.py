@@ -1,6 +1,7 @@
 import io
 
 import pytest
+from hypothesis import given, strategies as st
 
 from muxlci import (
     DiffusionModel,
@@ -10,15 +11,18 @@ from muxlci import (
     brute_force_optimal,
     couple,
     export_ilp,
+    ic_propagate,
     improved_greedy,
+    lt_propagate,
     marginal_gain,
     meets_fraction,
     multiplex_lt_propagate,
     naive_greedy,
+    st_propagate,
 )
 from muxlci.coupling import CoupledNetwork, NodeKind
 
-from conftest import make_layer, random_network
+from conftest import make_layer, random_network, random_seed_users
 from lp_solve import parse_lp, solve_lp_minimum
 from oracles import reference_multiplex_lt_propagate
 
@@ -172,10 +176,9 @@ class TestPrefixAcrossTargets:
         # 22-29 users; at one hop every run takes 3-9 seeds
         network = random_network(seed, max_users=30)
         coupled = couple(network, scheme)
-        mode = coupled.default_coverage_mode
 
         def config(beta):
-            return GreedyConfig(beta, 1, T=3, R=2, coverage_mode=mode, model=self.MODELS[model])
+            return GreedyConfig(beta, 1, T=3, R=2, model=self.MODELS[model])
 
         full = solver(coupled, config(0.6))
         assert len(full.coverages) == len(full.users) == len(full.gains)
@@ -197,6 +200,36 @@ class TestPrefixAcrossTargets:
             run.prefix(0.9)
 
 
+class TestCoverageByWeight:
+    """The greedies count coverage by node weight, which only the reduced
+    couplings set to anything but 1."""
+
+    @given(st.integers(min_value=0, max_value=300), st.sampled_from([0.3, 0.5, 0.7]))
+    @pytest.mark.parametrize("solver", [improved_greedy, naive_greedy])
+    @pytest.mark.parametrize("scheme", ["reduced-clique", "reduced-star"])
+    def test_reduced_default_config_replays_target(self, scheme, solver, seed, beta):
+        network = random_network(seed, max_users=20)
+        seed_set = solver(couple(network, scheme), GreedyConfig(beta, 2))
+        replay = multiplex_lt_propagate(network, set(seed_set.users), 2)
+        assert meets_fraction(replay.coverage_count, beta, len(network.universe))
+
+    @given(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=3))
+    @pytest.mark.parametrize("scheme", ["clique", "star", "lossy-easiness", "lossy-involvement", "lossy-average"])
+    def test_weight_equals_count_off_the_reduced_couplings(self, scheme, seed, hops):
+        network = random_network(seed, max_users=20)
+        coupled = couple(network, scheme)
+        graph = coupled.graph
+        seeds = coupled.seed_nodes(random_seed_users(network, seed))
+        budget = coupled.hop_scale * hops
+        ic = DiffusionModel("independent_cascade", mc_samples=5, rng_seed=seed)
+        # lossy thresholds can exceed 1, which default stochastic bounds refuse
+        st_model = DiffusionModel("stochastic_threshold", mc_samples=5, rng_seed=seed, st_bounds=1.0)
+        assert graph.total_weight == len(graph)
+        for outcome in (lt_propagate(graph, seeds, budget), ic_propagate(graph, seeds, budget, ic),
+                        st_propagate(graph, seeds, budget, st_model)):
+            assert outcome.coverage_weight == outcome.coverage_count
+
+
 class TestOracleCallCount:
     @pytest.mark.parametrize("seed,scheme,T,R", [
         (151, "clique", 8, 3), (152, "star", 3, 2),
@@ -216,8 +249,7 @@ class TestOracleCallCount:
         monkeypatch.setattr(muxlci.solver, "lt_propagate", counting)
         network = random_network(seed, max_users=30)
         coupled = couple(network, scheme)
-        mode = "weight" if scheme.startswith("reduced") else "count"
-        seed_set = improved_greedy(coupled, GreedyConfig(0.6, 2, T=T, R=R, coverage_mode=mode))
+        seed_set = improved_greedy(coupled, GreedyConfig(0.6, 2, T=T, R=R))
         assert len(calls) == expected_oracle_calls(len(coupled.user_of), T, R, len(seed_set.users))
         for outcome in calls:
             per_hop = outcome.active.per_hop
@@ -317,7 +349,7 @@ class TestIlpExport:
             optimum = brute_force_optimal(network, 0.6, 2)
             reduced = couple(network, "reduced-clique")
             buffer = io.StringIO()
-            export_ilp(reduced, GreedyConfig(0.6, 2, coverage_mode="weight"), buffer)
+            export_ilp(reduced, GreedyConfig(0.6, 2), buffer)
             assert solve_lp_minimum(buffer.getvalue()) == len(optimum.users)
 
     def test_colliding_sanitized_names_fall_back_to_indices(self):
@@ -332,7 +364,7 @@ class TestIlpExport:
     def test_weight_mode_uses_node_weights(self, two_layer_toy):
         coupled = couple(two_layer_toy, "reduced-clique")
         buffer = io.StringIO()
-        export_ilp(coupled, GreedyConfig(0.5, 1, coverage_mode="weight"), buffer)
+        export_ilp(coupled, GreedyConfig(0.5, 1), buffer)
         text = buffer.getvalue()
         assert "mode=weight" in text.splitlines()[0]
 
@@ -353,5 +385,3 @@ def test_config_validation():
         GreedyConfig(0.5, 0)
     with pytest.raises(ValueError, match="T and R"):
         GreedyConfig(0.5, 2, T=0)
-    with pytest.raises(ValueError, match="coverage mode"):
-        GreedyConfig(0.5, 2, coverage_mode="area")
