@@ -15,7 +15,8 @@ For every workload and seed the two sides run ``muxbench/run.py`` one
 process at a time, the parent first on odd seeds and the change first
 on even ones, each for the ``run_seconds`` of the change's
 ``BENCHMARK.json``.  With ``--traced-seed`` each side also makes one
-``--trace 1`` run of ``sweep``.  The record written to
+``--trace 1`` run of every workload in ``--workloads``, and the record
+keeps the ``TRACED_METRICS`` of each.  The record written to
 ``--out`` holds every run's report and result lines and, per workload
 and end-to-end metric (from the change's ``BENCHMARK.json``), the two
 medians, the parent's quartiles (``statistics.quantiles``, exclusive
@@ -38,8 +39,9 @@ from pathlib import Path
 WORKLOADS = ("sweep", "lt-greedy", "mc-greedy", "couple-simulate")
 TRACED_METRICS = (
     "solver.evals", "solver.selections", "solver.greedy_s", "coupling.couple_s",
-    "diffusion.replay_calls", "diffusion.replay_s", "experiment.baseline_s",
-    "experiment.composition_s", "experiment.cells",
+    "coupling.read_s", "coupling.write_s", "network.load_s", "network.validate_s",
+    "diffusion.lt_calls", "diffusion.mc_calls", "diffusion.replay_calls", "diffusion.replay_s",
+    "experiment.baseline_s", "experiment.composition_s", "experiment.cells", "cli.calls",
 )
 
 
@@ -128,16 +130,16 @@ def main(argv=None):
                 "all_correct": all(run["result"]["correct"] for run in mine),
                 **{metric: compare(mine, metric) for metric in metrics},
             }
-        if args.traced_seed is not None:
+        for workload in args.workloads.split(",") if args.traced_seed is not None else ():
             traced = {"parent": {}, "change": {}, "correct": {}}
             for side in ("parent", "change"):
-                report, result = run_once(trees[side], "sweep", args.traced_seed, seconds, 1)
-                runs.append({"workload": "sweep", "seed": args.traced_seed, "side": side,
+                report, result = run_once(trees[side], workload, args.traced_seed, seconds, 1)
+                runs.append({"workload": workload, "seed": args.traced_seed, "side": side,
                              "trace": 1, "report": report, "result": result})
                 layer = report["report"]["metrics"]
                 traced[side] = {name: layer[name] for name in TRACED_METRICS}
                 traced["correct"][side] = result["correct"]
-            summary[f"sweep_traced_seed_{args.traced_seed}"] = traced
+            summary[f"{workload}_traced_seed_{args.traced_seed}"] = traced
 
     record = {
         "what": args.what,

@@ -187,8 +187,10 @@ def _layer_alphas(layer, kind, floor):
     """Multiplier alpha for every node of one complete layer.
 
     One pass over ``layer.edges`` gathers what every node needs.  Sums
-    run in edge order and each neighborhood set is filled in edge order,
-    so every alpha is bit-identical to a separate per-user scan.
+    run in edge order, and each closed neighborhood is walked in a fixed
+    order (the user, then its neighbors in edge order), so every alpha
+    is bit-identical to a separate per-user scan and does not depend on
+    string hashing (``PYTHONHASHSEED``).
     """
     if kind == "average":
         return dict.fromkeys(layer.nodes, 1.0)
@@ -205,8 +207,7 @@ def _layer_alphas(layer, kind, floor):
         neighbors.setdefault(dst, []).append(src)
     adjacency = layer.out_adjacency()
     for user in layer.nodes:
-        hood = {user}
-        hood.update(neighbors.get(user, ()))
+        hood = dict.fromkeys([user, *neighbors.get(user, ())])
         total = 0.0
         seen_edge = False
         for x in hood:
@@ -337,19 +338,24 @@ def read_coupled(edge_lines, manifest_rows):
 
     ``manifest_rows`` is an iterable of CSV rows including the header.
     The seedable domain is recovered from the kind column (gateway and
-    user vertices).  Raises ValueError, naming the line, on a manifest
-    row without six fields or with an unparsable number, on an edge
-    line with an unparsable weight or an endpoint missing from the
-    manifest, on a non-finite threshold, node
-    weight or edge weight, and on a negative edge weight; folded lossy
-    thresholds above 1 are legal.
+    user vertices).  One pass: the manifest fills the node ids, their
+    index and the threshold and weight lists, and each edge line is
+    parsed once straight into the graph's index adjacency, which
+    :class:`InfluenceGraph` then checks once (duplicate edges by a set
+    of each source's targets).  Raises ValueError, naming the line, on a
+    manifest row without six fields, with an unparsable number or with
+    a node id already listed, on an edge line with an unparsable weight,
+    an endpoint missing from the manifest or the same node at both
+    ends, on a non-finite threshold, node weight or edge weight, and on
+    a negative edge weight; a duplicate edge is reported by its two
+    endpoints.  Folded lossy thresholds above 1 are legal.
     """
     reader = csv.reader(iter(manifest_rows))
     header = next(reader)
     expected = ["node_id", "kind", "user_id", "layer", "threshold", "weight"]
     if header != expected:
         raise ValueError(f"unexpected manifest header {header!r}")
-    nodes, thresholds, weights, kinds, user_of = [], {}, {}, {}, {}
+    nodes, index, thetas, weights, kinds, user_of = [], {}, [], [], {}, {}
 
     def bad_row(problem):
         node = row[0] if row else ""
@@ -365,30 +371,35 @@ def read_coupled(edge_lines, manifest_rows):
             raise bad_row(f"layer {layer!r}, threshold {theta!r} and weight {weight!r} must be numbers") from None
         if not (math.isfinite(theta) and math.isfinite(weight)):
             raise bad_row(f"threshold {theta} and weight {weight} must be finite")
+        if node in index:
+            raise bad_row("duplicate node id")
+        index[node] = len(nodes)
         nodes.append(node)
-        thresholds[node] = theta
-        weights[node] = weight
+        thetas.append(theta)
+        weights.append(weight)
         kinds[node] = NodeKind(kind, user, layer)
         if kind in (GATEWAY, USER_VERTEX):
             user_of[node] = user
-    edges = []
+    out = [[] for _ in nodes]
     for line_no, raw in enumerate(edge_lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
+        parts = raw.split()
+        if len(parts) != 3 or parts[0][0] == "#":
+            if not parts or parts[0][0] == "#":
+                continue
             raise ValueError(f"line {line_no}: expected 'src dst weight'")
         src, dst, weight = parts
         try:
             weight = float(weight)
         except ValueError:
             raise ValueError(f"line {line_no}: weight {weight!r} is not a number") from None
-        if src not in thresholds or dst not in thresholds:
-            unknown = dst if src in thresholds else src
-            raise ValueError(f"line {line_no}: node {unknown!r} is not in the manifest")
+        try:
+            iu, iv = index[src], index[dst]
+        except KeyError as missing:
+            raise ValueError(f"line {line_no}: node {missing.args[0]!r} is not in the manifest") from None
         if not 0.0 <= weight < math.inf:
             raise ValueError(f"line {line_no}: weight {weight} must be finite and >= 0")
-        edges.append((src, dst, weight))
-    graph = InfluenceGraph(nodes, edges, thresholds, weights)
+        if iu == iv:
+            raise ValueError(f"line {line_no}: self-loop on {src!r}")
+        out[iu].append((iv, weight))
+    graph = InfluenceGraph._from_adjacency(tuple(nodes), index, thetas, weights, out)
     return graph, kinds, user_of

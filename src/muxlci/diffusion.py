@@ -124,7 +124,12 @@ class InfluenceGraph:
     Nodes are opaque string ids mapped to dense indices in the order
     given.  Thresholds and node weights must be finite, and edge weights
     finite and non-negative (the linear-threshold sweep relies on it);
-    anything else raises ValueError.  Nodes, edges, thresholds and
+    self-loops and duplicate edges are errors too.  Anything else
+    raises ValueError.  The constructor resolves ids to indices; one
+    routine, shared with :func:`muxlci.coupling.read_coupled` (which
+    parses straight into the index adjacency), then checks every node
+    and edge once, catching duplicates with a set of each source's
+    targets.  Nodes, edges, thresholds and
     weights are immutable after construction.  The one piece of mutable
     state is a memo of the last stochastic-threshold draws (see
     :func:`st_propagate`), replaced whole by a single assignment, so
@@ -133,37 +138,54 @@ class InfluenceGraph:
     """
 
     def __init__(self, nodes, edges, thresholds, node_weights=None):
-        self.node_ids = tuple(nodes)
-        self.index = {u: i for i, u in enumerate(self.node_ids)}
-        if len(self.index) != len(self.node_ids):
+        node_ids = tuple(nodes)
+        index = {u: i for i, u in enumerate(node_ids)}
+        if len(index) != len(node_ids):
             raise ValueError("duplicate node ids")
-        self.theta = [float(thresholds[u]) for u in self.node_ids]
+        theta = [float(thresholds[u]) for u in node_ids]
         if node_weights is None:
-            self.node_weight = [1.0] * len(self.node_ids)
+            node_weight = [1.0] * len(node_ids)
         else:
-            self.node_weight = [float(node_weights.get(u, 1.0)) for u in self.node_ids]
-        for u, theta, weight in zip(self.node_ids, self.theta, self.node_weight):
-            if not (math.isfinite(theta) and math.isfinite(weight)):
-                raise ValueError(f"node {u!r}: threshold {theta} and weight {weight} must be finite")
-        # activation bar: a node activates once its received weight reaches it
-        self.bar = [t - WEIGHT_EPS for t in self.theta]
-        self.out = [[] for _ in self.node_ids]
-        seen = set()
+            node_weight = [float(node_weights.get(u, 1.0)) for u in node_ids]
+        out = [[] for _ in node_ids]
         for src, dst, weight in edges:
             try:
-                iu, iv = self.index[src], self.index[dst]
+                out[index[src]].append((index[dst], float(weight)))
             except KeyError as missing:
                 raise ValueError(f"edge {src!r}->{dst!r}: endpoint {missing.args[0]!r} is not a node") from None
-            if iu == iv:
-                raise ValueError(f"self-loop on {src!r}")
-            if (iu, iv) in seen:
-                raise ValueError(f"duplicate edge {src!r}->{dst!r}")
-            weight = float(weight)
-            if not 0.0 <= weight < math.inf:
-                raise ValueError(f"edge {src!r}->{dst!r}: weight {weight} must be finite and >= 0")
-            seen.add((iu, iv))
-            self.out[iu].append((iv, weight))
-        self.total_weight = float(sum(self.node_weight))
+        self._build(node_ids, index, theta, node_weight, out)
+
+    @classmethod
+    def _from_adjacency(cls, node_ids, index, theta, node_weight, out):
+        """A graph over index adjacency ``out[iu] = [(iv, weight), ...]``,
+        checked like one built by the constructor."""
+        graph = cls.__new__(cls)
+        graph._build(node_ids, index, theta, node_weight, out)
+        return graph
+
+    def _build(self, node_ids, index, theta, node_weight, out):
+        for u, t, w in zip(node_ids, theta, node_weight):
+            if not (math.isfinite(t) and math.isfinite(w)):
+                raise ValueError(f"node {u!r}: threshold {t} and weight {w} must be finite")
+        for iu, targets in enumerate(out):
+            seen = set()
+            for iv, weight in targets:
+                if iv == iu or iv in seen or not 0.0 <= weight < math.inf:
+                    src, dst = node_ids[iu], node_ids[iv]
+                    if iv == iu:
+                        raise ValueError(f"self-loop on {src!r}")
+                    if iv in seen:
+                        raise ValueError(f"duplicate edge {src!r}->{dst!r}")
+                    raise ValueError(f"edge {src!r}->{dst!r}: weight {weight} must be finite and >= 0")
+                seen.add(iv)
+        self.node_ids = node_ids
+        self.index = index
+        self.theta = theta
+        self.node_weight = node_weight
+        # activation bar: a node activates once its received weight reaches it
+        self.bar = [t - WEIGHT_EPS for t in theta]
+        self.out = out
+        self.total_weight = float(sum(node_weight))
         self._st_memo = None
 
     def __len__(self):

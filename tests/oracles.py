@@ -13,9 +13,13 @@ every call, the three separate lossless coupling builders (full clique,
 full star, reduced) that ``couple()`` now builds in one function, and
 the experiment loop that solves every cell on its own instead of once
 per (sweep value, repetition, scheme) and measures external influence
-on a standalone single-layer copy of the target layer.
+on a standalone single-layer copy of the target layer, and the two-pass
+coupled-file reader that collects id triples and dicts and hands them to
+the ``InfluenceGraph`` constructor.
 """
 
+import csv
+import math
 import random
 from collections import defaultdict
 
@@ -163,14 +167,18 @@ def naive_easiness(network, user, layer_index, floor=1.0):
 
 
 def naive_involvement(network, user, layer_index, floor=1.0):
-    """Involvement multiplier by a full edge scan for one (user, layer)."""
+    """Involvement multiplier by a full edge scan for one (user, layer).
+
+    The closed neighborhood is an insertion-ordered dict (the user, then
+    its neighbors in edge order), so the sum does not follow string
+    hashing."""
     layer = network.layer_by_index(layer_index)
-    hood = {user}
+    hood = {user: None}
     for (src, dst) in layer.edges:
         if src == user:
-            hood.add(dst)
+            hood[dst] = None
         elif dst == user:
-            hood.add(src)
+            hood[src] = None
     total = 0.0
     seen_edge = False
     adjacency = layer.out_adjacency()
@@ -560,6 +568,61 @@ def reference_couple_reduced(network, sync="clique", model_kind="linear_threshol
     scheme = "reduced-" + sync
     hop_scale = 2 if sync == "clique" else 3
     return CoupledNetwork(graph, kinds, user_of, node_of_user, hop_scale, scheme, k, len(users))
+
+
+def reference_read_coupled(edge_lines, manifest_rows):
+    """Two-pass coupled-file reader: parse the manifest into dicts and
+    the edge lines into (src id, dst id, weight) triples, then build the
+    graph with the ``InfluenceGraph`` constructor, which resolves and
+    checks every edge again."""
+    reader = csv.reader(iter(manifest_rows))
+    header = next(reader)
+    expected = ["node_id", "kind", "user_id", "layer", "threshold", "weight"]
+    if header != expected:
+        raise ValueError(f"unexpected manifest header {header!r}")
+    nodes, thresholds, weights, kinds, user_of = [], {}, {}, {}, {}
+
+    def bad_row(problem):
+        node = row[0] if row else ""
+        return ValueError(f"manifest line {reader.line_num}, node {node!r}: {problem}")
+
+    for row in reader:
+        if len(row) != len(expected):
+            raise bad_row(f"expected {len(expected)} fields, got {len(row)}")
+        node, kind, user, layer, theta, weight = row
+        try:
+            theta, weight, layer = float(theta), float(weight), int(layer) if layer else None
+        except ValueError:
+            raise bad_row(f"layer {layer!r}, threshold {theta!r} and weight {weight!r} must be numbers") from None
+        if not (math.isfinite(theta) and math.isfinite(weight)):
+            raise bad_row(f"threshold {theta} and weight {weight} must be finite")
+        nodes.append(node)
+        thresholds[node] = theta
+        weights[node] = weight
+        kinds[node] = NodeKind(kind, user, layer)
+        if kind in (GATEWAY, USER_VERTEX):
+            user_of[node] = user
+    edges = []
+    for line_no, raw in enumerate(edge_lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"line {line_no}: expected 'src dst weight'")
+        src, dst, weight = parts
+        try:
+            weight = float(weight)
+        except ValueError:
+            raise ValueError(f"line {line_no}: weight {weight!r} is not a number") from None
+        if src not in thresholds or dst not in thresholds:
+            unknown = dst if src in thresholds else src
+            raise ValueError(f"line {line_no}: node {unknown!r} is not in the manifest")
+        if not 0.0 <= weight < math.inf:
+            raise ValueError(f"line {line_no}: weight {weight} must be finite and >= 0")
+        edges.append((src, dst, weight))
+    graph = InfluenceGraph(nodes, edges, thresholds, weights)
+    return graph, kinds, user_of
 
 
 def reference_external_influence(network, seeds, hops, target_layer_index):

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +167,89 @@ def test_simulate_short_manifest_row_exit_code(tmp_path, layer_files, capsys):
     assert code == 3
     node = rows[2].split(",")[0]
     assert f"manifest line 3, node {node!r}: expected 6 fields, got 5" in capsys.readouterr().err
+
+
+def coupled_files(tmp_path, layer_files, scheme):
+    edges = tmp_path / "coupled.txt"
+    manifest = tmp_path / "manifest.csv"
+    assert main([
+        "couple", "--layer", layer_files[0], "--layer", layer_files[1],
+        "--scheme", scheme, "--seed", "1",
+        "--out-edges", str(edges), "--out-manifest", str(manifest),
+    ]) == 0
+    return edges, manifest
+
+
+def simulate_coupled(edges, manifest, seeds):
+    return main([
+        "simulate", "--coupled-edges", str(edges), "--coupled-manifest", str(manifest),
+        "--seeds-file", seeds, "--hops", "2",
+    ])
+
+
+def test_simulate_duplicate_manifest_node_exit_code(tmp_path, layer_files, capsys):
+    edges, manifest = coupled_files(tmp_path, layer_files, "star")
+    capsys.readouterr()
+    rows = manifest.read_text().splitlines()
+    rows.append(rows[3])
+    manifest.write_text("\n".join(rows) + "\n")
+    seeds = write(tmp_path / "seeds.txt", "a@g\n")
+    assert simulate_coupled(edges, manifest, seeds) == 3
+    node = rows[3].split(",")[0]
+    assert f"manifest line {len(rows)}, node {node!r}: duplicate node id" in capsys.readouterr().err
+
+
+def test_simulate_self_loop_exit_code(tmp_path, layer_files, capsys):
+    edges, manifest = coupled_files(tmp_path, layer_files, "reduced-clique")
+    capsys.readouterr()
+    with open(edges, "a", encoding="utf-8") as handle:
+        handle.write("b@1 b@1 0.5\n")
+    bad_line = len(edges.read_text().splitlines())
+    seeds = write(tmp_path / "seeds.txt", "a@u\n")
+    assert simulate_coupled(edges, manifest, seeds) == 3
+    assert f"line {bad_line}: self-loop on 'b@1'" in capsys.readouterr().err
+
+
+def test_simulate_duplicate_edge_exit_code(tmp_path, layer_files, capsys):
+    edges, manifest = coupled_files(tmp_path, layer_files, "lossy-easiness")
+    capsys.readouterr()
+    first = edges.read_text().splitlines()[0]
+    with open(edges, "a", encoding="utf-8") as handle:
+        handle.write(first + "\n")
+    src, dst, _ = first.split()
+    seeds = write(tmp_path / "seeds.txt", "a\n")
+    assert simulate_coupled(edges, manifest, seeds) == 3
+    assert f"duplicate edge {src!r}->{dst!r}" in capsys.readouterr().err
+
+
+def test_involvement_files_independent_of_hash_seed(tmp_path):
+    """Involvement multipliers sum over each closed neighborhood in a
+    fixed order, so the coupled files and the 0-1 program are the same
+    bytes under any PYTHONHASHSEED."""
+    net = tmp_path / "net"
+    assert main(["generate", "--preset", "small-ilp", "--seed", "4", "--out", str(net)]) == 0
+    layers = ["--layer", str(net / "layer1.txt"), "--layer", str(net / "layer2.txt")]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join([src, os.environ["PYTHONPATH"]]) if os.environ.get("PYTHONPATH") else src
+    written = {}
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        for argv in (
+            ["couple", *layers, "--scheme", "lossy-involvement", "--out-edges", str(out / "edges.txt"),
+             "--out-manifest", str(out / "manifest.csv"), "--out", str(out / "summary.json")],
+            ["export-ilp", *layers, "--scheme", "lossy-involvement", "--out", str(out / "program.lp")],
+        ):
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from muxlci.cli import main; sys.exit(main(sys.argv[1:]))",
+                 *argv],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+        written[hash_seed] = {name: (out / name).read_bytes()
+                              for name in ("edges.txt", "manifest.csv", "program.lp")}
+    assert written["1"] == written["2"]
 
 
 def test_solve_emits_complete_result(tmp_path, layer_files):

@@ -33,6 +33,7 @@ from oracles import (
     reference_couple_clique_lossless,
     reference_couple_reduced,
     reference_couple_star_lossless,
+    reference_read_coupled,
 )
 
 
@@ -42,6 +43,24 @@ def layer_edge_total(network):
 
 def edge_count(graph):
     return sum(len(targets) for targets in graph.out)
+
+
+def written(coupled):
+    """(edge lines, manifest rows) that ``write_coupled`` writes for a coupling."""
+    edges_buf, manifest_buf = io.StringIO(), io.StringIO()
+    write_coupled(coupled, edges_buf, manifest_buf)
+    return edges_buf.getvalue().splitlines(), manifest_buf.getvalue().splitlines()
+
+
+def same_rejection(edge_lines, rows):
+    """The ValueError message of ``read_coupled``, checked equal to the
+    two-pass reference reader's."""
+    with pytest.raises(ValueError) as ours:
+        read_coupled(edge_lines, rows)
+    with pytest.raises(ValueError) as theirs:
+        reference_read_coupled(edge_lines, rows)
+    assert str(ours.value) == str(theirs.value)
+    return str(ours.value)
 
 
 def lossless_expected_nodes(network, active_users, with_hub):
@@ -446,8 +465,7 @@ class TestCoupledExport:
             fields = rows[1].split(",")
             fields[4 if where == "threshold" else 5] = repr(bad)
             rows[1] = ",".join(fields)
-        with pytest.raises(ValueError, match="must be finite"):
-            read_coupled(edge_lines, rows)
+        assert "must be finite" in same_rejection(edge_lines, rows)
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.sampled_from([-5e-324, -1e-13, -0.5]))
@@ -458,8 +476,8 @@ class TestCoupledExport:
         write_coupled(coupled, edges_buf, manifest_buf)
         edge_lines = edges_buf.getvalue().splitlines()
         edge_lines.append(f"{coupled.graph.node_ids[0]} {coupled.graph.node_ids[-1]} {bad!r}")
-        with pytest.raises(ValueError, match=f"line {len(edge_lines)}: weight .* must be finite and >= 0"):
-            read_coupled(edge_lines, manifest_buf.getvalue().splitlines())
+        message = same_rejection(edge_lines, manifest_buf.getvalue().splitlines())
+        assert re.fullmatch(f"line {len(edge_lines)}: weight .* must be finite and >= 0", message)
 
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(["x", "1,5", "0.5w"]))
     def test_unparsable_edge_weight_names_line(self, seed, bad):
@@ -470,8 +488,8 @@ class TestCoupledExport:
         edge_lines = edges_buf.getvalue().splitlines()
         line = random.Random(seed).randint(1, len(edge_lines) + 1)
         edge_lines.insert(line - 1, f"{coupled.graph.node_ids[0]} {coupled.graph.node_ids[-1]} {bad}")
-        with pytest.raises(ValueError, match=re.escape(f"line {line}: weight {bad!r} is not a number")):
-            read_coupled(edge_lines, manifest_buf.getvalue().splitlines())
+        message = same_rejection(edge_lines, manifest_buf.getvalue().splitlines())
+        assert message == f"line {line}: weight {bad!r} is not a number"
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.sampled_from(["short", "long", "threshold", "weight", "layer"]))
@@ -490,8 +508,81 @@ class TestCoupledExport:
         else:
             fields[{"layer": 3, "threshold": 4, "weight": 5}[fault]] = "x1"
         rows[line - 1] = ",".join(fields)
-        with pytest.raises(ValueError, match=re.escape(f"manifest line {line}, node {fields[0]!r}: ")):
-            read_coupled(edges_buf.getvalue().splitlines(), rows)
+        message = same_rejection(edges_buf.getvalue().splitlines(), rows)
+        assert message.startswith(f"manifest line {line}, node {fields[0]!r}: ")
+
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+    def test_unknown_endpoint_names_line(self, seed, at_src):
+        coupled = couple(random_network(seed, max_users=12), random.Random(seed).choice(COUPLING_SCHEMES))
+        edge_lines, rows = written(coupled)
+        known = coupled.graph.node_ids[0]
+        line = random.Random(seed).randint(1, len(edge_lines) + 1)
+        edge_lines.insert(line - 1, f"zz {known} 0.5" if at_src else f"{known} zz 0.5")
+        assert same_rejection(edge_lines, rows) == f"line {line}: node 'zz' is not in the manifest"
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_malformed_edge_line_names_line(self, seed):
+        coupled = couple(random_network(seed, max_users=12), random.Random(seed).choice(COUPLING_SCHEMES))
+        edge_lines, rows = written(coupled)
+        line = random.Random(seed).randint(1, len(edge_lines) + 1)
+        edge_lines.insert(line - 1, random.Random(seed).choice(["a", "a b", "a b 0.5 extra"]))
+        assert same_rejection(edge_lines, rows) == f"line {line}: expected 'src dst weight'"
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_duplicate_manifest_node_names_line(self, seed):
+        coupled = couple(random_network(seed, max_users=12), random.Random(seed).choice(COUPLING_SCHEMES))
+        edge_lines, rows = written(coupled)
+        rng = random.Random(seed)
+        repeated = rows[rng.randint(1, len(rows) - 1)]
+        line = rng.randint(2, len(rows) + 1)
+        rows.insert(line - 1, repeated)
+        second = rows.index(repeated, rows.index(repeated) + 1) + 1
+        node = repeated.split(",")[0]
+        with pytest.raises(ValueError) as raised:
+            read_coupled(edge_lines, rows)
+        assert str(raised.value) == f"manifest line {second}, node {node!r}: duplicate node id"
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_self_loop_edge_names_line(self, seed):
+        coupled = couple(random_network(seed, max_users=12), random.Random(seed).choice(COUPLING_SCHEMES))
+        edge_lines, rows = written(coupled)
+        rng = random.Random(seed)
+        node = rng.choice(coupled.graph.node_ids)
+        line = rng.randint(1, len(edge_lines) + 1)
+        edge_lines.insert(line - 1, f"{node} {node} 0.5")
+        with pytest.raises(ValueError) as raised:
+            read_coupled(edge_lines, rows)
+        assert str(raised.value) == f"line {line}: self-loop on {node!r}"
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_duplicate_edge_names_endpoints(self, seed):
+        coupled = couple(random_network(seed, max_users=12), random.Random(seed).choice(COUPLING_SCHEMES))
+        edge_lines, rows = written(coupled)
+        if not edge_lines:
+            return
+        rng = random.Random(seed)
+        src, dst, _ = rng.choice(edge_lines).split()
+        edge_lines.insert(rng.randint(0, len(edge_lines)), f"{src} {dst} 0.25")
+        assert same_rejection(edge_lines, rows) == f"duplicate edge {src!r}->{dst!r}"
+
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(COUPLING_SCHEMES),
+           st.sampled_from(["linear_threshold", "independent_cascade"]))
+    def test_read_matches_two_pass_reader(self, seed, scheme, model_kind):
+        """One-pass reading builds the graph the two-pass reader builds,
+        field for field and in every out-list's order, also from a file
+        with its lines shuffled and comments and blank lines mixed in."""
+        coupled = couple(random_network(seed, max_users=20), scheme, model_kind=model_kind)
+        edge_lines, rows = written(coupled)
+        rng = random.Random(seed)
+        rng.shuffle(edge_lines)
+        for extra in ("# comment", "", "   ", "#a b 0.5"):
+            edge_lines.insert(rng.randint(0, len(edge_lines)), extra)
+        graph, kinds, user_of = read_coupled(edge_lines, rows)
+        ref_graph, ref_kinds, ref_user_of = reference_read_coupled(edge_lines, rows)
+        for field in ("node_ids", "index", "out", "theta", "bar", "node_weight", "total_weight"):
+            assert getattr(graph, field) == getattr(ref_graph, field), field
+        assert kinds == ref_kinds
+        assert user_of == ref_user_of
 
     def test_manifest_lists_every_node_once(self, two_layer_toy):
         coupled = couple(two_layer_toy, "reduced-star")

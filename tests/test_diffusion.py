@@ -559,6 +559,28 @@ class TestGraphPreconditions:
             InfluenceGraph(list(thetas), [edge], thetas)
 
 
+    @pytest.mark.parametrize("edges, message", [
+        ([("a", "b", 0.5), ("c", "b", 0.5), ("a", "b", 0.25)], "duplicate edge 'a'->'b'"),
+        ([("b", "c", 0.5), ("a", "a", 0.5)], "self-loop on 'a'"),
+        ([("a", "b", 0.5), ("c", "zz", 0.5)], "edge 'c'->'zz': endpoint 'zz' is not a node"),
+        ([("a", "b", 0.5), ("c", "a", -0.5)], "edge 'c'->'a': weight -0.5 must be finite and >= 0"),
+        ([("c", "b", math.nan)], "edge 'c'->'b': weight nan must be finite and >= 0"),
+    ])
+    def test_edge_fault_message(self, edges, message):
+        thetas = {"a": 0.5, "b": 0.5, "c": 0.5}
+        with pytest.raises(ValueError) as raised:
+            InfluenceGraph(list(thetas), edges, thetas)
+        assert str(raised.value) == message
+        if "zz" not in message:
+            index = {u: i for i, u in enumerate(thetas)}
+            out = [[] for _ in thetas]
+            for src, dst, weight in edges:
+                out[index[src]].append((index[dst], weight))
+            with pytest.raises(ValueError) as raised:
+                InfluenceGraph._from_adjacency(tuple(thetas), index, list(thetas.values()), [1.0] * 3, out)
+            assert str(raised.value) == message
+
+
 class TestMultiplexIndexPreconditions:
     """The multiplex index rejects layers the LT sweep cannot handle and
     names the layer and the edge or user."""
