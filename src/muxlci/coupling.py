@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diffusion import INDEPENDENT_CASCADE, InfluenceGraph
 from .network import _require_complete
@@ -58,8 +59,7 @@ COUPLING_SCHEMES = (
 )
 
 
-@dataclass(frozen=True)
-class NodeKind:
+class NodeKind(NamedTuple):
     """Role of a coupled node: which user it stands for and, for
     representatives and dummies, which layer."""
 

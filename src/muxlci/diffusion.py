@@ -26,9 +26,10 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import chain, repeat
+from operator import itemgetter
 
 from .network import WEIGHT_EPS
 
@@ -66,9 +67,10 @@ class ActiveSet:
     (per_hop[0] is the seed set); members is their union.
 
     Built by :meth:`from_indices` from per-hop index lists and the ids
-    those indices name.  ``per_hop`` and ``members`` are built as id sets
-    on first access, so a caller that reads only the coverage numbers
-    never pays for them.
+    those indices name, or by :meth:`_deferred` from a function that
+    makes those lists.  The lists and the id sets ``per_hop`` and
+    ``members`` are built on first access, so a caller that reads only
+    the coverage numbers never pays for them.
     """
 
     @classmethod
@@ -79,11 +81,24 @@ class ActiveSet:
         active._node_ids = node_ids
         return active
 
+    @classmethod
+    def _deferred(cls, build, node_ids):
+        """An active set whose per-hop index lists ``build()`` makes on first read."""
+        active = cls.from_indices(None, node_ids)
+        active._build = build
+        return active
+
+    def _indices(self):
+        """The per-hop index lists."""
+        if self._per_hop_idx is None:
+            self._per_hop_idx = self._build()
+        return self._per_hop_idx
+
     @property
     def per_hop(self):
         if self._per_hop is None:
             ids = self._node_ids
-            self._per_hop = [{ids[i] for i in hop} for hop in self._per_hop_idx]
+            self._per_hop = [{ids[i] for i in hop} for hop in self._indices()]
         return self._per_hop
 
     @property
@@ -116,6 +131,10 @@ class DiffusionOutcome:
     coverage_count: float
     coverage_weight: float
     hops_used: int
+    # (graph, hop budget) of an lt_propagate run: what lets it serve as a base
+    _lt_source: tuple = field(default=None, repr=False, compare=False)
+    # (activation hop per node, level sizes), built on first use as a base
+    _base_hops: tuple = field(default=None, init=False, repr=False, compare=False)
 
 
 class InfluenceGraph:
@@ -132,9 +151,10 @@ class InfluenceGraph:
     targets.  Nodes, edges, thresholds and
     weights are immutable after construction.  The one piece of mutable
     state is a memo of the last stochastic-threshold draws (see
-    :func:`st_propagate`), replaced whole by a single assignment, so
-    instances stay safe to share across concurrent simulations; all
-    other scratch state is local to the call.
+    :func:`st_propagate`), replaced whole by a single assignment; the
+    in-edge lists and the integral-weight test are derived once on first
+    use.  So instances stay safe to share across concurrent simulations;
+    all other scratch state is local to the call.
     """
 
     def __init__(self, nodes, edges, thresholds, node_weights=None):
@@ -192,12 +212,25 @@ class InfluenceGraph:
         return len(self.node_ids)
 
     def in_edges(self):
-        """Per-node list of (predecessor index, weight), built on demand."""
+        """Per-node list of (predecessor index, weight) in predecessor
+        order, built on first use and kept; callers must not change it."""
+        return self._incoming
+
+    @cached_property
+    def _incoming(self):
         incoming = [[] for _ in self.node_ids]
         for iu, targets in enumerate(self.out):
             for iv, weight in targets:
                 incoming[iv].append((iu, weight))
         return incoming
+
+    @cached_property
+    def _integral_weights(self):
+        """True when every node weight is a whole number and their
+        magnitudes sum to at most 2**53, so any sum of them is exact in
+        any order."""
+        return (all(float(w).is_integer() for w in self.node_weight)
+                and math.fsum(map(abs, self.node_weight)) <= 2.0 ** 53)
 
 
 def _seed_indices(graph, seeds):
@@ -258,17 +291,177 @@ def _lt_rounds(graph, seed_idx, hops, bar):
     return per_hop, hops_used
 
 
-def lt_propagate(graph, seeds, hops):
+def _base_hops(graph, base, hops):
+    """(activation hop per node, hops + 1 if never active; per-hop level
+    sizes) of ``base``, built once per base outcome, after checking that
+    ``base`` is a run on ``graph`` within ``hops``."""
+    source = base._lt_source
+    if source is None or source[0] is not graph:
+        raise ValueError("base must be an lt_propagate outcome on the same graph")
+    if source[1] != hops:
+        raise ValueError(f"base ran {source[1]} hops, not {hops}")
+    if base._base_hops is None:
+        hop = [hops + 1] * len(graph)
+        levels = base.active._indices()
+        for t, level in enumerate(levels):
+            for i in level:
+                hop[i] = t
+        base._base_hops = (hop, [len(level) for level in levels])
+    return base._base_hops
+
+
+_first = itemgetter(0)
+
+
+def _lt_delta(graph, seed_idx, hops, base):
+    """Linear threshold from ``seed_idx``, started from the activation
+    hops of ``base``, a run from a subset of those seeds; returns the
+    outcome.
+
+    With non-negative edge weights, adding seeds moves hops only earlier,
+    and a node's hop can differ from the base's only if an in-neighbour's
+    does.  So hop t re-checks only the out-neighbours of the nodes whose
+    hop changed to t-1, and a node whose re-check failed again at the
+    next hop at which an in-neighbour activates in the base, or at its
+    own base hop if that comes first.  A re-check sums the node's
+    in-weights from in-neighbours active by t-1, ordered by hop, then by
+    source index: the order in which :func:`_lt_rounds` adds them, so the
+    sum is that run's float bit for bit.  A float sum in a new order can
+    fall short of the base's; a node whose re-check fails at its base hop
+    is then lost, and its out-neighbours are re-checked too.  Every field
+    of the outcome equals the run without a base.
+    """
+    base_hop, sizes = _base_hops(graph, base, hops)
+    incoming, out, bar, node_weight = graph.in_edges(), graph.out, graph.bar, graph.node_weight
+    # with whole node weights, the base weight plus and minus the nodes
+    # that changed is exactly the sum _tally makes of the joint lists
+    exact = graph._integral_weights
+    inf = hops + 1
+    hop = base_hop[:]
+    count, weight = base.coverage_count, base.coverage_weight
+    left = [0] * len(sizes)  # per base level, the nodes whose hop moved away from it
+    top = 0  # the latest hop of a node whose hop changed
+    changed = [i for i in seed_idx if hop[i]]
+    if len(seed_idx) - len(changed) != sizes[0]:
+        raise ValueError("base seeds must be a subset of the seeds")
+    for i in changed:
+        if hop[i] > hops:
+            count += 1
+            weight += node_weight[i]
+        else:
+            left[hop[i]] += 1
+        hop[i] = 0
+    lost = []  # nodes that failed a re-check at their base hop
+    later = {}  # hop -> nodes to re-check then
+    t = 0
+    while True:
+        # the next hop with work: right after a change, else the next re-check due
+        if changed or lost:
+            t += 1
+        elif later:
+            t = min(later)
+        else:
+            break
+        if t > hops:
+            break
+        # an edge that alone reaches its target's bar activates it without
+        # a re-check: a float sum of non-negative terms is at least each term
+        check = set()
+        sure = set()
+        for u in changed:
+            for v, w in out[u]:
+                if hop[v] >= t:
+                    if w >= bar[v]:
+                        sure.add(v)
+                    else:
+                        check.add(v)
+        if lost:
+            check.update(v for u in lost for v, _ in out[u])
+        check.update(later.pop(t, ()))
+        check -= sure
+        changed, lost = [], []
+        for v in chain(sure, check):
+            if hop[v] < t:
+                continue
+            b = base_hop[v]
+            if v not in sure:
+                received = []
+                soonest = inf
+                for u, w in incoming[v]:
+                    h = hop[u]
+                    if h < t:
+                        received.append((h, w))
+                    elif h < soonest:
+                        soonest = h
+                if len(received) > 2:
+                    received.sort(key=_first)
+                total = 0.0
+                for _, w in received:
+                    total += w
+                if total < bar[v]:
+                    if b == t:
+                        hop[v] = inf
+                        lost.append(v)
+                        left[b] += 1
+                        count -= 1
+                        weight -= node_weight[v]
+                    nxt = soonest + 1 if b <= t else min(soonest + 1, b)
+                    if nxt <= hops:
+                        later.setdefault(nxt, []).append(v)
+                    continue
+            hop[v] = t
+            if b != t:
+                changed.append(v)
+                top = t
+                if b < t or b > hops:
+                    count += 1
+                    weight += node_weight[v]
+                else:
+                    left[b] += 1
+    used = top
+    for t in range(len(sizes) - 1, top, -1):
+        if sizes[t] > left[t]:
+            used = t
+            break
+
+    def levels():
+        per_hop = [[] for _ in range(used + 1)]
+        for i, h in enumerate(hop):
+            if h <= used:
+                per_hop[h].append(i)
+        return per_hop
+
+    if exact:
+        active = ActiveSet._deferred(levels, graph.node_ids)
+    else:
+        per_hop = levels()
+        weight = _tally(graph, per_hop)[1]
+        active = ActiveSet.from_indices(per_hop, graph.node_ids)
+    return DiffusionOutcome(active, count, weight, used, (graph, hops))
+
+
+def lt_propagate(graph, seeds, hops, base=None):
     """Deterministic linear-threshold diffusion from a seed set.
 
     Threshold comparisons use >= with a 1e-12 slack so sums that should
     exactly meet a threshold survive floating point.
+
+    ``base`` is an earlier outcome of this function on the same graph
+    and hop budget, from a subset of ``seeds``; anything else raises
+    ValueError.  The run then starts from the base's activation hops and
+    re-checks only the nodes the added seeds can reach
+    (:func:`_lt_delta`).  Its outcome equals the run without a base in
+    every field.
     """
     if hops < 0:
         raise ValueError("hop budget must be >= 0")
     seed_idx = _seed_indices(graph, seeds)
+    if base is not None:
+        return _lt_delta(graph, seed_idx, hops, base)
     per_hop, hops_used = _lt_rounds(graph, seed_idx, hops, graph.bar)
-    return _outcome(graph, per_hop, hops_used)
+    outcome = _outcome(graph, per_hop, hops_used)
+    outcome._lt_source = (graph, hops)
+    return outcome
 
 
 def _multiplex_rounds(lt_layers, seed_idx, hops):

@@ -36,6 +36,7 @@ from .solver import (
     improved_greedy,
     meets_fraction,
     naive_greedy,
+    require_integers,
 )
 
 BASELINE_SCHEMES = ("union", "direct")
@@ -281,7 +282,7 @@ class ExperimentSpec:
 
     A sweep that could only fail cell by cell raises ValueError here:
     no schemes or betas, a beta outside (0, 1], ``hops``, ``T``, ``R``
-    or ``repetitions`` below 1, an unknown solver, a ``model`` record
+    or ``repetitions`` not an integer or below 1, an unknown solver, a ``model`` record
     that does not build a DiffusionModel, or a ``target_layer`` or
     ``only:<i>`` layer that some network of the sweep lacks.  The model
     is built here once, as ``diffusion_model`` (None for deterministic
@@ -316,6 +317,7 @@ class ExperimentSpec:
         for beta in self.betas:
             if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not 0.0 < beta <= 1.0:
                 raise ValueError(f"beta {beta!r} is not a number in (0, 1]")
+        require_integers(hops=self.hops, T=self.T, R=self.R, repetitions=self.repetitions)
         if min(self.hops, self.T, self.R, self.repetitions) < 1:
             name = next(name for name in ("hops", "T", "R", "repetitions") if getattr(self, name) < 1)
             raise ValueError(f"{name} must be >= 1")

@@ -32,6 +32,21 @@ from .diffusion import (
 # 0.3 * 50 cannot flip a met target
 FRACTION_EPS = 1e-9
 
+# Under deterministic LT, improved_greedy starts every evaluation from the
+# iteration's base run once it holds this many seeds.  From one seed a
+# candidate's cascade is mostly new, and re-checking it node by node
+# measured slower than a full run on small graphs.
+DELTA_MIN_SEEDS = 2
+
+
+def require_integers(**values):
+    """Raise ValueError unless every value is an int; a bool is not one
+    here.  GreedyConfig and ExperimentSpec check their hop budget, T, R
+    and repetition count with it before checking that they are >= 1."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+
 
 def meets_fraction(value, beta, total):
     """True when coverage ``value`` reaches the beta fraction of ``total``."""
@@ -58,6 +73,7 @@ class GreedyConfig:
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must be in (0, 1]")
+        require_integers(hops=self.hops, T=self.T, R=self.R)
         if self.hops < 1:
             raise ValueError("hops must be >= 1")
         if self.T < 1 or self.R < 1:
@@ -92,33 +108,51 @@ class SeedSet:
         raise ValueError(f"target {beta} is beyond this run's coverage")
 
 
-def _coverage(coupled, seed_nodes, cfg, rng_seed=None):
+def _deterministic(cfg):
+    return cfg.model is None or cfg.model.kind == LINEAR_THRESHOLD
+
+
+def _propagate(coupled, seed_nodes, cfg, rng_seed=None, base=None):
+    """The diffusion outcome of ``seed_nodes``; ``base`` (deterministic
+    linear threshold only) is an earlier outcome of a subset of them."""
     budget = coupled.hop_scale * cfg.hops
+    if _deterministic(cfg):
+        return lt_propagate(coupled.graph, seed_nodes, budget, base=base)
+    if base is not None:
+        raise ValueError("a base run applies to deterministic linear threshold only")
     model = cfg.model
-    if model is None or model.kind == LINEAR_THRESHOLD:
-        outcome = lt_propagate(coupled.graph, seed_nodes, budget)
-    else:
-        if rng_seed is not None:
-            model = replace(model, rng_seed=rng_seed)
-        if model.kind == INDEPENDENT_CASCADE:
-            outcome = ic_propagate(coupled.graph, seed_nodes, budget, model)
-        elif model.kind == STOCHASTIC_THRESHOLD:
-            outcome = st_propagate(coupled.graph, seed_nodes, budget, model)
-        else:
-            raise ValueError(f"unknown diffusion model {model.kind!r}")
-    return outcome.coverage_weight
+    if rng_seed is not None:
+        model = replace(model, rng_seed=rng_seed)
+    if model.kind == INDEPENDENT_CASCADE:
+        return ic_propagate(coupled.graph, seed_nodes, budget, model)
+    if model.kind == STOCHASTIC_THRESHOLD:
+        return st_propagate(coupled.graph, seed_nodes, budget, model)
+    raise ValueError(f"unknown diffusion model {model.kind!r}")
 
 
-def marginal_gain(coupled, current, candidate, cfg, base_coverage=None, rng_seed=None):
-    """Coverage gain of adding one candidate node to the current seeds."""
+def _coverage(coupled, seed_nodes, cfg, rng_seed=None):
+    return _propagate(coupled, seed_nodes, cfg, rng_seed).coverage_weight
+
+
+def marginal_gain(coupled, current, candidate, cfg, base_coverage=None, rng_seed=None, base=None):
+    """Coverage gain of adding one candidate node to the current seeds.
+
+    ``base`` is an optional :func:`~muxlci.diffusion.lt_propagate`
+    outcome of ``current`` under deterministic linear threshold; the
+    joint run then starts from it, with the same result.  It also
+    supplies ``base_coverage`` when that is not given.
+    """
     if candidate in current:
         raise ValueError(f"candidate {candidate!r} already selected")
     if candidate not in coupled.user_of:
         raise ValueError(f"candidate {candidate!r} is not a seedable node")
     if base_coverage is None:
-        base_coverage = _coverage(coupled, sorted(current), cfg, rng_seed)
-    joint = _coverage(coupled, sorted(set(current) | {candidate}), cfg, rng_seed)
-    return joint - base_coverage
+        if base is None:
+            base_coverage = _coverage(coupled, sorted(current), cfg, rng_seed)
+        else:
+            base_coverage = base.coverage_weight
+    joint = _propagate(coupled, sorted(set(current) | {candidate}), cfg, rng_seed, base)
+    return joint.coverage_weight - base_coverage
 
 
 def _domain(coupled):
@@ -127,10 +161,9 @@ def _domain(coupled):
 
 
 def _iteration_seed(cfg, iteration):
-    model = cfg.model
-    if model is None or model.kind == LINEAR_THRESHOLD:
+    if _deterministic(cfg):
         return None
-    return model.rng_seed + 7919 * iteration
+    return cfg.model.rng_seed + 7919 * iteration
 
 
 def _finish(coupled, selected, gains, coverages, total):
@@ -175,8 +208,15 @@ def improved_greedy(coupled, cfg):
     is then popped, its gain recomputed fresh, and the node selected.
     With T = |domain| or R = 1 this collapses to the naive greedy.
 
-    A light iteration costs O(T*(m+n)) diffusion work against the naive
-    greedy's O(n*(m+n)); a full run is O((m+n)*n*d) worst case.
+    Every evaluation is one diffusion run.  A full run costs O(m+n), so
+    a light iteration costs O(T*(m+n)) against the naive greedy's
+    O(n*(m+n)).  Under deterministic linear threshold, once the seeds
+    number DELTA_MIN_SEEDS or more, each iteration's base run of the
+    selected seeds is handed to every heavy, light and fresh evaluation
+    (``lt_propagate``'s ``base``): the joint run then re-checks only the
+    nodes whose activation hop the candidate moves earlier, and the
+    in-edges of each, with the same result.  Heap initialisation and the
+    base runs stay full runs.
     """
     graph = coupled.graph
     total = graph.total_weight
@@ -184,6 +224,7 @@ def improved_greedy(coupled, cfg):
     selected, gains, coverages = [], [], []
     coverage = 0.0
     init_seed = _iteration_seed(cfg, 0)
+    delta = _deterministic(cfg)
     heap = [
         (-marginal_gain(coupled, selected, node, cfg, 0.0, init_seed), graph.index[node], node)
         for node in domain
@@ -195,10 +236,12 @@ def improved_greedy(coupled, cfg):
             raise ValueError("coverage target unreachable: candidate pool exhausted")
         counter += 1
         seed = _iteration_seed(cfg, counter)
-        base = _coverage(coupled, selected, cfg, seed)
+        run = _propagate(coupled, selected, cfg, seed)
+        base = run.coverage_weight
+        start = run if delta and len(selected) >= DELTA_MIN_SEEDS else None
         if counter % cfg.R == 0:
             heap = [
-                (-marginal_gain(coupled, selected, node, cfg, base, seed), idx, node)
+                (-marginal_gain(coupled, selected, node, cfg, base, seed, start), idx, node)
                 for (_, idx, node) in heap
             ]
             heapq.heapify(heap)
@@ -206,12 +249,12 @@ def improved_greedy(coupled, cfg):
             refreshed = []
             for _ in range(min(cfg.T, len(heap))):
                 _, idx, node = heapq.heappop(heap)
-                gain = marginal_gain(coupled, selected, node, cfg, base, seed)
+                gain = marginal_gain(coupled, selected, node, cfg, base, seed, start)
                 refreshed.append((-gain, idx, node))
             for entry in refreshed:
                 heapq.heappush(heap, entry)
         _, _, node = heapq.heappop(heap)
-        fresh = marginal_gain(coupled, selected, node, cfg, base, seed)
+        fresh = marginal_gain(coupled, selected, node, cfg, base, seed, start)
         selected.append(node)
         gains.append(fresh)
         coverage = base + fresh

@@ -19,9 +19,11 @@ the ``InfluenceGraph`` constructor.
 """
 
 import csv
+import heapq
 import math
 import random
 from collections import defaultdict
+from dataclasses import replace
 
 from muxlci.coupling import (
     DUMMY,
@@ -34,12 +36,19 @@ from muxlci.coupling import (
 )
 from muxlci.diffusion import (
     INDEPENDENT_CASCADE,
+    LINEAR_THRESHOLD,
+    STOCHASTIC_THRESHOLD,
     ActiveSet,
     DiffusionOutcome,
     InfluenceGraph,
     _outcome,
     _seed_indices,
+    ic_propagate,
+    lt_propagate,
+    multiplex_lt_propagate,
+    st_propagate,
 )
+from muxlci.solver import meets_fraction
 from muxlci.network import WEIGHT_EPS, _require_complete
 
 TOL = 1e-12
@@ -708,3 +717,68 @@ def reference_run_experiment(spec):
                    "status": "error", "error": f"{type(exc).__name__}: {exc}"}
         rows.append(row)
     return rows
+
+
+def _reference_coverage(coupled, seed_nodes, cfg, rng_seed=None):
+    budget = coupled.hop_scale * cfg.hops
+    model = cfg.model
+    if model is None or model.kind == LINEAR_THRESHOLD:
+        outcome = lt_propagate(coupled.graph, seed_nodes, budget)
+    else:
+        if rng_seed is not None:
+            model = replace(model, rng_seed=rng_seed)
+        if model.kind == INDEPENDENT_CASCADE:
+            outcome = ic_propagate(coupled.graph, seed_nodes, budget, model)
+        elif model.kind == STOCHASTIC_THRESHOLD:
+            outcome = st_propagate(coupled.graph, seed_nodes, budget, model)
+        else:
+            raise ValueError(f"unknown diffusion model {model.kind!r}")
+    return outcome.coverage_weight
+
+
+def reference_marginal_gain(coupled, current, candidate, cfg, base_coverage=None, rng_seed=None, base=None):
+    """marginal_gain as a full rerun of the joint seeds, as it was before
+    an evaluation could start from a base run (``base`` is ignored)."""
+    if candidate in current:
+        raise ValueError(f"candidate {candidate!r} already selected")
+    if candidate not in coupled.user_of:
+        raise ValueError(f"candidate {candidate!r} is not a seedable node")
+    if base_coverage is None:
+        base_coverage = _reference_coverage(coupled, sorted(current), cfg, rng_seed)
+    joint = _reference_coverage(coupled, sorted(set(current) | {candidate}), cfg, rng_seed)
+    return joint - base_coverage
+
+
+def multiplex_lazy_greedy(network, beta, hops, T, R):
+    """improved_greedy's heap logic on the multiplex itself: coverage is
+    multiplex_lt_propagate's user count after ``hops``, candidates are
+    the users in sorted order and ties go to the earlier one.  Returns
+    (users, gains)."""
+    users = sorted(network.universe)
+
+    def cover(seeds):
+        return multiplex_lt_propagate(network, seeds, hops).coverage_count
+
+    heap = [(-cover([user]), i, user) for i, user in enumerate(users)]
+    heapq.heapify(heap)
+    selected, gains, coverage, iteration = [], [], 0.0, 0
+    while not meets_fraction(coverage, beta, len(users)):
+        iteration += 1
+        base = cover(selected)
+        if iteration % R == 0:
+            stale = heap
+        else:
+            stale = [heapq.heappop(heap) for _ in range(min(T, len(heap)))]
+        fresh = [(base - cover(selected + [user]), i, user) for _, i, user in stale]
+        if iteration % R == 0:
+            heap = fresh
+            heapq.heapify(heap)
+        else:
+            for entry in fresh:
+                heapq.heappush(heap, entry)
+        _, _, user = heapq.heappop(heap)
+        gain = cover(selected + [user]) - base
+        selected.append(user)
+        gains.append(gain)
+        coverage = base + gain
+    return selected, gains

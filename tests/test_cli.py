@@ -336,6 +336,18 @@ def test_experiment_rejects_bad_sweep(tmp_path, capsys, fields, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [("hops", 2.5), ("T", 2.5), ("R", 1.5), ("repetitions", 1.5)])
+def test_experiment_rejects_non_integer_count(tmp_path, capsys, field, value):
+    config = {"schemes": ["clique"], "betas": [0.4], "hops": 2,
+              "synth": {"universe_size": 20, "layer_size": 15, "edge_prob": 0.12, "k": 2}, field: value}
+    config_path = write(tmp_path / "exp.json", json.dumps(config))
+    out = tmp_path / "rows.csv"
+    code = main(["experiment", "--config", config_path, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {field} must be an integer, not {value!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model,message", [
     ({"kind": "bogus"}, "unknown diffusion model 'bogus'"),
     ({"kind": "independent_cascade", "samples": 5},

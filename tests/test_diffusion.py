@@ -435,6 +435,94 @@ class TestKernelMatchesReference:
             assert_same_outcome(ours, alone)
 
 
+def delta_case(seed, hops, added, fractional):
+    """A corner graph (node weights made non-integral when
+    ``fractional``), its seeds' run as the base, and the joint seed set:
+    the base seeds plus one or two ``added`` nodes: random ones, a node
+    the base activated (at its last hop when it can), or the base's
+    whole last level, whose run then ends earlier than the base's
+    unless a seed reaches that far again."""
+    import random
+
+    graph, seeds = corner_graph(seed)
+    rng = random.Random(seed)
+    if fractional:
+        edges, thetas, _ = TestGraphPreconditions.parts(graph)
+        weights = {u: rng.choice([0.1, 0.2, 0.3, 1.0, 2.5]) for u in graph.node_ids}
+        graph = InfluenceGraph(graph.node_ids, edges, thetas, weights)
+    base = lt_propagate(graph, seeds, hops)
+    reached = base.active.per_hop[1:]
+    if added == "random" or not reached:
+        extra = set(rng.sample(graph.node_ids, rng.randint(1, min(2, len(graph)))))
+    elif added == "active":
+        extra = {rng.choice(sorted(reached[-1] if rng.random() < 0.5 else set().union(*reached)))}
+    else:
+        extra = set(reached[-1])
+    return graph, base, seeds | extra
+
+
+class TestDeltaMatchesFullRun:
+    """A run started from a base outcome equals the run without one in
+    every field, with no tolerance."""
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=6),
+           st.sampled_from(["random", "active", "last-level"]), st.booleans())
+    def test_delta_equals_full_run(self, seed, hops, added, fractional):
+        graph, base, seeds = delta_case(seed, hops, added, fractional)
+        delta = lt_propagate(graph, seeds, hops, base=base)
+        full = lt_propagate(graph, seeds, hops)
+        assert_same_outcome(delta, full)
+        if not fractional:
+            # the reference sums weights in id-set order, exact for whole weights only
+            assert_same_outcome(delta, reference_lt_propagate(graph, seeds, hops))
+        # a delta outcome serves as a base in turn
+        more = seeds | {graph.node_ids[seed % len(graph)]}
+        assert_same_outcome(lt_propagate(graph, more, hops, base=delta), lt_propagate(graph, more, hops))
+
+    def test_same_seeds_give_the_base(self):
+        graph = small_random_graph(7)
+        base = lt_propagate(graph, {"n0", "n4"}, 4)
+        assert_same_outcome(lt_propagate(graph, {"n0", "n4"}, 4, base=base), base)
+
+    def test_run_ends_earlier_than_its_base(self):
+        # seeding the base's last active node ends the joint run a hop earlier
+        graph = chain_graph(["a", "b", "c"])
+        base = lt_propagate(graph, {"a"}, 2)
+        joint = lt_propagate(graph, {"a", "c"}, 2, base=base)
+        assert base.hops_used == 2 and joint.hops_used == 1
+        assert joint.active.per_hop == [{"a", "c"}, {"b"}]
+        assert_same_outcome(joint, lt_propagate(graph, {"a", "c"}, 2))
+
+    def test_resummed_float_falling_short_of_the_base(self):
+        # v's in-weights sum to 0.35000000000000003 in the base's order
+        # (x1, x2 at hop 0, then x0 at hop 1) but to 0.35 once x0 is a
+        # seed, and its bar lies between: v and y activate in the base
+        # and in neither run from the joint seeds
+        graph = InfluenceGraph(
+            ["x0", "x1", "x2", "v", "y"],
+            [("x1", "x0", 1.0), ("x0", "v", 0.2), ("x1", "v", 0.05), ("x2", "v", 0.1), ("v", "y", 1.0)],
+            {"x0": 0.5, "x1": 0.5, "x2": 0.5, "v": 0.350000000001, "y": 0.5},
+        )
+        base = lt_propagate(graph, {"x1", "x2"}, 3)
+        assert base.active.per_hop == [{"x1", "x2"}, {"x0"}, {"v"}, {"y"}]
+        joint = lt_propagate(graph, {"x0", "x1", "x2"}, 3, base=base)
+        assert joint.active.per_hop == [{"x0", "x1", "x2"}]
+        assert_same_outcome(joint, lt_propagate(graph, {"x0", "x1", "x2"}, 3))
+
+    def test_unfit_base_rejected(self):
+        graph = small_random_graph(3)
+        base = lt_propagate(graph, {"n0", "n1"}, 3)
+        with pytest.raises(ValueError, match="same graph"):
+            lt_propagate(small_random_graph(3), {"n0", "n1", "n2"}, 3, base=base)
+        with pytest.raises(ValueError, match="base ran 3 hops, not 4"):
+            lt_propagate(graph, {"n0", "n1", "n2"}, 4, base=base)
+        with pytest.raises(ValueError, match="subset"):
+            lt_propagate(graph, {"n0", "n2"}, 3, base=base)
+        model = DiffusionModel("stochastic_threshold", mc_samples=2)
+        with pytest.raises(ValueError, match="lt_propagate outcome"):
+            lt_propagate(graph, {"n0", "n1", "n2"}, 3, base=st_propagate(graph, {"n0"}, 3, model))
+
+
 class TestMonteCarloMatchesReference:
     """The per-graph draw memo of st_propagate and the marked-hop IC loop
     give exactly the outcomes of drawing afresh on every call."""

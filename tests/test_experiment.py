@@ -264,6 +264,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(**spec)
 
+    @pytest.mark.parametrize("field, value", [
+        ("hops", 2.5), ("T", 2.5), ("R", 1.5), ("repetitions", 1.5), ("repetitions", True), ("T", "8"),
+    ])
+    def test_non_integer_count_rejected_before_any_cell(self, field, value):
+        spec = {"schemes": ["clique"], "betas": [0.5], "hops": 2,
+                "synth": {"universe_size": 10, "layer_size": 8, "edge_prob": 0.1, "k": 2}, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, not {value!r}$"):
+            ExperimentSpec(**spec)
+
     @pytest.mark.parametrize("model,message", [
         ({"kind": "bogus"}, "unknown diffusion model 'bogus'"),
         ({"kind": "independent_cascade", "samples": 5}, "unexpected keyword argument 'samples'"),

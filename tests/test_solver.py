@@ -21,10 +21,11 @@ from muxlci import (
     st_propagate,
 )
 from muxlci.coupling import CoupledNetwork, NodeKind
+from muxlci.solver import DELTA_MIN_SEEDS
 
 from conftest import make_layer, random_network, random_seed_users
 from lp_solve import parse_lp, solve_lp_minimum
-from oracles import reference_multiplex_lt_propagate
+from oracles import multiplex_lazy_greedy, reference_marginal_gain, reference_multiplex_lt_propagate
 
 
 def flat_coupled(names, edges, thetas):
@@ -241,20 +242,123 @@ class TestOracleCallCount:
         original = muxlci.solver.lt_propagate
         calls = []
 
-        def counting(graph, seeds, hops):
-            outcome = original(graph, seeds, hops)
-            calls.append(outcome)
+        def counting(graph, seeds, hops, base=None):
+            outcome = original(graph, seeds, hops, base=base)
+            calls.append((outcome, base))
             return outcome
 
         monkeypatch.setattr(muxlci.solver, "lt_propagate", counting)
         network = random_network(seed, max_users=30)
         coupled = couple(network, scheme)
+        domain = len(coupled.user_of)
         seed_set = improved_greedy(coupled, GreedyConfig(0.6, 2, T=T, R=R))
-        assert len(calls) == expected_oracle_calls(len(coupled.user_of), T, R, len(seed_set.users))
-        for outcome in calls:
+        selections = len(seed_set.users)
+        assert len(calls) == expected_oracle_calls(domain, T, R, selections)
+        for outcome, _ in calls:
             per_hop = outcome.active.per_hop
             assert sum(len(hop) for hop in per_hop) == len(outcome.active.members) == outcome.coverage_count
             assert set().union(*per_hop) == outcome.active.members
+        # heap initialisation and each iteration's base run are full runs;
+        # every heavy, light and fresh evaluation of an iteration that
+        # starts from DELTA_MIN_SEEDS seeds or more gets that base run
+        assert all(base is None for _, base in calls[:domain])
+        position = domain
+        for i in range(1, selections + 1):
+            heap = domain - (i - 1)
+            evaluations = (heap if i % R == 0 else min(T, heap)) + 1
+            run, run_base = calls[position]
+            assert run_base is None
+            expected = run if i - 1 >= DELTA_MIN_SEEDS else None
+            assert all(base is expected for _, base in calls[position + 1:position + 1 + evaluations])
+            position += 1 + evaluations
+        assert position == len(calls)
+
+    @pytest.mark.parametrize("kind, scheme, name", [
+        ("independent_cascade", "clique", "ic_propagate"),
+        ("stochastic_threshold", "reduced-star", "st_propagate"),
+    ])
+    def test_stochastic_evaluations_take_no_base(self, monkeypatch, kind, scheme, name):
+        import muxlci.solver
+
+        original = getattr(muxlci.solver, name)
+        calls = []
+
+        def counting(graph, seeds, hops, model):
+            calls.append(seeds)
+            return original(graph, seeds, hops, model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stochastic greedy ran deterministic LT")
+
+        monkeypatch.setattr(muxlci.solver, name, counting)
+        monkeypatch.setattr(muxlci.solver, "lt_propagate", refuse)
+        network = random_network(155, max_users=20, max_layers=2)
+        coupled = couple(network, scheme, model_kind=kind)
+        cfg = GreedyConfig(0.9, 2, T=3, R=2, model=DiffusionModel(kind, mc_samples=3, rng_seed=5))
+        seed_set = improved_greedy(coupled, cfg)
+        assert len(seed_set.users) > DELTA_MIN_SEEDS
+        assert len(calls) == expected_oracle_calls(len(coupled.user_of), 3, 2, len(seed_set.users))
+        with pytest.raises(ValueError, match="deterministic linear threshold only"):
+            marginal_gain(coupled, [], coupled.seed_nodes(seed_set.users[:1])[0], cfg,
+                          base=original(coupled.graph, [], 4, cfg.model))
+
+
+class TestDeltaEvaluations:
+    """Evaluations started from a base run equal today's full reruns."""
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from(["clique", "star", "reduced-clique", "lossy-average", "lossy-involvement"]),
+           st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=3))
+    def test_marginal_gain_equals_full_rerun(self, seed, scheme, hops, size):
+        import random
+
+        network = random_network(seed, max_users=20)
+        coupled = couple(network, scheme)
+        cfg = GreedyConfig(0.5, hops)
+        rng = random.Random(seed)
+        domain = sorted(coupled.user_of)
+        current = rng.sample(domain, min(size, len(domain) - 1))
+        run = lt_propagate(coupled.graph, sorted(current), coupled.hop_scale * hops)
+        for candidate in sorted(set(domain) - set(current)):
+            gain = marginal_gain(coupled, current, candidate, cfg, base=run)
+            assert gain == reference_marginal_gain(coupled, current, candidate, cfg)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5),
+           st.integers(min_value=1, max_value=4))
+    def test_improved_greedy_equals_full_rerun_greedy(self, seed, T, R):
+        import muxlci.solver
+
+        network = random_network(seed, max_users=25)
+        coupled = couple(network, "star")
+        cfg = GreedyConfig(0.7, 2, T=T, R=R)
+        ours = improved_greedy(coupled, cfg)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(muxlci.solver, "marginal_gain", reference_marginal_gain)
+            theirs = improved_greedy(coupled, cfg)
+        assert (ours.users, ours.gains, ours.coverages) == (theirs.users, theirs.gains, theirs.coverages)
+
+
+class TestLosslessSchemesMatchMultiplexOracle:
+    """Under deterministic LT the four lossless couplings scale multiplex
+    coverage exactly (criterion 1), so both greedies pick the users the
+    lazy greedy picks on the multiplex itself, with gains times the
+    scheme's per-user node count or weight."""
+
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([0.3, 0.5, 0.7, 1.0]),
+           st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=4))
+    def test_greedies_equal_multiplex_lazy_greedy(self, seed, beta, hops, T, R):
+        network = random_network(seed, max_users=30)
+        lazy = multiplex_lazy_greedy(network, beta, hops, T, R)
+        eager = multiplex_lazy_greedy(network, beta, hops, T, 1)
+        for scheme in ("clique", "star", "reduced-clique", "reduced-star"):
+            coupled = couple(network, scheme)
+            scale = coupled.graph.total_weight / coupled.n_users
+            cfg = GreedyConfig(beta, hops, T=T, R=R)
+            for seed_set, (users, gains) in ((improved_greedy(coupled, cfg), lazy),
+                                             (naive_greedy(coupled, cfg), eager)):
+                assert seed_set.users == users
+                assert [gain / scale for gain in seed_set.gains] == gains
 
 
 class TestBruteForce:
@@ -385,3 +489,13 @@ def test_config_validation():
         GreedyConfig(0.5, 0)
     with pytest.raises(ValueError, match="T and R"):
         GreedyConfig(0.5, 2, T=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hops", 2.5), ("hops", True), ("T", 2.5), ("T", "8"), ("R", 1.5), ("R", False),
+])
+def test_config_rejects_non_integer_counts(field, value):
+    fields = {"hops": 2, "T": 8, "R": 3, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, not {value!r}$"):
+        GreedyConfig(0.5, **fields)
+
