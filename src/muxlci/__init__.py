@@ -18,7 +18,6 @@ from .network import (
     load_layer_file,
     serialize_layer,
     normalize_incoming_weights,
-    assign_random_thresholds,
     fill_missing_thresholds,
     overlap_users,
     validate,
@@ -42,10 +41,7 @@ from .diffusion import (
 from .coupling import (
     NodeKind,
     CoupledNetwork,
-    couple_lossy,
     couple,
-    easiness,
-    involvement,
     write_coupled,
     read_coupled,
     COUPLING_SCHEMES,

@@ -204,7 +204,7 @@ def cmd_solve(args):
     network, normalized = _load_network(args)
     model = _diffusion_model(args)
     cfg = GreedyConfig(args.beta, args.hops, args.T, args.R, model=model)
-    result = solve_pipeline(network, args.scheme, cfg, solver=args.solver)
+    result = solve_pipeline(network, args.scheme, cfg)
     result.pop("replay_outcome")
     result["rng_seed"] = args.seed
     result["normalized_layers"] = normalized
@@ -293,7 +293,6 @@ def build_parser():
     p.add_argument("--hops", type=int, default=4)
     p.add_argument("--T", type=int, default=8)
     p.add_argument("--R", type=int, default=3)
-    p.add_argument("--solver", choices=["improved", "naive"], default="improved")
     _add_model_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

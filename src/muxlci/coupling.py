@@ -81,11 +81,6 @@ class CoupledNetwork:
     k: int
     n_users: int
 
-    @property
-    def default_coverage_mode(self):
-        """Reduced schemes count coverage by node weight, the rest by node count."""
-        return "weight" if self.scheme.startswith("reduced") else "count"
-
     def seed_nodes(self, users):
         """Coupled seed nodes for a set of users (inverse of F)."""
         nodes = []
@@ -186,6 +181,14 @@ def _couple_lossless(network, sync, dummies, model_kind):
 def _layer_alphas(layer, kind, floor):
     """Multiplier alpha for every node of one complete layer.
 
+    "average" is 1.  "easiness" is how easily a user activates in the
+    layer: total incoming weight divided by the threshold.
+    "involvement" is the cohesion of the user's 1-hop neighborhood:
+    weight/threshold summed over every directed edge between members of
+    the closed neighborhood (in- plus out-neighbors plus the user).
+    Either falls back to ``floor`` when its sum is zero (no in-weight,
+    or no weighted edge in the neighborhood), so alpha stays positive.
+
     One pass over ``layer.edges`` gathers what every node needs.  Sums
     run in edge order, and each closed neighborhood is walked in a fixed
     order (the user, then its neighbors in edge order), so every alpha
@@ -219,38 +222,10 @@ def _layer_alphas(layer, kind, floor):
     return alphas
 
 
-def _alpha(network, user, layer_index, kind, floor):
-    layer = network.layer_by_index(layer_index)
-    if user not in layer.nodes:
-        raise ValueError(f"user {user!r} not in layer {layer_index}")
-    _require_complete([layer])
-    return _layer_alphas(layer, kind, floor)[user]
-
-
-def easiness(network, user, layer_index, floor=1.0):
-    """How easily a user activates in one layer: total incoming weight
-    divided by the threshold.  Users with no in-neighbors (or zero
-    in-weight) get the configured floor so the multiplier stays positive.
-    The layer needs all weights and thresholds set.
-    """
-    return _alpha(network, user, layer_index, "easiness", floor)
-
-
-def involvement(network, user, layer_index, floor=1.0):
-    """Cohesion of a user's 1-hop neighborhood in one layer.
-
-    Sums weight/threshold over every directed edge between members of
-    the closed neighborhood (in- plus out-neighbors plus the user).
-    Falls back to the floor when the neighborhood has no edges.  The
-    layer needs all weights and thresholds set.
-    """
-    return _alpha(network, user, layer_index, "involvement", floor)
-
-
 _ALPHA_KINDS = ("easiness", "involvement", "average")
 
 
-def couple_lossy(network, kind="average", floor=1.0):
+def _couple_lossy(network, kind="average", floor=1.0):
     """Lossy coupling: one vertex per user, hop scale 1.
 
     Per-layer thresholds and in-weights are folded with positive
@@ -301,7 +276,7 @@ def couple(network, scheme, model_kind="linear_threshold", floor=1.0):
     if scheme in ("reduced-clique", "reduced-star"):
         return _couple_lossless(network, scheme[len("reduced-"):], False, model_kind)
     if scheme.startswith("lossy-"):
-        return couple_lossy(network, scheme[len("lossy-"):], floor)
+        return _couple_lossy(network, scheme[len("lossy-"):], floor)
     raise ValueError(f"unknown coupling scheme {scheme!r}")
 
 

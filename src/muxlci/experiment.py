@@ -29,15 +29,7 @@ from .coupling import COUPLING_SCHEMES, couple
 from .diffusion import DiffusionModel, LINEAR_THRESHOLD, _layer_lt_propagate, multiplex_lt_propagate
 from .generator import SynthSpec, generate, subseed
 from .network import MultiplexNetwork, overlap_users
-from .solver import (
-    GreedyConfig,
-    SeedSet,
-    brute_force_optimal,
-    improved_greedy,
-    meets_fraction,
-    naive_greedy,
-    require_integers,
-)
+from .solver import GreedyConfig, brute_force_optimal, improved_greedy, meets_fraction, require_integers
 
 BASELINE_SCHEMES = ("union", "direct")
 
@@ -69,24 +61,33 @@ def single_layer_network(layer):
     return MultiplexNetwork([clone])
 
 
-def _result(network, cfg, scheme, solver, coverage_mode, seed_set, coupled_fraction, replay, wall_ms):
-    """The JSON-ready result record shared by the pipeline and the baselines."""
+def _result(network, cfg, scheme, users, gains, coupled_fraction, shared_ms):
+    """Replay ``users`` on the multiplex and build the JSON-ready result
+    record shared by the pipeline and the baselines.
+
+    ``coupled_fraction`` is the fraction a coupled solve reached (None
+    for "direct" and "union", which have no coupled graph); it is also
+    the record's ``achieved_fraction``, which is the replayed fraction
+    otherwise.  ``wall_time_ms`` is ``shared_ms`` plus the replay's own
+    time.
+    """
+    started = time.perf_counter()
+    replay = multiplex_lt_propagate(network, set(users), cfg.hops)
+    replayed_fraction = replay.coverage_count / len(network.universe)
     return {
         "scheme": scheme,
-        "solver": solver,
         "beta": cfg.beta,
         "hops": cfg.hops,
         "T": cfg.T,
         "R": cfg.R,
-        "coverage_mode": coverage_mode,
-        "seed_users": list(seed_set.users),
-        "gains": list(seed_set.gains),
-        "seed_size": len(seed_set.users),
-        "achieved_fraction": seed_set.achieved_fraction,
+        "seed_users": list(users),
+        "gains": list(gains),
+        "seed_size": len(users),
+        "achieved_fraction": replayed_fraction if coupled_fraction is None else coupled_fraction,
         "coupled_fraction": coupled_fraction,
-        "replayed_fraction": replay.coverage_count / len(network.universe),
+        "replayed_fraction": replayed_fraction,
         "replay_outcome": replay,
-        "wall_time_ms": wall_ms,
+        "wall_time_ms": shared_ms + _ms_since(started),
         "model": _model_record(cfg.model),
         "network": _network_record(network),
         "version": __version__,
@@ -97,67 +98,61 @@ def _ms_since(started):
     return (time.perf_counter() - started) * 1000.0
 
 
-def _pipeline_results(network, scheme, cfgs, solver):
+def _pipeline_results(network, scheme, cfgs):
     """Solve one scheme for configs that differ only in beta.
 
-    The greedies read beta only in their stop test, and their Monte
-    Carlo seeds follow the iteration counter, so one coupling and one
-    greedy run at the largest beta hold every smaller beta's run as a
-    prefix (``SeedSet.prefix``).  Brute force ("direct") is not
-    prefix-shaped and searches once per config.
+    The greedy reads beta only in its stop test, and its Monte Carlo
+    seeds follow the iteration counter, so one coupling and one greedy
+    run at the largest beta hold every smaller beta's run as a prefix
+    (``SeedSet.prefix``).  Brute force ("direct") is not prefix-shaped
+    and searches once per config.
 
-    Returns one result record per config.  Each config's seeds are
-    replayed on the multiplex and checked against its target; its
+    Returns one result record per config (``_result``), whose
     ``wall_time_ms`` is the shared coupling and solve time plus its own
-    replay.
+    replay.  Under deterministic linear threshold each replay is checked
+    against its target, which a coupling or the brute force promises.
     """
     started = time.perf_counter()
     if scheme == "direct":
         seed_sets = [brute_force_optimal(network, cfg.beta, cfg.hops) for cfg in cfgs]
-        mode = "count"
-        solver = "brute-force"
     else:
         cfg = cfgs[0]
         model_kind = cfg.model.kind if cfg.model is not None else LINEAR_THRESHOLD
         coupled = couple(network, scheme, model_kind=model_kind)
-        mode = coupled.default_coverage_mode
-        solve = improved_greedy if solver == "improved" else naive_greedy
-        full = solve(coupled, replace(cfg, beta=max(each.beta for each in cfgs)))
+        full = improved_greedy(coupled, replace(cfg, beta=max(each.beta for each in cfgs)))
         seed_sets = [full.prefix(each.beta) for each in cfgs]
     shared_ms = _ms_since(started)
     results = []
     for cfg, seed_set in zip(cfgs, seed_sets):
-        started = time.perf_counter()
-        replay = multiplex_lt_propagate(network, set(seed_set.users), cfg.hops)
-        replayed_fraction = replay.coverage_count / len(network.universe)
+        coupled_fraction = None if scheme == "direct" else seed_set.achieved_fraction
+        result = _result(network, cfg, scheme, seed_set.users, seed_set.gains, coupled_fraction, shared_ms)
         deterministic = cfg.model is None or cfg.model.kind == LINEAR_THRESHOLD
-        if deterministic and not meets_fraction(replayed_fraction, cfg.beta, 1.0):
+        if deterministic and not meets_fraction(result["replayed_fraction"], cfg.beta, 1.0):
             raise RuntimeError(
-                f"pipeline soundness violated: replayed fraction {replayed_fraction:.6f}"
+                f"pipeline soundness violated: replayed fraction {result['replayed_fraction']:.6f}"
                 f" below target {cfg.beta}"
             )
-        coupled_fraction = None if scheme == "direct" else seed_set.achieved_fraction
-        results.append(_result(network, cfg, scheme, solver, mode, seed_set, coupled_fraction, replay,
-                               shared_ms + _ms_since(started)))
+        results.append(result)
     return results
 
 
-def solve_pipeline(network, scheme, cfg, solver="improved"):
-    """Couple, solve, map seeds through F, and replay on the multiplex.
+def solve_pipeline(network, scheme, cfg):
+    """Couple, solve with the lazy greedy, map seeds through F, and
+    replay on the multiplex.
 
     Returns a JSON-ready result dict with both the coupled-graph
-    fraction and the replayed direct-multiplex fraction.  Its
-    ``coverage_mode`` is the coupling's ``default_coverage_mode``:
-    "weight" on the reduced couplings, "count" elsewhere, where every
-    node weighs 1 and the weight the greedy counts is the node count.
-    Raises RuntimeError if the replayed fraction misses the target
-    (which a correct coupling cannot produce).
+    fraction and the replayed direct-multiplex fraction.  The greedy
+    counts coverage by node weight; every node weighs 1 off the reduced
+    couplings, where that is the node count.  "direct" searches the
+    multiplex by brute force instead.  Raises RuntimeError if the
+    replayed fraction misses the target (which a correct coupling
+    cannot produce).
     """
-    (result,) = _pipeline_results(network, scheme, [cfg], solver)
+    (result,) = _pipeline_results(network, scheme, [cfg])
     return result
 
 
-def _layer_results(network, layer_index, cfgs, solver, memo):
+def _layer_results(network, layer_index, cfgs, memo):
     """One layer's own lossy-average results for configs that differ
     only in beta (see ``_pipeline_results``).
 
@@ -169,53 +164,43 @@ def _layer_results(network, layer_index, cfgs, solver, memo):
     key = (layer_index, tuple(cfg.beta for cfg in cfgs))
     if key not in memo:
         sub = single_layer_network(network.layer_by_index(layer_index))
-        memo[key] = _pipeline_results(sub, "lossy-average", cfgs, solver)
+        memo[key] = _pipeline_results(sub, "lossy-average", cfgs)
     return memo[key]
 
 
-def _union_results(network, cfgs, solver, memo):
+def _union_results(network, cfgs, memo):
     """Per config, the union of each layer's own lossy-average seeds,
     with one shared solve per layer (see ``_layer_results``), whose
     times are counted in every row."""
-    per_layer = [_layer_results(network, layer.layer_index, cfgs, solver, memo) for layer in network.layers]
+    per_layer = [_layer_results(network, layer.layer_index, cfgs, memo) for layer in network.layers]
     results = []
     for cfg, layer_results in zip(cfgs, zip(*per_layer)):
-        started = time.perf_counter()
-        pooled = []
-        for result in layer_results:
-            pooled.extend(u for u in result["seed_users"] if u not in pooled)
-        replay = multiplex_lt_propagate(network, set(pooled), cfg.hops)
-        seed_set = SeedSet(pooled, [], replay.coverage_count / len(network.universe))
+        pooled = list(dict.fromkeys(user for result in layer_results for user in result["seed_users"]))
         shared_ms = sum(result["wall_time_ms"] for result in layer_results)
-        results.append(_result(network, cfg, "union", solver, "count", seed_set, None, replay,
-                               shared_ms + _ms_since(started)))
+        results.append(_result(network, cfg, "union", pooled, [], None, shared_ms))
     return results
 
 
-def union_baseline(network, cfg, solver="improved"):
+def union_baseline(network, cfg):
     """Solve each layer separately at the same beta and pool the seeds."""
-    (result,) = _union_results(network, [cfg], solver, {})
+    (result,) = _union_results(network, [cfg], {})
     return result
 
 
-def _only_results(network, layer_index, cfgs, solver, memo):
+def _only_results(network, layer_index, cfgs, memo):
     """Per config, one layer's own lossy-average seeds replayed on the
     full multiplex, with one shared solve (see ``_layer_results``)."""
-    results = []
-    for cfg, result in zip(cfgs, _layer_results(network, layer_index, cfgs, solver, memo)):
-        started = time.perf_counter()
-        seed_set = SeedSet(result["seed_users"], result["gains"], result["achieved_fraction"])
-        replay = multiplex_lt_propagate(network, set(seed_set.users), cfg.hops)
-        results.append(_result(network, cfg, f"only:{layer_index}", solver, result["coverage_mode"],
-                               seed_set, result["coupled_fraction"], replay,
-                               result["wall_time_ms"] + _ms_since(started)))
-    return results
+    return [
+        _result(network, cfg, f"only:{layer_index}", result["seed_users"], result["gains"],
+                result["coupled_fraction"], result["wall_time_ms"])
+        for cfg, result in zip(cfgs, _layer_results(network, layer_index, cfgs, memo))
+    ]
 
 
-def only_baseline(network, layer_index, cfg, solver="improved"):
+def only_baseline(network, layer_index, cfg):
     """Solve one layer in isolation (coverage target: beta of that
     layer's node count) and replay the seeds on the full multiplex."""
-    (result,) = _only_results(network, layer_index, [cfg], solver, {})
+    (result,) = _only_results(network, layer_index, [cfg], {})
     return result
 
 
@@ -278,11 +263,13 @@ class ExperimentSpec:
     layer count, ``overlap_values`` the forced overlap fraction.  With
     ``beta_of_base`` the coverage target is beta times the universe
     *base* size instead of the realized union, matching fixed-audience
-    protocols.
+    protocols.  Every cell but "direct" runs the lazy greedy with ``T``
+    and ``R``; ``R = 1`` re-evaluates every candidate in every
+    iteration, which is the plain greedy.
 
     A sweep that could only fail cell by cell raises ValueError here:
     no schemes or betas, a beta outside (0, 1], ``hops``, ``T``, ``R``
-    or ``repetitions`` not an integer or below 1, an unknown solver, a ``model`` record
+    or ``repetitions`` not an integer or below 1, a ``model`` record
     that does not build a DiffusionModel, or a ``target_layer`` or
     ``only:<i>`` layer that some network of the sweep lacks.  The model
     is built here once, as ``diffusion_model`` (None for deterministic
@@ -304,7 +291,6 @@ class ExperimentSpec:
     overlap_values: list = None
     beta_of_base: bool = False
     target_layer: int = 1
-    solver: str = "improved"
     out: str = None
 
     def __post_init__(self):
@@ -321,8 +307,6 @@ class ExperimentSpec:
         if min(self.hops, self.T, self.R, self.repetitions) < 1:
             name = next(name for name in ("hops", "T", "R", "repetitions") if getattr(self, name) < 1)
             raise ValueError(f"{name} must be >= 1")
-        if self.solver not in ("improved", "naive"):
-            raise ValueError(f"unknown solver {self.solver!r}")
         self.diffusion_model = _diffusion_model(self)
         layers = self._fewest_layers()
         _check_layer("target_layer", self.target_layer, layers)
@@ -430,12 +414,12 @@ def _effective_beta(spec, network, beta):
     return beta
 
 
-def _results(spec, network, scheme, cfgs, memo):
+def _results(network, scheme, cfgs, memo):
     if scheme == "union":
-        return _union_results(network, cfgs, spec.solver, memo)
+        return _union_results(network, cfgs, memo)
     if scheme.startswith("only:"):
-        return _only_results(network, int(scheme[5:]), cfgs, spec.solver, memo)
-    return _pipeline_results(network, scheme, cfgs, spec.solver)
+        return _only_results(network, int(scheme[5:]), cfgs, memo)
+    return _pipeline_results(network, scheme, cfgs)
 
 
 def _row(spec, network, cell, result):
@@ -489,7 +473,7 @@ def _group_rows(spec, network, cells, memo):
         cfgs = [GreedyConfig(_effective_beta(spec, network, beta), spec.hops, spec.T, spec.R,
                              model=spec.diffusion_model)
                 for *_, beta in cells]
-        results = _results(spec, network, cells[0][3], cfgs, memo)
+        results = _results(network, cells[0][3], cfgs, memo)
         return [_row(spec, network, cell, result) for cell, result in zip(cells, results)]
     except Exception as exc:  # mark the cell, keep the sweep going
         if len(cells) > 1:

@@ -17,7 +17,7 @@ import numpy as np
 from .network import (
     LayerGraph,
     MultiplexNetwork,
-    assign_random_thresholds,
+    fill_missing_thresholds,
     normalize_incoming_weights,
 )
 
@@ -132,7 +132,7 @@ def _network(users, member_sets, probs, rng_seed):
         edges = _er_edges(members, prob, np.random.default_rng(subseed(rng_seed, f"edges/{li}")))
         layer = LayerGraph(li, set(members), edges, {})
         layers.append(normalize_incoming_weights(layer, subseed(rng_seed, f"weights/{li}")))
-    return assign_random_thresholds(MultiplexNetwork(layers), subseed(rng_seed, "thresholds"))
+    return fill_missing_thresholds(MultiplexNetwork(layers), subseed(rng_seed, "thresholds"))
 
 
 def generate(spec):

@@ -285,24 +285,14 @@ def normalize_incoming_weights(layer, rng_seed):
     return LayerGraph(layer.layer_index, set(layer.nodes), edges, dict(layer.thresholds))
 
 
-def assign_random_thresholds(network, rng_seed):
-    """Give every (user, layer) pair an independent threshold in (0, 1].
+def fill_missing_thresholds(network, rng_seed):
+    """Give every (user, layer) pair without a threshold an independent
+    one in (0, 1]; thresholds already set are kept.
 
     Overlapping users draw separately per layer.  Deterministic under
-    the seed: layers in order, nodes in sorted order.
+    the seed: layers in order, nodes in sorted order, one draw per
+    missing threshold.
     """
-    rng = np.random.default_rng(rng_seed)
-    layers = []
-    for layer in network.layers:
-        thresholds = {}
-        for user in sorted(layer.nodes):
-            thresholds[user] = float(1.0 - rng.random())
-        layers.append(LayerGraph(layer.layer_index, set(layer.nodes), dict(layer.edges), thresholds))
-    return MultiplexNetwork(layers)
-
-
-def fill_missing_thresholds(network, rng_seed):
-    """Like :func:`assign_random_thresholds` but keeps thresholds already set."""
     rng = np.random.default_rng(rng_seed)
     layers = []
     for layer in network.layers:

@@ -2,13 +2,15 @@
 
 The greedy solvers work on a coupled network and pick seeds from the
 domain of the user<->node mapping F.  Coverage of a candidate set is
-the diffusion coverage after hop_scale * d hops, counted by node count
-or node weight depending on the configuration, and the target is a
-beta fraction of the corresponding total.  The improved solver keeps a
-max-heap of (possibly stale) marginal gains and alternates cheap light
-iterations (re-evaluate only the top T entries) with periodic heavy
-iterations (every R-th selection re-evaluates everything); the gain
-of the node actually selected is always recomputed fresh.
+the node weight the diffusion activates in hop_scale * d hops (every
+node weighs 1 off the reduced couplings, so there it is the node
+count), and the target is a beta fraction of the total node weight.
+The improved solver keeps a max-heap of (possibly stale) marginal gains
+and alternates cheap light iterations (re-evaluate only the top T
+entries) with periodic heavy iterations (every R-th selection
+re-evaluates everything); the gain of the node actually selected is
+always recomputed fresh.  The pipeline runs it; ``naive_greedy``, which
+it equals at R = 1, is the plain greedy the tests compare against.
 """
 
 from __future__ import annotations
@@ -318,9 +320,9 @@ def export_ilp(coupled, cfg, out):
     for i = 0..hop_scale*hops.  Round-0 actives are the seeds (the
     objective); a node may turn active only if it was active before or
     its incoming active weight reaches its threshold; activity is
-    monotone; coverage in the final round must reach beta times the
-    node count, or the total node weight on the reduced couplings
-    (``CoupledNetwork.default_coverage_mode``).
+    monotone; the node weight active in the final round must reach beta
+    times the total node weight, as in the greedy.  Every node weighs 1
+    off the reduced couplings, where that is beta times the node count.
     Deterministic ordering throughout.  Returns a summary dict.
     """
     graph = coupled.graph
@@ -329,25 +331,17 @@ def export_ilp(coupled, cfg, out):
     var = lambda i, t: f"x_{names[i]}_{t}"
     incoming = graph.in_edges()
     n = len(graph)
-    mode = coupled.default_coverage_mode
 
-    out.write(f"\\ scheme={coupled.scheme} hops={cfg.hops} rounds={rounds}"
-              f" beta={cfg.beta!r} mode={mode}\n")
+    out.write(f"\\ scheme={coupled.scheme} hops={cfg.hops} rounds={rounds} beta={cfg.beta!r}\n")
     out.write("Minimize\n obj:\n")
     for chunk in _terms_lines([f"+ {var(i, 0)}" for i in range(n)]):
         out.write(chunk + "\n")
     out.write("Subject To\n")
-    if mode == "weight":
-        terms = [f"+ {graph.node_weight[i]!r} {var(i, rounds)}"
-                 for i in range(n) if graph.node_weight[i] != 0.0]
-        rhs = cfg.beta * graph.total_weight
-    else:
-        terms = [f"+ {var(i, rounds)}" for i in range(n)]
-        rhs = cfg.beta * n
+    terms = [f"+ {graph.node_weight[i]!r} {var(i, rounds)}" for i in range(n) if graph.node_weight[i] != 0.0]
     out.write(" cover:\n")
     for chunk in _terms_lines(terms):
         out.write(chunk + "\n")
-    out.write(f" >= {rhs!r}\n")
+    out.write(f" >= {cfg.beta * graph.total_weight!r}\n")
     for i in range(n):
         theta = graph.theta[i]
         for t in range(1, rounds + 1):

@@ -14,7 +14,7 @@ every beta at once.
 
 from itertools import combinations
 
-from muxlci import couple_lossy, lt_propagate, overlap_users
+from muxlci import couple, lt_propagate, overlap_users
 from muxlci.experiment import single_layer_network
 
 from lp_solve import max_coverage
@@ -26,7 +26,7 @@ def layer_graphs(network):
     """Single-layer graphs equivalent to direct per-layer diffusion."""
     assert not overlap_users(network), "decomposition needs disjoint layers"
     return [
-        couple_lossy(single_layer_network(layer), "average").graph
+        couple(single_layer_network(layer), "lossy-average").graph
         for layer in network.layers
     ]
 

@@ -220,11 +220,12 @@ def naive_lossy_fold(network, alpha):
 
 
 def reference_outcome(graph, per_hop_idx, hops_used):
-    """Eager outcome: id sets read at once, weight summed over the ids."""
+    """Eager outcome: id sets read at once, weight summed hop by hop in
+    each hop's index order (the order ``diffusion._tally`` adds them in,
+    so a non-integral weight sum does not follow set iteration order)."""
     active = ActiveSet.from_indices(per_hop_idx, graph.node_ids)
-    members = active.members
-    weight = sum(graph.node_weight[graph.index[u]] for u in members)
-    return DiffusionOutcome(active, float(len(members)), weight, hops_used)
+    weight = sum(graph.node_weight[i] for hop in per_hop_idx for i in hop)
+    return DiffusionOutcome(active, float(len(active.members)), weight, hops_used)
 
 
 def reference_multiplex_lt_propagate(network, seeds, hops):
@@ -687,11 +688,11 @@ def reference_run_experiment(spec):
                 effective_beta = min(1.0, beta * spec.synth["universe_size"] / len(network.universe))
             cfg = GreedyConfig(effective_beta, spec.hops, spec.T, spec.R, model=model)
             if scheme == "union":
-                result = ex.union_baseline(network, cfg, solver=spec.solver)
+                result = ex.union_baseline(network, cfg)
             elif scheme.startswith("only:"):
-                result = ex.only_baseline(network, int(scheme[5:]), cfg, solver=spec.solver)
+                result = ex.only_baseline(network, int(scheme[5:]), cfg)
             else:
-                result = ex.solve_pipeline(network, scheme, cfg, solver=spec.solver)
+                result = ex.solve_pipeline(network, scheme, cfg)
             composition = ex.seed_composition(network, result["seed_users"], result["replay_outcome"])
             external = reference_external_influence(network, result["seed_users"], spec.hops,
                                                     spec.target_layer)

@@ -15,7 +15,6 @@ from muxlci import (
     GreedyConfig,
     SynthSpec,
     couple,
-    couple_lossy,
     generate,
     ic_propagate,
     improved_greedy,
@@ -148,7 +147,7 @@ def test_criterion_4_lossy_soundness(corpus200):
             multiplex_lt_propagate(network, seeds, hops).coverage_count / n
         )
         for kind in ("easiness", "involvement", "average"):
-            lossy = couple_lossy(network, kind)
+            lossy = couple(network, "lossy-" + kind)
             out = lt_propagate(lossy.graph, lossy.seed_nodes(seeds), hops)
             lossy_fraction = out.coverage_count / len(lossy.graph)
             checked += 1
@@ -159,7 +158,7 @@ def test_criterion_4_lossy_soundness(corpus200):
     for seed in range(20):
         network = random_network(300 + seed, max_users=40)
         for kind in ("easiness", "involvement", "average"):
-            lossy = couple_lossy(network, kind)
+            lossy = couple(network, "lossy-" + kind)
             chosen = improved_greedy(lossy, GreedyConfig(0.4, 3))
             replay = multiplex_lt_propagate(network, set(chosen.users), 3)
             checked += 1
@@ -203,7 +202,7 @@ def test_criterion_5_near_optimality_small_family():
 
     # cross-check the decomposition against a full-instance program
     # solved from the exported LP text (cheap cells only)
-    flat = couple_lossy(network, "average")
+    flat = couple(network, "lossy-average")
     for beta, hops in ((0.2, 3), (0.3, 4)):
         buffer = io.StringIO()
         export_ilp(flat, GreedyConfig(beta, hops), buffer)

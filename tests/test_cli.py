@@ -8,6 +8,13 @@ import pytest
 
 from muxlci.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_path():
+    """PYTHONPATH for a subprocess that imports the package from this tree."""
+    return os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -229,8 +236,6 @@ def test_involvement_files_independent_of_hash_seed(tmp_path):
     net = tmp_path / "net"
     assert main(["generate", "--preset", "small-ilp", "--seed", "4", "--out", str(net)]) == 0
     layers = ["--layer", str(net / "layer1.txt"), "--layer", str(net / "layer2.txt")]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join([src, os.environ["PYTHONPATH"]]) if os.environ.get("PYTHONPATH") else src
     written = {}
     for hash_seed in ("1", "2"):
         out = tmp_path / hash_seed
@@ -243,7 +248,7 @@ def test_involvement_files_independent_of_hash_seed(tmp_path):
             done = subprocess.run(
                 [sys.executable, "-c", "import sys; from muxlci.cli import main; sys.exit(main(sys.argv[1:]))",
                  *argv],
-                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src_path()},
                 capture_output=True, text=True, timeout=120,
             )
             assert done.returncode == 0, done.stderr
@@ -270,6 +275,13 @@ def test_solve_emits_complete_result(tmp_path, layer_files):
 def test_solve_rejects_unknown_scheme(layer_files, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--layer", layer_files[0], "--scheme", "hexagon"])
+    assert exc.value.code == 2
+
+
+def test_solve_has_no_solver_option(layer_files, capsys):
+    # the pipeline always runs the lazy greedy; --R 1 gives the plain greedy
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--layer", layer_files[0], "--solver", "naive"])
     assert exc.value.code == 2
 
 
@@ -333,6 +345,17 @@ def test_experiment_rejects_bad_sweep(tmp_path, capsys, fields, message):
     code = main(["experiment", "--config", config_path, "--out", str(out)])
     assert code == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_experiment_rejects_solver_field(tmp_path, capsys):
+    config = {"schemes": ["clique"], "betas": [0.4], "hops": 2, "solver": "naive",
+              "synth": {"universe_size": 20, "layer_size": 15, "edge_prob": 0.12, "k": 2}}
+    config_path = write(tmp_path / "exp.json", json.dumps(config))
+    out = tmp_path / "rows.csv"
+    code = main(["experiment", "--config", config_path, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: unknown experiment fields: ['solver']\n"
     assert not out.exists()
 
 
@@ -410,3 +433,13 @@ def test_value_error_exit_code(tmp_path):
         "simulate", "--layer", layer, "--seeds-file", seeds, "--hops", "1", "--seed", "0",
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("script", sorted(path.name for path in (ROOT / "scripts").glob("*.py")))
+def test_script_help_runs(script):
+    # a script that imports a removed name fails here, not at its next study run
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--help"], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": src_path()}, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")

@@ -14,16 +14,15 @@ from muxlci import (
     MultiplexNetwork,
     SynthSpec,
     couple,
-    couple_lossy,
-    easiness,
     generate,
     improved_greedy,
-    involvement,
     lt_propagate,
     multiplex_lt_propagate,
     read_coupled,
     write_coupled,
 )
+
+from muxlci.coupling import _layer_alphas
 
 from conftest import make_layer, random_network, random_seed_users
 from oracles import (
@@ -254,6 +253,14 @@ class TestLosslessBuilderMatchesReference:
         assert list(ours.kinds) == list(ref.kinds)
 
 
+def easiness(network, user, layer_index, floor=1.0):
+    return _layer_alphas(network.layer_by_index(layer_index), "easiness", floor)[user]
+
+
+def involvement(network, user, layer_index, floor=1.0):
+    return _layer_alphas(network.layer_by_index(layer_index), "involvement", floor)[user]
+
+
 class TestLossyParameters:
     def test_easiness_easy_and_hard_layers(self):
         friends = [f"f{i}" for i in range(8)]
@@ -276,6 +283,9 @@ class TestLossyParameters:
         network = MultiplexNetwork([layer])
         assert easiness(network, "v", 1) == 1.0
         assert easiness(network, "v", 1, floor=0.25) == 0.25
+        # the floor reaches the coupling: v's folded threshold is floor * theta
+        coupled = couple(network, "lossy-easiness", floor=0.25)
+        assert coupled.graph.theta[coupled.graph.index["v"]] == 0.25 * 0.5
 
     def test_involvement_bidirectional_triangle(self):
         nodes = {"a": 0.5, "b": 0.5, "c": 0.5}
@@ -304,18 +314,20 @@ class TestLossyParameters:
         layer = make_layer(1, {}, {"v": 0.5})
         network = MultiplexNetwork([layer])
         assert involvement(network, "v", 1, floor=2.5) == 2.5
+        coupled = couple(network, "lossy-involvement", floor=2.5)
+        assert coupled.graph.theta[coupled.graph.index["v"]] == 2.5 * 0.5
 
     def test_incomplete_layer_rejected(self):
         network = MultiplexNetwork([make_layer(1, {("a", "b"): None}, {"a": 0.5, "b": 0.5})])
-        for multiplier in (easiness, involvement):
+        for scheme in ("lossy-easiness", "lossy-involvement"):
             with pytest.raises(ValueError, match="unset weight"):
-                multiplier(network, "a", 1)
+                couple(network, scheme)
 
     def test_non_finite_threshold_named(self):
         network = MultiplexNetwork([make_layer(1, {("a", "b"): 1.0}, {"a": 0.5, "b": math.nan})])
-        for multiplier in (easiness, involvement):
+        for scheme in ("lossy-easiness", "lossy-involvement"):
             with pytest.raises(ValueError, match="layer 1: node 'b' threshold nan is not finite"):
-                multiplier(network, "a", 1)
+                couple(network, scheme)
 
 
 def lossy_corner_network(seed):
@@ -338,18 +350,17 @@ def lossy_corner_network(seed):
 
 
 class TestLossyMultipliersMatchReference:
-    """The one-pass multipliers equal per-user full scans bit for bit."""
+    """The one-pass multipliers equal per-user full scans bit for bit,
+    and the coupling folds them as the reference does."""
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.floats(min_value=0.05, max_value=4.0))
     def test_alphas_and_folded_coupling_exact(self, seed, floor):
         network = lossy_corner_network(seed)
-        for kind, fast, slow in (("easiness", easiness, naive_easiness),
-                                 ("involvement", involvement, naive_involvement)):
+        for kind, slow in (("easiness", naive_easiness), ("involvement", naive_involvement)):
             for layer in network.layers:
-                for user in sorted(layer.nodes):
-                    assert fast(network, user, layer.layer_index, floor) == \
-                        slow(network, user, layer.layer_index, floor)
+                assert _layer_alphas(layer, kind, floor) == {
+                    user: slow(network, user, layer.layer_index, floor) for user in layer.nodes}
             thresholds, edges = naive_lossy_fold(
                 network, lambda u, i: slow(network, u, i, floor))
             graph = couple(network, "lossy-" + kind, floor=floor).graph
@@ -364,7 +375,7 @@ class TestLossyCoupling:
     def test_average_single_layer_is_identity(self):
         network = random_network(29, max_users=15, max_layers=1)
         layer = network.layers[0]
-        coupled = couple_lossy(network, "average")
+        coupled = couple(network, "lossy-average")
         assert set(coupled.graph.node_ids) == layer.nodes
         for (u, v), w in layer.edges.items():
             iu = coupled.graph.index[u]
@@ -375,18 +386,18 @@ class TestLossyCoupling:
     def test_average_thresholds_sum_over_layers(self):
         layer1 = make_layer(1, {}, {"u": 0.3, "v": 0.5})
         layer2 = make_layer(2, {}, {"u": 0.2, "v": 0.4})
-        coupled = couple_lossy(MultiplexNetwork([layer1, layer2]), "average")
+        coupled = couple(MultiplexNetwork([layer1, layer2]), "lossy-average")
         assert coupled.graph.theta[coupled.graph.index["u"]] == pytest.approx(0.5)
 
     def test_node_count_is_user_count(self, four_user_three_layer):
         for kind in ("easiness", "involvement", "average"):
-            coupled = couple_lossy(four_user_three_layer, kind)
+            coupled = couple(four_user_three_layer, "lossy-" + kind)
             assert len(coupled.graph) == 4
             assert coupled.hop_scale == 1
 
     def test_zero_weight_edges_dropped(self):
         layer = make_layer(1, {("a", "b"): 0.0, ("b", "a"): 1.0}, {"a": 0.5, "b": 0.5})
-        coupled = couple_lossy(MultiplexNetwork([layer]), "average")
+        coupled = couple(MultiplexNetwork([layer]), "lossy-average")
         assert edge_count(coupled.graph) == 1
 
     @given(st.integers(min_value=0, max_value=120), st.integers(min_value=1, max_value=3))
@@ -398,7 +409,7 @@ class TestLossyCoupling:
             / len(network.universe)
         )
         for kind in ("easiness", "involvement", "average"):
-            coupled = couple_lossy(network, kind)
+            coupled = couple(network, "lossy-" + kind)
             out = lt_propagate(coupled.graph, coupled.seed_nodes(seeds), hops)
             lossy_fraction = out.coverage_count / len(coupled.graph)
             assert direct_fraction >= lossy_fraction - 1e-12

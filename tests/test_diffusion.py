@@ -325,6 +325,13 @@ def corner_graph(seed):
     return InfluenceGraph(names, edges, thetas, node_weights), seeds
 
 
+def fractional_weights(graph, rng):
+    """``graph`` with its node weights redrawn from non-integral values."""
+    edges, thetas, _ = TestGraphPreconditions.parts(graph)
+    weights = {u: rng.choice([0.1, 0.2, 0.3, 1.0, 2.5]) for u in graph.node_ids}
+    return InfluenceGraph(graph.node_ids, edges, thetas, weights)
+
+
 def corner_multiplex(seed):
     """Random multiplex for the kernel differential test: one to three
     layers over random subsets of the users (so some users join one
@@ -372,9 +379,13 @@ class TestKernelMatchesReference:
     eager touched-set sweep exactly, and both Monte Carlo engines equal
     their written-out loops."""
 
-    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5))
-    def test_lt_propagate_exact(self, seed, hops):
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5), st.booleans())
+    def test_lt_propagate_exact(self, seed, hops, fractional):
+        import random
+
         graph, seeds = corner_graph(seed)
+        if fractional:
+            graph = fractional_weights(graph, random.Random(seed))
         assert_same_outcome(lt_propagate(graph, seeds, hops), reference_lt_propagate(graph, seeds, hops))
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5),
@@ -447,9 +458,7 @@ def delta_case(seed, hops, added, fractional):
     graph, seeds = corner_graph(seed)
     rng = random.Random(seed)
     if fractional:
-        edges, thetas, _ = TestGraphPreconditions.parts(graph)
-        weights = {u: rng.choice([0.1, 0.2, 0.3, 1.0, 2.5]) for u in graph.node_ids}
-        graph = InfluenceGraph(graph.node_ids, edges, thetas, weights)
+        graph = fractional_weights(graph, rng)
     base = lt_propagate(graph, seeds, hops)
     reached = base.active.per_hop[1:]
     if added == "random" or not reached:

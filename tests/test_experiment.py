@@ -5,6 +5,7 @@ import pytest
 from muxlci import (
     DiffusionModel,
     GreedyConfig,
+    brute_force_optimal,
     multiplex_lt_propagate,
     overlap_users,
 )
@@ -50,23 +51,20 @@ class TestSolvePipeline:
 
     def test_metadata_complete(self, overlap_network):
         result = solve_pipeline(overlap_network, "clique", GreedyConfig(0.4, 2))
-        for key in ("scheme", "beta", "hops", "T", "R", "seed_users", "gains",
-                    "seed_size", "wall_time_ms", "model", "network", "version"):
-            assert key in result
-
-    @pytest.mark.parametrize("scheme,mode", [
-        ("reduced-clique", "weight"), ("reduced-star", "weight"), ("clique", "count"),
-    ])
-    def test_reports_coverage_mode_used(self, overlap_network, scheme, mode):
-        # the greedy counts node weight, which is 1 off the reduced couplings
-        result = solve_pipeline(overlap_network, scheme, GreedyConfig(0.5, 3))
-        assert result["coverage_mode"] == mode
+        assert set(result) == {
+            "scheme", "beta", "hops", "T", "R", "seed_users", "gains", "seed_size",
+            "achieved_fraction", "coupled_fraction", "replayed_fraction", "replay_outcome",
+            "wall_time_ms", "model", "network", "version",
+        }
 
     def test_direct_uses_brute_force(self):
         network = random_network(151, max_users=8)
         result = solve_pipeline(network, "direct", GreedyConfig(0.6, 2))
-        assert result["solver"] == "brute-force"
-        assert result["replayed_fraction"] >= 0.6 - 1e-9
+        optimum = brute_force_optimal(network, 0.6, 2)
+        assert result["seed_users"] == optimum.users
+        assert result["gains"] == optimum.gains
+        assert result["achieved_fraction"] == result["replayed_fraction"] == optimum.achieved_fraction
+        assert result["coupled_fraction"] is None
 
 
 class TestBaselines:
@@ -250,7 +248,7 @@ class TestRunExperiment:
         ({"hops": 0}, "hops must be >= 1"),
         ({"T": 0}, "T must be >= 1"),
         ({"R": 0}, "R must be >= 1"),
-        ({"solver": "improvd"}, "unknown solver 'improvd'"),
+        ({"schemes": ["clique", "only:x"]}, "unknown scheme 'only:x'"),
         ({"target_layer": 5}, "target_layer: layer 5 is missing from a network of 2 layers"),
         ({"target_layer": 0}, "target_layer: layer 0 is missing"),
         ({"target_layer": 3, "k_values": [3, 2]}, "target_layer: layer 3 is missing from a network of 2"),
@@ -322,7 +320,7 @@ class TestSharedSolve:
          "betas": [0.6, 0.3, 0.6, 0.45], "hops": 2, "repetitions": 2, "base_seed": 12,
          "synth": TINY, "k_values": [3, 2], "beta_of_base": True},
         {"schemes": ["clique", "reduced-star", "lossy-involvement", "union", "only:2"],
-         "betas": [0.5, 0.2, 0.5], "hops": 2, "base_seed": 5, "solver": "naive",
+         "betas": [0.5, 0.2, 0.5], "hops": 2, "base_seed": 5, "R": 1,
          "synth": SMALL, "model": {"kind": "independent_cascade", "mc_samples": 8, "rng_seed": 3}},
         {"schemes": ["star", "reduced-clique", "lossy-average", "union", "only:1"],
          "betas": [0.4, 0.7, 0.15], "hops": 2, "base_seed": 6,
@@ -400,8 +398,8 @@ class TestSharedSolve:
 
         cfgs = [GreedyConfig(beta, 2) for beta in (0.3, 0.6)]
         memo = {}
-        union = experiment._union_results(overlap_network, cfgs, "improved", memo)
-        only = experiment._only_results(overlap_network, 2, cfgs, "improved", memo)
+        union = experiment._union_results(overlap_network, cfgs, memo)
+        only = experiment._only_results(overlap_network, 2, cfgs, memo)
         assert len(memo) == 2
         for i, cfg in enumerate(cfgs):
             layer_ms = {layer: results[i]["wall_time_ms"] for (layer, _), results in memo.items()}

@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 from muxlci import (
     LayerFormatError,
     MultiplexNetwork,
+    LayerGraph,
     apply_aliases,
-    assign_random_thresholds,
+    fill_missing_thresholds,
     load_alias_map,
     load_layer,
     normalize_incoming_weights,
@@ -122,20 +123,24 @@ class TestNormalize:
         assert result.in_weight_sums().get("a") is None
 
 
+def unset_thresholds(network):
+    return MultiplexNetwork([LayerGraph(layer.layer_index, set(layer.nodes), dict(layer.edges), {})
+                             for layer in network.layers])
+
+
 class TestThresholds:
     def test_deterministic_under_seed(self, two_layer_toy):
-        one = assign_random_thresholds(two_layer_toy, 7)
-        two = assign_random_thresholds(two_layer_toy, 7)
+        one = fill_missing_thresholds(unset_thresholds(two_layer_toy), 7)
+        two = fill_missing_thresholds(unset_thresholds(two_layer_toy), 7)
         for la, lb in zip(one.layers, two.layers):
             assert la.thresholds == lb.thresholds
+            assert set(la.thresholds) == la.nodes
 
     def test_overlapping_user_draws_independently(self, two_layer_toy):
-        network = assign_random_thresholds(two_layer_toy, 7)
+        network = fill_missing_thresholds(unset_thresholds(two_layer_toy), 7)
         assert network.layers[0].thresholds["b"] != network.layers[1].thresholds["b"]
 
     def test_fill_missing_keeps_provided_values(self):
-        from muxlci import fill_missing_thresholds
-
         layer = make_layer(1, {("a", "b"): 1.0}, {"a": 0.25})
         network = fill_missing_thresholds(MultiplexNetwork([layer]), 3)
         filled = network.layers[0].thresholds
@@ -143,10 +148,11 @@ class TestThresholds:
         assert 0.0 < filled["b"] <= 1.0
 
     def test_empirical_mean_near_half(self):
-        users = {f"u{i}": 0.5 for i in range(100)}
-        layers = [make_layer(1, {}, users), make_layer(2, {}, users)]
-        network = assign_random_thresholds(MultiplexNetwork(layers), 123)
+        users = {f"u{i}" for i in range(100)}
+        layers = [LayerGraph(1, set(users), {}, {}), LayerGraph(2, set(users), {}, {})]
+        network = fill_missing_thresholds(MultiplexNetwork(layers), 123)
         draws = [t for layer in network.layers for t in layer.thresholds.values()]
+        assert len(draws) == 200
         mean = sum(draws) / len(draws)
         assert 0.4 <= mean <= 0.6
         assert all(0.0 < t <= 1.0 for t in draws)

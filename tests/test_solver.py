@@ -1,9 +1,11 @@
 import io
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from muxlci import (
+    COUPLING_SCHEMES,
     DiffusionModel,
     GreedyConfig,
     InfluenceGraph,
@@ -106,15 +108,20 @@ class TestImprovedGreedy:
         assert len(seed_set.users) == 1
 
     def test_degenerate_parameters_equal_naive(self):
-        for seed in (91, 92, 93):
-            network = random_network(seed, max_users=25)
-            coupled = couple(network, "clique")
-            reference = naive_greedy(coupled, GreedyConfig(0.6, 2))
-            collapsed = improved_greedy(
-                coupled, GreedyConfig(0.6, 2, T=len(coupled.user_of), R=1)
-            )
-            assert collapsed.users == reference.users
-            assert collapsed.gains == pytest.approx(reference.gains)
+        # R = 1 re-evaluates every candidate in every iteration: the plain
+        # greedy, in users, gains, coverages and fractions.  Lossy
+        # thresholds fold above 1, outside the stochastic bars' range.
+        lossless = ("clique", "star", "reduced-clique", "reduced-star")
+        for kind, schemes in (("linear_threshold", COUPLING_SCHEMES),
+                              ("independent_cascade", COUPLING_SCHEMES),
+                              ("stochastic_threshold", lossless)):
+            for seed in (91, 92, 93):
+                network = random_network(seed, max_users=40)
+                model = None if kind == "linear_threshold" else DiffusionModel(kind, mc_samples=6, rng_seed=seed)
+                cfg = GreedyConfig(0.9, 2, model=model)
+                for scheme in schemes:
+                    coupled = couple(network, scheme, model_kind=kind)
+                    assert improved_greedy(coupled, replace(cfg, R=1)) == naive_greedy(coupled, cfg), (kind, scheme)
 
     def test_default_parameters_match_naive_size(self):
         for seed in (101, 102, 103, 104):
@@ -466,11 +473,16 @@ class TestIlpExport:
         assert names == ["x_n0_0", "x_n0_1", "x_n1_0", "x_n1_1"]
 
     def test_weight_mode_uses_node_weights(self, two_layer_toy):
+        # the cover row is the greedy's coverage: node weights, rhs beta * total weight
         coupled = couple(two_layer_toy, "reduced-clique")
         buffer = io.StringIO()
         export_ilp(coupled, GreedyConfig(0.5, 1), buffer)
-        text = buffer.getvalue()
-        assert "mode=weight" in text.splitlines()[0]
+        _, matrix, lower, _ = parse_lp(buffer.getvalue())
+        graph = coupled.graph
+        # variables run node by node over rounds 0..2; the cover row reads round 2
+        assert list(matrix.toarray()[0][2::3]) == graph.node_weight
+        assert lower[0] == 0.5 * graph.total_weight
+        assert 0.0 in graph.node_weight  # a user in every layer weighs 0 and drops out of the row
 
     def test_deterministic_output(self, four_user_three_layer):
         coupled = couple(four_user_three_layer, "clique")
