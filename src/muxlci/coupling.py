@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .diffusion import INDEPENDENT_CASCADE, InfluenceGraph
+from .diffusion import INDEPENDENT_CASCADE, STOCHASTIC_THRESHOLD, InfluenceGraph
 from .network import _require_complete
 
 GATEWAY = "gateway"
@@ -278,6 +278,22 @@ def couple(network, scheme, model_kind="linear_threshold", floor=1.0):
     if scheme.startswith("lossy-"):
         return _couple_lossy(network, scheme[len("lossy-"):], floor)
     raise ValueError(f"unknown coupling scheme {scheme!r}")
+
+
+def check_scheme_model(scheme, model):
+    """Raise ValueError when coupling by ``scheme`` cannot serve the
+    DiffusionModel ``model`` (None for deterministic linear threshold).
+
+    A stochastic-threshold model with unset ``st_bounds`` draws each
+    node's threshold up to its coupled threshold, which must lie in
+    (0, 1].  A lossy coupling folds the layer thresholds into sums above
+    1, so it needs explicit bounds.
+    """
+    if (scheme.startswith("lossy-") and model is not None
+            and model.kind == STOCHASTIC_THRESHOLD and model.st_bounds is None):
+        raise ValueError(
+            f"scheme {scheme!r} cannot run the stochastic threshold model without st_bounds: "
+            "a lossy coupling folds thresholds above 1, which cannot be stochastic-threshold bounds")
 
 
 def write_coupled(coupled, edges_stream, manifest_stream):

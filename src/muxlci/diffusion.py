@@ -234,12 +234,12 @@ class InfluenceGraph:
 
 
 def _seed_indices(graph, seeds):
-    indices = []
-    for seed in seeds:
-        if seed not in graph.index:
-            raise ValueError(f"unknown seed id {seed!r}")
-        indices.append(graph.index[seed])
-    return sorted(set(indices))
+    """The sorted, distinct indices of the seed ids."""
+    index = graph.index
+    try:
+        return sorted({index[seed] for seed in seeds})
+    except KeyError as missing:
+        raise ValueError(f"unknown seed id {missing.args[0]!r}") from None
 
 
 def _tally(graph, per_hop_idx):
@@ -313,6 +313,25 @@ def _base_hops(graph, base, hops):
 _first = itemgetter(0)
 
 
+def _sorted_sum(in_edges, hop, t, inf):
+    """(the weights of ``in_edges`` from nodes active before hop ``t``,
+    summed by hop, then by source index; the earliest hop >= t among the
+    other sources, or ``inf``)."""
+    received = []
+    soonest = inf
+    for u, w in in_edges:
+        h = hop[u]
+        if h < t:
+            received.append((h, w))
+        elif h < soonest:
+            soonest = h
+    received.sort(key=_first)
+    total = 0.0
+    for _, w in received:
+        total += w
+    return total, soonest
+
+
 def _lt_delta(graph, seed_idx, hops, base):
     """Linear threshold from ``seed_idx``, started from the activation
     hops of ``base``, a run from a subset of those seeds; returns the
@@ -329,7 +348,8 @@ def _lt_delta(graph, seed_idx, hops, base):
     sum is that run's float bit for bit.  A float sum in a new order can
     fall short of the base's; a node whose re-check fails at its base hop
     is then lost, and its out-neighbours are re-checked too.  Every field
-    of the outcome equals the run without a base.
+    of the outcome equals the run without a base.  The outcome keeps its
+    activation hops, so it serves as a base in turn at no extra cost.
     """
     base_hop, sizes = _base_hops(graph, base, hops)
     incoming, out, bar, node_weight = graph.in_edges(), graph.out, graph.bar, graph.node_weight
@@ -339,8 +359,7 @@ def _lt_delta(graph, seed_idx, hops, base):
     inf = hops + 1
     hop = base_hop[:]
     count, weight = base.coverage_count, base.coverage_weight
-    left = [0] * len(sizes)  # per base level, the nodes whose hop moved away from it
-    top = 0  # the latest hop of a node whose hop changed
+    level = sizes + [0] * (inf - len(sizes))  # node count per hop 0..hops
     changed = [i for i in seed_idx if hop[i]]
     if len(seed_idx) - len(changed) != sizes[0]:
         raise ValueError("base seeds must be a subset of the seeds")
@@ -349,10 +368,11 @@ def _lt_delta(graph, seed_idx, hops, base):
             count += 1
             weight += node_weight[i]
         else:
-            left[hop[i]] += 1
+            level[hop[i]] -= 1
         hop[i] = 0
+    level[0] = len(seed_idx)
     lost = []  # nodes that failed a re-check at their base hop
-    later = {}  # hop -> nodes to re-check then
+    later = {}  # hop -> worklist of the nodes to re-check then
     t = 0
     while True:
         # the next hop with work: right after a change, else the next re-check due
@@ -364,68 +384,69 @@ def _lt_delta(graph, seed_idx, hops, base):
             break
         if t > hops:
             break
-        # an edge that alone reaches its target's bar activates it without
-        # a re-check: a float sum of non-negative terms is at least each term
-        check = set()
-        sure = set()
+        # node -> True when an edge from a node whose hop changed to t-1
+        # alone reaches its bar: a float sum of non-negative terms is at
+        # least each term, so the node activates without a re-check
+        work = later.pop(t, {})
         for u in changed:
             for v, w in out[u]:
                 if hop[v] >= t:
                     if w >= bar[v]:
-                        sure.add(v)
-                    else:
-                        check.add(v)
-        if lost:
-            check.update(v for u in lost for v, _ in out[u])
-        check.update(later.pop(t, ()))
-        check -= sure
+                        work[v] = True
+                    elif v not in work:
+                        work[v] = False
+        for u in lost:
+            for v, _ in out[u]:
+                work.setdefault(v, False)
         changed, lost = [], []
-        for v in chain(sure, check):
+        for v, sure in work.items():
             if hop[v] < t:
                 continue
             b = base_hop[v]
-            if v not in sure:
-                received = []
+            if not sure:
+                # in-weights in source order are in _lt_rounds' order while
+                # their hops do not fall; the first fall re-sums them sorted
+                total = 0.0
                 soonest = inf
+                last = 0
                 for u, w in incoming[v]:
                     h = hop[u]
-                    if h < t:
-                        received.append((h, w))
-                    elif h < soonest:
-                        soonest = h
-                if len(received) > 2:
-                    received.sort(key=_first)
-                total = 0.0
-                for _, w in received:
-                    total += w
+                    if h >= t:
+                        if h < soonest:
+                            soonest = h
+                    elif h >= last:
+                        last = h
+                        total += w
+                    else:
+                        total, soonest = _sorted_sum(incoming[v], hop, t, inf)
+                        break
                 if total < bar[v]:
                     if b == t:
                         hop[v] = inf
                         lost.append(v)
-                        left[b] += 1
+                        level[t] -= 1
                         count -= 1
                         weight -= node_weight[v]
                     nxt = soonest + 1 if b <= t else min(soonest + 1, b)
                     if nxt <= hops:
-                        later.setdefault(nxt, []).append(v)
+                        later.setdefault(nxt, {})[v] = False
                     continue
-            hop[v] = t
             if b != t:
+                hop[v] = t
                 changed.append(v)
-                top = t
+                level[t] += 1
                 if b < t or b > hops:
                     count += 1
                     weight += node_weight[v]
                 else:
-                    left[b] += 1
-    used = top
-    for t in range(len(sizes) - 1, top, -1):
-        if sizes[t] > left[t]:
-            used = t
-            break
+                    level[b] -= 1
+    used = hops
+    while used and not level[used]:
+        used -= 1
+    del level[used + 1:]
 
     def levels():
-        per_hop = [[] for _ in range(used + 1)]
+        per_hop = [[] for _ in level]
         for i, h in enumerate(hop):
             if h <= used:
                 per_hop[h].append(i)
@@ -437,7 +458,9 @@ def _lt_delta(graph, seed_idx, hops, base):
         per_hop = levels()
         weight = _tally(graph, per_hop)[1]
         active = ActiveSet.from_indices(per_hop, graph.node_ids)
-    return DiffusionOutcome(active, count, weight, used, (graph, hops))
+    outcome = DiffusionOutcome(active, count, weight, used, (graph, hops))
+    outcome._base_hops = (hop, level)
+    return outcome
 
 
 def lt_propagate(graph, seeds, hops, base=None):

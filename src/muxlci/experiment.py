@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .coupling import COUPLING_SCHEMES, couple
+from .coupling import COUPLING_SCHEMES, check_scheme_model, couple
 from .diffusion import DiffusionModel, LINEAR_THRESHOLD, _layer_lt_propagate, multiplex_lt_propagate
 from .generator import SynthSpec, generate, subseed
 from .network import MultiplexNetwork, overlap_users
@@ -144,10 +144,13 @@ def solve_pipeline(network, scheme, cfg):
     fraction and the replayed direct-multiplex fraction.  The greedy
     counts coverage by node weight; every node weighs 1 off the reduced
     couplings, where that is the node count.  "direct" searches the
-    multiplex by brute force instead.  Raises RuntimeError if the
+    multiplex by brute force instead.  Raises ValueError before coupling
+    for a scheme the model cannot run (see
+    :func:`~muxlci.coupling.check_scheme_model`), and RuntimeError if the
     replayed fraction misses the target (which a correct coupling
     cannot produce).
     """
+    check_scheme_model(scheme, cfg.model)
     (result,) = _pipeline_results(network, scheme, [cfg])
     return result
 
@@ -270,8 +273,10 @@ class ExperimentSpec:
     A sweep that could only fail cell by cell raises ValueError here:
     no schemes or betas, a beta outside (0, 1], ``hops``, ``T``, ``R``
     or ``repetitions`` not an integer or below 1, a ``model`` record
-    that does not build a DiffusionModel, or a ``target_layer`` or
-    ``only:<i>`` layer that some network of the sweep lacks.  The model
+    that does not build a DiffusionModel, a lossy scheme under a
+    stochastic-threshold model without ``st_bounds``
+    (:func:`~muxlci.coupling.check_scheme_model`), or a ``target_layer``
+    or ``only:<i>`` layer that some network of the sweep lacks.  The model
     is built here once, as ``diffusion_model`` (None for deterministic
     linear threshold), and every cell uses it.
     """
@@ -312,6 +317,7 @@ class ExperimentSpec:
         _check_layer("target_layer", self.target_layer, layers)
         for scheme in self.schemes:
             if scheme in COUPLING_SCHEMES or scheme in BASELINE_SCHEMES:
+                check_scheme_model(scheme, self.diffusion_model)
                 continue
             if scheme.startswith("only:") and scheme[5:].isdigit():
                 _check_layer(scheme, int(scheme[5:]), layers)

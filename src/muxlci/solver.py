@@ -150,10 +150,10 @@ def marginal_gain(coupled, current, candidate, cfg, base_coverage=None, rng_seed
         raise ValueError(f"candidate {candidate!r} is not a seedable node")
     if base_coverage is None:
         if base is None:
-            base_coverage = _coverage(coupled, sorted(current), cfg, rng_seed)
+            base_coverage = _coverage(coupled, current, cfg, rng_seed)
         else:
             base_coverage = base.coverage_weight
-    joint = _propagate(coupled, sorted(set(current) | {candidate}), cfg, rng_seed, base)
+    joint = _propagate(coupled, [*current, candidate], cfg, rng_seed, base)
     return joint.coverage_weight - base_coverage
 
 
@@ -189,7 +189,7 @@ def naive_greedy(coupled, cfg):
         base = _coverage(coupled, selected, cfg, seed)
         best, best_gain = None, None
         for candidate in remaining:
-            gain = _coverage(coupled, sorted(selected + [candidate]), cfg, seed) - base
+            gain = _coverage(coupled, [*selected, candidate], cfg, seed) - base
             if best_gain is None or gain > best_gain:
                 best, best_gain = candidate, gain
         selected.append(best)
@@ -217,8 +217,10 @@ def improved_greedy(coupled, cfg):
     selected seeds is handed to every heavy, light and fresh evaluation
     (``lt_propagate``'s ``base``): the joint run then re-checks only the
     nodes whose activation hop the candidate moves earlier, and the
-    in-edges of each, with the same result.  Heap initialisation and the
-    base runs stay full runs.
+    in-edges of each, with the same result.  From the second iteration
+    on, the base run itself starts from the previous iteration's fresh
+    run, which has the same seeds, so it changes no hop and costs O(n).
+    Heap initialisation and the first base run are full runs.
     """
     graph = coupled.graph
     total = graph.total_weight
@@ -233,12 +235,13 @@ def improved_greedy(coupled, cfg):
     ]
     heapq.heapify(heap)
     counter = 0
+    last = None  # the previous iteration's fresh run, under deterministic LT
     while not meets_fraction(coverage, cfg.beta, total):
         if not heap:
             raise ValueError("coverage target unreachable: candidate pool exhausted")
         counter += 1
         seed = _iteration_seed(cfg, counter)
-        run = _propagate(coupled, selected, cfg, seed)
+        run = _propagate(coupled, selected, cfg, seed, last)
         base = run.coverage_weight
         start = run if delta and len(selected) >= DELTA_MIN_SEEDS else None
         if counter % cfg.R == 0:
@@ -256,7 +259,10 @@ def improved_greedy(coupled, cfg):
             for entry in refreshed:
                 heapq.heappush(heap, entry)
         _, _, node = heapq.heappop(heap)
-        fresh = marginal_gain(coupled, selected, node, cfg, base, seed, start)
+        joint = _propagate(coupled, [*selected, node], cfg, seed, start)
+        fresh = joint.coverage_weight - base
+        if delta:
+            last = joint
         selected.append(node)
         gains.append(fresh)
         coverage = base + fresh

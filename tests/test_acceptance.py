@@ -172,6 +172,7 @@ def test_criterion_4_lossy_soundness(corpus200):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_near_optimality_small_family():
     from lp_solve import solve_lp_minimum
     from optimality import optimum_for_targets

@@ -285,6 +285,26 @@ def test_solve_has_no_solver_option(layer_files, capsys):
     assert exc.value.code == 2
 
 
+def test_solve_rejects_lossy_stochastic_threshold_before_coupling(tmp_path, layer_files, capsys, monkeypatch):
+    # lossy couplings fold thresholds above 1, which cannot bound stochastic thresholds
+    import muxlci.experiment
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coupled a scheme the model cannot run")
+
+    monkeypatch.setattr(muxlci.experiment, "couple", refuse)
+    code = main([
+        "solve", "--layer", layer_files[0], "--layer", layer_files[1],
+        "--scheme", "lossy-average", "--model", "st", "--mc-samples", "5",
+        "--beta", "0.4", "--hops", "3", "--out", str(tmp_path / "result.json"),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "'lossy-average' cannot run the stochastic threshold model without st_bounds" in err
+    assert "folds thresholds above 1" in err
+    assert not (tmp_path / "result.json").exists()
+
+
 def test_export_ilp_writes_program(tmp_path, layer_files, capsys):
     out = tmp_path / "model.lp"
     code = main([

@@ -518,6 +518,23 @@ class TestDeltaMatchesFullRun:
         assert joint.active.per_hop == [{"x0", "x1", "x2"}]
         assert_same_outcome(joint, lt_propagate(graph, {"x0", "x1", "x2"}, 3))
 
+    def test_recheck_sums_by_hop_when_sources_activate_out_of_index_order(self):
+        # v's in-neighbours a, b, c (by index) activate at hops 1, 0, 0 in
+        # the joint run, so the run sums 0.2 + 0.1 + 0.3 = 0.6000000000000001
+        # where index order gives 0.3 + 0.2 + 0.1 = 0.6, and v's bar is
+        # 0.6000000000000001: the re-check must sort by hop to activate v
+        graph = InfluenceGraph(
+            ["a", "b", "c", "v", "s"],
+            [("s", "a", 1.0), ("a", "v", 0.3), ("b", "v", 0.2), ("c", "v", 0.1)],
+            {"a": 0.5, "b": 0.5, "c": 0.5, "v": 0.6000000000010001, "s": 0.5},
+        )
+        assert graph.bar[graph.index["v"]] == 0.2 + 0.1 + 0.3 > 0.3 + 0.2 + 0.1
+        base = lt_propagate(graph, {"s", "b"}, 3)
+        assert base.active.members == {"s", "b", "a"}
+        joint = lt_propagate(graph, {"s", "b", "c"}, 3, base=base)
+        assert joint.active.per_hop == [{"s", "b", "c"}, {"a"}, {"v"}]
+        assert_same_outcome(joint, lt_propagate(graph, {"s", "b", "c"}, 3))
+
     def test_unfit_base_rejected(self):
         graph = small_random_graph(3)
         base = lt_propagate(graph, {"n0", "n1"}, 3)

@@ -284,6 +284,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(**spec)
 
+    @pytest.mark.parametrize("scheme", ["lossy-average", "lossy-easiness", "lossy-involvement"])
+    def test_lossy_stochastic_threshold_without_bounds_rejected_at_spec_load(self, scheme):
+        spec = {"schemes": ["clique", scheme], "betas": [0.5], "hops": 2,
+                "model": {"kind": "stochastic_threshold", "mc_samples": 4},
+                "synth": {"universe_size": 10, "layer_size": 8, "edge_prob": 0.1, "k": 2}}
+        with pytest.raises(ValueError, match=f"{scheme!r} cannot run .*folds thresholds above 1"):
+            ExperimentSpec(**spec)
+        # explicit bounds, another model or a lossless scheme are fine
+        ExperimentSpec(**{**spec, "model": {**spec["model"], "st_bounds": 0.5}})
+        ExperimentSpec(**{**spec, "model": {"kind": "independent_cascade", "mc_samples": 4}})
+        ExperimentSpec(**{**spec, "schemes": ["clique", "union", "only:2"]})
+
     def test_model_built_once_at_spec_load(self):
         spec = ExperimentSpec(schemes=["clique"], betas=[0.5], hops=2,
                               model={"kind": "independent_cascade", "mc_samples": 4, "rng_seed": 9},
@@ -322,7 +334,10 @@ class TestSharedSolve:
         {"schemes": ["clique", "reduced-star", "lossy-involvement", "union", "only:2"],
          "betas": [0.5, 0.2, 0.5], "hops": 2, "base_seed": 5, "R": 1,
          "synth": SMALL, "model": {"kind": "independent_cascade", "mc_samples": 8, "rng_seed": 3}},
-        {"schemes": ["star", "reduced-clique", "lossy-average", "union", "only:1"],
+        # union and only:<i> couple each layer alone by lossy-average, which
+        # keeps its thresholds in (0, 1]; the lossy schemes themselves are
+        # rejected at spec load without st_bounds
+        {"schemes": ["star", "reduced-clique", "union", "only:1"],
          "betas": [0.4, 0.7, 0.15], "hops": 2, "base_seed": 6,
          "synth": {**SMALL, "universe_size": 30}, "overlap_values": [0.4, 0.7],
          "model": {"kind": "stochastic_threshold", "mc_samples": 8, "rng_seed": 4}},

@@ -251,7 +251,7 @@ class TestOracleCallCount:
 
         def counting(graph, seeds, hops, base=None):
             outcome = original(graph, seeds, hops, base=base)
-            calls.append((outcome, base))
+            calls.append((outcome, base, graph, list(seeds), hops))
             return outcome
 
         monkeypatch.setattr(muxlci.solver, "lt_propagate", counting)
@@ -261,23 +261,29 @@ class TestOracleCallCount:
         seed_set = improved_greedy(coupled, GreedyConfig(0.6, 2, T=T, R=R))
         selections = len(seed_set.users)
         assert len(calls) == expected_oracle_calls(domain, T, R, selections)
-        for outcome, _ in calls:
+        for outcome, *_ in calls:
             per_hop = outcome.active.per_hop
             assert sum(len(hop) for hop in per_hop) == len(outcome.active.members) == outcome.coverage_count
             assert set().union(*per_hop) == outcome.active.members
-        # heap initialisation and each iteration's base run are full runs;
-        # every heavy, light and fresh evaluation of an iteration that
-        # starts from DELTA_MIN_SEEDS seeds or more gets that base run
-        assert all(base is None for _, base in calls[:domain])
+        # heap initialisation and the first base run are full runs; from
+        # iteration 2 on, the base run starts from the previous iteration's
+        # fresh run, which equals a full run of its seeds; every heavy,
+        # light and fresh evaluation of an iteration that starts from
+        # DELTA_MIN_SEEDS seeds or more gets the iteration's base run
+        assert all(base is None for _, base, *_ in calls[:domain])
         position = domain
+        fresh = None
         for i in range(1, selections + 1):
             heap = domain - (i - 1)
             evaluations = (heap if i % R == 0 else min(T, heap)) + 1
-            run, run_base = calls[position]
-            assert run_base is None
+            run, run_base, *_ = calls[position]
+            assert run_base is fresh
             expected = run if i - 1 >= DELTA_MIN_SEEDS else None
-            assert all(base is expected for _, base in calls[position + 1:position + 1 + evaluations])
+            assert all(base is expected for _, base, *_ in calls[position + 1:position + 1 + evaluations])
             position += 1 + evaluations
+            fresh, _, graph, seeds, hops = calls[position - 1]
+            assert len(seeds) == i
+            assert fresh == original(graph, seeds, hops)
         assert position == len(calls)
 
     @pytest.mark.parametrize("kind, scheme, name", [
