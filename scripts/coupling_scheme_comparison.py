@@ -14,6 +14,7 @@ shared work counted in full for each.
 """
 
 import argparse
+import os
 import sys
 
 from muxlci.experiment import ExperimentSpec, run_experiment, write_rows_csv
@@ -48,6 +49,7 @@ def main(argv=None):
         },
     )
     rows = run_experiment(spec)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     write_rows_csv(rows, args.out, spec=spec)
 
     by_scheme = {}

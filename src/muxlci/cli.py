@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .coupling import COUPLING_SCHEMES, couple, read_coupled, write_coupled
+from .coupling import COUPLING_SCHEMES, check_scheme_model, couple, read_coupled, write_coupled
 from .diffusion import (
     DiffusionModel,
     INDEPENDENT_CASCADE,
@@ -100,10 +100,7 @@ def _read_seeds(path):
 
 
 def _diffusion_model(args):
-    kind = MODEL_NAMES[args.model]
-    if kind == LINEAR_THRESHOLD:
-        return None
-    return DiffusionModel(kind=kind, mc_samples=args.mc_samples, rng_seed=args.seed)
+    return DiffusionModel(kind=MODEL_NAMES[args.model], mc_samples=args.mc_samples, rng_seed=args.seed)
 
 
 def cmd_generate(args):
@@ -140,8 +137,10 @@ def cmd_generate(args):
 
 
 def cmd_couple(args):
+    model = _diffusion_model(args)
+    check_scheme_model(args.scheme, model)
     network, normalized = _load_network(args)
-    coupled = couple(network, args.scheme, model_kind=MODEL_NAMES[args.model])
+    coupled = couple(network, args.scheme, model_kind=model.kind)
     with open(args.out_edges, "w", encoding="utf-8") as edges, \
          open(args.out_manifest, "w", encoding="utf-8", newline="") as manifest:
         write_coupled(coupled, edges, manifest)
@@ -161,6 +160,7 @@ def cmd_couple(args):
 
 
 def cmd_simulate(args):
+    model = _diffusion_model(args)
     seeds = _read_seeds(args.seeds_file)
     kinds = None
     if bool(args.coupled_edges) != bool(args.coupled_manifest):
@@ -169,8 +169,7 @@ def cmd_simulate(args):
         with open(args.coupled_edges, encoding="utf-8") as edges, \
              open(args.coupled_manifest, encoding="utf-8", newline="") as manifest:
             graph, kinds, _ = read_coupled(edges, manifest)
-        model = _diffusion_model(args)
-        if model is None:
+        if model.kind == LINEAR_THRESHOLD:
             outcome = lt_propagate(graph, seeds, args.hops)
         elif model.kind == INDEPENDENT_CASCADE:
             outcome = ic_propagate(graph, seeds, args.hops, model)
@@ -178,7 +177,7 @@ def cmd_simulate(args):
             outcome = st_propagate(graph, seeds, args.hops, model)
         total = len(graph)
     else:
-        if MODEL_NAMES[args.model] != LINEAR_THRESHOLD:
+        if model.kind != LINEAR_THRESHOLD:
             raise ValueError("stochastic models need a coupled graph (--coupled-edges)")
         network, _ = _load_network(args)
         outcome = multiplex_lt_propagate(network, seeds, args.hops)
@@ -201,8 +200,8 @@ def cmd_simulate(args):
 
 
 def cmd_solve(args):
-    network, normalized = _load_network(args)
     model = _diffusion_model(args)
+    network, normalized = _load_network(args)
     cfg = GreedyConfig(args.beta, args.hops, args.T, args.R, model=model)
     result = solve_pipeline(network, args.scheme, cfg)
     result.pop("replay_outcome")
@@ -213,8 +212,9 @@ def cmd_solve(args):
 
 
 def cmd_export_ilp(args):
+    model = _diffusion_model(args)
     network, _ = _load_network(args)
-    coupled = couple(network, args.scheme, model_kind=MODEL_NAMES[args.model])
+    coupled = couple(network, args.scheme, model_kind=model.kind)
     cfg = GreedyConfig(args.beta, args.hops)
     with open(args.out, "w", encoding="utf-8") as handle:
         summary = export_ilp(coupled, cfg, handle)

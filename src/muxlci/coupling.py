@@ -282,15 +282,14 @@ def couple(network, scheme, model_kind="linear_threshold", floor=1.0):
 
 def check_scheme_model(scheme, model):
     """Raise ValueError when coupling by ``scheme`` cannot serve the
-    DiffusionModel ``model`` (None for deterministic linear threshold).
+    DiffusionModel ``model``.
 
     A stochastic-threshold model with unset ``st_bounds`` draws each
     node's threshold up to its coupled threshold, which must lie in
     (0, 1].  A lossy coupling folds the layer thresholds into sums above
     1, so it needs explicit bounds.
     """
-    if (scheme.startswith("lossy-") and model is not None
-            and model.kind == STOCHASTIC_THRESHOLD and model.st_bounds is None):
+    if scheme.startswith("lossy-") and model.kind == STOCHASTIC_THRESHOLD and model.st_bounds is None:
         raise ValueError(
             f"scheme {scheme!r} cannot run the stochastic threshold model without st_bounds: "
             "a lossy coupling folds thresholds above 1, which cannot be stochastic-threshold bounds")

@@ -40,6 +40,23 @@ INDEPENDENT_CASCADE = "independent_cascade"
 _MODEL_KINDS = (LINEAR_THRESHOLD, STOCHASTIC_THRESHOLD, INDEPENDENT_CASCADE)
 
 
+def require_count(name, value):
+    """Raise ValueError unless ``value`` is an int (a bool is not one
+    here) and at least 1: the check of every sample count, hop budget,
+    T, R and repetition count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
+def require_beta(beta):
+    """Raise ValueError unless the coverage target ``beta`` is a number
+    (not a bool) in (0, 1]."""
+    if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta {beta!r} is not a number in (0, 1]")
+
+
 @dataclass
 class DiffusionModel:
     """Diffusion model selector plus Monte Carlo controls.
@@ -47,7 +64,8 @@ class DiffusionModel:
     ``st_bounds`` only applies to the stochastic threshold model: a
     per-node mapping, a single float, or None to reuse the graph's
     stored thresholds as upper bounds.  ``mc_samples`` is ignored for
-    the deterministic linear-threshold model.
+    the deterministic linear-threshold model, but must still be a
+    count (:func:`require_count`).
     """
 
     kind: str = LINEAR_THRESHOLD
@@ -58,8 +76,7 @@ class DiffusionModel:
     def __post_init__(self):
         if self.kind not in _MODEL_KINDS:
             raise ValueError(f"unknown diffusion model {self.kind!r}")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
+        require_count("mc_samples", self.mc_samples)
 
 
 class ActiveSet:

@@ -26,17 +26,17 @@ from dataclasses import dataclass, replace
 
 from . import __version__
 from .coupling import COUPLING_SCHEMES, check_scheme_model, couple
-from .diffusion import DiffusionModel, LINEAR_THRESHOLD, _layer_lt_propagate, multiplex_lt_propagate
+from .diffusion import (
+    DiffusionModel, LINEAR_THRESHOLD, _layer_lt_propagate, multiplex_lt_propagate, require_beta, require_count,
+)
 from .generator import SynthSpec, generate, subseed
 from .network import MultiplexNetwork, overlap_users
-from .solver import GreedyConfig, brute_force_optimal, improved_greedy, meets_fraction, require_integers
+from .solver import GreedyConfig, brute_force_optimal, improved_greedy, meets_fraction
 
 BASELINE_SCHEMES = ("union", "direct")
 
 
 def _model_record(model):
-    if model is None:
-        return {"kind": LINEAR_THRESHOLD}
     record = {"kind": model.kind}
     if model.kind != LINEAR_THRESHOLD:
         record["mc_samples"] = model.mc_samples
@@ -113,21 +113,19 @@ def _pipeline_results(network, scheme, cfgs):
     against its target, which a coupling or the brute force promises.
     """
     started = time.perf_counter()
+    kind = cfgs[0].model.kind
     if scheme == "direct":
         seed_sets = [brute_force_optimal(network, cfg.beta, cfg.hops) for cfg in cfgs]
     else:
-        cfg = cfgs[0]
-        model_kind = cfg.model.kind if cfg.model is not None else LINEAR_THRESHOLD
-        coupled = couple(network, scheme, model_kind=model_kind)
-        full = improved_greedy(coupled, replace(cfg, beta=max(each.beta for each in cfgs)))
-        seed_sets = [full.prefix(each.beta) for each in cfgs]
+        coupled = couple(network, scheme, model_kind=kind)
+        full = improved_greedy(coupled, replace(cfgs[0], beta=max(cfg.beta for cfg in cfgs)))
+        seed_sets = [full.prefix(cfg.beta) for cfg in cfgs]
     shared_ms = _ms_since(started)
     results = []
     for cfg, seed_set in zip(cfgs, seed_sets):
         coupled_fraction = None if scheme == "direct" else seed_set.achieved_fraction
         result = _result(network, cfg, scheme, seed_set.users, seed_set.gains, coupled_fraction, shared_ms)
-        deterministic = cfg.model is None or cfg.model.kind == LINEAR_THRESHOLD
-        if deterministic and not meets_fraction(result["replayed_fraction"], cfg.beta, 1.0):
+        if kind == LINEAR_THRESHOLD and not meets_fraction(result["replayed_fraction"], cfg.beta, 1.0):
             raise RuntimeError(
                 f"pipeline soundness violated: replayed fraction {result['replayed_fraction']:.6f}"
                 f" below target {cfg.beta}"
@@ -277,8 +275,9 @@ class ExperimentSpec:
     stochastic-threshold model without ``st_bounds``
     (:func:`~muxlci.coupling.check_scheme_model`), or a ``target_layer``
     or ``only:<i>`` layer that some network of the sweep lacks.  The model
-    is built here once, as ``diffusion_model`` (None for deterministic
-    linear threshold), and every cell uses it.
+    is built here once, as the DiffusionModel ``diffusion_model``
+    (deterministic linear threshold when ``model`` is None), and every
+    cell uses it.
     """
 
     schemes: list
@@ -306,12 +305,9 @@ class ExperimentSpec:
         if not self.schemes or not self.betas:
             raise ValueError("schemes and betas must each list at least one value")
         for beta in self.betas:
-            if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not 0.0 < beta <= 1.0:
-                raise ValueError(f"beta {beta!r} is not a number in (0, 1]")
-        require_integers(hops=self.hops, T=self.T, R=self.R, repetitions=self.repetitions)
-        if min(self.hops, self.T, self.R, self.repetitions) < 1:
-            name = next(name for name in ("hops", "T", "R", "repetitions") if getattr(self, name) < 1)
-            raise ValueError(f"{name} must be >= 1")
+            require_beta(beta)
+        for name in ("hops", "T", "R", "repetitions"):
+            require_count(name, getattr(self, name))
         self.diffusion_model = _diffusion_model(self)
         layers = self._fewest_layers()
         _check_layer("target_layer", self.target_layer, layers)
@@ -347,15 +343,11 @@ class ExperimentSpec:
 
 
 def _diffusion_model(spec):
-    """The spec's DiffusionModel, or None for deterministic linear
-    threshold; raises ValueError on a bad ``model`` record."""
-    if spec.model is None:
-        return None
+    """The spec's DiffusionModel; raises ValueError on a bad ``model`` record."""
     try:
-        model = DiffusionModel(**spec.model)
+        return DiffusionModel(**(spec.model if spec.model is not None else {}))
     except TypeError as exc:
         raise ValueError(f"model {spec.model!r}: {exc}") from None
-    return None if model.kind == LINEAR_THRESHOLD else model
 
 
 def _synth_spec(spec, k, overlap, seed):

@@ -23,10 +23,12 @@ from dataclasses import dataclass, field, replace
 from .diffusion import (
     INDEPENDENT_CASCADE,
     LINEAR_THRESHOLD,
-    STOCHASTIC_THRESHOLD,
+    DiffusionModel,
     ic_propagate,
     lt_propagate,
     multiplex_lt_propagate,
+    require_beta,
+    require_count,
     st_propagate,
 )
 
@@ -41,15 +43,6 @@ FRACTION_EPS = 1e-9
 DELTA_MIN_SEEDS = 2
 
 
-def require_integers(**values):
-    """Raise ValueError unless every value is an int; a bool is not one
-    here.  GreedyConfig and ExperimentSpec check their hop budget, T, R
-    and repetition count with it before checking that they are >= 1."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
-
-
 def meets_fraction(value, beta, total):
     """True when coverage ``value`` reaches the beta fraction of ``total``."""
     return value >= beta * total - FRACTION_EPS
@@ -61,25 +54,24 @@ class GreedyConfig:
 
     ``T`` is the number of heap entries re-evaluated in a light
     iteration, ``R`` the period of full (heavy) re-evaluations.
-    ``model`` defaults to deterministic linear threshold; stochastic
-    models are evaluated by Monte Carlo means with a shared per-
-    iteration seed so candidate comparisons use common random numbers.
+    ``model`` is a DiffusionModel, deterministic linear threshold by
+    default; stochastic models are evaluated by Monte Carlo means with a
+    shared per-iteration seed so candidate comparisons use common random
+    numbers.
     """
 
     beta: float
     hops: int
     T: int = 8
     R: int = 3
-    model: object = None
+    model: DiffusionModel = field(default_factory=DiffusionModel)
 
     def __post_init__(self):
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must be in (0, 1]")
-        require_integers(hops=self.hops, T=self.T, R=self.R)
-        if self.hops < 1:
-            raise ValueError("hops must be >= 1")
-        if self.T < 1 or self.R < 1:
-            raise ValueError("T and R must be >= 1")
+        require_beta(self.beta)
+        for name in ("hops", "T", "R"):
+            require_count(name, getattr(self, name))
+        if not isinstance(self.model, DiffusionModel):
+            raise ValueError(f"model must be a DiffusionModel, not {self.model!r}")
 
 
 @dataclass
@@ -110,33 +102,26 @@ class SeedSet:
         raise ValueError(f"target {beta} is beyond this run's coverage")
 
 
-def _deterministic(cfg):
-    return cfg.model is None or cfg.model.kind == LINEAR_THRESHOLD
-
-
-def _propagate(coupled, seed_nodes, cfg, rng_seed=None, base=None):
-    """The diffusion outcome of ``seed_nodes``; ``base`` (deterministic
-    linear threshold only) is an earlier outcome of a subset of them."""
+def _propagate(coupled, seed_nodes, cfg, base=None):
+    """The diffusion outcome of ``seed_nodes`` under ``cfg.model``;
+    ``base`` (deterministic linear threshold only) is an earlier outcome
+    of a subset of them."""
     budget = coupled.hop_scale * cfg.hops
-    if _deterministic(cfg):
+    model = cfg.model
+    if model.kind == LINEAR_THRESHOLD:
         return lt_propagate(coupled.graph, seed_nodes, budget, base=base)
     if base is not None:
         raise ValueError("a base run applies to deterministic linear threshold only")
-    model = cfg.model
-    if rng_seed is not None:
-        model = replace(model, rng_seed=rng_seed)
     if model.kind == INDEPENDENT_CASCADE:
         return ic_propagate(coupled.graph, seed_nodes, budget, model)
-    if model.kind == STOCHASTIC_THRESHOLD:
-        return st_propagate(coupled.graph, seed_nodes, budget, model)
-    raise ValueError(f"unknown diffusion model {model.kind!r}")
+    return st_propagate(coupled.graph, seed_nodes, budget, model)
 
 
-def _coverage(coupled, seed_nodes, cfg, rng_seed=None):
-    return _propagate(coupled, seed_nodes, cfg, rng_seed).coverage_weight
+def _coverage(coupled, seed_nodes, cfg):
+    return _propagate(coupled, seed_nodes, cfg).coverage_weight
 
 
-def marginal_gain(coupled, current, candidate, cfg, base_coverage=None, rng_seed=None, base=None):
+def marginal_gain(coupled, current, candidate, cfg, base_coverage=None, base=None):
     """Coverage gain of adding one candidate node to the current seeds.
 
     ``base`` is an optional :func:`~muxlci.diffusion.lt_propagate`
@@ -150,10 +135,10 @@ def marginal_gain(coupled, current, candidate, cfg, base_coverage=None, rng_seed
         raise ValueError(f"candidate {candidate!r} is not a seedable node")
     if base_coverage is None:
         if base is None:
-            base_coverage = _coverage(coupled, current, cfg, rng_seed)
+            base_coverage = _coverage(coupled, current, cfg)
         else:
             base_coverage = base.coverage_weight
-    joint = _propagate(coupled, [*current, candidate], cfg, rng_seed, base)
+    joint = _propagate(coupled, [*current, candidate], cfg, base)
     return joint.coverage_weight - base_coverage
 
 
@@ -162,10 +147,13 @@ def _domain(coupled):
     return sorted(coupled.user_of, key=coupled.graph.index.__getitem__)
 
 
-def _iteration_seed(cfg, iteration):
-    if _deterministic(cfg):
-        return None
-    return cfg.model.rng_seed + 7919 * iteration
+def _iteration_cfg(cfg, iteration):
+    """``cfg`` for greedy iteration ``iteration``: a stochastic model
+    draws from rng seed ``rng_seed + 7919 * iteration`` in it."""
+    model = cfg.model
+    if model.kind == LINEAR_THRESHOLD:
+        return cfg
+    return replace(cfg, model=replace(model, rng_seed=model.rng_seed + 7919 * iteration))
 
 
 def _finish(coupled, selected, gains, coverages, total):
@@ -185,11 +173,11 @@ def naive_greedy(coupled, cfg):
         if not remaining:
             raise ValueError("coverage target unreachable: candidate pool exhausted")
         iteration += 1
-        seed = _iteration_seed(cfg, iteration)
-        base = _coverage(coupled, selected, cfg, seed)
+        step = _iteration_cfg(cfg, iteration)
+        base = _coverage(coupled, selected, step)
         best, best_gain = None, None
         for candidate in remaining:
-            gain = _coverage(coupled, [*selected, candidate], cfg, seed) - base
+            gain = _coverage(coupled, [*selected, candidate], step) - base
             if best_gain is None or gain > best_gain:
                 best, best_gain = candidate, gain
         selected.append(best)
@@ -227,12 +215,9 @@ def improved_greedy(coupled, cfg):
     domain = _domain(coupled)
     selected, gains, coverages = [], [], []
     coverage = 0.0
-    init_seed = _iteration_seed(cfg, 0)
-    delta = _deterministic(cfg)
-    heap = [
-        (-marginal_gain(coupled, selected, node, cfg, 0.0, init_seed), graph.index[node], node)
-        for node in domain
-    ]
+    init = _iteration_cfg(cfg, 0)
+    delta = cfg.model.kind == LINEAR_THRESHOLD
+    heap = [(-marginal_gain(coupled, selected, node, init, 0.0), graph.index[node], node) for node in domain]
     heapq.heapify(heap)
     counter = 0
     last = None  # the previous iteration's fresh run, under deterministic LT
@@ -240,13 +225,13 @@ def improved_greedy(coupled, cfg):
         if not heap:
             raise ValueError("coverage target unreachable: candidate pool exhausted")
         counter += 1
-        seed = _iteration_seed(cfg, counter)
-        run = _propagate(coupled, selected, cfg, seed, last)
+        step = _iteration_cfg(cfg, counter)
+        run = _propagate(coupled, selected, step, last)
         base = run.coverage_weight
         start = run if delta and len(selected) >= DELTA_MIN_SEEDS else None
         if counter % cfg.R == 0:
             heap = [
-                (-marginal_gain(coupled, selected, node, cfg, base, seed, start), idx, node)
+                (-marginal_gain(coupled, selected, node, step, base, base=start), idx, node)
                 for (_, idx, node) in heap
             ]
             heapq.heapify(heap)
@@ -254,12 +239,12 @@ def improved_greedy(coupled, cfg):
             refreshed = []
             for _ in range(min(cfg.T, len(heap))):
                 _, idx, node = heapq.heappop(heap)
-                gain = marginal_gain(coupled, selected, node, cfg, base, seed, start)
+                gain = marginal_gain(coupled, selected, node, step, base, base=start)
                 refreshed.append((-gain, idx, node))
             for entry in refreshed:
                 heapq.heappush(heap, entry)
         _, _, node = heapq.heappop(heap)
-        joint = _propagate(coupled, [*selected, node], cfg, seed, start)
+        joint = _propagate(coupled, [*selected, node], step, start)
         fresh = joint.coverage_weight - base
         if delta:
             last = joint
@@ -276,15 +261,15 @@ def brute_force_optimal(network, beta, hops, max_users=22):
 
     Subsets are enumerated in increasing cardinality (lexicographic
     within each cardinality over sorted user ids), so the first feasible
-    subset found has provably minimum size.  Refuses universes larger
-    than ``max_users``.
+    subset found has provably minimum size.  Checks beta and ``hops`` as
+    GreedyConfig does, and refuses universes larger than ``max_users``.
     """
+    require_beta(beta)
+    require_count("hops", hops)
     users = sorted(network.universe)
     n = len(users)
     if n > max_users:
         raise ValueError(f"universe of {n} users exceeds the brute-force cap {max_users}")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must be in (0, 1]")
     for size in range(n + 1):
         for combo in itertools.combinations(users, size):
             outcome = multiplex_lt_propagate(network, set(combo), hops)

@@ -305,6 +305,49 @@ def test_solve_rejects_lossy_stochastic_threshold_before_coupling(tmp_path, laye
     assert not (tmp_path / "result.json").exists()
 
 
+@pytest.mark.parametrize("scheme", ["lossy-average", "lossy-easiness", "lossy-involvement"])
+def test_couple_rejects_lossy_stochastic_threshold_before_coupling(tmp_path, layer_files, capsys, monkeypatch,
+                                                                   scheme):
+    # the coupled files would carry thresholds above 1, which simulate --model st then refuses
+    import muxlci.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coupled a scheme the model cannot run")
+
+    monkeypatch.setattr(muxlci.cli, "couple", refuse)
+    edges, manifest, summary = tmp_path / "coupled.txt", tmp_path / "manifest.csv", tmp_path / "summary.json"
+    code = main([
+        "couple", "--layer", layer_files[0], "--layer", layer_files[1], "--scheme", scheme, "--model", "st",
+        "--out-edges", str(edges), "--out-manifest", str(manifest), "--out", str(summary),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{scheme!r} cannot run the stochastic threshold model without st_bounds" in err
+    assert "folds thresholds above 1" in err
+    assert not any(path.exists() for path in (edges, manifest, summary))
+
+
+@pytest.mark.parametrize("command", ["solve", "couple", "simulate", "export-ilp"])
+@pytest.mark.parametrize("model", ["lt", "ic", "st"])
+def test_mc_samples_below_one_exits_3_under_every_model(tmp_path, layer_files, capsys, command, model):
+    # every command builds the same DiffusionModel, so the sample count is
+    # checked even where the model does not sample
+    seeds = write(tmp_path / "seeds.txt", "a\n")
+    extra = {
+        "solve": [],
+        "couple": ["--scheme", "clique", "--out-edges", str(tmp_path / "e.txt"),
+                   "--out-manifest", str(tmp_path / "m.csv")],
+        "simulate": ["--seeds-file", seeds, "--hops", "2"],
+        "export-ilp": [],
+    }[command]
+    out = tmp_path / "out.json"
+    code = main([command, "--layer", layer_files[0], "--layer", layer_files[1], *extra,
+                 "--model", model, "--mc-samples", "0", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: mc_samples must be >= 1\n"
+    assert sorted(os.listdir(tmp_path)) == ["l1.txt", "l2.txt", "seeds.txt"]
+
+
 def test_export_ilp_writes_program(tmp_path, layer_files, capsys):
     out = tmp_path / "model.lp"
     code = main([
@@ -396,6 +439,9 @@ def test_experiment_rejects_non_integer_count(tmp_path, capsys, field, value):
     ({"kind": "independent_cascade", "samples": 5},
      "model {'kind': 'independent_cascade', 'samples': 5}: "
      "DiffusionModel.__init__() got an unexpected keyword argument 'samples'"),
+    ({"kind": "independent_cascade", "mc_samples": 2.5}, "mc_samples must be an integer, not 2.5"),
+    ({"kind": "stochastic_threshold", "mc_samples": True}, "mc_samples must be an integer, not True"),
+    ({"kind": "independent_cascade", "mc_samples": "5"}, "mc_samples must be an integer, not '5'"),
 ])
 def test_experiment_rejects_bad_model(tmp_path, capsys, model, message):
     config = {"schemes": ["clique"], "betas": [0.4], "hops": 2, "model": model,
@@ -463,3 +509,36 @@ def test_script_help_runs(script):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage:")
+
+
+STUDIES = {
+    "reproduce_trends.py": (
+        ["--repetitions", "1", "--out", "trends"],
+        [f"trends/{name}{suffix}" for name in ("layer_count_sweep.csv", "overlap_bias.csv", "union_vs_coupled.csv")
+         for suffix in ("", ".meta.json")]),
+    "coupling_scheme_comparison.py": (
+        # a universe of 30 is too small for the forced overlap at this layer size
+        ["--repetitions", "1", "--universe", "40", "--layer-size", "20", "--out", "cmp/schemes.csv"],
+        ["cmp/schemes.csv", "cmp/schemes.csv.meta.json"]),
+    "optimality_gap_study.py": (
+        ["--instances", "1", "--universe", "12", "--layer-size", "8", "--out", "gap/gaps.csv"],
+        ["gap/gaps.csv"]),
+}
+
+
+@pytest.mark.parametrize("script", sorted(STUDIES))
+def test_study_runs_end_to_end(tmp_path, script):
+    # each study at a small size, into a directory it has to create
+    import csv
+
+    argv, written = STUDIES[script]
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src_path()}, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*") if path.is_file()) == sorted(written)
+    for name in written:
+        if name.endswith(".csv"):
+            with open(tmp_path / name, encoding="utf-8", newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            assert rows and all(row.get("status", "ok") == "ok" for row in rows), name

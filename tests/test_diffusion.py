@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 import muxlci.solver
 from muxlci.diffusion import _layer_lt_propagate
 from muxlci.experiment import single_layer_network
+from muxlci.network import WEIGHT_EPS
 from muxlci import (
     ActiveSet,
     DiffusionModel,
@@ -470,6 +471,37 @@ def delta_case(seed, hops, added, fractional):
     return graph, base, seeds | extra
 
 
+def out_of_order_case(seed):
+    """A target v whose in-neighbours x0..x(m-1) are the joint seeds
+    ("early", with x(m-1) among them) or activate at hop 1 from seed s
+    ("late", all before x(m-1) by index), with random fractional weights.
+    v's threshold is set so that its bar equals, exactly, the sum of its
+    in-weights in the order the full run adds them: early then late, each
+    by index.  Returns the graph, the base seeds (s and a proper subset of
+    the early nodes) and the joint seeds (s and every early node)."""
+    import random
+
+    rng = random.Random(seed)
+    m = rng.randint(3, 7)
+    xs = [f"x{i}" for i in range(m)]
+    late = sorted(rng.sample(range(m - 1), rng.randint(1, m - 2)))
+    early = [i for i in range(m) if i not in late]
+    weights = [rng.uniform(0.01, 1.0) for _ in xs]
+    total = 0.0
+    for i in early + late:
+        total += weights[i]
+    theta = total + WEIGHT_EPS
+    while theta - WEIGHT_EPS < total:
+        theta = math.nextafter(theta, math.inf)
+    while theta - WEIGHT_EPS > total:
+        theta = math.nextafter(theta, -math.inf)
+    edges = [(x, "v", w) for x, w in zip(xs, weights)] + [("s", xs[i], 1.0) for i in late] + [("v", "y", 1.0)]
+    graph = InfluenceGraph([*xs, "v", "y", "s"], edges, {**dict.fromkeys(xs, 0.5), "v": theta, "y": 0.5, "s": 0.5})
+    assert graph.bar[graph.index["v"]] == total
+    kept = rng.sample(early, rng.randint(0, len(early) - 1))
+    return graph, {"s", *(xs[i] for i in kept)}, {"s", *(xs[i] for i in early)}
+
+
 class TestDeltaMatchesFullRun:
     """A run started from a base outcome equals the run without one in
     every field, with no tolerance."""
@@ -534,6 +566,20 @@ class TestDeltaMatchesFullRun:
         joint = lt_propagate(graph, {"s", "b", "c"}, 3, base=base)
         assert joint.active.per_hop == [{"s", "b", "c"}, {"a"}, {"v"}]
         assert_same_outcome(joint, lt_propagate(graph, {"s", "b", "c"}, 3))
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_recheck_at_a_bar_equal_to_the_hop_ordered_sum(self, seed):
+        # the hand-built case above, over random in-weight sets: v's
+        # in-neighbours x0..x(m-1) are joint seeds ("early", x(m-1) among
+        # them) or activate at hop 1 through s ("late", all before
+        # x(m-1) by index), and v's bar is exactly their sum in (hop,
+        # index) order, so a re-check that sums in index order alone
+        # misses v whenever that order rounds lower
+        graph, base_seeds, seeds = out_of_order_case(seed)
+        base = lt_propagate(graph, base_seeds, 3)
+        joint = lt_propagate(graph, seeds, 3, base=base)
+        assert "v" in joint.active.per_hop[2]
+        assert_same_outcome(joint, lt_propagate(graph, seeds, 3))
 
     def test_unfit_base_rejected(self):
         graph = small_random_graph(3)

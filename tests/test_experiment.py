@@ -255,6 +255,7 @@ class TestRunExperiment:
         ({"schemes": ["clique", "only:3"]}, "only:3: layer 3 is missing"),
         ({"synth": {"universe_size": 10, "per_layer": [[8, 0.1]]}, "target_layer": 2},
          "target_layer: layer 2 is missing from a network of 1 layers"),
+        ({"betas": [True]}, "beta True is not"),
     ])
     def test_bad_sweep_rejected_before_any_cell(self, fields, message):
         spec = {"schemes": ["clique"], "betas": [0.5], "hops": 2,
@@ -275,8 +276,11 @@ class TestRunExperiment:
         ({"kind": "bogus"}, "unknown diffusion model 'bogus'"),
         ({"kind": "independent_cascade", "samples": 5}, "unexpected keyword argument 'samples'"),
         ({"kind": "stochastic_threshold", "mc_samples": 0}, "mc_samples must be >= 1"),
-        ({"kind": "independent_cascade", "mc_samples": "5"}, "model .*not supported between"),
+        ({"kind": "independent_cascade", "mc_samples": "5"}, "^mc_samples must be an integer, not '5'$"),
         (["independent_cascade"], "must be a mapping"),
+        ({"kind": "independent_cascade", "mc_samples": 2.5}, "^mc_samples must be an integer, not 2.5$"),
+        ({"kind": "stochastic_threshold", "mc_samples": True}, "^mc_samples must be an integer, not True$"),
+        ({"kind": "linear_threshold", "mc_samples": 0}, "^mc_samples must be >= 1$"),
     ])
     def test_bad_model_rejected_at_spec_load(self, model, message):
         spec = {"schemes": ["clique"], "betas": [0.5], "hops": 2, "model": model,
@@ -303,7 +307,10 @@ class TestRunExperiment:
         assert spec.diffusion_model == DiffusionModel("independent_cascade", mc_samples=4, rng_seed=9)
         lt = ExperimentSpec(schemes=["clique"], betas=[0.5], model={"kind": "linear_threshold"},
                             synth={"universe_size": 10, "layer_size": 8, "edge_prob": 0.1, "k": 2})
-        assert lt.diffusion_model is None
+        assert lt.diffusion_model == DiffusionModel("linear_threshold")
+        default = ExperimentSpec(schemes=["clique"], betas=[0.5],
+                                 synth={"universe_size": 10, "layer_size": 8, "edge_prob": 0.1, "k": 2})
+        assert default.diffusion_model == DiffusionModel()
 
     def test_target_layer_checked_against_layer_files(self, tmp_path):
         path = tmp_path / "layer.txt"

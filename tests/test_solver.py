@@ -1,4 +1,5 @@
 import io
+import re
 from dataclasses import replace
 
 import pytest
@@ -117,8 +118,7 @@ class TestImprovedGreedy:
                               ("stochastic_threshold", lossless)):
             for seed in (91, 92, 93):
                 network = random_network(seed, max_users=40)
-                model = None if kind == "linear_threshold" else DiffusionModel(kind, mc_samples=6, rng_seed=seed)
-                cfg = GreedyConfig(0.9, 2, model=model)
+                cfg = GreedyConfig(0.9, 2, model=DiffusionModel(kind, mc_samples=6, rng_seed=seed))
                 for scheme in schemes:
                     coupled = couple(network, scheme, model_kind=kind)
                     assert improved_greedy(coupled, replace(cfg, R=1)) == naive_greedy(coupled, cfg), (kind, scheme)
@@ -168,7 +168,7 @@ class TestPrefixAcrossTargets:
     smaller target is a prefix of a run at a larger one."""
 
     MODELS = {
-        "lt": None,
+        "lt": DiffusionModel(),
         "ic": DiffusionModel("independent_cascade", mc_samples=6, rng_seed=5),
         "st": DiffusionModel("stochastic_threshold", mc_samples=6, rng_seed=5),
     }
@@ -206,6 +206,55 @@ class TestPrefixAcrossTargets:
         assert run.prefix(0.3).users == run.users[:1]
         with pytest.raises(ValueError, match="beyond this run"):
             run.prefix(0.9)
+
+
+class TestStochasticGreedyPinned:
+    """The Monte Carlo greedies' picks and gains, bit for bit.
+
+    Iteration i of either greedy draws every evaluation from rng seed
+    ``rng_seed + 7919 * i``; these values pin that stream, the sample
+    order and the heap logic under both stochastic models.  Under
+    independent cascade, seeds 142 and 144 are cases where the lazy
+    greedy parts from the plain one.
+    """
+
+    PINNED = {
+        (141, "clique", "independent_cascade", "improved_greedy"):
+            (["u03", "u16", "u06"], [11.666666666666666, 5.0, 6.333333333333332]),
+        (141, "clique", "independent_cascade", "naive_greedy"):
+            (["u03", "u16", "u06"], [11.666666666666666, 5.0, 6.333333333333332]),
+        (141, "clique", "stochastic_threshold", "improved_greedy"):
+            (["u03", "u16"], [17.333333333333332, 5.333333333333332]),
+        (141, "clique", "stochastic_threshold", "naive_greedy"):
+            (["u03", "u16"], [17.333333333333332, 5.333333333333332]),
+        (142, "reduced-star", "independent_cascade", "improved_greedy"):
+            (["u05", "u07", "u10", "u03", "u06", "u04", "u18"],
+             [2.8333333333333335, 1.666666666666667, 1.833333333333333, 1.0, 1.833333333333333,
+              0.6666666666666661, 1.0]),
+        (142, "reduced-star", "independent_cascade", "naive_greedy"):
+            (["u05", "u07", "u10", "u03", "u06", "u04", "u15"],
+             [2.8333333333333335, 1.666666666666667, 1.833333333333333, 1.0, 1.833333333333333,
+              0.6666666666666661, 1.166666666666666]),
+        (142, "reduced-star", "stochastic_threshold", "improved_greedy"):
+            (["u05", "u07", "u10", "u06", "u15"], [3.1666666666666665, 1.9999999999999996, 2.0, 1.666666666666667, 1.0]),
+        (142, "reduced-star", "stochastic_threshold", "naive_greedy"):
+            (["u05", "u07", "u10", "u06", "u03"], [3.1666666666666665, 1.9999999999999996, 2.0, 1.666666666666667, 1.0]),
+        (144, "star", "independent_cascade", "improved_greedy"):
+            (["u14", "u07", "u17", "u12"], [12.5, 10.5, -1.5, 8.0]),
+        (144, "star", "independent_cascade", "naive_greedy"):
+            (["u14", "u07", "u15", "u02"], [12.5, 10.5, 2.5, 2.0]),
+        (144, "star", "stochastic_threshold", "improved_greedy"): (["u07", "u11"], [25.5, 8.0]),
+        (144, "star", "stochastic_threshold", "naive_greedy"): (["u07", "u11"], [25.5, 8.0]),
+    }
+
+    @pytest.mark.parametrize("solver", [improved_greedy, naive_greedy])
+    @pytest.mark.parametrize("kind", ["independent_cascade", "stochastic_threshold"])
+    @pytest.mark.parametrize("seed,scheme", [(141, "clique"), (142, "reduced-star"), (144, "star")])
+    def test_seed_users_and_gains(self, seed, scheme, kind, solver):
+        coupled = couple(random_network(seed, max_users=20), scheme, model_kind=kind)
+        cfg = GreedyConfig(0.7, 2, T=3, R=2, model=DiffusionModel(kind, mc_samples=6, rng_seed=seed))
+        run = solver(coupled, cfg)
+        assert (run.users, run.gains) == self.PINNED[(seed, scheme, kind, solver.__name__)]
 
 
 class TestCoverageByWeight:
@@ -503,10 +552,23 @@ class TestIlpExport:
 def test_config_validation():
     with pytest.raises(ValueError, match="beta"):
         GreedyConfig(0.0, 2)
-    with pytest.raises(ValueError, match="hops"):
+    with pytest.raises(ValueError, match="^hops must be >= 1$"):
         GreedyConfig(0.5, 0)
-    with pytest.raises(ValueError, match="T and R"):
+    with pytest.raises(ValueError, match="^T must be >= 1$"):
         GreedyConfig(0.5, 2, T=0)
+    with pytest.raises(ValueError, match="^R must be >= 1$"):
+        GreedyConfig(0.5, 2, R=0)
+    # deterministic linear threshold is a DiffusionModel too, and the default
+    assert GreedyConfig(0.5, 2).model == DiffusionModel("linear_threshold")
+    with pytest.raises(ValueError, match="^model must be a DiffusionModel, not None$"):
+        GreedyConfig(0.5, 2, model=None)
+
+
+@pytest.mark.parametrize("beta", [0.0, -0.2, 1.5, float("nan"), True, "0.5"])
+def test_config_rejects_bad_beta(beta):
+    # a bool is not a number here: True would otherwise solve at beta = 1
+    with pytest.raises(ValueError, match=re.escape(f"beta {beta!r} is not a number in (0, 1]")):
+        GreedyConfig(beta, 2)
 
 
 @pytest.mark.parametrize("field, value", [
