@@ -50,7 +50,6 @@ from .solver import (
     GreedyConfig,
     SeedSet,
     marginal_gain,
-    naive_greedy,
     improved_greedy,
     brute_force_optimal,
     export_ilp,

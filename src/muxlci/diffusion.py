@@ -65,7 +65,8 @@ class DiffusionModel:
     per-node mapping, a single float, or None to reuse the graph's
     stored thresholds as upper bounds.  ``mc_samples`` is ignored for
     the deterministic linear-threshold model, but must still be a
-    count (:func:`require_count`).
+    count (:func:`require_count`).  ``rng_seed`` must be an int that is
+    not a bool, under every model.
     """
 
     kind: str = LINEAR_THRESHOLD
@@ -77,6 +78,8 @@ class DiffusionModel:
         if self.kind not in _MODEL_KINDS:
             raise ValueError(f"unknown diffusion model {self.kind!r}")
         require_count("mc_samples", self.mc_samples)
+        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int):
+            raise ValueError(f"rng_seed must be an integer, not {self.rng_seed!r}")
 
 
 class ActiveSet:
@@ -373,15 +376,18 @@ def _lt_delta(graph, seed_idx, hops, base):
     # with whole node weights, the base weight plus and minus the nodes
     # that changed is exactly the sum _tally makes of the joint lists
     exact = graph._integral_weights
-    inf = hops + 1
+    # a run adds no node after hop n - |seeds|, so a budget past n runs
+    # as n; the outcome still reports the caller's budget as its source
+    budget = min(hops, len(graph))
+    inf = budget + 1
     hop = base_hop[:]
     count, weight = base.coverage_count, base.coverage_weight
-    level = sizes + [0] * (inf - len(sizes))  # node count per hop 0..hops
+    level = sizes + [0] * (inf - len(sizes))  # node count per hop 0..budget
     changed = [i for i in seed_idx if hop[i]]
     if len(seed_idx) - len(changed) != sizes[0]:
         raise ValueError("base seeds must be a subset of the seeds")
     for i in changed:
-        if hop[i] > hops:
+        if hop[i] > budget:
             count += 1
             weight += node_weight[i]
         else:
@@ -399,7 +405,7 @@ def _lt_delta(graph, seed_idx, hops, base):
             t = min(later)
         else:
             break
-        if t > hops:
+        if t > budget:
             break
         # node -> True when an edge from a node whose hop changed to t-1
         # alone reaches its bar: a float sum of non-negative terms is at
@@ -445,19 +451,19 @@ def _lt_delta(graph, seed_idx, hops, base):
                         count -= 1
                         weight -= node_weight[v]
                     nxt = soonest + 1 if b <= t else min(soonest + 1, b)
-                    if nxt <= hops:
+                    if nxt <= budget:
                         later.setdefault(nxt, {})[v] = False
                     continue
             if b != t:
                 hop[v] = t
                 changed.append(v)
                 level[t] += 1
-                if b < t or b > hops:
+                if b < t or b > budget:
                     count += 1
                     weight += node_weight[v]
                 else:
                     level[b] -= 1
-    used = hops
+    used = budget
     while used and not level[used]:
         used -= 1
     del level[used + 1:]
@@ -678,8 +684,7 @@ def _st_bars(graph, model):
         bounds = [float(st_bounds)] * len(graph.node_ids)
     else:
         bounds = [float(st_bounds[u]) for u in graph.node_ids]
-    # the seed's type is part of the key: 1e20 == 10**20, but they seed different streams
-    key = (type(model.rng_seed), model.rng_seed, model.mc_samples, bounds)
+    key = (model.rng_seed, model.mc_samples, bounds)
     memo = graph._st_memo
     if memo is not None and memo[0] == key:
         # bounds equal to the memo's passed the check on the first call

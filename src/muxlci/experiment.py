@@ -269,10 +269,13 @@ class ExperimentSpec:
     iteration, which is the plain greedy.
 
     A sweep that could only fail cell by cell raises ValueError here:
-    no schemes or betas, a beta outside (0, 1], ``hops``, ``T``, ``R``
-    or ``repetitions`` not an integer or below 1, a ``model`` record
-    that does not build a DiffusionModel, a lossy scheme under a
-    stochastic-threshold model without ``st_bounds``
+    a list field (``schemes``, ``betas``, ``k_values``,
+    ``overlap_values``, ``layer_files``) that is not a list, a scheme
+    that is not a string, a ``synth`` that is not a mapping, no schemes
+    or betas, a beta outside (0, 1], ``hops``, ``T``, ``R``,
+    ``repetitions`` or ``target_layer`` not an integer or below 1, a
+    ``model`` record that does not build a DiffusionModel, a lossy
+    scheme under a stochastic-threshold model without ``st_bounds``
     (:func:`~muxlci.coupling.check_scheme_model`), or a ``target_layer``
     or ``only:<i>`` layer that some network of the sweep lacks.  The model
     is built here once, as the DiffusionModel ``diffusion_model``
@@ -298,6 +301,12 @@ class ExperimentSpec:
     out: str = None
 
     def __post_init__(self):
+        for name in ("schemes", "betas", "k_values", "overlap_values", "layer_files"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list, not {value!r}")
+        if self.synth is not None and not isinstance(self.synth, dict):
+            raise ValueError(f"synth must be a mapping, not {self.synth!r}")
         if (self.synth is None) == (self.layer_files is None):
             raise ValueError("specify exactly one of synth or layer_files")
         if self.layer_files is not None and (self.k_values or self.overlap_values):
@@ -306,12 +315,14 @@ class ExperimentSpec:
             raise ValueError("schemes and betas must each list at least one value")
         for beta in self.betas:
             require_beta(beta)
-        for name in ("hops", "T", "R", "repetitions"):
+        for name in ("hops", "T", "R", "repetitions", "target_layer"):
             require_count(name, getattr(self, name))
         self.diffusion_model = _diffusion_model(self)
         layers = self._fewest_layers()
         _check_layer("target_layer", self.target_layer, layers)
         for scheme in self.schemes:
+            if not isinstance(scheme, str):
+                raise ValueError(f"schemes must be strings, not {scheme!r}")
             if scheme in COUPLING_SCHEMES or scheme in BASELINE_SCHEMES:
                 check_scheme_model(scheme, self.diffusion_model)
                 continue

@@ -1,16 +1,17 @@
-"""Seed-set selection: greedy solvers, brute-force oracle, ILP export.
+"""Seed-set selection: the lazy greedy, brute-force oracle, ILP export.
 
-The greedy solvers work on a coupled network and pick seeds from the
-domain of the user<->node mapping F.  Coverage of a candidate set is
-the node weight the diffusion activates in hop_scale * d hops (every
-node weighs 1 off the reduced couplings, so there it is the node
-count), and the target is a beta fraction of the total node weight.
-The improved solver keeps a max-heap of (possibly stale) marginal gains
-and alternates cheap light iterations (re-evaluate only the top T
-entries) with periodic heavy iterations (every R-th selection
-re-evaluates everything); the gain of the node actually selected is
-always recomputed fresh.  The pipeline runs it; ``naive_greedy``, which
-it equals at R = 1, is the plain greedy the tests compare against.
+The greedy works on a coupled network and picks seeds from the domain
+of the user<->node mapping F.  Coverage of a candidate set is the node
+weight the diffusion activates in hop_scale * d hops (every node weighs
+1 off the reduced couplings, so there it is the node count), and the
+target is a beta fraction of the total node weight.  The greedy keeps a
+max-heap of (possibly stale) marginal gains and alternates cheap light
+iterations (re-evaluate only the top T entries) with periodic heavy
+iterations (every R-th selection re-evaluates everything); the gain of
+the node actually selected is always recomputed fresh.  At R = 1 it is
+the plain greedy.  Its loop never reads the diffusion model: a private
+evaluator, made per solve, makes every diffusion run and keeps the
+state a model needs.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .diffusion import (
 # 0.3 * 50 cannot flip a met target
 FRACTION_EPS = 1e-9
 
-# Under deterministic LT, improved_greedy starts every evaluation from the
+# Under deterministic LT, the evaluator starts every evaluation from the
 # iteration's base run once it holds this many seeds.  From one seed a
 # candidate's cascade is mostly new, and re-checking it node by node
 # measured slower than a full run on small graphs.
@@ -102,90 +103,81 @@ class SeedSet:
         raise ValueError(f"target {beta} is beyond this run's coverage")
 
 
-def _propagate(coupled, seed_nodes, cfg, base=None):
-    """The diffusion outcome of ``seed_nodes`` under ``cfg.model``;
-    ``base`` (deterministic linear threshold only) is an earlier outcome
-    of a subset of them."""
-    budget = coupled.hop_scale * cfg.hops
-    model = cfg.model
+def _propagate(graph, seed_nodes, budget, model, base=None):
+    """The diffusion outcome of ``seed_nodes`` under ``model``; ``base``
+    (deterministic linear threshold) is an earlier outcome of a subset of
+    them."""
     if model.kind == LINEAR_THRESHOLD:
-        return lt_propagate(coupled.graph, seed_nodes, budget, base=base)
-    if base is not None:
-        raise ValueError("a base run applies to deterministic linear threshold only")
+        return lt_propagate(graph, seed_nodes, budget, base=base)
     if model.kind == INDEPENDENT_CASCADE:
-        return ic_propagate(coupled.graph, seed_nodes, budget, model)
-    return st_propagate(coupled.graph, seed_nodes, budget, model)
+        return ic_propagate(graph, seed_nodes, budget, model)
+    return st_propagate(graph, seed_nodes, budget, model)
 
 
-def _coverage(coupled, seed_nodes, cfg):
-    return _propagate(coupled, seed_nodes, cfg).coverage_weight
-
-
-def marginal_gain(coupled, current, candidate, cfg, base_coverage=None, base=None):
-    """Coverage gain of adding one candidate node to the current seeds.
-
-    ``base`` is an optional :func:`~muxlci.diffusion.lt_propagate`
-    outcome of ``current`` under deterministic linear threshold; the
-    joint run then starts from it, with the same result.  It also
-    supplies ``base_coverage`` when that is not given.
-    """
+def marginal_gain(coupled, current, candidate, cfg):
+    """Coverage gain of adding one candidate node to the current seeds,
+    from a full run of each."""
     if candidate in current:
         raise ValueError(f"candidate {candidate!r} already selected")
     if candidate not in coupled.user_of:
         raise ValueError(f"candidate {candidate!r} is not a seedable node")
-    if base_coverage is None:
-        if base is None:
-            base_coverage = _coverage(coupled, current, cfg)
-        else:
-            base_coverage = base.coverage_weight
-    joint = _propagate(coupled, [*current, candidate], cfg, base)
-    return joint.coverage_weight - base_coverage
+    budget = coupled.hop_scale * cfg.hops
+    before = _propagate(coupled.graph, current, budget, cfg.model).coverage_weight
+    return _propagate(coupled.graph, [*current, candidate], budget, cfg.model).coverage_weight - before
 
 
-def _domain(coupled):
-    """Seedable nodes in deterministic (graph index) order."""
-    return sorted(coupled.user_of, key=coupled.graph.index.__getitem__)
+class _Evaluator:
+    """The diffusion runs of one greedy solve, made from ``cfg.model``.
 
+    ``begin(i, selected)`` starts iteration ``i`` from the seeds selected
+    so far and returns their coverage; ``gain(node)`` is a candidate's
+    marginal gain over them and ``select(node)`` the popped node's fresh
+    gain.  Each makes one diffusion run, but ``begin(0, [])``, heap
+    initialisation, makes none.
 
-def _iteration_cfg(cfg, iteration):
-    """``cfg`` for greedy iteration ``iteration``: a stochastic model
-    draws from rng seed ``rng_seed + 7919 * iteration`` in it."""
-    model = cfg.model
-    if model.kind == LINEAR_THRESHOLD:
-        return cfg
-    return replace(cfg, model=replace(model, rng_seed=model.rng_seed + 7919 * iteration))
+    Under a stochastic model, iteration ``i`` draws every run from rng
+    seed ``rng_seed + 7919 * i``, so its candidates share random numbers.
+    Under deterministic linear threshold, once the seeds number
+    DELTA_MIN_SEEDS or more, every evaluation starts from the iteration's
+    base run (``lt_propagate``'s ``base``) and re-checks only the nodes
+    the candidate moves earlier, with the same result.  The base run
+    starts from the previous iteration's fresh run, which has the same
+    seeds, so it changes no hop and costs O(n).
+    """
 
+    def __init__(self, coupled, cfg):
+        self.graph = coupled.graph
+        self.budget = coupled.hop_scale * cfg.hops
+        self.model = cfg.model  # the iteration's model
+        self.rng_seed = cfg.model.rng_seed
+        self.delta = cfg.model.kind == LINEAR_THRESHOLD
+        self.selected = []
+        self.coverage = 0.0
+        self.start = None  # the base run evaluations start from
+        self.last = None  # the previous iteration's fresh run
 
-def _finish(coupled, selected, gains, coverages, total):
-    coverage = coverages[-1] if coverages else 0.0
-    return SeedSet(coupled.users_of(selected), gains, coverage / total, coverages, total)
+    def _run(self, seed_nodes, base):
+        return _propagate(self.graph, seed_nodes, self.budget, self.model, base)
 
+    def begin(self, iteration, selected):
+        self.selected = selected
+        if not self.delta:
+            self.model = replace(self.model, rng_seed=self.rng_seed + 7919 * iteration)
+        if iteration:
+            run = self._run(selected, self.last)
+            self.coverage = run.coverage_weight
+            if self.delta and len(selected) >= DELTA_MIN_SEEDS:
+                self.start = run
+        return self.coverage
 
-def naive_greedy(coupled, cfg):
-    """Reference greedy: re-evaluate every unselected candidate each
-    iteration and take the best, ties to the smallest node index."""
-    total = coupled.graph.total_weight
-    remaining = _domain(coupled)
-    selected, gains, coverages = [], [], []
-    coverage = 0.0
-    iteration = 0
-    while not meets_fraction(coverage, cfg.beta, total):
-        if not remaining:
-            raise ValueError("coverage target unreachable: candidate pool exhausted")
-        iteration += 1
-        step = _iteration_cfg(cfg, iteration)
-        base = _coverage(coupled, selected, step)
-        best, best_gain = None, None
-        for candidate in remaining:
-            gain = _coverage(coupled, [*selected, candidate], step) - base
-            if best_gain is None or gain > best_gain:
-                best, best_gain = candidate, gain
-        selected.append(best)
-        remaining.remove(best)
-        gains.append(best_gain)
-        coverage = base + best_gain
-        coverages.append(coverage)
-    return _finish(coupled, selected, gains, coverages, total)
+    def gain(self, node):
+        return self._run([*self.selected, node], self.start).coverage_weight - self.coverage
+
+    def select(self, node):
+        joint = self._run([*self.selected, node], self.start)
+        if self.delta:
+            self.last = joint
+        return joint.coverage_weight - self.coverage
 
 
 def improved_greedy(coupled, cfg):
@@ -196,63 +188,41 @@ def improved_greedy(coupled, cfg):
     iteration rebuilds the whole heap with fresh gains; other iterations
     re-evaluate just the top T entries and push them back.  The maximum
     is then popped, its gain recomputed fresh, and the node selected.
-    With T = |domain| or R = 1 this collapses to the naive greedy.
+    With T = |domain| or R = 1 this is the plain greedy.
 
-    Every evaluation is one diffusion run.  A full run costs O(m+n), so
-    a light iteration costs O(T*(m+n)) against the naive greedy's
-    O(n*(m+n)).  Under deterministic linear threshold, once the seeds
-    number DELTA_MIN_SEEDS or more, each iteration's base run of the
-    selected seeds is handed to every heavy, light and fresh evaluation
-    (``lt_propagate``'s ``base``): the joint run then re-checks only the
-    nodes whose activation hop the candidate moves earlier, and the
-    in-edges of each, with the same result.  From the second iteration
-    on, the base run itself starts from the previous iteration's fresh
-    run, which has the same seeds, so it changes no hop and costs O(n).
-    Heap initialisation and the first base run are full runs.
+    Every evaluation is one diffusion run, made by a per-solve
+    ``_Evaluator``; the loop is the same under every model.  A full run
+    costs O(m+n), so a light iteration costs O(T*(m+n)) against the
+    plain greedy's O(n*(m+n)).
     """
     graph = coupled.graph
     total = graph.total_weight
-    domain = _domain(coupled)
+    evaluator = _Evaluator(coupled, cfg)
+    evaluator.begin(0, [])
+    domain = sorted(coupled.user_of, key=graph.index.__getitem__)
+    heap = [(-evaluator.gain(node), graph.index[node], node) for node in domain]
+    heapq.heapify(heap)
     selected, gains, coverages = [], [], []
     coverage = 0.0
-    init = _iteration_cfg(cfg, 0)
-    delta = cfg.model.kind == LINEAR_THRESHOLD
-    heap = [(-marginal_gain(coupled, selected, node, init, 0.0), graph.index[node], node) for node in domain]
-    heapq.heapify(heap)
-    counter = 0
-    last = None  # the previous iteration's fresh run, under deterministic LT
+    iteration = 0
     while not meets_fraction(coverage, cfg.beta, total):
         if not heap:
             raise ValueError("coverage target unreachable: candidate pool exhausted")
-        counter += 1
-        step = _iteration_cfg(cfg, counter)
-        run = _propagate(coupled, selected, step, last)
-        base = run.coverage_weight
-        start = run if delta and len(selected) >= DELTA_MIN_SEEDS else None
-        if counter % cfg.R == 0:
-            heap = [
-                (-marginal_gain(coupled, selected, node, step, base, base=start), idx, node)
-                for (_, idx, node) in heap
-            ]
+        iteration += 1
+        prior = evaluator.begin(iteration, selected)
+        if iteration % cfg.R == 0:
+            heap = [(-evaluator.gain(node), idx, node) for _, idx, node in heap]
             heapq.heapify(heap)
         else:
-            refreshed = []
-            for _ in range(min(cfg.T, len(heap))):
-                _, idx, node = heapq.heappop(heap)
-                gain = marginal_gain(coupled, selected, node, step, base, base=start)
-                refreshed.append((-gain, idx, node))
-            for entry in refreshed:
-                heapq.heappush(heap, entry)
+            for _, idx, node in [heapq.heappop(heap) for _ in range(min(cfg.T, len(heap)))]:
+                heapq.heappush(heap, (-evaluator.gain(node), idx, node))
         _, _, node = heapq.heappop(heap)
-        joint = _propagate(coupled, [*selected, node], step, start)
-        fresh = joint.coverage_weight - base
-        if delta:
-            last = joint
+        gain = evaluator.select(node)
         selected.append(node)
-        gains.append(fresh)
-        coverage = base + fresh
+        gains.append(gain)
+        coverage = prior + gain
         coverages.append(coverage)
-    return _finish(coupled, selected, gains, coverages, total)
+    return SeedSet(coupled.users_of(selected), gains, coverage / total, coverages, total)
 
 
 def brute_force_optimal(network, beta, hops, max_users=22):

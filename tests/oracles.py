@@ -48,7 +48,7 @@ from muxlci.diffusion import (
     multiplex_lt_propagate,
     st_propagate,
 )
-from muxlci.solver import meets_fraction
+from muxlci.solver import SeedSet, meets_fraction
 from muxlci.network import WEIGHT_EPS, _require_complete
 
 TOL = 1e-12
@@ -720,34 +720,76 @@ def reference_run_experiment(spec):
     return rows
 
 
-def _reference_coverage(coupled, seed_nodes, cfg, rng_seed=None):
+def _reference_coverage(coupled, seed_nodes, cfg, rng_seed):
+    """Coverage of a full run of ``seed_nodes`` on the coupled graph under
+    ``cfg.model``, drawn from ``rng_seed`` under a stochastic model."""
     budget = coupled.hop_scale * cfg.hops
-    model = cfg.model
-    if model is None or model.kind == LINEAR_THRESHOLD:
+    model = replace(cfg.model, rng_seed=rng_seed)
+    if model.kind == LINEAR_THRESHOLD:
         outcome = lt_propagate(coupled.graph, seed_nodes, budget)
+    elif model.kind == INDEPENDENT_CASCADE:
+        outcome = ic_propagate(coupled.graph, seed_nodes, budget, model)
+    elif model.kind == STOCHASTIC_THRESHOLD:
+        outcome = st_propagate(coupled.graph, seed_nodes, budget, model)
     else:
-        if rng_seed is not None:
-            model = replace(model, rng_seed=rng_seed)
-        if model.kind == INDEPENDENT_CASCADE:
-            outcome = ic_propagate(coupled.graph, seed_nodes, budget, model)
-        elif model.kind == STOCHASTIC_THRESHOLD:
-            outcome = st_propagate(coupled.graph, seed_nodes, budget, model)
-        else:
-            raise ValueError(f"unknown diffusion model {model.kind!r}")
+        raise ValueError(f"unknown diffusion model {model.kind!r}")
     return outcome.coverage_weight
 
 
-def reference_marginal_gain(coupled, current, candidate, cfg, base_coverage=None, rng_seed=None, base=None):
-    """marginal_gain as a full rerun of the joint seeds, as it was before
-    an evaluation could start from a base run (``base`` is ignored)."""
-    if candidate in current:
-        raise ValueError(f"candidate {candidate!r} already selected")
-    if candidate not in coupled.user_of:
-        raise ValueError(f"candidate {candidate!r} is not a seedable node")
-    if base_coverage is None:
-        base_coverage = _reference_coverage(coupled, sorted(current), cfg, rng_seed)
-    joint = _reference_coverage(coupled, sorted(set(current) | {candidate}), cfg, rng_seed)
-    return joint - base_coverage
+def _lazy_greedy(candidates, cover, beta, total, T, R):
+    """improved_greedy's heap logic over full reruns: ``cover(seeds,
+    iteration)`` is the coverage of ``seeds`` in greedy iteration
+    ``iteration`` (0 fills the heap), and ties go to the earlier
+    candidate.  Returns (selected, gains, coverages)."""
+    heap = [(-cover([c], 0), i, c) for i, c in enumerate(candidates)]
+    heapq.heapify(heap)
+    selected, gains, coverages, coverage, iteration = [], [], [], 0.0, 0
+    while not meets_fraction(coverage, beta, total):
+        if not heap:
+            raise ValueError("coverage target unreachable: candidate pool exhausted")
+        iteration += 1
+        base = cover(selected, iteration)
+        if iteration % R == 0:
+            stale = heap
+        else:
+            stale = [heapq.heappop(heap) for _ in range(min(T, len(heap)))]
+        fresh = [(base - cover(selected + [c], iteration), i, c) for _, i, c in stale]
+        if iteration % R == 0:
+            heap = fresh
+            heapq.heapify(heap)
+        else:
+            for entry in fresh:
+                heapq.heappush(heap, entry)
+        _, _, c = heapq.heappop(heap)
+        gain = cover(selected + [c], iteration) - base
+        selected.append(c)
+        gains.append(gain)
+        coverage = base + gain
+        coverages.append(coverage)
+    return selected, gains, coverages
+
+
+def coupled_lazy_greedy(coupled, cfg):
+    """improved_greedy as full reruns: the candidates are the seedable
+    nodes in graph index order, and iteration i draws every stochastic
+    run from rng seed ``rng_seed + 7919 * i``."""
+    graph = coupled.graph
+    domain = sorted(coupled.user_of, key=graph.index.__getitem__)
+    rng_seed = cfg.model.rng_seed
+
+    def cover(seeds, iteration):
+        return _reference_coverage(coupled, seeds, cfg, rng_seed + 7919 * iteration)
+
+    total = graph.total_weight
+    selected, gains, coverages = _lazy_greedy(domain, cover, cfg.beta, total, cfg.T, cfg.R)
+    coverage = coverages[-1] if coverages else 0.0
+    return SeedSet(coupled.users_of(selected), gains, coverage / total, coverages, total)
+
+
+def naive_greedy(coupled, cfg):
+    """The plain greedy: every unselected candidate re-evaluated in every
+    iteration, the best taken, ties to the smallest node index."""
+    return coupled_lazy_greedy(coupled, replace(cfg, R=1))
 
 
 def multiplex_lazy_greedy(network, beta, hops, T, R):
@@ -757,29 +799,8 @@ def multiplex_lazy_greedy(network, beta, hops, T, R):
     (users, gains)."""
     users = sorted(network.universe)
 
-    def cover(seeds):
+    def cover(seeds, iteration):
         return multiplex_lt_propagate(network, seeds, hops).coverage_count
 
-    heap = [(-cover([user]), i, user) for i, user in enumerate(users)]
-    heapq.heapify(heap)
-    selected, gains, coverage, iteration = [], [], 0.0, 0
-    while not meets_fraction(coverage, beta, len(users)):
-        iteration += 1
-        base = cover(selected)
-        if iteration % R == 0:
-            stale = heap
-        else:
-            stale = [heapq.heappop(heap) for _ in range(min(T, len(heap)))]
-        fresh = [(base - cover(selected + [user]), i, user) for _, i, user in stale]
-        if iteration % R == 0:
-            heap = fresh
-            heapq.heapify(heap)
-        else:
-            for entry in fresh:
-                heapq.heappush(heap, entry)
-        _, _, user = heapq.heappop(heap)
-        gain = cover(selected + [user]) - base
-        selected.append(user)
-        gains.append(gain)
-        coverage = base + gain
+    selected, gains, _ = _lazy_greedy(users, cover, beta, len(users), T, R)
     return selected, gains

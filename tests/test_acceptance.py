@@ -20,7 +20,6 @@ from muxlci import (
     improved_greedy,
     lt_propagate,
     multiplex_lt_propagate,
-    naive_greedy,
     overlap_users,
     small_ilp_instance,
     st_propagate,
@@ -30,7 +29,7 @@ from muxlci.diffusion import InfluenceGraph
 from muxlci.experiment import solve_pipeline, union_baseline
 
 from conftest import random_network, random_seed_users
-from oracles import bfs_reachable
+from oracles import bfs_reachable, naive_greedy
 
 
 def report(name, passed, detail=""):

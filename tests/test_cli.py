@@ -399,6 +399,14 @@ def test_experiment_rejects_sweep_over_layer_files(tmp_path, layer_files, capsys
     ({"betas": []}, "schemes and betas must each list at least one value"),
     ({"betas": [0.4, float("nan")]}, "beta nan is not a number in (0, 1]"),
     ({"hops": 0}, "hops must be >= 1"),
+    ({"betas": 0.5}, "betas must be a list, not 0.5"),
+    ({"schemes": "clique"}, "schemes must be a list, not 'clique'"),
+    ({"schemes": [1]}, "schemes must be strings, not 1"),
+    ({"k_values": 3}, "k_values must be a list, not 3"),
+    ({"overlap_values": "0.2"}, "overlap_values must be a list, not '0.2'"),
+    ({"synth": None, "layer_files": "layer.txt"}, "layer_files must be a list, not 'layer.txt'"),
+    ({"synth": 5}, "synth must be a mapping, not 5"),
+    ({"target_layer": "1"}, "target_layer must be an integer, not '1'"),
 ])
 def test_experiment_rejects_bad_sweep(tmp_path, capsys, fields, message):
     config = {"schemes": ["clique"], "betas": [0.4], "hops": 2,
@@ -442,6 +450,10 @@ def test_experiment_rejects_non_integer_count(tmp_path, capsys, field, value):
     ({"kind": "independent_cascade", "mc_samples": 2.5}, "mc_samples must be an integer, not 2.5"),
     ({"kind": "stochastic_threshold", "mc_samples": True}, "mc_samples must be an integer, not True"),
     ({"kind": "independent_cascade", "mc_samples": "5"}, "mc_samples must be an integer, not '5'"),
+    ({"kind": "independent_cascade", "rng_seed": "7"}, "rng_seed must be an integer, not '7'"),
+    ({"kind": "stochastic_threshold", "rng_seed": 2.5}, "rng_seed must be an integer, not 2.5"),
+    ({"kind": "independent_cascade", "rng_seed": None}, "rng_seed must be an integer, not None"),
+    ({"kind": "linear_threshold", "rng_seed": True}, "rng_seed must be an integer, not True"),
 ])
 def test_experiment_rejects_bad_model(tmp_path, capsys, model, message):
     config = {"schemes": ["clique"], "betas": [0.4], "hops": 2, "model": model,

@@ -534,6 +534,21 @@ class TestDeltaMatchesFullRun:
         assert joint.active.per_hop == [{"a", "c"}, {"b"}]
         assert_same_outcome(joint, lt_propagate(graph, {"a", "c"}, 2))
 
+    def test_budget_far_past_the_node_count(self):
+        # a run adds no node after hop n - |seeds|, so the delta works to
+        # hop n at most; its outcome still serves as a base at the
+        # caller's budget, and only there
+        hops = 10 ** 7
+        graph = chain_graph([f"c{i}" for i in range(30)])
+        base = lt_propagate(graph, {"c0"}, hops)
+        joint = lt_propagate(graph, {"c0", "c10"}, hops, base=base)
+        assert joint.hops_used == 19
+        assert_same_outcome(joint, lt_propagate(graph, {"c0", "c10"}, hops))
+        more = {"c0", "c10", "c25"}
+        assert_same_outcome(lt_propagate(graph, more, hops, base=joint), lt_propagate(graph, more, hops))
+        with pytest.raises(ValueError, match=f"base ran {hops} hops, not 30"):
+            lt_propagate(graph, more, 30, base=joint)
+
     def test_resummed_float_falling_short_of_the_base(self):
         # v's in-weights sum to 0.35000000000000003 in the base's order
         # (x1, x2 at hop 0, then x0 at hop 1) but to 0.35 once x0 is a

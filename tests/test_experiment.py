@@ -250,7 +250,7 @@ class TestRunExperiment:
         ({"R": 0}, "R must be >= 1"),
         ({"schemes": ["clique", "only:x"]}, "unknown scheme 'only:x'"),
         ({"target_layer": 5}, "target_layer: layer 5 is missing from a network of 2 layers"),
-        ({"target_layer": 0}, "target_layer: layer 0 is missing"),
+        ({"target_layer": 0}, "^target_layer must be >= 1$"),
         ({"target_layer": 3, "k_values": [3, 2]}, "target_layer: layer 3 is missing from a network of 2"),
         ({"schemes": ["clique", "only:3"]}, "only:3: layer 3 is missing"),
         ({"synth": {"universe_size": 10, "per_layer": [[8, 0.1]]}, "target_layer": 2},
@@ -281,6 +281,10 @@ class TestRunExperiment:
         ({"kind": "independent_cascade", "mc_samples": 2.5}, "^mc_samples must be an integer, not 2.5$"),
         ({"kind": "stochastic_threshold", "mc_samples": True}, "^mc_samples must be an integer, not True$"),
         ({"kind": "linear_threshold", "mc_samples": 0}, "^mc_samples must be >= 1$"),
+        ({"kind": "independent_cascade", "rng_seed": "7"}, "^rng_seed must be an integer, not '7'$"),
+        ({"kind": "stochastic_threshold", "rng_seed": 2.5}, "^rng_seed must be an integer, not 2.5$"),
+        ({"kind": "independent_cascade", "rng_seed": None}, "^rng_seed must be an integer, not None$"),
+        ({"kind": "linear_threshold", "rng_seed": True}, "^rng_seed must be an integer, not True$"),
     ])
     def test_bad_model_rejected_at_spec_load(self, model, message):
         spec = {"schemes": ["clique"], "betas": [0.5], "hops": 2, "model": model,

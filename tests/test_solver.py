@@ -20,7 +20,6 @@ from muxlci import (
     marginal_gain,
     meets_fraction,
     multiplex_lt_propagate,
-    naive_greedy,
     st_propagate,
 )
 from muxlci.coupling import CoupledNetwork, NodeKind
@@ -28,7 +27,7 @@ from muxlci.solver import DELTA_MIN_SEEDS
 
 from conftest import make_layer, random_network, random_seed_users
 from lp_solve import parse_lp, solve_lp_minimum
-from oracles import multiplex_lazy_greedy, reference_marginal_gain, reference_multiplex_lt_propagate
+from oracles import coupled_lazy_greedy, multiplex_lazy_greedy, naive_greedy, reference_multiplex_lt_propagate
 
 
 def flat_coupled(names, edges, thetas):
@@ -68,7 +67,7 @@ class TestMarginalGain:
 
         for node in coupled.user_of:
             expected = lt_propagate(coupled.graph, [node], coupled.hop_scale * cfg.hops).coverage_count
-            assert marginal_gain(coupled, set(), node, cfg, base_coverage=0.0) == expected
+            assert marginal_gain(coupled, set(), node, cfg) == expected
 
 
 class TestNaiveGreedy:
@@ -360,43 +359,25 @@ class TestOracleCallCount:
         seed_set = improved_greedy(coupled, cfg)
         assert len(seed_set.users) > DELTA_MIN_SEEDS
         assert len(calls) == expected_oracle_calls(len(coupled.user_of), 3, 2, len(seed_set.users))
-        with pytest.raises(ValueError, match="deterministic linear threshold only"):
-            marginal_gain(coupled, [], coupled.seed_nodes(seed_set.users[:1])[0], cfg,
-                          base=original(coupled.graph, [], 4, cfg.model))
 
 
-class TestDeltaEvaluations:
-    """Evaluations started from a base run equal today's full reruns."""
+class TestFullRerunGreedy:
+    """improved_greedy equals its heap loop over full reruns under every
+    model: the evaluator's base runs, delta runs and per-iteration rng
+    seeds change no user, gain or coverage."""
 
-    @given(st.integers(min_value=0, max_value=10_000),
-           st.sampled_from(["clique", "star", "reduced-clique", "lossy-average", "lossy-involvement"]),
-           st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=3))
-    def test_marginal_gain_equals_full_rerun(self, seed, scheme, hops, size):
-        import random
-
-        network = random_network(seed, max_users=20)
-        coupled = couple(network, scheme)
-        cfg = GreedyConfig(0.5, hops)
-        rng = random.Random(seed)
-        domain = sorted(coupled.user_of)
-        current = rng.sample(domain, min(size, len(domain) - 1))
-        run = lt_propagate(coupled.graph, sorted(current), coupled.hop_scale * hops)
-        for candidate in sorted(set(domain) - set(current)):
-            gain = marginal_gain(coupled, current, candidate, cfg, base=run)
-            assert gain == reference_marginal_gain(coupled, current, candidate, cfg)
-
-    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5),
-           st.integers(min_value=1, max_value=4))
-    def test_improved_greedy_equals_full_rerun_greedy(self, seed, T, R):
-        import muxlci.solver
-
+    @pytest.mark.parametrize("kind", ["linear_threshold", "independent_cascade", "stochastic_threshold"])
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(COUPLING_SCHEMES),
+           st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=4))
+    def test_improved_greedy_equals_full_rerun_greedy(self, kind, seed, scheme, T, R):
         network = random_network(seed, max_users=25)
-        coupled = couple(network, "star")
-        cfg = GreedyConfig(0.7, 2, T=T, R=R)
+        coupled = couple(network, scheme, model_kind=kind)
+        # lossy thresholds fold above 1, outside the default stochastic bounds
+        bounds = 1.0 if scheme.startswith("lossy-") else None
+        model = DiffusionModel(kind, mc_samples=3, rng_seed=seed, st_bounds=bounds)
+        cfg = GreedyConfig(0.7, 2, T=T, R=R, model=model)
         ours = improved_greedy(coupled, cfg)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(muxlci.solver, "marginal_gain", reference_marginal_gain)
-            theirs = improved_greedy(coupled, cfg)
+        theirs = coupled_lazy_greedy(coupled, cfg)
         assert (ours.users, ours.gains, ours.coverages) == (theirs.users, theirs.gains, theirs.coverages)
 
 
