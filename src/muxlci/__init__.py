@@ -16,6 +16,7 @@ from .network import (
     LayerFormatError,
     load_layer,
     load_layer_file,
+    load_network,
     serialize_layer,
     normalize_incoming_weights,
     fill_missing_thresholds,

@@ -30,19 +30,9 @@ from .diffusion import (
     write_trace,
 )
 from .experiment import ExperimentSpec, run_experiment, solve_pipeline, write_rows_csv
-from .generator import SynthSpec, generate, small_ilp_instance, spec_echo, subseed
-from .network import (
-    LayerFormatError,
-    MultiplexNetwork,
-    apply_aliases,
-    fill_missing_thresholds,
-    load_alias_map,
-    load_layer_file,
-    needs_normalization,
-    normalize_incoming_weights,
-    serialize_layer,
-    validate,
-)
+from .generator import SynthSpec, generate, small_ilp_instance, spec_echo
+# muxbench spans.bindings wraps load_layer_file and validate here; test_benchmark_selftest fails without them
+from .network import LayerFormatError, load_layer_file, load_network, serialize_layer, validate  # noqa: F401
 from .solver import GreedyConfig, export_ilp
 
 MODEL_NAMES = {
@@ -53,28 +43,6 @@ MODEL_NAMES = {
     STOCHASTIC_THRESHOLD: STOCHASTIC_THRESHOLD,
     INDEPENDENT_CASCADE: INDEPENDENT_CASCADE,
 }
-
-
-def _load_network(args):
-    """Load layer files, apply aliases, then normalize weights and fill
-    thresholds where the files left them unset."""
-    layers = [load_layer_file(path, i + 1) for i, path in enumerate(args.layer)]
-    if getattr(args, "alias", None):
-        with open(args.alias, encoding="utf-8") as handle:
-            mapping = load_alias_map(handle)
-        layers = [apply_aliases(layer, mapping) for layer in layers]
-    normalized = []
-    prepared = []
-    for layer in layers:
-        if needs_normalization(layer):
-            layer = normalize_incoming_weights(layer, subseed(args.seed, f"weights/{layer.layer_index}"))
-            normalized.append(layer.layer_index)
-        prepared.append(layer)
-    network = fill_missing_thresholds(MultiplexNetwork(prepared), subseed(args.seed, "thresholds"))
-    report = validate(network)
-    if report:
-        raise ValueError("invalid network:\n  " + "\n  ".join(report))
-    return network, normalized
 
 
 def _write_json(payload, path):
@@ -139,7 +107,7 @@ def cmd_generate(args):
 def cmd_couple(args):
     model = _diffusion_model(args)
     check_scheme_model(args.scheme, model)
-    network, normalized = _load_network(args)
+    network, normalized = load_network(args.layer, args.alias, args.seed)
     coupled = couple(network, args.scheme, model_kind=model.kind)
     with open(args.out_edges, "w", encoding="utf-8") as edges, \
          open(args.out_manifest, "w", encoding="utf-8", newline="") as manifest:
@@ -179,7 +147,7 @@ def cmd_simulate(args):
     else:
         if model.kind != LINEAR_THRESHOLD:
             raise ValueError("stochastic models need a coupled graph (--coupled-edges)")
-        network, _ = _load_network(args)
+        network, _ = load_network(args.layer, args.alias, args.seed)
         outcome = multiplex_lt_propagate(network, seeds, args.hops)
         total = len(network.universe)
     if args.trace_out:
@@ -201,7 +169,7 @@ def cmd_simulate(args):
 
 def cmd_solve(args):
     model = _diffusion_model(args)
-    network, normalized = _load_network(args)
+    network, normalized = load_network(args.layer, args.alias, args.seed)
     cfg = GreedyConfig(args.beta, args.hops, args.T, args.R, model=model)
     result = solve_pipeline(network, args.scheme, cfg)
     result.pop("replay_outcome")
@@ -213,7 +181,7 @@ def cmd_solve(args):
 
 def cmd_export_ilp(args):
     model = _diffusion_model(args)
-    network, _ = _load_network(args)
+    network, _ = load_network(args.layer, args.alias, args.seed)
     coupled = couple(network, args.scheme, model_kind=model.kind)
     cfg = GreedyConfig(args.beta, args.hops)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -240,6 +208,7 @@ def _add_network_args(parser, layers_required=True):
     parser.add_argument("--layer", action="append", default=[], required=layers_required,
                         help="layer edge-list file, repeat per layer in order")
     parser.add_argument("--alias", help="tab-separated alias file remapping user ids")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the weight, threshold and model draws")
 
 
 def _add_model_args(parser):
@@ -268,7 +237,6 @@ def build_parser():
     _add_network_args(p)
     p.add_argument("--scheme", choices=COUPLING_SCHEMES, required=True)
     _add_model_args(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-edges", required=True, dest="out_edges")
     p.add_argument("--out-manifest", required=True, dest="out_manifest")
     p.add_argument("--out", default=None, help="summary JSON path (default: stdout)")
@@ -281,7 +249,6 @@ def build_parser():
     p.add_argument("--seeds-file", required=True, dest="seeds_file")
     p.add_argument("--hops", type=int, required=True)
     _add_model_args(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace-out", dest="trace_out")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
@@ -294,7 +261,6 @@ def build_parser():
     p.add_argument("--T", type=int, default=8)
     p.add_argument("--R", type=int, default=3)
     _add_model_args(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
@@ -304,7 +270,6 @@ def build_parser():
     p.add_argument("--beta", type=float, default=0.8)
     p.add_argument("--hops", type=int, default=4)
     _add_model_args(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_ilp)
 

@@ -58,6 +58,9 @@ COUPLING_SCHEMES = (
     "lossy-average",
 )
 
+# the lossy multiplier of a user whose easiness or involvement sums to zero
+ALPHA_FLOOR = 1.0
+
 
 class NodeKind(NamedTuple):
     """Role of a coupled node: which user it stands for and, for
@@ -178,7 +181,7 @@ def _couple_lossless(network, sync, dummies, model_kind):
     return CoupledNetwork(graph, kinds, user_of, node_of_user, hop_scale, scheme, k, len(users))
 
 
-def _layer_alphas(layer, kind, floor):
+def _layer_alphas(layer, kind):
     """Multiplier alpha for every node of one complete layer.
 
     "average" is 1.  "easiness" is how easily a user activates in the
@@ -186,7 +189,7 @@ def _layer_alphas(layer, kind, floor):
     "involvement" is the cohesion of the user's 1-hop neighborhood:
     weight/threshold summed over every directed edge between members of
     the closed neighborhood (in- plus out-neighbors plus the user).
-    Either falls back to ``floor`` when its sum is zero (no in-weight,
+    Either falls back to ``ALPHA_FLOOR`` when its sum is zero (no in-weight,
     or no weighted edge in the neighborhood), so alpha stays positive.
 
     One pass over ``layer.edges`` gathers what every node needs.  Sums
@@ -202,7 +205,7 @@ def _layer_alphas(layer, kind, floor):
         in_totals = layer.in_weight_sums()
         for user in layer.nodes:
             total = in_totals.get(user, 0.0)
-            alphas[user] = floor if total <= 0.0 else total / layer.thresholds[user]
+            alphas[user] = ALPHA_FLOOR if total <= 0.0 else total / layer.thresholds[user]
         return alphas
     neighbors = {}
     for (src, dst) in layer.edges:
@@ -218,14 +221,14 @@ def _layer_alphas(layer, kind, floor):
                 if y in hood:
                     total += weight / layer.thresholds[y]
                     seen_edge = True
-        alphas[user] = floor if not seen_edge or total <= 0.0 else total
+        alphas[user] = ALPHA_FLOOR if not seen_edge or total <= 0.0 else total
     return alphas
 
 
 _ALPHA_KINDS = ("easiness", "involvement", "average")
 
 
-def _couple_lossy(network, kind="average", floor=1.0):
+def _couple_lossy(network, kind="average"):
     """Lossy coupling: one vertex per user, hop scale 1.
 
     Per-layer thresholds and in-weights are folded with positive
@@ -241,7 +244,7 @@ def _couple_lossy(network, kind="average", floor=1.0):
         raise ValueError(f"unknown lossy parameterization {kind!r}")
     _require_complete(network.layers)
     users = sorted(network.universe)
-    alphas = [_layer_alphas(layer, kind, floor) for layer in network.layers]
+    alphas = [_layer_alphas(layer, kind) for layer in network.layers]
     thresholds = {}
     for user in users:
         total = 0.0
@@ -260,7 +263,7 @@ def _couple_lossy(network, kind="average", floor=1.0):
     return CoupledNetwork(graph, kinds, dict(identity), dict(identity), 1, "lossy-" + kind, network.k, len(users))
 
 
-def couple(network, scheme, model_kind="linear_threshold", floor=1.0):
+def couple(network, scheme, model_kind="linear_threshold"):
     """Couple a complete multiplex network by scheme name (see COUPLING_SCHEMES).
 
     Sizes for n users, k layers and |V_i|, |E_i| per layer: "clique"
@@ -268,15 +271,14 @@ def couple(network, scheme, model_kind="linear_threshold", floor=1.0):
     "star" (k+2)n vertices and sum|E_i| + 2n(k+1) edges; "reduced-clique"
     sum|V_i| + n and "reduced-star" sum|V_i| + 2n vertices, whose
     coverage must be measured by weight; lossy schemes n vertices.
-    ``model_kind`` sets the lossless sync edge weights; ``floor`` is the
-    lossy multiplier floor.
+    ``model_kind`` sets the lossless sync edge weights.
     """
     if scheme in ("clique", "star"):
         return _couple_lossless(network, scheme, True, model_kind)
     if scheme in ("reduced-clique", "reduced-star"):
         return _couple_lossless(network, scheme[len("reduced-"):], False, model_kind)
     if scheme.startswith("lossy-"):
-        return _couple_lossy(network, scheme[len("lossy-"):], floor)
+        return _couple_lossy(network, scheme[len("lossy-"):])
     raise ValueError(f"unknown coupling scheme {scheme!r}")
 
 

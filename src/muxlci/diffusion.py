@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, repeat
@@ -50,6 +51,12 @@ def require_count(name, value):
         raise ValueError(f"{name} must be >= 1")
 
 
+def require_number(name, value):
+    """Raise ValueError unless ``value`` is an int or float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+
+
 def require_beta(beta):
     """Raise ValueError unless the coverage target ``beta`` is a number
     (not a bool) in (0, 1]."""
@@ -62,11 +69,12 @@ class DiffusionModel:
     """Diffusion model selector plus Monte Carlo controls.
 
     ``st_bounds`` only applies to the stochastic threshold model: a
-    per-node mapping, a single float, or None to reuse the graph's
-    stored thresholds as upper bounds.  ``mc_samples`` is ignored for
-    the deterministic linear-threshold model, but must still be a
-    count (:func:`require_count`).  ``rng_seed`` must be an int that is
-    not a bool, under every model.
+    per-node mapping (checked when drawn), a single number in (0, 1]
+    (checked here), or None to reuse the graph's stored thresholds as
+    upper bounds.  ``mc_samples`` is ignored for the deterministic
+    linear-threshold model, but must still be a count
+    (:func:`require_count`).  ``rng_seed`` must be an int that is not a
+    bool, under every model.
     """
 
     kind: str = LINEAR_THRESHOLD
@@ -80,6 +88,10 @@ class DiffusionModel:
         require_count("mc_samples", self.mc_samples)
         if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int):
             raise ValueError(f"rng_seed must be an integer, not {self.rng_seed!r}")
+        bounds = self.st_bounds
+        scalar = not isinstance(bounds, bool) and isinstance(bounds, (int, float)) and 0.0 < bounds <= 1.0
+        if not (bounds is None or isinstance(bounds, Mapping) or scalar):
+            raise ValueError(f"st_bounds must be a number in (0, 1] or a mapping, not {bounds!r}")
 
 
 class ActiveSet:

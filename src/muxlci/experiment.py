@@ -28,9 +28,10 @@ from . import __version__
 from .coupling import COUPLING_SCHEMES, check_scheme_model, couple
 from .diffusion import (
     DiffusionModel, LINEAR_THRESHOLD, _layer_lt_propagate, multiplex_lt_propagate, require_beta, require_count,
+    require_number,
 )
-from .generator import SynthSpec, generate, subseed
-from .network import MultiplexNetwork, overlap_users
+from .generator import SynthSpec, generate
+from .network import LayerGraph, MultiplexNetwork, load_network, overlap_users, subseed
 from .solver import GreedyConfig, brute_force_optimal, improved_greedy, meets_fraction
 
 BASELINE_SCHEMES = ("union", "direct")
@@ -55,8 +56,6 @@ def _network_record(network):
 
 def single_layer_network(layer):
     """Wrap one layer as a standalone single-layer multiplex network."""
-    from .network import LayerGraph
-
     clone = LayerGraph(1, set(layer.nodes), dict(layer.edges), dict(layer.thresholds))
     return MultiplexNetwork([clone])
 
@@ -361,45 +360,26 @@ def _diffusion_model(spec):
         raise ValueError(f"model {spec.model!r}: {exc}") from None
 
 
-def _synth_spec(spec, k, overlap, seed):
-    recipe = dict(spec.synth)
-    if "per_layer" in recipe:
-        per_layer = [tuple(entry) for entry in recipe["per_layer"]]
-        if k is not None:
-            raise ValueError("k_values sweep needs a uniform synth recipe")
-    else:
-        count = k if k is not None else recipe["k"]
-        per_layer = [(recipe["layer_size"], recipe["edge_prob"])] * count
-    fraction = overlap if overlap is not None else recipe.get("overlap_fraction")
-    return SynthSpec(recipe["universe_size"], per_layer, fraction, seed)
-
-
-def _load_files_network(spec):
-    from .network import (
-        apply_aliases,
-        fill_missing_thresholds,
-        load_alias_map,
-        load_layer_file,
-        needs_normalization,
-        normalize_incoming_weights,
-        validate,
-    )
-
-    layers = [load_layer_file(path, i + 1) for i, path in enumerate(spec.layer_files)]
-    if spec.alias_file:
-        with open(spec.alias_file, encoding="utf-8") as handle:
-            mapping = load_alias_map(handle)
-        layers = [apply_aliases(layer, mapping) for layer in layers]
-    layers = [
-        normalize_incoming_weights(layer, subseed(spec.base_seed, f"weights/{layer.layer_index}"))
-        if needs_normalization(layer) else layer
-        for layer in layers
-    ]
-    network = fill_missing_thresholds(MultiplexNetwork(layers), subseed(spec.base_seed, "thresholds"))
-    report = validate(network)
-    if report:
-        raise ValueError("invalid network:\n  " + "\n  ".join(report))
-    return network
+def _synth_spec(spec, axis_name, axis_value, seed):
+    """The SynthSpec of one sweep value; ValueError names a bad field."""
+    recipe = spec.synth
+    try:
+        if "per_layer" in recipe:
+            if axis_name == "k":
+                raise ValueError("k_values sweep needs a uniform synth recipe")
+            per_layer = [tuple(entry) for entry in recipe["per_layer"]]
+        else:
+            k = axis_value if axis_name == "k" else recipe["k"]
+            require_count("k_values entry" if axis_name == "k" else "k", k)
+            per_layer = [(recipe["layer_size"], recipe["edge_prob"])] * k
+        universe_size = recipe["universe_size"]
+    except KeyError as missing:
+        raise ValueError(f"synth needs {missing.args[0]!r}") from None
+    overlap = recipe.get("overlap_fraction")
+    if axis_name == "overlap":
+        overlap = axis_value
+        require_number("overlap_values entry", overlap)
+    return SynthSpec(universe_size, per_layer, overlap, seed)
 
 
 def _cells(spec):
@@ -523,7 +503,7 @@ def run_experiment(spec):
     row of both.
     """
     if spec.layer_files is not None:
-        file_network = _load_files_network(spec)
+        file_network, _ = load_network(spec.layer_files, spec.alias_file, spec.base_seed)
     cells = list(_cells(spec))
     networks = {}
     for axis_name, axis_value, repetition, _, _ in cells:
@@ -534,9 +514,7 @@ def run_experiment(spec):
             networks[key] = file_network
         else:
             seed = subseed(spec.base_seed, f"net/{axis_value}/{repetition}")
-            k = axis_value if axis_name == "k" else None
-            overlap = axis_value if axis_name == "overlap" else None
-            networks[key] = generate(_synth_spec(spec, k, overlap, seed))
+            networks[key] = generate(_synth_spec(spec, axis_name, axis_value, seed))
     rows = []
     for (_, axis_value, repetition), network_cells in itertools.groupby(cells, key=lambda cell: cell[:3]):
         network = networks[(axis_value, repetition)]

@@ -9,23 +9,12 @@ networks.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (
-    LayerGraph,
-    MultiplexNetwork,
-    fill_missing_thresholds,
-    normalize_incoming_weights,
-)
-
-
-def subseed(seed, label):
-    """Derive an independent child seed for a named random stream."""
-    digest = hashlib.sha256(f"{seed}/{label}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+from .diffusion import require_count, require_number
+from .network import LayerGraph, prepare_network, subseed
 
 
 @dataclass
@@ -45,17 +34,20 @@ class SynthSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.universe_size < 1:
-            raise ValueError("universe_size must be >= 1")
+        require_count("universe_size", self.universe_size)
         if not self.per_layer:
             raise ValueError("need at least one layer")
         for size, prob in self.per_layer:
-            if not 1 <= size <= self.universe_size:
+            require_count("layer_size", size)
+            require_number("edge_prob", prob)
+            if size > self.universe_size:
                 raise ValueError(f"layer size {size} outside 1..{self.universe_size}")
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"edge probability {prob} outside [0, 1]")
-        if self.overlap_fraction is not None and not 0.0 <= self.overlap_fraction <= 1.0:
-            raise ValueError("overlap_fraction must be in [0, 1]")
+        if self.overlap_fraction is not None:
+            require_number("overlap_fraction", self.overlap_fraction)
+            if not 0.0 <= self.overlap_fraction <= 1.0:
+                raise ValueError("overlap_fraction must be in [0, 1]")
 
 
 def _user_ids(universe_size):
@@ -123,16 +115,14 @@ def _memberships(spec, users, rng):
 
 def _network(users, member_sets, probs, rng_seed):
     """Layers 1..k over the given member index lists: Erdős–Rényi edges
-    from sub-stream ``edges/<i>``, incoming weights normalized from
-    ``weights/<i>``, then thresholds for the network from
-    ``thresholds``."""
+    from sub-stream ``edges/<i>``, then weights and thresholds drawn by
+    :func:`~muxlci.network.prepare_network`."""
     layers = []
     for li, (members_idx, prob) in enumerate(zip(member_sets, probs), start=1):
         members = [users[i] for i in members_idx]
         edges = _er_edges(members, prob, np.random.default_rng(subseed(rng_seed, f"edges/{li}")))
-        layer = LayerGraph(li, set(members), edges, {})
-        layers.append(normalize_incoming_weights(layer, subseed(rng_seed, f"weights/{li}")))
-    return fill_missing_thresholds(MultiplexNetwork(layers), subseed(rng_seed, "thresholds"))
+        layers.append(LayerGraph(li, set(members), edges, {}))
+    return prepare_network(layers, rng_seed)[0]
 
 
 def generate(spec):

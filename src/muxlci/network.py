@@ -12,12 +12,13 @@ Layer file format (UTF-8, whitespace separated)::
     # theta <user> <value>     per-layer threshold directive
     <src> <dst> [weight]       directed edge, weight in [0, 1]
 
-Missing weights stay unset until :func:`normalize_incoming_weights`
-draws and rescales them; missing thresholds stay unset until assignment.
+Missing weights and thresholds stay unset until :func:`prepare_network`
+draws them; :func:`load_network` reads files into a ready network.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -33,13 +34,21 @@ WEIGHT_EPS = 1e-12
 
 
 class LayerFormatError(ValueError):
-    """Malformed layer or alias file; carries the 1-based line number."""
+    """Malformed layer or alias file: ``<path>: line <line_no>: <reason>``."""
 
-    def __init__(self, message, line_no=None):
+    def __init__(self, message, line_no=None, path=None):
+        self.reason, self.line_no = message, line_no
         if line_no is not None:
             message = f"line {line_no}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
-        self.line_no = line_no
+
+
+def subseed(seed, label):
+    """Derive an independent child seed for a named random stream."""
+    digest = hashlib.sha256(f"{seed}/{label}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 @dataclass
@@ -232,9 +241,17 @@ def load_layer(lines, layer_index):
     return LayerGraph(layer_index, nodes, edges, thresholds)
 
 
-def load_layer_file(path, layer_index):
+def _parse_file(path, parse, *args):
+    """``parse(lines, *args)`` over a UTF-8 file, naming it in a LayerFormatError."""
     with open(path, encoding="utf-8") as handle:
-        return load_layer(handle, layer_index)
+        try:
+            return parse(handle, *args)
+        except LayerFormatError as exc:
+            raise LayerFormatError(exc.reason, exc.line_no, path) from None
+
+
+def load_layer_file(path, layer_index):
+    return _parse_file(path, load_layer, layer_index)
 
 
 def serialize_layer(layer):
@@ -396,3 +413,33 @@ def apply_aliases(layer, mapping):
             raise ValueError(f"aliasing merges conflicting thresholds for {target!r}")
         thresholds[target] = theta
     return LayerGraph(layer.layer_index, nodes, edges, thresholds)
+
+
+def prepare_network(layers, rng_seed):
+    """(network, normalized layer indices): every layer that
+    :func:`needs_normalization` normalized from sub-stream
+    ``weights/<layer index>`` of ``rng_seed``, then missing thresholds
+    filled from sub-stream ``thresholds``."""
+    prepared, normalized = [], []
+    for layer in layers:
+        if needs_normalization(layer):
+            layer = normalize_incoming_weights(layer, subseed(rng_seed, f"weights/{layer.layer_index}"))
+            normalized.append(layer.layer_index)
+        prepared.append(layer)
+    return fill_missing_thresholds(MultiplexNetwork(prepared), subseed(rng_seed, "thresholds")), normalized
+
+
+def load_network(layer_paths, alias_path, rng_seed):
+    """Layer files (layer i from ``layer_paths[i - 1]``), renamed through
+    the alias file if given, prepared (:func:`prepare_network`, whose
+    pair it returns) and validated: an invalid network raises ValueError
+    listing every violation."""
+    layers = [load_layer_file(path, i) for i, path in enumerate(layer_paths, start=1)]
+    if alias_path:
+        mapping = _parse_file(alias_path, load_alias_map)
+        layers = [apply_aliases(layer, mapping) for layer in layers]
+    network, normalized = prepare_network(layers, rng_seed)
+    report = validate(network)
+    if report:
+        raise ValueError("invalid network:\n  " + "\n  ".join(report))
+    return network, normalized

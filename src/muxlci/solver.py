@@ -43,6 +43,9 @@ FRACTION_EPS = 1e-9
 # measured slower than a full run on small graphs.
 DELTA_MIN_SEEDS = 2
 
+# brute_force_optimal enumerates up to 2**n subsets of n users; it refuses more
+BRUTE_FORCE_MAX_USERS = 22
+
 
 def meets_fraction(value, beta, total):
     """True when coverage ``value`` reaches the beta fraction of ``total``."""
@@ -225,21 +228,21 @@ def improved_greedy(coupled, cfg):
     return SeedSet(coupled.users_of(selected), gains, coverage / total, coverages, total)
 
 
-def brute_force_optimal(network, beta, hops, max_users=22):
+def brute_force_optimal(network, beta, hops):
     """Smallest seed set reaching the beta fraction under direct
     multiplex diffusion, by exhaustive search.
 
     Subsets are enumerated in increasing cardinality (lexicographic
     within each cardinality over sorted user ids), so the first feasible
     subset found has provably minimum size.  Checks beta and ``hops`` as
-    GreedyConfig does, and refuses universes larger than ``max_users``.
+    GreedyConfig does, and refuses universes over ``BRUTE_FORCE_MAX_USERS``.
     """
     require_beta(beta)
     require_count("hops", hops)
     users = sorted(network.universe)
     n = len(users)
-    if n > max_users:
-        raise ValueError(f"universe of {n} users exceeds the brute-force cap {max_users}")
+    if n > BRUTE_FORCE_MAX_USERS:
+        raise ValueError(f"universe of {n} users exceeds the brute-force cap {BRUTE_FORCE_MAX_USERS}")
     for size in range(n + 1):
         for combo in itertools.combinations(users, size):
             outcome = multiplex_lt_propagate(network, set(combo), hops)

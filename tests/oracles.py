@@ -163,7 +163,7 @@ def naive_multiplex_st_mean(network, seeds, hops, samples, seed):
     return total / samples
 
 
-def naive_easiness(network, user, layer_index, floor=1.0):
+def naive_easiness(network, user, layer_index, floor):
     """Easiness multiplier by a full edge scan for one (user, layer)."""
     layer = network.layer_by_index(layer_index)
     total = 0.0
@@ -175,7 +175,7 @@ def naive_easiness(network, user, layer_index, floor=1.0):
     return total / layer.thresholds[user]
 
 
-def naive_involvement(network, user, layer_index, floor=1.0):
+def naive_involvement(network, user, layer_index, floor):
     """Involvement multiplier by a full edge scan for one (user, layer).
 
     The closed neighborhood is an insertion-ordered dict (the user, then
@@ -656,9 +656,12 @@ def reference_run_experiment(spec):
     external influence from ``reference_external_influence``."""
     from muxlci import experiment as ex
     from muxlci.generator import generate, subseed
+    from muxlci.network import load_network
     from muxlci.solver import GreedyConfig
 
-    file_network = ex._load_files_network(spec) if spec.layer_files is not None else None
+    file_network = None
+    if spec.layer_files is not None:
+        file_network, _ = load_network(spec.layer_files, spec.alias_file, spec.base_seed)
     cells = list(ex._cells(spec))
     networks = {}
     for axis_name, axis_value, repetition, _, _ in cells:
@@ -667,9 +670,7 @@ def reference_run_experiment(spec):
                 network = file_network
             else:
                 seed = subseed(spec.base_seed, f"net/{axis_value}/{repetition}")
-                k = axis_value if axis_name == "k" else None
-                overlap = axis_value if axis_name == "overlap" else None
-                network = generate(ex._synth_spec(spec, k, overlap, seed))
+                network = generate(ex._synth_spec(spec, axis_name, axis_value, seed))
             networks[(axis_value, repetition)] = network
     rows = []
     for axis_name, axis_value, repetition, scheme, beta in cells:

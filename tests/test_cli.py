@@ -454,6 +454,8 @@ def test_experiment_rejects_non_integer_count(tmp_path, capsys, field, value):
     ({"kind": "stochastic_threshold", "rng_seed": 2.5}, "rng_seed must be an integer, not 2.5"),
     ({"kind": "independent_cascade", "rng_seed": None}, "rng_seed must be an integer, not None"),
     ({"kind": "linear_threshold", "rng_seed": True}, "rng_seed must be an integer, not True"),
+    *[({"kind": "stochastic_threshold", "st_bounds": bounds},
+       f"st_bounds must be a number in (0, 1] or a mapping, not {bounds!r}") for bounds in (2.5, 0, "x", True)],
 ])
 def test_experiment_rejects_bad_model(tmp_path, capsys, model, message):
     config = {"schemes": ["clique"], "betas": [0.4], "hops": 2, "model": model,
@@ -464,6 +466,59 @@ def test_experiment_rejects_bad_model(tmp_path, capsys, model, message):
     assert code == 3
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+SYNTH = {"universe_size": 20, "layer_size": 15, "edge_prob": 0.12, "k": 2}
+
+
+def synth_without(name):
+    return {key: value for key, value in SYNTH.items() if key != name}
+
+
+@pytest.mark.parametrize("synth, fields, message", [
+    (synth_without("k"), {}, "synth needs 'k'"),
+    (synth_without("universe_size"), {}, "synth needs 'universe_size'"),
+    (synth_without("layer_size"), {}, "synth needs 'layer_size'"),
+    (synth_without("edge_prob"), {}, "synth needs 'edge_prob'"),
+    ({**SYNTH, "k": "2"}, {}, "k must be an integer, not '2'"),
+    ({**SYNTH, "universe_size": 20.0}, {}, "universe_size must be an integer, not 20.0"),
+    ({**SYNTH, "layer_size": "15"}, {}, "layer_size must be an integer, not '15'"),
+    ({"universe_size": 20, "per_layer": [[15, 0.1], [7.5, 0.1]]}, {}, "layer_size must be an integer, not 7.5"),
+    ({**SYNTH, "edge_prob": "0.12"}, {}, "edge_prob must be a number, not '0.12'"),
+    ({**SYNTH, "edge_prob": True}, {}, "edge_prob must be a number, not True"),
+    ({**SYNTH, "overlap_fraction": "0.4"}, {}, "overlap_fraction must be a number, not '0.4'"),
+    (synth_without("k"), {"k_values": [2, "3"]}, "k_values entry must be an integer, not '3'"),
+    ({**SYNTH, "universe_size": 30}, {"overlap_values": [0.2, None]},
+     "overlap_values entry must be a number, not None"),
+    (SYNTH, {"overlap_values": [False]}, "overlap_values entry must be a number, not False"),
+])
+def test_experiment_rejects_bad_synth_recipe(tmp_path, capsys, synth, fields, message):
+    config = {"schemes": ["clique"], "betas": [0.4], "hops": 2, "synth": synth, **fields}
+    config_path = write(tmp_path / "exp.json", json.dumps(config))
+    out = tmp_path / "rows.csv"
+    code = main(["experiment", "--config", config_path, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_layer_file_error_names_the_file_in_solve_and_experiment(tmp_path, capsys):
+    good = write(tmp_path / "l1.txt", "a b 0.5\n")
+    bad = write(tmp_path / "l2.txt", "a b 0.5\nb b 0.5\n")
+    expected = f"error: {bad}: line 2: self-loop on 'b'\n"
+    assert main(["solve", "--layer", good, "--layer", bad]) == 2
+    assert capsys.readouterr().err == expected
+    config = write(tmp_path / "exp.json",
+                   json.dumps({"schemes": ["clique"], "betas": [0.4], "layer_files": [good, bad]}))
+    assert main(["experiment", "--config", config, "--out", str(tmp_path / "rows.csv")]) == 2
+    assert capsys.readouterr().err == expected
+
+
+def test_alias_file_error_names_the_file(tmp_path, capsys):
+    layer = write(tmp_path / "l1.txt", "a b 0.5\n")
+    alias = write(tmp_path / "alias.tsv", "# ids\na\tb\n")
+    assert main(["solve", "--layer", layer, "--alias", alias]) == 2
+    assert capsys.readouterr().err == f"error: {alias}: line 2: expected three tab-separated ids\n"
 
 
 def test_alias_file_merges_users_across_layers(tmp_path, capsys):

@@ -22,7 +22,7 @@ from muxlci import (
     write_coupled,
 )
 
-from muxlci.coupling import _layer_alphas
+from muxlci.coupling import ALPHA_FLOOR, _layer_alphas
 
 from conftest import make_layer, random_network, random_seed_users
 from oracles import (
@@ -253,12 +253,12 @@ class TestLosslessBuilderMatchesReference:
         assert list(ours.kinds) == list(ref.kinds)
 
 
-def easiness(network, user, layer_index, floor=1.0):
-    return _layer_alphas(network.layer_by_index(layer_index), "easiness", floor)[user]
+def easiness(network, user, layer_index):
+    return _layer_alphas(network.layer_by_index(layer_index), "easiness")[user]
 
 
-def involvement(network, user, layer_index, floor=1.0):
-    return _layer_alphas(network.layer_by_index(layer_index), "involvement", floor)[user]
+def involvement(network, user, layer_index):
+    return _layer_alphas(network.layer_by_index(layer_index), "involvement")[user]
 
 
 class TestLossyParameters:
@@ -281,11 +281,10 @@ class TestLossyParameters:
     def test_easiness_floor_for_sources(self):
         layer = make_layer(1, {("v", "a"): 1.0}, {"a": 0.5, "v": 0.5})
         network = MultiplexNetwork([layer])
-        assert easiness(network, "v", 1) == 1.0
-        assert easiness(network, "v", 1, floor=0.25) == 0.25
+        assert easiness(network, "v", 1) == ALPHA_FLOOR
         # the floor reaches the coupling: v's folded threshold is floor * theta
-        coupled = couple(network, "lossy-easiness", floor=0.25)
-        assert coupled.graph.theta[coupled.graph.index["v"]] == 0.25 * 0.5
+        coupled = couple(network, "lossy-easiness")
+        assert coupled.graph.theta[coupled.graph.index["v"]] == ALPHA_FLOOR * 0.5
 
     def test_involvement_bidirectional_triangle(self):
         nodes = {"a": 0.5, "b": 0.5, "c": 0.5}
@@ -313,9 +312,9 @@ class TestLossyParameters:
     def test_involvement_isolated_floor(self):
         layer = make_layer(1, {}, {"v": 0.5})
         network = MultiplexNetwork([layer])
-        assert involvement(network, "v", 1, floor=2.5) == 2.5
-        coupled = couple(network, "lossy-involvement", floor=2.5)
-        assert coupled.graph.theta[coupled.graph.index["v"]] == 2.5 * 0.5
+        assert involvement(network, "v", 1) == ALPHA_FLOOR
+        coupled = couple(network, "lossy-involvement")
+        assert coupled.graph.theta[coupled.graph.index["v"]] == ALPHA_FLOOR * 0.5
 
     def test_incomplete_layer_rejected(self):
         network = MultiplexNetwork([make_layer(1, {("a", "b"): None}, {"a": 0.5, "b": 0.5})])
@@ -353,17 +352,16 @@ class TestLossyMultipliersMatchReference:
     """The one-pass multipliers equal per-user full scans bit for bit,
     and the coupling folds them as the reference does."""
 
-    @given(st.integers(min_value=0, max_value=10_000),
-           st.floats(min_value=0.05, max_value=4.0))
-    def test_alphas_and_folded_coupling_exact(self, seed, floor):
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_alphas_and_folded_coupling_exact(self, seed):
         network = lossy_corner_network(seed)
         for kind, slow in (("easiness", naive_easiness), ("involvement", naive_involvement)):
             for layer in network.layers:
-                assert _layer_alphas(layer, kind, floor) == {
-                    user: slow(network, user, layer.layer_index, floor) for user in layer.nodes}
+                assert _layer_alphas(layer, kind) == {
+                    user: slow(network, user, layer.layer_index, ALPHA_FLOOR) for user in layer.nodes}
             thresholds, edges = naive_lossy_fold(
-                network, lambda u, i: slow(network, u, i, floor))
-            graph = couple(network, "lossy-" + kind, floor=floor).graph
+                network, lambda u, i: slow(network, u, i, ALPHA_FLOOR))
+            graph = couple(network, "lossy-" + kind).graph
             assert {u: graph.theta[graph.index[u]] for u in graph.node_ids} == thresholds
             assert {
                 (graph.node_ids[u], graph.node_ids[v], w)

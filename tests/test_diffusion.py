@@ -264,9 +264,13 @@ class TestStochasticThreshold:
         assert a.coverage_count == b.coverage_count
 
     def test_bound_validation(self):
+        # a single bound is checked when the model is built, a mapping's
+        # bounds when they are drawn
+        with pytest.raises(ValueError, match=r"^st_bounds must be a number in \(0, 1\] or a mapping, not 1\.5"):
+            DiffusionModel("stochastic_threshold", mc_samples=2, st_bounds=1.5)
         graph = chain_graph(["a", "b"])
-        model = DiffusionModel("stochastic_threshold", mc_samples=2, st_bounds=1.5)
-        with pytest.raises(ValueError, match="outside"):
+        model = DiffusionModel("stochastic_threshold", mc_samples=2, st_bounds={"a": 1.5, "b": 0.5})
+        with pytest.raises(ValueError, match="'a' outside"):
             st_propagate(graph, {"a"}, 1, model)
 
 

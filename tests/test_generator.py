@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -101,6 +102,35 @@ class TestGenerate:
             for j in range(i + 1, 5):
                 shares.append(len(network.layers[i].nodes & network.layers[j].nodes))
         assert abs(np.mean(shares) - 160) < 30
+
+
+def layers_digest(network):
+    digest = hashlib.sha256()
+    for layer in network.layers:
+        digest.update(serialize_layer(layer).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedOutput:
+    """Generated layers hash to recorded values, so a change to any
+    random stream or to the weight and threshold step shows here.  The
+    second network has a layer without edges, which the weight step
+    leaves as it is."""
+
+    @pytest.mark.parametrize("build, expected", [
+        (lambda: generate(SynthSpec(40, [(30, 0.1), (25, 0.05)], None, 2)),
+         "9405ccf5b01f97ad72a316183b13a7fbf60835d0c4bde1dee98e81172bf5a8f4"),
+        (lambda: generate(SynthSpec(60, [(20, 0.1), (25, 0.0), (30, 0.08)], 0.4, 5)),
+         "c05d3b4bcf50bb94f05b6fc250867d58b653d7ebe2c2537bf2d04190ef3dc730"),
+        (lambda: generate(SynthSpec(100, [(40, 0.03)] * 3, 0.5, 9)),
+         "11c4cd9fc2bc2f7fea84a0d92c7c76c1fa89cecfeb1dce5562befd3f368b770a"),
+        (lambda: small_ilp_instance(0),
+         "a70eb5488089c16ad92b9801404631221550d7f80ee04dad6d1b4ec146482784"),
+        (lambda: small_ilp_instance(3),
+         "c7cf17dc191758578921bb688478a511a3971a13a3624c088d97004bf69c5ee6"),
+    ])
+    def test_layers_hash_to_recorded_values(self, build, expected):
+        assert layers_digest(build()) == expected
 
 
 class TestSmallIlpInstance:

@@ -8,16 +8,19 @@ from muxlci import (
     LayerFormatError,
     MultiplexNetwork,
     LayerGraph,
+    SynthSpec,
     apply_aliases,
     fill_missing_thresholds,
+    generate,
     load_alias_map,
     load_layer,
+    load_network,
     normalize_incoming_weights,
     overlap_users,
     serialize_layer,
     validate,
 )
-from muxlci.network import WEIGHT_EPS, needs_normalization
+from muxlci.network import WEIGHT_EPS, needs_normalization, subseed
 
 from conftest import make_layer
 
@@ -247,3 +250,46 @@ class TestAliases:
     def test_malformed_alias_row(self):
         with pytest.raises(LayerFormatError, match="line 1"):
             load_alias_map(io.StringIO("only two\tfields\n"))
+
+
+def write_layer(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+class TestLoadNetwork:
+    def test_file_errors_name_the_file_and_keep_the_line(self, tmp_path):
+        good = write_layer(tmp_path / "l1.txt", "a b 0.5\n")
+        bad = write_layer(tmp_path / "l2.txt", "a b 0.5\nb b 0.5\n")
+        with pytest.raises(LayerFormatError) as caught:
+            load_network([good, bad], None, 0)
+        assert str(caught.value) == f"{bad}: line 2: self-loop on 'b'"
+        assert caught.value.line_no == 2
+        alias = write_layer(tmp_path / "alias.tsv", "a\tb\n")
+        with pytest.raises(LayerFormatError) as caught:
+            load_network([good], alias, 0)
+        assert str(caught.value) == f"{alias}: line 1: expected three tab-separated ids"
+        assert caught.value.line_no == 1
+
+    def test_invalid_network_lists_violations(self, tmp_path):
+        path = write_layer(tmp_path / "l1.txt", "# theta b 1.5\na b 0.5\n")
+        with pytest.raises(ValueError, match="^invalid network:\n  layer 1: node 'b' threshold 1.5 exceeds 1$"):
+            load_network([path], None, 0)
+
+    def test_unset_values_drawn_from_named_streams(self, tmp_path):
+        text = "# theta a 0.5\na b\nc b\n"
+        network, normalized = load_network([write_layer(tmp_path / "l1.txt", text)], None, 7)
+        assert normalized == [1]
+        layer = normalize_incoming_weights(parse(text), subseed(7, "weights/1"))
+        expected = fill_missing_thresholds(MultiplexNetwork([layer]), subseed(7, "thresholds"))
+        assert serialize_layer(network.layers[0]) == serialize_layer(expected.layers[0])
+        assert network.layers[0].thresholds["a"] == 0.5
+
+    def test_generated_layers_load_back_unchanged(self, tmp_path):
+        network = generate(SynthSpec(30, [(20, 0.1), (15, 0.0)], 0.5, 3))
+        paths = [write_layer(tmp_path / f"layer{layer.layer_index}.txt", serialize_layer(layer))
+                 for layer in network.layers]
+        loaded, normalized = load_network(paths, None, 3)
+        assert normalized == []
+        assert [serialize_layer(layer) for layer in loaded.layers] == [
+            serialize_layer(layer) for layer in network.layers]

@@ -428,7 +428,7 @@ class TestBruteForce:
     def test_minimality_by_exhaustive_check(self):
         network = random_network(127, max_users=9)
         beta, hops = 0.7, 2
-        optimum = brute_force_optimal(network, beta, hops, max_users=22)
+        optimum = brute_force_optimal(network, beta, hops)
         n = len(network.universe)
         import itertools
 
