@@ -40,7 +40,8 @@ WORKLOADS = ("sweep", "lt-greedy", "mc-greedy", "couple-simulate")
 TRACED_METRICS = (
     "solver.evals", "solver.selections", "solver.greedy_s", "coupling.couple_s",
     "coupling.read_s", "coupling.write_s", "network.load_s", "network.validate_s",
-    "diffusion.lt_calls", "diffusion.lt_s", "diffusion.mc_calls", "diffusion.replay_calls", "diffusion.replay_s",
+    "diffusion.lt_calls", "diffusion.lt_s", "diffusion.mc_calls", "diffusion.mc_samples", "diffusion.mc_s",
+    "diffusion.replay_calls", "diffusion.replay_s",
     "experiment.baseline_s", "experiment.composition_s", "experiment.cells", "cli.calls",
 )
 

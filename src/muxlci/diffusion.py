@@ -41,12 +41,16 @@ INDEPENDENT_CASCADE = "independent_cascade"
 _MODEL_KINDS = (LINEAR_THRESHOLD, STOCHASTIC_THRESHOLD, INDEPENDENT_CASCADE)
 
 
-def require_count(name, value):
-    """Raise ValueError unless ``value`` is an int (a bool is not one
-    here) and at least 1: the check of every sample count, hop budget,
-    T, R and repetition count."""
+def require_int(name, value):
+    """Raise ValueError unless ``value`` is an int that is not a bool."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def require_count(name, value):
+    """Raise ValueError unless ``value`` is an int and at least 1: the
+    check of every sample count, hop budget, T, R and repetition count."""
+    require_int(name, value)
     if value < 1:
         raise ValueError(f"{name} must be >= 1")
 
@@ -69,10 +73,10 @@ class DiffusionModel:
     """Diffusion model selector plus Monte Carlo controls.
 
     ``st_bounds`` only applies to the stochastic threshold model: a
-    per-node mapping (checked when drawn), a single number in (0, 1]
-    (checked here), or None to reuse the graph's stored thresholds as
-    upper bounds.  ``mc_samples`` is ignored for the deterministic
-    linear-threshold model, but must still be a count
+    non-empty per-node mapping (its values checked when drawn), a single
+    number in (0, 1] (checked here), or None to reuse the graph's stored
+    thresholds as upper bounds.  ``mc_samples`` is ignored for the
+    deterministic linear-threshold model, but must still be a count
     (:func:`require_count`).  ``rng_seed`` must be an int that is not a
     bool, under every model.
     """
@@ -86,9 +90,10 @@ class DiffusionModel:
         if self.kind not in _MODEL_KINDS:
             raise ValueError(f"unknown diffusion model {self.kind!r}")
         require_count("mc_samples", self.mc_samples)
-        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int):
-            raise ValueError(f"rng_seed must be an integer, not {self.rng_seed!r}")
+        require_int("rng_seed", self.rng_seed)
         bounds = self.st_bounds
+        if isinstance(bounds, Mapping) and not bounds:
+            raise ValueError("st_bounds must not be an empty mapping")
         scalar = not isinstance(bounds, bool) and isinstance(bounds, (int, float)) and 0.0 < bounds <= 1.0
         if not (bounds is None or isinstance(bounds, Mapping) or scalar):
             raise ValueError(f"st_bounds must be a number in (0, 1] or a mapping, not {bounds!r}")
@@ -180,13 +185,8 @@ class InfluenceGraph:
     routine, shared with :func:`muxlci.coupling.read_coupled` (which
     parses straight into the index adjacency), then checks every node
     and edge once, catching duplicates with a set of each source's
-    targets.  Nodes, edges, thresholds and
-    weights are immutable after construction.  The one piece of mutable
-    state is a memo of the last stochastic-threshold draws (see
-    :func:`st_propagate`), replaced whole by a single assignment; the
-    in-edge lists and the integral-weight test are derived once on first
-    use.  So instances stay safe to share across concurrent simulations;
-    all other scratch state is local to the call.
+    targets.  A graph never changes after construction; the in-edge
+    lists and the integral-weight test are derived once on first use.
     """
 
     def __init__(self, nodes, edges, thresholds, node_weights=None):
@@ -238,7 +238,6 @@ class InfluenceGraph:
         self.bar = [t - WEIGHT_EPS for t in theta]
         self.out = out
         self.total_weight = float(sum(node_weight))
-        self._st_memo = None
 
     def __len__(self):
         return len(self.node_ids)
@@ -668,70 +667,47 @@ def ic_propagate(graph, seeds, hops, model):
     return _monte_carlo(graph, model, partial(_ic_single, graph, seed_idx, hops), draws)
 
 
-def _draw_bars(rng_seed, samples, bounds):
-    """Yield each sample's activation bars: sample by sample, node by node,
-    one draw u from ``random.Random(rng_seed)`` gives the bar
-    ``(1.0 - u) * bound - WEIGHT_EPS``."""
-    rng = random.Random(rng_seed)
-    for _ in range(samples):
-        yield [(1.0 - rng.random()) * b - WEIGHT_EPS for b in bounds]
-
-
 def _st_bars(graph, model):
-    """Per-sample activation bars of a stochastic-threshold run.
-
-    The bars depend on the graph, the rng seed, the sample count and the
-    bounds alone, never on the seeds.  The graph remembers the inputs of
-    its last call.  A call with new inputs checks the bounds and draws
-    the bars one sample at a time; the next call with equal inputs draws
-    them all again and keeps the list, which later equal calls reuse.
-    So a single call holds one sample's bars at a time, and a run of
-    calls under one rng seed draws twice in all.  The bounds count by
-    value: a mapping changed in place misses.
-    """
+    """A generator of each sample's activation bars under a
+    stochastic-threshold ``model``: per sample and node, one draw u from
+    ``random.Random(model.rng_seed)`` gives ``(1.0 - u) * bound - WEIGHT_EPS``.
+    Every node's bound (``st_bounds``, or else its threshold) must be a
+    number in (0, 1]; that is checked before the first draw."""
     st_bounds = model.st_bounds
     if st_bounds is None:
         bounds = graph.theta
-    elif isinstance(st_bounds, (int, float)):
-        bounds = [float(st_bounds)] * len(graph.node_ids)
+    elif isinstance(st_bounds, Mapping):
+        bounds = [st_bounds.get(u) for u in graph.node_ids]
     else:
-        bounds = [float(st_bounds[u]) for u in graph.node_ids]
-    key = (model.rng_seed, model.mc_samples, bounds)
-    memo = graph._st_memo
-    if memo is not None and memo[0] == key:
-        # bounds equal to the memo's passed the check on the first call
-        if memo[1] is None:
-            memo = (key, list(_draw_bars(model.rng_seed, model.mc_samples, bounds)))
-            graph._st_memo = memo
-        return memo[1]
+        bounds = [float(st_bounds)] * len(graph)
     for u, b in zip(graph.node_ids, bounds):
+        if isinstance(b, bool) or not isinstance(b, (int, float)):
+            raise ValueError(f"st_bounds has no number for node {u!r}: {b!r}")
         if not 0.0 < b <= 1.0:
             raise ValueError(f"stochastic threshold bound for {u!r} outside (0, 1]: {b}")
-    graph._st_memo = (key, None)
-    return _draw_bars(model.rng_seed, model.mc_samples, bounds)
+    rng = random.Random(model.rng_seed)
+    return ([(1.0 - rng.random()) * b - WEIGHT_EPS for b in bounds] for _ in range(model.mc_samples))
 
 
-def st_propagate(graph, seeds, hops, model):
+def st_propagate(graph, seeds, hops, model, bars=None):
     """Stochastic-threshold diffusion, averaged over Monte Carlo samples.
 
     Per sample, each node's threshold is drawn uniformly from
     (0, bound] and a linear-threshold run follows.  Deterministic under
     the model's rng seed.
 
-    The draws do not depend on the seeds, so a greedy that evaluates
-    many seed sets under one rng seed need not redraw them: from the
-    second call with the same rng seed, ``mc_samples`` and resolved
-    bounds (by value), the graph keeps every sample's bars and reuses
-    them.  That memo holds ``mc_samples * len(graph)`` floats for one key
-    per graph and is freed with the graph; a single call still holds one
-    sample's bars at a time.
+    The draws do not depend on the seeds.  Without ``bars`` a call draws
+    one sample's bars at a time (:func:`_st_bars`); a caller that runs
+    many seed sets under one model may draw ``list(_st_bars(graph,
+    model))`` once and pass it as ``bars`` to each, with the same outcome.
     """
     if model.kind != STOCHASTIC_THRESHOLD:
         raise ValueError("model.kind must be stochastic_threshold")
     if hops < 0:
         raise ValueError("hop budget must be >= 0")
     seed_idx = _seed_indices(graph, seeds)
-    bars = _st_bars(graph, model)
+    if bars is None:
+        bars = _st_bars(graph, model)
     return _monte_carlo(graph, model, partial(_lt_rounds, graph, seed_idx, hops), bars)
 
 

@@ -28,7 +28,7 @@ from . import __version__
 from .coupling import COUPLING_SCHEMES, check_scheme_model, couple
 from .diffusion import (
     DiffusionModel, LINEAR_THRESHOLD, _layer_lt_propagate, multiplex_lt_propagate, require_beta, require_count,
-    require_number,
+    require_int, require_number,
 )
 from .generator import SynthSpec, generate
 from .network import LayerGraph, MultiplexNetwork, load_network, overlap_users, subseed
@@ -270,7 +270,10 @@ class ExperimentSpec:
     A sweep that could only fail cell by cell raises ValueError here:
     a list field (``schemes``, ``betas``, ``k_values``,
     ``overlap_values``, ``layer_files``) that is not a list, a scheme
-    that is not a string, a ``synth`` that is not a mapping, no schemes
+    that is not a string, a layer file or ``alias_file`` that is not a
+    path, a ``synth`` that is not a mapping or whose ``per_layer`` is not
+    a list of pairs, a ``beta_of_base`` that is not a bool or is set with
+    ``layer_files``, a ``base_seed`` that is not an integer, no schemes
     or betas, a beta outside (0, 1], ``hops``, ``T``, ``R``,
     ``repetitions`` or ``target_layer`` not an integer or below 1, a
     ``model`` record that does not build a DiffusionModel, a lossy
@@ -310,6 +313,14 @@ class ExperimentSpec:
             raise ValueError("specify exactly one of synth or layer_files")
         if self.layer_files is not None and (self.k_values or self.overlap_values):
             raise ValueError("k_values and overlap_values sweep a synth network, not layer_files")
+        for path in [*(self.layer_files or ()), self.alias_file]:
+            if path is not None and not isinstance(path, (str, os.PathLike)):
+                raise ValueError(f"layer_files and alias_file must be paths, not {path!r}")
+        if not isinstance(self.beta_of_base, bool):
+            raise ValueError(f"beta_of_base must be true or false, not {self.beta_of_base!r}")
+        if self.beta_of_base and self.layer_files is not None:
+            raise ValueError("beta_of_base scales beta by a synth universe_size, not layer_files")
+        require_int("base_seed", self.base_seed)
         if not self.schemes or not self.betas:
             raise ValueError("schemes and betas must each list at least one value")
         for beta in self.betas:
@@ -332,11 +343,16 @@ class ExperimentSpec:
 
     def _fewest_layers(self):
         """Layer count of the smallest network the sweep builds, or None
-        if the recipe does not say."""
+        if the recipe does not say; raises ValueError for a ``per_layer``
+        that is not a list of pairs."""
         if self.layer_files is not None:
             return len(self.layer_files)
         if "per_layer" in self.synth:
-            return len(self.synth["per_layer"])
+            per_layer = self.synth["per_layer"]
+            pair = (list, tuple)
+            if not isinstance(per_layer, pair) or not all(isinstance(e, pair) and len(e) == 2 for e in per_layer):
+                raise ValueError(f"per_layer must be a list of [layer_size, edge_prob] pairs, not {per_layer!r}")
+            return len(per_layer)
         if self.k_values:
             return min(self.k_values) if all(isinstance(k, int) for k in self.k_values) else None
         k = self.synth.get("k")
@@ -397,7 +413,7 @@ def _cells(spec):
 
 
 def _effective_beta(spec, network, beta):
-    if spec.beta_of_base and spec.synth is not None:
+    if spec.beta_of_base:
         base = spec.synth["universe_size"]
         return min(1.0, beta * base / len(network.universe))
     return beta

@@ -24,7 +24,9 @@ from dataclasses import dataclass, field, replace
 from .diffusion import (
     INDEPENDENT_CASCADE,
     LINEAR_THRESHOLD,
+    STOCHASTIC_THRESHOLD,
     DiffusionModel,
+    _st_bars,
     ic_propagate,
     lt_propagate,
     multiplex_lt_propagate,
@@ -106,15 +108,15 @@ class SeedSet:
         raise ValueError(f"target {beta} is beyond this run's coverage")
 
 
-def _propagate(graph, seed_nodes, budget, model, base=None):
+def _propagate(graph, seed_nodes, budget, model, base=None, bars=None):
     """The diffusion outcome of ``seed_nodes`` under ``model``; ``base``
     (deterministic linear threshold) is an earlier outcome of a subset of
-    them."""
+    them, ``bars`` (stochastic threshold) the model's drawn bars."""
     if model.kind == LINEAR_THRESHOLD:
         return lt_propagate(graph, seed_nodes, budget, base=base)
     if model.kind == INDEPENDENT_CASCADE:
         return ic_propagate(graph, seed_nodes, budget, model)
-    return st_propagate(graph, seed_nodes, budget, model)
+    return st_propagate(graph, seed_nodes, budget, model, bars=bars)
 
 
 def marginal_gain(coupled, current, candidate, cfg):
@@ -139,7 +141,9 @@ class _Evaluator:
     initialisation, makes none.
 
     Under a stochastic model, iteration ``i`` draws every run from rng
-    seed ``rng_seed + 7919 * i``, so its candidates share random numbers.
+    seed ``rng_seed + 7919 * i``, so its candidates share random numbers;
+    under stochastic threshold, ``begin`` draws the iteration's bars once
+    and every run of the iteration reuses them.
     Under deterministic linear threshold, once the seeds number
     DELTA_MIN_SEEDS or more, every evaluation starts from the iteration's
     base run (``lt_propagate``'s ``base``) and re-checks only the nodes
@@ -154,18 +158,21 @@ class _Evaluator:
         self.model = cfg.model  # the iteration's model
         self.rng_seed = cfg.model.rng_seed
         self.delta = cfg.model.kind == LINEAR_THRESHOLD
+        self.bars = None  # the iteration's stochastic-threshold bars
         self.selected = []
         self.coverage = 0.0
         self.start = None  # the base run evaluations start from
         self.last = None  # the previous iteration's fresh run
 
     def _run(self, seed_nodes, base):
-        return _propagate(self.graph, seed_nodes, self.budget, self.model, base)
+        return _propagate(self.graph, seed_nodes, self.budget, self.model, base, self.bars)
 
     def begin(self, iteration, selected):
         self.selected = selected
         if not self.delta:
             self.model = replace(self.model, rng_seed=self.rng_seed + 7919 * iteration)
+            if self.model.kind == STOCHASTIC_THRESHOLD:
+                self.bars = list(_st_bars(self.graph, self.model))
         if iteration:
             run = self._run(selected, self.last)
             self.coverage = run.coverage_weight

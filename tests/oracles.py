@@ -9,7 +9,7 @@ the multiplex (sum each touched node's hop total, test it afterwards,
 build id sets at once), the independent cascade loop written out in
 full (a set of the hop's hits, sorted at the end of the hop),
 stochastic-threshold bounds resolved and thresholds drawn afresh on
-every call, the three separate lossless coupling builders (full clique,
+every call (and checked against any bars the engine passes), the three separate lossless coupling builders (full clique,
 full star, reduced) that ``couple()`` now builds in one function, and
 the experiment loop that solves every cell on its own instead of once
 per (sweep value, repetition, scheme) and measures external influence
@@ -317,17 +317,23 @@ def reference_resolve_bounds(graph, st_bounds):
     return bounds
 
 
-def reference_st_propagate(graph, seeds, hops, model):
+def reference_st_propagate(graph, seeds, hops, model, bars=None):
     """Stochastic threshold through the reference sweep, drawing the
-    same thresholds from the same rng stream as the engine."""
+    same thresholds from the same rng stream as the engine.  ``bars``,
+    the engine's drawn bars if given, must equal the thresholds drawn
+    here less WEIGHT_EPS."""
     seed_idx = _seed_indices(graph, seeds)
     bounds = reference_resolve_bounds(graph, model.st_bounds)
     rng = random.Random(model.rng_seed)
     count_total = 0.0
     weight_total = 0.0
     last = None
-    for _ in range(model.mc_samples):
+    if bars is not None:
+        assert len(bars) == model.mc_samples
+    for sample in range(model.mc_samples):
         theta = [(1.0 - rng.random()) * b for b in bounds]
+        if bars is not None:
+            assert bars[sample] == [t - WEIGHT_EPS for t in theta]
         per_hop, hops_used = reference_lt_rounds(graph, seed_idx, hops, theta)
         members = {i for hop in per_hop for i in hop}
         count_total += len(members)

@@ -407,6 +407,19 @@ def test_experiment_rejects_sweep_over_layer_files(tmp_path, layer_files, capsys
     ({"synth": None, "layer_files": "layer.txt"}, "layer_files must be a list, not 'layer.txt'"),
     ({"synth": 5}, "synth must be a mapping, not 5"),
     ({"target_layer": "1"}, "target_layer must be an integer, not '1'"),
+    ({"synth": {"universe_size": 20, "per_layer": 5}},
+     "per_layer must be a list of [layer_size, edge_prob] pairs, not 5"),
+    ({"synth": {"universe_size": 20, "per_layer": [5]}},
+     "per_layer must be a list of [layer_size, edge_prob] pairs, not [5]"),
+    ({"synth": {"universe_size": 20, "per_layer": [[15]]}},
+     "per_layer must be a list of [layer_size, edge_prob] pairs, not [[15]]"),
+    ({"synth": None, "layer_files": [0]}, "layer_files and alias_file must be paths, not 0"),
+    ({"alias_file": 5}, "layer_files and alias_file must be paths, not 5"),
+    ({"beta_of_base": "false"}, "beta_of_base must be true or false, not 'false'"),
+    ({"synth": None, "layer_files": ["layer.txt"], "beta_of_base": True},
+     "beta_of_base scales beta by a synth universe_size, not layer_files"),
+    ({"base_seed": "x"}, "base_seed must be an integer, not 'x'"),
+    ({"base_seed": 1.5}, "base_seed must be an integer, not 1.5"),
 ])
 def test_experiment_rejects_bad_sweep(tmp_path, capsys, fields, message):
     config = {"schemes": ["clique"], "betas": [0.4], "hops": 2,
@@ -456,6 +469,7 @@ def test_experiment_rejects_non_integer_count(tmp_path, capsys, field, value):
     ({"kind": "linear_threshold", "rng_seed": True}, "rng_seed must be an integer, not True"),
     *[({"kind": "stochastic_threshold", "st_bounds": bounds},
        f"st_bounds must be a number in (0, 1] or a mapping, not {bounds!r}") for bounds in (2.5, 0, "x", True)],
+    ({"kind": "stochastic_threshold", "st_bounds": {}}, "st_bounds must not be an empty mapping"),
 ])
 def test_experiment_rejects_bad_model(tmp_path, capsys, model, message):
     config = {"schemes": ["clique"], "betas": [0.4], "hops": 2, "model": model,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import muxlci.solver
-from muxlci.diffusion import _layer_lt_propagate
+from muxlci.diffusion import _layer_lt_propagate, _st_bars
 from muxlci.experiment import single_layer_network
 from muxlci.network import WEIGHT_EPS
 from muxlci import (
@@ -272,6 +272,16 @@ class TestStochasticThreshold:
         model = DiffusionModel("stochastic_threshold", mc_samples=2, st_bounds={"a": 1.5, "b": 0.5})
         with pytest.raises(ValueError, match="'a' outside"):
             st_propagate(graph, {"a"}, 1, model)
+
+    def test_bounds_mapping_without_a_node_names_it(self):
+        graph = small_random_graph(5)
+        bounds = {u: 0.5 for u in graph.node_ids if u != "n2"}
+        model = DiffusionModel("stochastic_threshold", mc_samples=3, st_bounds=bounds)
+        with pytest.raises(ValueError, match="^st_bounds has no number for node 'n2': None$"):
+            st_propagate(graph, {"n0"}, 2, model)
+        bounds["n2"] = "0.5"
+        with pytest.raises(ValueError, match="^st_bounds has no number for node 'n2': '0.5'$"):
+            _st_bars(graph, model)
 
 
 def test_concurrent_runs_share_one_graph():
@@ -615,14 +625,15 @@ class TestDeltaMatchesFullRun:
 
 
 class TestMonteCarloMatchesReference:
-    """The per-graph draw memo of st_propagate and the marked-hop IC loop
-    give exactly the outcomes of drawing afresh on every call."""
+    """st_propagate, with or without drawn bars, and the marked-hop IC
+    loop give exactly the outcomes of the reference engines."""
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_st_call_sequence_exact(self, seed):
-        # twenty calls over two interleaved graphs that vary the seed set,
-        # rng seed, sample count, hops and bounds, or repeat the graph's last
-        # model; each graph has one bounds dict that "mutate" changes in
+        # st_propagate keeps no state between calls: twenty calls over two
+        # interleaved graphs that vary the seed set, rng seed, sample count,
+        # hops and bounds, or repeat the graph's last model, each equal the
+        # reference; each graph has one bounds dict that "mutate" changes in
         # place before passing it again
         import random
 
@@ -662,15 +673,18 @@ class TestMonteCarloMatchesReference:
         assert_same_outcome(st_propagate(graph, {"n1"}, 2, model),
                             reference_st_propagate(graph, {"n1"}, 2, model))
 
-    def test_draws_kept_only_from_the_second_equal_call(self):
-        # a single call holds one sample's bars at a time; a repeat keeps all
+    @pytest.mark.parametrize("st_bounds", [None, 0.5, "mapping"])
+    def test_drawn_bars_give_the_same_outcome(self, st_bounds):
         graph = small_random_graph(5)
-        model = DiffusionModel("stochastic_threshold", mc_samples=4, rng_seed=2)
-        for seeds in ({"n0"}, {"n1"}, {"n2"}):
-            assert_same_outcome(st_propagate(graph, seeds, 2, model),
-                                reference_st_propagate(graph, seeds, 2, model))
-            assert (graph._st_memo[1] is None) == (seeds == {"n0"})
-        assert len(graph._st_memo[1]) == 4
+        if st_bounds == "mapping":
+            st_bounds = {u: 0.25 + i / 20 for i, u in enumerate(graph.node_ids)}
+        model = DiffusionModel("stochastic_threshold", mc_samples=4, rng_seed=2, st_bounds=st_bounds)
+        bars = list(_st_bars(graph, model))
+        assert len(bars) == 4
+        for seeds in ({"n0"}, {"n1"}, {"n2", "n3"}):
+            ours = st_propagate(graph, seeds, 2, model, bars=bars)
+            assert_same_outcome(ours, st_propagate(graph, seeds, 2, model))
+            assert_same_outcome(ours, reference_st_propagate(graph, seeds, 2, model, bars=bars))
 
     def test_ic_node_hit_twice_in_one_hop_consumes_both_draws(self):
         # c is hit from a (weight 1) and then tried from b in the same hop;

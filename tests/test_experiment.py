@@ -256,6 +256,18 @@ class TestRunExperiment:
         ({"synth": {"universe_size": 10, "per_layer": [[8, 0.1]]}, "target_layer": 2},
          "target_layer: layer 2 is missing from a network of 1 layers"),
         ({"betas": [True]}, "beta True is not"),
+        ({"synth": {"universe_size": 10, "per_layer": 5}}, r"^per_layer must be a list of .* pairs, not 5$"),
+        ({"synth": {"universe_size": 10, "per_layer": [5]}}, r"^per_layer must be a list of .* pairs, not \[5\]$"),
+        ({"synth": {"universe_size": 10, "per_layer": [[15]]}}, r"pairs, not \[\[15\]\]$"),
+        ({"synth": {"universe_size": 10, "per_layer": [[8, 0.1, 2]]}}, r"pairs, not \[\[8, 0\.1, 2\]\]$"),
+        ({"synth": None, "layer_files": [0]}, "^layer_files and alias_file must be paths, not 0$"),
+        ({"synth": None, "layer_files": ["a.txt"], "alias_file": 5}, "must be paths, not 5$"),
+        ({"beta_of_base": "false"}, "^beta_of_base must be true or false, not 'false'$"),
+        ({"beta_of_base": 1}, "^beta_of_base must be true or false, not 1$"),
+        ({"synth": None, "layer_files": ["a.txt"], "beta_of_base": True}, "^beta_of_base scales beta by"),
+        ({"base_seed": "x"}, "^base_seed must be an integer, not 'x'$"),
+        ({"base_seed": 1.5}, "^base_seed must be an integer, not 1.5$"),
+        ({"base_seed": False}, "^base_seed must be an integer, not False$"),
     ])
     def test_bad_sweep_rejected_before_any_cell(self, fields, message):
         spec = {"schemes": ["clique"], "betas": [0.5], "hops": 2,
@@ -290,6 +302,7 @@ class TestRunExperiment:
         ({"kind": "stochastic_threshold", "st_bounds": 0}, r"a mapping, not 0$"),
         ({"kind": "stochastic_threshold", "st_bounds": "x"}, r"a mapping, not 'x'$"),
         ({"kind": "stochastic_threshold", "st_bounds": True}, r"a mapping, not True$"),
+        ({"kind": "stochastic_threshold", "st_bounds": {}}, "^st_bounds must not be an empty mapping$"),
     ])
     def test_bad_model_rejected_at_spec_load(self, model, message):
         spec = {"schemes": ["clique"], "betas": [0.5], "hops": 2, "model": model,

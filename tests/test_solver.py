@@ -344,9 +344,9 @@ class TestOracleCallCount:
         original = getattr(muxlci.solver, name)
         calls = []
 
-        def counting(graph, seeds, hops, model):
+        def counting(graph, seeds, hops, model, **kwargs):
             calls.append(seeds)
-            return original(graph, seeds, hops, model)
+            return original(graph, seeds, hops, model, **kwargs)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a stochastic greedy ran deterministic LT")
@@ -359,6 +359,29 @@ class TestOracleCallCount:
         seed_set = improved_greedy(coupled, cfg)
         assert len(seed_set.users) > DELTA_MIN_SEEDS
         assert len(calls) == expected_oracle_calls(len(coupled.user_of), 3, 2, len(seed_set.users))
+
+
+    @pytest.mark.parametrize("scheme, R", [("reduced-star", 2), ("clique", 1)])
+    def test_stochastic_threshold_draws_once_per_iteration(self, monkeypatch, scheme, R):
+        # heap initialisation and every selection draw their bars once;
+        # every evaluation of the iteration reuses them
+        import muxlci.solver
+
+        original = muxlci.solver._st_bars
+        draws = []
+
+        def counting(graph, model):
+            draws.append(model.rng_seed)
+            return original(graph, model)
+
+        monkeypatch.setattr(muxlci.solver, "_st_bars", counting)
+        network = random_network(156, max_users=20, max_layers=2)
+        coupled = couple(network, scheme, model_kind="stochastic_threshold")
+        model = DiffusionModel("stochastic_threshold", mc_samples=3, rng_seed=5)
+        seed_set = improved_greedy(coupled, GreedyConfig(0.9, 2, T=3, R=R, model=model))
+        selections = len(seed_set.users)
+        assert selections > DELTA_MIN_SEEDS
+        assert draws == [5 + 7919 * i for i in range(selections + 1)]
 
 
 class TestFullRerunGreedy:
