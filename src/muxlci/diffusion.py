@@ -186,7 +186,8 @@ class InfluenceGraph:
     parses straight into the index adjacency), then checks every node
     and edge once, catching duplicates with a set of each source's
     targets.  A graph never changes after construction; the in-edge
-    lists and the integral-weight test are derived once on first use.
+    lists and the integral- and unit-weight tests are derived once on
+    first use.
     """
 
     def __init__(self, nodes, edges, thresholds, node_weights=None):
@@ -263,6 +264,11 @@ class InfluenceGraph:
         return (all(float(w).is_integer() for w in self.node_weight)
                 and math.fsum(map(abs, self.node_weight)) <= 2.0 ** 53)
 
+    @cached_property
+    def _unit_weights(self):
+        """True when every node weight is 1.0, so a node count is its weight."""
+        return all(w == 1.0 for w in self.node_weight)
+
 
 def _seed_indices(graph, seeds):
     """The sorted, distinct indices of the seed ids."""
@@ -275,8 +281,12 @@ def _seed_indices(graph, seeds):
 
 def _tally(graph, per_hop_idx):
     """(node count, node-weight sum) of disjoint per-hop index lists."""
+    count = sum(map(len, per_hop_idx))
+    if graph._unit_weights:
+        # a sum of ones is the count, exactly; an empty sum stays the int 0
+        return count, count and float(count)
     weight = graph.node_weight.__getitem__
-    return sum(map(len, per_hop_idx)), sum(map(weight, chain.from_iterable(per_hop_idx)))
+    return count, sum(map(weight, chain.from_iterable(per_hop_idx)))
 
 
 def _outcome(graph, per_hop_idx, hops_used):
@@ -619,30 +629,34 @@ def _monte_carlo(graph, model, run_sample, samples):
 def _ic_single(graph, seed_idx, hops, rand):
     """One cascade drawing from ``rand()``; returns (per-hop index lists, hops used).
 
-    ``active`` marks a node 1 once committed and 2 while hit in the
-    current hop.  Every frontier edge into a node not committed before
-    the hop takes a draw, even when an earlier edge of the hop hit it, so
-    the stream follows the edge order alone.
+    ``stamp[v]`` is 0 while v was never hit, else the hop at which it
+    was hit plus 1.  Every frontier edge into a node not committed
+    before the hop takes a draw, even when an earlier edge of the hop hit
+    it (its stamp is then the hop's ``mark``), so the stream follows the
+    edge order alone.
     """
     out = graph.out
-    active = bytearray(len(graph.node_ids))
+    stamp = [0] * len(graph.node_ids)
     for i in seed_idx:
-        active[i] = 1
+        stamp[i] = 1
     per_hop = [list(seed_idx)]
     frontier = seed_idx
     hops_used = 0
     for t in range(1, hops + 1):
+        mark = t + 1
         newly = []
         for u in frontier:
             for v, w in out[u]:
-                if active[v] != 1 and rand() < w and not active[v]:
-                    active[v] = 2
-                    newly.append(v)
+                s = stamp[v]
+                if not s:
+                    if rand() < w:
+                        stamp[v] = mark
+                        newly.append(v)
+                elif s == mark:
+                    rand()
         if not newly:
             break
         newly.sort()
-        for v in newly:
-            active[v] = 1
         per_hop.append(newly)
         frontier = newly
         hops_used = t

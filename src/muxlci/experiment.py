@@ -271,13 +271,14 @@ class ExperimentSpec:
     a list field (``schemes``, ``betas``, ``k_values``,
     ``overlap_values``, ``layer_files``) that is not a list, a scheme
     that is not a string, a layer file or ``alias_file`` that is not a
-    path, a ``synth`` that is not a mapping or whose ``per_layer`` is not
-    a list of pairs, a ``beta_of_base`` that is not a bool or is set with
-    ``layer_files``, a ``base_seed`` that is not an integer, no schemes
-    or betas, a beta outside (0, 1], ``hops``, ``T``, ``R``,
-    ``repetitions`` or ``target_layer`` not an integer or below 1, a
-    ``model`` record that does not build a DiffusionModel, a lossy
-    scheme under a stochastic-threshold model without ``st_bounds``
+    path, an ``alias_file`` without ``layer_files``, a ``synth`` that is
+    not a mapping or whose ``per_layer`` is not a list of pairs, a
+    ``beta_of_base`` that is not a bool or is set with ``layer_files``,
+    a ``base_seed`` that is not an integer, no schemes or betas, a beta
+    outside (0, 1], ``hops``, ``T``, ``R``, ``repetitions`` or
+    ``target_layer`` not an integer or below 1, a ``model`` record that
+    does not build a DiffusionModel, a lossy scheme under a
+    stochastic-threshold model without ``st_bounds``
     (:func:`~muxlci.coupling.check_scheme_model`), or a ``target_layer``
     or ``only:<i>`` layer that some network of the sweep lacks.  The model
     is built here once, as the DiffusionModel ``diffusion_model``
@@ -316,6 +317,8 @@ class ExperimentSpec:
         for path in [*(self.layer_files or ()), self.alias_file]:
             if path is not None and not isinstance(path, (str, os.PathLike)):
                 raise ValueError(f"layer_files and alias_file must be paths, not {path!r}")
+        if self.alias_file is not None and self.layer_files is None:
+            raise ValueError("alias_file merges the users of layer_files, not of a synth network")
         if not isinstance(self.beta_of_base, bool):
             raise ValueError(f"beta_of_base must be true or false, not {self.beta_of_base!r}")
         if self.beta_of_base and self.layer_files is not None:
@@ -377,7 +380,8 @@ def _diffusion_model(spec):
 
 
 def _synth_spec(spec, axis_name, axis_value, seed):
-    """The SynthSpec of one sweep value; ValueError names a bad field."""
+    """The SynthSpec of one sweep value (an entry :func:`_cells` has
+    checked); ValueError names a bad field of the recipe."""
     recipe = spec.synth
     try:
         if "per_layer" in recipe:
@@ -386,7 +390,7 @@ def _synth_spec(spec, axis_name, axis_value, seed):
             per_layer = [tuple(entry) for entry in recipe["per_layer"]]
         else:
             k = axis_value if axis_name == "k" else recipe["k"]
-            require_count("k_values entry" if axis_name == "k" else "k", k)
+            require_count("k", k)
             per_layer = [(recipe["layer_size"], recipe["edge_prob"])] * k
         universe_size = recipe["universe_size"]
     except KeyError as missing:
@@ -394,14 +398,18 @@ def _synth_spec(spec, axis_name, axis_value, seed):
     overlap = recipe.get("overlap_fraction")
     if axis_name == "overlap":
         overlap = axis_value
-        require_number("overlap_values entry", overlap)
     return SynthSpec(universe_size, per_layer, overlap, seed)
 
 
 def _cells(spec):
+    """The sweep's cells in order; ValueError names a bad sweep entry."""
     if spec.k_values:
+        for value in spec.k_values:
+            require_count("k_values entry", value)
         axis = [("k", value) for value in spec.k_values]
     elif spec.overlap_values:
+        for value in spec.overlap_values:
+            require_number("overlap_values entry", value)
         axis = [("overlap", value) for value in spec.overlap_values]
     else:
         axis = [(None, None)]

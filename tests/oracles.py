@@ -335,9 +335,9 @@ def reference_st_propagate(graph, seeds, hops, model, bars=None):
         if bars is not None:
             assert bars[sample] == [t - WEIGHT_EPS for t in theta]
         per_hop, hops_used = reference_lt_rounds(graph, seed_idx, hops, theta)
-        members = {i for hop in per_hop for i in hop}
-        count_total += len(members)
-        weight_total += sum(graph.node_weight[i] for i in members)
+        count_total += len({i for hop in per_hop for i in hop})
+        # hop by hop in index order, as the engine adds a non-integral sum
+        weight_total += reference_tally(graph, per_hop)[1]
         last = (per_hop, hops_used)
     outcome = reference_outcome(graph, last[0], last[1])
     outcome.coverage_count = count_total / model.mc_samples

@@ -415,6 +415,7 @@ def test_experiment_rejects_sweep_over_layer_files(tmp_path, layer_files, capsys
      "per_layer must be a list of [layer_size, edge_prob] pairs, not [[15]]"),
     ({"synth": None, "layer_files": [0]}, "layer_files and alias_file must be paths, not 0"),
     ({"alias_file": 5}, "layer_files and alias_file must be paths, not 5"),
+    ({"alias_file": "aliases.txt"}, "alias_file merges the users of layer_files, not of a synth network"),
     ({"beta_of_base": "false"}, "beta_of_base must be true or false, not 'false'"),
     ({"synth": None, "layer_files": ["layer.txt"], "beta_of_base": True},
      "beta_of_base scales beta by a synth universe_size, not layer_files"),
@@ -505,6 +506,8 @@ def synth_without(name):
     ({**SYNTH, "universe_size": 30}, {"overlap_values": [0.2, None]},
      "overlap_values entry must be a number, not None"),
     (SYNTH, {"overlap_values": [False]}, "overlap_values entry must be a number, not False"),
+    (synth_without("k"), {"k_values": [[2]]}, "k_values entry must be an integer, not [2]"),
+    (SYNTH, {"overlap_values": [0.2, {}]}, "overlap_values entry must be a number, not {}"),
 ])
 def test_experiment_rejects_bad_synth_recipe(tmp_path, capsys, synth, fields, message):
     config = {"schemes": ["clique"], "betas": [0.4], "hops": 2, "synth": synth, **fields}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import muxlci.solver
-from muxlci.diffusion import _layer_lt_propagate, _st_bars
+from muxlci.diffusion import _ic_single, _layer_lt_propagate, _st_bars
 from muxlci.experiment import single_layer_network
 from muxlci.network import WEIGHT_EPS
 from muxlci import (
@@ -30,6 +30,7 @@ from oracles import (
     naive_multiplex_lt,
     reference_lt_propagate,
     reference_ic_propagate,
+    reference_ic_single,
     reference_lt_rounds,
     reference_multiplex_lt_propagate,
     reference_st_propagate,
@@ -347,6 +348,22 @@ def fractional_weights(graph, rng):
     return InfluenceGraph(graph.node_ids, edges, thetas, weights)
 
 
+def with_node_weights(graph, kind, rng):
+    """``graph`` with the node weights of ``kind``: "integer" keeps
+    corner_graph's, "unit" sets every one to 1.0 (the count-only tally)
+    and "fractional" redraws them by :func:`fractional_weights`."""
+    if kind == "fractional":
+        return fractional_weights(graph, rng)
+    if kind == "unit":
+        edges, thetas, _ = TestGraphPreconditions.parts(graph)
+        graph = InfluenceGraph(graph.node_ids, edges, thetas)
+        assert graph._unit_weights
+    return graph
+
+
+NODE_WEIGHTS = ["integer", "unit", "fractional"]
+
+
 def corner_multiplex(seed):
     """Random multiplex for the kernel differential test: one to three
     layers over random subsets of the users (so some users join one
@@ -387,6 +404,8 @@ def assert_same_outcome(ours, reference):
     assert ours.hops_used == reference.hops_used
     assert ours.coverage_count == reference.coverage_count
     assert ours.coverage_weight == reference.coverage_weight
+    # an empty run's weight is the int 0 of an empty sum on both sides
+    assert type(ours.coverage_weight) is type(reference.coverage_weight)
 
 
 class TestKernelMatchesReference:
@@ -394,27 +413,33 @@ class TestKernelMatchesReference:
     eager touched-set sweep exactly, and both Monte Carlo engines equal
     their written-out loops."""
 
-    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5), st.booleans())
-    def test_lt_propagate_exact(self, seed, hops, fractional):
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5),
+           st.sampled_from(NODE_WEIGHTS))
+    def test_lt_propagate_exact(self, seed, hops, weights):
         import random
 
         graph, seeds = corner_graph(seed)
-        if fractional:
-            graph = fractional_weights(graph, random.Random(seed))
+        graph = with_node_weights(graph, weights, random.Random(seed))
         assert_same_outcome(lt_propagate(graph, seeds, hops), reference_lt_propagate(graph, seeds, hops))
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5),
-           st.sampled_from([None, 0.5, 1.0]))
-    def test_st_propagate_exact(self, seed, hops, bounds):
+           st.sampled_from([None, 0.5, 1.0]), st.sampled_from(NODE_WEIGHTS))
+    def test_st_propagate_exact(self, seed, hops, bounds, weights):
+        import random
+
         graph, seeds = corner_graph(seed)
+        graph = with_node_weights(graph, weights, random.Random(seed))
         model = DiffusionModel("stochastic_threshold", mc_samples=5, rng_seed=seed, st_bounds=bounds)
         assert_same_outcome(st_propagate(graph, seeds, hops, model),
                             reference_st_propagate(graph, seeds, hops, model))
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5),
-           st.integers(min_value=1, max_value=6))
-    def test_ic_propagate_exact(self, seed, hops, samples):
+           st.integers(min_value=1, max_value=6), st.sampled_from(NODE_WEIGHTS))
+    def test_ic_propagate_exact(self, seed, hops, samples, weights):
+        import random
+
         graph, seeds = corner_graph(seed)
+        graph = with_node_weights(graph, weights, random.Random(seed))
         model = DiffusionModel("independent_cascade", mc_samples=samples, rng_seed=seed)
         assert_same_outcome(ic_propagate(graph, seeds, hops, model),
                             reference_ic_propagate(graph, seeds, hops, model))
@@ -696,6 +721,45 @@ class TestMonteCarloMatchesReference:
             model = DiffusionModel("independent_cascade", mc_samples=30, rng_seed=rng_seed)
             assert_same_outcome(ic_propagate(graph, {"a", "b"}, 2, model),
                                 reference_ic_propagate(graph, {"a", "b"}, 2, model))
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5))
+    def test_ic_single_leaves_the_stream_where_the_reference_does(self, seed, hops):
+        # three samples in turn from one generator each: the same traces,
+        # and the generators end in the same state
+        import random
+
+        graph, seeds = corner_graph(seed)
+        seed_idx = sorted(graph.index[u] for u in seeds)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert _ic_single(graph, seed_idx, hops, ours.random) == reference_ic_single(graph, seed_idx, hops, theirs)
+        assert ours.getstate() == theirs.getstate()
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("draws, per_hop", [
+        # a hits c, b's edge into c only draws, b hits d; at hop 2, d's
+        # edge into c (committed at hop 1) takes no draw and c hits e
+        ([0.1, 0.1, 0.1, 0.1], [[0, 1], [2, 3], [4]]),
+        # a misses c and b's edge into c hits it after all; b misses d
+        # and c misses e
+        ([0.9, 0.1, 0.9, 0.9], [[0, 1], [2]]),
+    ])
+    def test_ic_edges_into_one_node_in_one_hop(self, draws, per_hop):
+        graph = InfluenceGraph(["a", "b", "c", "d", "e"],
+                               [("a", "c", 0.5), ("b", "c", 0.5), ("b", "d", 0.5), ("c", "e", 0.5), ("d", "c", 0.5)],
+                               {u: 0.5 for u in "abcde"})
+
+        class Scripted:
+            def __init__(self):
+                self.left = list(draws)
+
+            def random(self):
+                return self.left.pop(0)
+
+        ours, theirs = Scripted(), Scripted()
+        assert _ic_single(graph, [0, 1], 3, ours.random) == (per_hop, len(per_hop) - 1)
+        assert reference_ic_single(graph, [0, 1], 3, theirs) == (per_hop, len(per_hop) - 1)
+        assert ours.left == theirs.left == []
 
     @pytest.mark.parametrize("kind, scheme, name, reference", [
         ("stochastic_threshold", "reduced-clique", "st_propagate", reference_st_propagate),

@@ -1,6 +1,12 @@
+import contextlib
+import csv
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from muxlci import (
     DiffusionModel,
@@ -9,6 +15,7 @@ from muxlci import (
     multiplex_lt_propagate,
     overlap_users,
 )
+from muxlci.cli import main
 from muxlci.experiment import (
     ExperimentSpec,
     external_influence_fraction,
@@ -262,6 +269,7 @@ class TestRunExperiment:
         ({"synth": {"universe_size": 10, "per_layer": [[8, 0.1, 2]]}}, r"pairs, not \[\[8, 0\.1, 2\]\]$"),
         ({"synth": None, "layer_files": [0]}, "^layer_files and alias_file must be paths, not 0$"),
         ({"synth": None, "layer_files": ["a.txt"], "alias_file": 5}, "must be paths, not 5$"),
+        ({"alias_file": "aliases.txt"}, "^alias_file merges the users of layer_files, not of a synth network$"),
         ({"beta_of_base": "false"}, "^beta_of_base must be true or false, not 'false'$"),
         ({"beta_of_base": 1}, "^beta_of_base must be true or false, not 1$"),
         ({"synth": None, "layer_files": ["a.txt"], "beta_of_base": True}, "^beta_of_base scales beta by"),
@@ -459,3 +467,74 @@ class TestStochasticPipeline:
         result = solve_pipeline(overlap_network, "clique", cfg)
         assert result["model"]["kind"] == "independent_cascade"
         assert result["seed_size"] >= 1
+
+
+TINY = {"universe_size": 6, "layer_size": 5, "edge_prob": 0.3, "k": 2}
+
+# working configs on a 6-user universe, one per model
+ODD_FIELD_BASES = [
+    {"schemes": ["clique", "lossy-average", "union", "only:2", "direct"], "betas": [0.3, 0.6],
+     "hops": 2, "T": 2, "R": 2, "synth": TINY},
+    {"schemes": ["reduced-star", "lossy-easiness"], "betas": [0.5], "hops": 2, "synth": TINY,
+     "model": {"kind": "stochastic_threshold", "mc_samples": 2, "rng_seed": 1, "st_bounds": 0.5}},
+    {"schemes": ["star", "union"], "betas": [0.5], "hops": 3, "k_values": [1, 2],
+     "synth": {**TINY, "layer_size": 4, "overlap_fraction": 0.5}, "model": {"kind": "independent_cascade", "mc_samples": 2}},
+]
+
+ODD_FIELD_PATHS = [
+    *[(name,) for name in ("schemes", "betas", "hops", "T", "R", "repetitions", "base_seed", "synth",
+                           "layer_files", "alias_file", "model", "k_values", "overlap_values",
+                           "beta_of_base", "target_layer", "out")],
+    ("schemes", 0), ("betas", 0),
+    *[("synth", name) for name in ("universe_size", "layer_size", "edge_prob", "k", "overlap_fraction", "per_layer")],
+    *[("model", name) for name in ("kind", "mc_samples", "rng_seed", "st_bounds")],
+]
+
+# integers stay small so that no odd value asks for a large network or run
+ODD_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-2, max_value=8), st.floats(), st.text(max_size=4),
+    st.sampled_from(["clique", "reduced-clique", "lossy-involvement", "union", "direct", "only:0", "only:1",
+                     "only:3", "only:", "linear_threshold", "independent_cascade", "stochastic_threshold",
+                     "0.5", "2", "layer.txt"]),
+)
+ODD_JSON = st.recursive(
+    ODD_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["universe_size", "layer_size", "edge_prob", "k", "per_layer", "kind", "mc_samples",
+                         "st_bounds"]) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestOddConfigValues:
+    """One field of a working config set to an odd JSON value either
+    fails at load or runs clean: ``muxlci experiment`` exits 3 before
+    the first cell, or 0 with no error row, and never with a traceback.
+    A non-empty ``st_bounds`` mapping is left out: its keys are coupled
+    node ids, so it fails cell by cell by design."""
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(ODD_FIELD_BASES), st.sampled_from(ODD_FIELD_PATHS), ODD_JSON)
+    @example(ODD_FIELD_BASES[0], ("k_values",), [[]])
+    @example(ODD_FIELD_BASES[0], ("overlap_values",), [0.5, {}])
+    def test_one_odd_field_fails_at_load_or_runs_clean(self, base, path, value):
+        assume(not (path[-1] == "st_bounds" and isinstance(value, dict) and value))
+        config = json.loads(json.dumps(base))
+        target = config
+        for key in path[:-1]:
+            target = target.setdefault(key, {})
+        target[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            config_path, out = os.path.join(tmp, "exp.json"), os.path.join(tmp, "rows.csv")
+            with open(config_path, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(config))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["experiment", "--config", config_path, "--out", out])
+            assert code in (0, 3), err.getvalue()
+            if code == 3:
+                assert not os.path.exists(out)
+                return
+            with open(out, encoding="utf-8") as handle:
+                rows = list(csv.DictReader(handle))
+        assert rows and [row["error"] for row in rows if row["status"] != "ok"] == []
