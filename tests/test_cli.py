@@ -415,12 +415,12 @@ def test_experiment_rejects_sweep_over_layer_files(tmp_path, layer_files, capsys
      "per_layer must be a list of [layer_size, edge_prob] pairs, not [[15]]"),
     ({"synth": None, "layer_files": [0]}, "layer_files and alias_file must be paths, not 0"),
     ({"alias_file": 5}, "layer_files and alias_file must be paths, not 5"),
-    ({"alias_file": "aliases.txt"}, "alias_file merges the users of layer_files, not of a synth network"),
     ({"beta_of_base": "false"}, "beta_of_base must be true or false, not 'false'"),
     ({"synth": None, "layer_files": ["layer.txt"], "beta_of_base": True},
      "beta_of_base scales beta by a synth universe_size, not layer_files"),
     ({"base_seed": "x"}, "base_seed must be an integer, not 'x'"),
     ({"base_seed": 1.5}, "base_seed must be an integer, not 1.5"),
+    ({"alias_file": "aliases.txt"}, "alias_file merges the users of layer_files, not of a synth network"),
 ])
 def test_experiment_rejects_bad_sweep(tmp_path, capsys, fields, message):
     config = {"schemes": ["clique"], "betas": [0.4], "hops": 2,

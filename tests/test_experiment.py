@@ -269,13 +269,13 @@ class TestRunExperiment:
         ({"synth": {"universe_size": 10, "per_layer": [[8, 0.1, 2]]}}, r"pairs, not \[\[8, 0\.1, 2\]\]$"),
         ({"synth": None, "layer_files": [0]}, "^layer_files and alias_file must be paths, not 0$"),
         ({"synth": None, "layer_files": ["a.txt"], "alias_file": 5}, "must be paths, not 5$"),
-        ({"alias_file": "aliases.txt"}, "^alias_file merges the users of layer_files, not of a synth network$"),
         ({"beta_of_base": "false"}, "^beta_of_base must be true or false, not 'false'$"),
         ({"beta_of_base": 1}, "^beta_of_base must be true or false, not 1$"),
         ({"synth": None, "layer_files": ["a.txt"], "beta_of_base": True}, "^beta_of_base scales beta by"),
         ({"base_seed": "x"}, "^base_seed must be an integer, not 'x'$"),
         ({"base_seed": 1.5}, "^base_seed must be an integer, not 1.5$"),
         ({"base_seed": False}, "^base_seed must be an integer, not False$"),
+        ({"alias_file": "aliases.txt"}, "^alias_file merges the users of layer_files, not of a synth network$"),
     ])
     def test_bad_sweep_rejected_before_any_cell(self, fields, message):
         spec = {"schemes": ["clique"], "betas": [0.5], "hops": 2,
