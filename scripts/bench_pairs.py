@@ -14,9 +14,10 @@ the two sides must not be made differently.
 For every workload and seed the two sides run ``muxbench/run.py`` one
 process at a time, the parent first on odd seeds and the change first
 on even ones, each for the ``run_seconds`` of the change's
-``BENCHMARK.json``.  With ``--traced-seed`` each side also makes one
-``--trace 1`` run of every workload in ``--workloads``, and the record
-keeps the ``TRACED_METRICS`` of each.  The record written to
+``BENCHMARK.json``, and each run prints a progress line with every
+end-to-end metric that file names.  With ``--traced-seed`` each side
+also makes one ``--trace 1`` run of every workload in ``--workloads``,
+and the record keeps the ``TRACED_METRICS`` of each.  The record written to
 ``--out`` holds every run's report and result lines and, per workload
 and end-to-end metric (from the change's ``BENCHMARK.json``), the two
 medians, the parent's quartiles (``statistics.quantiles``, exclusive
@@ -123,8 +124,8 @@ def main(argv=None):
                     runs.append({"workload": workload, "seed": seed, "side": side, "trace": 0,
                                  "report": report, "result": result})
                     host = host or report["report"]["provenance"]
-                    print(f"{workload} seed {seed} {side}: {result['metrics']['wall_s']['value']:.3f} s",
-                          file=sys.stderr)
+                    values = " ".join(f"{metric} {result['metrics'][metric]['value']:.4g}" for metric in metrics)
+                    print(f"{workload} seed {seed} {side}: {values}", file=sys.stderr)
             mine = [run for run in runs if run["workload"] == workload]
             summary[workload] = {
                 "seeds": list(args.seeds),

@@ -44,6 +44,9 @@ MODEL_NAMES = {
     INDEPENDENT_CASCADE: INDEPENDENT_CASCADE,
 }
 
+# users of a generated network when --universe is not given
+DEFAULT_UNIVERSE = 100
+
 
 def _write_json(payload, path):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -71,18 +74,29 @@ def _diffusion_model(args):
     return DiffusionModel(kind=MODEL_NAMES[args.model], mc_samples=args.mc_samples, rng_seed=args.seed)
 
 
+def _layer_recipe(item):
+    """(size, prob) of a ``--layer SIZE:PROB`` recipe."""
+    try:
+        size, prob = item.split(":")
+        return int(size), float(prob)
+    except ValueError:
+        raise ValueError(f"--layer {item!r}: expected SIZE:PROB, an int and a number") from None
+
+
 def cmd_generate(args):
     if args.preset == "small-ilp":
+        given = [flag for flag, value in (("--layer", args.layer_spec), ("--universe", args.universe),
+                                          ("--overlap", args.overlap)) if value not in (None, [])]
+        if given:
+            raise ValueError(f"--preset small-ilp fixes the recipe; drop {', '.join(given)}")
         network = small_ilp_instance(args.seed)
         echo = {"preset": "small-ilp", "rng_seed": args.seed}
     else:
         if not args.layer_spec:
             raise ValueError("need --layer SIZE:PROB (repeatable) or --preset small-ilp")
-        per_layer = []
-        for item in args.layer_spec:
-            size, prob = item.split(":")
-            per_layer.append((int(size), float(prob)))
-        spec = SynthSpec(args.universe, per_layer, args.overlap, args.seed)
+        per_layer = [_layer_recipe(item) for item in args.layer_spec]
+        universe = DEFAULT_UNIVERSE if args.universe is None else args.universe
+        spec = SynthSpec(universe, per_layer, args.overlap, args.seed)
         network = generate(spec)
         echo = spec_echo(spec)
     os.makedirs(args.out, exist_ok=True)
@@ -143,13 +157,14 @@ def cmd_simulate(args):
             outcome = ic_propagate(graph, seeds, args.hops, model)
         else:
             outcome = st_propagate(graph, seeds, args.hops, model)
-        total = len(graph)
+        # node weights: a reduced coupling counts each user once, not each vertex
+        covered, total = outcome.coverage_weight, graph.total_weight
     else:
         if model.kind != LINEAR_THRESHOLD:
             raise ValueError("stochastic models need a coupled graph (--coupled-edges)")
         network, _ = load_network(args.layer, args.alias, args.seed)
         outcome = multiplex_lt_propagate(network, seeds, args.hops)
-        total = len(network.universe)
+        covered, total = outcome.coverage_count, len(network.universe)
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8", newline="") as handle:
             write_trace(outcome, handle, kinds)
@@ -159,7 +174,7 @@ def cmd_simulate(args):
         "model": args.model,
         "coverage_count": outcome.coverage_count,
         "coverage_weight": outcome.coverage_weight,
-        "coverage_fraction": outcome.coverage_count / total if total else 0.0,
+        "coverage_fraction": covered / total if total else 0.0,
         "hops_used": outcome.hops_used,
         "rng_seed": args.seed,
         "version": __version__,
@@ -224,7 +239,7 @@ def build_parser():
 
     p = sub.add_parser("generate", help="synthesize a multiplex network")
     p.add_argument("--preset", choices=["small-ilp"], default=None)
-    p.add_argument("--universe", type=int, default=100)
+    p.add_argument("--universe", type=int, default=None, help=f"number of users (default {DEFAULT_UNIVERSE})")
     p.add_argument("--layer", action="append", default=[], dest="layer_spec",
                    metavar="SIZE:PROB", help="layer recipe, repeatable")
     p.add_argument("--overlap", type=float, default=None,

@@ -84,8 +84,8 @@ def _er_edges(members, prob, rng):
     s = len(members)
     total = s * (s - 1)
     edges = {}
-    for flat in _bernoulli_indices(total, prob, rng):
-        row, rem = divmod(int(flat), s - 1)
+    for flat in _bernoulli_indices(total, prob, rng).tolist():
+        row, rem = divmod(flat, s - 1)
         col = rem if rem < row else rem + 1
         edges[(members[row], members[col])] = None
     return edges

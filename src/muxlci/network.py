@@ -273,32 +273,38 @@ def serialize_layer(layer):
     return "\n".join(lines) + "\n"
 
 
+def _nonzero_uniform(rng, count):
+    """The first ``count`` nonzero draws of ``rng.uniform(0, 1)``, drawn
+    in blocks: one of ``count``, then one per shortfall left by a draw
+    of exactly 0.0.  A generator fills a block from the same stream as
+    that many scalar calls, so these are the values a scalar redraw loop
+    takes."""
+    drawn = []
+    while len(drawn) < count:
+        drawn += [w for w in rng.uniform(0.0, 1.0, count - len(drawn)).tolist() if w != 0.0]
+    return drawn
+
+
 def normalize_incoming_weights(layer, rng_seed):
     """Draw unset weights, then rescale so each node's in-weights sum to 1.
 
     Unset weights are drawn uniformly from (0, 1) with a generator
-    seeded by ``rng_seed`` (edges visited in sorted order, so reruns are
-    bit-identical).  Every node with in-degree >= 1 then has its
-    incoming weights divided by their sum.  In-degree-0 nodes are
-    untouched.  Already-normalized layers come back unchanged up to
-    1e-12.
+    seeded by ``rng_seed``, in one block over the edges in sorted order
+    (a zero is redrawn), so reruns are bit-identical.  Every node with
+    in-degree >= 1 then has its incoming weights divided by their sum.
+    In-degree-0 nodes are untouched.  Already-normalized layers come
+    back unchanged up to 1e-12.
     """
-    rng = np.random.default_rng(rng_seed)
-    edges = {}
-    for key in sorted(layer.edges):
-        weight = layer.edges[key]
-        if weight is None:
-            weight = float(rng.uniform(0.0, 1.0))
-            while weight == 0.0:
-                weight = float(rng.uniform(0.0, 1.0))
-        edges[key] = weight
+    edges = {key: layer.edges[key] for key in sorted(layer.edges)}
+    unset = [key for key, weight in edges.items() if weight is None]
+    edges.update(zip(unset, _nonzero_uniform(np.random.default_rng(rng_seed), len(unset))))
     in_sums = defaultdict(float)
     for (_, dst), weight in edges.items():
         in_sums[dst] += weight
-    for (src, dst) in edges:
-        total = in_sums[dst]
+    for key, weight in edges.items():
+        total = in_sums[key[1]]
         if total > 0.0:
-            edges[(src, dst)] /= total
+            edges[key] = weight / total
     return LayerGraph(layer.layer_index, set(layer.nodes), edges, dict(layer.thresholds))
 
 
@@ -307,16 +313,15 @@ def fill_missing_thresholds(network, rng_seed):
     one in (0, 1]; thresholds already set are kept.
 
     Overlapping users draw separately per layer.  Deterministic under
-    the seed: layers in order, nodes in sorted order, one draw per
-    missing threshold.
+    the seed: layers in order, one block per layer with one draw per
+    missing threshold, nodes in sorted order.
     """
     rng = np.random.default_rng(rng_seed)
     layers = []
     for layer in network.layers:
         thresholds = dict(layer.thresholds)
-        for user in sorted(layer.nodes):
-            if user not in thresholds:
-                thresholds[user] = float(1.0 - rng.random())
+        missing = [user for user in sorted(layer.nodes) if user not in thresholds]
+        thresholds.update(zip(missing, (1.0 - rng.random(len(missing))).tolist()))
         layers.append(LayerGraph(layer.layer_index, set(layer.nodes), dict(layer.edges), thresholds))
     return MultiplexNetwork(layers)
 

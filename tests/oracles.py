@@ -13,9 +13,11 @@ every call (and checked against any bars the engine passes), the three separate 
 full star, reduced) that ``couple()`` now builds in one function, and
 the experiment loop that solves every cell on its own instead of once
 per (sweep value, repetition, scheme) and measures external influence
-on a standalone single-layer copy of the target layer, and the two-pass
+on a standalone single-layer copy of the target layer, the two-pass
 coupled-file reader that collects id triples and dicts and hands them to
-the ``InfluenceGraph`` constructor.
+the ``InfluenceGraph`` constructor, and the weight and threshold fills
+that draw one scalar per unset value (redrawing a zero weight) where the
+package draws one block per layer.
 """
 
 import csv
@@ -48,10 +50,50 @@ from muxlci.diffusion import (
     multiplex_lt_propagate,
     st_propagate,
 )
+import numpy as np
+
 from muxlci.solver import SeedSet, meets_fraction
-from muxlci.network import WEIGHT_EPS, _require_complete
+from muxlci.network import WEIGHT_EPS, LayerGraph, MultiplexNetwork, _require_complete
 
 TOL = 1e-12
+
+
+def reference_normalize_incoming_weights(layer, rng_seed):
+    """Scalar form of ``network.normalize_incoming_weights``: edges in
+    sorted order, one ``uniform(0, 1)`` call per unset weight, redrawn
+    while it is 0.0, then each in-weight divided by its node's sum."""
+    rng = np.random.default_rng(rng_seed)
+    edges = {}
+    for key in sorted(layer.edges):
+        weight = layer.edges[key]
+        if weight is None:
+            weight = float(rng.uniform(0.0, 1.0))
+            while weight == 0.0:
+                weight = float(rng.uniform(0.0, 1.0))
+        edges[key] = weight
+    in_sums = defaultdict(float)
+    for (_, dst), weight in edges.items():
+        in_sums[dst] += weight
+    for (src, dst) in edges:
+        total = in_sums[dst]
+        if total > 0.0:
+            edges[(src, dst)] /= total
+    return LayerGraph(layer.layer_index, set(layer.nodes), edges, dict(layer.thresholds))
+
+
+def reference_fill_missing_thresholds(network, rng_seed):
+    """Scalar form of ``network.fill_missing_thresholds``: layers in
+    order, nodes in sorted order, one ``1 - random()`` per missing
+    threshold."""
+    rng = np.random.default_rng(rng_seed)
+    layers = []
+    for layer in network.layers:
+        thresholds = dict(layer.thresholds)
+        for user in sorted(layer.nodes):
+            if user not in thresholds:
+                thresholds[user] = float(1.0 - rng.random())
+        layers.append(LayerGraph(layer.layer_index, set(layer.nodes), dict(layer.edges), thresholds))
+    return MultiplexNetwork(layers)
 
 
 def naive_multiplex_lt(network, seeds, hops):

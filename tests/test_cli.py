@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -47,6 +48,25 @@ def test_generate_custom_recipe(tmp_path):
     assert code == 0
     echo = json.loads((out / "network.json").read_text())
     assert echo["per_layer"] == [[20, 0.1], [15, 0.05]]
+
+
+@pytest.mark.parametrize("recipe", ["10:0.5:3", "abc", "10:x"])
+def test_generate_names_a_malformed_layer_recipe(tmp_path, recipe, capsys):
+    out = tmp_path / "gen"
+    assert main(["generate", "--layer", recipe, "--out", str(out)]) == 3
+    assert f"--layer {recipe!r}: expected SIZE:PROB" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--layer", "10:0.5"], ["--universe", "7"], ["--overlap", "0.3"],
+                                   ["--layer", "10:0.5", "--universe", "7"]])
+def test_generate_preset_rejects_recipe_flags(tmp_path, flags, capsys):
+    out = tmp_path / "gen"
+    assert main(["generate", "--preset", "small-ilp", *flags, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "--preset small-ilp fixes the recipe" in err
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+    assert not out.exists()
 
 
 def test_couple_writes_manifest_with_expected_node_count(tmp_path, layer_files, capsys):
@@ -110,6 +130,36 @@ def test_simulate_coupled_graph_stochastic(tmp_path, layer_files, capsys):
     assert result["coverage_count"] >= 1.0
     kinds = {line.split(",")[2] for line in trace.read_text().splitlines()[1:]}
     assert "gateway" in kinds
+
+
+@pytest.mark.parametrize("scheme", ["reduced-clique", "reduced-star"])
+def test_simulate_reduced_coupling_reports_the_multiplex_fraction(tmp_path, scheme, capsys):
+    """A reduced coupling weighs each user once over its vertices, so its
+    coverage fraction is weight over total weight, not vertices over
+    vertices, and equals the multiplex run's."""
+    net = tmp_path / "net"
+    assert main(["generate", "--universe", "70", "--layer", "30:0.08", "--layer", "30:0.08",
+                 "--layer", "30:0.08", "--overlap", "0.4", "--seed", "3", "--out", str(net)]) == 0
+    layers = [arg for i in (1, 2, 3) for arg in ("--layer", str(net / f"layer{i}.txt"))]
+    edges, manifest, summary = tmp_path / "c.edges", tmp_path / "c.csv", tmp_path / "c.json"
+    assert main(["couple", *layers, "--scheme", scheme, "--out-edges", str(edges),
+                 "--out-manifest", str(manifest), "--out", str(summary)]) == 0
+    info = json.loads(summary.read_text())
+    with open(manifest, encoding="utf-8", newline="") as handle:
+        node_of = {row["user_id"]: row["node_id"] for row in csv.DictReader(handle)
+                   if row["kind"] in ("gateway", "user")}
+    users = sorted(node_of)[::5]
+    write(tmp_path / "users.txt", "\n".join(users) + "\n")
+    write(tmp_path / "nodes.txt", "\n".join(node_of[u] for u in users) + "\n")
+    capsys.readouterr()
+    assert main(["simulate", *layers, "--seeds-file", str(tmp_path / "users.txt"), "--hops", "2"]) == 0
+    direct = json.loads(capsys.readouterr().out)
+    assert main(["simulate", "--coupled-edges", str(edges), "--coupled-manifest", str(manifest),
+                 "--seeds-file", str(tmp_path / "nodes.txt"), "--hops", str(2 * info["hop_scale"])]) == 0
+    coupled = json.loads(capsys.readouterr().out)
+    assert coupled["coverage_fraction"] == direct["coverage_fraction"]
+    # vertices over vertices would read otherwise
+    assert coupled["coverage_count"] / info["nodes"] != direct["coverage_fraction"]
 
 
 def test_simulate_unknown_coupled_node_exit_code(tmp_path, layer_files, capsys):

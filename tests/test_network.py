@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,6 +24,7 @@ from muxlci import (
 from muxlci.network import WEIGHT_EPS, needs_normalization, subseed
 
 from conftest import make_layer
+from oracles import reference_fill_missing_thresholds, reference_normalize_incoming_weights
 
 
 def parse(text, index=1):
@@ -159,6 +161,86 @@ class TestThresholds:
         mean = sum(draws) / len(draws)
         assert 0.4 <= mean <= 0.6
         assert all(0.0 < t <= 1.0 for t in draws)
+
+
+POOL = [f"u{i}" for i in range(8)]
+
+
+@st.composite
+def partly_set_layer(draw, index):
+    """A layer over a few of POOL's users, possibly empty or with isolated
+    nodes, whose edges (in drawn, unsorted order) and thresholds are each
+    set or unset; set weights include 0.0 and 1.0."""
+    nodes = draw(st.sets(st.sampled_from(POOL), max_size=len(POOL)))
+    pairs = [(u, v) for u in sorted(nodes) for v in sorted(nodes) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
+    weight = st.none() | st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    edges = {pair: draw(weight) for pair in chosen}
+    thresholds = {user: draw(st.floats(0.01, 1.0)) for user in sorted(nodes) if draw(st.booleans())}
+    return LayerGraph(index, nodes, edges, thresholds)
+
+
+@st.composite
+def partly_set_network(draw):
+    return MultiplexNetwork([draw(partly_set_layer(i)) for i in range(1, draw(st.integers(1, 3)) + 1)])
+
+
+class ScriptedGenerator:
+    """Stands in for a numpy Generator: scalar and block ``uniform`` and
+    ``random`` calls all take the next values of one fixed script."""
+
+    def __init__(self, script):
+        self.script, self.position = list(script), 0
+
+    def _take(self, size):
+        count = 1 if size is None else size
+        values = self.script[self.position:self.position + count]
+        assert len(values) == count, "script exhausted"
+        self.position += count
+        return np.float64(values[0]) if size is None else np.array(values)
+
+    def uniform(self, low, high, size=None):
+        assert (low, high) == (0.0, 1.0)
+        return self._take(size)
+
+    def random(self, size=None):
+        return self._take(size)
+
+
+class TestBlockDraws:
+    """The per-layer block draws against the scalar loops of tests/oracles.py."""
+
+    @given(partly_set_network(), st.integers(0, 2**32))
+    def test_same_values_and_order_as_scalar_draws(self, network, seed):
+        for layer in network.layers:
+            got = normalize_incoming_weights(layer, seed)
+            want = reference_normalize_incoming_weights(layer, seed)
+            assert list(got.edges.items()) == list(want.edges.items())
+            assert got.nodes == want.nodes and got.thresholds == want.thresholds
+        got = fill_missing_thresholds(network, seed)
+        want = reference_fill_missing_thresholds(network, seed)
+        for a, b in zip(got.layers, want.layers, strict=True):
+            assert list(a.thresholds.items()) == list(b.thresholds.items())
+            assert list(a.edges.items()) == list(b.edges.items()) and a.nodes == b.nodes
+
+    def test_zero_draw_topped_up_as_the_scalar_loop_redraws(self, monkeypatch):
+        # the first block of three holds a 0.0, and so does the first top-up
+        script = [0.5, 0.0, 0.25, 0.0, 0.75, 0.125, 0.375]
+        made = []
+
+        def scripted(seed):
+            made.append(ScriptedGenerator(script))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", scripted)
+        edges = {("c", "w"): None, ("b", "v"): None, ("d", "w"): 0.5, ("a", "v"): None}
+        layer = make_layer(1, edges, {})
+        got = normalize_incoming_weights(layer, 0)
+        want = reference_normalize_incoming_weights(layer, 0)
+        assert list(got.edges.items()) == list(want.edges.items())
+        assert list(got.edges.items()) == [
+            (("a", "v"), 0.5 / 0.75), (("b", "v"), 0.25 / 0.75), (("c", "w"), 0.75 / 1.25), (("d", "w"), 0.5 / 1.25)]
+        assert [rng.position for rng in made] == [5, 5]
 
 
 class TestOverlap:
