@@ -27,6 +27,8 @@ import random
 from collections import defaultdict
 from dataclasses import replace
 
+import numpy as np
+
 from muxlci.coupling import (
     DUMMY,
     GATEWAY,
@@ -50,8 +52,6 @@ from muxlci.diffusion import (
     multiplex_lt_propagate,
     st_propagate,
 )
-import numpy as np
-
 from muxlci.solver import SeedSet, meets_fraction
 from muxlci.network import WEIGHT_EPS, LayerGraph, MultiplexNetwork, _require_complete
 

@@ -186,25 +186,19 @@ def partly_set_network(draw):
 
 
 class ScriptedGenerator:
-    """Stands in for a numpy Generator: scalar and block ``uniform`` and
-    ``random`` calls all take the next values of one fixed script."""
+    """Stands in for a numpy Generator: scalar and block ``uniform(0, 1)``
+    calls take the next values of one fixed script."""
 
     def __init__(self, script):
         self.script, self.position = list(script), 0
 
-    def _take(self, size):
+    def uniform(self, low, high, size=None):
+        assert (low, high) == (0.0, 1.0)
         count = 1 if size is None else size
         values = self.script[self.position:self.position + count]
         assert len(values) == count, "script exhausted"
         self.position += count
         return np.float64(values[0]) if size is None else np.array(values)
-
-    def uniform(self, low, high, size=None):
-        assert (low, high) == (0.0, 1.0)
-        return self._take(size)
-
-    def random(self, size=None):
-        return self._take(size)
 
 
 class TestBlockDraws:
