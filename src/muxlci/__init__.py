@@ -8,6 +8,8 @@ seed set with a lazy greedy solver.  Selected nodes map back to users
 through the coupling's user<->node bijection.
 """
 
+import types as _types
+
 __version__ = "0.1.0"
 
 from .network import (
@@ -20,7 +22,6 @@ from .network import (
     serialize_layer,
     normalize_incoming_weights,
     fill_missing_thresholds,
-    overlap_users,
     validate,
     load_alias_map,
     apply_aliases,
@@ -50,7 +51,6 @@ from .coupling import (
 from .solver import (
     GreedyConfig,
     SeedSet,
-    marginal_gain,
     improved_greedy,
     brute_force_optimal,
     export_ilp,
@@ -59,4 +59,6 @@ from .solver import (
 from .generator import SynthSpec, generate, small_ilp_instance, subseed
 from .experiment import ExperimentSpec, solve_pipeline, run_experiment
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names; importing the submodules binds them here too, but they are not exports
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

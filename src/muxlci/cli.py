@@ -95,6 +95,8 @@ def cmd_generate(args):
         if not args.layer_spec:
             raise ValueError("need --layer SIZE:PROB (repeatable) or --preset small-ilp")
         per_layer = [_layer_recipe(item) for item in args.layer_spec]
+        if args.overlap is not None and len(per_layer) == 1:
+            raise ValueError("--overlap sets the overlap between layers; one --layer has none")
         universe = DEFAULT_UNIVERSE if args.universe is None else args.universe
         spec = SynthSpec(universe, per_layer, args.overlap, args.seed)
         network = generate(spec)
@@ -131,7 +133,7 @@ def cmd_couple(args):
         "hop_scale": coupled.hop_scale,
         "nodes": len(coupled.graph),
         "edges": sum(len(t) for t in coupled.graph.out),
-        "users": coupled.n_users,
+        "users": len(coupled.user_of),
         "k": coupled.k,
         "normalized_layers": normalized,
         "rng_seed": args.seed,

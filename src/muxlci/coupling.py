@@ -1,8 +1,8 @@
 """Coupling schemes: project a multiplex network onto a single network.
 
 Every scheme produces a :class:`CoupledNetwork` carrying the coupled
-graph, a user<->node bijection F (``user_of`` / ``node_of_user``) on the
-seedable nodes, and a hop-scale factor: d hops of direct multiplex
+graph, a user<->node bijection F (``user_of``, inverted by ``node_of_user``)
+on the seedable nodes, and a hop-scale factor: d hops of direct multiplex
 diffusion correspond to ``hop_scale * d`` hops on the coupled graph.
 
 Lossless schemes reproduce multiplex diffusion exactly.  They are one
@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .diffusion import INDEPENDENT_CASCADE, STOCHASTIC_THRESHOLD, InfluenceGraph
@@ -73,16 +74,23 @@ class NodeKind(NamedTuple):
 
 @dataclass
 class CoupledNetwork:
-    """A coupled graph plus the bookkeeping to map results back to users."""
+    """A coupled graph plus the bookkeeping to map results back to users.
+
+    ``user_of`` is F, seedable node -> user, with one node per user; it
+    must not change once the coupled network is built.
+    """
 
     graph: InfluenceGraph
     kinds: dict
     user_of: dict
-    node_of_user: dict
     hop_scale: int
     scheme: str
     k: int
-    n_users: int
+
+    @cached_property
+    def node_of_user(self):
+        """User -> seedable node, the inverse of F, built on first use."""
+        return {user: node for node, user in self.user_of.items()}
 
     def seed_nodes(self, users):
         """Coupled seed nodes for a set of users (inverse of F)."""
@@ -123,13 +131,13 @@ def _couple_lossless(network, sync, dummies, model_kind):
     _require_complete(network.layers)
     ic = model_kind == INDEPENDENT_CASCADE
     k = network.k
-    users = sorted(network.universe)
+    users = network.users
     if dummies:
         seed_kind, seed_tag, hub_weight = GATEWAY, "@g", 1.0
     else:
         seed_kind, seed_tag, hub_weight = USER_VERTEX, "@u", 0.0
     nodes, thresholds, kinds, node_weight = [], {}, {}, {}
-    user_of, node_of_user = {}, {}
+    user_of = {}
     edges = []
     for user in users:
         vertex = user + seed_tag
@@ -137,7 +145,6 @@ def _couple_lossless(network, sync, dummies, model_kind):
         thresholds[vertex] = 1.0
         kinds[vertex] = NodeKind(seed_kind, user)
         user_of[vertex] = user
-        node_of_user[user] = vertex
         reps = []
         for layer in network.layers:
             i = layer.layer_index
@@ -178,7 +185,7 @@ def _couple_lossless(network, sync, dummies, model_kind):
     graph = InfluenceGraph(nodes, edges, thresholds, node_weight)
     scheme = sync if dummies else "reduced-" + sync
     hop_scale = 2 if sync == "clique" else 3
-    return CoupledNetwork(graph, kinds, user_of, node_of_user, hop_scale, scheme, k, len(users))
+    return CoupledNetwork(graph, kinds, user_of, hop_scale, scheme, k)
 
 
 def _layer_alphas(layer, kind):
@@ -243,7 +250,7 @@ def _couple_lossy(network, kind="average"):
     if kind not in _ALPHA_KINDS:
         raise ValueError(f"unknown lossy parameterization {kind!r}")
     _require_complete(network.layers)
-    users = sorted(network.universe)
+    users = network.users
     alphas = [_layer_alphas(layer, kind) for layer in network.layers]
     thresholds = {}
     for user in users:
@@ -259,8 +266,7 @@ def _couple_lossy(network, kind="average"):
     edges = [(src, dst, w) for (src, dst), w in sorted(folded.items()) if w > 0.0]
     kinds = {user: NodeKind(USER_VERTEX, user) for user in users}
     graph = InfluenceGraph(users, edges, thresholds, None)
-    identity = {user: user for user in users}
-    return CoupledNetwork(graph, kinds, dict(identity), dict(identity), 1, "lossy-" + kind, network.k, len(users))
+    return CoupledNetwork(graph, kinds, {user: user for user in users}, 1, "lossy-" + kind, network.k)
 
 
 def couple(network, scheme, model_kind="linear_threshold"):

@@ -243,13 +243,10 @@ class InfluenceGraph:
     def __len__(self):
         return len(self.node_ids)
 
+    @cached_property
     def in_edges(self):
         """Per-node list of (predecessor index, weight) in predecessor
         order, built on first use and kept; callers must not change it."""
-        return self._incoming
-
-    @cached_property
-    def _incoming(self):
         incoming = [[] for _ in self.node_ids]
         for iu, targets in enumerate(self.out):
             for iv, weight in targets:
@@ -393,7 +390,7 @@ def _lt_delta(graph, seed_idx, hops, base):
     activation hops, so it serves as a base in turn at no extra cost.
     """
     base_hop, sizes = _base_hops(graph, base, hops)
-    incoming, out, bar, node_weight = graph.in_edges(), graph.out, graph.bar, graph.node_weight
+    incoming, out, bar, node_weight = graph.in_edges, graph.out, graph.bar, graph.node_weight
     # with whole node weights, the base weight plus and minus the nodes
     # that changed is exactly the sum _tally makes of the joint lists
     exact = graph._integral_weights
@@ -532,7 +529,7 @@ def lt_propagate(graph, seeds, hops, base=None):
 
 
 def _multiplex_rounds(lt_layers, seed_idx, hops):
-    """Linear-threshold sweep over the layers of a :class:`UserIndex`;
+    """Linear-threshold sweep over a network's ``lt_layers``;
     returns (per-hop index lists, hops used).
 
     Each hop walks the layers in order, and per layer the frontier's
@@ -572,15 +569,14 @@ def _multiplex_rounds(lt_layers, seed_idx, hops):
 def _multiplex_run(network, seeds, hops, lt_layers):
     if hops < 0:
         raise ValueError("hop budget must be >= 0")
-    index = network.user_index
     seeds = set(seeds)
     unknown = seeds - network.universe
     if unknown:
         raise ValueError(f"unknown seed users: {sorted(unknown)!r}")
-    seed_idx = sorted(index.position[u] for u in seeds)
+    seed_idx = sorted(network.position[u] for u in seeds)
     per_hop, hops_used = _multiplex_rounds(lt_layers, seed_idx, hops)
     count = float(sum(map(len, per_hop)))
-    return DiffusionOutcome(ActiveSet.from_indices(per_hop, index.users), count, count, hops_used)
+    return DiffusionOutcome(ActiveSet.from_indices(per_hop, network.users), count, count, hops_used)
 
 
 def multiplex_lt_propagate(network, seeds, hops):
@@ -590,20 +586,19 @@ def multiplex_lt_propagate(network, seeds, hops):
     weights of its in-neighbors active after hop t-1 reach that layer's
     threshold.  Activation is global: from the next hop the user exerts
     influence in every layer it joins.  Runs on the network's
-    :attr:`~muxlci.network.MultiplexNetwork.user_index`, which is built
-    on the first call and rejects unset, negative or non-finite weights
+    :attr:`~muxlci.network.MultiplexNetwork.lt_layers`, which are built
+    on the first call and reject unset, negative or non-finite weights
     and missing thresholds with ValueError.
     """
-    return _multiplex_run(network, seeds, hops, network.user_index.lt_layers)
+    return _multiplex_run(network, seeds, hops, network.lt_layers)
 
 
 def _layer_lt_propagate(network, layer_index, seeds, hops):
     """Linear threshold on the layer numbered ``layer_index`` alone, from
     seeds of that layer: the run :func:`multiplex_lt_propagate` makes on
-    a network of that one layer, over the whole network's index."""
+    a network of that one layer, over the whole network's user indices."""
     position = next(i for i, layer in enumerate(network.layers) if layer.layer_index == layer_index)
-    lt_layers = network.user_index.lt_layers
-    return _multiplex_run(network, seeds, hops, lt_layers[position:position + 1])
+    return _multiplex_run(network, seeds, hops, network.lt_layers[position:position + 1])
 
 
 def _monte_carlo(graph, model, run_sample, samples):

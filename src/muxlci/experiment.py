@@ -31,7 +31,7 @@ from .diffusion import (
     require_int, require_number,
 )
 from .generator import SynthSpec, generate
-from .network import LayerGraph, MultiplexNetwork, load_network, overlap_users, subseed
+from .network import LayerGraph, MultiplexNetwork, load_network, subseed
 from .solver import GreedyConfig, brute_force_optimal, improved_greedy, meets_fraction
 
 BASELINE_SCHEMES = ("union", "direct")
@@ -50,7 +50,7 @@ def _network_record(network):
         "k": network.k,
         "users": len(network.universe),
         "layer_sizes": [len(layer.nodes) for layer in network.layers],
-        "overlapping_users": len(overlap_users(network)),
+        "overlapping_users": len(network.overlap),
     }
 
 
@@ -204,20 +204,17 @@ def only_baseline(network, layer_index, cfg):
     return result
 
 
-def external_influence_fraction(network, seeds, hops, target_layer_index, full=None):
+def external_influence_fraction(network, seeds, hops, target_layer_index, full):
     """Share of the target layer's activations that vanish when
     cross-layer propagation is disabled.
 
     The restricted run simulates the target layer alone from the seeds
     it contains; activations present in the full multiplex run but not
     in the restricted one were only reachable through influence entering
-    via overlapping users.  ``full`` is the full run's outcome, if the
-    caller already has it (``multiplex_lt_propagate`` of the same seeds
-    and hops); it is computed when omitted.
+    via overlapping users.  ``full`` is the full run's outcome
+    (``multiplex_lt_propagate`` of the same seeds and hops).
     """
     layer = network.layer_by_index(target_layer_index)
-    if full is None:
-        full = multiplex_lt_propagate(network, set(seeds), hops)
     in_target = full.active.members & layer.nodes
     if not in_target:
         return 0.0, 0, 0
@@ -229,7 +226,7 @@ def external_influence_fraction(network, seeds, hops, target_layer_index, full=N
 
 def seed_composition(network, seeds, replay_outcome):
     """Overlap share and per-layer counts for a seed set and its cascade."""
-    overlap = overlap_users(network)
+    overlap = network.overlap
     seeds = list(seeds)
     active = replay_outcome.active.members
     per_layer_seeds = [len(set(seeds) & layer.nodes) for layer in network.layers]
@@ -558,9 +555,9 @@ def experiment_metadata(spec):
     return record
 
 
-def write_rows_csv(rows, path, spec=None):
-    """Atomically write experiment rows as CSV (plus a .meta.json sidecar
-    carrying the full configuration when the spec is given)."""
+def write_rows_csv(rows, path, spec):
+    """Atomically write experiment rows as CSV, plus a .meta.json sidecar
+    carrying the spec's full configuration."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_FIELDS, lineterminator="\n")
@@ -568,9 +565,8 @@ def write_rows_csv(rows, path, spec=None):
         for row in rows:
             writer.writerow(row)
     os.replace(tmp, path)
-    if spec is not None:
-        meta_tmp = f"{path}.meta.tmp.{os.getpid()}"
-        with open(meta_tmp, "w", encoding="utf-8") as handle:
-            json.dump(experiment_metadata(spec), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(meta_tmp, f"{path}.meta.json")
+    meta_tmp = f"{path}.meta.tmp.{os.getpid()}"
+    with open(meta_tmp, "w", encoding="utf-8") as handle:
+        json.dump(experiment_metadata(spec), handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    os.replace(meta_tmp, f"{path}.meta.json")

@@ -26,6 +26,7 @@ class SynthSpec:
     exactly round(overlap_fraction * min layer size) users (realized as
     a common core, so the count is exact for every pair); when unset,
     layer membership is sampled independently and overlap is emergent.
+    A single layer has no pair and ignores ``overlap_fraction``.
     """
 
     universe_size: int

@@ -107,41 +107,40 @@ class MultiplexNetwork:
         raise ValueError(f"no layer with index {layer_index}")
 
     @cached_property
-    def user_index(self):
-        """The network's :class:`UserIndex`, built on first use and kept;
-        valid because layers are not changed once the network is built."""
-        return UserIndex(self.layers, self.universe)
+    def users(self):
+        """User ids in sorted order: ``users[i]`` is the user of dense
+        index i.  This and the other cached properties are built on first
+        use and kept, which holds because layers are not changed once the
+        network is built."""
+        return tuple(sorted(self.universe))
 
+    @cached_property
+    def position(self):
+        """User id -> dense index, the inverse of :attr:`users`."""
+        return {user: i for i, user in enumerate(self.users)}
 
-class UserIndex:
-    """Dense user indices of a multiplex network, in sorted-id order.
-
-    ``users[i]`` is the id of index i and ``position`` maps it back;
-    ``overlap`` is the frozenset of users in two or more layers.
-    ``lt_layers`` holds per layer, in layer order, the out-adjacency
-    ``out[i]`` as (target index, weight) pairs in the layer's edge order
-    and the activation bar ``bar[i]`` (threshold minus ``WEIGHT_EPS``;
-    infinite for users outside the layer).  It is built on first use and
-    raises ValueError, naming the layer and the edge or user, on an edge
-    with an unset, negative or non-finite weight or an endpoint outside
-    the layer, and on a layer user without a finite threshold.  The
-    linear-threshold sweep activates a user the moment a running sum
-    crosses its bar, which is exact only for non-negative weights.
-    """
-
-    def __init__(self, layers, universe):
-        self._layers = layers
-        self.users = tuple(sorted(universe))
-        self.position = {user: i for i, user in enumerate(self.users)}
+    @cached_property
+    def overlap(self):
+        """The frozenset of users in two or more layers."""
         count = defaultdict(int)
-        for layer in layers:
+        for layer in self.layers:
             for user in layer.nodes:
                 count[user] += 1
-        self.overlap = frozenset(user for user, c in count.items() if c >= 2)
+        return frozenset(user for user, c in count.items() if c >= 2)
 
     @cached_property
     def lt_layers(self):
-        return tuple(self._lt_layer(layer) for layer in self._layers)
+        """Per layer, in layer order, the out-adjacency ``out[i]`` as
+        (target index, weight) pairs in the layer's edge order and the
+        activation bar ``bar[i]`` (threshold minus ``WEIGHT_EPS``;
+        infinite for users outside the layer).  Raises ValueError, naming
+        the layer and the edge or user, on an edge with an unset, negative
+        or non-finite weight or an endpoint outside the layer, and on a
+        layer user without a finite threshold.  The linear-threshold sweep
+        activates a user the moment a running sum crosses its bar, which
+        is exact only for non-negative weights.
+        """
+        return tuple(self._lt_layer(layer) for layer in self.layers)
 
     def _lt_layer(self, layer):
         _require_complete([layer])
@@ -162,7 +161,7 @@ def _layer_faults(layer):
     edge endpoint outside the node set, an unset or non-finite edge
     weight, a node without a finite threshold.  :func:`validate` reports
     them among its other rules; :func:`_require_complete` raises the
-    first, for :class:`UserIndex` and the couplings.
+    first, for :attr:`MultiplexNetwork.lt_layers` and the couplings.
     """
     tag = f"layer {layer.layer_index}"
     for (src, dst), weight in layer.edges.items():
@@ -324,12 +323,6 @@ def fill_missing_thresholds(network, rng_seed):
         thresholds.update(zip(missing, (1.0 - rng.random(len(missing))).tolist()))
         layers.append(LayerGraph(layer.layer_index, set(layer.nodes), dict(layer.edges), thresholds))
     return MultiplexNetwork(layers)
-
-
-def overlap_users(network):
-    """Users present in at least two layers, as a frozenset kept with the
-    network (see :attr:`MultiplexNetwork.user_index`)."""
-    return network.user_index.overlap
 
 
 def validate(network):

@@ -82,17 +82,20 @@ class GreedyConfig:
 
 @dataclass
 class SeedSet:
-    """Ordered selection with its per-selection marginal-gain log.
-
-    A greedy run also logs ``coverages``, the coverage after each
-    selection, and the ``total`` its fractions are taken of.
+    """Ordered selection with its per-selection marginal-gain log,
+    ``coverages``, the coverage after each selection, and the ``total``
+    its fractions are taken of.
     """
 
     users: list
-    gains: list = field(default_factory=list)
-    achieved_fraction: float = 0.0
-    coverages: list = field(default_factory=list)
-    total: float = 0.0
+    gains: list
+    coverages: list
+    total: float
+
+    @property
+    def achieved_fraction(self):
+        """The fraction of ``total`` the whole selection covers."""
+        return (self.coverages[-1] if self.coverages else 0.0) / self.total
 
     def prefix(self, beta):
         """The seed set the same greedy run returns at target ``beta``.
@@ -103,32 +106,8 @@ class SeedSet:
         """
         for size, coverage in enumerate([0.0] + self.coverages):
             if meets_fraction(coverage, beta, self.total):
-                return SeedSet(self.users[:size], self.gains[:size], coverage / self.total,
-                               self.coverages[:size], self.total)
+                return SeedSet(self.users[:size], self.gains[:size], self.coverages[:size], self.total)
         raise ValueError(f"target {beta} is beyond this run's coverage")
-
-
-def _propagate(graph, seed_nodes, budget, model, base=None, bars=None):
-    """The diffusion outcome of ``seed_nodes`` under ``model``; ``base``
-    (deterministic linear threshold) is an earlier outcome of a subset of
-    them, ``bars`` (stochastic threshold) the model's drawn bars."""
-    if model.kind == LINEAR_THRESHOLD:
-        return lt_propagate(graph, seed_nodes, budget, base=base)
-    if model.kind == INDEPENDENT_CASCADE:
-        return ic_propagate(graph, seed_nodes, budget, model)
-    return st_propagate(graph, seed_nodes, budget, model, bars=bars)
-
-
-def marginal_gain(coupled, current, candidate, cfg):
-    """Coverage gain of adding one candidate node to the current seeds,
-    from a full run of each."""
-    if candidate in current:
-        raise ValueError(f"candidate {candidate!r} already selected")
-    if candidate not in coupled.user_of:
-        raise ValueError(f"candidate {candidate!r} is not a seedable node")
-    budget = coupled.hop_scale * cfg.hops
-    before = _propagate(coupled.graph, current, budget, cfg.model).coverage_weight
-    return _propagate(coupled.graph, [*current, candidate], budget, cfg.model).coverage_weight - before
 
 
 class _Evaluator:
@@ -165,7 +144,14 @@ class _Evaluator:
         self.last = None  # the previous iteration's fresh run
 
     def _run(self, seed_nodes, base):
-        return _propagate(self.graph, seed_nodes, self.budget, self.model, base, self.bars)
+        """The outcome of ``seed_nodes``; ``base`` (deterministic linear
+        threshold) is an earlier outcome of a subset of them."""
+        model = self.model
+        if model.kind == LINEAR_THRESHOLD:
+            return lt_propagate(self.graph, seed_nodes, self.budget, base=base)
+        if model.kind == INDEPENDENT_CASCADE:
+            return ic_propagate(self.graph, seed_nodes, self.budget, model)
+        return st_propagate(self.graph, seed_nodes, self.budget, model, bars=self.bars)
 
     def begin(self, iteration, selected):
         self.selected = selected
@@ -232,7 +218,7 @@ def improved_greedy(coupled, cfg):
         gains.append(gain)
         coverage = prior + gain
         coverages.append(coverage)
-    return SeedSet(coupled.users_of(selected), gains, coverage / total, coverages, total)
+    return SeedSet(coupled.users_of(selected), gains, coverages, total)
 
 
 def brute_force_optimal(network, beta, hops):
@@ -243,10 +229,12 @@ def brute_force_optimal(network, beta, hops):
     within each cardinality over sorted user ids), so the first feasible
     subset found has provably minimum size.  Checks beta and ``hops`` as
     GreedyConfig does, and refuses universes over ``BRUTE_FORCE_MAX_USERS``.
+    Like a greedy run's, the record logs the coverage of each prefix of
+    the subset, out of a total of the user count.
     """
     require_beta(beta)
     require_count("hops", hops)
-    users = sorted(network.universe)
+    users = network.users
     n = len(users)
     if n > BRUTE_FORCE_MAX_USERS:
         raise ValueError(f"universe of {n} users exceeds the brute-force cap {BRUTE_FORCE_MAX_USERS}")
@@ -254,13 +242,10 @@ def brute_force_optimal(network, beta, hops):
         for combo in itertools.combinations(users, size):
             outcome = multiplex_lt_propagate(network, set(combo), hops)
             if meets_fraction(outcome.coverage_count, beta, n):
-                gains = []
-                previous = 0.0
-                for i in range(1, size + 1):
-                    cov = multiplex_lt_propagate(network, set(combo[:i]), hops).coverage_count
-                    gains.append(cov - previous)
-                    previous = cov
-                return SeedSet(list(combo), gains, outcome.coverage_count / n)
+                coverages = [multiplex_lt_propagate(network, set(combo[:i]), hops).coverage_count
+                             for i in range(1, size + 1)]
+                gains = [cov - prior for prior, cov in zip([0.0] + coverages, coverages)]
+                return SeedSet(list(combo), gains, coverages, float(n))
     raise ValueError("coverage target unreachable")  # cannot happen for beta <= 1
 
 
@@ -300,7 +285,7 @@ def export_ilp(coupled, cfg, out):
     rounds = coupled.hop_scale * cfg.hops
     names = _variable_names(graph)
     var = lambda i, t: f"x_{names[i]}_{t}"
-    incoming = graph.in_edges()
+    incoming = graph.in_edges
     n = len(graph)
 
     out.write(f"\\ scheme={coupled.scheme} hops={cfg.hops} rounds={rounds} beta={cfg.beta!r}\n")

@@ -101,7 +101,7 @@ def _activation_arrays(graph, rounds):
 
     rows, cols, vals, lower, upper = [], [], [], [], []
     ci = 0
-    incoming = graph.in_edges()
+    incoming = graph.in_edges
     for i in range(n):
         theta = graph.theta[i]
         for t in range(1, rounds + 1):

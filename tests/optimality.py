@@ -14,7 +14,7 @@ every beta at once.
 
 from itertools import combinations
 
-from muxlci import couple, lt_propagate, overlap_users
+from muxlci import couple, lt_propagate
 from muxlci.experiment import single_layer_network
 
 from lp_solve import max_coverage
@@ -24,7 +24,7 @@ ENUMERATION_MAX_BUDGET = 4
 
 def layer_graphs(network):
     """Single-layer graphs equivalent to direct per-layer diffusion."""
-    assert not overlap_users(network), "decomposition needs disjoint layers"
+    assert not network.overlap, "decomposition needs disjoint layers"
     return [
         couple(single_layer_network(layer), "lossy-average").graph
         for layer in network.layers

@@ -479,7 +479,7 @@ def reference_couple_clique_lossless(network, model_kind="linear_threshold"):
     k = network.k
     users = sorted(network.universe)
     nodes, thresholds, kinds, node_weight = [], {}, {}, {}
-    user_of, node_of_user = {}, {}
+    user_of = {}
     edges = []
     for user in users:
         gateway = _gateway(user)
@@ -488,7 +488,6 @@ def reference_couple_clique_lossless(network, model_kind="linear_threshold"):
         kinds[gateway] = NodeKind(GATEWAY, user)
         node_weight[gateway] = 1.0
         user_of[gateway] = user
-        node_of_user[user] = gateway
         ring = [gateway]
         for layer in network.layers:
             rep = _rep(user, layer.layer_index)
@@ -509,7 +508,7 @@ def reference_couple_clique_lossless(network, model_kind="linear_threshold"):
         for (src, dst) in sorted(layer.edges):
             edges.append((_gateway(src), _rep(dst, layer.layer_index), layer.edges[(src, dst)]))
     graph = InfluenceGraph(nodes, edges, thresholds, node_weight)
-    return CoupledNetwork(graph, kinds, user_of, node_of_user, 2, "clique", k, len(users))
+    return CoupledNetwork(graph, kinds, user_of, 2, "clique", k)
 
 
 def reference_couple_star_lossless(network, model_kind="linear_threshold"):
@@ -524,7 +523,7 @@ def reference_couple_star_lossless(network, model_kind="linear_threshold"):
     k = network.k
     users = sorted(network.universe)
     nodes, thresholds, kinds, node_weight = [], {}, {}, {}
-    user_of, node_of_user = {}, {}
+    user_of = {}
     edges = []
     for user in users:
         gateway = _gateway(user)
@@ -534,7 +533,6 @@ def reference_couple_star_lossless(network, model_kind="linear_threshold"):
         kinds[gateway] = NodeKind(GATEWAY, user)
         node_weight[gateway] = 1.0
         user_of[gateway] = user
-        node_of_user[user] = gateway
         reps = []
         for layer in network.layers:
             rep = _rep(user, layer.layer_index)
@@ -560,7 +558,7 @@ def reference_couple_star_lossless(network, model_kind="linear_threshold"):
         for (src, dst) in sorted(layer.edges):
             edges.append((_gateway(src), _rep(dst, layer.layer_index), layer.edges[(src, dst)]))
     graph = InfluenceGraph(nodes, edges, thresholds, node_weight)
-    return CoupledNetwork(graph, kinds, user_of, node_of_user, 3, "star", k, len(users))
+    return CoupledNetwork(graph, kinds, user_of, 3, "star", k)
 
 
 def reference_couple_reduced(network, sync="clique", model_kind="linear_threshold"):
@@ -580,7 +578,7 @@ def reference_couple_reduced(network, sync="clique", model_kind="linear_threshol
     k = network.k
     users = sorted(network.universe)
     nodes, thresholds, kinds, node_weight = [], {}, {}, {}
-    user_of, node_of_user = {}, {}
+    user_of = {}
     edges = []
     for user in users:
         vertex = _user_vertex(user)
@@ -588,7 +586,6 @@ def reference_couple_reduced(network, sync="clique", model_kind="linear_threshol
         thresholds[vertex] = 1.0
         kinds[vertex] = NodeKind(USER_VERTEX, user)
         user_of[vertex] = user
-        node_of_user[user] = vertex
         reps = []
         joined = 0
         for layer in network.layers:
@@ -625,7 +622,7 @@ def reference_couple_reduced(network, sync="clique", model_kind="linear_threshol
     graph = InfluenceGraph(nodes, edges, thresholds, node_weight)
     scheme = "reduced-" + sync
     hop_scale = 2 if sync == "clique" else 3
-    return CoupledNetwork(graph, kinds, user_of, node_of_user, hop_scale, scheme, k, len(users))
+    return CoupledNetwork(graph, kinds, user_of, hop_scale, scheme, k)
 
 
 def reference_read_coupled(edge_lines, manifest_rows):
@@ -785,6 +782,18 @@ def _reference_coverage(coupled, seed_nodes, cfg, rng_seed):
     return outcome.coverage_weight
 
 
+def marginal_gain(coupled, current, candidate, cfg):
+    """Coverage gain of adding one candidate node to the current seeds,
+    from a full run of each under ``cfg.model`` as given."""
+    if candidate in current:
+        raise ValueError(f"candidate {candidate!r} already selected")
+    if candidate not in coupled.user_of:
+        raise ValueError(f"candidate {candidate!r} is not a seedable node")
+    rng_seed = cfg.model.rng_seed
+    before = _reference_coverage(coupled, current, cfg, rng_seed)
+    return _reference_coverage(coupled, [*current, candidate], cfg, rng_seed) - before
+
+
 def _lazy_greedy(candidates, cover, beta, total, T, R):
     """improved_greedy's heap logic over full reruns: ``cover(seeds,
     iteration)`` is the coverage of ``seeds`` in greedy iteration
@@ -831,8 +840,7 @@ def coupled_lazy_greedy(coupled, cfg):
 
     total = graph.total_weight
     selected, gains, coverages = _lazy_greedy(domain, cover, cfg.beta, total, cfg.T, cfg.R)
-    coverage = coverages[-1] if coverages else 0.0
-    return SeedSet(coupled.users_of(selected), gains, coverage / total, coverages, total)
+    return SeedSet(coupled.users_of(selected), gains, coverages, total)
 
 
 def naive_greedy(coupled, cfg):

@@ -20,7 +20,6 @@ from muxlci import (
     improved_greedy,
     lt_propagate,
     multiplex_lt_propagate,
-    overlap_users,
     small_ilp_instance,
     st_propagate,
     subseed,
@@ -181,7 +180,7 @@ def test_criterion_5_near_optimality_small_family():
 
     started = time.perf_counter()
     network = small_ilp_instance(1)
-    assert not overlap_users(network)  # decomposition precondition
+    assert not network.overlap  # decomposition precondition
     n = len(network.universe)
     clique = couple(network, "clique")
     betas = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
@@ -284,7 +283,7 @@ def test_criterion_7_protocol_trends():
     for rep in range(10):
         network = generate(SynthSpec(100, [(50, 0.04), (50, 0.04)], 0.2, subseed(3000, f"c/{rep}")))
         result = solve_pipeline(network, "clique", GreedyConfig(0.4, 2))
-        shared = overlap_users(network)
+        shared = network.overlap
         seeds = set(result["seed_users"])
         seed_share = len(seeds & shared) / len(seeds)
         population_share = len(shared) / len(network.universe)

@@ -69,6 +69,14 @@ def test_generate_preset_rejects_recipe_flags(tmp_path, flags, capsys):
     assert not out.exists()
 
 
+def test_generate_rejects_overlap_of_one_layer(tmp_path, capsys):
+    """One layer has no pair to overlap, so --overlap would be echoed but unused."""
+    out = tmp_path / "gen"
+    assert main(["generate", "--layer", "10:0.1", "--overlap", "0.5", "--universe", "20", "--out", str(out)]) == 3
+    assert "--overlap sets the overlap between layers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_couple_writes_manifest_with_expected_node_count(tmp_path, layer_files, capsys):
     edges = tmp_path / "coupled.txt"
     manifest = tmp_path / "manifest.csv"
@@ -305,6 +313,42 @@ def test_involvement_files_independent_of_hash_seed(tmp_path):
         written[hash_seed] = {name: (out / name).read_bytes()
                               for name in ("edges.txt", "manifest.csv", "program.lp")}
     assert written["1"] == written["2"]
+
+
+# every scheme under every model, one record per line without its wall time
+SOLVE_EVERY_SCHEME = """
+import contextlib, io, json, sys
+from muxlci.cli import COUPLING_SCHEMES, main
+layers = [arg for path in sys.argv[1:] for arg in ("--layer", path)]
+for scheme in COUPLING_SCHEMES:
+    for model in ("lt", "ic", "st"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", *layers, "--scheme", scheme, "--model", model, "--mc-samples", "10",
+                         "--beta", "0.5", "--hops", "3", "--seed", "7"])
+        record = json.loads(out.getvalue()) if code == 0 else {}
+        record.pop("wall_time_ms", None)
+        print(scheme, model, code, repr(err.getvalue()), json.dumps(record, sort_keys=True))
+"""
+
+
+def test_solve_independent_of_hash_seed(tmp_path):
+    """Every scheme and model solves to the same records, exit codes and
+    errors under any PYTHONHASHSEED."""
+    net = tmp_path / "net"
+    assert main(["generate", "--universe", "50", "--layer", "35:0.06", "--layer", "35:0.06",
+                 "--overlap", "0.6", "--seed", "11", "--out", str(net)]) == 0
+    printed = []
+    for hash_seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", SOLVE_EVERY_SCHEME, str(net / "layer1.txt"), str(net / "layer2.txt")],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src_path()},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        printed.append(done.stdout)
+    assert len(printed[0].splitlines()) == 21
+    assert printed[0] == printed[1]
 
 
 def test_solve_emits_complete_result(tmp_path, layer_files):

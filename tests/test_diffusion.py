@@ -865,9 +865,12 @@ class TestMultiplexIndexPreconditions:
             multiplex_lt_propagate(two_layer_toy, {"a"}, 2)
 
     def test_index_built_once(self, two_layer_toy):
-        index = two_layer_toy.user_index
+        def derived():
+            net = two_layer_toy
+            return net.users, net.position, net.overlap, net.lt_layers
+
         multiplex_lt_propagate(two_layer_toy, {"b"}, 2)
-        layers = index.lt_layers
+        built = derived()
         multiplex_lt_propagate(two_layer_toy, {"e"}, 2)
-        assert two_layer_toy.user_index is index and index.lt_layers is layers
-        assert index.users == ("a", "b", "c", "d", "e") and index.overlap == {"b", "c"}
+        assert all(a is b for a, b in zip(built, derived()))
+        assert built[0] == ("a", "b", "c", "d", "e") and built[2] == {"b", "c"}

@@ -13,7 +13,6 @@ from muxlci import (
     GreedyConfig,
     brute_force_optimal,
     multiplex_lt_propagate,
-    overlap_users,
 )
 from muxlci.cli import main
 from muxlci.experiment import (
@@ -28,7 +27,7 @@ from muxlci.experiment import (
 )
 
 from conftest import make_layer, random_network
-from oracles import reference_run_experiment
+from oracles import reference_external_influence, reference_run_experiment
 
 
 @pytest.fixture
@@ -99,7 +98,8 @@ class TestMetrics:
         from muxlci import MultiplexNetwork
 
         network = MultiplexNetwork([layer1, layer2])
-        fraction, external, total = external_influence_fraction(network, {"a"}, 2, 1)
+        full = multiplex_lt_propagate(network, {"a"}, 2)
+        fraction, external, total = external_influence_fraction(network, {"a"}, 2, 1, full)
         assert fraction == 0.0 and external == 0
 
     def test_external_influence_detects_cross_layer_entry(self):
@@ -109,7 +109,8 @@ class TestMetrics:
         layer1 = make_layer(1, {("x", "u"): 1.0}, {"x": 0.9, "u": 0.5})
         layer2 = make_layer(2, {("s", "x"): 1.0}, {"s": 0.5, "x": 0.5})
         network = MultiplexNetwork([layer1, layer2])
-        fraction, external, total = external_influence_fraction(network, {"s"}, 3, 1)
+        full = multiplex_lt_propagate(network, {"s"}, 3)
+        fraction, external, total = external_influence_fraction(network, {"s"}, 3, 1, full)
         assert external == 2 and total == 2  # both x and u enter from outside
         assert fraction == 1.0
 
@@ -120,14 +121,14 @@ class TestMetrics:
         full = multiplex_lt_propagate(network, set(seeds), 3)
         for layer in network.layers:
             index = layer.layer_index
-            assert (external_influence_fraction(network, seeds, 3, index, full)
-                    == external_influence_fraction(network, seeds, 3, index))
+            fraction, _, _ = external_influence_fraction(network, seeds, 3, index, full)
+            assert fraction == reference_external_influence(network, seeds, 3, index)
 
     def test_seed_composition_counts(self, overlap_network):
         seeds = sorted(overlap_network.universe)[:4]
         replay = multiplex_lt_propagate(overlap_network, set(seeds), 2)
         comp = seed_composition(overlap_network, seeds, replay)
-        share = len(set(seeds) & overlap_users(overlap_network)) / 4
+        share = len(set(seeds) & overlap_network.overlap) / 4
         assert comp["overlap_seed_fraction"] == pytest.approx(share)
         assert len(comp["per_layer_seed_counts"]) == 2
 
@@ -146,7 +147,7 @@ class TestRunExperiment:
         assert len(rows) == 2 * 2 * 2
         assert all(row["status"] == "ok" for row in rows)
         out = tmp_path / "rows.csv"
-        write_rows_csv(rows, str(out))
+        write_rows_csv(rows, str(out), spec)
         header = out.read_text().splitlines()[0]
         assert header.startswith("sweep,sweep_value,repetition,scheme,beta")
 

@@ -8,7 +8,6 @@ from muxlci import (
     SynthSpec,
     couple,
     generate,
-    overlap_users,
     serialize_layer,
     small_ilp_instance,
     subseed,
@@ -66,7 +65,7 @@ class TestGenerate:
 
     def test_forced_overlap_two_layers_half(self):
         network = generate(SynthSpec(200, [(100, 0.01), (100, 0.01)], 0.5, 3))
-        assert len(overlap_users(network)) == 50
+        assert len(network.overlap) == 50
 
     def test_infeasible_overlap_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
@@ -138,7 +137,7 @@ class TestSmallIlpInstance:
         network = small_ilp_instance(1)
         assert len(network.universe) == 100
         assert [len(layer.nodes) for layer in network.layers] == [50, 50]
-        assert not overlap_users(network)
+        assert not network.overlap
         coupled = couple(network, "clique")
         assert len(coupled.graph) == 300
 

@@ -17,7 +17,6 @@ from muxlci import (
     load_layer,
     load_network,
     normalize_incoming_weights,
-    overlap_users,
     serialize_layer,
     validate,
 )
@@ -243,11 +242,11 @@ class TestOverlap:
             make_layer(1, {}, {"a": 0.5, "b": 0.5}),
             make_layer(2, {}, {"c": 0.5, "d": 0.5}),
         ])
-        assert overlap_users(network) == set()
+        assert network.overlap == set()
 
     def test_shared_user_detected(self, four_user_three_layer):
-        assert "green" in overlap_users(four_user_three_layer)
-        assert overlap_users(four_user_three_layer) == {"green", "red", "blue"}
+        assert "green" in four_user_three_layer.overlap
+        assert four_user_three_layer.overlap == {"green", "red", "blue"}
 
     @given(st.integers(min_value=0, max_value=500))
     def test_matches_brute_enumeration(self, seed):
@@ -258,7 +257,7 @@ class TestOverlap:
             u for u in network.universe
             if sum(1 for layer in network.layers if u in layer.nodes) >= 2
         }
-        assert overlap_users(network) == expected
+        assert network.overlap == expected
 
 
 class TestValidate:

@@ -17,7 +17,6 @@ from muxlci import (
     ic_propagate,
     improved_greedy,
     lt_propagate,
-    marginal_gain,
     meets_fraction,
     multiplex_lt_propagate,
     st_propagate,
@@ -27,15 +26,16 @@ from muxlci.solver import DELTA_MIN_SEEDS
 
 from conftest import make_layer, random_network, random_seed_users
 from lp_solve import parse_lp, solve_lp_minimum
-from oracles import coupled_lazy_greedy, multiplex_lazy_greedy, naive_greedy, reference_multiplex_lt_propagate
+from oracles import (
+    coupled_lazy_greedy, marginal_gain, multiplex_lazy_greedy, naive_greedy, reference_multiplex_lt_propagate,
+)
 
 
 def flat_coupled(names, edges, thetas):
     """Single-graph instance where every node is seedable (hop scale 1)."""
     graph = InfluenceGraph(names, edges, thetas)
-    identity = {n: n for n in names}
     kinds = {n: NodeKind("user", n) for n in names}
-    return CoupledNetwork(graph, kinds, dict(identity), dict(identity), 1, "lossy-average", 1, len(names))
+    return CoupledNetwork(graph, kinds, {n: n for n in names}, 1, "lossy-average", 1)
 
 
 class TestMarginalGain:
@@ -419,7 +419,7 @@ class TestLosslessSchemesMatchMultiplexOracle:
         eager = multiplex_lazy_greedy(network, beta, hops, T, 1)
         for scheme in ("clique", "star", "reduced-clique", "reduced-star"):
             coupled = couple(network, scheme)
-            scale = coupled.graph.total_weight / coupled.n_users
+            scale = coupled.graph.total_weight / len(coupled.user_of)
             cfg = GreedyConfig(beta, hops, T=T, R=R)
             for seed_set, (users, gains) in ((improved_greedy(coupled, cfg), lazy),
                                              (naive_greedy(coupled, cfg), eager)):
@@ -468,6 +468,20 @@ class TestBruteForce:
         optimum = brute_force_optimal(network, beta, hops)
         monkeypatch.setattr(muxlci.solver, "multiplex_lt_propagate", reference_multiplex_lt_propagate)
         assert brute_force_optimal(network, beta, hops) == optimum
+
+    @pytest.mark.parametrize("seed,beta,hops", [(3, 0.6, 2), (127, 0.7, 2), (163, 0.9, 4)])
+    def test_record_is_prefix_shaped(self, seed, beta, hops):
+        """Like a greedy record, the optimum logs each prefix's coverage
+        out of the user count, so it is its own prefix at its fraction."""
+        network = random_network(seed, max_users=10)
+        optimum = brute_force_optimal(network, beta, hops)
+        users = optimum.users
+        assert optimum.total == len(network.universe)
+        assert optimum.coverages == [multiplex_lt_propagate(network, set(users[:i]), hops).coverage_count
+                                     for i in range(1, len(users) + 1)]
+        assert optimum.gains == [b - a for a, b in zip([0.0] + optimum.coverages, optimum.coverages)]
+        assert optimum.achieved_fraction == optimum.coverages[-1] / optimum.total
+        assert optimum.prefix(optimum.achieved_fraction).users == users
 
     def test_greedy_never_beats_optimum(self):
         network = random_network(137, max_users=8)
