@@ -1,9 +1,9 @@
 """Coupling schemes: project a multiplex network onto a single network.
 
 Every scheme produces a :class:`CoupledNetwork` carrying the coupled
-graph, a user<->node bijection F (``user_of``, inverted by ``node_of_user``)
-on the seedable nodes, and a hop-scale factor: d hops of direct multiplex
-diffusion correspond to ``hop_scale * d`` hops on the coupled graph.
+graph, a user<->node bijection F (``user_of``) on the seedable nodes,
+and a hop-scale factor: d hops of direct multiplex diffusion correspond
+to ``hop_scale * d`` hops on the coupled graph.
 
 Lossless schemes reproduce multiplex diffusion exactly.  They are one
 construction with two switches.  Per user there is a seedable vertex
@@ -37,7 +37,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .diffusion import INDEPENDENT_CASCADE, STOCHASTIC_THRESHOLD, InfluenceGraph
@@ -48,6 +47,9 @@ REPRESENTATIVE = "representative"
 DUMMY = "dummy"
 INTERMEDIATE = "intermediate"
 USER_VERTEX = "user"
+# each kind maps to its own constant, so every node of a kind shares one string
+_NODE_KINDS = {kind: kind for kind in (GATEWAY, REPRESENTATIVE, DUMMY, INTERMEDIATE, USER_VERTEX)}
+_MANIFEST_HEADER = ("node_id", "kind", "user_id", "layer", "threshold", "weight")
 
 COUPLING_SCHEMES = (
     "clique",
@@ -76,8 +78,7 @@ class NodeKind(NamedTuple):
 class CoupledNetwork:
     """A coupled graph plus the bookkeeping to map results back to users.
 
-    ``user_of`` is F, seedable node -> user, with one node per user; it
-    must not change once the coupled network is built.
+    ``user_of`` is F, seedable node -> user, with one node per user.
     """
 
     graph: InfluenceGraph
@@ -86,20 +87,6 @@ class CoupledNetwork:
     hop_scale: int
     scheme: str
     k: int
-
-    @cached_property
-    def node_of_user(self):
-        """User -> seedable node, the inverse of F, built on first use."""
-        return {user: node for node, user in self.user_of.items()}
-
-    def seed_nodes(self, users):
-        """Coupled seed nodes for a set of users (inverse of F)."""
-        nodes = []
-        for user in users:
-            if user not in self.node_of_user:
-                raise ValueError(f"unknown user {user!r}")
-            nodes.append(self.node_of_user[user])
-        return sorted(nodes)
 
     def users_of(self, nodes):
         """Users of a node sequence under F, in order.
@@ -115,10 +102,6 @@ class CoupledNetwork:
             users.append(self.user_of[node])
         return users
 
-    def active_users(self, members):
-        """Users whose F-image node appears in a set of active nodes."""
-        return {self.user_of[node] for node in members if node in self.user_of}
-
 
 def _couple_lossless(network, sync, dummies, model_kind):
     """Lossless coupling with ``sync`` "clique" or "star" and dummies on or off.
@@ -127,62 +110,68 @@ def _couple_lossless(network, sync, dummies, model_kind):
     in layer order, then the star hub.  Sync edges fire with probability
     1 under independent cascade.  Each layer edge u->v becomes seedable
     vertex of u -> representative of v in that layer.
+
+    The graph is built in index space: each node gets its index, threshold
+    and weight as it is added, and each edge goes straight into its
+    source's out-list (the user's sync edges, then the layer edges by
+    layer and sorted within it), so no id-keyed copy of the edges exists.
     """
     _require_complete(network.layers)
     ic = model_kind == INDEPENDENT_CASCADE
     k = network.k
-    users = network.users
     if dummies:
         seed_kind, seed_tag, hub_weight = GATEWAY, "@g", 1.0
     else:
         seed_kind, seed_tag, hub_weight = USER_VERTEX, "@u", 0.0
-    nodes, thresholds, kinds, node_weight = [], {}, {}, {}
-    user_of = {}
-    edges = []
-    for user in users:
+    nodes, index, theta, node_weight, out = [], {}, [], [], []
+    kinds, user_of = {}, {}
+
+    def add(node, threshold, kind, weight):
+        index[node] = len(nodes)
+        nodes.append(node)
+        theta.append(threshold)
+        node_weight.append(weight)
+        kinds[node] = kind
+        out.append([])
+        return index[node]
+
+    for user in network.users:
         vertex = user + seed_tag
-        nodes.append(vertex)
-        thresholds[vertex] = 1.0
-        kinds[vertex] = NodeKind(seed_kind, user)
+        seed = add(vertex, 1.0, NodeKind(seed_kind, user), 1.0)
         user_of[vertex] = user
         reps = []
         for layer in network.layers:
             i = layer.layer_index
-            rep = f"{user}@{i}"
             if user in layer.nodes:
-                thresholds[rep] = layer.thresholds[user]
-                kinds[rep] = NodeKind(REPRESENTATIVE, user, i)
+                rep = add(f"{user}@{i}", float(layer.thresholds[user]), NodeKind(REPRESENTATIVE, user, i), 1.0)
             elif dummies:
-                thresholds[rep] = 1.0
-                kinds[rep] = NodeKind(DUMMY, user, i)
+                rep = add(f"{user}@{i}", 1.0, NodeKind(DUMMY, user, i), 1.0)
             else:
                 continue
-            nodes.append(rep)
-            node_weight[rep] = 1.0
             reps.append(rep)
-        node_weight[vertex] = 1.0 if dummies else float(k - len(reps))
+        if not dummies:
+            node_weight[seed] = float(k - len(reps))
         if sync == "clique":
-            ring = [vertex] + reps
+            ring = [seed, *reps]
             for src in ring:
+                targets = out[src]
                 for dst in ring:
                     if src != dst:
-                        edges.append((src, dst, 1.0 if ic else thresholds[dst]))
+                        targets.append((dst, 1.0 if ic else theta[dst]))
         else:
-            hub = user + "@s"
-            nodes.append(hub)
-            thresholds[hub] = 1.0
-            kinds[hub] = NodeKind(INTERMEDIATE, user)
-            node_weight[hub] = hub_weight
+            hub = add(user + "@s", 1.0, NodeKind(INTERMEDIATE, user), hub_weight)
             for rep in reps:
-                edges.append((rep, hub, 1.0))
-                edges.append((hub, rep, 1.0 if ic else thresholds[rep]))
-            edges.append((hub, vertex, 1.0))
-            edges.append((vertex, hub, 1.0))
+                out[rep].append((hub, 1.0))
+                out[hub].append((rep, 1.0 if ic else theta[rep]))
+            out[hub].append((seed, 1.0))
+            out[seed].append((hub, 1.0))
+    if len(index) != len(nodes):
+        raise ValueError("duplicate node ids")
     for layer in network.layers:
         i = layer.layer_index
         for (src, dst) in sorted(layer.edges):
-            edges.append((src + seed_tag, f"{dst}@{i}", layer.edges[(src, dst)]))
-    graph = InfluenceGraph(nodes, edges, thresholds, node_weight)
+            out[index[src + seed_tag]].append((index[f"{dst}@{i}"], float(layer.edges[(src, dst)])))
+    graph = InfluenceGraph._from_adjacency(tuple(nodes), index, theta, node_weight, out)
     scheme = sync if dummies else "reduced-" + sync
     hop_scale = 2 if sync == "clique" else 3
     return CoupledNetwork(graph, kinds, user_of, hop_scale, scheme, k)
@@ -306,20 +295,20 @@ def check_scheme_model(scheme, model):
 def write_coupled(coupled, edges_stream, manifest_stream):
     """Write a coupled network as an edge list plus a node manifest CSV.
 
-    The edge list uses the layer-file format; the manifest carries one
-    row per node: node_id,kind,user_id,layer,threshold,weight.
+    The edge list uses the layer-file format, one ``src dst weight``
+    line per edge sorted by source id and then target id.  It is
+    streamed source by source, each out-list sorted on its own, so no
+    list of every edge is built.  The manifest carries one row per node
+    in index order: node_id,kind,user_id,layer,threshold,weight.
     """
     graph = coupled.graph
-    lines = []
-    for iu, targets in enumerate(graph.out):
-        src = graph.node_ids[iu]
-        for iv, weight in targets:
-            lines.append((src, graph.node_ids[iv], weight))
-    for src, dst, weight in sorted(lines):
-        edges_stream.write(f"{src} {dst} {weight!r}\n")
+    ids = graph.node_ids
+    for src in sorted(ids):
+        for iv, weight in sorted(graph.out[graph.index[src]], key=lambda edge: ids[edge[0]]):
+            edges_stream.write(f"{src} {ids[iv]} {weight!r}\n")
     writer = csv.writer(manifest_stream, lineterminator="\n")
-    writer.writerow(["node_id", "kind", "user_id", "layer", "threshold", "weight"])
-    for i, node in enumerate(graph.node_ids):
+    writer.writerow(_MANIFEST_HEADER)
+    for i, node in enumerate(ids):
         kind = coupled.kinds[node]
         writer.writerow([
             node,
@@ -340,9 +329,11 @@ def read_coupled(edge_lines, manifest_rows):
     index and the threshold and weight lists, and each edge line is
     parsed once straight into the graph's index adjacency, which
     :class:`InfluenceGraph` then checks once (duplicate edges by a set
-    of each source's targets).  Raises ValueError, naming the line, on a
-    manifest row without six fields, with an unparsable number or with
-    a node id already listed, on an edge line with an unparsable weight,
+    of each source's targets).  Every kind is the module's constant and
+    every user id one shared string, so the kinds hold no per-row copy
+    of either.  Raises ValueError, naming the line, on a manifest row
+    without six fields, with an unknown kind, an unparsable number or a
+    node id already listed, on an edge line with an unparsable weight,
     an endpoint missing from the manifest or the same node at both
     ends, on a non-finite threshold, node weight or edge weight, and on
     a negative edge weight; a duplicate edge is reported by its two
@@ -350,19 +341,23 @@ def read_coupled(edge_lines, manifest_rows):
     """
     reader = csv.reader(iter(manifest_rows))
     header = next(reader)
-    expected = ["node_id", "kind", "user_id", "layer", "threshold", "weight"]
-    if header != expected:
+    if tuple(header) != _MANIFEST_HEADER:
         raise ValueError(f"unexpected manifest header {header!r}")
-    nodes, index, thetas, weights, kinds, user_of = [], {}, [], [], {}, {}
+    width = len(_MANIFEST_HEADER)
+    nodes, index, thetas, weights, kinds, user_of, users = [], {}, [], [], {}, {}, {}
 
     def bad_row(problem):
         node = row[0] if row else ""
         return ValueError(f"manifest line {reader.line_num}, node {node!r}: {problem}")
 
     for row in reader:
-        if len(row) != len(expected):
-            raise bad_row(f"expected {len(expected)} fields, got {len(row)}")
+        if len(row) != width:
+            raise bad_row(f"expected {width} fields, got {len(row)}")
         node, kind, user, layer, theta, weight = row
+        try:
+            kind = _NODE_KINDS[kind]
+        except KeyError:
+            raise bad_row(f"unknown kind {kind!r}") from None
         try:
             theta, weight, layer = float(theta), float(weight), int(layer) if layer else None
         except ValueError:
@@ -375,6 +370,7 @@ def read_coupled(edge_lines, manifest_rows):
         nodes.append(node)
         thetas.append(theta)
         weights.append(weight)
+        user = users.setdefault(user, user)
         kinds[node] = NodeKind(kind, user, layer)
         if kind in (GATEWAY, USER_VERTEX):
             user_of[node] = user

@@ -182,10 +182,10 @@ class InfluenceGraph:
     finite and non-negative (the linear-threshold sweep relies on it);
     self-loops and duplicate edges are errors too.  Anything else
     raises ValueError.  The constructor resolves ids to indices; one
-    routine, shared with :func:`muxlci.coupling.read_coupled` (which
-    parses straight into the index adjacency), then checks every node
-    and edge once, catching duplicates with a set of each source's
-    targets.  A graph never changes after construction; the in-edge
+    routine, shared with the lossless coupling builder and
+    :func:`muxlci.coupling.read_coupled` (which both fill the index
+    adjacency directly), then checks every node and edge once, catching
+    duplicates with a set of each source's targets.  A graph never changes after construction; the in-edge
     lists and the integral- and unit-weight tests are derived once on
     first use.
     """

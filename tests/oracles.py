@@ -15,9 +15,12 @@ the experiment loop that solves every cell on its own instead of once
 per (sweep value, repetition, scheme) and measures external influence
 on a standalone single-layer copy of the target layer, the two-pass
 coupled-file reader that collects id triples and dicts and hands them to
-the ``InfluenceGraph`` constructor, and the weight and threshold fills
-that draw one scalar per unset value (redrawing a zero weight) where the
-package draws one block per layer.
+the ``InfluenceGraph`` constructor, the coupled-file writer that
+collects every edge as an id triple and sorts the whole list, and the
+weight and threshold fills that draw one scalar per unset value
+(redrawing a zero weight) where the package draws one block per layer.
+``seed_nodes`` and ``active_users`` map users to and from a coupled
+graph's nodes under F for the tests.
 """
 
 import csv
@@ -625,6 +628,48 @@ def reference_couple_reduced(network, sync="clique", model_kind="linear_threshol
     return CoupledNetwork(graph, kinds, user_of, hop_scale, scheme, k)
 
 
+def seed_nodes(coupled, users):
+    """Sorted coupled seed nodes of a set of users (the inverse of F)."""
+    node_of_user = {user: node for node, user in coupled.user_of.items()}
+    nodes = []
+    for user in users:
+        if user not in node_of_user:
+            raise ValueError(f"unknown user {user!r}")
+        nodes.append(node_of_user[user])
+    return sorted(nodes)
+
+
+def active_users(coupled, members):
+    """Users whose F-image node appears in a set of active nodes."""
+    return {coupled.user_of[node] for node in members if node in coupled.user_of}
+
+
+def reference_write_coupled(coupled, edges_stream, manifest_stream):
+    """Coupled-file writer that collects every edge as an (src id, dst id,
+    weight) triple and writes the sorted list, then the manifest rows in
+    index order."""
+    graph = coupled.graph
+    lines = []
+    for iu, targets in enumerate(graph.out):
+        src = graph.node_ids[iu]
+        for iv, weight in targets:
+            lines.append((src, graph.node_ids[iv], weight))
+    for src, dst, weight in sorted(lines):
+        edges_stream.write(f"{src} {dst} {weight!r}\n")
+    writer = csv.writer(manifest_stream, lineterminator="\n")
+    writer.writerow(["node_id", "kind", "user_id", "layer", "threshold", "weight"])
+    for i, node in enumerate(graph.node_ids):
+        kind = coupled.kinds[node]
+        writer.writerow([
+            node,
+            kind.kind,
+            kind.user,
+            "" if kind.layer is None else kind.layer,
+            repr(graph.theta[i]),
+            repr(graph.node_weight[i]),
+        ])
+
+
 def reference_read_coupled(edge_lines, manifest_rows):
     """Two-pass coupled-file reader: parse the manifest into dicts and
     the edge lines into (src id, dst id, weight) triples, then build the
@@ -645,6 +690,8 @@ def reference_read_coupled(edge_lines, manifest_rows):
         if len(row) != len(expected):
             raise bad_row(f"expected {len(expected)} fields, got {len(row)}")
         node, kind, user, layer, theta, weight = row
+        if kind not in (GATEWAY, REPRESENTATIVE, DUMMY, INTERMEDIATE, USER_VERTEX):
+            raise bad_row(f"unknown kind {kind!r}")
         try:
             theta, weight, layer = float(theta), float(weight), int(layer) if layer else None
         except ValueError:

@@ -28,7 +28,7 @@ from muxlci.diffusion import InfluenceGraph
 from muxlci.experiment import solve_pipeline, union_baseline
 
 from conftest import random_network, random_seed_users
-from oracles import bfs_reachable, naive_greedy
+from oracles import active_users, bfs_reachable, naive_greedy, seed_nodes
 
 
 def report(name, passed, detail=""):
@@ -66,16 +66,16 @@ def test_criterion_1_lossless_equivalence_suite(corpus200):
         direct = multiplex_lt_propagate(network, seeds, hops).active.members
 
         clique = couple(network, "clique")
-        out2 = lt_propagate(clique.graph, clique.seed_nodes(seeds), 2 * hops)
-        assert clique.active_users(out2.active.members) == direct
+        out2 = lt_propagate(clique.graph, seed_nodes(clique, seeds), 2 * hops)
+        assert active_users(clique, out2.active.members) == direct
         assert out2.active.members == blowup_nodes(network, direct, with_hub=False)
         for hop, members in enumerate(out2.active.per_hop):
             if hop % 2 == 1:
                 assert not any(clique.kinds[m].kind == "gateway" for m in members)
 
         star = couple(network, "star")
-        out3 = lt_propagate(star.graph, star.seed_nodes(seeds), 3 * hops)
-        assert star.active_users(out3.active.members) == direct
+        out3 = lt_propagate(star.graph, seed_nodes(star, seeds), 3 * hops)
+        assert active_users(star, out3.active.members) == direct
         assert out3.active.members == blowup_nodes(network, direct, with_hub=True)
         checked += 1
     elapsed = time.perf_counter() - started
@@ -97,13 +97,13 @@ def test_criterion_2_size_and_scale_up_formulas(corpus200):
         clique = couple(network, "clique")
         assert len(clique.graph) == (k + 1) * n
         assert sum(len(t) for t in clique.graph.out) == m + n * k * (k + 1)
-        out2 = lt_propagate(clique.graph, clique.seed_nodes(seeds), 2 * hops)
+        out2 = lt_propagate(clique.graph, seed_nodes(clique, seeds), 2 * hops)
         assert len(out2.active.members) == (k + 1) * active
 
         star = couple(network, "star")
         assert len(star.graph) == (k + 2) * n
         assert sum(len(t) for t in star.graph.out) == m + 2 * n * (k + 1)
-        out3 = lt_propagate(star.graph, star.seed_nodes(seeds), 3 * hops)
+        out3 = lt_propagate(star.graph, seed_nodes(star, seeds), 3 * hops)
         # star adds one synchronization hub per user, so its exact
         # active-vertex multiple is k+2 (the clique scheme gives k+1)
         assert len(out3.active.members) == (k + 2) * active
@@ -126,7 +126,7 @@ def test_criterion_3_reduced_weighted_equivalence(corpus200):
         )
         for sync, scale in (("clique", 2), ("star", 3)):
             reduced = couple(network, "reduced-" + sync)
-            out = lt_propagate(reduced.graph, reduced.seed_nodes(seeds), scale * hops)
+            out = lt_propagate(reduced.graph, seed_nodes(reduced, seeds), scale * hops)
             weighted = out.coverage_weight / reduced.graph.total_weight
             worst = max(worst, abs(weighted - user_fraction))
     report(
@@ -146,7 +146,7 @@ def test_criterion_4_lossy_soundness(corpus200):
         )
         for kind in ("easiness", "involvement", "average"):
             lossy = couple(network, "lossy-" + kind)
-            out = lt_propagate(lossy.graph, lossy.seed_nodes(seeds), hops)
+            out = lt_propagate(lossy.graph, seed_nodes(lossy, seeds), hops)
             lossy_fraction = out.coverage_count / len(lossy.graph)
             checked += 1
             # any beta at which this seed set is lossy-feasible is also

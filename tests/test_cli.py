@@ -264,6 +264,25 @@ def test_simulate_duplicate_manifest_node_exit_code(tmp_path, layer_files, capsy
     assert f"manifest line {len(rows)}, node {node!r}: duplicate node id" in capsys.readouterr().err
 
 
+def test_simulate_unknown_manifest_kind_exit_code(tmp_path, layer_files, capsys):
+    edges, manifest = coupled_files(tmp_path, layer_files, "clique")
+    capsys.readouterr()
+    rows = manifest.read_text().splitlines()
+    fields = rows[1].split(",")
+    assert fields[1] == "gateway"
+    fields[1] = "gatway"
+    rows[1] = ",".join(fields)
+    manifest.write_text("\n".join(rows) + "\n")
+    seeds = write(tmp_path / "seeds.txt", "a@g\n")
+    trace = tmp_path / "trace.csv"
+    assert main([
+        "simulate", "--coupled-edges", str(edges), "--coupled-manifest", str(manifest),
+        "--seeds-file", seeds, "--hops", "2", "--trace-out", str(trace),
+    ]) == 3
+    assert f"manifest line 2, node {fields[0]!r}: unknown kind 'gatway'" in capsys.readouterr().err
+    assert not trace.exists()
+
+
 def test_simulate_self_loop_exit_code(tmp_path, layer_files, capsys):
     edges, manifest = coupled_files(tmp_path, layer_files, "reduced-clique")
     capsys.readouterr()

@@ -3,6 +3,7 @@ import io
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,10 +23,19 @@ from muxlci import (
     write_coupled,
 )
 
-from muxlci.coupling import ALPHA_FLOOR, _layer_alphas
+from muxlci.coupling import (
+    ALPHA_FLOOR,
+    DUMMY,
+    GATEWAY,
+    INTERMEDIATE,
+    REPRESENTATIVE,
+    USER_VERTEX,
+    _layer_alphas,
+)
 
 from conftest import make_layer, random_network, random_seed_users
 from oracles import (
+    active_users,
     naive_easiness,
     naive_involvement,
     naive_lossy_fold,
@@ -33,6 +43,8 @@ from oracles import (
     reference_couple_reduced,
     reference_couple_star_lossless,
     reference_read_coupled,
+    reference_write_coupled,
+    seed_nodes,
 )
 
 
@@ -62,9 +74,9 @@ def same_rejection(edge_lines, rows):
     return str(ours.value)
 
 
-def lossless_expected_nodes(network, active_users, with_hub):
+def lossless_expected_nodes(network, users, with_hub):
     expected = set()
-    for user in active_users:
+    for user in users:
         expected.add(user + "@g")
         for i in range(1, network.k + 1):
             expected.add(f"{user}@{i}")
@@ -94,14 +106,14 @@ class TestCliqueCoupling:
         seeds = random_seed_users(network, 41)
         coupled = couple(network, "clique")
         direct = multiplex_lt_propagate(network, seeds, 3)
-        mapped = lt_propagate(coupled.graph, coupled.seed_nodes(seeds), 6)
-        assert coupled.active_users(mapped.active.members) == direct.active.members
+        mapped = lt_propagate(coupled.graph, seed_nodes(coupled, seeds), 6)
+        assert active_users(coupled, mapped.active.members) == direct.active.members
 
     def test_active_set_is_full_blowup(self, four_user_three_layer):
         coupled = couple(four_user_three_layer, "clique")
         seeds = {"red"}
         direct = multiplex_lt_propagate(four_user_three_layer, seeds, 2)
-        out = lt_propagate(coupled.graph, coupled.seed_nodes(seeds), 4)
+        out = lt_propagate(coupled.graph, seed_nodes(coupled, seeds), 4)
         assert out.active.members == lossless_expected_nodes(
             four_user_three_layer, direct.active.members, with_hub=False
         )
@@ -110,7 +122,7 @@ class TestCliqueCoupling:
         network = random_network(17, max_users=30)
         coupled = couple(network, "clique")
         seeds = random_seed_users(network, 17)
-        out = lt_propagate(coupled.graph, coupled.seed_nodes(seeds), 8)
+        out = lt_propagate(coupled.graph, seed_nodes(coupled, seeds), 8)
         for hop, members in enumerate(out.active.per_hop):
             gateways = {m for m in members if coupled.kinds[m].kind == "gateway"}
             if hop % 2 == 1:
@@ -133,8 +145,8 @@ class TestCliqueCoupling:
         seeds = random_seed_users(network, seed)
         coupled = couple(network, "clique")
         direct = multiplex_lt_propagate(network, seeds, hops)
-        out = lt_propagate(coupled.graph, coupled.seed_nodes(seeds), 2 * hops)
-        assert coupled.active_users(out.active.members) == direct.active.members
+        out = lt_propagate(coupled.graph, seed_nodes(coupled, seeds), 2 * hops)
+        assert active_users(coupled, out.active.members) == direct.active.members
         assert len(out.active.members) == (network.k + 1) * len(direct.active.members)
 
 
@@ -157,8 +169,8 @@ class TestStarCoupling:
         seeds = random_seed_users(network, seed)
         coupled = couple(network, "star")
         direct = multiplex_lt_propagate(network, seeds, hops)
-        out = lt_propagate(coupled.graph, coupled.seed_nodes(seeds), 3 * hops)
-        assert coupled.active_users(out.active.members) == direct.active.members
+        out = lt_propagate(coupled.graph, seed_nodes(coupled, seeds), 3 * hops)
+        assert active_users(coupled, out.active.members) == direct.active.members
         assert out.active.members == lossless_expected_nodes(
             network, direct.active.members, with_hub=True
         )
@@ -205,7 +217,7 @@ class TestReducedCoupling:
         user_fraction = len(direct.active.members) / len(network.universe)
         for sync, scale in (("clique", 2), ("star", 3)):
             coupled = couple(network, "reduced-" + sync)
-            out = lt_propagate(coupled.graph, coupled.seed_nodes(seeds), scale * hops)
+            out = lt_propagate(coupled.graph, seed_nodes(coupled, seeds), scale * hops)
             weighted = out.coverage_weight / coupled.graph.total_weight
             assert weighted == pytest.approx(user_fraction, abs=1e-9)
 
@@ -246,9 +258,9 @@ class TestLosslessBuilderMatchesReference:
         network = builder_network(seed, k)
         ours = couple(network, scheme, model_kind=model_kind)
         ref = LOSSLESS_REFERENCES[scheme](network, model_kind=model_kind)
-        for field in ("node_ids", "out", "theta", "node_weight", "total_weight"):
+        for field in ("node_ids", "index", "out", "theta", "bar", "node_weight", "total_weight"):
             assert getattr(ours.graph, field) == getattr(ref.graph, field), field
-        for field in ("kinds", "user_of", "node_of_user", "hop_scale", "scheme", "k"):
+        for field in ("kinds", "user_of", "hop_scale", "scheme", "k"):
             assert getattr(ours, field) == getattr(ref, field), field
         assert list(ours.kinds) == list(ref.kinds)
 
@@ -408,7 +420,7 @@ class TestLossyCoupling:
         )
         for kind in ("easiness", "involvement", "average"):
             coupled = couple(network, "lossy-" + kind)
-            out = lt_propagate(coupled.graph, coupled.seed_nodes(seeds), hops)
+            out = lt_propagate(coupled.graph, seed_nodes(coupled, seeds), hops)
             lossy_fraction = out.coverage_count / len(coupled.graph)
             assert direct_fraction >= lossy_fraction - 1e-12
 
@@ -501,7 +513,7 @@ class TestCoupledExport:
         assert message == f"line {line}: weight {bad!r} is not a number"
 
     @given(st.integers(min_value=0, max_value=10_000),
-           st.sampled_from(["short", "long", "threshold", "weight", "layer"]))
+           st.sampled_from(["short", "long", "kind", "threshold", "weight", "layer"]))
     def test_malformed_manifest_row_names_line_and_node(self, seed, fault):
         network = random_network(seed, max_users=12)
         coupled = couple(network, random.Random(seed).choice(["star", "lossy-average"]))
@@ -515,10 +527,24 @@ class TestCoupledExport:
         elif fault == "long":
             fields.append("extra")
         else:
-            fields[{"layer": 3, "threshold": 4, "weight": 5}[fault]] = "x1"
+            fields[{"kind": 1, "layer": 3, "threshold": 4, "weight": 5}[fault]] = "x1"
         rows[line - 1] = ",".join(fields)
         message = same_rejection(edges_buf.getvalue().splitlines(), rows)
         assert message.startswith(f"manifest line {line}, node {fields[0]!r}: ")
+        if fault == "kind":
+            assert message.endswith(": unknown kind 'x1'")
+
+    @pytest.mark.parametrize("model_kind", ["linear_threshold", "independent_cascade"])
+    @pytest.mark.parametrize("scheme", COUPLING_SCHEMES)
+    @given(seed=st.integers(min_value=0, max_value=10_000), k=st.integers(min_value=1, max_value=4))
+    def test_write_matches_sort_all_triples_writer(self, scheme, model_kind, seed, k):
+        """Streaming each source's sorted out-list in id order writes the
+        bytes of sorting every edge triple at once."""
+        coupled = couple(builder_network(seed, k), scheme, model_kind=model_kind)
+        ours, ref = (io.StringIO(), io.StringIO()), (io.StringIO(), io.StringIO())
+        write_coupled(coupled, *ours)
+        reference_write_coupled(coupled, *ref)
+        assert [buf.getvalue() for buf in ours] == [buf.getvalue() for buf in ref]
 
     @given(st.integers(min_value=0, max_value=10_000), st.booleans())
     def test_unknown_endpoint_names_line(self, seed, at_src):
@@ -592,6 +618,12 @@ class TestCoupledExport:
             assert getattr(graph, field) == getattr(ref_graph, field), field
         assert kinds == ref_kinds
         assert user_of == ref_user_of
+        # each row's kind is the module constant and each user id one string
+        constants = {kind: kind for kind in (GATEWAY, REPRESENTATIVE, DUMMY, INTERMEDIATE, USER_VERTEX)}
+        shared = {}
+        for kind in kinds.values():
+            assert kind.kind is constants[kind.kind]
+            assert kind.user is shared.setdefault(kind.user, kind.user)
 
     def test_manifest_lists_every_node_once(self, two_layer_toy):
         coupled = couple(two_layer_toy, "reduced-star")
@@ -599,6 +631,32 @@ class TestCoupledExport:
         write_coupled(coupled, edges_buf, manifest_buf)
         rows = manifest_buf.getvalue().splitlines()
         assert len(rows) == len(coupled.graph) + 1
+
+
+class Discard:
+    def write(self, text):
+        pass
+
+
+def test_lossless_build_and_write_hold_no_second_copy_of_the_edges():
+    """Coupling by clique peaks below 1.25x the heap its result keeps, and
+    writing the result raises the peak by under a fifth of that: about
+    1.02x and 0.13 here, against 1.66x and 0.45 for a builder that
+    collects every edge as an id triple and a writer that sorts them."""
+    network = generate(SynthSpec(400, [(320, 0.01), (280, 0.01), (240, 0.01)], None, 3))
+    assert network.users
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        coupled = couple(network, "clique")
+        kept, couple_peak = (size - start for size in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        write_coupled(coupled, Discard(), Discard())
+        write_rise = tracemalloc.get_traced_memory()[1] - start - kept
+    finally:
+        tracemalloc.stop()
+    assert couple_peak < 1.25 * kept, (couple_peak, kept)
+    assert write_rise < 0.2 * kept, (write_rise, kept)
 
 
 class TestStochasticModelCoupling:
@@ -624,7 +682,7 @@ class TestStochasticModelCoupling:
         assert sync_weights == {1.0}
         model = DiffusionModel("independent_cascade", mc_samples=3000, rng_seed=2)
         coupled_mean = ic_propagate(
-            coupled.graph, coupled.seed_nodes(seeds), 4, model
+            coupled.graph, seed_nodes(coupled, seeds), 4, model
         ).coverage_count / (network.k + 1)
         direct_mean = naive_multiplex_ic_mean(network, seeds, 2, 3000, 102)
         assert coupled_mean == pytest.approx(direct_mean, abs=0.15)
@@ -638,7 +696,7 @@ class TestStochasticModelCoupling:
         coupled = couple(network, "clique")
         model = DiffusionModel("stochastic_threshold", mc_samples=3000, rng_seed=3)
         coupled_mean = st_propagate(
-            coupled.graph, coupled.seed_nodes(seeds), 4, model
+            coupled.graph, seed_nodes(coupled, seeds), 4, model
         ).coverage_count / (network.k + 1)
         direct_mean = naive_multiplex_st_mean(network, seeds, 2, 3000, 203)
         assert coupled_mean == pytest.approx(direct_mean, abs=0.15)

@@ -28,6 +28,7 @@ from conftest import make_layer, random_network, random_seed_users
 from lp_solve import parse_lp, solve_lp_minimum
 from oracles import (
     coupled_lazy_greedy, marginal_gain, multiplex_lazy_greedy, naive_greedy, reference_multiplex_lt_propagate,
+    seed_nodes,
 )
 
 
@@ -94,7 +95,7 @@ class TestNaiveGreedy:
         cfg = GreedyConfig(0.7, 2)
         seed_set = naive_greedy(coupled, cfg)
         assert len(seed_set.gains) == len(seed_set.users)
-        nodes = [coupled.node_of_user[u] for u in seed_set.users]
+        nodes = [seed_nodes(coupled, [user])[0] for user in seed_set.users]
         for i, node in enumerate(nodes):
             fresh = marginal_gain(coupled, set(nodes[:i]), node, cfg)
             assert seed_set.gains[i] == pytest.approx(fresh)
@@ -135,7 +136,7 @@ class TestImprovedGreedy:
         coupled = couple(network, "clique")
         cfg = GreedyConfig(0.7, 2)
         seed_set = improved_greedy(coupled, cfg)
-        nodes = [coupled.node_of_user[u] for u in seed_set.users]
+        nodes = [seed_nodes(coupled, [user])[0] for user in seed_set.users]
         for i, node in enumerate(nodes):
             fresh = marginal_gain(coupled, set(nodes[:i]), node, cfg)
             assert seed_set.gains[i] == pytest.approx(fresh)
@@ -275,7 +276,7 @@ class TestCoverageByWeight:
         network = random_network(seed, max_users=20)
         coupled = couple(network, scheme)
         graph = coupled.graph
-        seeds = coupled.seed_nodes(random_seed_users(network, seed))
+        seeds = seed_nodes(coupled, random_seed_users(network, seed))
         budget = coupled.hop_scale * hops
         ic = DiffusionModel("independent_cascade", mc_samples=5, rng_seed=seed)
         # lossy thresholds can exceed 1, which default stochastic bounds refuse
