@@ -266,7 +266,9 @@ def couple(network, scheme, model_kind="linear_threshold"):
     "star" (k+2)n vertices and sum|E_i| + 2n(k+1) edges; "reduced-clique"
     sum|V_i| + n and "reduced-star" sum|V_i| + 2n vertices, whose
     coverage must be measured by weight; lossy schemes n vertices.
-    ``model_kind`` sets the lossless sync edge weights.
+    ``model_kind`` sets the lossless sync edge weights.  Every scheme
+    raises the same ValueError, naming the layer and the edge or user,
+    for a layer that is incomplete or has a negative edge weight.
     """
     if scheme in ("clique", "star"):
         return _couple_lossless(network, scheme, True, model_kind)
@@ -331,7 +333,8 @@ def read_coupled(edge_lines, manifest_rows):
     :class:`InfluenceGraph` then checks once (duplicate edges by a set
     of each source's targets).  Every kind is the module's constant and
     every user id one shared string, so the kinds hold no per-row copy
-    of either.  Raises ValueError, naming the line, on a manifest row
+    of either.  Raises ValueError on an empty manifest, whose header is
+    missing, and, naming the line, on a manifest row
     without six fields, with an unknown kind, an unparsable number or a
     node id already listed, on an edge line with an unparsable weight,
     an endpoint missing from the manifest or the same node at both
@@ -340,7 +343,9 @@ def read_coupled(edge_lines, manifest_rows):
     endpoints.  Folded lossy thresholds above 1 are legal.
     """
     reader = csv.reader(iter(manifest_rows))
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"manifest is empty: missing the header {','.join(_MANIFEST_HEADER)!r}")
     if tuple(header) != _MANIFEST_HEADER:
         raise ValueError(f"unexpected manifest header {header!r}")
     width = len(_MANIFEST_HEADER)

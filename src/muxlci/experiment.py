@@ -18,7 +18,6 @@ the seed sets), "only:<i>" (solve layer i alone), and "direct"
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import os
 import time
@@ -264,12 +263,13 @@ class ExperimentSpec:
     and ``R``; ``R = 1`` re-evaluates every candidate in every
     iteration, which is the plain greedy.
 
-    A sweep that could only fail cell by cell raises ValueError here:
-    a list field (``schemes``, ``betas``, ``k_values``,
-    ``overlap_values``, ``layer_files``) that is not a list, a scheme
-    that is not a string, a layer file or ``alias_file`` that is not a
-    path, an ``alias_file`` without ``layer_files``, a ``synth`` that is
-    not a mapping or whose ``per_layer`` is not a list of pairs, a
+    A sweep that could only fail cell by cell raises ValueError before
+    its first network.  The spec raises at load for a list field
+    (``schemes``, ``betas``, ``k_values``, ``overlap_values``,
+    ``layer_files``) that is not a list, a scheme that is not a string,
+    a layer file or ``alias_file`` that is not a path, an
+    ``alias_file`` without ``layer_files``, a ``synth`` that is not a
+    mapping or whose ``per_layer`` is not a list of pairs, a
     ``beta_of_base`` that is not a bool or is set with ``layer_files``,
     a ``base_seed`` that is not an integer, no schemes or betas, a beta
     outside (0, 1], ``hops``, ``T``, ``R``, ``repetitions`` or
@@ -277,10 +277,14 @@ class ExperimentSpec:
     does not build a DiffusionModel, a lossy scheme under a
     stochastic-threshold model without ``st_bounds``
     (:func:`~muxlci.coupling.check_scheme_model`), or a ``target_layer``
-    or ``only:<i>`` layer that some network of the sweep lacks.  The model
-    is built here once, as the DiffusionModel ``diffusion_model``
+    or ``only:<i>`` layer that some network of the sweep lacks.  The
+    model is built here once, as the DiffusionModel ``diffusion_model``
     (deterministic linear threshold when ``model`` is None), and every
-    cell uses it.
+    cell uses it.  :func:`run_experiment` raises for the rest of the
+    recipe, and for a bad sweep entry, before it generates the first
+    network: a missing or ill-typed ``synth`` field, a ``k_values``
+    sweep over a ``per_layer`` recipe, or a forced overlap the
+    universe cannot hold (:class:`~muxlci.generator.SynthSpec`).
     """
 
     schemes: list
@@ -376,33 +380,19 @@ def _diffusion_model(spec):
         raise ValueError(f"model {spec.model!r}: {exc}") from None
 
 
-def _synth_spec(spec, axis_name, axis_value, seed):
-    """The SynthSpec of one sweep value (an entry :func:`_cells` has
-    checked); ValueError names a bad field of the recipe."""
+def _sweep(spec):
+    """The sweep's networks in order: one (axis name, axis value,
+    SynthSpec with rng_seed 0) per sweep value, or a single (None, None,
+    None) for ``layer_files``.  ValueError names a bad sweep entry or
+    recipe field, or an infeasible recipe, before any network is built."""
+    if spec.layer_files is not None:
+        return [(None, None, None)]
     recipe = spec.synth
-    try:
-        if "per_layer" in recipe:
-            if axis_name == "k":
-                raise ValueError("k_values sweep needs a uniform synth recipe")
-            per_layer = [tuple(entry) for entry in recipe["per_layer"]]
-        else:
-            k = axis_value if axis_name == "k" else recipe["k"]
-            require_count("k", k)
-            per_layer = [(recipe["layer_size"], recipe["edge_prob"])] * k
-        universe_size = recipe["universe_size"]
-    except KeyError as missing:
-        raise ValueError(f"synth needs {missing.args[0]!r}") from None
-    overlap = recipe.get("overlap_fraction")
-    if axis_name == "overlap":
-        overlap = axis_value
-    return SynthSpec(universe_size, per_layer, overlap, seed)
-
-
-def _cells(spec):
-    """The sweep's cells in order; ValueError names a bad sweep entry."""
     if spec.k_values:
         for value in spec.k_values:
             require_count("k_values entry", value)
+        if "per_layer" in recipe:
+            raise ValueError("k_values sweep needs a uniform synth recipe")
         axis = [("k", value) for value in spec.k_values]
     elif spec.overlap_values:
         for value in spec.overlap_values:
@@ -410,18 +400,21 @@ def _cells(spec):
         axis = [("overlap", value) for value in spec.overlap_values]
     else:
         axis = [(None, None)]
+    sweep = []
     for axis_name, axis_value in axis:
-        for repetition in range(spec.repetitions):
-            for scheme in spec.schemes:
-                for beta in spec.betas:
-                    yield axis_name, axis_value, repetition, scheme, beta
-
-
-def _effective_beta(spec, network, beta):
-    if spec.beta_of_base:
-        base = spec.synth["universe_size"]
-        return min(1.0, beta * base / len(network.universe))
-    return beta
+        try:
+            if "per_layer" in recipe:
+                per_layer = [tuple(entry) for entry in recipe["per_layer"]]
+            else:
+                k = axis_value if axis_name == "k" else recipe["k"]
+                require_count("k", k)
+                per_layer = [(recipe["layer_size"], recipe["edge_prob"])] * k
+            universe_size = recipe["universe_size"]
+        except KeyError as missing:
+            raise ValueError(f"synth needs {missing.args[0]!r}") from None
+        overlap = axis_value if axis_name == "overlap" else recipe.get("overlap_fraction")
+        sweep.append((axis_name, axis_value, SynthSpec(universe_size, per_layer, overlap)))
+    return sweep
 
 
 def _results(network, scheme, cfgs, memo):
@@ -432,18 +425,14 @@ def _results(network, scheme, cfgs, memo):
     return _pipeline_results(network, scheme, cfgs)
 
 
-def _row(spec, network, cell, result):
-    axis_name, axis_value, repetition, scheme, beta = cell
+def _row(spec, network, head, result):
+    """The ok row of one result; ``head`` holds its label columns and beta."""
     composition = seed_composition(network, result["seed_users"], result["replay_outcome"])
     external, _, _ = external_influence_fraction(
         network, result["seed_users"], spec.hops, spec.target_layer, result["replay_outcome"]
     )
     return {
-        "sweep": axis_name or "",
-        "sweep_value": "" if axis_value is None else axis_value,
-        "repetition": repetition,
-        "scheme": scheme,
-        "beta": beta,
+        **head,
         "effective_beta": result["beta"],
         "seed_size": result["seed_size"],
         "wall_time_ms": round(result["wall_time_ms"], 3),
@@ -460,35 +449,24 @@ def _row(spec, network, cell, result):
     }
 
 
-def _error_row(cell, exc):
-    axis_name, axis_value, repetition, scheme, beta = cell
-    return {
-        **{name: "" for name in CSV_FIELDS},
-        "sweep": axis_name or "",
-        "sweep_value": "" if axis_value is None else axis_value,
-        "repetition": repetition,
-        "scheme": scheme,
-        "beta": beta,
-        "status": "error",
-        "error": f"{type(exc).__name__}: {exc}",
-    }
-
-
-def _group_rows(spec, network, cells, memo):
-    """Rows for cells of one (sweep value, repetition, scheme), solved
-    together; if anything in the group raises, each cell is solved
-    alone.  ``memo`` holds the network's single-layer results
-    (``_layer_results``)."""
+def _group_rows(spec, network, label, betas, memo):
+    """Rows of one scheme on one network for ``betas``, solved together;
+    if anything raises, each beta is solved alone.  ``label`` holds the
+    rows' sweep, sweep_value, repetition and scheme columns, and
+    ``memo`` the network's single-layer results (``_layer_results``)."""
     try:
-        cfgs = [GreedyConfig(_effective_beta(spec, network, beta), spec.hops, spec.T, spec.R,
-                             model=spec.diffusion_model)
-                for *_, beta in cells]
-        results = _results(network, cells[0][3], cfgs, memo)
-        return [_row(spec, network, cell, result) for cell, result in zip(cells, results)]
-    except Exception as exc:  # mark the cell, keep the sweep going
-        if len(cells) > 1:
-            return [row for cell in cells for row in _group_rows(spec, network, [cell], memo)]
-        return [_error_row(cells[0], exc)]
+        cfgs = []
+        for beta in betas:
+            if spec.beta_of_base:
+                beta = min(1.0, beta * spec.synth["universe_size"] / len(network.universe))
+            cfgs.append(GreedyConfig(beta, spec.hops, spec.T, spec.R, model=spec.diffusion_model))
+        results = _results(network, label["scheme"], cfgs, memo)
+        return [_row(spec, network, {**label, "beta": beta}, result) for beta, result in zip(betas, results)]
+    except Exception as exc:  # mark the row, keep the sweep going
+        if len(betas) > 1:
+            return [row for beta in betas for row in _group_rows(spec, network, label, [beta], memo)]
+        return [{**dict.fromkeys(CSV_FIELDS, ""), **label, "beta": betas[0],
+                 "status": "error", "error": f"{type(exc).__name__}: {exc}"}]
 
 
 CSV_FIELDS = [
@@ -503,12 +481,13 @@ CSV_FIELDS = [
 def run_experiment(spec):
     """Run every cell of the sweep; failed cells become marked rows.
 
-    Returns the list of row dicts in deterministic cell order.  Networks
-    are rebuilt per (sweep value, repetition) from derived sub-seeds, so
-    the whole table is reproducible from the spec alone.  All networks
-    are built before the first cell, so a bad network recipe raises
-    instead of marking cells; a failed cell's ``error`` reads
-    "<exception type>: <message>".
+    Returns the list of row dicts in deterministic cell order: by sweep
+    value, then repetition, then scheme, then beta.  A bad recipe, sweep
+    entry or layer file raises before the first network is built
+    (:func:`_sweep`) instead of marking cells.  Each synth network is
+    generated when the loop reaches it, from a sub-seed of
+    ``base_seed``, so the table is reproducible from the spec alone.  A
+    failed cell's ``error`` reads "<exception type>: <message>".
 
     The cells of one (sweep value, repetition, scheme) share one
     coupling and one greedy run, at their largest effective beta; each
@@ -523,28 +502,20 @@ def run_experiment(spec):
     single-layer solve per layer, whose time likewise appears in every
     row of both.
     """
+    sweep = _sweep(spec)
     if spec.layer_files is not None:
         file_network, _ = load_network(spec.layer_files, spec.alias_file, spec.base_seed)
-    cells = list(_cells(spec))
-    networks = {}
-    for axis_name, axis_value, repetition, _, _ in cells:
-        key = (axis_value, repetition)
-        if key in networks:
-            continue
-        if spec.layer_files is not None:
-            networks[key] = file_network
-        else:
-            seed = subseed(spec.base_seed, f"net/{axis_value}/{repetition}")
-            networks[key] = generate(_synth_spec(spec, axis_name, axis_value, seed))
     rows = []
-    for (_, axis_value, repetition), network_cells in itertools.groupby(cells, key=lambda cell: cell[:3]):
-        network = networks[(axis_value, repetition)]
-        memo = {}
-        for scheme, group in itertools.groupby(network_cells, key=lambda cell: cell[3]):
-            group = list(group)
-            batches = [[cell] for cell in group] if scheme == "direct" else [group]
-            for batch in batches:
-                rows.extend(_group_rows(spec, network, batch, memo))
+    for axis_name, axis_value, recipe in sweep:
+        for repetition in range(spec.repetitions):
+            seed = subseed(spec.base_seed, f"net/{axis_value}/{repetition}")
+            network = file_network if recipe is None else generate(replace(recipe, rng_seed=seed))
+            memo = {}
+            for scheme in spec.schemes:
+                label = {"sweep": axis_name or "", "sweep_value": "" if axis_value is None else axis_value,
+                         "repetition": repetition, "scheme": scheme}
+                for betas in [[beta] for beta in spec.betas] if scheme == "direct" else [spec.betas]:
+                    rows.extend(_group_rows(spec, network, label, betas, memo))
     return rows
 
 

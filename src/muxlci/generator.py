@@ -26,7 +26,10 @@ class SynthSpec:
     exactly round(overlap_fraction * min layer size) users (realized as
     a common core, so the count is exact for every pair); when unset,
     layer membership is sampled independently and overlap is emergent.
-    A single layer has no pair and ignores ``overlap_fraction``.
+    A single layer has no pair and ignores ``overlap_fraction``.  A
+    forced overlap whose core and exclusive members need more distinct
+    users than the universe holds raises ValueError here, so no
+    generation is started for it.
     """
 
     universe_size: int
@@ -49,6 +52,14 @@ class SynthSpec:
             require_number("overlap_fraction", self.overlap_fraction)
             if not 0.0 <= self.overlap_fraction <= 1.0:
                 raise ValueError("overlap_fraction must be in [0, 1]")
+            if len(self.per_layer) > 1:
+                sizes = [size for size, _ in self.per_layer]
+                core_size = round(self.overlap_fraction * min(sizes))
+                need = core_size + sum(size - core_size for size in sizes)
+                if need > self.universe_size:
+                    raise ValueError(
+                        f"forced overlap infeasible: need {need} distinct users, universe has {self.universe_size}"
+                    )
 
 
 def _user_ids(universe_size):
@@ -93,16 +104,10 @@ def _er_edges(members, prob, rng):
 
 
 def _memberships(spec, users, rng):
-    k = len(spec.per_layer)
     sizes = [size for size, _ in spec.per_layer]
-    if spec.overlap_fraction is None or k == 1:
+    if spec.overlap_fraction is None or len(sizes) == 1:
         return [sorted(rng.choice(len(users), size=size, replace=False)) for size in sizes]
     core_size = round(spec.overlap_fraction * min(sizes))
-    need = core_size + sum(size - core_size for size in sizes)
-    if need > len(users):
-        raise ValueError(
-            f"forced overlap infeasible: need {need} distinct users, universe has {len(users)}"
-        )
     order = rng.permutation(len(users))
     core = list(order[:core_size])
     cursor = core_size

@@ -150,8 +150,6 @@ class MultiplexNetwork:
             bar[position[user]] = layer.thresholds[user] - WEIGHT_EPS
         out = [[] for _ in self.users]
         for (src, dst), weight in layer.edges.items():
-            if weight < 0.0:
-                raise ValueError(f"layer {layer.layer_index}: edge {src!r}->{dst!r} weight {weight} is negative")
             out[position[src]].append((position[dst], weight))
         return out, bar
 
@@ -180,12 +178,17 @@ def _layer_faults(layer):
 
 
 def _require_complete(layers):
-    """Raise ValueError with the first of the layers' faults (see
-    :func:`_layer_faults`)."""
+    """Raise ValueError, layer by layer, with the first of a layer's
+    faults (see :func:`_layer_faults`) or on its first negative edge
+    weight, which the linear-threshold sweep and every coupling reject
+    alike."""
     for layer in layers:
         fault = next(_layer_faults(layer), None)
         if fault is not None:
             raise ValueError(fault)
+        for (src, dst), weight in layer.edges.items():
+            if weight < 0.0:
+                raise ValueError(f"layer {layer.layer_index}: edge {src!r}->{dst!r} weight {weight} is negative")
 
 
 def _finite(value):
@@ -331,7 +334,7 @@ def validate(network):
     Violations are data, not exceptions: an empty report means the
     network is valid (weights set, finite and normalized, thresholds
     finite and in (0, 1], no self-loops, in-weight sums <= 1,
-    consistent universe).
+    consistent and non-empty universe).
     """
     report = []
     indices = [layer.layer_index for layer in network.layers]
@@ -361,6 +364,8 @@ def validate(network):
     union = set().union(*(layer.nodes for layer in network.layers))
     if union != network.universe:
         report.append("universe is not the union of the layer node sets")
+    if not network.universe:
+        report.append("network has no users")
     return report
 
 

@@ -676,8 +676,10 @@ def reference_read_coupled(edge_lines, manifest_rows):
     graph with the ``InfluenceGraph`` constructor, which resolves and
     checks every edge again."""
     reader = csv.reader(iter(manifest_rows))
-    header = next(reader)
+    header = next(reader, None)
     expected = ["node_id", "kind", "user_id", "layer", "threshold", "weight"]
+    if header is None:
+        raise ValueError(f"manifest is empty: missing the header {','.join(expected)!r}")
     if header != expected:
         raise ValueError(f"unexpected manifest header {header!r}")
     nodes, thresholds, weights, kinds, user_of = [], {}, {}, {}, {}
@@ -754,16 +756,17 @@ def reference_run_experiment(spec):
     file_network = None
     if spec.layer_files is not None:
         file_network, _ = load_network(spec.layer_files, spec.alias_file, spec.base_seed)
-    cells = list(ex._cells(spec))
     networks = {}
-    for axis_name, axis_value, repetition, _, _ in cells:
-        if (axis_value, repetition) not in networks:
-            if file_network is not None:
-                network = file_network
+    cells = []
+    for axis_name, axis_value, recipe in ex._sweep(spec):
+        for repetition in range(spec.repetitions):
+            if recipe is None:
+                networks[(axis_value, repetition)] = file_network
             else:
                 seed = subseed(spec.base_seed, f"net/{axis_value}/{repetition}")
-                network = generate(ex._synth_spec(spec, axis_name, axis_value, seed))
-            networks[(axis_value, repetition)] = network
+                networks[(axis_value, repetition)] = generate(replace(recipe, rng_seed=seed))
+            cells.extend((axis_name, axis_value, repetition, scheme, beta)
+                         for scheme in spec.schemes for beta in spec.betas)
     rows = []
     for axis_name, axis_value, repetition, scheme, beta in cells:
         network = networks[(axis_value, repetition)]

@@ -283,6 +283,31 @@ def test_simulate_unknown_manifest_kind_exit_code(tmp_path, layer_files, capsys)
     assert not trace.exists()
 
 
+def test_simulate_empty_manifest_exit_code(tmp_path, capsys):
+    edges = write(tmp_path / "coupled.txt", "")
+    manifest = write(tmp_path / "manifest.csv", "")
+    seeds = write(tmp_path / "seeds.txt", "a@g\n")
+    assert simulate_coupled(edges, manifest, seeds) == 3
+    assert capsys.readouterr().err == (
+        "error: manifest is empty: missing the header 'node_id,kind,user_id,layer,threshold,weight'\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "solve-direct", "export-ilp", "experiment"])
+def test_network_without_users_exit_code(tmp_path, capsys, command):
+    empty = write(tmp_path / "empty.txt", "")
+    out = str(tmp_path / "out")
+    argv = {
+        "solve": ["solve", "--layer", empty, "--beta", "0.5"],
+        "solve-direct": ["solve", "--layer", empty, "--beta", "0.5", "--scheme", "direct"],
+        "export-ilp": ["export-ilp", "--layer", empty, "--beta", "0.5", "--out", out],
+        "experiment": ["experiment", "--out", out, "--config", write(
+            tmp_path / "exp.json", json.dumps({"schemes": ["clique"], "betas": [0.5], "layer_files": [empty]}))],
+    }[command]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: invalid network:\n  network has no users\n"
+    assert not os.path.exists(out)
+
+
 def test_simulate_self_loop_exit_code(tmp_path, layer_files, capsys):
     edges, manifest = coupled_files(tmp_path, layer_files, "reduced-clique")
     capsys.readouterr()

@@ -139,6 +139,19 @@ class TestCliqueCoupling:
         with pytest.raises(ValueError, match="layer 1: node 'b' threshold nan is not finite"):
             couple(MultiplexNetwork([layer]), scheme)
 
+    @pytest.mark.parametrize("scheme", COUPLING_SCHEMES)
+    def test_negative_layer_weight_named(self, scheme, two_layer_toy):
+        # every scheme and the multiplex sweep reject it with one message;
+        # a lossy fold must not drop it or fold it into an alpha
+        two_layer_toy.layers[0].edges[("c", "b")] = -0.2
+        message = "layer 1: edge 'c'->'b' weight -0.2 is negative"
+        with pytest.raises(ValueError) as raised:
+            couple(two_layer_toy, scheme)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            two_layer_toy.lt_layers
+        assert str(raised.value) == message
+
     @given(st.integers(min_value=0, max_value=120), st.integers(min_value=1, max_value=3))
     def test_equivalence_on_random_instances(self, seed, hops):
         network = random_network(seed, max_users=24)

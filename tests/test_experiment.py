@@ -195,6 +195,19 @@ class TestRunExperiment:
         shares = [row["overlap_population_fraction"] for row in rows]
         assert shares == sorted(shares)
 
+    def test_infeasible_sweep_value_raises_before_any_network(self, monkeypatch):
+        from muxlci import experiment
+
+        calls = []
+        generate = experiment.generate
+        monkeypatch.setattr(experiment, "generate", lambda recipe: calls.append(recipe) or generate(recipe))
+        spec = ExperimentSpec(schemes=["clique"], betas=[0.4], hops=2,
+                              synth={"universe_size": 40, "layer_size": 30, "edge_prob": 0.1, "k": 2},
+                              overlap_values=[0.8, 0.2])
+        with pytest.raises(ValueError, match="forced overlap infeasible: need 54 distinct users, universe has 40"):
+            run_experiment(spec)
+        assert calls == []
+
     def test_metadata_sidecar_written(self, tmp_path):
         spec = ExperimentSpec(
             schemes=["clique"],

@@ -68,8 +68,11 @@ class TestGenerate:
         assert len(network.overlap) == 50
 
     def test_infeasible_overlap_rejected(self):
-        with pytest.raises(ValueError, match="infeasible"):
-            generate(SynthSpec(100, [(80, 0.01), (80, 0.01)], 0.1, 1))
+        # at construction, before any draw: 8 shared + 2 * 72 exclusive users do not fit in 100
+        with pytest.raises(ValueError, match="forced overlap infeasible: need 152 distinct users, universe has 100"):
+            SynthSpec(100, [(80, 0.01), (80, 0.01)], 0.1, 1)
+        # a single layer has no pair to overlap
+        assert len(generate(SynthSpec(100, [(80, 0.01)], 0.1, 1)).universe) == 80
 
     def test_edge_counts_match_expectation_over_seeds(self):
         n, p = 200, 0.05
