@@ -116,7 +116,6 @@ def _couple_lossless(network, sync, dummies, model_kind):
     source's out-list (the user's sync edges, then the layer edges by
     layer and sorted within it), so no id-keyed copy of the edges exists.
     """
-    _require_complete(network.layers)
     ic = model_kind == INDEPENDENT_CASCADE
     k = network.k
     if dummies:
@@ -238,7 +237,6 @@ def _couple_lossy(network, kind="average"):
     """
     if kind not in _ALPHA_KINDS:
         raise ValueError(f"unknown lossy parameterization {kind!r}")
-    _require_complete(network.layers)
     users = network.users
     alphas = [_layer_alphas(layer, kind) for layer in network.layers]
     thresholds = {}
@@ -267,9 +265,13 @@ def couple(network, scheme, model_kind="linear_threshold"):
     sum|V_i| + n and "reduced-star" sum|V_i| + 2n vertices, whose
     coverage must be measured by weight; lossy schemes n vertices.
     ``model_kind`` sets the lossless sync edge weights.  Every scheme
-    raises the same ValueError, naming the layer and the edge or user,
-    for a layer that is incomplete or has a negative edge weight.
+    first raises the ValueError the multiplex sweep raises, naming the
+    layer and the edge or user, for the first fault of a layer: an
+    endpoint outside the layer, an unset, non-finite or negative weight,
+    a self-loop, or a threshold that is missing, non-finite or not
+    positive (:func:`~muxlci.network.validate` reports the same message).
     """
+    _require_complete(network.layers)
     if scheme in ("clique", "star"):
         return _couple_lossless(network, scheme, True, model_kind)
     if scheme in ("reduced-clique", "reduced-star"):

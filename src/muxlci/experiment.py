@@ -255,13 +255,13 @@ class ExperimentSpec:
     or ``synth`` (uniform recipe: universe_size, layer_size, edge_prob,
     k, optional overlap_fraction; or an explicit per_layer list).
     Optional sweeps regenerate a ``synth`` network per value (combined
-    with ``layer_files`` they raise ValueError): ``k_values`` sweeps the
-    layer count, ``overlap_values`` the forced overlap fraction.  With
-    ``beta_of_base`` the coverage target is beta times the universe
-    *base* size instead of the realized union, matching fixed-audience
-    protocols.  Every cell but "direct" runs the lazy greedy with ``T``
-    and ``R``; ``R = 1`` re-evaluates every candidate in every
-    iteration, which is the plain greedy.
+    with ``layer_files`` or with each other they raise ValueError):
+    ``k_values`` sweeps the layer count, ``overlap_values`` the forced
+    overlap fraction.  With ``beta_of_base`` the coverage target is beta
+    times the universe *base* size instead of the realized union,
+    matching fixed-audience protocols.  Every cell but "direct" runs the
+    lazy greedy with ``T`` and ``R``; ``R = 1`` re-evaluates every
+    candidate in every iteration, which is the plain greedy.
 
     A sweep that could only fail cell by cell raises ValueError before
     its first network.  The spec raises at load for a list field
@@ -315,6 +315,8 @@ class ExperimentSpec:
             raise ValueError("specify exactly one of synth or layer_files")
         if self.layer_files is not None and (self.k_values or self.overlap_values):
             raise ValueError("k_values and overlap_values sweep a synth network, not layer_files")
+        if self.k_values and self.overlap_values:
+            raise ValueError("k_values and overlap_values are two sweeps: set one of them")
         for path in [*(self.layer_files or ()), self.alias_file]:
             if path is not None and not isinstance(path, (str, os.PathLike)):
                 raise ValueError(f"layer_files and alias_file must be paths, not {path!r}")
@@ -365,6 +367,8 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"an experiment config must be a JSON object, not {data!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:

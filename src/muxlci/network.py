@@ -133,12 +133,9 @@ class MultiplexNetwork:
         """Per layer, in layer order, the out-adjacency ``out[i]`` as
         (target index, weight) pairs in the layer's edge order and the
         activation bar ``bar[i]`` (threshold minus ``WEIGHT_EPS``;
-        infinite for users outside the layer).  Raises ValueError, naming
-        the layer and the edge or user, on an edge with an unset, negative
-        or non-finite weight or an endpoint outside the layer, and on a
-        layer user without a finite threshold.  The linear-threshold sweep
-        activates a user the moment a running sum crosses its bar, which
-        is exact only for non-negative weights.
+        infinite for users outside the layer).  Raises ValueError with
+        the first fault of the first faulty layer (see
+        :func:`_layer_faults`), as every coupling does.
         """
         return tuple(self._lt_layer(layer) for layer in self.layers)
 
@@ -155,44 +152,42 @@ class MultiplexNetwork:
 
 
 def _layer_faults(layer):
-    """Yield the faults that leave diffusion on ``layer`` undefined: an
-    edge endpoint outside the node set, an unset or non-finite edge
-    weight, a node without a finite threshold.  :func:`validate` reports
-    them among its other rules; :func:`_require_complete` raises the
-    first, for :attr:`MultiplexNetwork.lt_layers` and the couplings.
+    """Yield ``(order, message)`` for each fault that leaves diffusion or
+    a coupling on ``layer`` undefined, in edge order, then node order: an
+    edge endpoint outside the node set; an unset, non-finite or negative
+    edge weight; a self-loop; a node without a finite, positive
+    threshold.  The linear-threshold sweep and the couplings are exact
+    only without them.  :func:`_require_complete` raises the first
+    message; :func:`validate` reports every one, placed by ``order``.
     """
     tag = f"layer {layer.layer_index}"
     for (src, dst), weight in layer.edges.items():
         if src not in layer.nodes or dst not in layer.nodes:
-            yield f"{tag}: edge {src!r}->{dst!r} endpoint outside node set"
+            yield (0,), f"{tag}: edge {src!r}->{dst!r} endpoint outside node set"
+        if src == dst:
+            yield (1, src, dst, 0), f"{tag}: self-loop on {src!r}"
         if weight is None:
-            yield f"{tag}: edge {src!r}->{dst!r} has unset weight"
+            yield (0,), f"{tag}: edge {src!r}->{dst!r} has unset weight"
         elif not math.isfinite(weight):
-            yield f"{tag}: edge {src!r}->{dst!r} weight {weight} is not finite"
+            yield (0,), f"{tag}: edge {src!r}->{dst!r} weight {weight} is not finite"
+        elif weight < 0.0:
+            yield (1, src, dst, 1), f"{tag}: edge {src!r}->{dst!r} weight {weight} is negative"
     for user in layer.nodes:
         theta = layer.thresholds.get(user)
         if theta is None:
-            yield f"{tag}: node {user!r} missing threshold"
+            yield (0,), f"{tag}: node {user!r} missing threshold"
         elif not math.isfinite(theta):
-            yield f"{tag}: node {user!r} threshold {theta} is not finite"
+            yield (0,), f"{tag}: node {user!r} threshold {theta} is not finite"
+        elif theta <= 0.0:
+            yield (2, user, 0), f"{tag}: node {user!r} non-positive threshold"
 
 
 def _require_complete(layers):
-    """Raise ValueError, layer by layer, with the first of a layer's
-    faults (see :func:`_layer_faults`) or on its first negative edge
-    weight, which the linear-threshold sweep and every coupling reject
-    alike."""
+    """Raise ValueError with the first fault (see :func:`_layer_faults`)
+    of the first faulty layer, in one pass over each layer."""
     for layer in layers:
-        fault = next(_layer_faults(layer), None)
-        if fault is not None:
+        for _, fault in _layer_faults(layer):
             raise ValueError(fault)
-        for (src, dst), weight in layer.edges.items():
-            if weight < 0.0:
-                raise ValueError(f"layer {layer.layer_index}: edge {src!r}->{dst!r} weight {weight} is negative")
-
-
-def _finite(value):
-    return value is not None and math.isfinite(value)
 
 
 def _parse_float(token, line_no):
@@ -332,9 +327,11 @@ def validate(network):
     """Check every model invariant; returns a list of violation strings.
 
     Violations are data, not exceptions: an empty report means the
-    network is valid (weights set, finite and normalized, thresholds
-    finite and in (0, 1], no self-loops, in-weight sums <= 1,
-    consistent and non-empty universe).
+    network is valid.  It lists every fault of :func:`_layer_faults`,
+    which the couplings and the linear-threshold sweep reject, plus the
+    model's own invariants: weights and thresholds at most 1, no
+    threshold for an unknown node, in-weight sums at most 1, layer
+    indices 1..k, the universe the union of the layers, and some user.
     """
     report = []
     indices = [layer.layer_index for layer in network.layers]
@@ -342,25 +339,25 @@ def validate(network):
         report.append(f"layer indices {indices} are not 1..{len(network.layers)}")
     for layer in network.layers:
         tag = f"layer {layer.layer_index}"
-        report.extend(sorted(_layer_faults(layer)))
-        for (src, dst), weight in sorted(layer.edges.items()):
-            if src == dst:
-                report.append(f"{tag}: self-loop on {src!r}")
-            if _finite(weight) and not 0.0 <= weight <= 1.0 + WEIGHT_EPS:
-                report.append(f"{tag}: edge {src!r}->{dst!r} weight {weight} outside [0, 1]")
-        for user in sorted(layer.nodes):
-            theta = layer.thresholds.get(user)
-            if not _finite(theta):
-                continue
-            if theta <= 0.0:
-                report.append(f"{tag}: node {user!r} non-positive threshold")
-            elif theta > 1.0 + WEIGHT_EPS:
-                report.append(f"{tag}: node {user!r} threshold {theta} exceeds 1")
-        for user in sorted(set(layer.thresholds) - layer.nodes):
-            report.append(f"{tag}: threshold for unknown node {user!r}")
-        for node, total in sorted(layer.in_weight_sums().items()):
+        found = list(_layer_faults(layer))
+        in_sums = defaultdict(float)
+        for (src, dst), weight in layer.edges.items():
+            if weight is not None:
+                in_sums[dst] += weight
+                if 1.0 + WEIGHT_EPS < weight < math.inf:
+                    found.append(((1, src, dst, 1), f"{tag}: edge {src!r}->{dst!r} weight {weight} outside [0, 1]"))
+        for user, theta in layer.thresholds.items():
+            if user not in layer.nodes:
+                found.append(((3, user), f"{tag}: threshold for unknown node {user!r}"))
+            elif theta is not None and 1.0 + WEIGHT_EPS < theta < math.inf:
+                found.append(((2, user, 1), f"{tag}: node {user!r} threshold {theta} exceeds 1"))
+        for node, total in in_sums.items():
             if total > 1.0 + IN_SUM_TOL:
-                report.append(f"{tag}: node {node!r} in-weight sum exceeds 1 ({total:.6f})")
+                found.append(((4, node), f"{tag}: node {node!r} in-weight sum exceeds 1 ({total:.6f})"))
+        # a layer's report: the faults ordered (0,) sorted by message, then
+        # by edge (1, src, dst, rank), by node (2, user, rank), the unknown
+        # threshold nodes (3, user) and the in-weight sums (4, node)
+        report.extend(message for _, message in sorted(found))
     union = set().union(*(layer.nodes for layer in network.layers))
     if union != network.universe:
         report.append("universe is not the union of the layer node sets")

@@ -18,7 +18,10 @@ coupled-file reader that collects id triples and dicts and hands them to
 the ``InfluenceGraph`` constructor, the coupled-file writer that
 collects every edge as an id triple and sorts the whole list, and the
 weight and threshold fills that draw one scalar per unset value
-(redrawing a zero weight) where the package draws one block per layer.
+(redrawing a zero weight) where the package draws one block per layer,
+and the network check that sorts every edge and node of a layer and
+checks each rule in its own pass, where ``validate`` scans a layer once
+and sorts only the violations.
 ``seed_nodes`` and ``active_users`` map users to and from a coupled
 graph's nodes under F for the tests.
 """
@@ -56,7 +59,7 @@ from muxlci.diffusion import (
     st_propagate,
 )
 from muxlci.solver import SeedSet, meets_fraction
-from muxlci.network import WEIGHT_EPS, LayerGraph, MultiplexNetwork, _require_complete
+from muxlci.network import IN_SUM_TOL, WEIGHT_EPS, LayerGraph, MultiplexNetwork, _require_complete
 
 TOL = 1e-12
 
@@ -97,6 +100,64 @@ def reference_fill_missing_thresholds(network, rng_seed):
                 thresholds[user] = float(1.0 - rng.random())
         layers.append(LayerGraph(layer.layer_index, set(layer.nodes), dict(layer.edges), thresholds))
     return MultiplexNetwork(layers)
+
+
+def reference_validate(network):
+    """``network.validate`` in its sort-everything form.  Per layer: the
+    structural faults (endpoint, unset or non-finite weight, missing or
+    non-finite threshold) sorted by message; then over the sorted edges a
+    self-loop and a negative or above-1 weight; over the sorted nodes a
+    non-positive or above-1 threshold; the sorted unknown threshold
+    nodes; the sorted in-weight sums above 1.  Then the universe."""
+    finite = lambda value: value is not None and math.isfinite(value)
+    report = []
+    indices = [layer.layer_index for layer in network.layers]
+    if indices != list(range(1, len(network.layers) + 1)):
+        report.append(f"layer indices {indices} are not 1..{len(network.layers)}")
+    for layer in network.layers:
+        tag = f"layer {layer.layer_index}"
+        structural = []
+        for (src, dst), weight in layer.edges.items():
+            if src not in layer.nodes or dst not in layer.nodes:
+                structural.append(f"{tag}: edge {src!r}->{dst!r} endpoint outside node set")
+            if weight is None:
+                structural.append(f"{tag}: edge {src!r}->{dst!r} has unset weight")
+            elif not math.isfinite(weight):
+                structural.append(f"{tag}: edge {src!r}->{dst!r} weight {weight} is not finite")
+        for user in layer.nodes:
+            theta = layer.thresholds.get(user)
+            if theta is None:
+                structural.append(f"{tag}: node {user!r} missing threshold")
+            elif not math.isfinite(theta):
+                structural.append(f"{tag}: node {user!r} threshold {theta} is not finite")
+        report.extend(sorted(structural))
+        for (src, dst), weight in sorted(layer.edges.items()):
+            if src == dst:
+                report.append(f"{tag}: self-loop on {src!r}")
+            if finite(weight) and weight < 0.0:
+                report.append(f"{tag}: edge {src!r}->{dst!r} weight {weight} is negative")
+            elif finite(weight) and weight > 1.0 + WEIGHT_EPS:
+                report.append(f"{tag}: edge {src!r}->{dst!r} weight {weight} outside [0, 1]")
+        for user in sorted(layer.nodes):
+            theta = layer.thresholds.get(user)
+            if finite(theta) and theta <= 0.0:
+                report.append(f"{tag}: node {user!r} non-positive threshold")
+            elif finite(theta) and theta > 1.0 + WEIGHT_EPS:
+                report.append(f"{tag}: node {user!r} threshold {theta} exceeds 1")
+        for user in sorted(set(layer.thresholds) - layer.nodes):
+            report.append(f"{tag}: threshold for unknown node {user!r}")
+        in_sums = defaultdict(float)
+        for (_, dst), weight in layer.edges.items():
+            if weight is not None:
+                in_sums[dst] += weight
+        for node, total in sorted(in_sums.items()):
+            if total > 1.0 + IN_SUM_TOL:
+                report.append(f"{tag}: node {node!r} in-weight sum exceeds 1 ({total:.6f})")
+    if set().union(*(layer.nodes for layer in network.layers)) != network.universe:
+        report.append("universe is not the union of the layer node sets")
+    if not network.universe:
+        report.append("network has no users")
+    return report
 
 
 def naive_multiplex_lt(network, seeds, hops):

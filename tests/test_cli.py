@@ -559,6 +559,7 @@ def test_experiment_rejects_sweep_over_layer_files(tmp_path, layer_files, capsys
     ({"base_seed": "x"}, "base_seed must be an integer, not 'x'"),
     ({"base_seed": 1.5}, "base_seed must be an integer, not 1.5"),
     ({"alias_file": "aliases.txt"}, "alias_file merges the users of layer_files, not of a synth network"),
+    ({"k_values": [2, 3], "overlap_values": [0.2, 0.9]}, "k_values and overlap_values are two sweeps: set one of them"),
 ])
 def test_experiment_rejects_bad_sweep(tmp_path, capsys, fields, message):
     config = {"schemes": ["clique"], "betas": [0.4], "hops": 2,
@@ -579,6 +580,16 @@ def test_experiment_rejects_solver_field(tmp_path, capsys):
     code = main(["experiment", "--config", config_path, "--out", str(out)])
     assert code == 3
     assert capsys.readouterr().err == "error: unknown experiment fields: ['solver']\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("document", ["[]", "5", "null", '"x"'])
+def test_experiment_rejects_config_that_is_not_an_object(tmp_path, capsys, document):
+    config_path = write(tmp_path / "exp.json", document)
+    out = tmp_path / "rows.csv"
+    code = main(["experiment", "--config", config_path, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: an experiment config must be a JSON object, not {json.loads(document)!r}\n"
     assert not out.exists()
 
 

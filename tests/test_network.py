@@ -1,29 +1,33 @@
 import io
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from muxlci import (
+    COUPLING_SCHEMES,
     LayerFormatError,
     MultiplexNetwork,
     LayerGraph,
     SynthSpec,
     apply_aliases,
+    couple,
     fill_missing_thresholds,
     generate,
     load_alias_map,
     load_layer,
     load_network,
+    multiplex_lt_propagate,
     normalize_incoming_weights,
     serialize_layer,
     validate,
 )
 from muxlci.network import WEIGHT_EPS, needs_normalization, subseed
 
-from conftest import make_layer
-from oracles import reference_fill_missing_thresholds, reference_normalize_incoming_weights
+from conftest import make_layer, random_network
+from oracles import reference_fill_missing_thresholds, reference_normalize_incoming_weights, reference_validate
 
 
 def parse(text, index=1):
@@ -304,7 +308,85 @@ class TestValidate:
         network = random_network(seed, max_users=15)
         layer = network.layers[-1]
         layer.edges[tuple(sorted(layer.nodes)[:2])] = bad
-        assert any("outside [0, 1]" in v for v in validate(network))
+        assert any(v.endswith(f"weight {bad} is negative") for v in validate(network))
+
+
+# the layer faults that leave a coupling or the multiplex sweep undefined
+LAYER_FAULTS = ("self-loop", "negative weight", "unset weight", "outside endpoint",
+                "zero threshold", "negative threshold", "nan threshold")
+# the invariants only validate checks
+MODEL_FAULTS = ("weight above 1", "infinite weight", "threshold above 1", "unknown threshold",
+                "in-weight excess", "extra node", "layer index")
+
+
+def inject_fault(network, fault, rng):
+    """Give a random layer of ``network`` the named fault, in place."""
+    layer = rng.choice(network.layers)
+    src, dst = rng.sample(sorted(layer.nodes), 2)
+    if fault == "self-loop":
+        layer.edges[(src, src)] = rng.choice([0.0, 0.5])
+    elif fault in ("negative weight", "unset weight", "weight above 1", "infinite weight"):
+        bad = {"negative weight": rng.choice([-5e-324, -0.5]), "unset weight": None,
+               "weight above 1": 1.5, "infinite weight": math.inf}[fault]
+        layer.edges[(src, dst)] = bad
+    elif fault == "outside endpoint":
+        layer.edges[(src, rng.choice(sorted(network.universe - layer.nodes) or ["zz"]))] = 0.5
+    elif fault in ("zero threshold", "negative threshold", "nan threshold", "threshold above 1"):
+        layer.thresholds[src] = {"zero threshold": 0.0, "negative threshold": -0.5,
+                                 "nan threshold": math.nan, "threshold above 1": 1.5}[fault]
+    elif fault == "unknown threshold":
+        layer.thresholds["zz"] = 0.5
+    elif fault == "in-weight excess":
+        layer.edges[(src, dst)] = 1.0  # on top of dst's other in-weights
+    elif fault == "extra node":
+        layer.nodes.add("zz")
+    else:
+        layer.layer_index += rng.choice([-1, 1, 5])
+
+
+class TestLayerRuleBook:
+    """Every coupling, the multiplex sweep and validate reject a malformed
+    layer alike, with one message."""
+
+    @pytest.mark.parametrize("edges, thresholds, message", [
+        ({("b", "b"): 0.0}, {}, "layer 1: self-loop on 'b'"),
+        ({("c", "b"): -0.2}, {}, "layer 1: edge 'c'->'b' weight -0.2 is negative"),
+        ({}, {"b": 0.0}, "layer 1: node 'b' non-positive threshold"),
+        ({}, {"b": -0.5}, "layer 1: node 'b' non-positive threshold"),
+    ])
+    def test_every_entry_point_raises_the_validate_message(self, two_layer_toy, edges, thresholds, message):
+        two_layer_toy.layers[0].edges.update(edges)
+        two_layer_toy.layers[0].thresholds.update(thresholds)
+        assert validate(two_layer_toy) == [message]
+        for scheme in COUPLING_SCHEMES:
+            with pytest.raises(ValueError) as raised:
+                couple(two_layer_toy, scheme)
+            assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            multiplex_lt_propagate(two_layer_toy, {"a"}, 2)
+        assert str(raised.value) == message
+
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(LAYER_FAULTS))
+    def test_one_fault_raises_a_validate_message(self, seed, fault):
+        network = random_network(seed, max_users=15)
+        inject_fault(network, fault, random.Random(seed))
+        report = validate(network)
+        for scheme in COUPLING_SCHEMES:
+            with pytest.raises(ValueError) as raised:
+                couple(network, scheme)
+            assert str(raised.value) in report
+        with pytest.raises(ValueError) as raised:
+            multiplex_lt_propagate(network, {min(network.universe)}, 2)
+        assert str(raised.value) in report
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.lists(st.sampled_from(LAYER_FAULTS + MODEL_FAULTS), max_size=5))
+    def test_validate_matches_reference(self, seed, faults):
+        network = random_network(seed, max_users=15)
+        rng = random.Random(seed)
+        for fault in faults:
+            inject_fault(network, fault, rng)
+        assert validate(network) == reference_validate(network)
 
 
 class TestAliases:
