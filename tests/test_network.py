@@ -317,27 +317,27 @@ LAYER_FAULTS = ("self-loop", "negative weight", "unset weight", "outside endpoin
 # the invariants only validate checks
 MODEL_FAULTS = ("weight above 1", "infinite weight", "threshold above 1", "unknown threshold",
                 "in-weight excess", "extra node", "layer index")
+# the values a fault sets on one edge, or on one user's threshold
+EDGE_FAULTS = {"negative weight": (-5e-324, -0.5), "unset weight": (None,), "weight above 1": (1.5,),
+               "infinite weight": (math.inf,), "in-weight excess": (1.0,)}
+THRESHOLD_FAULTS = {"zero threshold": (0.0,), "negative threshold": (-0.5,), "nan threshold": (math.nan,),
+                    "threshold above 1": (1.5,)}
 
 
 def inject_fault(network, fault, rng):
     """Give a random layer of ``network`` the named fault, in place."""
     layer = rng.choice(network.layers)
     src, dst = rng.sample(sorted(layer.nodes), 2)
-    if fault == "self-loop":
+    if fault in EDGE_FAULTS:
+        layer.edges[(src, dst)] = rng.choice(EDGE_FAULTS[fault])
+    elif fault in THRESHOLD_FAULTS:
+        layer.thresholds[src] = rng.choice(THRESHOLD_FAULTS[fault])
+    elif fault == "self-loop":
         layer.edges[(src, src)] = rng.choice([0.0, 0.5])
-    elif fault in ("negative weight", "unset weight", "weight above 1", "infinite weight"):
-        bad = {"negative weight": rng.choice([-5e-324, -0.5]), "unset weight": None,
-               "weight above 1": 1.5, "infinite weight": math.inf}[fault]
-        layer.edges[(src, dst)] = bad
     elif fault == "outside endpoint":
         layer.edges[(src, rng.choice(sorted(network.universe - layer.nodes) or ["zz"]))] = 0.5
-    elif fault in ("zero threshold", "negative threshold", "nan threshold", "threshold above 1"):
-        layer.thresholds[src] = {"zero threshold": 0.0, "negative threshold": -0.5,
-                                 "nan threshold": math.nan, "threshold above 1": 1.5}[fault]
     elif fault == "unknown threshold":
         layer.thresholds["zz"] = 0.5
-    elif fault == "in-weight excess":
-        layer.edges[(src, dst)] = 1.0  # on top of dst's other in-weights
     elif fault == "extra node":
         layer.nodes.add("zz")
     else:
