@@ -21,8 +21,10 @@ and the record keeps the ``TRACED_METRICS`` of each.  The record written to
 ``--out`` holds every run's report and result lines and, per workload
 and end-to-end metric (from the change's ``BENCHMARK.json``), the two
 medians, the parent's quartiles (``statistics.quantiles``, exclusive
-method), and the number of pairs in which the change was lower and in
-which the two were equal.
+method), the number of pairs in which the change was lower and in
+which the two were equal, and a verdict (see ``compare``).  Quartiles
+need at least two seeds, so ``--seeds`` must name two or more distinct
+seeds; anything else is rejected before either side is unpacked.
 """
 
 from __future__ import annotations
@@ -59,10 +61,22 @@ def unpack(repo, rev, into):
 
 
 def parse_seeds(text):
+    """The seeds of ``--seeds``: comma-separated seeds and LOW-HIGH ranges,
+    at least two and none twice."""
     seeds = []
     for part in text.split(","):
         low, _, high = part.partition("-")
-        seeds.extend(range(int(low), int(high or low) + 1))
+        try:
+            low, high = int(low), int(high or low)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{part!r} is neither a seed nor a range LOW-HIGH") from None
+        if high < low:
+            raise argparse.ArgumentTypeError(f"range {part!r} runs backwards")
+        seeds.extend(range(low, high + 1))
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"{text!r} names a seed twice")
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} names one seed; the parent's quartiles need two or more")
     return seeds
 
 
@@ -77,17 +91,37 @@ def run_once(tree, workload, seed, seconds, trace):
     return json.loads(lines[0]), json.loads(lines[-1])
 
 
-def compare(runs, metric):
-    """Medians, parent quartiles and pair counts of one metric."""
+def compare(runs, metric, bound):
+    """Medians, parent quartiles, pair counts and verdict of one
+    lower-is-better metric whose relative bound is ``bound``.
+
+    The verdict is "gain" when the change is lower in at least 9 of 10
+    pairs and its median is below the parent's by more than the parent's
+    quartile distance; "worse" when its median exceeds the parent's by
+    more than ``bound`` of it; "unresolved" when the parent's quartile
+    distance exceeds ``bound`` of the parent's median, unless every
+    change run is below every parent run; and "within bound" otherwise.
+    """
     parent = {run["seed"]: run["result"]["metrics"][metric]["value"] for run in runs if run["side"] == "parent"}
     change = {run["seed"]: run["result"]["metrics"][metric]["value"] for run in runs if run["side"] == "change"}
-    quartiles = statistics.quantiles(parent.values(), n=4)
+    low, _, high = statistics.quantiles(parent.values(), n=4)
+    parent_median, change_median = statistics.median(parent.values()), statistics.median(change.values())
+    lower = sum(change[seed] < parent[seed] for seed in parent)
+    if 10 * lower >= 9 * len(parent) and parent_median - change_median > high - low:
+        verdict = "gain"
+    elif change_median > (1 + bound) * parent_median:
+        verdict = "worse"
+    elif high - low > bound * parent_median and max(change.values()) >= min(parent.values()):
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
     return {
-        "parent_median": statistics.median(parent.values()),
-        "change_median": statistics.median(change.values()),
-        "parent_quartiles": [quartiles[0], quartiles[2]],
-        "change_lower_pairs": sum(change[seed] < parent[seed] for seed in parent),
+        "parent_median": parent_median,
+        "change_median": change_median,
+        "parent_quartiles": [low, high],
+        "change_lower_pairs": lower,
         "equal_pairs": sum(change[seed] == parent[seed] for seed in parent),
+        "verdict": verdict,
     }
 
 
@@ -113,7 +147,10 @@ def main(argv=None):
         unpack(args.repo, change_rev, trees["change"])
         benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         seconds = benchmark["run_seconds"]
-        metrics = [entry["name"] for entry in benchmark["end_to_end"]]
+        bounds = {entry["name"]: entry["bound"] for entry in benchmark["end_to_end"]}
+        if any(entry["better"] != "lower" for entry in benchmark["end_to_end"]):
+            raise SystemExit("every end-to-end metric must be lower-is-better for its verdict")
+        metrics = list(bounds)
 
         runs, summary, host = [], {}, None
         for workload in args.workloads.split(","):
@@ -130,7 +167,7 @@ def main(argv=None):
             summary[workload] = {
                 "seeds": list(args.seeds),
                 "all_correct": all(run["result"]["correct"] for run in mine),
-                **{metric: compare(mine, metric) for metric in metrics},
+                **{metric: compare(mine, metric, bounds[metric]) for metric in metrics},
             }
         for workload in args.workloads.split(",") if args.traced_seed is not None else ():
             traced = {"parent": {}, "change": {}, "correct": {}}

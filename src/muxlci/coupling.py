@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -74,11 +75,42 @@ class NodeKind(NamedTuple):
     layer: int = None
 
 
+class NodeKinds(Mapping):
+    """Read-only node id -> :class:`NodeKind` over three columns aligned
+    with a graph's node indices: ``kind``, ``user`` and ``layer`` (None
+    for a node that stands for no layer).
+
+    It shares the graph's ``index``, iterates in index order and builds
+    a NodeKind only when a node is looked up, so a coupling keeps no
+    per-node kind object.  It compares equal to a dict of NodeKinds.
+    """
+
+    __slots__ = ("index", "kind", "user", "layer")
+
+    def __init__(self, index, kind, user, layer):
+        self.index, self.kind, self.user, self.layer = index, kind, user, layer
+
+    def __getitem__(self, node):
+        i = self.index[node]
+        return NodeKind(self.kind[i], self.user[i], self.layer[i])
+
+    def __contains__(self, node):
+        return node in self.index
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self):
+        return len(self.index)
+
+
 @dataclass
 class CoupledNetwork:
     """A coupled graph plus the bookkeeping to map results back to users.
 
-    ``user_of`` is F, seedable node -> user, with one node per user.
+    ``kinds`` maps each node to its :class:`NodeKind` (a
+    :class:`NodeKinds` when built by :func:`couple`).  ``user_of`` is F,
+    seedable node -> user, with one node per user.
     """
 
     graph: InfluenceGraph
@@ -123,28 +155,30 @@ def _couple_lossless(network, sync, dummies, model_kind):
     else:
         seed_kind, seed_tag, hub_weight = USER_VERTEX, "@u", 0.0
     nodes, index, theta, node_weight, out = [], {}, [], [], []
-    kinds, user_of = {}, {}
+    kind_col, user_col, layer_col, user_of = [], [], [], {}
 
-    def add(node, threshold, kind, weight):
+    def add(node, threshold, weight, kind, user, layer=None):
         index[node] = len(nodes)
         nodes.append(node)
         theta.append(threshold)
         node_weight.append(weight)
-        kinds[node] = kind
+        kind_col.append(kind)
+        user_col.append(user)
+        layer_col.append(layer)
         out.append([])
         return index[node]
 
     for user in network.users:
         vertex = user + seed_tag
-        seed = add(vertex, 1.0, NodeKind(seed_kind, user), 1.0)
+        seed = add(vertex, 1.0, 1.0, seed_kind, user)
         user_of[vertex] = user
         reps = []
         for layer in network.layers:
             i = layer.layer_index
             if user in layer.nodes:
-                rep = add(f"{user}@{i}", float(layer.thresholds[user]), NodeKind(REPRESENTATIVE, user, i), 1.0)
+                rep = add(f"{user}@{i}", float(layer.thresholds[user]), 1.0, REPRESENTATIVE, user, i)
             elif dummies:
-                rep = add(f"{user}@{i}", 1.0, NodeKind(DUMMY, user, i), 1.0)
+                rep = add(f"{user}@{i}", 1.0, 1.0, DUMMY, user, i)
             else:
                 continue
             reps.append(rep)
@@ -158,7 +192,7 @@ def _couple_lossless(network, sync, dummies, model_kind):
                     if src != dst:
                         targets.append((dst, 1.0 if ic else theta[dst]))
         else:
-            hub = add(user + "@s", 1.0, NodeKind(INTERMEDIATE, user), hub_weight)
+            hub = add(user + "@s", 1.0, hub_weight, INTERMEDIATE, user)
             for rep in reps:
                 out[rep].append((hub, 1.0))
                 out[hub].append((rep, 1.0 if ic else theta[rep]))
@@ -173,6 +207,7 @@ def _couple_lossless(network, sync, dummies, model_kind):
     graph = InfluenceGraph._from_adjacency(tuple(nodes), index, theta, node_weight, out)
     scheme = sync if dummies else "reduced-" + sync
     hop_scale = 2 if sync == "clique" else 3
+    kinds = NodeKinds(index, kind_col, user_col, layer_col)
     return CoupledNetwork(graph, kinds, user_of, hop_scale, scheme, k)
 
 
@@ -251,8 +286,9 @@ def _couple_lossy(network, kind="average"):
         for (src, dst), weight in layer.edges.items():
             folded[(src, dst)] = folded.get((src, dst), 0.0) + alpha[dst] * weight
     edges = [(src, dst, w) for (src, dst), w in sorted(folded.items()) if w > 0.0]
-    kinds = {user: NodeKind(USER_VERTEX, user) for user in users}
     graph = InfluenceGraph(users, edges, thresholds, None)
+    n = len(graph)
+    kinds = NodeKinds(graph.index, [USER_VERTEX] * n, graph.node_ids, [None] * n)
     return CoupledNetwork(graph, kinds, {user: user for user in users}, 1, "lossy-" + kind, network.k)
 
 
@@ -303,25 +339,20 @@ def write_coupled(coupled, edges_stream, manifest_stream):
     line per edge sorted by source id and then target id.  It is
     streamed source by source, each out-list sorted on its own, so no
     list of every edge is built.  The manifest carries one row per node
-    in index order: node_id,kind,user_id,layer,threshold,weight.
+    in index order: node_id,kind,user_id,layer,threshold,weight, read
+    straight from the graph's lists and the columns of ``coupled.kinds``,
+    a :class:`NodeKinds` (a None layer is written as an empty field).
     """
     graph = coupled.graph
     ids = graph.node_ids
     for src in sorted(ids):
         for iv, weight in sorted(graph.out[graph.index[src]], key=lambda edge: ids[edge[0]]):
             edges_stream.write(f"{src} {ids[iv]} {weight!r}\n")
+    kinds = coupled.kinds
     writer = csv.writer(manifest_stream, lineterminator="\n")
     writer.writerow(_MANIFEST_HEADER)
-    for i, node in enumerate(ids):
-        kind = coupled.kinds[node]
-        writer.writerow([
-            node,
-            kind.kind,
-            kind.user,
-            "" if kind.layer is None else kind.layer,
-            repr(graph.theta[i]),
-            repr(graph.node_weight[i]),
-        ])
+    writer.writerows(zip(ids, kinds.kind, kinds.user, kinds.layer,
+                         map(repr, graph.theta), map(repr, graph.node_weight)))
 
 
 def read_coupled(edge_lines, manifest_rows):
@@ -333,16 +364,18 @@ def read_coupled(edge_lines, manifest_rows):
     index and the threshold and weight lists, and each edge line is
     parsed once straight into the graph's index adjacency, which
     :class:`InfluenceGraph` then checks once (duplicate edges by a set
-    of each source's targets).  Every kind is the module's constant and
-    every user id one shared string, so the kinds hold no per-row copy
-    of either.  Raises ValueError on an empty manifest, whose header is
-    missing, and, naming the line, on a manifest row
-    without six fields, with an unknown kind, an unparsable number or a
-    node id already listed, on an edge line with an unparsable weight,
-    an endpoint missing from the manifest or the same node at both
-    ends, on a non-finite threshold, node weight or edge weight, and on
-    a negative edge weight; a duplicate edge is reported by its two
-    endpoints.  Folded lossy thresholds above 1 are legal.
+    of each source's targets).  The kinds are a :class:`NodeKinds` over
+    a kind, a user and a layer column, so no per-row kind object is
+    made; every kind is the module's constant and every user id one
+    shared string, so the columns hold no per-row copy of either.
+    Raises ValueError on an empty manifest, whose header is missing,
+    and, naming the line, on a manifest row without six fields, with
+    an unknown kind, an unparsable number or a node id already listed,
+    on an edge line with an unparsable weight, an endpoint missing from
+    the manifest or the same node at both ends, on a non-finite
+    threshold, node weight or edge weight, and on a negative edge
+    weight; a duplicate edge is reported by its two endpoints.  Folded
+    lossy thresholds above 1 are legal.
     """
     reader = csv.reader(iter(manifest_rows))
     header = next(reader, None)
@@ -351,7 +384,8 @@ def read_coupled(edge_lines, manifest_rows):
     if tuple(header) != _MANIFEST_HEADER:
         raise ValueError(f"unexpected manifest header {header!r}")
     width = len(_MANIFEST_HEADER)
-    nodes, index, thetas, weights, kinds, user_of, users = [], {}, [], [], {}, {}, {}
+    nodes, index, thetas, weights, user_of, users = [], {}, [], [], {}, {}
+    kind_col, user_col, layer_col = [], [], []
 
     def bad_row(problem):
         node = row[0] if row else ""
@@ -378,7 +412,9 @@ def read_coupled(edge_lines, manifest_rows):
         thetas.append(theta)
         weights.append(weight)
         user = users.setdefault(user, user)
-        kinds[node] = NodeKind(kind, user, layer)
+        kind_col.append(kind)
+        user_col.append(user)
+        layer_col.append(layer)
         if kind in (GATEWAY, USER_VERTEX):
             user_of[node] = user
     out = [[] for _ in nodes]
@@ -403,4 +439,4 @@ def read_coupled(edge_lines, manifest_rows):
             raise ValueError(f"line {line_no}: self-loop on {src!r}")
         out[iu].append((iv, weight))
     graph = InfluenceGraph._from_adjacency(tuple(nodes), index, thetas, weights, out)
-    return graph, kinds, user_of
+    return graph, NodeKinds(index, kind_col, user_col, layer_col), user_of

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from muxlci import DiffusionModel, ic_propagate, lt_propagate, write_trace
 from muxlci.cli import main
+
+from oracles import reference_read_coupled
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -117,6 +121,17 @@ def test_simulate_empty_seed_file_gives_zero_coverage(tmp_path, layer_files, cap
     assert result["coverage_count"] == 0
 
 
+def reference_trace(edges, manifest, propagate):
+    """The trace ``write_trace`` writes for ``propagate(graph)`` on the
+    coupled files read by the two-pass reference reader, whose kinds are
+    a dict of NodeKinds."""
+    graph, kinds, _ = reference_read_coupled(
+        edges.read_text().splitlines(), manifest.read_text().splitlines())
+    buf = io.StringIO()
+    write_trace(propagate(graph), buf, kinds)
+    return buf.getvalue()
+
+
 def test_simulate_coupled_graph_stochastic(tmp_path, layer_files, capsys):
     edges = tmp_path / "coupled.txt"
     manifest = tmp_path / "manifest.csv"
@@ -136,8 +151,32 @@ def test_simulate_coupled_graph_stochastic(tmp_path, layer_files, capsys):
     assert code == 0
     result = json.loads(capsys.readouterr().out)
     assert result["coverage_count"] >= 1.0
-    kinds = {line.split(",")[2] for line in trace.read_text().splitlines()[1:]}
-    assert "gateway" in kinds
+    model = DiffusionModel("independent_cascade", mc_samples=50, rng_seed=9)
+    expected = reference_trace(edges, manifest, lambda graph: ic_propagate(graph, {"a@g"}, 4, model))
+    assert trace.read_text() == expected
+    kinds = {line.split(",")[2] for line in expected.splitlines()[1:]}
+    assert {"gateway", "representative"} <= kinds
+
+
+@pytest.mark.parametrize("scheme, seed", [("star", "c@g"), ("reduced-clique", "c@u"), ("lossy-average", "c")])
+def test_simulate_coupled_trace_names_each_node_kind(tmp_path, layer_files, capsys, scheme, seed):
+    """Each trace row carries its own node's kind from the manifest: the
+    node_kind column equals the one written from the reference reader's
+    NodeKind dict, so a node labelled with a neighbour's kind fails."""
+    edges, manifest = tmp_path / "coupled.txt", tmp_path / "manifest.csv"
+    assert main([
+        "couple", "--layer", layer_files[0], "--layer", layer_files[1], "--scheme", scheme,
+        "--out-edges", str(edges), "--out-manifest", str(manifest),
+    ]) == 0
+    trace = tmp_path / "trace.csv"
+    assert main([
+        "simulate", "--coupled-edges", str(edges), "--coupled-manifest", str(manifest),
+        "--seeds-file", write(tmp_path / "seeds.txt", seed + "\n"), "--hops", "6",
+        "--trace-out", str(trace),
+    ]) == 0
+    capsys.readouterr()
+    assert trace.read_text() == reference_trace(edges, manifest, lambda graph: lt_propagate(graph, {seed}, 6))
+    assert len(trace.read_text().splitlines()) > 2
 
 
 @pytest.mark.parametrize("scheme", ["reduced-clique", "reduced-star"])

@@ -30,6 +30,8 @@ from muxlci.coupling import (
     INTERMEDIATE,
     REPRESENTATIVE,
     USER_VERTEX,
+    NodeKind,
+    NodeKinds,
     _layer_alphas,
 )
 
@@ -278,6 +280,47 @@ class TestLosslessBuilderMatchesReference:
         assert list(ours.kinds) == list(ref.kinds)
 
 
+class TestNodeKinds:
+    """A coupling's kinds are index-aligned columns behind a read-only
+    mapping that behaves like the NodeKind dict it replaces."""
+
+    def test_lossy_kinds_equal_one_user_vertex_per_user(self, four_user_three_layer):
+        for scheme in ("lossy-easiness", "lossy-involvement", "lossy-average"):
+            coupled = couple(four_user_three_layer, scheme)
+            expected = {user: NodeKind(USER_VERTEX, user) for user in four_user_three_layer.users}
+            assert coupled.kinds == expected
+            assert list(coupled.kinds.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("scheme", COUPLING_SCHEMES)
+    def test_columns_follow_the_graph_index(self, four_user_three_layer, scheme):
+        coupled = couple(four_user_three_layer, scheme)
+        kinds, graph = coupled.kinds, coupled.graph
+        assert isinstance(kinds, NodeKinds)
+        assert kinds.index is graph.index
+        assert list(kinds) == list(graph.node_ids)
+        assert len(kinds) == len(kinds.kind) == len(kinds.user) == len(kinds.layer) == len(graph)
+        for i, node in enumerate(graph.node_ids):
+            assert node in kinds
+            assert kinds[node] == (kinds.kind[i], kinds.user[i], kinds.layer[i])
+            assert type(kinds[node]) is NodeKind
+        assert "nobody" not in kinds
+        assert kinds.get("nobody") is None
+        with pytest.raises(KeyError):
+            kinds["nobody"]
+        with pytest.raises(TypeError):
+            kinds[graph.node_ids[0]] = NodeKind(GATEWAY, "x")
+
+    def test_equality_is_by_content(self, four_user_three_layer):
+        star = couple(four_user_three_layer, "star").kinds
+        as_dict = dict(star.items())
+        assert star == as_dict and as_dict == star
+        assert star == couple(four_user_three_layer, "star").kinds
+        first = next(iter(as_dict))
+        as_dict[first] = as_dict[first]._replace(kind=DUMMY)
+        assert star != as_dict
+        assert star != couple(four_user_three_layer, "clique").kinds
+
+
 def easiness(network, user, layer_index):
     return _layer_alphas(network.layer_by_index(layer_index), "easiness")[user]
 
@@ -460,16 +503,18 @@ class TestNodeUserMapping:
 
 
 class TestCoupledExport:
-    def test_write_read_round_trip(self, four_user_three_layer):
-        coupled = couple(four_user_three_layer, "star")
+    @pytest.mark.parametrize("scheme", COUPLING_SCHEMES)
+    def test_write_read_round_trip(self, four_user_three_layer, scheme):
+        coupled = couple(four_user_three_layer, scheme)
         edges_buf, manifest_buf = io.StringIO(), io.StringIO()
         write_coupled(coupled, edges_buf, manifest_buf)
         graph, kinds, user_of = read_coupled(
             io.StringIO(edges_buf.getvalue()),
             io.StringIO(manifest_buf.getvalue()),
         )
-        assert set(graph.node_ids) == set(coupled.graph.node_ids)
+        assert graph.node_ids == coupled.graph.node_ids
         assert kinds == coupled.kinds
+        assert list(kinds.items()) == list(coupled.kinds.items())
         assert user_of == coupled.user_of
         original = {
             (coupled.graph.node_ids[u], coupled.graph.node_ids[v], w)
@@ -630,6 +675,7 @@ class TestCoupledExport:
         for field in ("node_ids", "index", "out", "theta", "bar", "node_weight", "total_weight"):
             assert getattr(graph, field) == getattr(ref_graph, field), field
         assert kinds == ref_kinds
+        assert list(kinds) == list(ref_kinds)
         assert user_of == ref_user_of
         # each row's kind is the module constant and each user id one string
         constants = {kind: kind for kind in (GATEWAY, REPRESENTATIVE, DUMMY, INTERMEDIATE, USER_VERTEX)}
@@ -654,7 +700,7 @@ class Discard:
 def test_lossless_build_and_write_hold_no_second_copy_of_the_edges():
     """Coupling by clique peaks below 1.25x the heap its result keeps, and
     writing the result raises the peak by under a fifth of that: about
-    1.02x and 0.13 here, against 1.66x and 0.45 for a builder that
+    1.01x and 0.15 here, against 1.66x and 0.45 for a builder that
     collects every edge as an id triple and a writer that sorts them."""
     network = generate(SynthSpec(400, [(320, 0.01), (280, 0.01), (240, 0.01)], None, 3))
     assert network.users
