@@ -340,8 +340,9 @@ def write_coupled(coupled, edges_stream, manifest_stream):
     streamed source by source, each out-list sorted on its own, so no
     list of every edge is built.  The manifest carries one row per node
     in index order: node_id,kind,user_id,layer,threshold,weight, read
-    straight from the graph's lists and the columns of ``coupled.kinds``,
-    a :class:`NodeKinds` (a None layer is written as an empty field).
+    straight from the graph's lists and, when ``coupled.kinds`` is a
+    :class:`NodeKinds`, from its columns (any other mapping is looked up
+    node by node).  A None layer is written as an empty field.
     """
     graph = coupled.graph
     ids = graph.node_ids
@@ -349,10 +350,13 @@ def write_coupled(coupled, edges_stream, manifest_stream):
         for iv, weight in sorted(graph.out[graph.index[src]], key=lambda edge: ids[edge[0]]):
             edges_stream.write(f"{src} {ids[iv]} {weight!r}\n")
     kinds = coupled.kinds
+    if isinstance(kinds, NodeKinds):
+        columns = kinds.kind, kinds.user, kinds.layer
+    else:
+        columns = zip(*(kinds[node] for node in ids))
     writer = csv.writer(manifest_stream, lineterminator="\n")
     writer.writerow(_MANIFEST_HEADER)
-    writer.writerows(zip(ids, kinds.kind, kinds.user, kinds.layer,
-                         map(repr, graph.theta), map(repr, graph.node_weight)))
+    writer.writerows(zip(ids, *columns, map(repr, graph.theta), map(repr, graph.node_weight)))
 
 
 def read_coupled(edge_lines, manifest_rows):

@@ -604,6 +604,16 @@ class TestCoupledExport:
         reference_write_coupled(coupled, *ref)
         assert [buf.getvalue() for buf in ours] == [buf.getvalue() for buf in ref]
 
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4),
+           st.sampled_from(sorted(LOSSLESS_REFERENCES)))
+    def test_write_takes_kinds_as_a_plain_dict(self, seed, k, scheme):
+        """A CoupledNetwork whose kinds are a dict of NodeKinds, as the
+        reference builders make, writes the bytes of couple()'s columns."""
+        network = builder_network(seed, k)
+        ref = LOSSLESS_REFERENCES[scheme](network)
+        assert type(ref.kinds) is dict
+        assert written(ref) == written(couple(network, scheme))
+
     @given(st.integers(min_value=0, max_value=10_000), st.booleans())
     def test_unknown_endpoint_names_line(self, seed, at_src):
         coupled = couple(random_network(seed, max_users=12), random.Random(seed).choice(COUPLING_SCHEMES))
