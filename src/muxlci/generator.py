@@ -71,6 +71,10 @@ def _bernoulli_indices(total, prob, rng):
     """Indices of successes among ``total`` Bernoulli(prob) slots.
 
     Geometric gap sampling: O(successes) instead of O(total) draws.
+    Each gap is capped at ``total + 1``, which already steps past the
+    last slot, so a tiny ``prob`` (whose gaps numpy saturates at the
+    int64 maximum) cannot overflow the running sum; the draws and the
+    result are otherwise unchanged.
     """
     if total <= 0 or prob <= 0.0:
         return np.empty(0, dtype=np.int64)
@@ -80,7 +84,7 @@ def _bernoulli_indices(total, prob, rng):
     position = -1
     chunk = max(16, int(total * prob * 1.2))
     while True:
-        gaps = rng.geometric(prob, size=chunk)
+        gaps = np.minimum(rng.geometric(prob, size=chunk), total + 1)
         steps = np.cumsum(gaps) + position
         taken = steps[steps < total]
         hits.append(taken)

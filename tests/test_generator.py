@@ -34,6 +34,14 @@ class TestGenerate:
         network = generate(SynthSpec(20, [(10, 0.0), (10, 0.0)], None, 1))
         assert all(not layer.edges for layer in network.layers)
 
+    @pytest.mark.parametrize("prob", [1e-20, 4.4e-175, 5e-324])
+    def test_tiny_probability_gives_no_edges(self, prob):
+        """numpy saturates the geometric gaps of a tiny probability at the
+        int64 maximum; summing two of them must not wrap into slot indices."""
+        network = generate(SynthSpec(6, [(5, prob), (4, prob)], None, 1))
+        assert all(not layer.edges for layer in network.layers)
+        assert validate(network) == []
+
     def test_networks_are_valid_and_ready(self):
         network = generate(SynthSpec(40, [(30, 0.1), (25, 0.05)], None, 2))
         assert validate(network) == []
