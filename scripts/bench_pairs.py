@@ -17,7 +17,9 @@ on even ones, each for the ``run_seconds`` of the change's
 ``BENCHMARK.json``, and each run prints a progress line with every
 end-to-end metric that file names.  With ``--traced-seed`` each side
 also makes one ``--trace 1`` run of every workload in ``--workloads``,
-and the record keeps the ``TRACED_METRICS`` of each.  The record written to
+and the record keeps the ``TRACED_METRICS`` of each, the time metrics
+(``_s``) both in raw seconds and as shares of the run's traced wall (see
+``traced_metrics``).  The record written to
 ``--out`` holds every run's report and result lines and, per workload
 and end-to-end metric (from the change's ``BENCHMARK.json``), the two
 medians, the parent's quartiles (``statistics.quantiles``, exclusive
@@ -45,7 +47,7 @@ TRACED_METRICS = (
     "coupling.read_s", "coupling.write_s", "network.load_s", "network.validate_s",
     "diffusion.lt_calls", "diffusion.lt_s", "diffusion.mc_calls", "diffusion.mc_samples", "diffusion.mc_s",
     "diffusion.replay_calls", "diffusion.replay_s",
-    "experiment.baseline_s", "experiment.composition_s", "experiment.cells", "cli.calls",
+    "experiment.baseline_s", "experiment.composition_s", "experiment.cells", "cli.calls", "cli.self_s",
 )
 
 
@@ -89,6 +91,22 @@ def run_once(tree, workload, seed, seconds, trace):
     if done.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"{' '.join(command)} in {tree} exited {done.returncode}:\n{done.stderr}")
     return json.loads(lines[0]), json.loads(lines[-1])
+
+
+def traced_metrics(report):
+    """The ``TRACED_METRICS`` of one traced run's report, and each time
+    metric's share of the median of the report's ``traced_wall_raw_s_all``.
+
+    Span times and that wall are both raw seconds, so a host that runs
+    the whole pass slower leaves each share as it is, and the shares of
+    a parent and a change run compare where their raw seconds carry the
+    host's speed at the time of each run.
+    """
+    layer = report["metrics"]
+    wall = statistics.median(report["traced_wall_raw_s_all"])
+    values = {name: layer[name] for name in TRACED_METRICS}
+    shares = {name: layer[name] / wall for name in TRACED_METRICS if name.endswith("_s")}
+    return values, shares
 
 
 def compare(runs, metric, bound):
@@ -170,13 +188,12 @@ def main(argv=None):
                 **{metric: compare(mine, metric, bounds[metric]) for metric in metrics},
             }
         for workload in args.workloads.split(",") if args.traced_seed is not None else ():
-            traced = {"parent": {}, "change": {}, "correct": {}}
+            traced = {"parent": {}, "change": {}, "share_of_traced_wall": {}, "correct": {}}
             for side in ("parent", "change"):
                 report, result = run_once(trees[side], workload, args.traced_seed, seconds, 1)
                 runs.append({"workload": workload, "seed": args.traced_seed, "side": side,
                              "trace": 1, "report": report, "result": result})
-                layer = report["report"]["metrics"]
-                traced[side] = {name: layer[name] for name in TRACED_METRICS}
+                traced[side], traced["share_of_traced_wall"][side] = traced_metrics(report["report"])
                 traced["correct"][side] = result["correct"]
             summary[f"{workload}_traced_seed_{args.traced_seed}"] = traced
 

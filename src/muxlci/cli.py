@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 input format error, 3 invalid value/configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -233,7 +234,15 @@ def _add_model_args(parser):
     parser.add_argument("--mc-samples", type=int, default=1000, dest="mc_samples")
 
 
+@functools.cache
 def build_parser():
+    """The one argument parser of this process, built on first use.
+
+    Parsing keeps no state in the parser: each call fills a new namespace,
+    and argparse copies a repeated option's default list before appending
+    to it.  A namespace without that option holds the default list
+    itself, so no command may change a list it is given.
+    """
     parser = argparse.ArgumentParser(prog="muxlci", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"muxlci {__version__}")
@@ -299,8 +308,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except LayerFormatError as exc:

@@ -38,6 +38,7 @@ import csv
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .diffusion import INDEPENDENT_CASCADE, STOCHASTIC_THRESHOLD, InfluenceGraph
@@ -366,9 +367,11 @@ def read_coupled(edge_lines, manifest_rows):
     The seedable domain is recovered from the kind column (gateway and
     user vertices).  One pass: the manifest fills the node ids, their
     index and the threshold and weight lists, and each edge line is
-    parsed once straight into the graph's index adjacency, which
-    :class:`InfluenceGraph` then checks once (duplicate edges by a set
-    of each source's targets).  The kinds are a :class:`NodeKinds` over
+    parsed once straight into the graph's index adjacency.  Every fact
+    is checked once, here: each row and line as it is read, then, after
+    the last line, duplicate edges by the size of each source's target
+    set, so :class:`InfluenceGraph` stores the graph without checking
+    it again.  The kinds are a :class:`NodeKinds` over
     a kind, a user and a layer column, so no per-row kind object is
     made; every kind is the module's constant and every user id one
     shared string, so the columns hold no per-row copy of either.
@@ -378,8 +381,10 @@ def read_coupled(edge_lines, manifest_rows):
     on an edge line with an unparsable weight, an endpoint missing from
     the manifest or the same node at both ends, on a non-finite
     threshold, node weight or edge weight, and on a negative edge
-    weight; a duplicate edge is reported by its two endpoints.  Folded
-    lossy thresholds above 1 are legal.
+    weight.  A duplicate edge is reported by its two endpoints, only
+    once every line has been read: the first source by index that has
+    one, and its first repeated target in the order the lines gave.
+    Folded lossy thresholds above 1 are legal.
     """
     reader = csv.reader(iter(manifest_rows))
     header = next(reader, None)
@@ -442,5 +447,14 @@ def read_coupled(edge_lines, manifest_rows):
         if iu == iv:
             raise ValueError(f"line {line_no}: self-loop on {src!r}")
         out[iu].append((iv, weight))
-    graph = InfluenceGraph._from_adjacency(tuple(nodes), index, thetas, weights, out)
+    # after every line fault, so a malformed line later in the file still wins
+    target = itemgetter(0)
+    for iu, targets in enumerate(out):
+        if len(targets) > 1 and len(set(map(target, targets))) != len(targets):
+            seen = set()
+            for iv, _ in targets:
+                if iv in seen:
+                    raise ValueError(f"duplicate edge {nodes[iu]!r}->{nodes[iv]!r}")
+                seen.add(iv)
+    graph = InfluenceGraph._from_checked(tuple(nodes), index, thetas, weights, out)
     return graph, NodeKinds(index, kind_col, user_col, layer_col), user_of

@@ -181,13 +181,14 @@ class InfluenceGraph:
     given.  Thresholds and node weights must be finite, and edge weights
     finite and non-negative (the linear-threshold sweep relies on it);
     self-loops and duplicate edges are errors too.  Anything else
-    raises ValueError.  The constructor resolves ids to indices; one
-    routine, shared with the lossless coupling builder and
-    :func:`muxlci.coupling.read_coupled` (which both fill the index
-    adjacency directly), then checks every node and edge once, catching
-    duplicates with a set of each source's targets.  A graph never changes after construction; the in-edge
-    lists and the integral- and unit-weight tests are derived once on
-    first use.
+    raises ValueError.  The constructor resolves ids to indices and
+    then, like the lossless coupling builder (which fills the index
+    adjacency directly), checks every node and edge once with one
+    routine, catching duplicates with a set of each source's targets.
+    :func:`muxlci.coupling.read_coupled` checks the same facts itself,
+    naming the line, and only stores what it read.  A graph never
+    changes after construction; the in-edge lists and the integral- and
+    unit-weight tests are derived once on first use.
     """
 
     def __init__(self, nodes, edges, thresholds, node_weights=None):
@@ -206,17 +207,29 @@ class InfluenceGraph:
                 out[index[src]].append((index[dst], float(weight)))
             except KeyError as missing:
                 raise ValueError(f"edge {src!r}->{dst!r}: endpoint {missing.args[0]!r} is not a node") from None
-        self._build(node_ids, index, theta, node_weight, out)
+        self._check(node_ids, theta, node_weight, out)
+        self._store(node_ids, index, theta, node_weight, out)
 
     @classmethod
     def _from_adjacency(cls, node_ids, index, theta, node_weight, out):
         """A graph over index adjacency ``out[iu] = [(iv, weight), ...]``,
         checked like one built by the constructor."""
+        cls._check(node_ids, theta, node_weight, out)
+        return cls._from_checked(node_ids, index, theta, node_weight, out)
+
+    @classmethod
+    def _from_checked(cls, node_ids, index, theta, node_weight, out):
+        """A graph over index adjacency whose caller has already checked
+        every fact :meth:`_check` checks; nothing is checked again."""
         graph = cls.__new__(cls)
-        graph._build(node_ids, index, theta, node_weight, out)
+        graph._store(node_ids, index, theta, node_weight, out)
         return graph
 
-    def _build(self, node_ids, index, theta, node_weight, out):
+    @staticmethod
+    def _check(node_ids, theta, node_weight, out):
+        """Raise ValueError on a non-finite threshold or node weight, a
+        self-loop, a duplicate edge, or an edge weight that is not finite and
+        >= 0: the first fault by source index, then out-list order."""
         for u, t, w in zip(node_ids, theta, node_weight):
             if not (math.isfinite(t) and math.isfinite(w)):
                 raise ValueError(f"node {u!r}: threshold {t} and weight {w} must be finite")
@@ -231,6 +244,8 @@ class InfluenceGraph:
                         raise ValueError(f"duplicate edge {src!r}->{dst!r}")
                     raise ValueError(f"edge {src!r}->{dst!r}: weight {weight} must be finite and >= 0")
                 seen.add(iv)
+
+    def _store(self, node_ids, index, theta, node_weight, out):
         self.node_ids = node_ids
         self.index = index
         self.theta = theta

@@ -81,3 +81,26 @@ def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound():
     assert bench_pairs.compare(runs_of(parent, [0.5] * 10), "m", 0.25)["verdict"] == "within bound"
     assert bench_pairs.compare(runs_of(parent, [0.2] * 10), "m", 0.25)["verdict"] == "gain"
 
+
+
+def test_traced_metrics_keep_raw_seconds_and_add_shares_of_the_traced_wall():
+    metrics = {name: 0 for name in bench_pairs.TRACED_METRICS}
+    metrics.update({"coupling.read_s": 1.5, "cli.self_s": 0.25, "cli.calls": 40, "solver.evals": 7})
+    report = {"metrics": metrics, "traced_wall_raw_s_all": [6.0, 4.0, 5.0]}
+    values, shares = bench_pairs.traced_metrics(report)
+    assert values == metrics
+    # shares of the median traced wall (5.0), for time metrics only
+    assert shares["coupling.read_s"] == 0.3
+    assert shares["cli.self_s"] == 0.05
+    assert shares["diffusion.lt_s"] == 0.0
+    assert set(shares) == {name for name in bench_pairs.TRACED_METRICS if name.endswith("_s")}
+    assert "cli.calls" not in shares and "solver.evals" not in shares
+
+
+def test_a_host_twice_as_slow_doubles_seconds_but_not_shares():
+    metrics = {name: 0.1 for name in bench_pairs.TRACED_METRICS}
+    fast = {"metrics": metrics, "traced_wall_raw_s_all": [2.0, 2.2]}
+    slow = {"metrics": {name: 2 * value for name, value in metrics.items()}, "traced_wall_raw_s_all": [4.0, 4.4]}
+    (fast_values, fast_shares), (slow_values, slow_shares) = map(bench_pairs.traced_metrics, (fast, slow))
+    assert slow_values["coupling.read_s"] == 2 * fast_values["coupling.read_s"]
+    assert slow_shares == pytest.approx(fast_shares)

@@ -753,6 +753,68 @@ def test_solve_defaults_are_beta_08_hops_4():
     assert args.beta == 0.8 and args.hops == 4
 
 
+def test_parser_is_built_once():
+    from muxlci.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+def same_as_fresh_parser(argv):
+    """Check that the process's one parser reads ``argv`` as a parser
+    built for this call alone does."""
+    from muxlci.cli import build_parser
+
+    assert build_parser().parse_args(argv) == build_parser.__wrapped__().parse_args(argv)
+
+
+def test_repeated_layer_lists_do_not_pile_up(tmp_path, layer_files, capsys):
+    # --layer appends to a default list; each call must start from an empty one
+    for i, recipes in enumerate([["20:0.1", "15:0.05"], ["12:0.2"], ["10:0.1"] * 3]):
+        out = tmp_path / f"gen{i}"
+        argv = ["generate", "--universe", "30", *(f for r in recipes for f in ("--layer", r)), "--out", str(out)]
+        same_as_fresh_parser(argv)
+        assert main(argv) == 0
+        echo = json.loads((out / "network.json").read_text())
+        assert echo["per_layer"] == [[int(r.split(":")[0]), float(r.split(":")[1])] for r in recipes]
+    assert main(["generate", "--universe", "30", "--out", str(tmp_path / "none")]) == 3
+    assert "need --layer" in capsys.readouterr().err
+    for i, layers in enumerate([layer_files, layer_files[:1], layer_files[::-1]]):
+        summary = tmp_path / f"couple{i}.json"
+        argv = ["couple", *(f for path in layers for f in ("--layer", path)), "--scheme", "clique",
+                "--out-edges", str(tmp_path / "e.txt"), "--out-manifest", str(tmp_path / "m.csv"),
+                "--out", str(summary)]
+        same_as_fresh_parser(argv)
+        assert main(argv) == 0
+        assert json.loads(summary.read_text())["k"] == len(layers)
+
+
+def test_failed_parse_is_followed_by_a_clean_call(tmp_path, capsys):
+    out = tmp_path / "gen"
+    for bad in (["generate", "--layer", "20:0.1", "--universe", "many", "--out", str(out)],
+                ["generate", "--layer", "20:0.1"],
+                ["solve", "--beta", "0.5"],
+                ["nosuchcommand"]):
+        with pytest.raises(SystemExit) as raised:
+            main(bad)
+        assert raised.value.code == 2
+    assert not out.exists()
+    argv = ["generate", "--universe", "30", "--layer", "12:0.2", "--out", str(out)]
+    same_as_fresh_parser(argv)
+    assert main(argv) == 0
+    assert json.loads((out / "network.json").read_text())["per_layer"] == [[12, 0.2]]
+
+
+def test_solve_defaults_hold_after_other_calls(tmp_path, layer_files, capsys):
+    layers = [f for path in layer_files for f in ("--layer", path)]
+    argv = ["solve", *layers, "--beta", "0.5", "--hops", "2", "--T", "2", "--out", str(tmp_path / "s.json")]
+    same_as_fresh_parser(argv)
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "s.json").read_text())["beta"] == 0.5
+    with pytest.raises(SystemExit):
+        main(["solve", *layers, "--beta", "high"])
+    test_solve_defaults_are_beta_08_hops_4()
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = write(tmp_path / "bad.txt", "a a 0.5\n")
     code = main(["solve", "--layer", bad, "--scheme", "clique"])

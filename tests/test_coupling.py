@@ -668,6 +668,83 @@ class TestCoupledExport:
         edge_lines.insert(rng.randint(0, len(edge_lines)), f"{src} {dst} 0.25")
         assert same_rejection(edge_lines, rows) == f"duplicate edge {src!r}->{dst!r}"
 
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from(["malformed", "unknown", "weight", "self-loop"]))
+    def test_later_line_fault_wins_over_earlier_duplicate(self, seed, fault):
+        """Duplicates are looked for after the last line, so a line fault
+        after a duplicate edge is still the one reported."""
+        coupled = couple(random_network(seed, max_users=12), random.Random(seed).choice(COUPLING_SCHEMES))
+        edge_lines, rows = written(coupled)
+        if not edge_lines:
+            return
+        rng = random.Random(seed)
+        edge_lines.insert(rng.randint(0, len(edge_lines)), rng.choice(edge_lines))
+        first_dup = next(i for i, line in enumerate(edge_lines) if line in edge_lines[:i])
+        line = rng.randint(first_dup + 2, len(edge_lines) + 1)
+        node = rng.choice(coupled.graph.node_ids)
+        other = next(v for v in coupled.graph.node_ids if v != node)
+        bad, problem = {
+            "malformed": ("a b", "expected 'src dst weight'"),
+            "unknown": (f"{node} zz 0.5", "node 'zz' is not in the manifest"),
+            "weight": (f"{node} {other} -0.5", "weight -0.5 must be finite and >= 0"),
+            "self-loop": (f"{node} {node} 0.5", f"self-loop on {node!r}"),
+        }[fault]
+        edge_lines.insert(line - 1, bad)
+        message = f"line {line}: {problem}"
+        if fault == "self-loop":
+            # the two-pass reference finds self-loops in the graph constructor, with no line number
+            with pytest.raises(ValueError) as raised:
+                read_coupled(edge_lines, rows)
+            assert str(raised.value) == message
+        else:
+            assert same_rejection(edge_lines, rows) == message
+
+    def test_duplicate_of_lower_source_index_reported_first(self, four_user_three_layer):
+        coupled = couple(four_user_three_layer, "star")
+        edge_lines, rows = written(coupled)
+        index = coupled.graph.index
+        by_source = sorted(edge_lines, key=lambda line: index[line.split()[0]])
+        low, high = by_source[0], by_source[-1]
+        assert index[low.split()[0]] < index[high.split()[0]]
+        # the higher source's duplicate comes first in the file
+        edge_lines = [high, *edge_lines, low]
+        src, dst, _ = low.split()
+        assert same_rejection(edge_lines, rows) == f"duplicate edge {src!r}->{dst!r}"
+
+    def test_first_repeated_target_of_a_source_reported(self, four_user_three_layer):
+        """Of a source's targets a, b, b, a, the repeat found first is b."""
+        coupled = couple(four_user_three_layer, "clique")
+        edge_lines, rows = written(coupled)
+        src = edge_lines[0].split()[0]
+        a, b = [line for line in edge_lines if line.split()[0] == src][:2]
+        edge_lines += [b, a]
+        _, dst, _ = b.split()
+        assert same_rejection(edge_lines, rows) == f"duplicate edge {src!r}->{dst!r}"
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_duplicate_of_first_edge_line(self, seed):
+        coupled = couple(random_network(seed, max_users=12), random.Random(seed).choice(COUPLING_SCHEMES))
+        edge_lines, rows = written(coupled)
+        if not edge_lines:
+            return
+        src, dst, _ = edge_lines[0].split()
+        edge_lines.insert(random.Random(seed).randint(1, len(edge_lines)), f"{src} {dst} 0.75")
+        assert same_rejection(edge_lines, rows) == f"duplicate edge {src!r}->{dst!r}"
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=6))
+    def test_many_duplicates_report_what_the_reference_reports(self, seed, copies):
+        """Several duplicates, under one source or many and in any line
+        order: the same first source by index and first repeated target."""
+        coupled = couple(random_network(seed, max_users=12), random.Random(seed).choice(COUPLING_SCHEMES))
+        edge_lines, rows = written(coupled)
+        if not edge_lines:
+            return
+        rng = random.Random(seed)
+        for line in rng.choices(edge_lines, k=copies):
+            edge_lines.insert(rng.randint(0, len(edge_lines)), line)
+        rng.shuffle(edge_lines)
+        assert same_rejection(edge_lines, rows).startswith("duplicate edge ")
+
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(COUPLING_SCHEMES),
            st.sampled_from(["linear_threshold", "independent_cascade"]))
     def test_read_matches_two_pass_reader(self, seed, scheme, model_kind):
