@@ -42,7 +42,6 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .diffusion import INDEPENDENT_CASCADE, STOCHASTIC_THRESHOLD, InfluenceGraph
-from .network import _require_complete
 
 GATEWAY = "gateway"
 REPRESENTATIVE = "representative"
@@ -308,7 +307,7 @@ def couple(network, scheme, model_kind="linear_threshold"):
     a self-loop, or a threshold that is missing, non-finite or not
     positive (:func:`~muxlci.network.validate` reports the same message).
     """
-    _require_complete(network.layers)
+    network._check_layers()
     if scheme in ("clique", "star"):
         return _couple_lossless(network, scheme, True, model_kind)
     if scheme in ("reduced-clique", "reduced-star"):

@@ -23,6 +23,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -95,6 +96,8 @@ class MultiplexNetwork:
         if not self.layers:
             raise ValueError("a multiplex network needs at least one layer")
         self.universe = set().union(*(layer.nodes for layer in self.layers))
+        # set once the layer rule book has found no fault (see _check_layers)
+        self._checked = False
 
     @property
     def k(self):
@@ -135,12 +138,22 @@ class MultiplexNetwork:
         activation bar ``bar[i]`` (threshold minus ``WEIGHT_EPS``;
         infinite for users outside the layer).  Raises ValueError with
         the first fault of the first faulty layer (see
-        :func:`_layer_faults`), as every coupling does.
+        :meth:`_check_layers`), as every coupling does.
         """
+        self._check_layers()
         return tuple(self._lt_layer(layer) for layer in self.layers)
 
+    def _check_layers(self):
+        """Raise ValueError with the first fault of the first faulty layer
+        (see :func:`_layer_faults`).  The rule book runs once per network:
+        layers do not change once the network is built, and
+        :func:`load_network` marks a network that :func:`validate`, which
+        reports every such fault, has passed."""
+        if not self._checked:
+            _require_complete(self.layers)
+            self._checked = True
+
     def _lt_layer(self, layer):
-        _require_complete([layer])
         position = self.position
         bar = [math.inf] * len(self.users)
         for user in layer.nodes:
@@ -190,51 +203,48 @@ def _require_complete(layers):
             raise ValueError(fault)
 
 
-def _parse_float(token, line_no):
-    try:
-        return float(token)
-    except ValueError:
-        raise LayerFormatError(f"not a number: {token!r}", line_no) from None
-
-
 def load_layer(lines, layer_index):
     """Parse a layer from an iterable of text lines.
 
     Raises :class:`LayerFormatError` (with the offending line number) on
     malformed lines, self-loops, duplicate edges, and weights outside
     [0, 1].  Users mentioned only in ``# theta`` directives become
-    isolated nodes.
+    isolated nodes.  Each line is split once, and the node set is taken
+    from the thresholds and edges after the last line.
     """
-    nodes, edges, thresholds = set(), {}, {}
+    edges, thresholds = {}, {}
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        if line.startswith("#"):
-            parts = line[1:].split()
+        if parts[0][0] == "#":
+            parts = raw.strip()[1:].split()
             if parts[:1] == ["theta"]:
                 if len(parts) != 3:
                     raise LayerFormatError("expected '# theta <user> <value>'", line_no)
-                user = parts[1]
-                nodes.add(user)
-                thresholds[user] = _parse_float(parts[2], line_no)
+                try:
+                    thresholds[parts[1]] = float(parts[2])
+                except ValueError:
+                    raise LayerFormatError(f"not a number: {parts[2]!r}", line_no) from None
             continue
-        parts = line.split()
         if len(parts) not in (2, 3):
-            raise LayerFormatError(f"expected 'src dst [weight]', got {line!r}", line_no)
-        src, dst = parts[0], parts[1]
+            raise LayerFormatError(f"expected 'src dst [weight]', got {raw.strip()!r}", line_no)
+        edge = src, dst = parts[0], parts[1]
         if src == dst:
             raise LayerFormatError(f"self-loop on {src!r}", line_no)
-        if (src, dst) in edges:
+        if edge in edges:
             raise LayerFormatError(f"duplicate edge {src!r} -> {dst!r}", line_no)
         weight = None
         if len(parts) == 3:
-            weight = _parse_float(parts[2], line_no)
+            try:
+                weight = float(parts[2])
+            except ValueError:
+                raise LayerFormatError(f"not a number: {parts[2]!r}", line_no) from None
             if not 0.0 <= weight <= 1.0:
                 raise LayerFormatError(f"weight {weight} outside [0, 1]", line_no)
-        nodes.add(src)
-        nodes.add(dst)
-        edges[(src, dst)] = weight
+        edges[edge] = weight
+    nodes = set(thresholds)
+    nodes.update(chain.from_iterable(edges))
     return LayerGraph(layer_index, nodes, edges, thresholds)
 
 
@@ -442,4 +452,5 @@ def load_network(layer_paths, alias_path, rng_seed):
     report = validate(network)
     if report:
         raise ValueError("invalid network:\n  " + "\n  ".join(report))
+    network._checked = True
     return network, normalized

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from muxlci import LayerGraph, MultiplexNetwork, SynthSpec, generate
+from muxlci import LayerGraph, MultiplexNetwork, SynthSpec, generate, network
 
 settings.register_profile(
     "suite",
@@ -12,6 +12,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def count_rule_book(monkeypatch):
+    """The layer indices that ``network._layer_faults`` is run on, from now on."""
+    checked, rule_book = [], network._layer_faults
+
+    def counted(layer):
+        checked.append(layer.layer_index)
+        return rule_book(layer)
+
+    monkeypatch.setattr(network, "_layer_faults", counted)
+    return checked
 
 
 def make_layer(index, edges, thetas):

@@ -59,9 +59,52 @@ from muxlci.diffusion import (
     st_propagate,
 )
 from muxlci.solver import SeedSet, meets_fraction
-from muxlci.network import IN_SUM_TOL, WEIGHT_EPS, LayerGraph, MultiplexNetwork, _require_complete
+from muxlci.network import IN_SUM_TOL, WEIGHT_EPS, LayerFormatError, LayerGraph, MultiplexNetwork, _require_complete
 
 TOL = 1e-12
+
+
+def reference_load_layer(lines, layer_index):
+    """Layer-file parser that strips, tests for a comment and splits each
+    line in turn, and adds each user to the node set as its line is read."""
+
+    def number(token, line_no):
+        try:
+            return float(token)
+        except ValueError:
+            raise LayerFormatError(f"not a number: {token!r}", line_no) from None
+
+    nodes, edges, thresholds = set(), {}, {}
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if parts[:1] == ["theta"]:
+                if len(parts) != 3:
+                    raise LayerFormatError("expected '# theta <user> <value>'", line_no)
+                user = parts[1]
+                nodes.add(user)
+                thresholds[user] = number(parts[2], line_no)
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise LayerFormatError(f"expected 'src dst [weight]', got {line!r}", line_no)
+        src, dst = parts[0], parts[1]
+        if src == dst:
+            raise LayerFormatError(f"self-loop on {src!r}", line_no)
+        if (src, dst) in edges:
+            raise LayerFormatError(f"duplicate edge {src!r} -> {dst!r}", line_no)
+        weight = None
+        if len(parts) == 3:
+            weight = number(parts[2], line_no)
+            if not 0.0 <= weight <= 1.0:
+                raise LayerFormatError(f"weight {weight} outside [0, 1]", line_no)
+        nodes.add(src)
+        nodes.add(dst)
+        edges[(src, dst)] = weight
+    return LayerGraph(layer_index, nodes, edges, thresholds)
 
 
 def reference_normalize_incoming_weights(layer, rng_seed):

@@ -11,6 +11,7 @@ import pytest
 from muxlci import DiffusionModel, ic_propagate, lt_propagate, write_trace
 from muxlci.cli import main
 
+from conftest import count_rule_book
 from oracles import reference_read_coupled
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -751,6 +752,23 @@ def test_solve_defaults_are_beta_08_hops_4():
 
     args = build_parser().parse_args(["solve", "--layer", "x.txt"])
     assert args.beta == 0.8 and args.hops == 4
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--hops", "2"],
+    ["solve", "--T", "2"],
+    ["couple", "--scheme", "star"],
+])
+def test_each_layer_checked_once_per_command(tmp_path, layer_files, monkeypatch, capsys, command):
+    """load_network validates each layer; the coupling and the multiplex
+    sweep that follow do not run the layer rule book again."""
+    seeds = write(tmp_path / "seeds.txt", "b\n")
+    paths = {"simulate": ["--seeds-file", seeds],
+             "couple": ["--out-edges", str(tmp_path / "e.txt"), "--out-manifest", str(tmp_path / "m.csv")]}
+    checked = count_rule_book(monkeypatch)
+    layers = [f for path in layer_files for f in ("--layer", path)]
+    assert main([*command, *layers, *paths.get(command[0], []), "--out", str(tmp_path / "out.json")]) == 0
+    assert checked == [1, 2]
 
 
 def test_parser_is_built_once():

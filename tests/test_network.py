@@ -26,8 +26,13 @@ from muxlci import (
 )
 from muxlci.network import WEIGHT_EPS, needs_normalization, subseed
 
-from conftest import make_layer, random_network
-from oracles import reference_fill_missing_thresholds, reference_normalize_incoming_weights, reference_validate
+from conftest import count_rule_book, make_layer, random_network
+from oracles import (
+    reference_fill_missing_thresholds,
+    reference_load_layer,
+    reference_normalize_incoming_weights,
+    reference_validate,
+)
 
 
 def parse(text, index=1):
@@ -90,6 +95,31 @@ class TestLoadLayer:
         assert again.nodes == layer.nodes
         assert again.thresholds == layer.thresholds
         assert again.edges == layer.edges
+
+
+LAYER_LINES = [
+    "a b 0.5", "b c", "c a 1", "a c 0.25", "d a 0.75", "b d 1e-3", "  c   d\t0.5 ",
+    "# theta a 0.5", "#theta b 0.25", "  # theta c 1.0", "# theta d", "# theta e x", "# theta a 0.5 0.6",
+    "# comment", "#", "", "   ", "\t",
+    "a a 0.5", "a b 0.2", "a b 1.5", "a b -0.1", "a b x", "a b nan", "a", "a b 0.5 extra",
+]
+
+
+class TestLoadLayerMatchesReference:
+    @given(st.lists(st.sampled_from(LAYER_LINES), max_size=12), st.sampled_from(["\n", "\r\n", ""]))
+    def test_same_layer_or_same_error(self, lines, ending):
+        """Splitting each line once and taking the node set at the end
+        gives the layer, or the LayerFormatError message, of the parser
+        that strips, tests and splits each line in turn."""
+        text = [line + ending for line in lines]
+        try:
+            expected = reference_load_layer(text, 2)
+        except LayerFormatError as exc:
+            with pytest.raises(LayerFormatError) as raised:
+                load_layer(text, 2)
+            assert str(raised.value) == str(exc)
+        else:
+            assert load_layer(text, 2) == expected
 
 
 class TestNormalize:
@@ -365,6 +395,13 @@ class TestLayerRuleBook:
         with pytest.raises(ValueError) as raised:
             multiplex_lt_propagate(two_layer_toy, {"a"}, 2)
         assert str(raised.value) == message
+
+    def test_rule_book_runs_once_per_network(self, two_layer_toy, monkeypatch):
+        checked = count_rule_book(monkeypatch)
+        for scheme in COUPLING_SCHEMES:
+            couple(two_layer_toy, scheme)
+        multiplex_lt_propagate(two_layer_toy, {"a"}, 2)
+        assert checked == [1, 2]
 
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(LAYER_FAULTS))
     def test_one_fault_raises_a_validate_message(self, seed, fault):
