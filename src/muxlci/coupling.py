@@ -12,7 +12,8 @@ outgoing influence flows through the seedable vertex, and the user's
 vertices synchronize so that one active sibling activates the rest:
 
 * sync — "clique" ties them pairwise, each edge carrying exactly its
-  target's threshold (hop scale 2); "star" routes through one extra hub
+  target's threshold, or 1 under the two random models (hop scale 2);
+  "star" routes through one extra hub
   per user, trading edges (2(k+1) per user instead of k(k+1)) for one
   more synchronization hop (hop scale 3).
 * dummies — on ("clique", "star"): the seedable vertex is a gateway,
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .diffusion import INDEPENDENT_CASCADE, STOCHASTIC_THRESHOLD, InfluenceGraph
+from .diffusion import LINEAR_THRESHOLD, STOCHASTIC_THRESHOLD, InfluenceGraph
 
 GATEWAY = "gateway"
 REPRESENTATIVE = "representative"
@@ -139,16 +140,19 @@ def _couple_lossless(network, sync, dummies, model_kind):
     """Lossless coupling with ``sync`` "clique" or "star" and dummies on or off.
 
     Per user, in sorted order: the seedable vertex, the representatives
-    in layer order, then the star hub.  Sync edges fire with probability
-    1 under independent cascade.  Each layer edge u->v becomes seedable
-    vertex of u -> representative of v in that layer.
+    in layer order, then the star hub.  A sync edge must activate its
+    target alone: under linear threshold it carries exactly the target's
+    threshold; under independent cascade it weighs 1, so it fires with
+    probability 1, and under stochastic threshold it weighs 1, above any
+    threshold drawn up to a bound of at most 1.  Each layer edge u->v
+    becomes seedable vertex of u -> representative of v in that layer.
 
     The graph is built in index space: each node gets its index, threshold
     and weight as it is added, and each edge goes straight into its
     source's out-list (the user's sync edges, then the layer edges by
     layer and sorted within it), so no id-keyed copy of the edges exists.
     """
-    ic = model_kind == INDEPENDENT_CASCADE
+    unit_sync = model_kind != LINEAR_THRESHOLD
     k = network.k
     if dummies:
         seed_kind, seed_tag, hub_weight = GATEWAY, "@g", 1.0
@@ -190,12 +194,12 @@ def _couple_lossless(network, sync, dummies, model_kind):
                 targets = out[src]
                 for dst in ring:
                     if src != dst:
-                        targets.append((dst, 1.0 if ic else theta[dst]))
+                        targets.append((dst, 1.0 if unit_sync else theta[dst]))
         else:
             hub = add(user + "@s", 1.0, hub_weight, INTERMEDIATE, user)
             for rep in reps:
                 out[rep].append((hub, 1.0))
-                out[hub].append((rep, 1.0 if ic else theta[rep]))
+                out[hub].append((rep, 1.0 if unit_sync else theta[rep]))
             out[hub].append((seed, 1.0))
             out[seed].append((hub, 1.0))
     if len(index) != len(nodes):

@@ -452,5 +452,6 @@ def load_network(layer_paths, alias_path, rng_seed):
     report = validate(network)
     if report:
         raise ValueError("invalid network:\n  " + "\n  ".join(report))
+    # validate reports every fault of the layer rule book and found none
     network._checked = True
     return network, normalized

@@ -568,11 +568,12 @@ def _user_vertex(user):
     return user + "@u"
 
 
-def _sync_weight(thresholds, node, ic):
-    # IC synchronization edges fire with probability 1; threshold-model
-    # edges carry exactly the target's threshold so one active sibling
-    # is always enough.
-    return 1.0 if ic else thresholds[node]
+def _sync_weight(thresholds, node, unit):
+    # linear-threshold synchronization edges carry exactly the target's
+    # threshold, so one active sibling is always enough; under the two
+    # random models they weigh 1: an IC edge then fires with probability 1,
+    # and an ST edge reaches any threshold drawn up to a bound of at most 1
+    return 1.0 if unit else thresholds[node]
 
 
 def reference_couple_clique_lossless(network, model_kind="linear_threshold"):
@@ -582,7 +583,7 @@ def reference_couple_clique_lossless(network, model_kind="linear_threshold"):
     and k layers.  Seeds map to gateways.
     """
     _require_complete(network.layers)
-    ic = model_kind == INDEPENDENT_CASCADE
+    unit = model_kind != LINEAR_THRESHOLD
     k = network.k
     users = sorted(network.universe)
     nodes, thresholds, kinds, node_weight = [], {}, {}, {}
@@ -610,7 +611,7 @@ def reference_couple_clique_lossless(network, model_kind="linear_threshold"):
         for src in ring:
             for dst in ring:
                 if src != dst:
-                    edges.append((src, dst, _sync_weight(thresholds, dst, ic)))
+                    edges.append((src, dst, _sync_weight(thresholds, dst, unit)))
     for layer in network.layers:
         for (src, dst) in sorted(layer.edges):
             edges.append((_gateway(src), _rep(dst, layer.layer_index), layer.edges[(src, dst)]))
@@ -626,7 +627,7 @@ def reference_couple_star_lossless(network, model_kind="linear_threshold"):
     sum(|E_i|) + 2*n*(k+1) edges.
     """
     _require_complete(network.layers)
-    ic = model_kind == INDEPENDENT_CASCADE
+    unit = model_kind != LINEAR_THRESHOLD
     k = network.k
     users = sorted(network.universe)
     nodes, thresholds, kinds, node_weight = [], {}, {}, {}
@@ -658,7 +659,7 @@ def reference_couple_star_lossless(network, model_kind="linear_threshold"):
         node_weight[hub] = 1.0
         for rep in reps:
             edges.append((rep, hub, 1.0))
-            edges.append((hub, rep, _sync_weight(thresholds, rep, ic)))
+            edges.append((hub, rep, _sync_weight(thresholds, rep, unit)))
         edges.append((hub, gateway, 1.0))
         edges.append((gateway, hub, 1.0))
     for layer in network.layers:
@@ -681,7 +682,7 @@ def reference_couple_reduced(network, sync="clique", model_kind="linear_threshol
     if sync not in ("clique", "star"):
         raise ValueError(f"unknown synchronization style {sync!r}")
     _require_complete(network.layers)
-    ic = model_kind == INDEPENDENT_CASCADE
+    unit = model_kind != LINEAR_THRESHOLD
     k = network.k
     users = sorted(network.universe)
     nodes, thresholds, kinds, node_weight = [], {}, {}, {}
@@ -711,7 +712,7 @@ def reference_couple_reduced(network, sync="clique", model_kind="linear_threshol
             for src in ring:
                 for dst in ring:
                     if src != dst:
-                        edges.append((src, dst, _sync_weight(thresholds, dst, ic)))
+                        edges.append((src, dst, _sync_weight(thresholds, dst, unit)))
         else:
             hub = _hub(user)
             nodes.append(hub)
@@ -720,7 +721,7 @@ def reference_couple_reduced(network, sync="clique", model_kind="linear_threshol
             node_weight[hub] = 0.0
             for rep in reps:
                 edges.append((rep, hub, 1.0))
-                edges.append((hub, rep, _sync_weight(thresholds, rep, ic)))
+                edges.append((hub, rep, _sync_weight(thresholds, rep, unit)))
             edges.append((hub, vertex, 1.0))
             edges.append((vertex, hub, 1.0))
     for layer in network.layers:

@@ -13,6 +13,7 @@ from muxlci import (
     GreedyConfig,
     LayerGraph,
     MultiplexNetwork,
+    DiffusionModel,
     SynthSpec,
     couple,
     generate,
@@ -20,6 +21,7 @@ from muxlci import (
     lt_propagate,
     multiplex_lt_propagate,
     read_coupled,
+    st_propagate,
     write_coupled,
 )
 
@@ -262,13 +264,27 @@ LOSSLESS_REFERENCES = {
 }
 
 
+class TestStochasticSync:
+    @pytest.mark.parametrize("bound", [None, 0.5, 1.0])
+    @pytest.mark.parametrize("scheme", sorted(LOSSLESS_REFERENCES))
+    def test_every_user_seeded_covers_everything(self, scheme, bound):
+        """Under stochastic thresholds drawn up to any bound, a seeded
+        user's vertices all activate, so seeding every user covers the
+        whole coupled graph in every sample."""
+        network = random_network(7, max_users=20)
+        coupled = couple(network, scheme, model_kind="stochastic_threshold")
+        model = DiffusionModel("stochastic_threshold", mc_samples=20, rng_seed=3, st_bounds=bound)
+        outcome = st_propagate(coupled.graph, list(coupled.user_of), coupled.hop_scale - 1, model)
+        assert outcome.coverage_weight == coupled.graph.total_weight
+
+
 class TestLosslessBuilderMatchesReference:
     """couple() builds every lossless scheme exactly as the three
     separate builders it replaced did."""
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4),
            st.sampled_from(sorted(LOSSLESS_REFERENCES)),
-           st.sampled_from(["linear_threshold", "independent_cascade"]))
+           st.sampled_from(["linear_threshold", "independent_cascade", "stochastic_threshold"]))
     def test_couple_equals_reference_builder(self, seed, k, scheme, model_kind):
         network = builder_network(seed, k)
         ours = couple(network, scheme, model_kind=model_kind)
@@ -710,6 +726,20 @@ class TestCoupledExport:
         edge_lines = [high, *edge_lines, low]
         src, dst, _ = low.split()
         assert same_rejection(edge_lines, rows) == f"duplicate edge {src!r}->{dst!r}"
+
+    def test_read_checks_each_fact_once(self, four_user_three_layer, monkeypatch):
+        """The reader's own checks stand in for the graph's: reading runs
+        no InfluenceGraph check, while the lossless builder still does."""
+        from muxlci.diffusion import InfluenceGraph
+
+        coupled = couple(four_user_three_layer, "clique")
+        checks = []
+        monkeypatch.setattr(InfluenceGraph, "_check", staticmethod(lambda *args: checks.append(args)))
+        graph, _, _ = read_coupled(*written(coupled))
+        assert checks == []
+        assert graph.node_ids == coupled.graph.node_ids
+        couple(four_user_three_layer, "clique")
+        assert len(checks) == 1
 
     def test_first_repeated_target_of_a_source_reported(self, four_user_three_layer):
         """Of a source's targets a, b, b, a, the repeat found first is b."""

@@ -533,6 +533,7 @@ class TestOddConfigValues:
     @given(st.sampled_from(ODD_FIELD_BASES), st.sampled_from(ODD_FIELD_PATHS), ODD_JSON)
     @example(ODD_FIELD_BASES[0], ("k_values",), [[]])
     @example(ODD_FIELD_BASES[0], ("overlap_values",), [0.5, {}])
+    @example(ODD_FIELD_BASES[1], ("betas",), [1])
     def test_one_odd_field_fails_at_load_or_runs_clean(self, base, path, value):
         assume(not (path[-1] == "st_bounds" and isinstance(value, dict) and value))
         config = json.loads(json.dumps(base))

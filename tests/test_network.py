@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from muxlci import (
     COUPLING_SCHEMES,
@@ -107,6 +107,7 @@ LAYER_LINES = [
 
 class TestLoadLayerMatchesReference:
     @given(st.lists(st.sampled_from(LAYER_LINES), max_size=12), st.sampled_from(["\n", "\r\n", ""]))
+    @example(["#theta b 0.25", "  # theta c 1.0", "a b 0.5", "# comment"], "\n")
     def test_same_layer_or_same_error(self, lines, ending):
         """Splitting each line once and taking the node set at the end
         gives the layer, or the LayerFormatError message, of the parser
