@@ -151,6 +151,9 @@ def cmd_simulate(args):
     if bool(args.coupled_edges) != bool(args.coupled_manifest):
         raise ValueError("--coupled-edges and --coupled-manifest go together")
     if args.coupled_edges:
+        ignored = [flag for flag, given in (("--layer", args.layer), ("--alias", args.alias)) if given]
+        if ignored:
+            raise ValueError(f"{' and '.join(ignored)} cannot be given with --coupled-edges")
         with open(args.coupled_edges, encoding="utf-8") as edges, \
              open(args.coupled_manifest, encoding="utf-8", newline="") as manifest:
             graph, kinds, _ = read_coupled(edges, manifest)

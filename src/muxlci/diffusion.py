@@ -18,7 +18,9 @@ Three models:
 The direct multiplex variant runs linear threshold on all layers at
 once: a user activates as soon as the condition holds in *some* layer,
 and an active user influences every layer it belongs to from the next
-hop on.
+hop on.  Coupled linear threshold, each stochastic-threshold sample, the
+multiplex replay and the one-layer restricted run share one sweep,
+:func:`_lt_sweep`, over one or more (out-adjacency, bars) layers.
 """
 
 from __future__ import annotations
@@ -307,19 +309,25 @@ def _outcome(graph, per_hop_idx, hops_used):
     return DiffusionOutcome(active, float(count), weight, hops_used)
 
 
-def _lt_rounds(graph, seed_idx, hops, bar):
-    """Shared linear-threshold sweep; returns (per-hop index lists, hops used).
+def _lt_sweep(lt_layers, seed_idx, hops):
+    """The linear-threshold sweep over ``(out-adjacency, activation bars)``
+    layers in one index space; returns (per-hop index lists, hops used).
 
-    A node activates at the first hop whose received weight reaches
-    ``bar`` (threshold minus slack).  Each hop walks the frontier's
-    out-edges in order and activates a node the moment its running sum
-    crosses the bar.  That equals testing the full hop sum afterwards
-    only because edge weights are non-negative (``InfluenceGraph``
-    enforces it): a sum can only grow within a hop.
+    A coupled run, each stochastic-threshold sample, the multiplex replay
+    and the restricted run all use it: the first two with the graph's one
+    layer, the last two with a network's ``lt_layers`` or one of them.
+    A node activates at the first hop at which, in some layer, its
+    received weight reaches that layer's bar (threshold minus slack).
+    Each hop walks the layers in order, and per layer the frontier's
+    out-edges, adding into that layer's running sums; a node activates
+    the moment one of its sums crosses the bar.  That equals testing the
+    full hop sums afterwards only because edge weights are non-negative
+    (``InfluenceGraph`` and the layer rule book enforce it): a sum can
+    only grow within a hop.
     """
-    out = graph.out
-    active = bytearray(len(graph.node_ids))
-    received = [0.0] * len(graph.node_ids)
+    n = len(lt_layers[0][1])
+    layers = [(out, bar, [0.0] * n) for out, bar in lt_layers]
+    active = bytearray(n)
     for i in seed_idx:
         active[i] = 1
     per_hop = [list(seed_idx)]
@@ -327,14 +335,15 @@ def _lt_rounds(graph, seed_idx, hops, bar):
     hops_used = 0
     for t in range(1, hops + 1):
         newly = []
-        for u in frontier:
-            for v, w in out[u]:
-                if not active[v]:
-                    total = received[v] + w
-                    received[v] = total
-                    if total >= bar[v]:
-                        active[v] = 1
-                        newly.append(v)
+        for out, bar, received in layers:
+            for u in frontier:
+                for v, w in out[u]:
+                    if not active[v]:
+                        total = received[v] + w
+                        received[v] = total
+                        if total >= bar[v]:
+                            active[v] = 1
+                            newly.append(v)
         if not newly:
             break
         newly.sort()
@@ -397,7 +406,7 @@ def _lt_delta(graph, seed_idx, hops, base):
     next hop at which an in-neighbour activates in the base, or at its
     own base hop if that comes first.  A re-check sums the node's
     in-weights from in-neighbours active by t-1, ordered by hop, then by
-    source index: the order in which :func:`_lt_rounds` adds them, so the
+    source index: the order in which :func:`_lt_sweep` adds them, so the
     sum is that run's float bit for bit.  A float sum in a new order can
     fall short of the base's; a node whose re-check fails at its base hop
     is then lost, and its out-neighbours are re-checked too.  Every field
@@ -460,7 +469,7 @@ def _lt_delta(graph, seed_idx, hops, base):
                 continue
             b = base_hop[v]
             if not sure:
-                # in-weights in source order are in _lt_rounds' order while
+                # in-weights in source order are in _lt_sweep's order while
                 # their hops do not fall; the first fall re-sums them sorted
                 total = 0.0
                 soonest = inf
@@ -537,48 +546,10 @@ def lt_propagate(graph, seeds, hops, base=None):
     seed_idx = _seed_indices(graph, seeds)
     if base is not None:
         return _lt_delta(graph, seed_idx, hops, base)
-    per_hop, hops_used = _lt_rounds(graph, seed_idx, hops, graph.bar)
+    per_hop, hops_used = _lt_sweep(((graph.out, graph.bar),), seed_idx, hops)
     outcome = _outcome(graph, per_hop, hops_used)
     outcome._lt_source = (graph, hops)
     return outcome
-
-
-def _multiplex_rounds(lt_layers, seed_idx, hops):
-    """Linear-threshold sweep over a network's ``lt_layers``;
-    returns (per-hop index lists, hops used).
-
-    Each hop walks the layers in order, and per layer the frontier's
-    out-edges, adding into that layer's running sums.  A user activates
-    the moment one of its sums crosses that layer's bar, as in
-    :func:`_lt_rounds`; a sum only grows within a hop because the index
-    rejects negative weights.
-    """
-    n = len(lt_layers[0][1])
-    active = bytearray(n)
-    received = [[0.0] * n for _ in lt_layers]
-    for i in seed_idx:
-        active[i] = 1
-    per_hop = [list(seed_idx)]
-    frontier = seed_idx
-    hops_used = 0
-    for t in range(1, hops + 1):
-        newly = []
-        for (out, bar), sums in zip(lt_layers, received):
-            for u in frontier:
-                for v, w in out[u]:
-                    if not active[v]:
-                        total = sums[v] + w
-                        sums[v] = total
-                        if total >= bar[v]:
-                            active[v] = 1
-                            newly.append(v)
-        if not newly:
-            break
-        newly.sort()
-        per_hop.append(newly)
-        frontier = newly
-        hops_used = t
-    return per_hop, hops_used
 
 
 def _multiplex_run(network, seeds, hops, lt_layers):
@@ -589,7 +560,7 @@ def _multiplex_run(network, seeds, hops, lt_layers):
     if unknown:
         raise ValueError(f"unknown seed users: {sorted(unknown)!r}")
     seed_idx = sorted(network.position[u] for u in seeds)
-    per_hop, hops_used = _multiplex_rounds(lt_layers, seed_idx, hops)
+    per_hop, hops_used = _lt_sweep(lt_layers, seed_idx, hops)
     count = float(sum(map(len, per_hop)))
     return DiffusionOutcome(ActiveSet.from_indices(per_hop, network.users), count, count, hops_used)
 
@@ -732,7 +703,8 @@ def st_propagate(graph, seeds, hops, model, bars=None):
     seed_idx = _seed_indices(graph, seeds)
     if bars is None:
         bars = _st_bars(graph, model)
-    return _monte_carlo(graph, model, partial(_lt_rounds, graph, seed_idx, hops), bars)
+    layers = (((graph.out, bar),) for bar in bars)
+    return _monte_carlo(graph, model, partial(_lt_sweep, seed_idx=seed_idx, hops=hops), layers)
 
 
 def write_trace(outcome, stream, kinds=None):

@@ -323,6 +323,24 @@ def test_simulate_unknown_manifest_kind_exit_code(tmp_path, layer_files, capsys)
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--layer", "no-such-layer.txt"], "--layer"),
+    (["--alias", "no-such-alias.tsv"], "--alias"),
+    (["--layer", "no-such-layer.txt", "--alias", "no-such-alias.tsv"], "--layer and --alias"),
+])
+def test_simulate_rejects_layer_flags_with_coupled_graph(tmp_path, layer_files, capsys, flags, named):
+    edges, manifest = coupled_files(tmp_path, layer_files, "clique")
+    capsys.readouterr()
+    seeds = write(tmp_path / "seeds.txt", "a@g\n")
+    out = tmp_path / "out.json"
+    assert main([
+        "simulate", "--coupled-edges", str(edges), "--coupled-manifest", str(manifest),
+        "--seeds-file", seeds, "--hops", "2", "--out", str(out), *flags,
+    ]) == 3
+    assert capsys.readouterr().err == f"error: {named} cannot be given with --coupled-edges\n"
+    assert not out.exists()
+
+
 def test_simulate_empty_manifest_exit_code(tmp_path, capsys):
     edges = write(tmp_path / "coupled.txt", "")
     manifest = write(tmp_path / "manifest.csv", "")
