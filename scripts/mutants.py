@@ -93,6 +93,11 @@ MUTANTS = (
          "tests/test_network.py::TestValidate::test_missing_threshold_flagged",
          "tests/test_network.py::TestValidate::test_negative_weight_flagged")),
     Mutant(
+        "thresholds-stream-restarted-per-layer", "src/muxlci/network.py",
+        "(1.0 - thresholds_rng.random(len(missing)))",
+        '(1.0 - np.random.default_rng(subseed(rng_seed, "thresholds")).random(len(missing)))',
+        ("tests/test_network.py::TestBlockDraws::test_same_values_and_order_as_scalar_draws",)),
+    Mutant(
         "block-draw-zero-top-up-dropped", "src/muxlci/network.py",
         "    while len(drawn) < count:\n",
         "    if len(drawn) < count:\n",
@@ -103,6 +108,20 @@ MUTANTS = (
         "        if False:\n",
         ("tests/test_coupling.py::TestCoupledExport::test_duplicate_of_lower_source_index_reported_first",
          "tests/test_cli.py::test_simulate_duplicate_edge_exit_code")),
+    Mutant(
+        "involvement-neighbourhood-as-set", "src/muxlci/coupling.py",
+        "        hood = dict.fromkeys([user, *neighbors.get(user, ())])\n",
+        "        hood = {user, *neighbors.get(user, ())}\n",
+        ("tests/test_coupling.py::TestLossyMultipliersMatchReference::test_alphas_and_folded_coupling_exact",
+         "tests/test_cli.py::test_involvement_files_independent_of_hash_seed")),
+    Mutant(
+        "seed-set-prefix-one-seed-too-many", "src/muxlci/solver.py",
+        "                return SeedSet(self.users[:size], self.gains[:size], self.coverages[:size], self.total)\n",
+        "                return SeedSet(self.users[:size + 1], self.gains[:size + 1], self.coverages[:size + 1],"
+        " self.total)\n",
+        ("tests/test_solver.py::TestPrefixAcrossTargets::test_target_beyond_run_rejected",
+         "tests/test_solver.py::TestPrefixAcrossTargets::test_smaller_target_is_prefix",
+         "tests/test_experiment.py::TestSharedSolve::test_rows_match_cell_by_cell")),
 )
 
 

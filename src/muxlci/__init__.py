@@ -20,8 +20,6 @@ from .network import (
     load_layer_file,
     load_network,
     serialize_layer,
-    normalize_incoming_weights,
-    fill_missing_thresholds,
     validate,
     load_alias_map,
     apply_aliases,

@@ -21,6 +21,7 @@ import csv
 import json
 import os
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 from . import __version__
@@ -54,9 +55,9 @@ def _network_record(network):
 
 
 def single_layer_network(layer):
-    """Wrap one layer as a standalone single-layer multiplex network."""
-    clone = LayerGraph(1, set(layer.nodes), dict(layer.edges), dict(layer.thresholds))
-    return MultiplexNetwork([clone])
+    """Wrap one layer as a standalone single-layer multiplex network: the
+    layer renumbered to 1, sharing its node set, edges and thresholds."""
+    return MultiplexNetwork([LayerGraph(1, layer.nodes, layer.edges, layer.thresholds)])
 
 
 def _result(network, cfg, scheme, users, gains, coupled_fraction, shared_ms):
@@ -274,10 +275,12 @@ class ExperimentSpec:
     a ``base_seed`` that is not an integer, no schemes or betas, a beta
     outside (0, 1], ``hops``, ``T``, ``R``, ``repetitions`` or
     ``target_layer`` not an integer or below 1, a ``model`` record that
-    does not build a DiffusionModel, a lossy scheme under a
-    stochastic-threshold model without ``st_bounds``
-    (:func:`~muxlci.coupling.check_scheme_model`), or a ``target_layer``
-    or ``only:<i>`` layer that some network of the sweep lacks.  The
+    does not build a DiffusionModel or whose ``st_bounds`` is a mapping
+    (its keys would be coupled node ids, which differ per scheme), a
+    lossy scheme under a stochastic-threshold model without
+    ``st_bounds`` (:func:`~muxlci.coupling.check_scheme_model`), or a
+    ``target_layer`` or ``only:<i>`` layer that some network of the
+    sweep lacks.  The
     model is built here once, as the DiffusionModel ``diffusion_model``
     (deterministic linear threshold when ``model`` is None), and every
     cell uses it.  :func:`run_experiment` raises for the rest of the
@@ -379,9 +382,13 @@ class ExperimentSpec:
 def _diffusion_model(spec):
     """The spec's DiffusionModel; raises ValueError on a bad ``model`` record."""
     try:
-        return DiffusionModel(**(spec.model if spec.model is not None else {}))
+        model = DiffusionModel(**(spec.model if spec.model is not None else {}))
     except TypeError as exc:
         raise ValueError(f"model {spec.model!r}: {exc}") from None
+    if isinstance(model.st_bounds, Mapping):
+        raise ValueError("st_bounds must be one number in an experiment, not a mapping: its keys would be"
+                         " coupled node ids, and those differ per scheme")
+    return model
 
 
 def _sweep(spec):

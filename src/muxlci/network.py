@@ -13,7 +13,8 @@ Layer file format (UTF-8, whitespace separated)::
     <src> <dst> [weight]       directed edge, weight in [0, 1]
 
 Missing weights and thresholds stay unset until :func:`prepare_network`
-draws them; :func:`load_network` reads files into a ready network.
+draws them in one pass over the layers (streams ``weights/<i>`` and
+``thresholds``); :func:`load_network` reads files into a ready network.
 """
 
 from __future__ import annotations
@@ -292,17 +293,12 @@ def _nonzero_uniform(rng, count):
     return drawn
 
 
-def normalize_incoming_weights(layer, rng_seed):
-    """Draw unset weights, then rescale so each node's in-weights sum to 1.
-
-    Unset weights are drawn uniformly from (0, 1) with a generator
-    seeded by ``rng_seed``, in one block over the edges in sorted order
-    (a zero is redrawn), so reruns are bit-identical.  Every node with
-    in-degree >= 1 then has its incoming weights divided by their sum.
-    In-degree-0 nodes are untouched.  Already-normalized layers come
-    back unchanged up to 1e-12.
-    """
-    edges = {key: layer.edges[key] for key in sorted(layer.edges)}
+def _normalized_edges(edges, rng_seed):
+    """``edges`` in sorted order, unset weights drawn from (0, 1) by a
+    generator seeded by ``rng_seed`` in one block (a zero is redrawn),
+    then each node's in-weights divided by their sum when it is nonzero.
+    Already-normalized edges come back unchanged up to 1e-12."""
+    edges = {key: edges[key] for key in sorted(edges)}
     unset = [key for key, weight in edges.items() if weight is None]
     edges.update(zip(unset, _nonzero_uniform(np.random.default_rng(rng_seed), len(unset))))
     in_sums = defaultdict(float)
@@ -312,25 +308,7 @@ def normalize_incoming_weights(layer, rng_seed):
         total = in_sums[key[1]]
         if total > 0.0:
             edges[key] = weight / total
-    return LayerGraph(layer.layer_index, set(layer.nodes), edges, dict(layer.thresholds))
-
-
-def fill_missing_thresholds(network, rng_seed):
-    """Give every (user, layer) pair without a threshold an independent
-    one in (0, 1]; thresholds already set are kept.
-
-    Overlapping users draw separately per layer.  Deterministic under
-    the seed: layers in order, one block per layer with one draw per
-    missing threshold, nodes in sorted order.
-    """
-    rng = np.random.default_rng(rng_seed)
-    layers = []
-    for layer in network.layers:
-        thresholds = dict(layer.thresholds)
-        missing = [user for user in sorted(layer.nodes) if user not in thresholds]
-        thresholds.update(zip(missing, (1.0 - rng.random(len(missing))).tolist()))
-        layers.append(LayerGraph(layer.layer_index, set(layer.nodes), dict(layer.edges), thresholds))
-    return MultiplexNetwork(layers)
+    return edges
 
 
 def validate(network):
@@ -376,18 +354,13 @@ def validate(network):
     return report
 
 
-def needs_normalization(layer):
-    """True if any weight is unset or some in-weight sum exceeds 1."""
-    if any(w is None for w in layer.edges.values()):
-        return True
-    return any(total > 1.0 + IN_SUM_TOL for total in layer.in_weight_sums().values())
-
-
 def load_alias_map(lines):
     """Parse alias rows ``id_in_layer_i <TAB> id_in_layer_j <TAB> canonical_id``.
 
     Returns a flat mapping from either per-layer id to the canonical id,
-    applied to layer files before the universe union is taken.
+    applied to layer files before the universe union is taken.  Every id
+    has one canonical id, and a canonical id is its own, so a row that
+    maps an id elsewhere raises :class:`LayerFormatError` naming its line.
     """
     mapping = {}
     for line_no, raw in enumerate(lines, start=1):
@@ -398,9 +371,11 @@ def load_alias_map(lines):
         if len(parts) != 3 or not all(parts):
             raise LayerFormatError("expected three tab-separated ids", line_no)
         a, b, canonical = parts
-        mapping[a] = canonical
-        mapping[b] = canonical
-    return mapping
+        for alias in (a, b, canonical):
+            earlier = mapping.setdefault(alias, canonical)
+            if earlier != canonical:
+                raise LayerFormatError(f"{alias!r} maps to {earlier!r} above and to {canonical!r} here", line_no)
+    return {alias: target for alias, target in mapping.items() if alias != target}
 
 
 def apply_aliases(layer, mapping):
@@ -426,17 +401,26 @@ def apply_aliases(layer, mapping):
 
 
 def prepare_network(layers, rng_seed):
-    """(network, normalized layer indices): every layer that
-    :func:`needs_normalization` normalized from sub-stream
-    ``weights/<layer index>`` of ``rng_seed``, then missing thresholds
-    filled from sub-stream ``thresholds``."""
+    """(network, normalized layer indices), in one pass over the layers:
+    a layer with an unset weight or an in-weight sum above 1 gets
+    :func:`_normalized_edges` from sub-stream ``weights/<layer index>``
+    of ``rng_seed``, and its missing thresholds one block of draws in
+    (0, 1] over its users in sorted order from the sub-stream
+    ``thresholds`` that all layers share (none if it misses none).  A
+    prepared layer shares every part it leaves unchanged."""
+    thresholds_rng = np.random.default_rng(subseed(rng_seed, "thresholds"))
     prepared, normalized = [], []
     for layer in layers:
-        if needs_normalization(layer):
-            layer = normalize_incoming_weights(layer, subseed(rng_seed, f"weights/{layer.layer_index}"))
+        edges, thresholds = layer.edges, layer.thresholds
+        if None in edges.values() or any(total > 1.0 + IN_SUM_TOL for total in layer.in_weight_sums().values()):
+            edges = _normalized_edges(edges, subseed(rng_seed, f"weights/{layer.layer_index}"))
             normalized.append(layer.layer_index)
-        prepared.append(layer)
-    return fill_missing_thresholds(MultiplexNetwork(prepared), subseed(rng_seed, "thresholds")), normalized
+        missing = sorted(user for user in layer.nodes if user not in thresholds)
+        if missing:
+            thresholds = dict(thresholds)
+            thresholds.update(zip(missing, (1.0 - thresholds_rng.random(len(missing))).tolist()))
+        prepared.append(LayerGraph(layer.layer_index, layer.nodes, edges, thresholds))
+    return MultiplexNetwork(prepared), normalized
 
 
 def load_network(layer_paths, alias_path, rng_seed):

@@ -18,10 +18,11 @@ coupled-file reader that collects id triples and dicts and hands them to
 the ``InfluenceGraph`` constructor, the coupled-file writer that
 collects every edge as an id triple and sorts the whole list, and the
 weight and threshold fills that draw one scalar per unset value
-(redrawing a zero weight) where the package draws one block per layer,
-and the network check that sorts every edge and node of a layer and
-checks each rule in its own pass, where ``validate`` scans a layer once
-and sorts only the violations.
+(redrawing a zero weight) and copy every layer in two passes, where the
+package draws one block per layer in one pass and shares what it leaves
+unchanged, and the network check that sorts every edge and node of a
+layer and checks each rule in its own pass, where ``validate`` scans a
+layer once and sorts only the violations.
 ``seed_nodes`` and ``active_users`` map users to and from a coupled
 graph's nodes under F for the tests.
 """
@@ -59,7 +60,9 @@ from muxlci.diffusion import (
     st_propagate,
 )
 from muxlci.solver import SeedSet, meets_fraction
-from muxlci.network import IN_SUM_TOL, WEIGHT_EPS, LayerFormatError, LayerGraph, MultiplexNetwork, _require_complete
+from muxlci.network import (
+    IN_SUM_TOL, WEIGHT_EPS, LayerFormatError, LayerGraph, MultiplexNetwork, _require_complete, subseed,
+)
 
 TOL = 1e-12
 
@@ -108,9 +111,10 @@ def reference_load_layer(lines, layer_index):
 
 
 def reference_normalize_incoming_weights(layer, rng_seed):
-    """Scalar form of ``network.normalize_incoming_weights``: edges in
-    sorted order, one ``uniform(0, 1)`` call per unset weight, redrawn
-    while it is 0.0, then each in-weight divided by its node's sum."""
+    """Scalar form of the normalize step of ``network.prepare_network``:
+    a new layer with its edges in sorted order, one ``uniform(0, 1)``
+    call per unset weight, redrawn while it is 0.0, then each in-weight
+    divided by its node's sum."""
     rng = np.random.default_rng(rng_seed)
     edges = {}
     for key in sorted(layer.edges):
@@ -131,9 +135,9 @@ def reference_normalize_incoming_weights(layer, rng_seed):
 
 
 def reference_fill_missing_thresholds(network, rng_seed):
-    """Scalar form of ``network.fill_missing_thresholds``: layers in
-    order, nodes in sorted order, one ``1 - random()`` per missing
-    threshold."""
+    """Scalar form of the threshold step of ``network.prepare_network``:
+    a new network, layers in order, nodes in sorted order, one
+    ``1 - random()`` per missing threshold."""
     rng = np.random.default_rng(rng_seed)
     layers = []
     for layer in network.layers:
@@ -143,6 +147,25 @@ def reference_fill_missing_thresholds(network, rng_seed):
                 thresholds[user] = float(1.0 - rng.random())
         layers.append(LayerGraph(layer.layer_index, set(layer.nodes), dict(layer.edges), thresholds))
     return MultiplexNetwork(layers)
+
+
+def reference_prepare_network(layers, rng_seed):
+    """``network.prepare_network`` as two passes that copy every layer:
+    the scalar normalize on each layer with an unset weight or an
+    in-weight sum above ``1 + IN_SUM_TOL``, from stream
+    ``weights/<layer index>``, then the scalar threshold fill over the
+    whole network from stream ``thresholds``."""
+    prepared, normalized = [], []
+    for layer in layers:
+        in_sums = defaultdict(float)
+        for (_, dst), weight in layer.edges.items():
+            if weight is not None:
+                in_sums[dst] += weight
+        if None in layer.edges.values() or any(total > 1.0 + IN_SUM_TOL for total in in_sums.values()):
+            layer = reference_normalize_incoming_weights(layer, subseed(rng_seed, f"weights/{layer.layer_index}"))
+            normalized.append(layer.layer_index)
+        prepared.append(layer)
+    return reference_fill_missing_thresholds(MultiplexNetwork(prepared), subseed(rng_seed, "thresholds")), normalized
 
 
 def reference_validate(network):

@@ -678,6 +678,9 @@ def test_experiment_rejects_non_integer_count(tmp_path, capsys, field, value):
     *[({"kind": "stochastic_threshold", "st_bounds": bounds},
        f"st_bounds must be a number in (0, 1] or a mapping, not {bounds!r}") for bounds in (2.5, 0, "x", True)],
     ({"kind": "stochastic_threshold", "st_bounds": {}}, "st_bounds must not be an empty mapping"),
+    ({"kind": "stochastic_threshold", "st_bounds": {"u0@1": 0.5}},
+     "st_bounds must be one number in an experiment, not a mapping: its keys would be coupled node ids, "
+     "and those differ per scheme"),
 ])
 def test_experiment_rejects_bad_model(tmp_path, capsys, model, message):
     config = {"schemes": ["clique"], "betas": [0.4], "hops": 2, "model": model,
@@ -743,6 +746,13 @@ def test_alias_file_error_names_the_file(tmp_path, capsys):
     alias = write(tmp_path / "alias.tsv", "# ids\na\tb\n")
     assert main(["solve", "--layer", layer, "--alias", alias]) == 2
     assert capsys.readouterr().err == f"error: {alias}: line 2: expected three tab-separated ids\n"
+
+
+def test_alias_file_mapping_an_id_twice_exit_code(tmp_path, capsys):
+    layer = write(tmp_path / "l1.txt", "a b 0.5\n")
+    alias = write(tmp_path / "alias.tsv", "a\tb\tX\na\tc\tY\n")
+    assert main(["solve", "--layer", layer, "--alias", alias]) == 2
+    assert capsys.readouterr().err == f"error: {alias}: line 2: 'a' maps to 'X' above and to 'Y' here\n"
 
 
 def test_alias_file_merges_users_across_layers(tmp_path, capsys):

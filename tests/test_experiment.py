@@ -6,7 +6,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from muxlci import (
     DiffusionModel,
@@ -327,6 +327,9 @@ class TestRunExperiment:
         ({"kind": "stochastic_threshold", "st_bounds": "x"}, r"a mapping, not 'x'$"),
         ({"kind": "stochastic_threshold", "st_bounds": True}, r"a mapping, not True$"),
         ({"kind": "stochastic_threshold", "st_bounds": {}}, "^st_bounds must not be an empty mapping$"),
+        ({"kind": "stochastic_threshold", "st_bounds": {"u0@1": 0.5}},
+         "^st_bounds must be one number in an experiment, not a mapping: its keys would be coupled node ids, "
+         "and those differ per scheme$"),
     ])
     def test_bad_model_rejected_at_spec_load(self, model, message):
         spec = {"schemes": ["clique"], "betas": [0.5], "hops": 2, "model": model,
@@ -525,9 +528,7 @@ ODD_JSON = st.recursive(
 class TestOddConfigValues:
     """One field of a working config set to an odd JSON value either
     fails at load or runs clean: ``muxlci experiment`` exits 3 before
-    the first cell, or 0 with no error row, and never with a traceback.
-    A non-empty ``st_bounds`` mapping is left out: its keys are coupled
-    node ids, so it fails cell by cell by design."""
+    the first cell, or 0 with no error row, and never with a traceback."""
 
     @settings(max_examples=150)
     @given(st.sampled_from(ODD_FIELD_BASES), st.sampled_from(ODD_FIELD_PATHS), ODD_JSON)
@@ -535,7 +536,6 @@ class TestOddConfigValues:
     @example(ODD_FIELD_BASES[0], ("overlap_values",), [0.5, {}])
     @example(ODD_FIELD_BASES[1], ("betas",), [1])
     def test_one_odd_field_fails_at_load_or_runs_clean(self, base, path, value):
-        assume(not (path[-1] == "st_bounds" and isinstance(value, dict) and value))
         config = json.loads(json.dumps(base))
         target = config
         for key in path[:-1]:

@@ -14,23 +14,23 @@ from muxlci import (
     SynthSpec,
     apply_aliases,
     couple,
-    fill_missing_thresholds,
     generate,
     load_alias_map,
     load_layer,
     load_network,
     multiplex_lt_propagate,
-    normalize_incoming_weights,
     serialize_layer,
     validate,
 )
-from muxlci.network import WEIGHT_EPS, needs_normalization, subseed
+from muxlci.experiment import single_layer_network
+from muxlci.network import WEIGHT_EPS, prepare_network, subseed
 
 from conftest import count_rule_book, make_layer, random_network
 from oracles import (
     reference_fill_missing_thresholds,
     reference_load_layer,
     reference_normalize_incoming_weights,
+    reference_prepare_network,
     reference_validate,
 )
 
@@ -64,7 +64,7 @@ class TestLoadLayer:
     def test_missing_weight_stays_unset(self):
         layer = parse("a b")
         assert layer.edges[("a", "b")] is None
-        assert needs_normalization(layer)
+        assert prepare_network([layer], 0)[1] == [1]
 
     def test_theta_directive_and_comments(self):
         layer = parse("# a comment\n# theta a 0.25\na b 0.5")
@@ -123,78 +123,112 @@ class TestLoadLayerMatchesReference:
             assert load_layer(text, 2) == expected
 
 
+def prepared(layer, seed):
+    """``layer`` alone through prepare_network."""
+    return prepare_network([layer], seed)[0].layers[0]
+
+
 class TestNormalize:
     def test_two_in_edges_rescaled(self):
-        layer = make_layer(1, {("a", "v"): 0.2, ("b", "v"): 0.6}, {"a": 0.5, "b": 0.5, "v": 0.5})
-        result = normalize_incoming_weights(layer, 0)
-        assert result.edges[("a", "v")] == pytest.approx(0.25, abs=1e-15)
-        assert result.edges[("b", "v")] == pytest.approx(0.75, abs=1e-15)
+        layer = make_layer(1, {("a", "v"): 0.75, ("b", "v"): 0.5}, {"a": 0.5, "b": 0.5, "v": 0.5})
+        result = prepared(layer, 0)
+        assert result.edges[("a", "v")] == pytest.approx(0.6, abs=1e-15)
+        assert result.edges[("b", "v")] == pytest.approx(0.4, abs=1e-15)
 
     def test_single_in_edge_becomes_one(self):
-        layer = make_layer(1, {("a", "v"): 0.123}, {"a": 0.5, "v": 0.5})
-        assert normalize_incoming_weights(layer, 0).edges[("a", "v")] == 1.0
+        layer = make_layer(1, {("a", "v"): None}, {"a": 0.5, "v": 0.5})
+        assert prepared(layer, 0).edges[("a", "v")] == 1.0
+
+    def test_in_weights_at_most_one_kept(self):
+        layer = make_layer(1, {("a", "v"): 0.2, ("b", "v"): 0.6}, {"a": 0.5, "b": 0.5, "v": 0.5})
+        network, normalized = prepare_network([layer], 0)
+        assert normalized == []
+        assert network.layers[0].edges == {("a", "v"): 0.2, ("b", "v"): 0.6}
 
     def test_unset_weights_reproducible(self):
         edges = {("a", "v"): None, ("b", "v"): None, ("v", "a"): None, ("b", "a"): None, ("a", "b"): None}
         thetas = {"a": 0.5, "b": 0.5, "v": 0.5}
         layer = make_layer(1, edges, thetas)
-        one = normalize_incoming_weights(layer, 42)
-        two = normalize_incoming_weights(layer, 42)
+        one = prepared(layer, 42)
+        two = prepared(layer, 42)
         assert one.edges == two.edges
-        other = normalize_incoming_weights(layer, 43)
+        other = prepared(layer, 43)
         assert other.edges != one.edges
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_idempotent_once_weights_set(self, seed):
         edges = {("a", "v"): None, ("b", "v"): None, ("c", "v"): None, ("v", "a"): None}
         layer = make_layer(1, edges, {"a": 0.5, "b": 0.5, "c": 0.5, "v": 0.5})
-        once = normalize_incoming_weights(layer, seed)
-        twice = normalize_incoming_weights(once, seed + 1)
+        once = prepared(layer, seed)
+        twice = prepared(once, seed + 1)
         for key in once.edges:
             assert twice.edges[key] == pytest.approx(once.edges[key], abs=1e-12)
         for total in once.in_weight_sums().values():
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_in_degree_zero_untouched(self):
-        layer = make_layer(1, {("a", "b"): 0.5}, {"a": 0.5, "b": 0.5})
-        result = normalize_incoming_weights(layer, 0)
-        assert ("a", "b") in result.edges
+        layer = make_layer(1, {("a", "b"): None}, {"a": 0.5, "b": 0.5})
+        result = prepared(layer, 0)
+        assert result.edges == {("a", "b"): 1.0}
         assert result.in_weight_sums().get("a") is None
 
 
 def unset_thresholds(network):
-    return MultiplexNetwork([LayerGraph(layer.layer_index, set(layer.nodes), dict(layer.edges), {})
-                             for layer in network.layers])
+    return [LayerGraph(layer.layer_index, set(layer.nodes), dict(layer.edges), {}) for layer in network.layers]
 
 
 class TestThresholds:
     def test_deterministic_under_seed(self, two_layer_toy):
-        one = fill_missing_thresholds(unset_thresholds(two_layer_toy), 7)
-        two = fill_missing_thresholds(unset_thresholds(two_layer_toy), 7)
+        one = prepare_network(unset_thresholds(two_layer_toy), 7)[0]
+        two = prepare_network(unset_thresholds(two_layer_toy), 7)[0]
         for la, lb in zip(one.layers, two.layers):
             assert la.thresholds == lb.thresholds
             assert set(la.thresholds) == la.nodes
 
     def test_overlapping_user_draws_independently(self, two_layer_toy):
-        network = fill_missing_thresholds(unset_thresholds(two_layer_toy), 7)
+        network = prepare_network(unset_thresholds(two_layer_toy), 7)[0]
         assert network.layers[0].thresholds["b"] != network.layers[1].thresholds["b"]
 
     def test_fill_missing_keeps_provided_values(self):
         layer = make_layer(1, {("a", "b"): 1.0}, {"a": 0.25})
-        network = fill_missing_thresholds(MultiplexNetwork([layer]), 3)
-        filled = network.layers[0].thresholds
+        filled = prepared(layer, 3).thresholds
         assert filled["a"] == 0.25
         assert 0.0 < filled["b"] <= 1.0
+        assert layer.thresholds == {"a": 0.25}
 
     def test_empirical_mean_near_half(self):
         users = {f"u{i}" for i in range(100)}
         layers = [LayerGraph(1, set(users), {}, {}), LayerGraph(2, set(users), {}, {})]
-        network = fill_missing_thresholds(MultiplexNetwork(layers), 123)
+        network = prepare_network(layers, 123)[0]
         draws = [t for layer in network.layers for t in layer.thresholds.values()]
         assert len(draws) == 200
         mean = sum(draws) / len(draws)
         assert 0.4 <= mean <= 0.6
         assert all(0.0 < t <= 1.0 for t in draws)
+
+
+class TestSharedParts:
+    """Layers are not changed once built, so a prepared layer shares what
+    preparing leaves unchanged, and so does a single-layer network."""
+
+    def test_complete_layer_shares_its_node_set_edges_and_thresholds(self, two_layer_toy):
+        network, normalized = prepare_network(two_layer_toy.layers, 0)
+        assert normalized == []
+        for layer, ready in zip(two_layer_toy.layers, network.layers, strict=True):
+            assert ready.nodes is layer.nodes and ready.edges is layer.edges and ready.thresholds is layer.thresholds
+            alone = single_layer_network(ready).layers[0]
+            assert alone.layer_index == 1
+            assert alone.nodes is ready.nodes and alone.edges is ready.edges and alone.thresholds is ready.thresholds
+
+    def test_only_the_changed_part_is_new(self):
+        layer = make_layer(2, {("a", "b"): 0.5}, {"a": 0.25})
+        ready = prepared(layer, 0)
+        assert ready.nodes is layer.nodes and ready.edges is layer.edges
+        assert ready.thresholds is not layer.thresholds and layer.thresholds == {"a": 0.25}
+        layer = make_layer(2, {("a", "b"): None}, {"a": 0.25, "b": 0.5})
+        ready = prepared(layer, 0)
+        assert ready.nodes is layer.nodes and ready.thresholds is layer.thresholds
+        assert ready.edges is not layer.edges and layer.edges == {("a", "b"): None}
 
 
 POOL = [f"u{i}" for i in range(8)]
@@ -236,20 +270,18 @@ class ScriptedGenerator:
 
 
 class TestBlockDraws:
-    """The per-layer block draws against the scalar loops of tests/oracles.py."""
+    """prepare_network's per-layer block draws against the scalar loops
+    of tests/oracles.py."""
 
     @given(partly_set_network(), st.integers(0, 2**32))
     def test_same_values_and_order_as_scalar_draws(self, network, seed):
-        for layer in network.layers:
-            got = normalize_incoming_weights(layer, seed)
-            want = reference_normalize_incoming_weights(layer, seed)
-            assert list(got.edges.items()) == list(want.edges.items())
-            assert got.nodes == want.nodes and got.thresholds == want.thresholds
-        got = fill_missing_thresholds(network, seed)
-        want = reference_fill_missing_thresholds(network, seed)
+        got, got_normalized = prepare_network(network.layers, seed)
+        want, want_normalized = reference_prepare_network(network.layers, seed)
+        assert got_normalized == want_normalized
         for a, b in zip(got.layers, want.layers, strict=True):
+            assert a.layer_index == b.layer_index and a.nodes == b.nodes
+            assert list(a.edges.items()) == list(b.edges.items())
             assert list(a.thresholds.items()) == list(b.thresholds.items())
-            assert list(a.edges.items()) == list(b.edges.items()) and a.nodes == b.nodes
 
     def test_zero_draw_topped_up_as_the_scalar_loop_redraws(self, monkeypatch):
         # the first block of three holds a 0.0, and so does the first top-up
@@ -262,13 +294,15 @@ class TestBlockDraws:
 
         monkeypatch.setattr(np.random, "default_rng", scripted)
         edges = {("c", "w"): None, ("b", "v"): None, ("d", "w"): 0.5, ("a", "v"): None}
-        layer = make_layer(1, edges, {})
-        got = normalize_incoming_weights(layer, 0)
+        layer = make_layer(1, edges, dict.fromkeys("abcdvw", 0.5))
+        got = prepared(layer, 0)
         want = reference_normalize_incoming_weights(layer, 0)
         assert list(got.edges.items()) == list(want.edges.items())
         assert list(got.edges.items()) == [
             (("a", "v"), 0.5 / 0.75), (("b", "v"), 0.25 / 0.75), (("c", "w"), 0.75 / 1.25), (("d", "w"), 0.5 / 1.25)]
-        assert [rng.position for rng in made] == [5, 5]
+        # the thresholds stream, then the weights stream, then the reference;
+        # no threshold is missing, so the thresholds stream draws nothing
+        assert [rng.position for rng in made] == [0, 5, 5]
 
 
 class TestOverlap:
@@ -446,6 +480,21 @@ class TestAliases:
         with pytest.raises(LayerFormatError, match="line 1"):
             load_alias_map(io.StringIO("only two\tfields\n"))
 
+    @pytest.mark.parametrize("rows, message", [
+        ("a\tb\tX\na\tc\tY\n", "line 2: 'a' maps to 'X' above and to 'Y' here"),
+        ("a\tb\tX\n# note\nc\tb\tY\n", "line 3: 'b' maps to 'X' above and to 'Y' here"),
+        ("a\tb\tc\nc\td\te\n", "line 2: 'c' maps to 'c' above and to 'e' here"),
+        ("c\td\te\na\tb\tc\n", "line 2: 'c' maps to 'e' above and to 'c' here"),
+    ], ids=["id-twice", "id-twice-after-comment", "canonical-renamed-after", "canonical-renamed-before"])
+    def test_id_with_two_canonical_ids_rejected(self, rows, message):
+        with pytest.raises(LayerFormatError) as raised:
+            load_alias_map(io.StringIO(rows))
+        assert str(raised.value) == message
+
+    def test_rows_that_agree_accepted(self):
+        rows = "a\tb\tX\nc\td\tX\na\tb\tX\nX\te\tX\nf\tg\tf\n"
+        assert load_alias_map(io.StringIO(rows)) == {"a": "X", "b": "X", "c": "X", "d": "X", "e": "X", "g": "f"}
+
 
 def write_layer(path, text):
     path.write_text(text, encoding="utf-8")
@@ -475,8 +524,8 @@ class TestLoadNetwork:
         text = "# theta a 0.5\na b\nc b\n"
         network, normalized = load_network([write_layer(tmp_path / "l1.txt", text)], None, 7)
         assert normalized == [1]
-        layer = normalize_incoming_weights(parse(text), subseed(7, "weights/1"))
-        expected = fill_missing_thresholds(MultiplexNetwork([layer]), subseed(7, "thresholds"))
+        layer = reference_normalize_incoming_weights(parse(text), subseed(7, "weights/1"))
+        expected = reference_fill_missing_thresholds(MultiplexNetwork([layer]), subseed(7, "thresholds"))
         assert serialize_layer(network.layers[0]) == serialize_layer(expected.layers[0])
         assert network.layers[0].thresholds["a"] == 0.5
 
