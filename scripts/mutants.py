@@ -50,6 +50,8 @@ DIFFUSION = "src/muxlci/diffusion.py"
 KERNEL = "tests/test_diffusion.py::TestKernelMatchesReference::"
 MONTE_CARLO = "tests/test_diffusion.py::TestMonteCarloMatchesReference::"
 DELTA = "tests/test_diffusion.py::TestDeltaMatchesFullRun::"
+CLIQUE = "tests/test_coupling.py::TestCliqueCoupling::"
+SHARED = "tests/test_experiment.py::TestSharedSolve::"
 
 MUTANTS = (
     Mutant(
@@ -57,6 +59,11 @@ MUTANTS = (
         "        for out, bar, received in layers:\n",
         "        for out, bar, received in layers[:1]:\n",
         (KERNEL + "test_multiplex_lt_propagate_exact",)),
+    Mutant(
+        "restricted-run-over-all-layers", DIFFUSION,
+        "network.lt_layers[position:position + 1]",
+        "network.lt_layers",
+        (KERNEL + "test_restricted_run_exact",)),
     Mutant(
         "sweep-bar-before-weight", DIFFUSION,
         "                        total = received[v] + w\n"
@@ -109,11 +116,29 @@ MUTANTS = (
         ("tests/test_coupling.py::TestCoupledExport::test_duplicate_of_lower_source_index_reported_first",
          "tests/test_cli.py::test_simulate_duplicate_edge_exit_code")),
     Mutant(
+        "couple-without-rule-book", "src/muxlci/coupling.py",
+        "    network._check_layers()\n",
+        "",
+        (CLIQUE + "test_incomplete_network_rejected", CLIQUE + "test_non_finite_threshold_named",
+         CLIQUE + "test_negative_layer_weight_named")),
+    Mutant(
+        "lossless-duplicate-id-guard-dropped", "src/muxlci/coupling.py",
+        "    if len(index) != len(nodes):\n"
+        "        raise ValueError(\"duplicate node ids\")\n",
+        "",
+        (CLIQUE + "test_repeated_layer_index_rejected_by_every_lossless_scheme",)),
+    Mutant(
         "involvement-neighbourhood-as-set", "src/muxlci/coupling.py",
         "        hood = dict.fromkeys([user, *neighbors.get(user, ())])\n",
         "        hood = {user, *neighbors.get(user, ())}\n",
         ("tests/test_coupling.py::TestLossyMultipliersMatchReference::test_alphas_and_folded_coupling_exact",
          "tests/test_cli.py::test_involvement_files_independent_of_hash_seed")),
+    Mutant(
+        "layer-memo-keyed-on-layer-alone", "src/muxlci/experiment.py",
+        "    key = (layer_index, tuple(cfg.beta for cfg in cfgs))\n",
+        "    key = layer_index\n",
+        (SHARED + "test_failed_shared_solve_falls_back_to_cells",
+         SHARED + "test_shared_layer_solve_time_in_every_row")),
     Mutant(
         "seed-set-prefix-one-seed-too-many", "src/muxlci/solver.py",
         "                return SeedSet(self.users[:size], self.gains[:size], self.coverages[:size], self.total)\n",
@@ -121,7 +146,7 @@ MUTANTS = (
         " self.total)\n",
         ("tests/test_solver.py::TestPrefixAcrossTargets::test_target_beyond_run_rejected",
          "tests/test_solver.py::TestPrefixAcrossTargets::test_smaller_target_is_prefix",
-         "tests/test_experiment.py::TestSharedSolve::test_rows_match_cell_by_cell")),
+         SHARED + "test_rows_match_cell_by_cell")),
 )
 
 

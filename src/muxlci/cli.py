@@ -215,10 +215,10 @@ def cmd_export_ilp(args):
 def cmd_experiment(args):
     with open(args.config, encoding="utf-8") as handle:
         spec = ExperimentSpec.from_json(handle.read())
-    rows = run_experiment(spec)
     out = args.out or spec.out
     if not out:
         raise ValueError("no output path: pass --out or set 'out' in the config")
+    rows = run_experiment(spec)
     write_rows_csv(rows, out, spec=spec)
     failed = sum(1 for row in rows if row["status"] != "ok")
     print(f"{len(rows)} cells -> {out} ({failed} failed)")

@@ -150,7 +150,13 @@ def _couple_lossless(network, sync, dummies, model_kind):
     The graph is built in index space: each node gets its index, threshold
     and weight as it is added, and each edge goes straight into its
     source's out-list (the user's sync edges, then the layer edges by
-    layer and sorted within it), so no id-keyed copy of the edges exists.
+    layer and sorted within it).  It is stored unchecked, as every fact
+    is already known.  :func:`couple` has run the layer rule book, so
+    every threshold is finite and positive and every layer weight finite
+    and non-negative.  A sync edge weighs its target's threshold or 1,
+    and a node 1, 0 or k - p.  A layer edge joins two different users'
+    vertices, and the duplicate id guard below makes every id distinct.
+    So no self-loop, repeated edge or non-finite value reaches the graph.
     """
     unit_sync = model_kind != LINEAR_THRESHOLD
     k = network.k
@@ -208,7 +214,7 @@ def _couple_lossless(network, sync, dummies, model_kind):
         i = layer.layer_index
         for (src, dst) in sorted(layer.edges):
             out[index[src + seed_tag]].append((index[f"{dst}@{i}"], float(layer.edges[(src, dst)])))
-    graph = InfluenceGraph._from_adjacency(tuple(nodes), index, theta, node_weight, out)
+    graph = InfluenceGraph._from_checked(tuple(nodes), index, theta, node_weight, out)
     scheme = sync if dummies else "reduced-" + sync
     hop_scale = 2 if sync == "clique" else 3
     kinds = NodeKinds(index, kind_col, user_col, layer_col)

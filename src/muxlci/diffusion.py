@@ -184,13 +184,12 @@ class InfluenceGraph:
     finite and non-negative (the linear-threshold sweep relies on it);
     self-loops and duplicate edges are errors too.  Anything else
     raises ValueError.  The constructor resolves ids to indices and
-    then, like the lossless coupling builder (which fills the index
-    adjacency directly), checks every node and edge once with one
-    routine, catching duplicates with a set of each source's targets.
-    :func:`muxlci.coupling.read_coupled` checks the same facts itself,
-    naming the line, and only stores what it read.  A graph never
-    changes after construction; the in-edge lists and the integral- and
-    unit-weight tests are derived once on first use.
+    checks every node and edge once, catching duplicates with a set of
+    each source's targets.  The lossless coupling, whose input has
+    passed the layer rule book, and :func:`muxlci.coupling.read_coupled`,
+    which checks each fact itself, store index adjacency unchecked.  A
+    graph never changes after construction; the in-edge lists and the
+    integral- and unit-weight tests are derived once on first use.
     """
 
     def __init__(self, nodes, edges, thresholds, node_weights=None):
@@ -213,16 +212,9 @@ class InfluenceGraph:
         self._store(node_ids, index, theta, node_weight, out)
 
     @classmethod
-    def _from_adjacency(cls, node_ids, index, theta, node_weight, out):
-        """A graph over index adjacency ``out[iu] = [(iv, weight), ...]``,
-        checked like one built by the constructor."""
-        cls._check(node_ids, theta, node_weight, out)
-        return cls._from_checked(node_ids, index, theta, node_weight, out)
-
-    @classmethod
     def _from_checked(cls, node_ids, index, theta, node_weight, out):
-        """A graph over index adjacency whose caller has already checked
-        every fact :meth:`_check` checks; nothing is checked again."""
+        """A graph over index adjacency ``out[iu] = [(iv, weight), ...]``
+        whose caller has established every fact :meth:`_check` checks."""
         graph = cls.__new__(cls)
         graph._store(node_ids, index, theta, node_weight, out)
         return graph

@@ -268,7 +268,7 @@ class ExperimentSpec:
     its first network.  The spec raises at load for a list field
     (``schemes``, ``betas``, ``k_values``, ``overlap_values``,
     ``layer_files``) that is not a list, a scheme that is not a string,
-    a layer file or ``alias_file`` that is not a path, an
+    a layer file, ``alias_file`` or ``out`` that is not a path, an
     ``alias_file`` without ``layer_files``, a ``synth`` that is not a
     mapping or whose ``per_layer`` is not a list of pairs, a
     ``beta_of_base`` that is not a bool or is set with ``layer_files``,
@@ -323,6 +323,8 @@ class ExperimentSpec:
         for path in [*(self.layer_files or ()), self.alias_file]:
             if path is not None and not isinstance(path, (str, os.PathLike)):
                 raise ValueError(f"layer_files and alias_file must be paths, not {path!r}")
+        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
+            raise ValueError(f"out must be a path, not {self.out!r}")
         if self.alias_file is not None and self.layer_files is None:
             raise ValueError("alias_file merges the users of layer_files, not of a synth network")
         if not isinstance(self.beta_of_base, bool):
@@ -544,8 +546,7 @@ def write_rows_csv(rows, path, spec):
     with open(tmp, "w", encoding="utf-8", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     os.replace(tmp, path)
     meta_tmp = f"{path}.meta.tmp.{os.getpid()}"
     with open(meta_tmp, "w", encoding="utf-8") as handle:

@@ -126,12 +126,13 @@ def _memberships(spec, users, rng):
 def _network(users, member_sets, probs, rng_seed):
     """Layers 1..k over the given member index lists: Erdős–Rényi edges
     from sub-stream ``edges/<i>``, then weights and thresholds drawn by
-    :func:`~muxlci.network.prepare_network`."""
+    :func:`~muxlci.network.prepare_network`.  A node set copied from a
+    dict is sized for its members; one grown from a list is twice that."""
     layers = []
     for li, (members_idx, prob) in enumerate(zip(member_sets, probs), start=1):
         members = [users[i] for i in members_idx]
         edges = _er_edges(members, prob, np.random.default_rng(subseed(rng_seed, f"edges/{li}")))
-        layers.append(LayerGraph(li, set(members), edges, {}))
+        layers.append(LayerGraph(li, set(dict.fromkeys(members)), edges, {}))
     return prepare_network(layers, rng_seed)[0]
 
 

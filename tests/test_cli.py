@@ -630,6 +630,27 @@ def test_experiment_rejects_bad_sweep(tmp_path, capsys, fields, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({}, "no output path: pass --out or set 'out' in the config"),
+    ({"out": 5}, "out must be a path, not 5"),
+], ids=["no-out", "non-path-out"])
+def test_experiment_without_an_output_path_runs_no_cell(tmp_path, capsys, monkeypatch, fields, message):
+    """Exit 3 before the first cell, writing no file: not the table, and
+    not the temporary file of its atomic write in the working directory."""
+    import muxlci.cli
+
+    config = {"schemes": ["clique"], "betas": [0.4], "hops": 2,
+              "synth": {"universe_size": 20, "layer_size": 15, "edge_prob": 0.12, "k": 2}, **fields}
+    config_path = write(tmp_path / "exp.json", json.dumps(config))
+    runs = []
+    monkeypatch.setattr(muxlci.cli, "run_experiment", lambda spec: runs.append(spec) or [])
+    monkeypatch.chdir(tmp_path)
+    assert main(["experiment", "--config", config_path]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert runs == []
+    assert [path.name for path in tmp_path.iterdir()] == ["exp.json"]
+
+
 def test_experiment_rejects_solver_field(tmp_path, capsys):
     config = {"schemes": ["clique"], "betas": [0.4], "hops": 2, "solver": "naive",
               "synth": {"universe_size": 20, "layer_size": 15, "edge_prob": 0.12, "k": 2}}

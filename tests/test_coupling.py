@@ -22,6 +22,7 @@ from muxlci import (
     multiplex_lt_propagate,
     read_coupled,
     st_propagate,
+    validate,
     write_coupled,
 )
 
@@ -156,6 +157,18 @@ class TestCliqueCoupling:
             two_layer_toy.lt_layers
         assert str(raised.value) == message
 
+    def test_repeated_layer_index_rejected_by_every_lossless_scheme(self):
+        """Two layers numbered 1 would give a user two vertices named
+        "<user>@1": every lossless scheme refuses the network, while a
+        lossy coupling, which names no vertex by layer, accepts it."""
+        thetas = {"a": 0.5, "b": 0.5}
+        network = MultiplexNetwork([make_layer(1, {("a", "b"): 0.5}, thetas),
+                                    make_layer(1, {("b", "a"): 0.5}, thetas)])
+        for scheme in ("clique", "star", "reduced-clique", "reduced-star"):
+            with pytest.raises(ValueError, match="^duplicate node ids$"):
+                couple(network, scheme)
+        assert couple(network, "lossy-average").graph.node_ids == ("a", "b")
+
     @given(st.integers(min_value=0, max_value=120), st.integers(min_value=1, max_value=3))
     def test_equivalence_on_random_instances(self, seed, hops):
         network = random_network(seed, max_users=24)
@@ -242,7 +255,11 @@ class TestReducedCoupling:
 def builder_network(seed, k):
     """Random k-layer multiplex with users missing from some layers, an
     isolated user in every layer, one isolated user in all of them, and
-    edges stored in shuffled order."""
+    edges stored in shuffled order.  Every layer also holds the edge
+    cases the lossless builder stores unchecked: a user whose id
+    contains "@" (so its vertex ids hold two), with a threshold of
+    exactly 1.0, and an edge of weight 0.0 from it into a user whose
+    threshold is 5e-324, the smallest positive float."""
     rng = random.Random(seed)
     n = rng.randint(3, 16)
     per_layer = [(rng.randint(2, n), rng.uniform(0.05, 0.4)) for _ in range(k)]
@@ -250,8 +267,10 @@ def builder_network(seed, k):
     layers = []
     for layer in network.layers:
         i = layer.layer_index
-        thresholds = {**layer.thresholds, f"iso{i}": 1.0 - rng.random(), "loner": 1.0 - rng.random()}
-        edges = dict(rng.sample(sorted(layer.edges.items()), len(layer.edges)))
+        thresholds = {**layer.thresholds, f"iso{i}": 1.0 - rng.random(), "loner": 1.0 - rng.random(),
+                      "at@1": 1.0, "tiny": 5e-324}
+        edges = {**layer.edges, ("at@1", "tiny"): 0.0}
+        edges = dict(rng.sample(sorted(edges.items()), len(edges)))
         layers.append(LayerGraph(i, set(thresholds), edges, thresholds))
     return MultiplexNetwork(layers)
 
@@ -411,6 +430,16 @@ class TestLossyParameters:
         for scheme in ("lossy-easiness", "lossy-involvement"):
             with pytest.raises(ValueError, match="layer 1: node 'b' threshold nan is not finite"):
                 couple(network, scheme)
+
+    def test_overflowing_easiness_threshold_rejected(self):
+        """The layer passes the rule book, but the easiness multiplier over
+        the smallest positive threshold overflows, so the folded threshold
+        is infinite: the lossy graph's own check is what catches it."""
+        network = MultiplexNetwork([make_layer(1, {("a", "b"): 1.0}, {"a": 0.5, "b": 5e-324})])
+        assert validate(network) == []
+        with pytest.raises(ValueError) as raised:
+            couple(network, "lossy-easiness")
+        assert str(raised.value) == "node 'b': threshold inf and weight 1.0 must be finite"
 
 
 def lossy_corner_network(seed):
@@ -728,8 +757,10 @@ class TestCoupledExport:
         assert same_rejection(edge_lines, rows) == f"duplicate edge {src!r}->{dst!r}"
 
     def test_read_checks_each_fact_once(self, four_user_three_layer, monkeypatch):
-        """The reader's own checks stand in for the graph's: reading runs
-        no InfluenceGraph check, while the lossless builder still does."""
+        """The reader's own checks and the layer rule book stand in for
+        the graph's: a read and a lossless coupling run no InfluenceGraph
+        check, while a lossy coupling, whose folded values the rule book
+        does not bound, runs one."""
         from muxlci.diffusion import InfluenceGraph
 
         coupled = couple(four_user_three_layer, "clique")
@@ -738,7 +769,10 @@ class TestCoupledExport:
         graph, _, _ = read_coupled(*written(coupled))
         assert checks == []
         assert graph.node_ids == coupled.graph.node_ids
-        couple(four_user_three_layer, "clique")
+        for scheme in ("clique", "star", "reduced-clique", "reduced-star"):
+            couple(four_user_three_layer, scheme)
+        assert checks == []
+        couple(four_user_three_layer, "lossy-easiness")
         assert len(checks) == 1
 
     def test_first_repeated_target_of_a_source_reported(self, four_user_three_layer):

@@ -834,7 +834,7 @@ class TestGraphPreconditions:
             for src, dst, weight in edges:
                 out[index[src]].append((index[dst], weight))
             with pytest.raises(ValueError) as raised:
-                InfluenceGraph._from_adjacency(tuple(thetas), index, list(thetas.values()), [1.0] * 3, out)
+                InfluenceGraph._check(tuple(thetas), list(thetas.values()), [1.0] * 3, out)
             assert str(raised.value) == message
 
 

@@ -292,6 +292,7 @@ class TestRunExperiment:
         ({"alias_file": "aliases.txt"}, "^alias_file merges the users of layer_files, not of a synth network$"),
         ({"k_values": [2, 3], "overlap_values": [0.2, 0.9]},
          "^k_values and overlap_values are two sweeps: set one of them$"),
+        ({"out": 5}, "^out must be a path, not 5$"),
     ])
     def test_bad_sweep_rejected_before_any_cell(self, fields, message):
         spec = {"schemes": ["clique"], "betas": [0.5], "hops": 2,

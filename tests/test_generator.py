@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ class TestGenerate:
     def test_networks_are_valid_and_ready(self):
         network = generate(SynthSpec(40, [(30, 0.1), (25, 0.05)], None, 2))
         assert validate(network) == []
+
+    def test_node_sets_no_larger_than_a_copy(self):
+        """A set grown one member at a time from a list keeps a table
+        twice the size of a copied set; a layer's node set is built the
+        compact way, and the prepared network keeps it."""
+        network = generate(SynthSpec(120, [(85, 0.05), (85, 0.05)], None, 3))
+        for layer in network.layers:
+            assert sys.getsizeof(layer.nodes) <= sys.getsizeof(set(layer.nodes))
 
     def test_deterministic_byte_identical(self):
         spec = SynthSpec(60, [(20, 0.1), (25, 0.08)], 0.4, 5)
