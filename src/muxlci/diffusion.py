@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import math
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, repeat
@@ -74,10 +73,9 @@ def require_beta(beta):
 class DiffusionModel:
     """Diffusion model selector plus Monte Carlo controls.
 
-    ``st_bounds`` only applies to the stochastic threshold model: a
-    non-empty per-node mapping (its values checked when drawn), a single
-    number in (0, 1] (checked here), or None to reuse the graph's stored
-    thresholds as upper bounds.  ``mc_samples`` is ignored for the
+    ``st_bounds`` only applies to the stochastic threshold model: one
+    number in (0, 1] (checked here) bounds every node's draw, and None
+    bounds each node by its own threshold (checked when drawn).  ``mc_samples`` is ignored for the
     deterministic linear-threshold model, but must still be a count
     (:func:`require_count`).  ``rng_seed`` must be an int that is not a
     bool, under every model.
@@ -94,11 +92,9 @@ class DiffusionModel:
         require_count("mc_samples", self.mc_samples)
         require_int("rng_seed", self.rng_seed)
         bounds = self.st_bounds
-        if isinstance(bounds, Mapping) and not bounds:
-            raise ValueError("st_bounds must not be an empty mapping")
         scalar = not isinstance(bounds, bool) and isinstance(bounds, (int, float)) and 0.0 < bounds <= 1.0
-        if not (bounds is None or isinstance(bounds, Mapping) or scalar):
-            raise ValueError(f"st_bounds must be a number in (0, 1] or a mapping, not {bounds!r}")
+        if not (bounds is None or scalar):
+            raise ValueError(f"st_bounds must be a number in (0, 1], not {bounds!r}")
 
 
 class ActiveSet:
@@ -662,20 +658,16 @@ def _st_bars(graph, model):
     """A generator of each sample's activation bars under a
     stochastic-threshold ``model``: per sample and node, one draw u from
     ``random.Random(model.rng_seed)`` gives ``(1.0 - u) * bound - WEIGHT_EPS``.
-    Every node's bound (``st_bounds``, or else its threshold) must be a
-    number in (0, 1]; that is checked before the first draw."""
-    st_bounds = model.st_bounds
-    if st_bounds is None:
+    The bound is ``st_bounds`` (checked by the model) or, when that is
+    None, the node's threshold, which must be in (0, 1]; that is checked
+    before the first draw."""
+    if model.st_bounds is None:
         bounds = graph.theta
-    elif isinstance(st_bounds, Mapping):
-        bounds = [st_bounds.get(u) for u in graph.node_ids]
+        for u, b in zip(graph.node_ids, bounds):
+            if not 0.0 < b <= 1.0:
+                raise ValueError(f"stochastic threshold bound for {u!r} outside (0, 1]: {b}")
     else:
-        bounds = [float(st_bounds)] * len(graph)
-    for u, b in zip(graph.node_ids, bounds):
-        if isinstance(b, bool) or not isinstance(b, (int, float)):
-            raise ValueError(f"st_bounds has no number for node {u!r}: {b!r}")
-        if not 0.0 < b <= 1.0:
-            raise ValueError(f"stochastic threshold bound for {u!r} outside (0, 1]: {b}")
+        bounds = [float(model.st_bounds)] * len(graph)
     rng = random.Random(model.rng_seed)
     return ([(1.0 - rng.random()) * b - WEIGHT_EPS for b in bounds] for _ in range(model.mc_samples))
 

@@ -21,7 +21,6 @@ import csv
 import json
 import os
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 from . import __version__
@@ -275,12 +274,11 @@ class ExperimentSpec:
     a ``base_seed`` that is not an integer, no schemes or betas, a beta
     outside (0, 1], ``hops``, ``T``, ``R``, ``repetitions`` or
     ``target_layer`` not an integer or below 1, a ``model`` record that
-    does not build a DiffusionModel or whose ``st_bounds`` is a mapping
-    (its keys would be coupled node ids, which differ per scheme), a
-    lossy scheme under a stochastic-threshold model without
-    ``st_bounds`` (:func:`~muxlci.coupling.check_scheme_model`), or a
-    ``target_layer`` or ``only:<i>`` layer that some network of the
-    sweep lacks.  The
+    does not build a DiffusionModel (so an ``st_bounds`` that is not one
+    number in (0, 1] or None), a lossy scheme under a stochastic-threshold
+    model without ``st_bounds``
+    (:func:`~muxlci.coupling.check_scheme_model`), or a ``target_layer``
+    or ``only:<i>`` layer that some network of the sweep lacks.  The
     model is built here once, as the DiffusionModel ``diffusion_model``
     (deterministic linear threshold when ``model`` is None), and every
     cell uses it.  :func:`run_experiment` raises for the rest of the
@@ -387,9 +385,6 @@ def _diffusion_model(spec):
         model = DiffusionModel(**(spec.model if spec.model is not None else {}))
     except TypeError as exc:
         raise ValueError(f"model {spec.model!r}: {exc}") from None
-    if isinstance(model.st_bounds, Mapping):
-        raise ValueError("st_bounds must be one number in an experiment, not a mapping: its keys would be"
-                         " coupled node ids, and those differ per scheme")
     return model
 
 

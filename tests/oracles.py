@@ -479,10 +479,8 @@ def reference_lt_propagate(graph, seeds, hops):
 def reference_resolve_bounds(graph, st_bounds):
     if st_bounds is None:
         bounds = list(graph.theta)
-    elif isinstance(st_bounds, (int, float)):
-        bounds = [float(st_bounds)] * len(graph.node_ids)
     else:
-        bounds = [float(st_bounds[u]) for u in graph.node_ids]
+        bounds = [float(st_bounds)] * len(graph.node_ids)
     for u, b in zip(graph.node_ids, bounds):
         if not 0.0 < b <= 1.0:
             raise ValueError(f"stochastic threshold bound for {u!r} outside (0, 1]: {b}")

@@ -696,12 +696,8 @@ def test_experiment_rejects_non_integer_count(tmp_path, capsys, field, value):
     ({"kind": "stochastic_threshold", "rng_seed": 2.5}, "rng_seed must be an integer, not 2.5"),
     ({"kind": "independent_cascade", "rng_seed": None}, "rng_seed must be an integer, not None"),
     ({"kind": "linear_threshold", "rng_seed": True}, "rng_seed must be an integer, not True"),
-    *[({"kind": "stochastic_threshold", "st_bounds": bounds},
-       f"st_bounds must be a number in (0, 1] or a mapping, not {bounds!r}") for bounds in (2.5, 0, "x", True)],
-    ({"kind": "stochastic_threshold", "st_bounds": {}}, "st_bounds must not be an empty mapping"),
-    ({"kind": "stochastic_threshold", "st_bounds": {"u0@1": 0.5}},
-     "st_bounds must be one number in an experiment, not a mapping: its keys would be coupled node ids, "
-     "and those differ per scheme"),
+    *[({"kind": "stochastic_threshold", "st_bounds": bounds}, f"st_bounds must be a number in (0, 1], not {bounds!r}")
+      for bounds in (2.5, 0, "x", True, {}, {"u0@1": 0.5})],
 ])
 def test_experiment_rejects_bad_model(tmp_path, capsys, model, message):
     config = {"schemes": ["clique"], "betas": [0.4], "hops": 2, "model": model,

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -265,24 +266,17 @@ class TestStochasticThreshold:
         assert a.coverage_count == b.coverage_count
 
     def test_bound_validation(self):
-        # a single bound is checked when the model is built, a mapping's
-        # bounds when they are drawn
-        with pytest.raises(ValueError, match=r"^st_bounds must be a number in \(0, 1\] or a mapping, not 1\.5"):
-            DiffusionModel("stochastic_threshold", mc_samples=2, st_bounds=1.5)
-        graph = chain_graph(["a", "b"])
-        model = DiffusionModel("stochastic_threshold", mc_samples=2, st_bounds={"a": 1.5, "b": 0.5})
-        with pytest.raises(ValueError, match="'a' outside"):
-            st_propagate(graph, {"a"}, 1, model)
+        # st_bounds is one number or None, checked when the model is built
+        for bounds in (1.5, {}, {"a": 0.5}):
+            with pytest.raises(ValueError, match=rf"^st_bounds must be a number in \(0, 1\], not {re.escape(repr(bounds))}$"):
+                DiffusionModel("stochastic_threshold", mc_samples=2, st_bounds=bounds)
 
-    def test_bounds_mapping_without_a_node_names_it(self):
-        graph = small_random_graph(5)
-        bounds = {u: 0.5 for u in graph.node_ids if u != "n2"}
-        model = DiffusionModel("stochastic_threshold", mc_samples=3, st_bounds=bounds)
-        with pytest.raises(ValueError, match="^st_bounds has no number for node 'n2': None$"):
-            st_propagate(graph, {"n0"}, 2, model)
-        bounds["n2"] = "0.5"
-        with pytest.raises(ValueError, match="^st_bounds has no number for node 'n2': '0.5'$"):
-            _st_bars(graph, model)
+    def test_threshold_outside_unit_interval_raises(self):
+        # with no st_bounds each node's threshold is its bound, and must be in (0, 1]
+        graph = InfluenceGraph(["a", "b"], [("a", "b", 0.5)], {"a": 0.5, "b": 1.5})
+        model = DiffusionModel("stochastic_threshold", mc_samples=2)
+        with pytest.raises(ValueError, match=r"^stochastic threshold bound for 'b' outside \(0, 1\]: 1\.5$"):
+            st_propagate(graph, {"a"}, 1, model)
 
 
 def test_concurrent_runs_share_one_graph():
@@ -658,25 +652,20 @@ class TestMonteCarloMatchesReference:
         # st_propagate keeps no state between calls: twenty calls over two
         # interleaved graphs that vary the seed set, rng seed, sample count,
         # hops and bounds, or repeat the graph's last model, each equal the
-        # reference; each graph has one bounds dict that "mutate" changes in
-        # place before passing it again
+        # reference
         import random
 
         rng = random.Random(seed)
         graphs = [corner_graph(seed)[0], corner_graph(seed + 1)[0]]
-        shared = [{u: 1.0 - rng.random() for u in graph.node_ids} for graph in graphs]
         last = [None, None]
         for _ in range(20):
             which = rng.randint(0, 1)
-            graph, bounds_dict = graphs[which], shared[which]
-            kind = rng.choice(["repeat", "none", "float", "dict", "mutate"])
+            graph = graphs[which]
+            kind = rng.choice(["repeat", "none", "float"])
             if kind == "repeat" and last[which] is not None:
                 model = last[which]
             else:
-                if kind == "mutate":
-                    for u in rng.sample(graph.node_ids, rng.randint(1, len(graph))):
-                        bounds_dict[u] = rng.choice([0.01, 0.25, 1.0, 1.0 - rng.random()])
-                bounds = {"none": None, "float": rng.choice([0.5, 1.0])}.get(kind, bounds_dict)
+                bounds = rng.choice([0.01, 0.25, 0.5, 1.0, 1.0 - rng.random()]) if kind == "float" else None
                 model = DiffusionModel("stochastic_threshold", mc_samples=rng.randint(2, 3),
                                        rng_seed=rng.randint(0, 1), st_bounds=bounds)
             last[which] = model
@@ -685,24 +674,9 @@ class TestMonteCarloMatchesReference:
             assert_same_outcome(st_propagate(graph, seeds, hops, model),
                                 reference_st_propagate(graph, seeds, hops, model))
 
-    def test_invalid_bounds_raise_on_every_call(self):
-        graph = small_random_graph(5)
-        bounds = {u: 0.5 for u in graph.node_ids}
-        model = DiffusionModel("stochastic_threshold", mc_samples=3, rng_seed=1, st_bounds=bounds)
-        st_propagate(graph, {"n0"}, 2, model)
-        bounds["n3"] = 1.5
-        for _ in range(2):
-            with pytest.raises(ValueError, match="'n3' outside"):
-                st_propagate(graph, {"n0"}, 2, model)
-        bounds["n3"] = 0.5
-        assert_same_outcome(st_propagate(graph, {"n1"}, 2, model),
-                            reference_st_propagate(graph, {"n1"}, 2, model))
-
-    @pytest.mark.parametrize("st_bounds", [None, 0.5, "mapping"])
+    @pytest.mark.parametrize("st_bounds", [None, 0.5])
     def test_drawn_bars_give_the_same_outcome(self, st_bounds):
         graph = small_random_graph(5)
-        if st_bounds == "mapping":
-            st_bounds = {u: 0.25 + i / 20 for i, u in enumerate(graph.node_ids)}
         model = DiffusionModel("stochastic_threshold", mc_samples=4, rng_seed=2, st_bounds=st_bounds)
         bars = list(_st_bars(graph, model))
         assert len(bars) == 4

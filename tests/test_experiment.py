@@ -322,15 +322,13 @@ class TestRunExperiment:
         ({"kind": "stochastic_threshold", "rng_seed": 2.5}, "^rng_seed must be an integer, not 2.5$"),
         ({"kind": "independent_cascade", "rng_seed": None}, "^rng_seed must be an integer, not None$"),
         ({"kind": "linear_threshold", "rng_seed": True}, "^rng_seed must be an integer, not True$"),
-        ({"kind": "stochastic_threshold", "st_bounds": 2.5},
-         r"^st_bounds must be a number in \(0, 1\] or a mapping, not 2\.5$"),
-        ({"kind": "stochastic_threshold", "st_bounds": 0}, r"a mapping, not 0$"),
-        ({"kind": "stochastic_threshold", "st_bounds": "x"}, r"a mapping, not 'x'$"),
-        ({"kind": "stochastic_threshold", "st_bounds": True}, r"a mapping, not True$"),
-        ({"kind": "stochastic_threshold", "st_bounds": {}}, "^st_bounds must not be an empty mapping$"),
+        ({"kind": "stochastic_threshold", "st_bounds": 2.5}, r"^st_bounds must be a number in \(0, 1\], not 2\.5$"),
+        ({"kind": "stochastic_threshold", "st_bounds": 0}, r"\(0, 1\], not 0$"),
+        ({"kind": "stochastic_threshold", "st_bounds": "x"}, r"\(0, 1\], not 'x'$"),
+        ({"kind": "stochastic_threshold", "st_bounds": True}, r"\(0, 1\], not True$"),
+        ({"kind": "stochastic_threshold", "st_bounds": {}}, r"^st_bounds must be a number in \(0, 1\], not \{\}$"),
         ({"kind": "stochastic_threshold", "st_bounds": {"u0@1": 0.5}},
-         "^st_bounds must be one number in an experiment, not a mapping: its keys would be coupled node ids, "
-         "and those differ per scheme$"),
+         r"^st_bounds must be a number in \(0, 1\], not \{'u0@1': 0\.5\}$"),
     ])
     def test_bad_model_rejected_at_spec_load(self, model, message):
         spec = {"schemes": ["clique"], "betas": [0.5], "hops": 2, "model": model,
