@@ -15,9 +15,12 @@ a time, the text is replaced and each of its tests runs in its own
 ``python -m pytest`` process with ``PYTHONPATH=src`` and a fixed
 hypothesis seed; the file is restored before the next row.
 
-A row survives when one of its tests passes on the mutant.  The script
-exits 1 naming every stale row, every test that fails unmutated and
-every survivor, and 0 when every row is killed by each of its tests.
+A row survives when one of its tests passes on the mutant, and is
+broken when pytest exits with neither a pass (0) nor a failure (1): a
+collection error, no tests collected, a usage error or a crash kills
+nothing.  The script exits 1 naming every stale row, every test that
+fails unmutated, every survivor and every broken run, and 0 when every
+row is killed by each of its tests.
 Add a row with each new fast path: a mutant that no test kills is a gap
 in the tests, not in the table.
 """
@@ -47,11 +50,13 @@ class Mutant(NamedTuple):
 
 
 DIFFUSION = "src/muxlci/diffusion.py"
+COUPLING = "src/muxlci/coupling.py"
 KERNEL = "tests/test_diffusion.py::TestKernelMatchesReference::"
 MONTE_CARLO = "tests/test_diffusion.py::TestMonteCarloMatchesReference::"
 DELTA = "tests/test_diffusion.py::TestDeltaMatchesFullRun::"
 CLIQUE = "tests/test_coupling.py::TestCliqueCoupling::"
 SHARED = "tests/test_experiment.py::TestSharedSolve::"
+SOLVE = "tests/test_experiment.py::TestSolvePipeline::"
 
 MUTANTS = (
     Mutant(
@@ -93,6 +98,13 @@ MUTANTS = (
          MONTE_CARLO + "test_ic_edges_into_one_node_in_one_hop",
          MONTE_CARLO + "test_ic_single_leaves_the_stream_where_the_reference_does")),
     Mutant(
+        "st-threshold-range-check-dropped", DIFFUSION,
+        "        for u, b in zip(graph.node_ids, bounds):\n"
+        "            if not 0.0 < b <= 1.0:\n"
+        "                raise ValueError(f\"stochastic threshold bound for {u!r} outside (0, 1]: {b}\")\n",
+        "",
+        ("tests/test_diffusion.py::TestStochasticThreshold::test_threshold_outside_unit_interval_raises",)),
+    Mutant(
         "validate-without-rule-book", "src/muxlci/network.py",
         "        found = list(_layer_faults(layer))\n",
         "        found = []\n",
@@ -110,29 +122,35 @@ MUTANTS = (
         "    if len(drawn) < count:\n",
         ("tests/test_network.py::TestBlockDraws::test_zero_draw_topped_up_as_the_scalar_loop_redraws",)),
     Mutant(
-        "coupled-read-duplicate-pass-dropped", "src/muxlci/coupling.py",
+        "coupled-read-duplicate-pass-dropped", COUPLING,
         "        if len(targets) > 1 and len(set(map(target, targets))) != len(targets):\n",
         "        if False:\n",
         ("tests/test_coupling.py::TestCoupledExport::test_duplicate_of_lower_source_index_reported_first",
          "tests/test_cli.py::test_simulate_duplicate_edge_exit_code")),
     Mutant(
-        "couple-without-rule-book", "src/muxlci/coupling.py",
+        "couple-without-rule-book", COUPLING,
         "    network._check_layers()\n",
         "",
         (CLIQUE + "test_incomplete_network_rejected", CLIQUE + "test_non_finite_threshold_named",
          CLIQUE + "test_negative_layer_weight_named")),
     Mutant(
-        "lossless-duplicate-id-guard-dropped", "src/muxlci/coupling.py",
+        "lossless-duplicate-id-guard-dropped", COUPLING,
         "    if len(index) != len(nodes):\n"
         "        raise ValueError(\"duplicate node ids\")\n",
         "",
         (CLIQUE + "test_repeated_layer_index_rejected_by_every_lossless_scheme",)),
     Mutant(
-        "involvement-neighbourhood-as-set", "src/muxlci/coupling.py",
+        "involvement-neighbourhood-as-set", COUPLING,
         "        hood = dict.fromkeys([user, *neighbors.get(user, ())])\n",
         "        hood = {user, *neighbors.get(user, ())}\n",
         ("tests/test_coupling.py::TestLossyMultipliersMatchReference::test_alphas_and_folded_coupling_exact",
          "tests/test_cli.py::test_involvement_files_independent_of_hash_seed")),
+    Mutant(
+        "lossless-sync-half-weight", COUPLING,
+        "targets.append((dst, 1.0 if unit_sync else theta[dst]))",
+        "targets.append((dst, 1.0 if unit_sync else theta[dst] / 2))",
+        # a plain clique solve, which passes on the mutant but for the guarantee check
+        (SOLVE + "test_metadata_complete", SOLVE + "test_lossless_replay_equals_coupled_fraction")),
     Mutant(
         "layer-memo-keyed-on-layer-alone", "src/muxlci/experiment.py",
         "    key = (layer_index, tuple(cfg.beta for cfg in cfgs))\n",
@@ -197,14 +215,14 @@ def check(tree, mutants, log=print):
         original = path.read_text(encoding="utf-8")
         path.write_text(original.replace(mutant.source, mutant.replacement), encoding="utf-8")
         try:
-            # pytest exits 1 on failing tests; any other status (no tests
-            # collected, a usage error, a crash) kills nothing
-            survived = [f"{mutant.name} survives {test} (pytest exit {status})"
-                        for test in mutant.tests if (status := run_test(tree, test)) != 1]
+            statuses = [(test, run_test(tree, test)) for test in mutant.tests]
         finally:
             path.write_text(original, encoding="utf-8")
-        log(f"{mutant.name}: {'survived' if survived else 'killed'}")
-        problems += survived
+        survived = [f"{mutant.name} survives {test} (pytest exit 0)" for test, status in statuses if status == 0]
+        broken = [f"{mutant.name} breaks the run of {test} (pytest exit {status}, neither a pass nor a failure)"
+                  for test, status in statuses if status not in (0, 1)]
+        log(f"{mutant.name}: {'survived' if survived else 'broken' if broken else 'killed'}")
+        problems += survived + broken
     return problems
 
 

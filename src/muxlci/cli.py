@@ -218,6 +218,8 @@ def cmd_experiment(args):
     out = args.out or spec.out
     if not out:
         raise ValueError("no output path: pass --out or set 'out' in the config")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValueError(f"cannot write {out}: its directory does not exist")
     rows = run_experiment(spec)
     write_rows_csv(rows, out, spec=spec)
     failed = sum(1 for row in rows if row["status"] != "ok")

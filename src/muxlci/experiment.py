@@ -31,7 +31,7 @@ from .diffusion import (
 )
 from .generator import SynthSpec, generate
 from .network import LayerGraph, MultiplexNetwork, load_network, subseed
-from .solver import GreedyConfig, brute_force_optimal, improved_greedy, meets_fraction
+from .solver import FRACTION_EPS, GreedyConfig, brute_force_optimal, improved_greedy, meets_fraction
 
 BASELINE_SCHEMES = ("union", "direct")
 
@@ -108,7 +108,10 @@ def _pipeline_results(network, scheme, cfgs):
     Returns one result record per config (``_result``), whose
     ``wall_time_ms`` is the shared coupling and solve time plus its own
     replay.  Under deterministic linear threshold each replay is checked
-    against its target, which a coupling or the brute force promises.
+    against its target, which a coupling or the brute force promises,
+    and against the coupled fraction: a lossless coupling preserves the
+    diffusion, so the two are equal, and a lossy one is sound, so the
+    replay reaches at least as far.  RuntimeError names a violation.
     """
     started = time.perf_counter()
     kind = cfgs[0].model.kind
@@ -123,13 +126,27 @@ def _pipeline_results(network, scheme, cfgs):
     for cfg, seed_set in zip(cfgs, seed_sets):
         coupled_fraction = None if scheme == "direct" else seed_set.achieved_fraction
         result = _result(network, cfg, scheme, seed_set.users, seed_set.gains, coupled_fraction, shared_ms)
-        if kind == LINEAR_THRESHOLD and not meets_fraction(result["replayed_fraction"], cfg.beta, 1.0):
-            raise RuntimeError(
-                f"pipeline soundness violated: replayed fraction {result['replayed_fraction']:.6f}"
-                f" below target {cfg.beta}"
-            )
+        if kind == LINEAR_THRESHOLD:
+            _check_guarantee(scheme, cfg.beta, coupled_fraction, result["replayed_fraction"])
         results.append(result)
     return results
+
+
+def _check_guarantee(scheme, beta, coupled, replayed):
+    """Raise RuntimeError unless a deterministic-LT replay meets ``beta``
+    and matches the coupled fraction as the scheme promises (equal when
+    lossless, at least it when lossy), with FRACTION_EPS slack."""
+    if not meets_fraction(replayed, beta, 1.0):
+        raise RuntimeError(f"pipeline soundness violated: replayed fraction {replayed:.6f} below target {beta}")
+    if coupled is None:
+        return
+    if scheme.startswith("lossy-"):
+        if replayed < coupled - FRACTION_EPS:
+            raise RuntimeError(f"pipeline soundness violated: {scheme} replayed fraction {replayed!r}"
+                               f" below coupled fraction {coupled!r}")
+    elif abs(replayed - coupled) > FRACTION_EPS:
+        raise RuntimeError(f"pipeline soundness violated: lossless {scheme} replayed fraction {replayed!r}"
+                           f" differs from coupled fraction {coupled!r}")
 
 
 def solve_pipeline(network, scheme, cfg):
@@ -143,8 +160,8 @@ def solve_pipeline(network, scheme, cfg):
     multiplex by brute force instead.  Raises ValueError before coupling
     for a scheme the model cannot run (see
     :func:`~muxlci.coupling.check_scheme_model`), and RuntimeError if the
-    replayed fraction misses the target (which a correct coupling
-    cannot produce).
+    replayed fraction misses the target or breaks the scheme's promise
+    (which a correct coupling cannot produce).
     """
     check_scheme_model(scheme, cfg.model)
     (result,) = _pipeline_results(network, scheme, [cfg])

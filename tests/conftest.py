@@ -1,17 +1,21 @@
+import dataclasses
+import os
 import random
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from muxlci import LayerGraph, MultiplexNetwork, SynthSpec, generate, network
+from muxlci import InfluenceGraph, LayerGraph, MultiplexNetwork, SynthSpec, couple, generate, network
 
+# "suite" is the default; HYPOTHESIS_PROFILE=deep runs ten times the examples
 settings.register_profile(
     "suite",
     deadline=None,
     max_examples=40,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("suite")
+settings.register_profile("deep", settings.get_profile("suite"), max_examples=400)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 
 def count_rule_book(monkeypatch):
@@ -24,6 +28,19 @@ def count_rule_book(monkeypatch):
 
     monkeypatch.setattr(network, "_layer_faults", counted)
     return checked
+
+
+def half_weight_sync(network, scheme, model_kind="linear_threshold"):
+    """``couple`` with every sync edge (one that joins two nodes of the
+    same user) at half its weight, which is half its target's threshold
+    under linear threshold: a broken lossless coupling."""
+    coupled = couple(network, scheme, model_kind=model_kind)
+    graph, kinds = coupled.graph, coupled.kinds
+    ids = graph.node_ids
+    edges = [(ids[iu], ids[iv], w / 2 if kinds[ids[iu]].user == kinds[ids[iv]].user else w)
+             for iu, targets in enumerate(graph.out) for iv, w in targets]
+    half = InfluenceGraph(ids, edges, dict(zip(ids, graph.theta)), dict(zip(ids, graph.node_weight)))
+    return dataclasses.replace(coupled, graph=half)
 
 
 def make_layer(index, edges, thetas):

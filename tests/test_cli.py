@@ -11,10 +11,26 @@ import pytest
 from muxlci import DiffusionModel, ic_propagate, lt_propagate, write_trace
 from muxlci.cli import main
 
-from conftest import count_rule_book
+from conftest import count_rule_book, half_weight_sync
 from oracles import reference_read_coupled
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_solve_exits_5_on_a_broken_lossless_coupling(tmp_path, capsys, monkeypatch):
+    import muxlci.experiment
+
+    net = tmp_path / "net"
+    assert main(["generate", "--universe", "50", "--layer", "30:0.12", "--layer", "30:0.12",
+                 "--overlap", "0.5", "--seed", "21", "--out", str(net)]) == 0
+    monkeypatch.setattr(muxlci.experiment, "couple", half_weight_sync)
+    out = tmp_path / "result.json"
+    code = main(["solve", "--layer", str(net / "layer1.txt"), "--layer", str(net / "layer2.txt"),
+                 "--scheme", "clique", "--beta", "0.5", "--hops", "3", "--out", str(out)])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: pipeline soundness violated: lossless clique replayed fraction ")
+    assert not out.exists()
 
 
 def src_path():
@@ -647,6 +663,22 @@ def test_experiment_without_an_output_path_runs_no_cell(tmp_path, capsys, monkey
     monkeypatch.chdir(tmp_path)
     assert main(["experiment", "--config", config_path]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert runs == []
+    assert [path.name for path in tmp_path.iterdir()] == ["exp.json"]
+
+
+def test_experiment_output_in_a_missing_directory_runs_no_cell(tmp_path, capsys, monkeypatch):
+    """Exit 3 before the first cell, naming the given path, and write no file."""
+    import muxlci.cli
+
+    config = {"schemes": ["clique"], "betas": [0.4], "hops": 2,
+              "synth": {"universe_size": 20, "layer_size": 15, "edge_prob": 0.12, "k": 2}}
+    config_path = write(tmp_path / "exp.json", json.dumps(config))
+    runs = []
+    monkeypatch.setattr(muxlci.cli, "run_experiment", lambda spec: runs.append(spec) or [])
+    monkeypatch.chdir(tmp_path)
+    assert main(["experiment", "--config", config_path, "--out", "missing/rows.csv"]) == 3
+    assert capsys.readouterr().err == "error: cannot write missing/rows.csv: its directory does not exist\n"
     assert runs == []
     assert [path.name for path in tmp_path.iterdir()] == ["exp.json"]
 

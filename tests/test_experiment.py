@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -8,9 +9,12 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import muxlci.experiment
 from muxlci import (
     DiffusionModel,
     GreedyConfig,
+    InfluenceGraph,
+    couple,
     brute_force_optimal,
     multiplex_lt_propagate,
 )
@@ -26,7 +30,7 @@ from muxlci.experiment import (
     write_rows_csv,
 )
 
-from conftest import make_layer, random_network
+from conftest import half_weight_sync, make_layer, random_network
 from oracles import reference_external_influence, reference_run_experiment
 
 
@@ -71,6 +75,48 @@ class TestSolvePipeline:
         assert result["gains"] == optimum.gains
         assert result["achieved_fraction"] == result["replayed_fraction"] == optimum.achieved_fraction
         assert result["coupled_fraction"] is None
+
+
+class TestGuaranteeCheck:
+    """Under deterministic LT every solve checks the scheme's promise:
+    lossless replays equal the coupled fraction, lossy ones reach it."""
+
+    def test_broken_lossless_sync_raises(self, overlap_network, monkeypatch):
+        # the replay still meets beta, so only the equality check sees it
+        monkeypatch.setattr(muxlci.experiment, "couple", half_weight_sync)
+        with pytest.raises(RuntimeError, match=r"^pipeline soundness violated: lossless clique replayed fraction "
+                                               r"0\.822\d* differs from coupled fraction 0\.518\d*$"):
+            solve_pipeline(overlap_network, "clique", GreedyConfig(0.5, 3))
+
+    def test_lossy_replay_below_coupled_raises(self, overlap_network, monkeypatch):
+        def eased(network, scheme, model_kind="linear_threshold"):
+            # every coupled threshold at 1e-3: one seed floods the coupled
+            # graph, but not the multiplex
+            coupled = couple(network, scheme, model_kind=model_kind)
+            ids = coupled.graph.node_ids
+            edges = [(ids[iu], ids[iv], w) for iu, targets in enumerate(coupled.graph.out) for iv, w in targets]
+            return dataclasses.replace(coupled, graph=InfluenceGraph(ids, edges, {u: 1e-3 for u in ids}))
+
+        monkeypatch.setattr(muxlci.experiment, "couple", eased)
+        with pytest.raises(RuntimeError, match=r"^pipeline soundness violated: lossy-average replayed fraction "
+                                               r"0\.222\d* below coupled fraction 0\.955\d*$"):
+            solve_pipeline(overlap_network, "lossy-average", GreedyConfig(0.2, 3))
+
+    def test_stochastic_solve_is_not_checked(self, overlap_network, monkeypatch):
+        monkeypatch.setattr(muxlci.experiment, "couple", half_weight_sync)
+        model = DiffusionModel("independent_cascade", mc_samples=3, rng_seed=1)
+        result = solve_pipeline(overlap_network, "clique", GreedyConfig(0.3, 3, model=model))
+        assert result["coupled_fraction"] >= 0.3
+
+    def test_broken_group_falls_back_to_error_rows(self, monkeypatch):
+        monkeypatch.setattr(muxlci.experiment, "couple", half_weight_sync)
+        spec = ExperimentSpec(schemes=["clique", "direct"], betas=[0.3, 0.5], hops=2,
+                              synth={"universe_size": 12, "layer_size": 9, "edge_prob": 0.2, "k": 2})
+        rows = run_experiment(spec)
+        assert [(row["scheme"], row["status"]) for row in rows] == [
+            ("clique", "error"), ("clique", "error"), ("direct", "ok"), ("direct", "ok")]
+        assert all(row["error"].startswith("RuntimeError: pipeline soundness violated: lossless clique")
+                   for row in rows[:2])
 
 
 class TestBaselines:

@@ -1,6 +1,6 @@
 """``scripts/mutants.py`` without running its table: every row still
 names source text of this tree, and the runner tells a stale row, a
-killed mutant and a survivor apart on a two-file tree."""
+killed mutant, a survivor and a broken run apart on a two-file tree."""
 
 import importlib.util
 from pathlib import Path
@@ -45,3 +45,19 @@ def test_killed_and_surviving_rows_told_apart(tmp_path):
     assert mutants.check(tmp_path, rows, logged.append) == [f"comment survives {test} (pytest exit 0)"]
     assert logged == ["wrong: killed", "comment: survived"]
     assert "2 * x  # twice" in (tmp_path / "src" / "doubling.py").read_text(encoding="utf-8")
+
+
+def test_broken_run_reported_apart_from_survivors(tmp_path):
+    # the mutant renames the function its test imports, so the test module
+    # errors at collection and pytest cannot find the named test (exit 4)
+    # instead of failing it (exit 1)
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "doubling.py").write_text("def double(x):\n    return 2 * x\n", encoding="utf-8")
+    (tmp_path / "test_doubling.py").write_text(
+        "from doubling import double\n\ndef test_double():\n    assert double(3) == 6\n", encoding="utf-8")
+    test = "test_doubling.py::test_double"
+    rows = [mutants.Mutant("renamed", "src/doubling.py", "def double", "def triple", (test,))]
+    logged = []
+    assert mutants.check(tmp_path, rows, logged.append) == [
+        f"renamed breaks the run of {test} (pytest exit 4, neither a pass nor a failure)"]
+    assert logged == ["renamed: broken"]
