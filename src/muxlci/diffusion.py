@@ -75,10 +75,10 @@ class DiffusionModel:
 
     ``st_bounds`` only applies to the stochastic threshold model: one
     number in (0, 1] (checked here) bounds every node's draw, and None
-    bounds each node by its own threshold (checked when drawn).  ``mc_samples`` is ignored for the
-    deterministic linear-threshold model, but must still be a count
-    (:func:`require_count`).  ``rng_seed`` must be an int that is not a
-    bool, under every model.
+    bounds each node by its own threshold (checked when drawn).
+    ``mc_samples`` is ignored for the deterministic linear-threshold
+    model, but must still be a count (:func:`require_count`).
+    ``rng_seed`` must be an int that is not a bool, under every model.
     """
 
     kind: str = LINEAR_THRESHOLD
