@@ -105,6 +105,13 @@ MUTANTS = (
         "",
         ("tests/test_diffusion.py::TestStochasticThreshold::test_threshold_outside_unit_interval_raises",)),
     Mutant(
+        "threshold-above-one-rule-dropped", "src/muxlci/network.py",
+        "        elif theta > 1.0 + WEIGHT_EPS:\n"
+        "            yield (2, user, 1), f\"{tag}: node {user!r} threshold {theta} exceeds 1\"\n",
+        "",
+        ("tests/test_network.py::TestLayerRuleBook::test_threshold_above_one_rejected_by_every_entry_point",
+         "tests/test_network.py::TestLoadNetwork::test_invalid_network_lists_violations")),
+    Mutant(
         "validate-without-rule-book", "src/muxlci/network.py",
         "        found = list(_layer_faults(layer))\n",
         "        found = []\n",
@@ -147,8 +154,8 @@ MUTANTS = (
          "tests/test_cli.py::test_involvement_files_independent_of_hash_seed")),
     Mutant(
         "lossless-sync-half-weight", COUPLING,
-        "targets.append((dst, 1.0 if unit_sync else theta[dst]))",
-        "targets.append((dst, 1.0 if unit_sync else theta[dst] / 2))",
+        "targets.append((dst, 1.0))",
+        "targets.append((dst, 0.5))",
         # a plain clique solve, which passes on the mutant but for the guarantee check
         (SOLVE + "test_metadata_complete", SOLVE + "test_lossless_replay_equals_coupled_fraction")),
     Mutant(

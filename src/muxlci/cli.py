@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .coupling import COUPLING_SCHEMES, check_scheme_model, couple, read_coupled, write_coupled
+from .coupling import COUPLING_SCHEMES, couple, read_coupled, write_coupled
 from .diffusion import (
     DiffusionModel,
     INDEPENDENT_CASCADE,
@@ -122,10 +122,8 @@ def cmd_generate(args):
 
 
 def cmd_couple(args):
-    model = _diffusion_model(args)
-    check_scheme_model(args.scheme, model)
     network, normalized = load_network(args.layer, args.alias, args.seed)
-    coupled = couple(network, args.scheme, model_kind=model.kind)
+    coupled = couple(network, args.scheme)
     with open(args.out_edges, "w", encoding="utf-8") as edges, \
          open(args.out_manifest, "w", encoding="utf-8", newline="") as manifest:
         write_coupled(coupled, edges, manifest)
@@ -201,9 +199,8 @@ def cmd_solve(args):
 
 
 def cmd_export_ilp(args):
-    model = _diffusion_model(args)
     network, _ = load_network(args.layer, args.alias, args.seed)
-    coupled = couple(network, args.scheme, model_kind=model.kind)
+    coupled = couple(network, args.scheme)
     cfg = GreedyConfig(args.beta, args.hops)
     with open(args.out, "w", encoding="utf-8") as handle:
         summary = export_ilp(coupled, cfg, handle)
@@ -267,7 +264,6 @@ def build_parser():
     p = sub.add_parser("couple", help="build a coupled network from layer files")
     _add_network_args(p)
     p.add_argument("--scheme", choices=COUPLING_SCHEMES, required=True)
-    _add_model_args(p)
     p.add_argument("--out-edges", required=True, dest="out_edges")
     p.add_argument("--out-manifest", required=True, dest="out_manifest")
     p.add_argument("--out", default=None, help="summary JSON path (default: stdout)")
@@ -300,7 +296,6 @@ def build_parser():
     p.add_argument("--scheme", choices=COUPLING_SCHEMES, default="clique")
     p.add_argument("--beta", type=float, default=0.8)
     p.add_argument("--hops", type=int, default=4)
-    _add_model_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_ilp)
 

@@ -11,11 +11,11 @@ and one representative per layer the user joins; all of a user's
 outgoing influence flows through the seedable vertex, and the user's
 vertices synchronize so that one active sibling activates the rest:
 
-* sync — "clique" ties them pairwise, each edge carrying exactly its
-  target's threshold, or 1 under the two random models (hop scale 2);
-  "star" routes through one extra hub
-  per user, trading edges (2(k+1) per user instead of k(k+1)) for one
-  more synchronization hop (hop scale 3).
+* sync — "clique" ties them pairwise (hop scale 2); "star" routes
+  through one extra hub per user, trading edges (2(k+1) per user
+  instead of k(k+1)) for one more synchronization hop (hop scale 3).
+  A sync edge weighs 1, which activates its target alone under every
+  diffusion model, so one coupling serves them all.
 * dummies — on ("clique", "star"): the seedable vertex is a gateway,
   each layer the user does not join gets a dummy representative with
   threshold 1 and no layer edges, and every vertex weighs 1.  Off
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .diffusion import LINEAR_THRESHOLD, STOCHASTIC_THRESHOLD, InfluenceGraph
+from .diffusion import STOCHASTIC_THRESHOLD, InfluenceGraph
 
 GATEWAY = "gateway"
 REPRESENTATIVE = "representative"
@@ -136,29 +136,27 @@ class CoupledNetwork:
         return users
 
 
-def _couple_lossless(network, sync, dummies, model_kind):
+def _couple_lossless(network, sync, dummies):
     """Lossless coupling with ``sync`` "clique" or "star" and dummies on or off.
 
     Per user, in sorted order: the seedable vertex, the representatives
-    in layer order, then the star hub.  A sync edge must activate its
-    target alone: under linear threshold it carries exactly the target's
-    threshold; under independent cascade it weighs 1, so it fires with
-    probability 1, and under stochastic threshold it weighs 1, above any
-    threshold drawn up to a bound of at most 1.  Each layer edge u->v
-    becomes seedable vertex of u -> representative of v in that layer.
+    in layer order, then the star hub.  A sync edge weighs 1, so it
+    activates its target alone: under linear threshold and any stochastic
+    threshold, as every threshold is at most 1, and under independent
+    cascade with probability 1.  Each layer edge u->v becomes seedable
+    vertex of u -> representative of v in that layer.
 
     The graph is built in index space: each node gets its index, threshold
     and weight as it is added, and each edge goes straight into its
     source's out-list (the user's sync edges, then the layer edges by
     layer and sorted within it).  It is stored unchecked, as every fact
     is already known.  :func:`couple` has run the layer rule book, so
-    every threshold is finite and positive and every layer weight finite
-    and non-negative.  A sync edge weighs its target's threshold or 1,
-    and a node 1, 0 or k - p.  A layer edge joins two different users'
-    vertices, and the duplicate id guard below makes every id distinct.
-    So no self-loop, repeated edge or non-finite value reaches the graph.
+    every threshold is in (0, 1] and every layer weight finite and
+    non-negative.  A node weighs 1, 0 or k - p.  A layer edge joins two
+    different users' vertices, and the duplicate id guard below makes
+    every id distinct.  So no self-loop, repeated edge or non-finite
+    value reaches the graph.
     """
-    unit_sync = model_kind != LINEAR_THRESHOLD
     k = network.k
     if dummies:
         seed_kind, seed_tag, hub_weight = GATEWAY, "@g", 1.0
@@ -200,12 +198,12 @@ def _couple_lossless(network, sync, dummies, model_kind):
                 targets = out[src]
                 for dst in ring:
                     if src != dst:
-                        targets.append((dst, 1.0 if unit_sync else theta[dst]))
+                        targets.append((dst, 1.0))
         else:
             hub = add(user + "@s", 1.0, hub_weight, INTERMEDIATE, user)
             for rep in reps:
                 out[rep].append((hub, 1.0))
-                out[hub].append((rep, 1.0 if unit_sync else theta[rep]))
+                out[hub].append((rep, 1.0))
             out[hub].append((seed, 1.0))
             out[seed].append((hub, 1.0))
     if len(index) != len(nodes):
@@ -302,26 +300,26 @@ def _couple_lossy(network, kind="average"):
     return CoupledNetwork(graph, kinds, {user: user for user in users}, 1, "lossy-" + kind, network.k)
 
 
-def couple(network, scheme, model_kind="linear_threshold"):
+def couple(network, scheme):
     """Couple a complete multiplex network by scheme name (see COUPLING_SCHEMES).
 
     Sizes for n users, k layers and |V_i|, |E_i| per layer: "clique"
     (k+1)n vertices and sum|E_i| + nk(k+1) edges, seeds on gateways;
     "star" (k+2)n vertices and sum|E_i| + 2n(k+1) edges; "reduced-clique"
     sum|V_i| + n and "reduced-star" sum|V_i| + 2n vertices, whose
-    coverage must be measured by weight; lossy schemes n vertices.
-    ``model_kind`` sets the lossless sync edge weights.  Every scheme
-    first raises the ValueError the multiplex sweep raises, naming the
-    layer and the edge or user, for the first fault of a layer: an
-    endpoint outside the layer, an unset, non-finite or negative weight,
-    a self-loop, or a threshold that is missing, non-finite or not
-    positive (:func:`~muxlci.network.validate` reports the same message).
+    coverage must be measured by weight; lossy schemes n vertices.  One
+    coupling serves every diffusion model.  Every scheme first raises the
+    ValueError the multiplex sweep raises, naming the layer and the edge
+    or user, for the first fault of a layer: an endpoint outside the
+    layer, an unset, non-finite or negative weight, a self-loop, or a
+    threshold that is missing, non-finite, not positive or above 1
+    (:func:`~muxlci.network.validate` reports the same message).
     """
     network._check_layers()
     if scheme in ("clique", "star"):
-        return _couple_lossless(network, scheme, True, model_kind)
+        return _couple_lossless(network, scheme, True)
     if scheme in ("reduced-clique", "reduced-star"):
-        return _couple_lossless(network, scheme[len("reduced-"):], False, model_kind)
+        return _couple_lossless(network, scheme[len("reduced-"):], False)
     if scheme.startswith("lossy-"):
         return _couple_lossy(network, scheme[len("lossy-"):])
     raise ValueError(f"unknown coupling scheme {scheme!r}")

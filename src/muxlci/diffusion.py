@@ -56,6 +56,14 @@ def require_count(name, value):
         raise ValueError(f"{name} must be >= 1")
 
 
+def require_hops(hops):
+    """Raise ValueError unless the hop budget ``hops`` is an int, not a
+    bool, and at least 0: the check of every diffusion run."""
+    require_int("hop budget", hops)
+    if hops < 0:
+        raise ValueError("hop budget must be >= 0")
+
+
 def require_number(name, value):
     """Raise ValueError unless ``value`` is an int or float, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -533,8 +541,7 @@ def lt_propagate(graph, seeds, hops, base=None):
     (:func:`_lt_delta`).  Its outcome equals the run without a base in
     every field.
     """
-    if hops < 0:
-        raise ValueError("hop budget must be >= 0")
+    require_hops(hops)
     seed_idx = _seed_indices(graph, seeds)
     if base is not None:
         return _lt_delta(graph, seed_idx, hops, base)
@@ -545,8 +552,7 @@ def lt_propagate(graph, seeds, hops, base=None):
 
 
 def _multiplex_run(network, seeds, hops, lt_layers):
-    if hops < 0:
-        raise ValueError("hop budget must be >= 0")
+    require_hops(hops)
     seeds = set(seeds)
     unknown = seeds - network.universe
     if unknown:
@@ -647,8 +653,7 @@ def ic_propagate(graph, seeds, hops, model):
     """
     if model.kind != INDEPENDENT_CASCADE:
         raise ValueError("model.kind must be independent_cascade")
-    if hops < 0:
-        raise ValueError("hop budget must be >= 0")
+    require_hops(hops)
     seed_idx = _seed_indices(graph, seeds)
     draws = repeat(random.Random(model.rng_seed).random, model.mc_samples)
     return _monte_carlo(graph, model, partial(_ic_single, graph, seed_idx, hops), draws)
@@ -686,8 +691,7 @@ def st_propagate(graph, seeds, hops, model, bars=None):
     """
     if model.kind != STOCHASTIC_THRESHOLD:
         raise ValueError("model.kind must be stochastic_threshold")
-    if hops < 0:
-        raise ValueError("hop budget must be >= 0")
+    require_hops(hops)
     seed_idx = _seed_indices(graph, seeds)
     if bars is None:
         bars = _st_bars(graph, model)

@@ -21,7 +21,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from . import __version__
 from .coupling import COUPLING_SCHEMES, check_scheme_model, couple
@@ -34,6 +34,7 @@ from .network import LayerGraph, MultiplexNetwork, load_network, subseed
 from .solver import FRACTION_EPS, GreedyConfig, brute_force_optimal, improved_greedy, meets_fraction
 
 BASELINE_SCHEMES = ("union", "direct")
+SYNTH_FIELDS = ("universe_size", "layer_size", "edge_prob", "k", "overlap_fraction", "per_layer")
 
 
 def _model_record(model):
@@ -118,7 +119,7 @@ def _pipeline_results(network, scheme, cfgs):
     if scheme == "direct":
         seed_sets = [brute_force_optimal(network, cfg.beta, cfg.hops) for cfg in cfgs]
     else:
-        coupled = couple(network, scheme, model_kind=kind)
+        coupled = couple(network, scheme)
         full = improved_greedy(coupled, replace(cfgs[0], beta=max(cfg.beta for cfg in cfgs)))
         seed_sets = [full.prefix(cfg.beta) for cfg in cfgs]
     shared_ms = _ms_since(started)
@@ -286,7 +287,8 @@ class ExperimentSpec:
     ``layer_files``) that is not a list, a scheme that is not a string,
     a layer file, ``alias_file`` or ``out`` that is not a path, an
     ``alias_file`` without ``layer_files``, a ``synth`` that is not a
-    mapping or whose ``per_layer`` is not a list of pairs, a
+    mapping, has a key outside ``SYNTH_FIELDS`` or whose ``per_layer``
+    is not a list of pairs, a
     ``beta_of_base`` that is not a bool or is set with ``layer_files``,
     a ``base_seed`` that is not an integer, no schemes or betas, a beta
     outside (0, 1], ``hops``, ``T``, ``R``, ``repetitions`` or
@@ -327,8 +329,12 @@ class ExperimentSpec:
             value = getattr(self, name)
             if value is not None and not isinstance(value, (list, tuple)):
                 raise ValueError(f"{name} must be a list, not {value!r}")
-        if self.synth is not None and not isinstance(self.synth, dict):
-            raise ValueError(f"synth must be a mapping, not {self.synth!r}")
+        if self.synth is not None:
+            if not isinstance(self.synth, dict):
+                raise ValueError(f"synth must be a mapping, not {self.synth!r}")
+            unknown = self.synth.keys() - set(SYNTH_FIELDS)
+            if unknown:
+                raise ValueError(f"unknown synth fields: {sorted(unknown, key=str)}")
         if (self.synth is None) == (self.layer_files is None):
             raise ValueError("specify exactly one of synth or layer_files")
         if self.layer_files is not None and (self.k_values or self.overlap_values):
@@ -393,6 +399,9 @@ class ExperimentSpec:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown experiment fields: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        if missing:
+            raise ValueError(f"missing experiment fields: {missing}")
         return cls(**data)
 
 

@@ -169,10 +169,11 @@ def _layer_faults(layer):
     """Yield ``(order, message)`` for each fault that leaves diffusion or
     a coupling on ``layer`` undefined, in edge order, then node order: an
     edge endpoint outside the node set; an unset, non-finite or negative
-    edge weight; a self-loop; a node without a finite, positive
-    threshold.  The linear-threshold sweep and the couplings are exact
-    only without them.  :func:`_require_complete` raises the first
-    message; :func:`validate` reports every one, placed by ``order``.
+    edge weight; a self-loop; a node without a finite threshold in
+    (0, 1].  The linear-threshold sweep and the couplings, whose sync
+    edges weigh 1, are exact only without them.  :func:`_require_complete`
+    raises the first message; :func:`validate` reports every one, placed
+    by ``order``.
     """
     tag = f"layer {layer.layer_index}"
     for (src, dst), weight in layer.edges.items():
@@ -194,6 +195,8 @@ def _layer_faults(layer):
             yield (0,), f"{tag}: node {user!r} threshold {theta} is not finite"
         elif theta <= 0.0:
             yield (2, user, 0), f"{tag}: node {user!r} non-positive threshold"
+        elif theta > 1.0 + WEIGHT_EPS:
+            yield (2, user, 1), f"{tag}: node {user!r} threshold {theta} exceeds 1"
 
 
 def _require_complete(layers):
@@ -316,9 +319,9 @@ def validate(network):
 
     Violations are data, not exceptions: an empty report means the
     network is valid.  It lists every fault of :func:`_layer_faults`,
-    which the couplings and the linear-threshold sweep reject, plus the
-    model's own invariants: weights and thresholds at most 1, no
-    threshold for an unknown node, in-weight sums at most 1, layer
+    which the couplings and the linear-threshold sweep reject, thresholds
+    above 1 among them, plus the model's own invariants: weights at most
+    1, no threshold for an unknown node, in-weight sums at most 1, layer
     indices 1..k, the universe the union of the layers, and some user.
     """
     report = []
@@ -334,11 +337,8 @@ def validate(network):
                 in_sums[dst] += weight
                 if 1.0 + WEIGHT_EPS < weight < math.inf:
                     found.append(((1, src, dst, 1), f"{tag}: edge {src!r}->{dst!r} weight {weight} outside [0, 1]"))
-        for user, theta in layer.thresholds.items():
-            if user not in layer.nodes:
-                found.append(((3, user), f"{tag}: threshold for unknown node {user!r}"))
-            elif theta is not None and 1.0 + WEIGHT_EPS < theta < math.inf:
-                found.append(((2, user, 1), f"{tag}: node {user!r} threshold {theta} exceeds 1"))
+        for user in layer.thresholds.keys() - layer.nodes:
+            found.append(((3, user), f"{tag}: threshold for unknown node {user!r}"))
         for node, total in in_sums.items():
             if total > 1.0 + IN_SUM_TOL:
                 found.append(((4, node), f"{tag}: node {node!r} in-weight sum exceeds 1 ({total:.6f})"))

@@ -16,6 +16,8 @@ settings.register_profile(
 )
 settings.register_profile("deep", settings.get_profile("suite"), max_examples=400)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
+# how many times the suite's examples the loaded profile runs: 1, or 10 when deep
+DEPTH = settings.default.max_examples // settings.get_profile("suite").max_examples
 
 
 def count_rule_book(monkeypatch):
@@ -30,11 +32,10 @@ def count_rule_book(monkeypatch):
     return checked
 
 
-def half_weight_sync(network, scheme, model_kind="linear_threshold"):
+def half_weight_sync(network, scheme):
     """``couple`` with every sync edge (one that joins two nodes of the
-    same user) at half its weight, which is half its target's threshold
-    under linear threshold: a broken lossless coupling."""
-    coupled = couple(network, scheme, model_kind=model_kind)
+    same user) at half its weight of 1: a broken lossless coupling."""
+    coupled = couple(network, scheme)
     graph, kinds = coupled.graph, coupled.kinds
     ids = graph.node_ids
     edges = [(ids[iu], ids[iv], w / 2 if kinds[ids[iu]].user == kinds[ids[iv]].user else w)

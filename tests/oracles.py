@@ -589,22 +589,14 @@ def _user_vertex(user):
     return user + "@u"
 
 
-def _sync_weight(thresholds, node, unit):
-    # linear-threshold synchronization edges carry exactly the target's
-    # threshold, so one active sibling is always enough; under the two
-    # random models they weigh 1: an IC edge then fires with probability 1,
-    # and an ST edge reaches any threshold drawn up to a bound of at most 1
-    return 1.0 if unit else thresholds[node]
-
-
-def reference_couple_clique_lossless(network, model_kind="linear_threshold"):
+def reference_couple_clique_lossless(network):
     """Clique lossless coupling; hop scale 2.
 
     Sizes: (k+1)*n vertices and sum(|E_i|) + n*k*(k+1) edges for n users
-    and k layers.  Seeds map to gateways.
+    and k layers.  Seeds map to gateways.  Every synchronization edge
+    weighs 1, at least any threshold, so one active sibling is enough.
     """
     _require_complete(network.layers)
-    unit = model_kind != LINEAR_THRESHOLD
     k = network.k
     users = sorted(network.universe)
     nodes, thresholds, kinds, node_weight = [], {}, {}, {}
@@ -632,7 +624,7 @@ def reference_couple_clique_lossless(network, model_kind="linear_threshold"):
         for src in ring:
             for dst in ring:
                 if src != dst:
-                    edges.append((src, dst, _sync_weight(thresholds, dst, unit)))
+                    edges.append((src, dst, 1.0))
     for layer in network.layers:
         for (src, dst) in sorted(layer.edges):
             edges.append((_gateway(src), _rep(dst, layer.layer_index), layer.edges[(src, dst)]))
@@ -640,7 +632,7 @@ def reference_couple_clique_lossless(network, model_kind="linear_threshold"):
     return CoupledNetwork(graph, kinds, user_of, 2, "clique", k)
 
 
-def reference_couple_star_lossless(network, model_kind="linear_threshold"):
+def reference_couple_star_lossless(network):
     """Star lossless coupling; hop scale 3.
 
     Like the clique scheme but per-user synchronization runs through one
@@ -648,7 +640,6 @@ def reference_couple_star_lossless(network, model_kind="linear_threshold"):
     sum(|E_i|) + 2*n*(k+1) edges.
     """
     _require_complete(network.layers)
-    unit = model_kind != LINEAR_THRESHOLD
     k = network.k
     users = sorted(network.universe)
     nodes, thresholds, kinds, node_weight = [], {}, {}, {}
@@ -680,7 +671,7 @@ def reference_couple_star_lossless(network, model_kind="linear_threshold"):
         node_weight[hub] = 1.0
         for rep in reps:
             edges.append((rep, hub, 1.0))
-            edges.append((hub, rep, _sync_weight(thresholds, rep, unit)))
+            edges.append((hub, rep, 1.0))
         edges.append((hub, gateway, 1.0))
         edges.append((gateway, hub, 1.0))
     for layer in network.layers:
@@ -690,7 +681,7 @@ def reference_couple_star_lossless(network, model_kind="linear_threshold"):
     return CoupledNetwork(graph, kinds, user_of, 3, "star", k)
 
 
-def reference_couple_reduced(network, sync="clique", model_kind="linear_threshold"):
+def reference_couple_reduced(network, sync="clique"):
     """Weight-reduced lossless coupling (clique or star synchronization).
 
     Representatives exist only for layers a user joins (weight 1 each);
@@ -703,7 +694,6 @@ def reference_couple_reduced(network, sync="clique", model_kind="linear_threshol
     if sync not in ("clique", "star"):
         raise ValueError(f"unknown synchronization style {sync!r}")
     _require_complete(network.layers)
-    unit = model_kind != LINEAR_THRESHOLD
     k = network.k
     users = sorted(network.universe)
     nodes, thresholds, kinds, node_weight = [], {}, {}, {}
@@ -733,7 +723,7 @@ def reference_couple_reduced(network, sync="clique", model_kind="linear_threshol
             for src in ring:
                 for dst in ring:
                     if src != dst:
-                        edges.append((src, dst, _sync_weight(thresholds, dst, unit)))
+                        edges.append((src, dst, 1.0))
         else:
             hub = _hub(user)
             nodes.append(hub)
@@ -742,7 +732,7 @@ def reference_couple_reduced(network, sync="clique", model_kind="linear_threshol
             node_weight[hub] = 0.0
             for rep in reps:
                 edges.append((rep, hub, 1.0))
-                edges.append((hub, rep, _sync_weight(thresholds, rep, unit)))
+                edges.append((hub, rep, 1.0))
             edges.append((hub, vertex, 1.0))
             edges.append((vertex, hub, 1.0))
     for layer in network.layers:

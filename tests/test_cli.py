@@ -154,7 +154,7 @@ def test_simulate_coupled_graph_stochastic(tmp_path, layer_files, capsys):
     manifest = tmp_path / "manifest.csv"
     main([
         "couple", "--layer", layer_files[0], "--layer", layer_files[1],
-        "--scheme", "clique", "--seed", "1", "--model", "ic",
+        "--scheme", "clique", "--seed", "1",
         "--out-edges", str(edges), "--out-manifest", str(manifest),
     ])
     capsys.readouterr()
@@ -517,41 +517,44 @@ def test_solve_rejects_lossy_stochastic_threshold_before_coupling(tmp_path, laye
     assert not (tmp_path / "result.json").exists()
 
 
-@pytest.mark.parametrize("scheme", ["lossy-average", "lossy-easiness", "lossy-involvement"])
-def test_couple_rejects_lossy_stochastic_threshold_before_coupling(tmp_path, layer_files, capsys, monkeypatch,
-                                                                   scheme):
-    # the coupled files would carry thresholds above 1, which simulate --model st then refuses
-    import muxlci.cli
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("coupled a scheme the model cannot run")
-
-    monkeypatch.setattr(muxlci.cli, "couple", refuse)
-    edges, manifest, summary = tmp_path / "coupled.txt", tmp_path / "manifest.csv", tmp_path / "summary.json"
-    code = main([
-        "couple", "--layer", layer_files[0], "--layer", layer_files[1], "--scheme", scheme, "--model", "st",
-        "--out-edges", str(edges), "--out-manifest", str(manifest), "--out", str(summary),
-    ])
+def test_simulate_refuses_stochastic_threshold_on_a_lossy_coupled_file(tmp_path, capsys):
+    # one coupling serves every model, but a lossy one folds b's two
+    # thresholds into 1.2, which cannot bound a stochastic threshold
+    one = write(tmp_path / "l1.txt", "# theta b 0.6\na b 1.0\n")
+    two = write(tmp_path / "l2.txt", "# theta b 0.6\nc b 1.0\n")
+    edges, manifest = tmp_path / "coupled.txt", tmp_path / "manifest.csv"
+    assert main(["couple", "--layer", one, "--layer", two, "--scheme", "lossy-average",
+                 "--out-edges", str(edges), "--out-manifest", str(manifest)]) == 0
+    capsys.readouterr()
+    seeds, out = write(tmp_path / "seeds.txt", "a\n"), tmp_path / "sim.json"
+    code = main(["simulate", "--coupled-edges", str(edges), "--coupled-manifest", str(manifest),
+                 "--seeds-file", seeds, "--hops", "2", "--model", "st", "--out", str(out)])
     assert code == 3
-    err = capsys.readouterr().err
-    assert f"{scheme!r} cannot run the stochastic threshold model without st_bounds" in err
-    assert "folds thresholds above 1" in err
-    assert not any(path.exists() for path in (edges, manifest, summary))
+    assert capsys.readouterr().err == "error: stochastic threshold bound for 'b' outside (0, 1]: 1.2\n"
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "couple", "simulate", "export-ilp"])
+@pytest.mark.parametrize("command", ["couple", "export-ilp"])
+@pytest.mark.parametrize("flag", [["--model", "ic"], ["--mc-samples", "5"]])
+def test_couple_and_export_ilp_take_no_model(tmp_path, layer_files, capsys, command, flag):
+    # a coupling is the same under every model, so the flags are unknown
+    extra = {"couple": ["--scheme", "clique", "--out-edges", str(tmp_path / "e.txt"),
+                        "--out-manifest", str(tmp_path / "m.csv")], "export-ilp": []}[command]
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--layer", layer_files[0], "--layer", layer_files[1], *extra, *flag,
+              "--out", str(tmp_path / "out.json")])
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["l1.txt", "l2.txt"]
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
 @pytest.mark.parametrize("model", ["lt", "ic", "st"])
 def test_mc_samples_below_one_exits_3_under_every_model(tmp_path, layer_files, capsys, command, model):
     # every command builds the same DiffusionModel, so the sample count is
     # checked even where the model does not sample
     seeds = write(tmp_path / "seeds.txt", "a\n")
-    extra = {
-        "solve": [],
-        "couple": ["--scheme", "clique", "--out-edges", str(tmp_path / "e.txt"),
-                   "--out-manifest", str(tmp_path / "m.csv")],
-        "simulate": ["--seeds-file", seeds, "--hops", "2"],
-        "export-ilp": [],
-    }[command]
+    extra = {"solve": [], "simulate": ["--seeds-file", seeds, "--hops", "2"]}[command]
     out = tmp_path / "out.json"
     code = main([command, "--layer", layer_files[0], "--layer", layer_files[1], *extra,
                  "--model", model, "--mc-samples", "0", "--out", str(out)])
@@ -694,6 +697,18 @@ def test_experiment_rejects_solver_field(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dropped", [["schemes"], ["betas"], ["schemes", "betas"]])
+def test_experiment_rejects_config_without_a_required_field(tmp_path, capsys, dropped):
+    config = {"schemes": ["clique"], "betas": [0.4], "hops": 2,
+              "synth": {"universe_size": 20, "layer_size": 15, "edge_prob": 0.12, "k": 2}}
+    config_path = write(tmp_path / "exp.json", json.dumps({k: v for k, v in config.items() if k not in dropped}))
+    out = tmp_path / "rows.csv"
+    code = main(["experiment", "--config", config_path, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: missing experiment fields: {dropped}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("document", ["[]", "5", "null", '"x"'])
 def test_experiment_rejects_config_that_is_not_an_object(tmp_path, capsys, document):
     config_path = write(tmp_path / "exp.json", document)
@@ -767,6 +782,7 @@ def synth_without(name):
     (SYNTH, {"overlap_values": [False]}, "overlap_values entry must be a number, not False"),
     (synth_without("k"), {"k_values": [[2]]}, "k_values entry must be an integer, not [2]"),
     (SYNTH, {"overlap_values": [0.2, {}]}, "overlap_values entry must be a number, not {}"),
+    ({**SYNTH, "overlap": 0.4}, {}, "unknown synth fields: ['overlap']"),
 ])
 def test_experiment_rejects_bad_synth_recipe(tmp_path, capsys, synth, fields, message):
     config = {"schemes": ["clique"], "betas": [0.4], "hops": 2, "synth": synth, **fields}

@@ -37,6 +37,7 @@ from muxlci.coupling import (
     NodeKinds,
     _layer_alphas,
 )
+from muxlci.network import WEIGHT_EPS
 
 from conftest import make_layer, random_network, random_seed_users
 from oracles import (
@@ -180,6 +181,24 @@ class TestCliqueCoupling:
         assert len(out.active.members) == (network.k + 1) * len(direct.active.members)
 
 
+class TestSyncEdgeWeighsOne:
+    @pytest.mark.parametrize("scheme", ["clique", "star", "reduced-clique", "reduced-star"])
+    def test_largest_accepted_threshold_synchronizes(self, scheme):
+        """A sync edge weighs 1, which reaches the bar of the largest
+        threshold the rule book accepts, 1 + WEIGHT_EPS: b activates in
+        layer 1, and its layer-2 vertex, at that threshold, follows."""
+        top = 1.0 + WEIGHT_EPS
+        network = MultiplexNetwork([make_layer(1, {("a", "b"): 1.0}, {"a": 0.5, "b": 0.5}),
+                                    make_layer(2, {("b", "c"): 1.0}, {"b": top, "c": top})])
+        assert validate(network) == []
+        coupled = couple(network, scheme)
+        assert {w for targets in coupled.graph.out for _, w in targets} == {1.0}
+        direct = multiplex_lt_propagate(network, {"a"}, 2)
+        assert direct.active.members == {"a", "b", "c"}
+        out = lt_propagate(coupled.graph, seed_nodes(coupled, {"a"}), 2 * coupled.hop_scale)
+        assert out.active.members == set(coupled.kinds)
+
+
 class TestStarCoupling:
     def test_size_formulas(self):
         network = random_network(7, max_users=25)
@@ -291,7 +310,7 @@ class TestStochasticSync:
         user's vertices all activate, so seeding every user covers the
         whole coupled graph in every sample."""
         network = random_network(7, max_users=20)
-        coupled = couple(network, scheme, model_kind="stochastic_threshold")
+        coupled = couple(network, scheme)
         model = DiffusionModel("stochastic_threshold", mc_samples=20, rng_seed=3, st_bounds=bound)
         outcome = st_propagate(coupled.graph, list(coupled.user_of), coupled.hop_scale - 1, model)
         assert outcome.coverage_weight == coupled.graph.total_weight
@@ -302,12 +321,11 @@ class TestLosslessBuilderMatchesReference:
     separate builders it replaced did."""
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4),
-           st.sampled_from(sorted(LOSSLESS_REFERENCES)),
-           st.sampled_from(["linear_threshold", "independent_cascade", "stochastic_threshold"]))
-    def test_couple_equals_reference_builder(self, seed, k, scheme, model_kind):
+           st.sampled_from(sorted(LOSSLESS_REFERENCES)))
+    def test_couple_equals_reference_builder(self, seed, k, scheme):
         network = builder_network(seed, k)
-        ours = couple(network, scheme, model_kind=model_kind)
-        ref = LOSSLESS_REFERENCES[scheme](network, model_kind=model_kind)
+        ours = couple(network, scheme)
+        ref = LOSSLESS_REFERENCES[scheme](network)
         for field in ("node_ids", "index", "out", "theta", "bar", "node_weight", "total_weight"):
             assert getattr(ours.graph, field) == getattr(ref.graph, field), field
         for field in ("kinds", "user_of", "hop_scale", "scheme", "k"):
@@ -637,13 +655,12 @@ class TestCoupledExport:
         if fault == "kind":
             assert message.endswith(": unknown kind 'x1'")
 
-    @pytest.mark.parametrize("model_kind", ["linear_threshold", "independent_cascade"])
     @pytest.mark.parametrize("scheme", COUPLING_SCHEMES)
     @given(seed=st.integers(min_value=0, max_value=10_000), k=st.integers(min_value=1, max_value=4))
-    def test_write_matches_sort_all_triples_writer(self, scheme, model_kind, seed, k):
+    def test_write_matches_sort_all_triples_writer(self, scheme, seed, k):
         """Streaming each source's sorted out-list in id order writes the
         bytes of sorting every edge triple at once."""
-        coupled = couple(builder_network(seed, k), scheme, model_kind=model_kind)
+        coupled = couple(builder_network(seed, k), scheme)
         ours, ref = (io.StringIO(), io.StringIO()), (io.StringIO(), io.StringIO())
         write_coupled(coupled, *ours)
         reference_write_coupled(coupled, *ref)
@@ -809,13 +826,12 @@ class TestCoupledExport:
         rng.shuffle(edge_lines)
         assert same_rejection(edge_lines, rows).startswith("duplicate edge ")
 
-    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(COUPLING_SCHEMES),
-           st.sampled_from(["linear_threshold", "independent_cascade"]))
-    def test_read_matches_two_pass_reader(self, seed, scheme, model_kind):
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(COUPLING_SCHEMES))
+    def test_read_matches_two_pass_reader(self, seed, scheme):
         """One-pass reading builds the graph the two-pass reader builds,
         field for field and in every out-list's order, also from a file
         with its lines shuffled and comments and blank lines mixed in."""
-        coupled = couple(random_network(seed, max_users=20), scheme, model_kind=model_kind)
+        coupled = couple(random_network(seed, max_users=20), scheme)
         edge_lines, rows = written(coupled)
         rng = random.Random(seed)
         rng.shuffle(edge_lines)
@@ -882,7 +898,7 @@ class TestStochasticModelCoupling:
 
         network = generate(SynthSpec(12, [(9, 0.25), (9, 0.25)], None, 2))
         seeds = set(sorted(network.universe)[:2])
-        coupled = couple(network, "clique", model_kind="independent_cascade")
+        coupled = couple(network, "clique")
         # cascade probability through sync edges is 1
         sync_weights = {
             w for u, targets in enumerate(coupled.graph.out) for v, w in targets

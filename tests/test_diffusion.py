@@ -742,7 +742,7 @@ class TestMonteCarloMatchesReference:
     @pytest.mark.parametrize("seed", [3, 8])
     def test_greedy_matches_reference_engine(self, monkeypatch, kind, scheme, name, reference, seed):
         network = random_network(seed, max_users=25, max_layers=2)
-        coupled = couple(network, scheme, model_kind=kind)
+        coupled = couple(network, scheme)
         cfg = GreedyConfig(0.5, 3, model=DiffusionModel(kind, mc_samples=8, rng_seed=seed))
         ours = improved_greedy(coupled, cfg)
         monkeypatch.setattr(muxlci.solver, name, reference)
@@ -848,3 +848,33 @@ class TestMultiplexIndexPreconditions:
         multiplex_lt_propagate(two_layer_toy, {"e"}, 2)
         assert all(a is b for a, b in zip(built, derived()))
         assert built[0] == ("a", "b", "c", "d", "e") and built[2] == {"b", "c"}
+
+
+class TestHopBudget:
+    """Every diffusion run checks its hop budget alike: an int, not a
+    bool, and at least 0."""
+
+    RUNNERS = {
+        "lt": lambda net, graph, hops: lt_propagate(graph, {"a"}, hops),
+        "ic": lambda net, graph, hops: ic_propagate(graph, {"a"}, hops, DiffusionModel("independent_cascade")),
+        "st": lambda net, graph, hops: st_propagate(graph, {"a"}, hops, DiffusionModel("stochastic_threshold")),
+        "multiplex": lambda net, graph, hops: multiplex_lt_propagate(net, {"a"}, hops),
+        "layer": lambda net, graph, hops: _layer_lt_propagate(net, 1, {"a"}, hops),
+    }
+
+    @pytest.mark.parametrize("hops, message", [
+        (1.5, "^hop budget must be an integer, not 1.5$"),
+        (True, "^hop budget must be an integer, not True$"),
+        (-1, "^hop budget must be >= 0$"),
+    ])
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_bad_budget_rejected(self, two_layer_toy, runner, hops, message):
+        graph = chain_graph(["a", "b", "c"])
+        with pytest.raises(ValueError, match=message):
+            self.RUNNERS[runner](two_layer_toy, graph, hops)
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_zero_budget_keeps_the_seeds(self, two_layer_toy, runner):
+        outcome = self.RUNNERS[runner](two_layer_toy, chain_graph(["a", "b", "c"]), 0)
+        assert outcome.active.members == {"a"}
+        assert outcome.hops_used == 0

@@ -30,7 +30,7 @@ from muxlci.experiment import (
     write_rows_csv,
 )
 
-from conftest import half_weight_sync, make_layer, random_network
+from conftest import DEPTH, half_weight_sync, make_layer, random_network
 from oracles import reference_external_influence, reference_run_experiment
 
 
@@ -85,14 +85,14 @@ class TestGuaranteeCheck:
         # the replay still meets beta, so only the equality check sees it
         monkeypatch.setattr(muxlci.experiment, "couple", half_weight_sync)
         with pytest.raises(RuntimeError, match=r"^pipeline soundness violated: lossless clique replayed fraction "
-                                               r"0\.822\d* differs from coupled fraction 0\.518\d*$"):
+                                               r"0\.822\d* differs from coupled fraction 0\.511\d*$"):
             solve_pipeline(overlap_network, "clique", GreedyConfig(0.5, 3))
 
     def test_lossy_replay_below_coupled_raises(self, overlap_network, monkeypatch):
-        def eased(network, scheme, model_kind="linear_threshold"):
+        def eased(network, scheme):
             # every coupled threshold at 1e-3: one seed floods the coupled
             # graph, but not the multiplex
-            coupled = couple(network, scheme, model_kind=model_kind)
+            coupled = couple(network, scheme)
             ids = coupled.graph.node_ids
             edges = [(ids[iu], ids[iv], w) for iu, targets in enumerate(coupled.graph.out) for iv, w in targets]
             return dataclasses.replace(coupled, graph=InfluenceGraph(ids, edges, {u: 1e-3 for u in ids}))
@@ -339,6 +339,8 @@ class TestRunExperiment:
         ({"k_values": [2, 3], "overlap_values": [0.2, 0.9]},
          "^k_values and overlap_values are two sweeps: set one of them$"),
         ({"out": 5}, "^out must be a path, not 5$"),
+        ({"synth": {"universe_size": 10, "layer_size": 8, "edge_prob": 0.1, "k": 2, "overlap": 0.4}},
+         r"^unknown synth fields: \['overlap'\]$"),
     ])
     def test_bad_sweep_rejected_before_any_cell(self, fields, message):
         spec = {"schemes": ["clique"], "betas": [0.5], "hops": 2,
@@ -575,7 +577,7 @@ class TestOddConfigValues:
     fails at load or runs clean: ``muxlci experiment`` exits 3 before
     the first cell, or 0 with no error row, and never with a traceback."""
 
-    @settings(max_examples=150)
+    @settings(max_examples=150 * DEPTH)
     @given(st.sampled_from(ODD_FIELD_BASES), st.sampled_from(ODD_FIELD_PATHS), ODD_JSON)
     @example(ODD_FIELD_BASES[0], ("k_values",), [[]])
     @example(ODD_FIELD_BASES[0], ("overlap_values",), [0.5, {}])

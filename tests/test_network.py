@@ -378,9 +378,9 @@ class TestValidate:
 
 # the layer faults that leave a coupling or the multiplex sweep undefined
 LAYER_FAULTS = ("self-loop", "negative weight", "unset weight", "outside endpoint",
-                "zero threshold", "negative threshold", "nan threshold")
+                "zero threshold", "negative threshold", "nan threshold", "threshold above 1")
 # the invariants only validate checks
-MODEL_FAULTS = ("weight above 1", "infinite weight", "threshold above 1", "unknown threshold",
+MODEL_FAULTS = ("weight above 1", "infinite weight", "unknown threshold",
                 "in-weight excess", "extra node", "layer index")
 # the values a fault sets on one edge, or on one user's threshold
 EDGE_FAULTS = {"negative weight": (-5e-324, -0.5), "unset weight": (None,), "weight above 1": (1.5,),
@@ -422,6 +422,20 @@ class TestLayerRuleBook:
     def test_every_entry_point_raises_the_validate_message(self, two_layer_toy, edges, thresholds, message):
         two_layer_toy.layers[0].edges.update(edges)
         two_layer_toy.layers[0].thresholds.update(thresholds)
+        assert validate(two_layer_toy) == [message]
+        for scheme in COUPLING_SCHEMES:
+            with pytest.raises(ValueError) as raised:
+                couple(two_layer_toy, scheme)
+            assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            multiplex_lt_propagate(two_layer_toy, {"a"}, 2)
+        assert str(raised.value) == message
+
+    def test_threshold_above_one_rejected_by_every_entry_point(self, two_layer_toy):
+        # a lossless sync edge weighs 1, which activates its target alone
+        # only up to a threshold of 1
+        two_layer_toy.layers[0].thresholds["b"] = 1.5
+        message = "layer 1: node 'b' threshold 1.5 exceeds 1"
         assert validate(two_layer_toy) == [message]
         for scheme in COUPLING_SCHEMES:
             with pytest.raises(ValueError) as raised:

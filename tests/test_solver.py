@@ -120,7 +120,7 @@ class TestImprovedGreedy:
                 network = random_network(seed, max_users=40)
                 cfg = GreedyConfig(0.9, 2, model=DiffusionModel(kind, mc_samples=6, rng_seed=seed))
                 for scheme in schemes:
-                    coupled = couple(network, scheme, model_kind=kind)
+                    coupled = couple(network, scheme)
                     assert improved_greedy(coupled, replace(cfg, R=1)) == naive_greedy(coupled, cfg), (kind, scheme)
 
     def test_default_parameters_match_naive_size(self):
@@ -251,7 +251,7 @@ class TestStochasticGreedyPinned:
     @pytest.mark.parametrize("kind", ["independent_cascade", "stochastic_threshold"])
     @pytest.mark.parametrize("seed,scheme", [(141, "clique"), (142, "reduced-star"), (144, "star")])
     def test_seed_users_and_gains(self, seed, scheme, kind, solver):
-        coupled = couple(random_network(seed, max_users=20), scheme, model_kind=kind)
+        coupled = couple(random_network(seed, max_users=20), scheme)
         cfg = GreedyConfig(0.7, 2, T=3, R=2, model=DiffusionModel(kind, mc_samples=6, rng_seed=seed))
         run = solver(coupled, cfg)
         assert (run.users, run.gains) == self.PINNED[(seed, scheme, kind, solver.__name__)]
@@ -355,7 +355,7 @@ class TestOracleCallCount:
         monkeypatch.setattr(muxlci.solver, name, counting)
         monkeypatch.setattr(muxlci.solver, "lt_propagate", refuse)
         network = random_network(155, max_users=20, max_layers=2)
-        coupled = couple(network, scheme, model_kind=kind)
+        coupled = couple(network, scheme)
         cfg = GreedyConfig(0.9, 2, T=3, R=2, model=DiffusionModel(kind, mc_samples=3, rng_seed=5))
         seed_set = improved_greedy(coupled, cfg)
         assert len(seed_set.users) > DELTA_MIN_SEEDS
@@ -377,7 +377,7 @@ class TestOracleCallCount:
 
         monkeypatch.setattr(muxlci.solver, "_st_bars", counting)
         network = random_network(156, max_users=20, max_layers=2)
-        coupled = couple(network, scheme, model_kind="stochastic_threshold")
+        coupled = couple(network, scheme)
         model = DiffusionModel("stochastic_threshold", mc_samples=3, rng_seed=5)
         seed_set = improved_greedy(coupled, GreedyConfig(0.9, 2, T=3, R=R, model=model))
         selections = len(seed_set.users)
@@ -395,7 +395,7 @@ class TestFullRerunGreedy:
            st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=4))
     def test_improved_greedy_equals_full_rerun_greedy(self, kind, seed, scheme, T, R):
         network = random_network(seed, max_users=25)
-        coupled = couple(network, scheme, model_kind=kind)
+        coupled = couple(network, scheme)
         # lossy thresholds fold above 1, outside the default stochastic bounds
         bounds = 1.0 if scheme.startswith("lossy-") else None
         model = DiffusionModel(kind, mc_samples=3, rng_seed=seed, st_bounds=bounds)
