@@ -11,12 +11,14 @@ from hypothesis import given, strategies as st
 from muxlci import (
     COUPLING_SCHEMES,
     GreedyConfig,
+    InfluenceGraph,
     LayerGraph,
     MultiplexNetwork,
     DiffusionModel,
     SynthSpec,
     couple,
     generate,
+    ic_propagate,
     improved_greedy,
     lt_propagate,
     multiplex_lt_propagate,
@@ -655,16 +657,39 @@ class TestCoupledExport:
         if fault == "kind":
             assert message.endswith(": unknown kind 'x1'")
 
+    @pytest.mark.parametrize("model_kind", ["linear_threshold", "independent_cascade"])
     @pytest.mark.parametrize("scheme", COUPLING_SCHEMES)
     @given(seed=st.integers(min_value=0, max_value=10_000), k=st.integers(min_value=1, max_value=4))
-    def test_write_matches_sort_all_triples_writer(self, scheme, seed, k):
+    def test_write_matches_sort_all_triples_writer(self, scheme, model_kind, seed, k):
         """Streaming each source's sorted out-list in id order writes the
-        bytes of sorting every edge triple at once."""
-        coupled = couple(builder_network(seed, k), scheme)
+        bytes of sorting every edge triple at once, and the one coupling,
+        read back from those bytes, runs ``model_kind`` as it runs in
+        memory.  Linear threshold ignores out-list order; independent
+        cascade draws in edge order, so it is checked against the
+        in-memory graph with each out-list in target-id order, the
+        order the file lists them."""
+        network = builder_network(seed, k)
+        coupled = couple(network, scheme)
         ours, ref = (io.StringIO(), io.StringIO()), (io.StringIO(), io.StringIO())
         write_coupled(coupled, *ours)
         reference_write_coupled(coupled, *ref)
         assert [buf.getvalue() for buf in ours] == [buf.getvalue() for buf in ref]
+        graph, _, _ = read_coupled(ours[0].getvalue().splitlines(), ours[1].getvalue().splitlines())
+        seeds = seed_nodes(coupled, random_seed_users(network, seed))
+        hops = 2 * coupled.hop_scale
+        memory = coupled.graph
+        if model_kind == "linear_threshold":
+            run = functools.partial(lt_propagate, seeds=seeds, hops=hops)
+        else:
+            run = functools.partial(ic_propagate, seeds=seeds, hops=hops,
+                                    model=DiffusionModel(model_kind, mc_samples=5, rng_seed=seed))
+            ids = memory.node_ids
+            memory = InfluenceGraph(
+                ids,
+                [(u, ids[iv], w) for iu, u in enumerate(ids)
+                 for iv, w in sorted(memory.out[iu], key=lambda edge: ids[edge[0]])],
+                dict(zip(ids, memory.theta)), dict(zip(ids, memory.node_weight)))
+        assert run(graph) == run(memory)
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4),
            st.sampled_from(sorted(LOSSLESS_REFERENCES)))
