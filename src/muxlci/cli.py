@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 input format error, 3 invalid value/configuration,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -30,8 +31,8 @@ from .diffusion import (
     st_propagate,
     write_trace,
 )
-from .experiment import ExperimentSpec, run_experiment, solve_pipeline, write_rows_csv
-from .generator import SynthSpec, generate, small_ilp_instance, spec_echo
+from .experiment import ExperimentSpec, _model_record, run_experiment, solve_pipeline, write_rows_csv
+from .generator import SynthSpec, generate, small_ilp_instance
 # muxbench spans.bindings wraps load_layer_file and validate here; test_benchmark_selftest fails without them
 from .network import LayerFormatError, load_layer_file, load_network, serialize_layer, validate  # noqa: F401
 from .solver import GreedyConfig, export_ilp
@@ -101,7 +102,7 @@ def cmd_generate(args):
         universe = DEFAULT_UNIVERSE if args.universe is None else args.universe
         spec = SynthSpec(universe, per_layer, args.overlap, args.seed)
         network = generate(spec)
-        echo = spec_echo(spec)
+        echo = dataclasses.asdict(spec)
     os.makedirs(args.out, exist_ok=True)
     paths = []
     for layer in network.layers:
@@ -175,7 +176,7 @@ def cmd_simulate(args):
     _write_json({
         "seeds": sorted(seeds),
         "hops": args.hops,
-        "model": args.model,
+        "model": _model_record(model),
         "coverage_count": outcome.coverage_count,
         "coverage_weight": outcome.coverage_weight,
         "coverage_fraction": covered / total if total else 0.0,
@@ -199,12 +200,13 @@ def cmd_solve(args):
 
 
 def cmd_export_ilp(args):
-    network, _ = load_network(args.layer, args.alias, args.seed)
+    network, normalized = load_network(args.layer, args.alias, args.seed)
     coupled = couple(network, args.scheme)
     cfg = GreedyConfig(args.beta, args.hops)
     with open(args.out, "w", encoding="utf-8") as handle:
         summary = export_ilp(coupled, cfg, handle)
-    summary.update({"scheme": coupled.scheme, "out": args.out, "version": __version__})
+    summary.update({"scheme": coupled.scheme, "out": args.out, "normalized_layers": normalized,
+                    "rng_seed": args.seed, "version": __version__})
     _write_json(summary, None)
     return 0
 
@@ -212,15 +214,12 @@ def cmd_export_ilp(args):
 def cmd_experiment(args):
     with open(args.config, encoding="utf-8") as handle:
         spec = ExperimentSpec.from_json(handle.read())
-    out = args.out or spec.out
-    if not out:
-        raise ValueError("no output path: pass --out or set 'out' in the config")
-    if not os.path.isdir(os.path.dirname(out) or "."):
-        raise ValueError(f"cannot write {out}: its directory does not exist")
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"cannot write {args.out}: its directory does not exist")
     rows = run_experiment(spec)
-    write_rows_csv(rows, out, spec=spec)
+    write_rows_csv(rows, args.out, spec=spec)
     failed = sum(1 for row in rows if row["status"] != "ok")
-    print(f"{len(rows)} cells -> {out} ({failed} failed)")
+    print(f"{len(rows)} cells -> {args.out} ({failed} failed)")
     return 0
 
 
@@ -301,7 +300,7 @@ def build_parser():
 
     p = sub.add_parser("experiment", help="run a sweep from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", required=True, help="CSV table path; its .meta.json sidecar goes beside it")
     p.set_defaults(func=cmd_experiment)
 
     return parser

@@ -21,7 +21,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from . import __version__
 from .coupling import COUPLING_SCHEMES, check_scheme_model, couple
@@ -185,10 +185,12 @@ def _layer_results(network, layer_index, cfgs, memo):
     return memo[key]
 
 
-def _union_results(network, cfgs, memo):
+def union_baseline(network, cfgs, memo):
     """Per config, the union of each layer's own lossy-average seeds,
-    with one shared solve per layer (see ``_layer_results``), whose
-    times are counted in every row."""
+    replayed on the multiplex.  ``cfgs`` differ only in beta; each layer
+    is solved once for all of them through ``memo``, under the contract
+    of ``_layer_results``, and that time counts in every row.  One
+    config alone is ``[cfg]`` with a fresh ``{}``."""
     per_layer = [_layer_results(network, layer.layer_index, cfgs, memo) for layer in network.layers]
     results = []
     for cfg, layer_results in zip(cfgs, zip(*per_layer)):
@@ -198,27 +200,15 @@ def _union_results(network, cfgs, memo):
     return results
 
 
-def union_baseline(network, cfg):
-    """Solve each layer separately at the same beta and pool the seeds."""
-    (result,) = _union_results(network, [cfg], {})
-    return result
-
-
-def _only_results(network, layer_index, cfgs, memo):
-    """Per config, one layer's own lossy-average seeds replayed on the
-    full multiplex, with one shared solve (see ``_layer_results``)."""
+def only_baseline(network, layer_index, cfgs, memo):
+    """Per config, one layer's own lossy-average seeds (target: beta of
+    that layer's node count) replayed on the full multiplex; ``cfgs``
+    and ``memo`` as in :func:`union_baseline`."""
     return [
         _result(network, cfg, f"only:{layer_index}", result["seed_users"], result["gains"],
                 result["coupled_fraction"], result["wall_time_ms"])
         for cfg, result in zip(cfgs, _layer_results(network, layer_index, cfgs, memo))
     ]
-
-
-def only_baseline(network, layer_index, cfg):
-    """Solve one layer in isolation (coverage target: beta of that
-    layer's node count) and replay the seeds on the full multiplex."""
-    (result,) = _only_results(network, layer_index, [cfg], {})
-    return result
 
 
 def external_influence_fraction(network, seeds, hops, target_layer_index, full):
@@ -279,13 +269,16 @@ class ExperimentSpec:
     times the universe *base* size instead of the realized union,
     matching fixed-audience protocols.  Every cell but "direct" runs the
     lazy greedy with ``T`` and ``R``; ``R = 1`` re-evaluates every
-    candidate in every iteration, which is the plain greedy.
+    candidate in every iteration, which is the plain greedy.  The spec
+    holds what reproduces the table, not where it goes: the table's
+    path is ``muxlci experiment --out``, and a config naming ``out`` is
+    refused as an unknown field.
 
     A sweep that could only fail cell by cell raises ValueError before
     its first network.  The spec raises at load for a list field
     (``schemes``, ``betas``, ``k_values``, ``overlap_values``,
     ``layer_files``) that is not a list, a scheme that is not a string,
-    a layer file, ``alias_file`` or ``out`` that is not a path, an
+    a layer file or ``alias_file`` that is not a path, an
     ``alias_file`` without ``layer_files``, a ``synth`` that is not a
     mapping, has a key outside ``SYNTH_FIELDS`` or whose ``per_layer``
     is not a list of pairs, a
@@ -322,7 +315,6 @@ class ExperimentSpec:
     overlap_values: list = None
     beta_of_base: bool = False
     target_layer: int = 1
-    out: str = None
 
     def __post_init__(self):
         for name in ("schemes", "betas", "k_values", "overlap_values", "layer_files"):
@@ -344,8 +336,6 @@ class ExperimentSpec:
         for path in [*(self.layer_files or ()), self.alias_file]:
             if path is not None and not isinstance(path, (str, os.PathLike)):
                 raise ValueError(f"layer_files and alias_file must be paths, not {path!r}")
-        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
-            raise ValueError(f"out must be a path, not {self.out!r}")
         if self.alias_file is not None and self.layer_files is None:
             raise ValueError("alias_file merges the users of layer_files, not of a synth network")
         if not isinstance(self.beta_of_base, bool):
@@ -453,9 +443,9 @@ def _sweep(spec):
 
 def _results(network, scheme, cfgs, memo):
     if scheme == "union":
-        return _union_results(network, cfgs, memo)
+        return union_baseline(network, cfgs, memo)
     if scheme.startswith("only:"):
-        return _only_results(network, int(scheme[5:]), cfgs, memo)
+        return only_baseline(network, int(scheme[5:]), cfgs, memo)
     return _pipeline_results(network, scheme, cfgs)
 
 
@@ -555,9 +545,7 @@ def run_experiment(spec):
 
 def experiment_metadata(spec):
     """Everything needed to regenerate an experiment table bit-identically."""
-    record = {name: getattr(spec, name) for name in spec.__dataclass_fields__}
-    record["version"] = __version__
-    return record
+    return {**asdict(spec), "version": __version__}
 
 
 def write_rows_csv(rows, path, spec):

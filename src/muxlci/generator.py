@@ -163,12 +163,3 @@ def small_ilp_instance(rng_seed):
     halves = [sorted(order[:50]), sorted(order[50:])]
     return _network(users, halves, [0.04, 0.04], rng_seed)
 
-
-def spec_echo(spec):
-    """JSON-serializable provenance record for a generated network."""
-    return {
-        "universe_size": spec.universe_size,
-        "per_layer": [[size, prob] for size, prob in spec.per_layer],
-        "overlap_fraction": spec.overlap_fraction,
-        "rng_seed": spec.rng_seed,
-    }

@@ -862,7 +862,8 @@ def reference_external_influence(network, seeds, hops, target_layer_index):
 
 def reference_run_experiment(spec):
     """``run_experiment`` cell by cell: one ``solve_pipeline``,
-    ``union_baseline`` or ``only_baseline`` call per cell, and the
+    ``union_baseline`` or ``only_baseline`` call of one config per cell
+    (with a fresh memo, so no cell shares a solve), and the
     external influence from ``reference_external_influence``."""
     from muxlci import experiment as ex
     from muxlci.generator import generate, subseed
@@ -900,9 +901,9 @@ def reference_run_experiment(spec):
                 effective_beta = min(1.0, beta * spec.synth["universe_size"] / len(network.universe))
             cfg = GreedyConfig(effective_beta, spec.hops, spec.T, spec.R, model=model)
             if scheme == "union":
-                result = ex.union_baseline(network, cfg)
+                (result,) = ex.union_baseline(network, [cfg], {})
             elif scheme.startswith("only:"):
-                result = ex.only_baseline(network, int(scheme[5:]), cfg)
+                (result,) = ex.only_baseline(network, int(scheme[5:]), [cfg], {})
             else:
                 result = ex.solve_pipeline(network, scheme, cfg)
             composition = ex.seed_composition(network, result["seed_users"], result["replay_outcome"])

@@ -263,7 +263,7 @@ def test_criterion_7_protocol_trends():
     for rep in range(10):
         network = generate(SynthSpec(50, [(30, 0.12), (30, 0.12)], 0.5, subseed(1000, f"a/{rep}")))
         cfg = GreedyConfig(0.5, 3)
-        pooled = union_baseline(network, cfg)
+        (pooled,) = union_baseline(network, [cfg], {})
         coupled = solve_pipeline(network, "clique", cfg)
         union_larger += pooled["seed_size"] > coupled["seed_size"]
 

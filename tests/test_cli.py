@@ -175,6 +175,25 @@ def test_simulate_coupled_graph_stochastic(tmp_path, layer_files, capsys):
     assert {"gateway", "representative"} <= kinds
 
 
+@pytest.mark.parametrize("model, mc_samples", [("ic", "50"), ("st", "30")])
+def test_simulate_record_reruns_to_the_same_coverage(tmp_path, layer_files, capsys, model, mc_samples):
+    """The record names the model with its sample count and seed, so a
+    stochastic simulate reruns from the record alone."""
+    edges, manifest = tmp_path / "coupled.txt", tmp_path / "manifest.csv"
+    assert main(["couple", *[arg for path in layer_files for arg in ("--layer", path)], "--scheme", "clique",
+                 "--out-edges", str(edges), "--out-manifest", str(manifest)]) == 0
+    capsys.readouterr()
+    seeds = write(tmp_path / "seeds.txt", "a@g\n")
+    coupled = ["simulate", "--coupled-edges", str(edges), "--coupled-manifest", str(manifest), "--seeds-file", seeds]
+    assert main([*coupled, "--hops", "4", "--model", model, "--mc-samples", mc_samples, "--seed", "9"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    kind = {"ic": "independent_cascade", "st": "stochastic_threshold"}[model]
+    assert record["model"] == {"kind": kind, "mc_samples": int(mc_samples), "rng_seed": 9}
+    assert main([*coupled, "--hops", str(record["hops"]), "--model", record["model"]["kind"],
+                 "--mc-samples", str(record["model"]["mc_samples"]), "--seed", str(record["model"]["rng_seed"])]) == 0
+    assert json.loads(capsys.readouterr().out) == record
+
+
 @pytest.mark.parametrize("scheme, seed", [("star", "c@g"), ("reduced-clique", "c@u"), ("lossy-average", "c")])
 def test_simulate_coupled_trace_names_each_node_kind(tmp_path, layer_files, capsys, scheme, seed):
     """Each trace row carries its own node's kind from the manifest: the
@@ -578,6 +597,27 @@ def test_export_ilp_writes_program(tmp_path, layer_files, capsys):
     assert summary["variables"] == 15 * 5  # (k+1)*n nodes, 2d+1 rounds
 
 
+def test_export_ilp_summary_holds_the_draws_of_its_program(tmp_path, capsys):
+    """The .lp file's weights and thresholds are drawn from --seed, so the
+    summary records it and the normalized layers, as couple's does, and
+    a rerun from the summary writes the same program."""
+    one = write(tmp_path / "l1.txt", "a b\nc b\nb c 1.0\n")
+    two = write(tmp_path / "l2.txt", "b c 0.5\ne c 0.5\nc e 1.0\n")
+    layers = ["--layer", one, "--layer", two]
+    first, again = tmp_path / "first.lp", tmp_path / "again.lp"
+    assert main(["export-ilp", *layers, "--seed", "3", "--out", str(first)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert main(["couple", *layers, "--scheme", "clique", "--seed", "3", "--out-edges", str(tmp_path / "e.txt"),
+                 "--out-manifest", str(tmp_path / "m.csv")]) == 0
+    coupled = json.loads(capsys.readouterr().out)
+    assert summary["normalized_layers"] == coupled["normalized_layers"] == [1]
+    assert summary["rng_seed"] == coupled["rng_seed"] == 3
+    assert main(["export-ilp", *layers, "--seed", str(summary["rng_seed"]), "--out", str(again)]) == 0
+    assert again.read_text() == first.read_text()
+    assert main(["export-ilp", *layers, "--seed", "4", "--out", str(again)]) == 0
+    assert again.read_text() != first.read_text()
+
+
 def test_experiment_from_config(tmp_path, capsys):
     config = {
         "schemes": ["clique", "union"],
@@ -649,13 +689,13 @@ def test_experiment_rejects_bad_sweep(tmp_path, capsys, fields, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("fields,message", [
-    ({}, "no output path: pass --out or set 'out' in the config"),
-    ({"out": 5}, "out must be a path, not 5"),
-], ids=["no-out", "non-path-out"])
-def test_experiment_without_an_output_path_runs_no_cell(tmp_path, capsys, monkeypatch, fields, message):
-    """Exit 3 before the first cell, writing no file: not the table, and
-    not the temporary file of its atomic write in the working directory."""
+@pytest.mark.parametrize("fields,flags", [({}, []), ({"out": 5}, ["--out", "table.csv"])],
+                         ids=["no-out", "non-path-out"])
+def test_experiment_without_an_output_path_runs_no_cell(tmp_path, capsys, monkeypatch, fields, flags):
+    """The table's path is --out alone: without it the parser exits 2, and
+    a config naming ``out`` exits 3 as an unknown field.  Neither runs a
+    cell or writes a file: not the table, and not the temporary file of
+    its atomic write in the working directory."""
     import muxlci.cli
 
     config = {"schemes": ["clique"], "betas": [0.4], "hops": 2,
@@ -664,8 +704,14 @@ def test_experiment_without_an_output_path_runs_no_cell(tmp_path, capsys, monkey
     runs = []
     monkeypatch.setattr(muxlci.cli, "run_experiment", lambda spec: runs.append(spec) or [])
     monkeypatch.chdir(tmp_path)
-    assert main(["experiment", "--config", config_path]) == 3
-    assert capsys.readouterr().err == f"error: {message}\n"
+    if flags:
+        assert main(["experiment", "--config", config_path, *flags]) == 3
+        assert capsys.readouterr().err == "error: unknown experiment fields: ['out']\n"
+    else:
+        with pytest.raises(SystemExit) as exited:
+            main(["experiment", "--config", config_path])
+        assert exited.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
     assert runs == []
     assert [path.name for path in tmp_path.iterdir()] == ["exp.json"]
 

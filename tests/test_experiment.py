@@ -122,14 +122,14 @@ class TestGuaranteeCheck:
 class TestBaselines:
     def test_union_pools_layer_solutions(self, overlap_network):
         cfg = GreedyConfig(0.5, 3)
-        result = union_baseline(overlap_network, cfg)
+        (result,) = union_baseline(overlap_network, [cfg], {})
         assert result["scheme"] == "union"
         assert result["seed_size"] >= 1
         assert len(set(result["seed_users"])) == result["seed_size"]
 
     def test_only_solves_single_layer(self, overlap_network):
         cfg = GreedyConfig(0.5, 3)
-        result = only_baseline(overlap_network, 1, cfg)
+        (result,) = only_baseline(overlap_network, 1, [cfg], {})
         assert result["scheme"] == "only:1"
         layer = overlap_network.layer_by_index(1)
         replay = multiplex_lt_propagate(overlap_network, set(result["seed_users"]), 3)
@@ -338,7 +338,6 @@ class TestRunExperiment:
         ({"alias_file": "aliases.txt"}, "^alias_file merges the users of layer_files, not of a synth network$"),
         ({"k_values": [2, 3], "overlap_values": [0.2, 0.9]},
          "^k_values and overlap_values are two sweeps: set one of them$"),
-        ({"out": 5}, "^out must be a path, not 5$"),
         ({"synth": {"universe_size": 10, "layer_size": 8, "edge_prob": 0.1, "k": 2, "overlap": 0.4}},
          r"^unknown synth fields: \['overlap'\]$"),
     ])
@@ -473,8 +472,9 @@ class TestSharedSolve:
         assert rows[1]["error"] == "ValueError: refused beta 0.8"
 
     @staticmethod
-    def count_solves(monkeypatch):
-        """Record every coupling and greedy call run_experiment makes."""
+    def count_solves(monkeypatch, names=("couple", "improved_greedy")):
+        """Record every call run_experiment makes to the ``names`` of
+        ``muxlci.experiment``: by default each coupling and greedy run."""
         from muxlci import experiment
 
         calls = []
@@ -487,7 +487,7 @@ class TestSharedSolve:
                 return original(*args, **kwargs)
             return wrapper
 
-        for name in ("couple", "improved_greedy"):
+        for name in names:
             monkeypatch.setattr(experiment, name, counted(name))
         return calls
 
@@ -511,13 +511,23 @@ class TestSharedSolve:
         monkeypatch.undo()
         assert _untimed(rows) == _untimed(reference_run_experiment(spec))
 
+    def test_baselines_run_through_their_module_names(self, monkeypatch):
+        # the names a caller, or a tracer, replaces on the module are the ones the sweep runs
+        calls = self.count_solves(monkeypatch, names=("union_baseline", "only_baseline"))
+        spec = ExperimentSpec(schemes=["only:2", "union", "clique", "only:1"], betas=[0.3, 0.6],
+                              hops=2, repetitions=2, base_seed=8, synth=SMALL)
+        rows = run_experiment(spec)
+        assert len(rows) == 16 and all(row["status"] == "ok" for row in rows)
+        # one call per baseline group, each for both betas
+        assert calls == ["only_baseline", "union_baseline", "only_baseline"] * 2
+
     def test_shared_layer_solve_time_in_every_row(self, overlap_network):
         from muxlci import experiment
 
         cfgs = [GreedyConfig(beta, 2) for beta in (0.3, 0.6)]
         memo = {}
-        union = experiment._union_results(overlap_network, cfgs, memo)
-        only = experiment._only_results(overlap_network, 2, cfgs, memo)
+        union = experiment.union_baseline(overlap_network, cfgs, memo)
+        only = experiment.only_baseline(overlap_network, 2, cfgs, memo)
         assert len(memo) == 2
         for i, cfg in enumerate(cfgs):
             layer_ms = {layer: results[i]["wall_time_ms"] for (layer, _), results in memo.items()}
@@ -550,7 +560,7 @@ ODD_FIELD_BASES = [
 ODD_FIELD_PATHS = [
     *[(name,) for name in ("schemes", "betas", "hops", "T", "R", "repetitions", "base_seed", "synth",
                            "layer_files", "alias_file", "model", "k_values", "overlap_values",
-                           "beta_of_base", "target_layer", "out")],
+                           "beta_of_base", "target_layer")],
     ("schemes", 0), ("betas", 0),
     *[("synth", name) for name in ("universe_size", "layer_size", "edge_prob", "k", "overlap_fraction", "per_layer")],
     *[("model", name) for name in ("kind", "mc_samples", "rng_seed", "st_bounds")],
