@@ -112,6 +112,25 @@ MUTANTS = (
         ("tests/test_network.py::TestLayerRuleBook::test_threshold_above_one_rejected_by_every_entry_point",
          "tests/test_network.py::TestLoadNetwork::test_invalid_network_lists_violations")),
     Mutant(
+        "file-id-rule-dropped", "src/muxlci/network.py",
+        "    if node.split() != [node]:\n"
+        "        return \"holds whitespace\" if node else \"is empty\"\n"
+        "    if node[0] == \"#\":\n"
+        "        return \"starts with '#'\"\n",
+        "",
+        ("tests/test_network.py::TestLayerRuleBook::test_id_no_file_can_carry_rejected_by_every_entry_point",
+         "tests/test_coupling.py::TestCoupledExport::test_manifest_node_id_no_file_can_carry_names_line",
+         "tests/test_cli.py::test_alias_file_canonical_id_with_whitespace_exit_code")),
+    Mutant(
+        "replacing-keeps-temporary-file", "src/muxlci/network.py",
+        "        with suppress(FileNotFoundError):\n"
+        "            os.remove(tmp)\n",
+        "",
+        ("tests/test_network.py::TestReplacing::test_block_that_raises_keeps_the_previous_file",
+         "tests/test_cli.py::test_output_in_a_missing_directory_exits_4_naming_it[couple-manifest]",
+         "tests/test_cli.py::test_failed_rewrite_keeps_the_previous_files",
+         "tests/test_experiment.py::TestRunExperiment::test_failed_write_keeps_the_old_table_and_sidecar[row]")),
+    Mutant(
         "validate-without-rule-book", "src/muxlci/network.py",
         "        found = list(_layer_faults(layer))\n",
         "        found = []\n",

@@ -3,7 +3,10 @@
 Subcommands: generate | couple | simulate | solve | export-ilp | experiment.
 All outputs are UTF-8 with LF newlines and deterministic ordering; run
 metadata (seeds, solver parameters, code version) is embedded in every
-result so runs can be reproduced bit-identically.
+result so runs can be reproduced bit-identically.  Every output file is
+written whole or not at all: a failed command leaves each file as it
+was, and couple replaces its edge list and manifest only once both are
+complete.  An I/O error names the path given on the command line.
 
 Exit codes: 0 ok, 2 input format error, 3 invalid value/configuration,
 4 I/O error, 5 pipeline soundness violation.
@@ -34,7 +37,8 @@ from .diffusion import (
 from .experiment import ExperimentSpec, _model_record, run_experiment, solve_pipeline, write_rows_csv
 from .generator import SynthSpec, generate, small_ilp_instance
 # muxbench spans.bindings wraps load_layer_file and validate here; test_benchmark_selftest fails without them
-from .network import LayerFormatError, load_layer_file, load_network, serialize_layer, validate  # noqa: F401
+from .network import (  # noqa: F401
+    LayerFormatError, _replacing, load_layer_file, load_network, serialize_layer, validate)
 from .solver import GreedyConfig, export_ilp
 
 MODEL_NAMES = {
@@ -55,10 +59,8 @@ def _write_json(payload, path):
     if path in (None, "-"):
         sys.stdout.write(text)
         return
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
+    with _replacing(path) as handle:
         handle.write(text)
-    os.replace(tmp, path)
 
 
 def _read_seeds(path):
@@ -107,7 +109,7 @@ def cmd_generate(args):
     paths = []
     for layer in network.layers:
         path = os.path.join(args.out, f"layer{layer.layer_index}.txt")
-        with open(path, "w", encoding="utf-8") as handle:
+        with _replacing(path) as handle:
             handle.write(serialize_layer(layer))
         paths.append(path)
     echo["version"] = __version__
@@ -125,9 +127,10 @@ def cmd_generate(args):
 def cmd_couple(args):
     network, normalized = load_network(args.layer, args.alias, args.seed)
     coupled = couple(network, args.scheme)
-    with open(args.out_edges, "w", encoding="utf-8") as edges, \
-         open(args.out_manifest, "w", encoding="utf-8", newline="") as manifest:
+    with _replacing(args.out_edges) as edges, _replacing(args.out_manifest, newline="") as manifest:
         write_coupled(coupled, edges, manifest)
+        # flushed, so both files are complete before either is renamed
+        edges.flush()
     summary = {
         "scheme": coupled.scheme,
         "hop_scale": coupled.hop_scale,
@@ -171,7 +174,7 @@ def cmd_simulate(args):
         outcome = multiplex_lt_propagate(network, seeds, args.hops)
         covered, total = outcome.coverage_count, len(network.universe)
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8", newline="") as handle:
+        with _replacing(args.trace_out, newline="") as handle:
             write_trace(outcome, handle, kinds)
     _write_json({
         "seeds": sorted(seeds),
@@ -203,7 +206,7 @@ def cmd_export_ilp(args):
     network, normalized = load_network(args.layer, args.alias, args.seed)
     coupled = couple(network, args.scheme)
     cfg = GreedyConfig(args.beta, args.hops)
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with _replacing(args.out) as handle:
         summary = export_ilp(coupled, cfg, handle)
     summary.update({"scheme": coupled.scheme, "out": args.out, "normalized_layers": normalized,
                     "rng_seed": args.seed, "version": __version__})

@@ -43,6 +43,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .diffusion import STOCHASTIC_THRESHOLD, InfluenceGraph
+from .network import _id_fault
 
 GATEWAY = "gateway"
 REPRESENTATIVE = "representative"
@@ -384,7 +385,8 @@ def read_coupled(edge_lines, manifest_rows):
     shared string, so the columns hold no per-row copy of either.
     Raises ValueError on an empty manifest, whose header is missing,
     and, naming the line, on a manifest row without six fields, with
-    an unknown kind, an unparsable number or a node id already listed,
+    an unknown kind, an unparsable number, a node id already listed or
+    one that :func:`muxlci.network._id_fault` rejects,
     on an edge line with an unparsable weight, an endpoint missing from
     the manifest or the same node at both ends, on a non-finite
     threshold, node weight or edge weight, and on a negative edge
@@ -423,6 +425,9 @@ def read_coupled(edge_lines, manifest_rows):
             raise bad_row(f"threshold {theta} and weight {weight} must be finite")
         if node in index:
             raise bad_row("duplicate node id")
+        reason = _id_fault(node)
+        if reason:
+            raise bad_row(f"node id {reason}")
         index[node] = len(nodes)
         nodes.append(node)
         thetas.append(theta)

@@ -30,7 +30,7 @@ from .diffusion import (
     require_int, require_number,
 )
 from .generator import SynthSpec, generate
-from .network import LayerGraph, MultiplexNetwork, load_network, subseed
+from .network import LayerGraph, MultiplexNetwork, _replacing, load_network, subseed
 from .solver import FRACTION_EPS, GreedyConfig, brute_force_optimal, improved_greedy, meets_fraction
 
 BASELINE_SCHEMES = ("union", "direct")
@@ -549,16 +549,14 @@ def experiment_metadata(spec):
 
 
 def write_rows_csv(rows, path, spec):
-    """Atomically write experiment rows as CSV, plus a .meta.json sidecar
-    carrying the spec's full configuration."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
+    """Write experiment rows as CSV, plus a .meta.json sidecar carrying
+    the spec's full configuration (layer and alias paths as strings).
+    Each file is replaced whole, and the sidecar text is built before
+    the table is, so a spec that cannot be recorded changes neither."""
+    meta = json.dumps(experiment_metadata(spec), indent=2, sort_keys=True, default=os.fspath) + "\n"
+    with _replacing(path, newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-    os.replace(tmp, path)
-    meta_tmp = f"{path}.meta.tmp.{os.getpid()}"
-    with open(meta_tmp, "w", encoding="utf-8") as handle:
-        json.dump(experiment_metadata(spec), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(meta_tmp, f"{path}.meta.json")
+    with _replacing(f"{path}.meta.json") as handle:
+        handle.write(meta)

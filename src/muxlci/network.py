@@ -12,6 +12,10 @@ Layer file format (UTF-8, whitespace separated)::
     # theta <user> <value>     per-layer threshold directive
     <src> <dst> [weight]       directed edge, weight in [0, 1]
 
+A node id is a non-empty string without whitespace that does not start
+with ``#``: the layer, coupled edge-list and seed formats split lines on
+whitespace and read a line that starts with ``#`` as a comment.
+
 Missing weights and thresholds stay unset until :func:`prepare_network`
 draws them in one pass over the layers (streams ``weights/<i>`` and
 ``thresholds``); :func:`load_network` reads files into a ready network.
@@ -21,7 +25,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from collections import defaultdict
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -165,11 +171,23 @@ class MultiplexNetwork:
         return out, bar
 
 
+def _id_fault(node):
+    """Why no file format can carry the node id ``node``, or None: the
+    formats split lines on whitespace and skip a line whose first field
+    starts with ``#``."""
+    if node.split() != [node]:
+        return "holds whitespace" if node else "is empty"
+    if node[0] == "#":
+        return "starts with '#'"
+    return None
+
+
 def _layer_faults(layer):
     """Yield ``(order, message)`` for each fault that leaves diffusion or
-    a coupling on ``layer`` undefined, in edge order, then node order: an
-    edge endpoint outside the node set; an unset, non-finite or negative
-    edge weight; a self-loop; a node without a finite threshold in
+    a coupling on ``layer`` undefined, or its files unreadable, in edge
+    order, then node order: an edge endpoint outside the node set; an
+    unset, non-finite or negative edge weight; a self-loop; a node id
+    that :func:`_id_fault` rejects; a node without a finite threshold in
     (0, 1].  The linear-threshold sweep and the couplings, whose sync
     edges weigh 1, are exact only without them.  :func:`_require_complete`
     raises the first message; :func:`validate` reports every one, placed
@@ -188,6 +206,9 @@ def _layer_faults(layer):
         elif weight < 0.0:
             yield (1, src, dst, 1), f"{tag}: edge {src!r}->{dst!r} weight {weight} is negative"
     for user in layer.nodes:
+        reason = _id_fault(user)
+        if reason:
+            yield (0,), f"{tag}: node id {user!r} {reason}"
         theta = layer.thresholds.get(user)
         if theta is None:
             yield (0,), f"{tag}: node {user!r} missing threshold"
@@ -259,6 +280,27 @@ def _parse_file(path, parse, *args):
             return parse(handle, *args)
         except LayerFormatError as exc:
             raise LayerFormatError(exc.reason, exc.line_no, path) from None
+
+
+@contextmanager
+def _replacing(path, newline=None):
+    """A UTF-8 text handle whose contents replace the file ``path`` whole
+    when the block ends, the one way this package writes a file.  The
+    text goes to ``<path>.tmp.<pid>``, which is renamed over ``path``
+    once the block ends and removed if it raises, so ``path`` holds its
+    old bytes or all of the new ones.  An OSError of the temporary file
+    names ``path`` instead."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        raise
 
 
 def load_layer_file(path, layer_index):
@@ -360,7 +402,8 @@ def load_alias_map(lines):
     Returns a flat mapping from either per-layer id to the canonical id,
     applied to layer files before the universe union is taken.  Every id
     has one canonical id, and a canonical id is its own, so a row that
-    maps an id elsewhere raises :class:`LayerFormatError` naming its line.
+    maps an id elsewhere raises :class:`LayerFormatError` naming its line,
+    as does a canonical id that :func:`_id_fault` rejects.
     """
     mapping = {}
     for line_no, raw in enumerate(lines, start=1):
@@ -371,6 +414,9 @@ def load_alias_map(lines):
         if len(parts) != 3 or not all(parts):
             raise LayerFormatError("expected three tab-separated ids", line_no)
         a, b, canonical = parts
+        reason = _id_fault(canonical)
+        if reason:
+            raise LayerFormatError(f"canonical id {canonical!r} {reason}", line_no)
         for alias in (a, b, canonical):
             earlier = mapping.setdefault(alias, canonical)
             if earlier != canonical:

@@ -168,10 +168,19 @@ def reference_prepare_network(layers, rng_seed):
     return reference_fill_missing_thresholds(MultiplexNetwork(prepared), subseed(rng_seed, "thresholds")), normalized
 
 
+def id_problem(node):
+    """Why a whitespace-split, '#'-commented line cannot carry ``node``."""
+    if not node:
+        return "is empty"
+    if any(char.isspace() for char in node):
+        return "holds whitespace"
+    return "starts with '#'" if node.startswith("#") else None
+
+
 def reference_validate(network):
     """``network.validate`` in its sort-everything form.  Per layer: the
-    structural faults (endpoint, unset or non-finite weight, missing or
-    non-finite threshold) sorted by message; then over the sorted edges a
+    structural faults (endpoint, unset or non-finite weight, node id no
+    file can carry, missing or non-finite threshold) sorted by message; then over the sorted edges a
     self-loop and a negative or above-1 weight; over the sorted nodes a
     non-positive or above-1 threshold; the sorted unknown threshold
     nodes; the sorted in-weight sums above 1.  Then the universe."""
@@ -191,6 +200,9 @@ def reference_validate(network):
             elif not math.isfinite(weight):
                 structural.append(f"{tag}: edge {src!r}->{dst!r} weight {weight} is not finite")
         for user in layer.nodes:
+            problem = id_problem(user)
+            if problem:
+                structural.append(f"{tag}: node id {user!r} {problem}")
             theta = layer.thresholds.get(user)
             if theta is None:
                 structural.append(f"{tag}: node {user!r} missing threshold")
@@ -816,6 +828,8 @@ def reference_read_coupled(edge_lines, manifest_rows):
             raise bad_row(f"layer {layer!r}, threshold {theta!r} and weight {weight!r} must be numbers") from None
         if not (math.isfinite(theta) and math.isfinite(weight)):
             raise bad_row(f"threshold {theta} and weight {weight} must be finite")
+        if id_problem(node):
+            raise bad_row(f"node id {id_problem(node)}")
         nodes.append(node)
         thresholds[node] = theta
         weights[node] = weight

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import os
@@ -866,6 +867,18 @@ def test_alias_file_mapping_an_id_twice_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {alias}: line 2: 'a' maps to 'X' above and to 'Y' here\n"
 
 
+def test_alias_file_canonical_id_with_whitespace_exit_code(tmp_path, capsys):
+    # the coupled edge list splits on whitespace, so simulate could not read 'user one@1' back
+    one = write(tmp_path / "l1.txt", "a b 0.5\n")
+    two = write(tmp_path / "l2.txt", "x c 0.5\n")
+    alias = write(tmp_path / "alias.tsv", "a\tx\tuser one\n")
+    code = main(["couple", "--layer", one, "--layer", two, "--alias", alias, "--scheme", "clique",
+                 "--out-edges", str(tmp_path / "c.txt"), "--out-manifest", str(tmp_path / "m.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {alias}: line 1: canonical id 'user one' holds whitespace\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["alias.tsv", "l1.txt", "l2.txt"]
+
+
 def test_alias_file_merges_users_across_layers(tmp_path, capsys):
     one = write(tmp_path / "fsq.txt", "fsq_1 fsq_2 1.0\n")
     two = write(tmp_path / "tw.txt", "tw_9 tw_8 1.0\n")
@@ -981,6 +994,55 @@ def test_parse_error_exit_code(tmp_path):
 def test_missing_file_exit_code(tmp_path):
     code = main(["solve", "--layer", str(tmp_path / "nope.txt"), "--scheme", "clique"])
     assert code == 4
+
+
+@pytest.mark.parametrize("flags, missing", [
+    (["couple", "--scheme", "clique", "--out-edges", "c.txt", "--out-manifest", "nodir/c.csv"], "nodir/c.csv"),
+    (["couple", "--scheme", "clique", "--out-edges", "nodir/c.txt", "--out-manifest", "c.csv"], "nodir/c.txt"),
+    (["solve", "--scheme", "clique", "--out", "nodir/r.json"], "nodir/r.json"),
+    (["export-ilp", "--out", "nodir/p.lp"], "nodir/p.lp"),
+    (["simulate", "--seeds-file", "seeds.txt", "--hops", "2", "--trace-out", "nodir/t.csv"], "nodir/t.csv"),
+], ids=["couple-manifest", "couple-edges", "solve", "export-ilp", "simulate-trace"])
+def test_output_in_a_missing_directory_exits_4_naming_it(tmp_path, layer_files, capsys, monkeypatch, flags, missing):
+    """The error names the given path, not a temporary file, and no
+    output is left behind: couple writes no edge list without its
+    manifest."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "seeds.txt", "a\n")
+    before = sorted(path.name for path in tmp_path.iterdir())
+    assert main([*flags, "--layer", layer_files[0], "--layer", layer_files[1]]) == 4
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
+
+
+def disk_full(*args):
+    """Write part of an output to each handle given, then fail as a full disk does."""
+    for arg in args:
+        if hasattr(arg, "write"):
+            arg.write("partial\n")
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("flags, failing, outputs", [
+    (["couple", "--scheme", "clique", "--out-edges", "c.txt", "--out-manifest", "c.csv"], "write_coupled",
+     ["c.txt", "c.csv"]),
+    (["export-ilp", "--out", "p.lp"], "export_ilp", ["p.lp"]),
+    (["simulate", "--seeds-file", "seeds.txt", "--hops", "2", "--trace-out", "t.csv"], "write_trace", ["t.csv"]),
+    (["generate", "--preset", "small-ilp", "--out", "."], "serialize_layer", ["layer1.txt"]),
+], ids=["couple", "export-ilp", "simulate-trace", "generate"])
+def test_failed_rewrite_keeps_the_previous_files(tmp_path, layer_files, capsys, monkeypatch, flags, failing, outputs):
+    import muxlci.cli
+
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "seeds.txt", "a\n")
+    for name in outputs:
+        (tmp_path / name).write_bytes(b"old\r\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    monkeypatch.setattr(muxlci.cli, failing, disk_full)
+    layers = [] if flags[0] == "generate" else ["--layer", layer_files[0], "--layer", layer_files[1]]
+    assert main([*flags, *layers]) == 4
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_value_error_exit_code(tmp_path):

@@ -732,6 +732,21 @@ class TestCoupledExport:
             read_coupled(edge_lines, rows)
         assert str(raised.value) == f"manifest line {second}, node {node!r}: duplicate node id"
 
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.sampled_from([("#{}", "starts with '#'"), ("{} x", "holds whitespace"), ("", "is empty")]))
+    def test_manifest_node_id_no_file_can_carry_names_line(self, seed, bad):
+        # an edge line out of '#x@1' reads as a comment, and one out of
+        # 'x y' has four fields, so the manifest row is where it fails
+        coupled = couple(random_network(seed, max_users=12), random.Random(seed).choice(COUPLING_SCHEMES))
+        edge_lines, rows = written(coupled)
+        line = random.Random(seed).randint(2, len(rows))
+        fields = rows[line - 1].split(",")
+        template, problem = bad
+        fields[0] = template.format(fields[0])
+        rows[line - 1] = ",".join(fields)
+        message = same_rejection(edge_lines, rows)
+        assert message == f"manifest line {line}, node {fields[0]!r}: node id {problem}"
+
     @given(st.integers(min_value=0, max_value=10_000))
     def test_self_loop_edge_names_line(self, seed):
         coupled = couple(random_network(seed, max_users=12), random.Random(seed).choice(COUPLING_SCHEMES))

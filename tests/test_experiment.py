@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +21,7 @@ from muxlci import (
 )
 from muxlci.cli import main
 from muxlci.experiment import (
+    CSV_FIELDS,
     ExperimentSpec,
     external_influence_fraction,
     only_baseline,
@@ -270,6 +272,37 @@ class TestRunExperiment:
         assert meta["base_seed"] == 5
         assert meta["schemes"] == ["clique"]
         assert "version" in meta
+
+    def test_path_spec_writes_the_sidecar_of_str_paths(self, tmp_path):
+        layers, alias = [tmp_path / "l1.txt", tmp_path / "l2.txt"], tmp_path / "alias.tsv"
+        sidecars = []
+        for name, convert in (("path", Path), ("str", str)):
+            spec = ExperimentSpec(schemes=["clique"], betas=[0.4], hops=2,
+                                  layer_files=[convert(path) for path in layers], alias_file=convert(alias))
+            out = tmp_path / f"{name}.csv"
+            write_rows_csv([], str(out), spec)
+            sidecars.append((tmp_path / f"{name}.csv.meta.json").read_bytes())
+        assert sidecars[0] == sidecars[1]
+        assert sidecars[1].decode() == json.dumps(muxlci.experiment.experiment_metadata(spec), indent=2,
+                                                  sort_keys=True) + "\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "path.csv", "path.csv.meta.json", "str.csv", "str.csv.meta.json"]
+
+    @pytest.mark.parametrize("fault", ["row", "sidecar"])
+    def test_failed_write_keeps_the_old_table_and_sidecar(self, tmp_path, monkeypatch, fault):
+        spec = ExperimentSpec(schemes=["clique"], betas=[0.4], hops=2,
+                              synth={"universe_size": 20, "layer_size": 15, "edge_prob": 0.1, "k": 2})
+        out = str(tmp_path / "rows.csv")
+        write_rows_csv([dict.fromkeys(CSV_FIELDS, "old")], out, spec)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        rows = [dict.fromkeys(CSV_FIELDS, "new")]
+        if fault == "row":
+            rows.append({"unknown field": 1})
+        else:
+            monkeypatch.setattr(muxlci.experiment, "experiment_metadata", lambda spec: {"spec": object()})
+        with pytest.raises((ValueError, TypeError)):
+            write_rows_csv(rows, out, spec)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_json_round_trip_and_unknown_fields(self):
         text = json.dumps({

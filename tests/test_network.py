@@ -23,7 +23,7 @@ from muxlci import (
     validate,
 )
 from muxlci.experiment import single_layer_network
-from muxlci.network import WEIGHT_EPS, prepare_network, subseed
+from muxlci.network import WEIGHT_EPS, _replacing, prepare_network, subseed
 
 from conftest import count_rule_book, make_layer, random_network
 from oracles import (
@@ -445,6 +445,28 @@ class TestLayerRuleBook:
             multiplex_lt_propagate(two_layer_toy, {"a"}, 2)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("user, reason", [
+        ("#x", "starts with '#'"), ("user one", "holds whitespace"), ("x\ty", "holds whitespace"),
+        ("", "is empty"),
+    ], ids=["hash", "space", "tab", "empty"])
+    def test_id_no_file_can_carry_rejected_by_every_entry_point(self, user, reason):
+        # the layer, coupled edge-list and seed formats split lines on
+        # whitespace and skip a line that starts with '#'
+        network = MultiplexNetwork([
+            make_layer(1, {("a", "b"): 1.0, ("b", user): 1.0}, {"a": 0.5, "b": 0.5, user: 0.5}),
+            make_layer(2, {("a", user): 1.0}, {"a": 0.5, user: 0.5}),
+        ])
+        message = f"layer 1: node id {user!r} {reason}"
+        assert validate(network) == [message, f"layer 2: node id {user!r} {reason}"]
+        assert reference_validate(network) == validate(network)
+        for scheme in COUPLING_SCHEMES:
+            with pytest.raises(ValueError) as raised:
+                couple(network, scheme)
+            assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            multiplex_lt_propagate(network, {"a"}, 2)
+        assert str(raised.value) == message
+
     def test_rule_book_runs_once_per_network(self, two_layer_toy, monkeypatch):
         checked = count_rule_book(monkeypatch)
         for scheme in COUPLING_SCHEMES:
@@ -505,6 +527,15 @@ class TestAliases:
             load_alias_map(io.StringIO(rows))
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("rows, message", [
+        ("a\tb\tuser one\n", "line 1: canonical id 'user one' holds whitespace"),
+        ("a\tb\tX\nc\td\t#x\n", "line 2: canonical id '#x' starts with '#'"),
+    ], ids=["space", "hash"])
+    def test_canonical_id_no_file_can_carry_rejected(self, rows, message):
+        with pytest.raises(LayerFormatError) as raised:
+            load_alias_map(io.StringIO(rows))
+        assert str(raised.value) == message
+
     def test_rows_that_agree_accepted(self):
         rows = "a\tb\tX\nc\td\tX\na\tb\tX\nX\te\tX\nf\tg\tf\n"
         assert load_alias_map(io.StringIO(rows)) == {"a": "X", "b": "X", "c": "X", "d": "X", "e": "X", "g": "f"}
@@ -534,6 +565,14 @@ class TestLoadNetwork:
         with pytest.raises(ValueError, match="^invalid network:\n  layer 1: node 'b' threshold 1.5 exceeds 1$"):
             load_network([path], None, 0)
 
+    def test_hash_ids_in_a_layer_file_listed(self, tmp_path):
+        # a layer file can name such a user as an edge target or a theta user
+        path = write_layer(tmp_path / "l1.txt", "# theta #y 0.5\na #x 0.5\n")
+        with pytest.raises(ValueError) as raised:
+            load_network([path], None, 0)
+        assert str(raised.value) == ("invalid network:\n  layer 1: node id '#x' starts with '#'"
+                                     "\n  layer 1: node id '#y' starts with '#'")
+
     def test_unset_values_drawn_from_named_streams(self, tmp_path):
         text = "# theta a 0.5\na b\nc b\n"
         network, normalized = load_network([write_layer(tmp_path / "l1.txt", text)], None, 7)
@@ -551,3 +590,42 @@ class TestLoadNetwork:
         assert normalized == []
         assert [serialize_layer(layer) for layer in loaded.layers] == [
             serialize_layer(layer) for layer in network.layers]
+
+
+class TestReplacing:
+    """``_replacing`` puts the whole new text at its path or leaves the
+    old file, and never a temporary file."""
+
+    def test_block_that_raises_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old\r\n")
+        with pytest.raises(RuntimeError):
+            with _replacing(path) as handle:
+                handle.write("new\n")
+                raise RuntimeError("half written")
+        assert path.read_bytes() == b"old\r\n"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_text_replaces_the_file_whole(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("a much longer old text\n", encoding="utf-8")
+        with _replacing(path, newline="") as handle:
+            handle.write("é,\r\n")
+        assert path.read_bytes() == "é,\r\n".encode()
+        assert [entry.name for entry in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_open_error_names_the_given_path(self, tmp_path):
+        path = str(tmp_path / "missing" / "out.txt")
+        with pytest.raises(FileNotFoundError) as raised:
+            with _replacing(path):
+                pass
+        assert str(raised.value) == f"[Errno 2] No such file or directory: {path!r}"
+
+    def test_rename_error_names_the_given_path(self, tmp_path):
+        path = tmp_path / "taken"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as raised:
+            with _replacing(path) as handle:
+                handle.write("new\n")
+        assert raised.value.filename == str(path) and raised.value.filename2 is None
+        assert [entry.name for entry in tmp_path.iterdir()] == ["taken"]
