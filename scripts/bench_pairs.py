@@ -24,7 +24,8 @@ and the record keeps the ``TRACED_METRICS`` of each, the time metrics
 and end-to-end metric (from the change's ``BENCHMARK.json``), the two
 medians, the parent's quartiles (``statistics.quantiles``, exclusive
 method), the number of pairs in which the change was lower and in
-which the two were equal, and a verdict (see ``compare``).  Quartiles
+which the two were equal, the median and quartiles of the per-seed
+change/parent ratios, and a verdict (see ``compare``).  Quartiles
 need at least two seeds, so ``--seeds`` must name two or more distinct
 seeds; anything else is rejected before either side is unpacked.
 """
@@ -110,8 +111,8 @@ def traced_metrics(report):
 
 
 def compare(runs, metric, bound):
-    """Medians, parent quartiles, pair counts and verdict of one
-    lower-is-better metric whose relative bound is ``bound``.
+    """Medians, parent quartiles, pair counts, paired ratios and verdict
+    of one lower-is-better metric whose relative bound is ``bound``.
 
     The verdict is "gain" when the change is lower in at least 9 of 10
     pairs and its median is below the parent's by more than the parent's
@@ -119,12 +120,18 @@ def compare(runs, metric, bound):
     more than ``bound`` of it; "unresolved" when the parent's quartile
     distance exceeds ``bound`` of the parent's median, unless every
     change run is below every parent run; and "within bound" otherwise.
+
+    Beside the verdict, and without changing it, stand the median and
+    quartiles of the change/parent ratio of each seed's pair: each seed
+    runs the same inputs on both sides, so the ratios carry less of the
+    spread between seeds than the two sides' medians do.
     """
     parent = {run["seed"]: run["result"]["metrics"][metric]["value"] for run in runs if run["side"] == "parent"}
     change = {run["seed"]: run["result"]["metrics"][metric]["value"] for run in runs if run["side"] == "change"}
     low, _, high = statistics.quantiles(parent.values(), n=4)
     parent_median, change_median = statistics.median(parent.values()), statistics.median(change.values())
     lower = sum(change[seed] < parent[seed] for seed in parent)
+    ratios = [change[seed] / parent[seed] for seed in parent]
     if 10 * lower >= 9 * len(parent) and parent_median - change_median > high - low:
         verdict = "gain"
     elif change_median > (1 + bound) * parent_median:
@@ -139,6 +146,8 @@ def compare(runs, metric, bound):
         "parent_quartiles": [low, high],
         "change_lower_pairs": lower,
         "equal_pairs": sum(change[seed] == parent[seed] for seed in parent),
+        "ratio_median": statistics.median(ratios),
+        "ratio_quartiles": statistics.quantiles(ratios, n=4)[::2],
         "verdict": verdict,
     }
 

@@ -57,6 +57,7 @@ DELTA = "tests/test_diffusion.py::TestDeltaMatchesFullRun::"
 CLIQUE = "tests/test_coupling.py::TestCliqueCoupling::"
 SHARED = "tests/test_experiment.py::TestSharedSolve::"
 SOLVE = "tests/test_experiment.py::TestSolvePipeline::"
+METRICS = "tests/test_experiment.py::TestMetrics::"
 
 MUTANTS = (
     Mutant(
@@ -65,10 +66,11 @@ MUTANTS = (
         "        for out, bar, received in layers[:1]:\n",
         (KERNEL + "test_multiplex_lt_propagate_exact",)),
     Mutant(
-        "restricted-run-over-all-layers", DIFFUSION,
-        "network.lt_layers[position:position + 1]",
-        "network.lt_layers",
-        (KERNEL + "test_restricted_run_exact",)),
+        "restricted-run-over-all-layers", "src/muxlci/experiment.py",
+        "multiplex_lt_propagate(network.alone(target_layer_index), local_seeds, hops)",
+        "multiplex_lt_propagate(network, local_seeds, hops)",
+        (METRICS + "test_external_influence_detects_cross_layer_entry",
+         METRICS + "test_external_influence_reuses_given_outcome")),
     Mutant(
         "sweep-bar-before-weight", DIFFUSION,
         "                        total = received[v] + w\n"
@@ -123,13 +125,23 @@ MUTANTS = (
          "tests/test_cli.py::test_alias_file_canonical_id_with_whitespace_exit_code")),
     Mutant(
         "replacing-keeps-temporary-file", "src/muxlci/network.py",
-        "        with suppress(FileNotFoundError):\n"
-        "            os.remove(tmp)\n",
+        "        for tmp in tmps:\n"
+        "            with suppress(FileNotFoundError):\n"
+        "                os.remove(tmp)\n",
         "",
         ("tests/test_network.py::TestReplacing::test_block_that_raises_keeps_the_previous_file",
          "tests/test_cli.py::test_output_in_a_missing_directory_exits_4_naming_it[couple-manifest]",
          "tests/test_cli.py::test_failed_rewrite_keeps_the_previous_files",
          "tests/test_experiment.py::TestRunExperiment::test_failed_write_keeps_the_old_table_and_sidecar[row]")),
+    Mutant(
+        # each temporary file is renamed as its own handle closes, also
+        # when a later handle fails to open or the block raises
+        "replacing-renames-as-each-handle-closes", "src/muxlci/network.py",
+        "for tmp in tmps)\n",
+        "for tmp in tmps\n"
+        "                        if stack.callback(os.replace, tmp, paths[tmps.index(tmp)]))\n",
+        ("tests/test_cli.py::test_output_in_a_missing_directory_exits_4_naming_it[couple-summary]",
+         "tests/test_cli.py::test_failed_rewrite_keeps_the_previous_files[generate-second-layer]")),
     Mutant(
         "validate-without-rule-book", "src/muxlci/network.py",
         "        found = list(_layer_faults(layer))\n",

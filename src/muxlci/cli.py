@@ -3,10 +3,10 @@
 Subcommands: generate | couple | simulate | solve | export-ilp | experiment.
 All outputs are UTF-8 with LF newlines and deterministic ordering; run
 metadata (seeds, solver parameters, code version) is embedded in every
-result so runs can be reproduced bit-identically.  Every output file is
-written whole or not at all: a failed command leaves each file as it
-was, and couple replaces its edge list and manifest only once both are
-complete.  An I/O error names the path given on the command line.
+result so runs can be reproduced bit-identically.  A command's output
+files are replaced together, once every one is complete, and a failed
+command leaves each file as it was.  An I/O error names the path given
+on the command line.
 
 Exit codes: 0 ok, 2 input format error, 3 invalid value/configuration,
 4 I/O error, 5 pipeline soundness violation.
@@ -15,6 +15,7 @@ Exit codes: 0 ok, 2 input format error, 3 invalid value/configuration,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -54,13 +55,24 @@ MODEL_NAMES = {
 DEFAULT_UNIVERSE = 100
 
 
-def _write_json(payload, path):
+@contextlib.contextmanager
+def _writing(payload, path, *paths):
+    """Handles on ``paths``, whose files are replaced together with the
+    JSON ``payload`` at ``path`` (``_replacing``); when ``path`` is None
+    or "-", the JSON goes to stdout once the files are in place."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path in (None, "-"):
+    to_stdout = path in (None, "-")
+    with _replacing(*paths, *([] if to_stdout else [path])) as handles:
+        yield handles[:len(paths)]
+        if not to_stdout:
+            handles[-1].write(text)
+    if to_stdout:
         sys.stdout.write(text)
-        return
-    with _replacing(path) as handle:
-        handle.write(text)
+
+
+def _write_json(payload, path):
+    with _writing(payload, path):
+        pass
 
 
 def _read_seeds(path):
@@ -106,12 +118,7 @@ def cmd_generate(args):
         network = generate(spec)
         echo = dataclasses.asdict(spec)
     os.makedirs(args.out, exist_ok=True)
-    paths = []
-    for layer in network.layers:
-        path = os.path.join(args.out, f"layer{layer.layer_index}.txt")
-        with _replacing(path) as handle:
-            handle.write(serialize_layer(layer))
-        paths.append(path)
+    paths = [os.path.join(args.out, f"layer{layer.layer_index}.txt") for layer in network.layers]
     echo["version"] = __version__
     echo["layer_files"] = paths
     echo["users"] = len(network.universe)
@@ -120,17 +127,15 @@ def cmd_generate(args):
          "edges": len(layer.edges), "avg_degree": round(layer.average_degree(), 4)}
         for layer in network.layers
     ]
-    _write_json(echo, os.path.join(args.out, "network.json"))
+    with _writing(echo, os.path.join(args.out, "network.json"), *paths) as handles:
+        for layer, handle in zip(network.layers, handles):
+            handle.write(serialize_layer(layer))
     return 0
 
 
 def cmd_couple(args):
     network, normalized = load_network(args.layer, args.alias, args.seed)
     coupled = couple(network, args.scheme)
-    with _replacing(args.out_edges) as edges, _replacing(args.out_manifest, newline="") as manifest:
-        write_coupled(coupled, edges, manifest)
-        # flushed, so both files are complete before either is renamed
-        edges.flush()
     summary = {
         "scheme": coupled.scheme,
         "hop_scale": coupled.hop_scale,
@@ -142,7 +147,8 @@ def cmd_couple(args):
         "rng_seed": args.seed,
         "version": __version__,
     }
-    _write_json(summary, args.out)
+    with _writing(summary, args.out, args.out_edges, args.out_manifest) as (edges, manifest):
+        write_coupled(coupled, edges, manifest)
     return 0
 
 
@@ -173,10 +179,7 @@ def cmd_simulate(args):
         network, _ = load_network(args.layer, args.alias, args.seed)
         outcome = multiplex_lt_propagate(network, seeds, args.hops)
         covered, total = outcome.coverage_count, len(network.universe)
-    if args.trace_out:
-        with _replacing(args.trace_out, newline="") as handle:
-            write_trace(outcome, handle, kinds)
-    _write_json({
+    record = {
         "seeds": sorted(seeds),
         "hops": args.hops,
         "model": _model_record(model),
@@ -186,7 +189,10 @@ def cmd_simulate(args):
         "hops_used": outcome.hops_used,
         "rng_seed": args.seed,
         "version": __version__,
-    }, args.out)
+    }
+    with _writing(record, args.out, *([args.trace_out] if args.trace_out else [])) as traces:
+        for handle in traces:
+            write_trace(outcome, handle, kinds)
     return 0
 
 
@@ -206,7 +212,7 @@ def cmd_export_ilp(args):
     network, normalized = load_network(args.layer, args.alias, args.seed)
     coupled = couple(network, args.scheme)
     cfg = GreedyConfig(args.beta, args.hops)
-    with _replacing(args.out) as handle:
+    with _replacing(args.out) as (handle,):
         summary = export_ilp(coupled, cfg, handle)
     summary.update({"scheme": coupled.scheme, "out": args.out, "normalized_layers": normalized,
                     "rng_seed": args.seed, "version": __version__})

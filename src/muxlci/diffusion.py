@@ -18,9 +18,9 @@ Three models:
 The direct multiplex variant runs linear threshold on all layers at
 once: a user activates as soon as the condition holds in *some* layer,
 and an active user influences every layer it belongs to from the next
-hop on.  Coupled linear threshold, each stochastic-threshold sample, the
-multiplex replay and the one-layer restricted run share one sweep,
-:func:`_lt_sweep`, over one or more (out-adjacency, bars) layers.
+hop on.  Coupled linear threshold, each stochastic-threshold sample and
+every multiplex run, a network of one layer alone included, share one
+sweep, :func:`_lt_sweep`, over one or more (out-adjacency, bars) layers.
 """
 
 from __future__ import annotations
@@ -309,9 +309,9 @@ def _lt_sweep(seed_idx, hops, lt_layers):
     """The linear-threshold sweep over ``(out-adjacency, activation bars)``
     layers in one index space; returns (per-hop index lists, hops used).
 
-    A coupled run, each stochastic-threshold sample, the multiplex replay
-    and the restricted run all use it: the first two with the graph's one
-    layer, the last two with a network's ``lt_layers`` or one of them.
+    Its three callers are :func:`lt_propagate` and :func:`st_propagate`,
+    with the graph's one layer, and :func:`multiplex_lt_propagate`, with
+    a network's ``lt_layers``.
     A node activates at the first hop at which, in some layer, its
     received weight reaches that layer's bar (threshold minus slack).
     Each hop walks the layers in order, and per layer the frontier's
@@ -551,18 +551,6 @@ def lt_propagate(graph, seeds, hops, base=None):
     return outcome
 
 
-def _multiplex_run(network, seeds, hops, lt_layers):
-    require_hops(hops)
-    seeds = set(seeds)
-    unknown = seeds - network.universe
-    if unknown:
-        raise ValueError(f"unknown seed users: {sorted(unknown)!r}")
-    seed_idx = sorted(network.position[u] for u in seeds)
-    per_hop, hops_used = _lt_sweep(seed_idx, hops, lt_layers)
-    count = float(sum(map(len, per_hop)))
-    return DiffusionOutcome(ActiveSet.from_indices(per_hop, network.users), count, count, hops_used)
-
-
 def multiplex_lt_propagate(network, seeds, hops):
     """Linear-threshold diffusion directly on a multiplex network.
 
@@ -574,15 +562,15 @@ def multiplex_lt_propagate(network, seeds, hops):
     on the first call and reject unset, negative or non-finite weights
     and missing thresholds with ValueError.
     """
-    return _multiplex_run(network, seeds, hops, network.lt_layers)
-
-
-def _layer_lt_propagate(network, layer_index, seeds, hops):
-    """Linear threshold on the layer numbered ``layer_index`` alone, from
-    seeds of that layer: the run :func:`multiplex_lt_propagate` makes on
-    a network of that one layer, over the whole network's user indices."""
-    position = next(i for i, layer in enumerate(network.layers) if layer.layer_index == layer_index)
-    return _multiplex_run(network, seeds, hops, network.lt_layers[position:position + 1])
+    require_hops(hops)
+    seeds = set(seeds)
+    unknown = seeds - network.universe
+    if unknown:
+        raise ValueError(f"unknown seed users: {sorted(unknown)!r}")
+    seed_idx = sorted(network.position[u] for u in seeds)
+    per_hop, hops_used = _lt_sweep(seed_idx, hops, network.lt_layers)
+    count = float(sum(map(len, per_hop)))
+    return DiffusionOutcome(ActiveSet.from_indices(per_hop, network.users), count, count, hops_used)
 
 
 def _monte_carlo(graph, model, run_sample, samples):

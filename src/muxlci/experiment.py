@@ -26,11 +26,11 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 from . import __version__
 from .coupling import COUPLING_SCHEMES, check_scheme_model, couple
 from .diffusion import (
-    DiffusionModel, LINEAR_THRESHOLD, _layer_lt_propagate, multiplex_lt_propagate, require_beta, require_count,
-    require_int, require_number,
+    DiffusionModel, LINEAR_THRESHOLD, multiplex_lt_propagate, require_beta, require_count, require_int,
+    require_number,
 )
 from .generator import SynthSpec, generate
-from .network import LayerGraph, MultiplexNetwork, _replacing, load_network, subseed
+from .network import _replacing, load_network, subseed
 from .solver import FRACTION_EPS, GreedyConfig, brute_force_optimal, improved_greedy, meets_fraction
 
 BASELINE_SCHEMES = ("union", "direct")
@@ -52,12 +52,6 @@ def _network_record(network):
         "layer_sizes": [len(layer.nodes) for layer in network.layers],
         "overlapping_users": len(network.overlap),
     }
-
-
-def single_layer_network(layer):
-    """Wrap one layer as a standalone single-layer multiplex network: the
-    layer renumbered to 1, sharing its node set, edges and thresholds."""
-    return MultiplexNetwork([LayerGraph(1, layer.nodes, layer.edges, layer.thresholds)])
 
 
 def _result(network, cfg, scheme, users, gains, coupled_fraction, shared_ms):
@@ -170,8 +164,8 @@ def solve_pipeline(network, scheme, cfg):
 
 
 def _layer_results(network, layer_index, cfgs, memo):
-    """One layer's own lossy-average results for configs that differ
-    only in beta (see ``_pipeline_results``).
+    """One layer's own lossy-average results on ``network.alone`` for
+    configs that differ only in beta (see ``_pipeline_results``).
 
     ``memo`` keeps them under (layer index, betas), so the "union" and
     "only:<i>" cells of one network share one solve per layer; it must
@@ -180,8 +174,7 @@ def _layer_results(network, layer_index, cfgs, memo):
     """
     key = (layer_index, tuple(cfg.beta for cfg in cfgs))
     if key not in memo:
-        sub = single_layer_network(network.layer_by_index(layer_index))
-        memo[key] = _pipeline_results(sub, "lossy-average", cfgs)
+        memo[key] = _pipeline_results(network.alone(layer_index), "lossy-average", cfgs)
     return memo[key]
 
 
@@ -215,10 +208,10 @@ def external_influence_fraction(network, seeds, hops, target_layer_index, full):
     """Share of the target layer's activations that vanish when
     cross-layer propagation is disabled.
 
-    The restricted run simulates the target layer alone from the seeds
-    it contains; activations present in the full multiplex run but not
-    in the restricted one were only reachable through influence entering
-    via overlapping users.  ``full`` is the full run's outcome
+    The restricted run is the target layer alone (``network.alone``)
+    from its seeds; activations present in the full multiplex run but
+    not in the restricted one were only reachable through influence
+    entering via overlapping users.  ``full`` is the full run's outcome
     (``multiplex_lt_propagate`` of the same seeds and hops).
     """
     layer = network.layer_by_index(target_layer_index)
@@ -226,7 +219,7 @@ def external_influence_fraction(network, seeds, hops, target_layer_index, full):
     if not in_target:
         return 0.0, 0, 0
     local_seeds = set(seeds) & layer.nodes
-    restricted = _layer_lt_propagate(network, target_layer_index, local_seeds, hops)
+    restricted = multiplex_lt_propagate(network.alone(target_layer_index), local_seeds, hops)
     external = in_target - restricted.active.members
     return len(external) / len(in_target), len(external), len(in_target)
 
@@ -551,12 +544,10 @@ def experiment_metadata(spec):
 def write_rows_csv(rows, path, spec):
     """Write experiment rows as CSV, plus a .meta.json sidecar carrying
     the spec's full configuration (layer and alias paths as strings).
-    Each file is replaced whole, and the sidecar text is built before
-    the table is, so a spec that cannot be recorded changes neither."""
-    meta = json.dumps(experiment_metadata(spec), indent=2, sort_keys=True, default=os.fspath) + "\n"
-    with _replacing(path, newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_FIELDS, lineterminator="\n")
+    The two files are replaced together, so a spec that cannot be
+    recorded changes neither."""
+    with _replacing(path, f"{path}.meta.json") as (table, sidecar):
+        writer = csv.DictWriter(table, fieldnames=CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-    with _replacing(f"{path}.meta.json") as handle:
-        handle.write(meta)
+        sidecar.write(json.dumps(experiment_metadata(spec), indent=2, sort_keys=True, default=os.fspath) + "\n")

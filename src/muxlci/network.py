@@ -23,11 +23,12 @@ draws them in one pass over the layers (streams ``weights/<i>`` and
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import math
 import os
 from collections import defaultdict
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -105,6 +106,7 @@ class MultiplexNetwork:
         self.universe = set().union(*(layer.nodes for layer in self.layers))
         # set once the layer rule book has found no fault (see _check_layers)
         self._checked = False
+        self._alone = {}
 
     @property
     def k(self):
@@ -115,6 +117,20 @@ class MultiplexNetwork:
             if layer.layer_index == layer_index:
                 return layer
         raise ValueError(f"no layer with index {layer_index}")
+
+    def alone(self, layer_index):
+        """The network of the layer numbered ``layer_index`` alone
+        (:func:`single_layer_network`), built on first use and kept like
+        :attr:`users`.  ValueError for an unknown index, and for a faulty
+        network the first fault, named by its own layer index, as
+        :attr:`lt_layers` raises it."""
+        if layer_index not in self._alone:
+            layer = self.layer_by_index(layer_index)
+            self._check_layers()
+            network = self._alone[layer_index] = single_layer_network(layer)
+            # its layer passed the rule book with the others
+            network._checked = True
+        return self._alone[layer_index]
 
     @cached_property
     def users(self):
@@ -169,6 +185,12 @@ class MultiplexNetwork:
         for (src, dst), weight in layer.edges.items():
             out[position[src]].append((position[dst], weight))
         return out, bar
+
+
+def single_layer_network(layer):
+    """One layer as a network of its own: the layer renumbered to 1,
+    sharing its node set, edges and thresholds."""
+    return MultiplexNetwork([LayerGraph(1, layer.nodes, layer.edges, layer.thresholds)])
 
 
 def _id_fault(node):
@@ -283,23 +305,31 @@ def _parse_file(path, parse, *args):
 
 
 @contextmanager
-def _replacing(path, newline=None):
-    """A UTF-8 text handle whose contents replace the file ``path`` whole
-    when the block ends, the one way this package writes a file.  The
-    text goes to ``<path>.tmp.<pid>``, which is renamed over ``path``
-    once the block ends and removed if it raises, so ``path`` holds its
-    old bytes or all of the new ones.  An OSError of the temporary file
-    names ``path`` instead."""
-    tmp = f"{path}.tmp.{os.getpid()}"
+def _replacing(*paths):
+    """One UTF-8 text handle per path, whose contents replace the files
+    ``paths`` together when the block ends: the one way this package
+    writes a file.  Each handle writes ``<path>.tmp.<pid>``, opened with
+    ``newline=""`` so lines end as written.  Once the block ends, every
+    handle is flushed and closed, and every path checked not to be a
+    directory, before the first rename; if anything raises, every
+    temporary file is removed, so a failed block leaves each path with
+    its old bytes.  An OSError of a temporary file names its path
+    instead."""
+    tmps = [f"{path}.tmp.{os.getpid()}" for path in paths]
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as handle:
-            yield handle
-        os.replace(tmp, path)
+        with ExitStack() as stack:
+            yield tuple(stack.enter_context(open(tmp, "w", encoding="utf-8", newline="")) for tmp in tmps)
+        for path in paths:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException as exc:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-        if isinstance(exc, OSError) and exc.filename == tmp:
-            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        for tmp in tmps:
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename in tmps:
+            raise OSError(exc.errno, exc.strerror, os.fspath(paths[tmps.index(exc.filename)])) from None
         raise
 
 

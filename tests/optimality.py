@@ -15,7 +15,7 @@ every beta at once.
 from itertools import combinations
 
 from muxlci import couple, lt_propagate
-from muxlci.experiment import single_layer_network
+from muxlci.network import single_layer_network
 
 from lp_solve import max_coverage
 

@@ -863,7 +863,7 @@ def reference_external_influence(network, seeds, hops, target_layer_index):
     """External influence fraction from two reference runs: the full
     multiplex, and a standalone single-layer network of the target layer
     from the seeds it contains."""
-    from muxlci.experiment import single_layer_network
+    from muxlci.network import single_layer_network
 
     layer = network.layer_by_index(target_layer_index)
     full = reference_multiplex_lt_propagate(network, set(seeds), hops)

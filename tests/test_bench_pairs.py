@@ -82,6 +82,16 @@ def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound():
     assert bench_pairs.compare(runs_of(parent, [0.2] * 10), "m", 0.25)["verdict"] == "gain"
 
 
+def test_paired_ratio_beside_an_unresolved_verdict():
+    # each change run at 0.95 of its pair: the medians' gap is lost in the
+    # parent's spread, but each seed's ratio reads it
+    parent = [1.0, 2.0, 1.5, 0.8, 2.2, 1.1, 1.9, 1.3, 0.9, 2.1]
+    stats = bench_pairs.compare(runs_of(parent, [0.95 * value for value in parent]), "m", 0.25)
+    assert stats["verdict"] == "unresolved"
+    assert stats["change_lower_pairs"] == 10
+    assert stats["ratio_median"] == pytest.approx(0.95)
+    assert stats["ratio_quartiles"] == pytest.approx([0.95, 0.95])
+
 
 def test_traced_metrics_keep_raw_seconds_and_add_shares_of_the_traced_wall():
     metrics = {name: 0 for name in bench_pairs.TRACED_METRICS}

@@ -1002,11 +1002,13 @@ def test_missing_file_exit_code(tmp_path):
     (["solve", "--scheme", "clique", "--out", "nodir/r.json"], "nodir/r.json"),
     (["export-ilp", "--out", "nodir/p.lp"], "nodir/p.lp"),
     (["simulate", "--seeds-file", "seeds.txt", "--hops", "2", "--trace-out", "nodir/t.csv"], "nodir/t.csv"),
-], ids=["couple-manifest", "couple-edges", "solve", "export-ilp", "simulate-trace"])
+    (["couple", "--scheme", "clique", "--out-edges", "c.txt", "--out-manifest", "c.csv", "--out", "nodir/s.json"],
+     "nodir/s.json"),
+], ids=["couple-manifest", "couple-edges", "solve", "export-ilp", "simulate-trace", "couple-summary"])
 def test_output_in_a_missing_directory_exits_4_naming_it(tmp_path, layer_files, capsys, monkeypatch, flags, missing):
     """The error names the given path, not a temporary file, and no
     output is left behind: couple writes no edge list without its
-    manifest."""
+    manifest and summary."""
     monkeypatch.chdir(tmp_path)
     write(tmp_path / "seeds.txt", "a\n")
     before = sorted(path.name for path in tmp_path.iterdir())
@@ -1023,13 +1025,25 @@ def disk_full(*args):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+def disk_full_after(calls, original):
+    """``original`` for the first ``calls`` calls, then :func:`disk_full`."""
+    done = []
+
+    def call(*args):
+        done.append(args)
+        return (original if len(done) <= calls else disk_full)(*args)
+    return call
+
+
 @pytest.mark.parametrize("flags, failing, outputs", [
     (["couple", "--scheme", "clique", "--out-edges", "c.txt", "--out-manifest", "c.csv"], "write_coupled",
      ["c.txt", "c.csv"]),
     (["export-ilp", "--out", "p.lp"], "export_ilp", ["p.lp"]),
     (["simulate", "--seeds-file", "seeds.txt", "--hops", "2", "--trace-out", "t.csv"], "write_trace", ["t.csv"]),
     (["generate", "--preset", "small-ilp", "--out", "."], "serialize_layer", ["layer1.txt"]),
-], ids=["couple", "export-ilp", "simulate-trace", "generate"])
+    # layer 1 is written in full before layer 2 fails, and stays unrenamed
+    (["generate", "--preset", "small-ilp", "--out", "."], ("serialize_layer", 1), ["layer1.txt", "layer2.txt"]),
+], ids=["couple", "export-ilp", "simulate-trace", "generate", "generate-second-layer"])
 def test_failed_rewrite_keeps_the_previous_files(tmp_path, layer_files, capsys, monkeypatch, flags, failing, outputs):
     import muxlci.cli
 
@@ -1038,7 +1052,8 @@ def test_failed_rewrite_keeps_the_previous_files(tmp_path, layer_files, capsys, 
     for name in outputs:
         (tmp_path / name).write_bytes(b"old\r\n")
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-    monkeypatch.setattr(muxlci.cli, failing, disk_full)
+    name, calls = failing if isinstance(failing, tuple) else (failing, 0)
+    monkeypatch.setattr(muxlci.cli, name, disk_full_after(calls, getattr(muxlci.cli, name)))
     layers = [] if flags[0] == "generate" else ["--layer", layer_files[0], "--layer", layer_files[1]]
     assert main([*flags, *layers]) == 4
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import muxlci.solver
-from muxlci.diffusion import _ic_single, _layer_lt_propagate, _st_bars
-from muxlci.experiment import single_layer_network
-from muxlci.network import WEIGHT_EPS
+from muxlci.diffusion import _ic_single, _st_bars
+from muxlci.network import WEIGHT_EPS, single_layer_network
 from muxlci import (
     ActiveSet,
     DiffusionModel,
@@ -470,12 +469,12 @@ class TestKernelMatchesReference:
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=4))
     def test_restricted_run_exact(self, seed, hops):
-        # one layer over the whole network's index runs like a standalone
-        # single-layer network of that layer
+        # the network's cached network of one layer runs like a
+        # single-layer network of that layer built apart from it
         network, seeds = corner_multiplex(seed)
         for layer in network.layers:
             local = seeds & layer.nodes
-            ours = _layer_lt_propagate(network, layer.layer_index, local, hops)
+            ours = multiplex_lt_propagate(network.alone(layer.layer_index), local, hops)
             alone = reference_multiplex_lt_propagate(single_layer_network(layer), local, hops)
             assert_same_outcome(ours, alone)
 
@@ -859,7 +858,7 @@ class TestHopBudget:
         "ic": lambda net, graph, hops: ic_propagate(graph, {"a"}, hops, DiffusionModel("independent_cascade")),
         "st": lambda net, graph, hops: st_propagate(graph, {"a"}, hops, DiffusionModel("stochastic_threshold")),
         "multiplex": lambda net, graph, hops: multiplex_lt_propagate(net, {"a"}, hops),
-        "layer": lambda net, graph, hops: _layer_lt_propagate(net, 1, {"a"}, hops),
+        "layer": lambda net, graph, hops: multiplex_lt_propagate(net.alone(1), {"a"}, hops),
     }
 
     @pytest.mark.parametrize("hops, message", [

@@ -161,6 +161,13 @@ class TestMetrics:
         fraction, external, total = external_influence_fraction(network, {"s"}, 3, 1, full)
         assert external == 2 and total == 2  # both x and u enter from outside
         assert fraction == 1.0
+        # a seed in both layers: c enters layer 1 through layer 2, and d
+        # follows it inside layer 1; the run of layer 1 alone reaches b only
+        layer1 = make_layer(1, {("a", "b"): 1.0, ("c", "d"): 1.0}, dict.fromkeys("abcd", 0.5))
+        layer2 = make_layer(2, {("a", "c"): 1.0}, dict.fromkeys("ac", 0.5))
+        network = MultiplexNetwork([layer1, layer2])
+        full = multiplex_lt_propagate(network, {"a"}, 3)
+        assert external_influence_fraction(network, {"a"}, 3, 1, full) == (0.5, 2, 4)
 
     @pytest.mark.parametrize("seed", [4, 9, 23])
     def test_external_influence_reuses_given_outcome(self, seed):
@@ -567,6 +574,45 @@ class TestSharedSolve:
             assert union[i]["beta"] == only[i]["beta"] == cfg.beta
             assert union[i]["wall_time_ms"] >= layer_ms[1] + layer_ms[2]
             assert only[i]["wall_time_ms"] >= layer_ms[2]
+
+    def test_layer_solve_and_restricted_runs_share_one_network(self, monkeypatch):
+        # the layer-1 baseline solve and every restricted run of target
+        # layer 1 run on the one network of layer 1 alone
+        from muxlci import experiment
+
+        coupled, restricted, inside = [], [], []
+        couple_, run = experiment.couple, experiment.multiplex_lt_propagate
+        external = experiment.external_influence_fraction
+
+        def coupling(network, scheme):
+            coupled.append(network)
+            return couple_(network, scheme)
+
+        def multiplex_run(network, seeds, hops):
+            if inside:
+                restricted.append(network)
+            return run(network, seeds, hops)
+
+        def external_influence(*args):
+            inside.append(True)
+            try:
+                return external(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(experiment, "couple", coupling)
+        monkeypatch.setattr(experiment, "multiplex_lt_propagate", multiplex_run)
+        monkeypatch.setattr(experiment, "external_influence_fraction", external_influence)
+        spec = ExperimentSpec(schemes=["union", "only:1"], betas=[0.3, 0.6], hops=2, repetitions=2,
+                              base_seed=8, synth=SMALL, target_layer=1)
+        rows = run_experiment(spec)
+        assert len(rows) == 8 and all(row["status"] == "ok" for row in rows)
+        # union solves both layers of each of the two networks, once each
+        assert len(coupled) == 4 and all(len(network.layers) == 1 for network in coupled)
+        assert restricted
+        for network in restricted:
+            (solved,) = [sub for sub in coupled if sub.layers[0].nodes is network.layers[0].nodes]
+            assert solved is network
 
 
 class TestStochasticPipeline:

@@ -22,8 +22,7 @@ from muxlci import (
     serialize_layer,
     validate,
 )
-from muxlci.experiment import single_layer_network
-from muxlci.network import WEIGHT_EPS, _replacing, prepare_network, subseed
+from muxlci.network import WEIGHT_EPS, _replacing, prepare_network, single_layer_network, subseed
 
 from conftest import count_rule_book, make_layer, random_network
 from oracles import (
@@ -219,6 +218,25 @@ class TestSharedParts:
             alone = single_layer_network(ready).layers[0]
             assert alone.layer_index == 1
             assert alone.nodes is ready.nodes and alone.edges is ready.edges and alone.thresholds is ready.thresholds
+
+    def test_cached_one_layer_network_shares_the_layer(self, two_layer_toy):
+        network = prepare_network(two_layer_toy.layers, 0)[0]
+        for layer in network.layers:
+            cached = network.alone(layer.layer_index)
+            assert network.alone(layer.layer_index) is cached
+            (alone,) = cached.layers
+            assert alone.layer_index == 1
+            assert alone.nodes is layer.nodes and alone.edges is layer.edges and alone.thresholds is layer.thresholds
+        assert network.alone(1) is not network.alone(2)
+        with pytest.raises(ValueError, match="^no layer with index 3$"):
+            network.alone(3)
+
+    def test_cached_network_names_a_fault_by_its_own_layer(self):
+        # layer 2 alone is renumbered to 1, but its fault is named in place
+        layer1 = make_layer(1, {("a", "b"): 1.0}, {"a": 0.5, "b": 0.5})
+        layer2 = make_layer(2, {("b", "c"): 1.0}, {"b": 0.5})
+        with pytest.raises(ValueError, match="^layer 2: node 'c' missing threshold$"):
+            MultiplexNetwork([layer1, layer2]).alone(2)
 
     def test_only_the_changed_part_is_new(self):
         layer = make_layer(2, {("a", "b"): 0.5}, {"a": 0.25})
@@ -473,6 +491,12 @@ class TestLayerRuleBook:
             couple(two_layer_toy, scheme)
         multiplex_lt_propagate(two_layer_toy, {"a"}, 2)
         assert checked == [1, 2]
+        # a network of one layer alone inherits the whole network's pass
+        for index in (1, 2):
+            alone = two_layer_toy.alone(index)
+            couple(alone, "lossy-average")
+            multiplex_lt_propagate(alone, set(alone.universe), 2)
+        assert checked == [1, 2]
 
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(LAYER_FAULTS))
     def test_one_fault_raises_a_validate_message(self, seed, fault):
@@ -600,7 +624,7 @@ class TestReplacing:
         path = tmp_path / "out.txt"
         path.write_bytes(b"old\r\n")
         with pytest.raises(RuntimeError):
-            with _replacing(path) as handle:
+            with _replacing(path) as (handle,):
                 handle.write("new\n")
                 raise RuntimeError("half written")
         assert path.read_bytes() == b"old\r\n"
@@ -609,7 +633,7 @@ class TestReplacing:
     def test_text_replaces_the_file_whole(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_text("a much longer old text\n", encoding="utf-8")
-        with _replacing(path, newline="") as handle:
+        with _replacing(path) as (handle,):
             handle.write("é,\r\n")
         assert path.read_bytes() == "é,\r\n".encode()
         assert [entry.name for entry in tmp_path.iterdir()] == ["out.csv"]
@@ -625,7 +649,35 @@ class TestReplacing:
         path = tmp_path / "taken"
         path.mkdir()
         with pytest.raises(IsADirectoryError) as raised:
-            with _replacing(path) as handle:
+            with _replacing(path) as (handle,):
                 handle.write("new\n")
         assert raised.value.filename == str(path) and raised.value.filename2 is None
         assert [entry.name for entry in tmp_path.iterdir()] == ["taken"]
+
+    def test_paths_replaced_together_or_not_at_all(self, tmp_path):
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        first.write_bytes(b"old a\n")
+        missing = str(tmp_path / "missing" / "c.txt")
+        with pytest.raises(FileNotFoundError) as raised:
+            with _replacing(first, second, missing):
+                pass
+        assert raised.value.filename == missing
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["a.txt"]
+        assert first.read_bytes() == b"old a\n"
+        with _replacing(first, second) as (one, two):
+            one.write("new a\n")
+            two.write("new b\n")
+        assert (first.read_bytes(), second.read_bytes()) == (b"new a\n", b"new b\n")
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+    def test_a_directory_at_a_later_path_keeps_the_earlier_file(self, tmp_path):
+        first, taken = tmp_path / "a.txt", tmp_path / "taken"
+        first.write_bytes(b"old a\n")
+        taken.mkdir()
+        with pytest.raises(IsADirectoryError) as raised:
+            with _replacing(first, taken) as (one, two):
+                one.write("new a\n")
+                two.write("new\n")
+        assert raised.value.filename == str(taken) and raised.value.filename2 is None
+        assert first.read_bytes() == b"old a\n"
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["a.txt", "taken"]
