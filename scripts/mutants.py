@@ -58,6 +58,8 @@ CLIQUE = "tests/test_coupling.py::TestCliqueCoupling::"
 SHARED = "tests/test_experiment.py::TestSharedSolve::"
 SOLVE = "tests/test_experiment.py::TestSolvePipeline::"
 METRICS = "tests/test_experiment.py::TestMetrics::"
+NETWORK = "src/muxlci/network.py"
+ALIASES = "tests/test_network.py::TestAliases::"
 
 MUTANTS = (
     Mutant(
@@ -107,24 +109,57 @@ MUTANTS = (
         "",
         ("tests/test_diffusion.py::TestStochasticThreshold::test_threshold_outside_unit_interval_raises",)),
     Mutant(
-        "threshold-above-one-rule-dropped", "src/muxlci/network.py",
+        "st-bars-zero-bound-accepted", DIFFUSION,
+        "            if not 0.0 < b <= 1.0:\n",
+        "            if not 0.0 <= b <= 1.0:\n",
+        ("tests/test_diffusion.py::TestStochasticThreshold::test_zero_threshold_bound_raises",)),
+    Mutant(
+        "threshold-above-one-rule-dropped", NETWORK,
         "        elif theta > 1.0 + WEIGHT_EPS:\n"
         "            yield (2, user, 1), f\"{tag}: node {user!r} threshold {theta} exceeds 1\"\n",
         "",
         ("tests/test_network.py::TestLayerRuleBook::test_threshold_above_one_rejected_by_every_entry_point",
          "tests/test_network.py::TestLoadNetwork::test_invalid_network_lists_violations")),
     Mutant(
-        "file-id-rule-dropped", "src/muxlci/network.py",
-        "    if node.split() != [node]:\n"
-        "        return \"holds whitespace\" if node else \"is empty\"\n"
-        "    if node[0] == \"#\":\n"
-        "        return \"starts with '#'\"\n",
-        "",
+        "file-id-rule-dropped", NETWORK,
+        "    if node and node[0] != \"#\" and node.isprintable() and \" \" not in node:\n",
+        "    if node.isprintable():\n",
         ("tests/test_network.py::TestLayerRuleBook::test_id_no_file_can_carry_rejected_by_every_entry_point",
          "tests/test_coupling.py::TestCoupledExport::test_manifest_node_id_no_file_can_carry_names_line",
          "tests/test_cli.py::test_alias_file_canonical_id_with_whitespace_exit_code")),
     Mutant(
-        "replacing-keeps-temporary-file", "src/muxlci/network.py",
+        "printable-id-rule-dropped", NETWORK,
+        " and node.isprintable() and ",
+        " and ",
+        ("tests/test_network.py::TestLayerRuleBook::test_id_no_file_can_carry_rejected_by_every_entry_point",
+         "tests/test_cli.py::test_non_printable_id_in_a_layer_file_exit_code",
+         "tests/test_cli.py::test_non_printable_id_in_an_alias_file_exit_code")),
+    Mutant(
+        "rule-book-first-fault-in-set-order", NETWORK,
+        "        fault = min(_layer_faults(layer), default=None)\n",
+        "        fault = next(_layer_faults(layer), None)\n",
+        ("tests/test_cli.py::test_rule_book_first_fault_independent_of_hash_seed",)),
+    Mutant(
+        "theta-conflict-rule-dropped", NETWORK,
+        "                if user in thresholds and thresholds[user] != theta:\n",
+        "                if False:\n",
+        ("tests/test_cli.py::test_conflicting_repeated_threshold_exit_code",
+         "tests/test_cli.py::test_alias_merge_fault_names_the_layer_file_and_line[thresholds]",
+         ALIASES + "test_merge_fault_names_the_line_that_completes_it[thresholds]")),
+    Mutant(
+        "alias-rename-skipped-for-targets", NETWORK,
+        "aliases.get(src, src), aliases.get(dst, dst)",
+        "aliases.get(src, src), dst",
+        (ALIASES + "test_alias_self_loop_rejected", ALIASES + "test_renaming_as_read_matches_a_second_pass",
+         "tests/test_cli.py::test_alias_merge_fault_names_the_layer_file_and_line[self-loop]")),
+    Mutant(
+        "replacing-accepts-a-repeated-path", NETWORK,
+        "        if resolved[i] in resolved[:i]:\n",
+        "        if False:\n",
+        ("tests/test_network.py::TestReplacing::test_a_path_named_twice_opens_nothing",
+         "tests/test_cli.py::test_output_file_named_twice_exits_3_writing_nothing")),
+    Mutant(
+        "replacing-keeps-temporary-file", NETWORK,
         "        for tmp in tmps:\n"
         "            with suppress(FileNotFoundError):\n"
         "                os.remove(tmp)\n",
@@ -136,26 +171,26 @@ MUTANTS = (
     Mutant(
         # each temporary file is renamed as its own handle closes, also
         # when a later handle fails to open or the block raises
-        "replacing-renames-as-each-handle-closes", "src/muxlci/network.py",
+        "replacing-renames-as-each-handle-closes", NETWORK,
         "for tmp in tmps)\n",
         "for tmp in tmps\n"
         "                        if stack.callback(os.replace, tmp, paths[tmps.index(tmp)]))\n",
         ("tests/test_cli.py::test_output_in_a_missing_directory_exits_4_naming_it[couple-summary]",
          "tests/test_cli.py::test_failed_rewrite_keeps_the_previous_files[generate-second-layer]")),
     Mutant(
-        "validate-without-rule-book", "src/muxlci/network.py",
+        "validate-without-rule-book", NETWORK,
         "        found = list(_layer_faults(layer))\n",
         "        found = []\n",
         ("tests/test_network.py::TestValidate::test_zero_threshold_flagged",
          "tests/test_network.py::TestValidate::test_missing_threshold_flagged",
          "tests/test_network.py::TestValidate::test_negative_weight_flagged")),
     Mutant(
-        "thresholds-stream-restarted-per-layer", "src/muxlci/network.py",
+        "thresholds-stream-restarted-per-layer", NETWORK,
         "(1.0 - thresholds_rng.random(len(missing)))",
         '(1.0 - np.random.default_rng(subseed(rng_seed, "thresholds")).random(len(missing)))',
         ("tests/test_network.py::TestBlockDraws::test_same_values_and_order_as_scalar_draws",)),
     Mutant(
-        "block-draw-zero-top-up-dropped", "src/muxlci/network.py",
+        "block-draw-zero-top-up-dropped", NETWORK,
         "    while len(drawn) < count:\n",
         "    if len(drawn) < count:\n",
         ("tests/test_network.py::TestBlockDraws::test_zero_draw_topped_up_as_the_scalar_loop_redraws",)),

@@ -22,7 +22,6 @@ from .network import (
     serialize_layer,
     validate,
     load_alias_map,
-    apply_aliases,
 )
 from .diffusion import (
     ActiveSet,

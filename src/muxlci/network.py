@@ -12,9 +12,14 @@ Layer file format (UTF-8, whitespace separated)::
     # theta <user> <value>     per-layer threshold directive
     <src> <dst> [weight]       directed edge, weight in [0, 1]
 
+A user's threshold may be given again only with the same value.  An
+alias file (:func:`load_alias_map`) renames ids as :func:`load_layer`
+reads them, so every rule of the format holds after renaming.
+
 A node id is a non-empty string without whitespace that does not start
 with ``#``: the layer, coupled edge-list and seed formats split lines on
-whitespace and read a line that starts with ``#`` as a comment.
+whitespace and read a line that starts with ``#`` as a comment.  Every
+character of it prints, so a byte-order mark cannot make a second user.
 
 Missing weights and thresholds stay unset until :func:`prepare_network`
 draws them in one pass over the layers (streams ``weights/<i>`` and
@@ -196,12 +201,17 @@ def single_layer_network(layer):
 def _id_fault(node):
     """Why no file format can carry the node id ``node``, or None: the
     formats split lines on whitespace and skip a line whose first field
-    starts with ``#``."""
+    starts with ``#``, and an invisible character such as a byte-order
+    mark would make two ids that print alike."""
+    # the space is the one whitespace character that prints
+    if node and node[0] != "#" and node.isprintable() and " " not in node:
+        return None
     if node.split() != [node]:
         return "holds whitespace" if node else "is empty"
     if node[0] == "#":
         return "starts with '#'"
-    return None
+    char = next(char for char in node if not char.isprintable())
+    return f"holds a non-printable character U+{ord(char):04X}"
 
 
 def _layer_faults(layer):
@@ -243,21 +253,25 @@ def _layer_faults(layer):
 
 
 def _require_complete(layers):
-    """Raise ValueError with the first fault (see :func:`_layer_faults`)
-    of the first faulty layer, in one pass over each layer."""
+    """Raise ValueError with the first fault of the first faulty layer,
+    the least ``(order, message)`` of :func:`_layer_faults`, which
+    :func:`validate` lists first whatever the order of the node set."""
     for layer in layers:
-        for _, fault in _layer_faults(layer):
-            raise ValueError(fault)
+        fault = min(_layer_faults(layer), default=None)
+        if fault:
+            raise ValueError(fault[1])
 
 
-def load_layer(lines, layer_index):
-    """Parse a layer from an iterable of text lines.
+def load_layer(lines, layer_index, aliases=None):
+    """Parse a layer from an iterable of text lines, renaming each id
+    through the map ``aliases`` (:func:`load_alias_map`) as it is read.
 
     Raises :class:`LayerFormatError` (with the offending line number) on
-    malformed lines, self-loops, duplicate edges, and weights outside
-    [0, 1].  Users mentioned only in ``# theta`` directives become
-    isolated nodes.  Each line is split once, and the node set is taken
-    from the thresholds and edges after the last line.
+    malformed lines, self-loops, duplicate edges, weights outside [0, 1]
+    and a threshold repeated with another value, each after renaming.
+    Users mentioned only in ``# theta`` directives become isolated
+    nodes.  Each line is split once, and the node set is taken from the
+    thresholds and edges after the last line.
     """
     edges, thresholds = {}, {}
     for line_no, raw in enumerate(lines, start=1):
@@ -269,14 +283,21 @@ def load_layer(lines, layer_index):
             if parts[:1] == ["theta"]:
                 if len(parts) != 3:
                     raise LayerFormatError("expected '# theta <user> <value>'", line_no)
+                user = aliases.get(parts[1], parts[1]) if aliases else parts[1]
                 try:
-                    thresholds[parts[1]] = float(parts[2])
+                    theta = float(parts[2])
                 except ValueError:
                     raise LayerFormatError(f"not a number: {parts[2]!r}", line_no) from None
+                if user in thresholds and thresholds[user] != theta:
+                    raise LayerFormatError(
+                        f"threshold of {user!r} is {thresholds[user]} above and {theta} here", line_no)
+                thresholds[user] = theta
             continue
         if len(parts) not in (2, 3):
             raise LayerFormatError(f"expected 'src dst [weight]', got {raw.strip()!r}", line_no)
         edge = src, dst = parts[0], parts[1]
+        if aliases:
+            edge = src, dst = aliases.get(src, src), aliases.get(dst, dst)
         if src == dst:
             raise LayerFormatError(f"self-loop on {src!r}", line_no)
         if edge in edges:
@@ -296,12 +317,26 @@ def load_layer(lines, layer_index):
 
 
 def _parse_file(path, parse, *args):
-    """``parse(lines, *args)`` over a UTF-8 file, naming it in a LayerFormatError."""
+    """``parse(lines, *args)`` over a UTF-8 file, naming it in a
+    LayerFormatError; bytes that are not UTF-8 raise one naming the line
+    of the first such byte."""
     with open(path, encoding="utf-8") as handle:
         try:
             return parse(handle, *args)
         except LayerFormatError as exc:
             raise LayerFormatError(exc.reason, exc.line_no, path) from None
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # lines as text mode reads them, ending at \n, \r\n or \r
+                text = data[:exc.start].decode("utf-8")
+                line_no = 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
+                raise LayerFormatError(f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})",
+                                       line_no, path) from None
+            raise
 
 
 @contextmanager
@@ -314,7 +349,12 @@ def _replacing(*paths):
     directory, before the first rename; if anything raises, every
     temporary file is removed, so a failed block leaves each path with
     its old bytes.  An OSError of a temporary file names its path
-    instead."""
+    instead.  A file named twice, by any spelling, raises ValueError
+    before the first open."""
+    resolved = [os.path.realpath(path) for path in paths]
+    for i, path in enumerate(paths):
+        if resolved[i] in resolved[:i]:
+            raise ValueError(f"output file {os.fspath(path)!r} is named twice")
     tmps = [f"{path}.tmp.{os.getpid()}" for path in paths]
     try:
         with ExitStack() as stack:
@@ -333,8 +373,8 @@ def _replacing(*paths):
         raise
 
 
-def load_layer_file(path, layer_index):
-    return _parse_file(path, load_layer, layer_index)
+def load_layer_file(path, layer_index, aliases=None):
+    return _parse_file(path, load_layer, layer_index, aliases)
 
 
 def serialize_layer(layer):
@@ -430,10 +470,10 @@ def load_alias_map(lines):
     """Parse alias rows ``id_in_layer_i <TAB> id_in_layer_j <TAB> canonical_id``.
 
     Returns a flat mapping from either per-layer id to the canonical id,
-    applied to layer files before the universe union is taken.  Every id
+    which :func:`load_layer` applies to each id as it reads it.  Every id
     has one canonical id, and a canonical id is its own, so a row that
     maps an id elsewhere raises :class:`LayerFormatError` naming its line,
-    as does a canonical id that :func:`_id_fault` rejects.
+    as does an id that :func:`_id_fault` rejects.
     """
     mapping = {}
     for line_no, raw in enumerate(lines, start=1):
@@ -443,37 +483,16 @@ def load_alias_map(lines):
         parts = [p.strip() for p in line.split("\t")]
         if len(parts) != 3 or not all(parts):
             raise LayerFormatError("expected three tab-separated ids", line_no)
-        a, b, canonical = parts
-        reason = _id_fault(canonical)
-        if reason:
-            raise LayerFormatError(f"canonical id {canonical!r} {reason}", line_no)
-        for alias in (a, b, canonical):
+        canonical = parts[2]
+        for kind, node in zip(("id", "id", "canonical id"), parts):
+            reason = _id_fault(node)
+            if reason:
+                raise LayerFormatError(f"{kind} {node!r} {reason}", line_no)
+        for alias in parts:
             earlier = mapping.setdefault(alias, canonical)
             if earlier != canonical:
                 raise LayerFormatError(f"{alias!r} maps to {earlier!r} above and to {canonical!r} here", line_no)
     return {alias: target for alias, target in mapping.items() if alias != target}
-
-
-def apply_aliases(layer, mapping):
-    """Rename nodes through an alias map, rejecting merges that would
-    create self-loops or duplicate edges."""
-    rename = lambda u: mapping.get(u, u)
-    nodes = {rename(u) for u in layer.nodes}
-    edges = {}
-    for (src, dst), weight in layer.edges.items():
-        key = (rename(src), rename(dst))
-        if key[0] == key[1]:
-            raise ValueError(f"aliasing {src!r}->{dst!r} creates a self-loop on {key[0]!r}")
-        if key in edges:
-            raise ValueError(f"aliasing creates duplicate edge {key[0]!r}->{key[1]!r}")
-        edges[key] = weight
-    thresholds = {}
-    for user, theta in layer.thresholds.items():
-        target = rename(user)
-        if target in thresholds and thresholds[target] != theta:
-            raise ValueError(f"aliasing merges conflicting thresholds for {target!r}")
-        thresholds[target] = theta
-    return LayerGraph(layer.layer_index, nodes, edges, thresholds)
 
 
 def prepare_network(layers, rng_seed):
@@ -500,14 +519,12 @@ def prepare_network(layers, rng_seed):
 
 
 def load_network(layer_paths, alias_path, rng_seed):
-    """Layer files (layer i from ``layer_paths[i - 1]``), renamed through
-    the alias file if given, prepared (:func:`prepare_network`, whose
-    pair it returns) and validated: an invalid network raises ValueError
-    listing every violation."""
-    layers = [load_layer_file(path, i) for i, path in enumerate(layer_paths, start=1)]
-    if alias_path:
-        mapping = _parse_file(alias_path, load_alias_map)
-        layers = [apply_aliases(layer, mapping) for layer in layers]
+    """Layer files (layer i from ``layer_paths[i - 1]``), their ids
+    renamed through the alias file if given as they are read, prepared
+    (:func:`prepare_network`, whose pair it returns) and validated: an
+    invalid network raises ValueError listing every violation."""
+    aliases = _parse_file(alias_path, load_alias_map) if alias_path else None
+    layers = [load_layer_file(path, i, aliases) for i, path in enumerate(layer_paths, start=1)]
     network, normalized = prepare_network(layers, rng_seed)
     report = validate(network)
     if report:

@@ -4,7 +4,8 @@ Deliberately written straight-line (full rescans per round, no
 incremental bookkeeping) so they share no code path with the engines
 they check.  The ``reference_*`` functions are the exception: they keep
 earlier forms of fast paths, against which the package must agree
-exactly: the eager linear-threshold kernels on the coupled graph and on
+exactly: the alias renaming as a second pass over a parsed layer, the
+eager linear-threshold kernels on the coupled graph and on
 the multiplex (sum each touched node's hop total, test it afterwards,
 build id sets at once), the independent cascade loop written out in
 full (a set of the hop's hits, sorted at the end of the hop),
@@ -69,7 +70,8 @@ TOL = 1e-12
 
 def reference_load_layer(lines, layer_index):
     """Layer-file parser that strips, tests for a comment and splits each
-    line in turn, and adds each user to the node set as its line is read."""
+    line in turn, and adds each user to the node set as its line is read.
+    It renames no id: :func:`reference_apply_aliases` does that after."""
 
     def number(token, line_no):
         try:
@@ -87,9 +89,12 @@ def reference_load_layer(lines, layer_index):
             if parts[:1] == ["theta"]:
                 if len(parts) != 3:
                     raise LayerFormatError("expected '# theta <user> <value>'", line_no)
-                user = parts[1]
+                user, theta = parts[1], number(parts[2], line_no)
+                if user in thresholds and thresholds[user] != theta:
+                    raise LayerFormatError(
+                        f"threshold of {user!r} is {thresholds[user]} above and {theta} here", line_no)
                 nodes.add(user)
-                thresholds[user] = number(parts[2], line_no)
+                thresholds[user] = theta
             continue
         parts = line.split()
         if len(parts) not in (2, 3):
@@ -108,6 +113,30 @@ def reference_load_layer(lines, layer_index):
         nodes.add(dst)
         edges[(src, dst)] = weight
     return LayerGraph(layer_index, nodes, edges, thresholds)
+
+
+def reference_apply_aliases(layer, mapping):
+    """A parsed layer renamed through an alias map in a second pass,
+    rejecting merges that would create self-loops, duplicate edges or two
+    thresholds for one user, where ``load_layer`` renames each id as it
+    reads it."""
+    rename = lambda u: mapping.get(u, u)
+    nodes = {rename(u) for u in layer.nodes}
+    edges = {}
+    for (src, dst), weight in layer.edges.items():
+        key = (rename(src), rename(dst))
+        if key[0] == key[1]:
+            raise ValueError(f"aliasing {src!r}->{dst!r} creates a self-loop on {key[0]!r}")
+        if key in edges:
+            raise ValueError(f"aliasing creates duplicate edge {key[0]!r}->{key[1]!r}")
+        edges[key] = weight
+    thresholds = {}
+    for user, theta in layer.thresholds.items():
+        target = rename(user)
+        if target in thresholds and thresholds[target] != theta:
+            raise ValueError(f"aliasing merges conflicting thresholds for {target!r}")
+        thresholds[target] = theta
+    return LayerGraph(layer.layer_index, nodes, edges, thresholds)
 
 
 def reference_normalize_incoming_weights(layer, rng_seed):
@@ -169,12 +198,18 @@ def reference_prepare_network(layers, rng_seed):
 
 
 def id_problem(node):
-    """Why a whitespace-split, '#'-commented line cannot carry ``node``."""
+    """Why a whitespace-split, '#'-commented line cannot carry ``node``,
+    or why it would print like another id."""
     if not node:
         return "is empty"
     if any(char.isspace() for char in node):
         return "holds whitespace"
-    return "starts with '#'" if node.startswith("#") else None
+    if node.startswith("#"):
+        return "starts with '#'"
+    for char in node:
+        if not char.isprintable():
+            return f"holds a non-printable character U+{ord(char):04X}"
+    return None
 
 
 def reference_validate(network):

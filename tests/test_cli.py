@@ -453,6 +453,32 @@ def test_involvement_files_independent_of_hash_seed(tmp_path):
     assert written["1"] == written["2"]
 
 
+# the rule book's first fault on a layer of users a-d where only a has a threshold
+FIRST_FAULT = """
+from muxlci import LayerGraph, MultiplexNetwork, couple
+layer = LayerGraph(1, {"a", "b", "c", "d"}, {("a", "b"): 0.5, ("c", "d"): 0.5}, {"a": 0.5})
+try:
+    couple(MultiplexNetwork([layer]), "clique")
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_rule_book_first_fault_independent_of_hash_seed():
+    """The rule book raises the fault that validate lists first, not the
+    first in the node set's order, which follows the string hash."""
+    printed = set()
+    for hash_seed in "012345":
+        done = subprocess.run(
+            [sys.executable, "-c", FIRST_FAULT],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src_path()},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        printed.add(done.stdout)
+    assert printed == {"layer 1: node 'b' missing threshold\n"}
+
+
 # every scheme under every model, one record per line without its wall time
 SOLVE_EVERY_SCHEME = """
 import contextlib, io, json, sys
@@ -899,6 +925,77 @@ def test_alias_file_merges_users_across_layers(tmp_path, capsys):
     assert "person1" in manifest.read_text()
 
 
+def test_conflicting_repeated_threshold_exit_code(tmp_path, capsys):
+    layer = write(tmp_path / "l1.txt", "# theta b 0.4\na b 0.5\n# theta b 0.9\n")
+    seeds = write(tmp_path / "seeds.txt", "a\n")
+    assert main(["simulate", "--layer", layer, "--seeds-file", seeds, "--hops", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {layer}: line 3: threshold of 'b' is 0.4 above and 0.9 here\n"
+    # a threshold given again with its value loads
+    write(tmp_path / "l1.txt", "# theta b 0.4\na b 0.5\n# theta b 0.4\n")
+    assert main(["simulate", "--layer", layer, "--seeds-file", seeds, "--hops", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["coverage_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("a x 0.5\nb x 0.5\n", "line 2: duplicate edge 'P' -> 'x'"),
+    ("a b 0.5\n", "line 1: self-loop on 'P'"),
+    ("# theta a 0.5\n# theta x 0.5\n# theta b 0.7\n", "line 3: threshold of 'P' is 0.5 above and 0.7 here"),
+], ids=["duplicate-edge", "self-loop", "thresholds"])
+def test_alias_merge_fault_names_the_layer_file_and_line(tmp_path, capsys, text, fault):
+    one = write(tmp_path / "l1.txt", "c x 0.5\n")
+    two = write(tmp_path / "l2.txt", text)
+    alias = write(tmp_path / "alias.tsv", "a\tb\tP\n")
+    code = main(["couple", "--layer", one, "--layer", two, "--alias", alias, "--scheme", "clique",
+                 "--out-edges", str(tmp_path / "c.txt"), "--out-manifest", str(tmp_path / "m.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {two}: {fault}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["alias.tsv", "l1.txt", "l2.txt"]
+
+
+@pytest.mark.parametrize("text, node", [
+    ("\ufeffa b 0.5\n", "\ufeffa"), ("a b\u200bc 0.5\n", "b\u200bc"), ("a\x00 b 0.5\n", "a\x00"),
+], ids=["byte-order-mark", "zero-width-space", "nul"])
+def test_non_printable_id_in_a_layer_file_exit_code(tmp_path, capsys, text, node):
+    # a BOM would make '\ufeffa' a second user that prints as 'a'
+    layer = write(tmp_path / "l1.txt", text)
+    seeds = write(tmp_path / "seeds.txt", "a\n")
+    assert main(["simulate", "--layer", layer, "--seeds-file", seeds, "--hops", "2"]) == 3
+    char = next(char for char in node if not char.isprintable())
+    assert capsys.readouterr().err == (
+        f"error: invalid network:\n  layer 1: node id {node!r} holds a non-printable character U+{ord(char):04X}\n")
+
+
+def test_non_printable_id_in_an_alias_file_exit_code(tmp_path, capsys):
+    layer = write(tmp_path / "l1.txt", "x y 0.5\n")
+    alias = write(tmp_path / "alias.tsv", "\ufeffx\ty\tz\n")
+    assert main(["solve", "--layer", layer, "--alias", alias]) == 2
+    assert capsys.readouterr().err == f"error: {alias}: line 1: id '\\ufeffx' holds a non-printable character U+FEFF\n"
+
+
+def test_accented_and_cjk_ids_load(tmp_path, capsys):
+    one = write(tmp_path / "l1.txt", "é 中 1.0\n")
+    two = write(tmp_path / "l2.txt", "x y 1.0\n")
+    alias = write(tmp_path / "alias.tsv", "中\tx\tü\n")
+    seeds = write(tmp_path / "seeds.txt", "é\n")
+    assert main(["simulate", "--layer", one, "--layer", two, "--alias", alias, "--seeds-file", seeds,
+                 "--hops", "3", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["coverage_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("flag, data, fault", [
+    ("--layer", b"a b 0.5\r\n\xe4 c 0.5\n", "line 2: byte 0xe4 is not UTF-8 (invalid continuation byte)"),
+    ("--layer", b"a b 0.5\rb c 0.5\rc \xff 0.5\n", "line 3: byte 0xff is not UTF-8 (invalid start byte)"),
+    ("--alias", b"# ids\n\xff\tb\tc\n", "line 2: byte 0xff is not UTF-8 (invalid start byte)"),
+], ids=["layer", "layer-cr-lines", "alias"])
+def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, capsys, flag, data, fault):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    layer = write(tmp_path / "l1.txt", "a b 0.5\n")
+    inputs = ["--layer", str(path)] if flag == "--layer" else ["--layer", layer, "--alias", str(path)]
+    assert main(["solve", *inputs, "--hops", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {fault}\n"
+
+
 def test_solve_defaults_are_beta_08_hops_4():
     from muxlci.cli import build_parser
 
@@ -1014,6 +1111,22 @@ def test_output_in_a_missing_directory_exits_4_naming_it(tmp_path, layer_files, 
     before = sorted(path.name for path in tmp_path.iterdir())
     assert main([*flags, "--layer", layer_files[0], "--layer", layer_files[1]]) == 4
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["couple", "--scheme", "clique", "--out-edges", "c.txt", "--out-manifest", "c.txt"], "c.txt"),
+    (["couple", "--scheme", "clique", "--out-edges", "c.txt", "--out-manifest", "c.csv", "--out", "./c.csv"],
+     "./c.csv"),
+    (["simulate", "--seeds-file", "seeds.txt", "--hops", "2", "--trace-out", "x", "--out", "x"], "x"),
+], ids=["couple", "couple-summary", "simulate"])
+def test_output_file_named_twice_exits_3_writing_nothing(tmp_path, layer_files, capsys, monkeypatch, flags, named):
+    # two handles on one file would interleave their writers in it
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "seeds.txt", "a\n")
+    before = sorted(path.name for path in tmp_path.iterdir())
+    assert main([*flags, "--layer", layer_files[0], "--layer", layer_files[1]]) == 3
+    assert capsys.readouterr().err == f"error: output file {named!r} is named twice\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == before
 
 

@@ -277,6 +277,14 @@ class TestStochasticThreshold:
         with pytest.raises(ValueError, match=r"^stochastic threshold bound for 'b' outside \(0, 1\]: 1\.5$"):
             st_propagate(graph, {"a"}, 1, model)
 
+    def test_zero_threshold_bound_raises(self):
+        # a bound of 0 draws every threshold as 0, which no run can reach
+        # without activating the node unprompted
+        graph = InfluenceGraph(["a", "b"], [("a", "b", 0.5)], {"a": 0.5, "b": 0.0})
+        model = DiffusionModel("stochastic_threshold", mc_samples=2)
+        with pytest.raises(ValueError, match=r"^stochastic threshold bound for 'b' outside \(0, 1\]: 0\.0$"):
+            st_propagate(graph, {"a"}, 1, model)
+
 
 def test_concurrent_runs_share_one_graph():
     # propagation keeps scratch state per call, so one graph instance
@@ -596,6 +604,27 @@ class TestDeltaMatchesFullRun:
         joint = lt_propagate(graph, {"x0", "x1", "x2"}, 3, base=base)
         assert joint.active.per_hop == [{"x0", "x1", "x2"}]
         assert_same_outcome(joint, lt_propagate(graph, {"x0", "x1", "x2"}, 3))
+
+    def test_node_lost_at_its_base_hop_reached_again_later(self):
+        # the case above, plus z, which reaches v at hop 2 in both runs:
+        # v is lost at its base hop 2, and its rescheduled re-check at
+        # hop 3 adds z's weight and activates it, as the full run does.
+        # The chain s -> c1 -> .. -> c4 changes a node at every hop, so a
+        # re-check scheduled too early or too late is missed, not re-run
+        graph = InfluenceGraph(
+            ["x0", "x1", "x2", "v", "y", "p", "z", "s", "c1", "c2", "c3", "c4"],
+            [("x1", "x0", 1.0), ("x0", "v", 0.2), ("x1", "v", 0.05), ("x2", "v", 0.1), ("v", "y", 1.0),
+             ("x1", "p", 1.0), ("p", "z", 1.0), ("z", "v", 0.1),
+             ("s", "c1", 1.0), ("c1", "c2", 1.0), ("c2", "c3", 1.0), ("c3", "c4", 1.0)],
+            {"x0": 0.5, "x1": 0.5, "x2": 0.5, "v": 0.350000000001, "y": 0.5, "p": 0.5, "z": 0.5,
+             "s": 0.5, "c1": 0.5, "c2": 0.5, "c3": 0.5, "c4": 0.5},
+        )
+        base = lt_propagate(graph, {"x1", "x2"}, 4)
+        assert base.active.per_hop == [{"x1", "x2"}, {"x0", "p"}, {"v", "z"}, {"y"}]
+        seeds = {"x0", "x1", "x2", "s"}
+        joint = lt_propagate(graph, seeds, 4, base=base)
+        assert joint.active.per_hop == [seeds, {"p", "c1"}, {"z", "c2"}, {"v", "c3"}, {"y", "c4"}]
+        assert_same_outcome(joint, lt_propagate(graph, seeds, 4))
 
     def test_recheck_sums_by_hop_when_sources_activate_out_of_index_order(self):
         # v's in-neighbours a, b, c (by index) activate at hops 1, 0, 0 in

@@ -12,7 +12,6 @@ from muxlci import (
     MultiplexNetwork,
     LayerGraph,
     SynthSpec,
-    apply_aliases,
     couple,
     generate,
     load_alias_map,
@@ -26,6 +25,7 @@ from muxlci.network import WEIGHT_EPS, _replacing, prepare_network, single_layer
 
 from conftest import count_rule_book, make_layer, random_network
 from oracles import (
+    reference_apply_aliases,
     reference_fill_missing_thresholds,
     reference_load_layer,
     reference_normalize_incoming_weights,
@@ -102,6 +102,16 @@ LAYER_LINES = [
     "# comment", "#", "", "   ", "\t",
     "a a 0.5", "a b 0.2", "a b 1.5", "a b -0.1", "a b x", "a b nan", "a", "a b 0.5 extra",
 ]
+
+
+# LAYER_LINES plus lines that an alias map can merge into a fault
+ALIASED_LAYER_LINES = LAYER_LINES + [
+    "b a 0.5", "P a 0.5", "a P 0.25", "c b", "# theta b 0.5", "# theta P 0.25", "# theta Q 0.5",
+]
+
+
+def parse_aliased(text, aliases):
+    return load_layer(io.StringIO(text), 1, aliases)
 
 
 class TestLoadLayerMatchesReference:
@@ -465,8 +475,9 @@ class TestLayerRuleBook:
 
     @pytest.mark.parametrize("user, reason", [
         ("#x", "starts with '#'"), ("user one", "holds whitespace"), ("x\ty", "holds whitespace"),
-        ("", "is empty"),
-    ], ids=["hash", "space", "tab", "empty"])
+        ("", "is empty"), ("\ufeffa", "holds a non-printable character U+FEFF"),
+        ("a\u200b", "holds a non-printable character U+200B"), ("a\x00b", "holds a non-printable character U+0000"),
+    ], ids=["hash", "space", "tab", "empty", "byte-order-mark", "zero-width-space", "nul"])
     def test_id_no_file_can_carry_rejected_by_every_entry_point(self, user, reason):
         # the layer, coupled edge-list and seed formats split lines on
         # whitespace and skip a line that starts with '#'
@@ -525,16 +536,52 @@ class TestAliases:
     def test_remap_unifies_users(self):
         mapping = load_alias_map(io.StringIO("fsq_1\ttw_9\tperson1\n"))
         assert mapping == {"fsq_1": "person1", "tw_9": "person1"}
-        layer = make_layer(1, {("fsq_1", "x"): 1.0}, {"fsq_1": 0.5, "x": 0.5})
-        renamed = apply_aliases(layer, mapping)
+        renamed = parse_aliased("# theta fsq_1 0.5\n# theta x 0.5\nfsq_1 x 1.0\n", mapping)
         assert renamed.nodes == {"person1", "x"}
         assert renamed.edges == {("person1", "x"): 1.0}
         assert renamed.thresholds == {"person1": 0.5, "x": 0.5}
 
     def test_alias_self_loop_rejected(self):
-        layer = make_layer(1, {("a", "b"): 1.0}, {"a": 0.5, "b": 0.5})
-        with pytest.raises(ValueError, match="self-loop"):
-            apply_aliases(layer, {"a": "same", "b": "same"})
+        with pytest.raises(LayerFormatError) as raised:
+            parse_aliased("# theta a 0.5\na b 1.0\n", {"a": "same", "b": "same"})
+        assert str(raised.value) == "line 2: self-loop on 'same'"
+
+    @pytest.mark.parametrize("text, message", [
+        ("a x 0.5\nb x 0.5\n", "line 2: duplicate edge 'same' -> 'x'"),
+        ("# theta a 0.5\nx b 1.0\n# theta b 0.25\n", "line 3: threshold of 'same' is 0.5 above and 0.25 here"),
+    ], ids=["duplicate-edge", "thresholds"])
+    def test_merge_fault_names_the_line_that_completes_it(self, text, message):
+        with pytest.raises(LayerFormatError) as raised:
+            parse_aliased(text, {"a": "same", "b": "same"})
+        assert str(raised.value) == message
+
+    def test_equal_thresholds_merge(self):
+        renamed = parse_aliased("# theta a 0.5\n# theta b 0.5\n# theta a 0.5\na x\n", {"a": "same", "b": "same"})
+        assert renamed.thresholds == {"same": 0.5}
+        assert renamed.nodes == {"same", "x"}
+
+    @given(st.lists(st.sampled_from(ALIASED_LAYER_LINES), max_size=12),
+           st.dictionaries(st.sampled_from("abcdP"), st.sampled_from("abPQ"), max_size=4))
+    @example(["a P 0.5", "a b 0.5"], {"b": "P"})
+    @example(["# theta a 0.5", "# theta P 0.25", "c d"], {"a": "P"})
+    def test_renaming_as_read_matches_a_second_pass(self, lines, mapping):
+        """Renaming each id as it is read gives the layer, edge and
+        threshold order of renaming the parsed layer after, or both
+        raise."""
+        # as load_alias_map returns it: no id maps to itself, and no
+        # canonical id is renamed
+        aliases = {alias: target for alias, target in mapping.items() if target not in mapping}
+        text = [line + "\n" for line in lines]
+        try:
+            expected = reference_apply_aliases(reference_load_layer(text, 2), aliases)
+        except ValueError:
+            with pytest.raises(LayerFormatError):
+                load_layer(text, 2, aliases)
+        else:
+            layer = load_layer(text, 2, aliases)
+            assert layer == expected
+            assert list(layer.edges.items()) == list(expected.edges.items())
+            assert list(layer.thresholds.items()) == list(expected.thresholds.items())
 
     def test_malformed_alias_row(self):
         with pytest.raises(LayerFormatError, match="line 1"):
@@ -559,6 +606,20 @@ class TestAliases:
         with pytest.raises(LayerFormatError) as raised:
             load_alias_map(io.StringIO(rows))
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize("rows, message", [
+        ("\ufeffx\ty\tz\n", "line 1: id '\\ufeffx' holds a non-printable character U+FEFF"),
+        ("x\ty\u200b\tz\n", "line 1: id 'y\\u200b' holds a non-printable character U+200B"),
+        ("x\ty\tz\nuser one\tw\tz\n", "line 2: id 'user one' holds whitespace"),
+    ], ids=["byte-order-mark", "zero-width-space", "space"])
+    def test_id_no_file_can_carry_rejected(self, rows, message):
+        # a layer file cannot hold such an id, so its row would rename nothing
+        with pytest.raises(LayerFormatError) as raised:
+            load_alias_map(io.StringIO(rows))
+        assert str(raised.value) == message
+
+    def test_accented_and_cjk_ids_accepted(self):
+        assert load_alias_map(io.StringIO("é\t中\tü\n")) == {"é": "ü", "中": "ü"}
 
     def test_rows_that_agree_accepted(self):
         rows = "a\tb\tX\nc\td\tX\na\tb\tX\nX\te\tX\nf\tg\tf\n"
@@ -669,6 +730,18 @@ class TestReplacing:
             two.write("new b\n")
         assert (first.read_bytes(), second.read_bytes()) == (b"new a\n", b"new b\n")
         assert sorted(entry.name for entry in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+    def test_a_path_named_twice_opens_nothing(self, tmp_path):
+        first = tmp_path / "a.txt"
+        first.write_bytes(b"old a\n")
+        (tmp_path / "link").symlink_to(first)
+        for repeated in (first, str(tmp_path / "sub" / ".." / "a.txt"), tmp_path / "link"):
+            with pytest.raises(ValueError) as raised:
+                with _replacing(first, tmp_path / "b.txt", repeated):
+                    raise AssertionError("the block must not run")
+            assert str(raised.value) == f"output file {str(repeated)!r} is named twice"
+        assert first.read_bytes() == b"old a\n"
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["a.txt", "link"]
 
     def test_a_directory_at_a_later_path_keeps_the_earlier_file(self, tmp_path):
         first, taken = tmp_path / "a.txt", tmp_path / "taken"

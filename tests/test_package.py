@@ -4,7 +4,7 @@ PUBLIC_NAMES = [
     "ActiveSet", "COUPLING_SCHEMES", "CoupledNetwork", "DiffusionModel", "DiffusionOutcome",
     "ExperimentSpec", "GreedyConfig", "INDEPENDENT_CASCADE", "InfluenceGraph", "LINEAR_THRESHOLD",
     "LayerFormatError", "LayerGraph", "MultiplexNetwork", "NodeKind", "STOCHASTIC_THRESHOLD",
-    "SeedSet", "SynthSpec", "apply_aliases", "brute_force_optimal", "couple", "export_ilp",
+    "SeedSet", "SynthSpec", "brute_force_optimal", "couple", "export_ilp",
     "generate", "ic_propagate", "improved_greedy", "load_alias_map", "load_layer", "load_layer_file",
     "load_network", "lt_propagate", "meets_fraction", "multiplex_lt_propagate", "read_coupled", "run_experiment",
     "serialize_layer", "small_ilp_instance", "solve_pipeline", "st_propagate", "subseed",
