@@ -54,6 +54,7 @@ COUPLING = "src/muxlci/coupling.py"
 KERNEL = "tests/test_diffusion.py::TestKernelMatchesReference::"
 MONTE_CARLO = "tests/test_diffusion.py::TestMonteCarloMatchesReference::"
 DELTA = "tests/test_diffusion.py::TestDeltaMatchesFullRun::"
+BAND = "tests/test_diffusion.py::TestRoundingBand::"
 CLIQUE = "tests/test_coupling.py::TestCliqueCoupling::"
 SHARED = "tests/test_experiment.py::TestSharedSolve::"
 SOLVE = "tests/test_experiment.py::TestSolvePipeline::"
@@ -88,11 +89,31 @@ MUTANTS = (
         "                            newly.append(v)\n",
         (KERNEL + "test_lt_propagate_exact", KERNEL + "test_multiplex_lt_propagate_exact")),
     Mutant(
+        # the near-tie re-sum adds in source order
         "delta-recheck-unsorted", DIFFUSION,
         "    received.sort(key=_first)\n",
         "",
         (DELTA + "test_recheck_sums_by_hop_when_sources_activate_out_of_index_order",
          DELTA + "test_recheck_at_a_bar_equal_to_the_hop_ordered_sum")),
+    Mutant(
+        # (hop, weight) tuples sorted whole order equal hops by weight
+        "delta-resum-ties-by-weight", DIFFUSION,
+        "    received.sort(key=_first)\n",
+        "    received.sort()\n",
+        (DELTA + "test_resummed_float_falling_short_of_the_base",)),
+    Mutant(
+        # the source-order sum decides alone, also within rounding of the bar
+        "delta-near-tie-resum-dropped", DIFFUSION,
+        "                if abs(total - need) <= total * SUM_SLACK * len(incoming[v]):\n",
+        "                if False:\n",
+        (DELTA + "test_recheck_sums_by_hop_when_sources_activate_out_of_index_order",
+         DELTA + "test_recheck_at_a_bar_equal_to_the_hop_ordered_sum",
+         BAND + "test_recheck_through_the_band_matches_the_hop_ordered_sum")),
+    Mutant(
+        "delta-activates-unreached-node", DIFFUSION,
+        " or need <= 0.0 and all(hop[u] >= t for u, _ in incoming[v]):\n",
+        ":\n",
+        (DELTA + "test_node_with_a_negative_bar_lost_with_its_only_active_in_neighbour",)),
     Mutant(
         "ic-draw-only-branch-dropped", DIFFUSION,
         "                elif s == mark:\n"
@@ -141,11 +162,16 @@ MUTANTS = (
         ("tests/test_cli.py::test_rule_book_first_fault_independent_of_hash_seed",)),
     Mutant(
         "theta-conflict-rule-dropped", NETWORK,
-        "                if user in thresholds and thresholds[user] != theta:\n",
+        "                if old != theta and not (math.isnan(old) and math.isnan(theta)):\n",
         "                if False:\n",
         ("tests/test_cli.py::test_conflicting_repeated_threshold_exit_code",
          "tests/test_cli.py::test_alias_merge_fault_names_the_layer_file_and_line[thresholds]",
          ALIASES + "test_merge_fault_names_the_line_that_completes_it[thresholds]")),
+    Mutant(
+        "theta-repeated-nan-conflicts", NETWORK,
+        " and not (math.isnan(old) and math.isnan(theta)):\n",
+        ":\n",
+        ("tests/test_cli.py::test_repeated_nan_threshold_reads_as_one_value",)),
     Mutant(
         "alias-rename-skipped-for-targets", NETWORK,
         "aliases.get(src, src), aliases.get(dst, dst)",

@@ -39,7 +39,7 @@ from .experiment import ExperimentSpec, _model_record, run_experiment, solve_pip
 from .generator import SynthSpec, generate, small_ilp_instance
 # muxbench spans.bindings wraps load_layer_file and validate here; test_benchmark_selftest fails without them
 from .network import (  # noqa: F401
-    LayerFormatError, _replacing, load_layer_file, load_network, serialize_layer, validate)
+    LayerFormatError, _parse_file, _replacing, load_layer_file, load_network, serialize_layer, validate)
 from .solver import GreedyConfig, export_ilp
 
 MODEL_NAMES = {
@@ -75,14 +75,13 @@ def _write_json(payload, path):
         pass
 
 
-def _read_seeds(path):
+def _read_seeds(lines):
     seeds = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            seeds.extend(line.split())
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        seeds.extend(line.split())
     return seeds
 
 
@@ -154,7 +153,7 @@ def cmd_couple(args):
 
 def cmd_simulate(args):
     model = _diffusion_model(args)
-    seeds = _read_seeds(args.seeds_file)
+    seeds = _parse_file(args.seeds_file, _read_seeds)
     kinds = None
     if bool(args.coupled_edges) != bool(args.coupled_manifest):
         raise ValueError("--coupled-edges and --coupled-manifest go together")
@@ -162,9 +161,8 @@ def cmd_simulate(args):
         ignored = [flag for flag, given in (("--layer", args.layer), ("--alias", args.alias)) if given]
         if ignored:
             raise ValueError(f"{' and '.join(ignored)} cannot be given with --coupled-edges")
-        with open(args.coupled_edges, encoding="utf-8") as edges, \
-             open(args.coupled_manifest, encoding="utf-8", newline="") as manifest:
-            graph, kinds, _ = read_coupled(edges, manifest)
+        manifest = _parse_file(args.coupled_manifest, list, newline="")
+        graph, kinds, _ = _parse_file(args.coupled_edges, read_coupled, manifest)
         if model.kind == LINEAR_THRESHOLD:
             outcome = lt_propagate(graph, seeds, args.hops)
         elif model.kind == INDEPENDENT_CASCADE:
@@ -221,8 +219,7 @@ def cmd_export_ilp(args):
 
 
 def cmd_experiment(args):
-    with open(args.config, encoding="utf-8") as handle:
-        spec = ExperimentSpec.from_json(handle.read())
+    spec = ExperimentSpec.from_json(_parse_file(args.config, "".join))
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ValueError(f"cannot write {args.out}: its directory does not exist")
     rows = run_experiment(spec)

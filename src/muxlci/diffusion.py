@@ -374,24 +374,21 @@ def _base_hops(graph, base, hops):
 
 _first = itemgetter(0)
 
+# twice the unit roundoff, padded: float sums of the same m non-negative
+# terms in two orders differ by at most total * SUM_SLACK * m (Higham,
+# Accuracy and Stability of Numerical Algorithms, section 4.2)
+SUM_SLACK = 2.3e-16
 
-def _sorted_sum(in_edges, hop, t, inf):
-    """(the weights of ``in_edges`` from nodes active before hop ``t``,
-    summed by hop, then by source index; the earliest hop >= t among the
-    other sources, or ``inf``)."""
-    received = []
-    soonest = inf
-    for u, w in in_edges:
-        h = hop[u]
-        if h < t:
-            received.append((h, w))
-        elif h < soonest:
-            soonest = h
+
+def _hop_sum(in_edges, hop, t):
+    """The weights of ``in_edges`` from nodes active before hop ``t``,
+    summed by hop, then by source index: :func:`_lt_sweep`'s order."""
+    received = [(hop[u], w) for u, w in in_edges if hop[u] < t]
     received.sort(key=_first)
     total = 0.0
     for _, w in received:
         total += w
-    return total, soonest
+    return total
 
 
 def _lt_delta(graph, seed_idx, hops, base):
@@ -405,12 +402,16 @@ def _lt_delta(graph, seed_idx, hops, base):
     hop changed to t-1, and a node whose re-check failed again at the
     next hop at which an in-neighbour activates in the base, or at its
     own base hop if that comes first.  A re-check sums the node's
-    in-weights from in-neighbours active by t-1, ordered by hop, then by
-    source index: the order in which :func:`_lt_sweep` adds them, so the
-    sum is that run's float bit for bit.  A float sum in a new order can
-    fall short of the base's; a node whose re-check fails at its base hop
-    is then lost, and its out-neighbours are re-checked too.  Every field
-    of the outcome equals the run without a base.  The outcome keeps its
+    in-weights from in-neighbours active by t-1 in source order; only a
+    sum within ``total * SUM_SLACK * m`` of the bar (m in-edges), where
+    two orders can round to either side, is re-summed in
+    :func:`_lt_sweep`'s order (:func:`_hop_sum`), so each test falls as
+    that run's does.  A float sum in a new order can fall short of the
+    base's; a node whose re-check fails at its base hop is then lost, and
+    its out-neighbours are re-checked too.  A re-check with no
+    in-neighbour active by t-1 fails whatever the bar, as the sweep tests
+    only nodes that an active node's edge reaches.  Every field of the
+    outcome equals the run without a base.  The outcome keeps its
     activation hops, so it serves as a base in turn at no extra cost.
     """
     base_hop, sizes = _base_hops(graph, base, hops)
@@ -469,23 +470,20 @@ def _lt_delta(graph, seed_idx, hops, base):
                 continue
             b = base_hop[v]
             if not sure:
-                # in-weights in source order are in _lt_sweep's order while
-                # their hops do not fall; the first fall re-sums them sorted
                 total = 0.0
                 soonest = inf
-                last = 0
                 for u, w in incoming[v]:
                     h = hop[u]
-                    if h >= t:
-                        if h < soonest:
-                            soonest = h
-                    elif h >= last:
-                        last = h
+                    if h < t:
                         total += w
-                    else:
-                        total, soonest = _sorted_sum(incoming[v], hop, t, inf)
-                        break
-                if total < bar[v]:
+                    elif h < soonest:
+                        soonest = h
+                need = bar[v]
+                if abs(total - need) <= total * SUM_SLACK * len(incoming[v]):
+                    # within rounding of the bar, only _lt_sweep's order decides
+                    total = _hop_sum(incoming[v], hop, t)
+                # _lt_sweep tests a node only when an active in-neighbour's edge reaches it
+                if total < need or need <= 0.0 and all(hop[u] >= t for u, _ in incoming[v]):
                     if b == t:
                         hop[v] = inf
                         lost.append(v)

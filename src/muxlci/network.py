@@ -288,9 +288,10 @@ def load_layer(lines, layer_index, aliases=None):
                     theta = float(parts[2])
                 except ValueError:
                     raise LayerFormatError(f"not a number: {parts[2]!r}", line_no) from None
-                if user in thresholds and thresholds[user] != theta:
-                    raise LayerFormatError(
-                        f"threshold of {user!r} is {thresholds[user]} above and {theta} here", line_no)
+                # two nans repeat one value, which validate then rejects
+                old = thresholds.get(user, theta)
+                if old != theta and not (math.isnan(old) and math.isnan(theta)):
+                    raise LayerFormatError(f"threshold of {user!r} is {old} above and {theta} here", line_no)
                 thresholds[user] = theta
             continue
         if len(parts) not in (2, 3):
@@ -316,11 +317,11 @@ def load_layer(lines, layer_index, aliases=None):
     return LayerGraph(layer_index, nodes, edges, thresholds)
 
 
-def _parse_file(path, parse, *args):
-    """``parse(lines, *args)`` over a UTF-8 file, naming it in a
-    LayerFormatError; bytes that are not UTF-8 raise one naming the line
-    of the first such byte."""
-    with open(path, encoding="utf-8") as handle:
+def _parse_file(path, parse, *args, newline=None):
+    """``parse(lines, *args)`` over a UTF-8 file opened with ``newline``,
+    naming it in a LayerFormatError; bytes that are not UTF-8 raise one
+    naming the line of the first such byte."""
+    with open(path, encoding="utf-8", newline=newline) as handle:
         try:
             return parse(handle, *args)
         except LayerFormatError as exc:

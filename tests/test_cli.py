@@ -936,6 +936,20 @@ def test_conflicting_repeated_threshold_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["coverage_fraction"] == 1.0
 
 
+def test_repeated_nan_threshold_reads_as_one_value(tmp_path, capsys):
+    # nan != nan, but two nan directives repeat one value: validate
+    # rejects it as it rejects a single one, not the repeat rule
+    seeds = write(tmp_path / "seeds.txt", "a\n")
+    for text in ("# theta a nan\na b 0.5\n", "# theta a nan\n# theta a nan\na b 0.5\n"):
+        layer = write(tmp_path / "l1.txt", text)
+        assert main(["simulate", "--layer", layer, "--seeds-file", seeds, "--hops", "2"]) == 3
+        assert "node 'a' threshold nan is not finite" in capsys.readouterr().err
+    # a nan against a number still conflicts
+    layer = write(tmp_path / "l1.txt", "# theta a 0.5\n# theta a nan\na b 0.5\n")
+    assert main(["simulate", "--layer", layer, "--seeds-file", seeds, "--hops", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {layer}: line 2: threshold of 'a' is 0.5 above and nan here\n"
+
+
 @pytest.mark.parametrize("text, fault", [
     ("a x 0.5\nb x 0.5\n", "line 2: duplicate edge 'P' -> 'x'"),
     ("a b 0.5\n", "line 1: self-loop on 'P'"),
@@ -986,13 +1000,29 @@ def test_accented_and_cjk_ids_load(tmp_path, capsys):
     ("--layer", b"a b 0.5\r\n\xe4 c 0.5\n", "line 2: byte 0xe4 is not UTF-8 (invalid continuation byte)"),
     ("--layer", b"a b 0.5\rb c 0.5\rc \xff 0.5\n", "line 3: byte 0xff is not UTF-8 (invalid start byte)"),
     ("--alias", b"# ids\n\xff\tb\tc\n", "line 2: byte 0xff is not UTF-8 (invalid start byte)"),
-], ids=["layer", "layer-cr-lines", "alias"])
+    ("--seeds-file", b"a\n\xffb\n", "line 2: byte 0xff is not UTF-8 (invalid start byte)"),
+    ("--config", b'{"name":\n "\xff"}\n', "line 2: byte 0xff is not UTF-8 (invalid start byte)"),
+    ("--coupled-edges", b"a@1 a@g 1.0\n\xff@g b@1 0.5\n", "line 2: byte 0xff is not UTF-8 (invalid start byte)"),
+    ("--coupled-manifest", b"node_id,kind,user_id,layer,threshold,weight\n\xff@g,gateway,a,,1.0,1.0\n",
+     "line 2: byte 0xff is not UTF-8 (invalid start byte)"),
+], ids=["layer", "layer-cr-lines", "alias", "seeds", "config", "coupled-edges", "coupled-manifest"])
 def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, capsys, flag, data, fault):
     path = tmp_path / "input.txt"
     path.write_bytes(data)
     layer = write(tmp_path / "l1.txt", "a b 0.5\n")
-    inputs = ["--layer", str(path)] if flag == "--layer" else ["--layer", layer, "--alias", str(path)]
-    assert main(["solve", *inputs, "--hops", "2"]) == 2
+    seeds = write(tmp_path / "seeds.txt", "a@1\n")
+    edges, manifest = str(tmp_path / "c.txt"), str(tmp_path / "m.csv")
+    assert main(["couple", "--layer", layer, "--scheme", "clique", "--out-edges", edges, "--out-manifest", manifest,
+                 "--out", str(tmp_path / "couple.json")]) == 0
+    coupled = {"--coupled-edges": edges, "--coupled-manifest": manifest, flag: str(path)}
+    command = {
+        "--layer": ["solve", "--layer", str(path), "--hops", "2"],
+        "--alias": ["solve", "--layer", layer, "--alias", str(path), "--hops", "2"],
+        "--seeds-file": ["simulate", "--layer", layer, "--seeds-file", str(path), "--hops", "2"],
+        "--config": ["experiment", "--config", str(path), "--out", str(tmp_path / "rows.csv")],
+    }.get(flag, ["simulate", "--coupled-edges", coupled["--coupled-edges"],
+                 "--coupled-manifest", coupled["--coupled-manifest"], "--seeds-file", seeds, "--hops", "2"])
+    assert main(command) == 2
     assert capsys.readouterr().err == f"error: {path}: {fault}\n"
 
 

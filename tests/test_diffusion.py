@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import muxlci.solver
-from muxlci.diffusion import _ic_single, _st_bars
+from muxlci.diffusion import SUM_SLACK, _hop_sum, _ic_single, _st_bars
 from muxlci.network import WEIGHT_EPS, single_layer_network
 from muxlci import (
     ActiveSet,
@@ -313,9 +313,11 @@ def test_trace_export_format():
 
 def corner_graph(seed):
     """Random graph for the kernel differential test: zero-weight edges,
-    isolated nodes, integer node weights, in-weight sums at most 1, and
-    most thresholds set exactly to a prefix sum of a node's in-weights in
-    source-index order, so the hop sum can land exactly on the bar."""
+    isolated nodes, integer node weights, in-weight sums at most 1, most
+    thresholds set exactly to a prefix sum of a node's in-weights in
+    source-index order, so the hop sum can land exactly on the bar, and
+    in half the graphs one threshold below WEIGHT_EPS, whose bar is
+    negative: any edge from an active node activates that node."""
     import random
 
     rng = random.Random(seed)
@@ -335,6 +337,8 @@ def corner_graph(seed):
         edges += [(names[a], names[b], w) for (a, _), w in zip(incoming[b], weights)]
         prefix = sum(weights[:rng.randint(1, len(weights))]) if weights else 0.0
         thetas[names[b]] = prefix if 0.0 < prefix <= 1.0 and rng.random() < 0.7 else 1.0 - rng.random()
+    if rng.random() < 0.5:
+        thetas[rng.choice(names)] = WEIGHT_EPS / 10
     names.append("iso")
     thetas["iso"] = 1.0 - rng.random()
     node_weights = {u: float(rng.randint(0, 3)) for u in names}
@@ -605,6 +609,23 @@ class TestDeltaMatchesFullRun:
         assert joint.active.per_hop == [{"x0", "x1", "x2"}]
         assert_same_outcome(joint, lt_propagate(graph, {"x0", "x1", "x2"}, 3))
 
+    def test_node_with_a_negative_bar_lost_with_its_only_active_in_neighbour(self):
+        # the case above with y's threshold below WEIGHT_EPS, so its bar is
+        # negative and any active in-neighbour's edge activates it: v, y's
+        # only in-neighbour, is lost in the joint run, so nothing reaches y
+        # there, and a re-check that adds no in-weight must not activate it
+        graph = InfluenceGraph(
+            ["x0", "x1", "x2", "v", "y"],
+            [("x1", "x0", 1.0), ("x0", "v", 0.2), ("x1", "v", 0.05), ("x2", "v", 0.1), ("v", "y", 1.0)],
+            {"x0": 0.5, "x1": 0.5, "x2": 0.5, "v": 0.350000000001, "y": 1e-13},
+        )
+        assert graph.bar[graph.index["y"]] < 0.0
+        base = lt_propagate(graph, {"x1", "x2"}, 3)
+        assert base.active.per_hop == [{"x1", "x2"}, {"x0"}, {"v"}, {"y"}]
+        joint = lt_propagate(graph, {"x0", "x1", "x2"}, 3, base=base)
+        assert joint.active.per_hop == [{"x0", "x1", "x2"}] and joint.coverage_count == 3.0
+        assert_same_outcome(joint, lt_propagate(graph, {"x0", "x1", "x2"}, 3))
+
     def test_node_lost_at_its_base_hop_reached_again_later(self):
         # the case above, plus z, which reaches v at hop 2 in both runs:
         # v is lost at its base hop 2, and its rescheduled re-check at
@@ -669,6 +690,74 @@ class TestDeltaMatchesFullRun:
         model = DiffusionModel("stochastic_threshold", mc_samples=2)
         with pytest.raises(ValueError, match="lt_propagate outcome"):
             lt_propagate(graph, {"n0", "n1", "n2"}, 3, base=st_propagate(graph, {"n0"}, 3, model))
+
+
+# in-weights of one node as (hop of its source, weight) in source order:
+# some in [0, 1], some of wide magnitude, subnormals included
+IN_TERMS = st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                              st.floats(min_value=0.0, max_value=1.0) | st.floats(min_value=0.0, max_value=1e300)),
+                    min_size=1, max_size=30)
+
+
+def bar_at(total):
+    """The threshold whose bar (threshold - WEIGHT_EPS) lies nearest
+    ``total`` from below, ``total`` itself when floats allow."""
+    theta = total + WEIGHT_EPS
+    while theta - WEIGHT_EPS < total:
+        theta = math.nextafter(theta, math.inf)
+    while theta - WEIGHT_EPS > total:
+        theta = math.nextafter(theta, -math.inf)
+    return theta
+
+
+def in_source_order(terms, t):
+    """The weights of ``terms`` whose hop is before ``t``, summed in list order."""
+    total = 0.0
+    for h, w in terms:
+        if h < t:
+            total += w
+    return total
+
+
+class TestRoundingBand:
+    """A delta re-check sums in source order and re-sums in the full
+    run's order only within ``total * SUM_SLACK * m`` of the bar."""
+
+    @given(IN_TERMS, st.integers(min_value=0, max_value=4))
+    def test_two_orders_differ_by_at_most_the_band(self, terms, t):
+        total = in_source_order(terms, t)
+        swept = _hop_sum(list(enumerate(w for _, w in terms)), [h for h, _ in terms], t)
+        assert abs(total - swept) <= total * SUM_SLACK * len(terms)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(["hop", "source"]), st.booleans())
+    def test_recheck_through_the_band_matches_the_hop_ordered_sum(self, seed, order, above):
+        # x_i activates at hop h_i: the joint seeds are the x_i at hop 0,
+        # and the chain s -> c1 -> c2 reaches the others, which the base
+        # (from s) shares.  v's bar is the sum of its in-weights in hop
+        # or in source order, or the float above it, so it lies on either
+        # side of the hop-ordered sum and, when the two sums differ,
+        # between them: v activates iff the hop-ordered sum reaches it
+        import random
+
+        rng = random.Random(seed)
+        terms = [[rng.randint(0, 3), rng.random() if rng.random() < 0.8 else 10.0 ** rng.uniform(-300, 300)]
+                 for _ in range(rng.randint(2, 10))]
+        rng.choice(terms)[0] = 0
+        xs = [f"x{i}" for i in range(len(terms))]
+        hop = [h for h, _ in terms]
+        swept = _hop_sum(list(enumerate(w for _, w in terms)), hop, 4)
+        near = swept if order == "hop" else in_source_order(terms, 4)
+        theta = bar_at(math.nextafter(near, math.inf) if above else near)
+        edges = [("s", "c1", 1.0), ("c1", "c2", 1.0)]
+        edges += [(["s", "c1", "c2"][h - 1], x, 1.0) for x, h in zip(xs, hop) if h]
+        edges += [(x, "v", w) for x, (_, w) in zip(xs, terms)]
+        graph = InfluenceGraph(["s", "c1", "c2", *xs, "v"], edges,
+                               {**dict.fromkeys(["s", "c1", "c2", *xs], 0.5), "v": theta})
+        base = lt_propagate(graph, {"s"}, 5)
+        seeds = {"s", *(x for x, h in zip(xs, hop) if h == 0)}
+        joint = lt_propagate(graph, seeds, 5, base=base)
+        assert ("v" in joint.active.members) == (swept >= graph.bar[graph.index["v"]])
+        assert_same_outcome(joint, lt_propagate(graph, seeds, 5))
 
 
 class TestMonteCarloMatchesReference:
