@@ -515,6 +515,17 @@ def delta_case(seed, hops, added, fractional):
     return graph, base, seeds | extra
 
 
+def bar_at(total):
+    """The threshold whose bar (threshold - WEIGHT_EPS) lies nearest
+    ``total`` from below, ``total`` itself when floats allow."""
+    theta = total + WEIGHT_EPS
+    while theta - WEIGHT_EPS < total:
+        theta = math.nextafter(theta, math.inf)
+    while theta - WEIGHT_EPS > total:
+        theta = math.nextafter(theta, -math.inf)
+    return theta
+
+
 def out_of_order_case(seed):
     """A target v whose in-neighbours x0..x(m-1) are the joint seeds
     ("early", with x(m-1) among them) or activate at hop 1 from seed s
@@ -534,11 +545,7 @@ def out_of_order_case(seed):
     total = 0.0
     for i in early + late:
         total += weights[i]
-    theta = total + WEIGHT_EPS
-    while theta - WEIGHT_EPS < total:
-        theta = math.nextafter(theta, math.inf)
-    while theta - WEIGHT_EPS > total:
-        theta = math.nextafter(theta, -math.inf)
+    theta = bar_at(total)
     edges = [(x, "v", w) for x, w in zip(xs, weights)] + [("s", xs[i], 1.0) for i in late] + [("v", "y", 1.0)]
     graph = InfluenceGraph([*xs, "v", "y", "s"], edges, {**dict.fromkeys(xs, 0.5), "v": theta, "y": 0.5, "s": 0.5})
     assert graph.bar[graph.index["v"]] == total
@@ -697,17 +704,6 @@ class TestDeltaMatchesFullRun:
 IN_TERMS = st.lists(st.tuples(st.integers(min_value=0, max_value=3),
                               st.floats(min_value=0.0, max_value=1.0) | st.floats(min_value=0.0, max_value=1e300)),
                     min_size=1, max_size=30)
-
-
-def bar_at(total):
-    """The threshold whose bar (threshold - WEIGHT_EPS) lies nearest
-    ``total`` from below, ``total`` itself when floats allow."""
-    theta = total + WEIGHT_EPS
-    while theta - WEIGHT_EPS < total:
-        theta = math.nextafter(theta, math.inf)
-    while theta - WEIGHT_EPS > total:
-        theta = math.nextafter(theta, -math.inf)
-    return theta
 
 
 def in_source_order(terms, t):
