@@ -51,6 +51,7 @@ class Mutant(NamedTuple):
 
 DIFFUSION = "src/muxlci/diffusion.py"
 COUPLING = "src/muxlci/coupling.py"
+SOLVER = "src/muxlci/solver.py"
 KERNEL = "tests/test_diffusion.py::TestKernelMatchesReference::"
 MONTE_CARLO = "tests/test_diffusion.py::TestMonteCarloMatchesReference::"
 DELTA = "tests/test_diffusion.py::TestDeltaMatchesFullRun::"
@@ -114,6 +115,17 @@ MUTANTS = (
         " or need <= 0.0 and all(hop[u] >= t for u, _ in incoming[v]):\n",
         ":\n",
         (DELTA + "test_node_with_a_negative_bar_lost_with_its_only_active_in_neighbour",)),
+    Mutant(
+        # a base weight plus and minus fractional node weights rounds apart from the full run's sum
+        "delta-on-fractional-weights", DIFFUSION,
+        "        if graph._integral_weights:\n",
+        "        if True:\n",
+        (DELTA + "test_fractional_weights_never_start_from_the_base",)),
+    Mutant(
+        "delta-count-without-seeds", DIFFUSION,
+        "float(sum(level))",
+        "float(sum(level[1:]))",
+        (DELTA + "test_same_seeds_give_the_base", DELTA + "test_delta_equals_full_run")),
     Mutant(
         "ic-draw-only-branch-dropped", DIFFUSION,
         "                elif s == mark:\n"
@@ -257,13 +269,19 @@ MUTANTS = (
         (SHARED + "test_failed_shared_solve_falls_back_to_cells",
          SHARED + "test_shared_layer_solve_time_in_every_row")),
     Mutant(
-        "seed-set-prefix-one-seed-too-many", "src/muxlci/solver.py",
-        "                return SeedSet(self.users[:size], self.gains[:size], self.coverages[:size], self.total)\n",
-        "                return SeedSet(self.users[:size + 1], self.gains[:size + 1], self.coverages[:size + 1],"
-        " self.total)\n",
+        "seed-set-prefix-one-seed-too-many", SOLVER,
+        "                return replace(self, users=self.users[:size], gains=self.gains[:size],\n"
+        "                               coverages=self.coverages[:size], iterations=self.iterations[:size])\n",
+        "                return replace(self, users=self.users[:size + 1], gains=self.gains[:size + 1],\n"
+        "                               coverages=self.coverages[:size + 1], iterations=self.iterations[:size + 1])\n",
         ("tests/test_solver.py::TestPrefixAcrossTargets::test_target_beyond_run_rejected",
          "tests/test_solver.py::TestPrefixAcrossTargets::test_smaller_target_is_prefix",
          SHARED + "test_rows_match_cell_by_cell")),
+    Mutant(
+        "greedy-log-heavy-as-light", SOLVER,
+        "log.append(GreedyIteration(heavy, ",
+        "log.append(GreedyIteration(False, ",
+        ("tests/test_solver.py::TestEvaluationLog::test_split_equals_the_derived_calls",)),
 )
 
 

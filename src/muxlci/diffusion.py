@@ -353,10 +353,11 @@ def _lt_sweep(seed_idx, hops, lt_layers):
     return per_hop, hops_used
 
 
-def _base_hops(graph, base, hops):
+def _base_hops(graph, base, hops, seed_idx):
     """(activation hop per node, hops + 1 if never active; per-hop level
-    sizes) of ``base``, built once per base outcome, after checking that
-    ``base`` is a run on ``graph`` within ``hops``."""
+    sizes) of ``base``, built once per base outcome, and the seeds of
+    ``seed_idx`` that ``base`` lacks, after checking that ``base`` is a
+    run on ``graph`` within ``hops`` from a subset of ``seed_idx``."""
     source = base._lt_source
     if source is None or source[0] is not graph:
         raise ValueError("base must be an lt_propagate outcome on the same graph")
@@ -369,7 +370,11 @@ def _base_hops(graph, base, hops):
             for i in level:
                 hop[i] = t
         base._base_hops = (hop, [len(level) for level in levels])
-    return base._base_hops
+    hop, sizes = base._base_hops
+    added = [i for i in seed_idx if hop[i]]
+    if len(seed_idx) - len(added) != sizes[0]:
+        raise ValueError("base seeds must be a subset of the seeds")
+    return hop, sizes, added
 
 
 _first = itemgetter(0)
@@ -410,28 +415,23 @@ def _lt_delta(graph, seed_idx, hops, base):
     base's; a node whose re-check fails at its base hop is then lost, and
     its out-neighbours are re-checked too.  A re-check with no
     in-neighbour active by t-1 fails whatever the bar, as the sweep tests
-    only nodes that an active node's edge reaches.  Every field of the
-    outcome equals the run without a base.  The outcome keeps its
-    activation hops, so it serves as a base in turn at no extra cost.
+    only nodes that an active node's edge reaches.  The node weights are
+    whole (:func:`lt_propagate` starts from a base on no other graph), so
+    the base's weight plus and minus the nodes that changed is exact, and
+    every field of the outcome equals the run without a base.  The
+    outcome keeps its activation hops, so it serves as a base in turn.
     """
-    base_hop, sizes = _base_hops(graph, base, hops)
+    base_hop, sizes, changed = _base_hops(graph, base, hops, seed_idx)
     incoming, out, bar, node_weight = graph.in_edges, graph.out, graph.bar, graph.node_weight
-    # with whole node weights, the base weight plus and minus the nodes
-    # that changed is exactly the sum _tally makes of the joint lists
-    exact = graph._integral_weights
     # a run adds no node after hop n - |seeds|, so a budget past n runs
     # as n; the outcome still reports the caller's budget as its source
     budget = min(hops, len(graph))
     inf = budget + 1
     hop = base_hop[:]
-    count, weight = base.coverage_count, base.coverage_weight
+    weight = base.coverage_weight
     level = sizes + [0] * (inf - len(sizes))  # node count per hop 0..budget
-    changed = [i for i in seed_idx if hop[i]]
-    if len(seed_idx) - len(changed) != sizes[0]:
-        raise ValueError("base seeds must be a subset of the seeds")
     for i in changed:
         if hop[i] > budget:
-            count += 1
             weight += node_weight[i]
         else:
             level[hop[i]] -= 1
@@ -488,7 +488,6 @@ def _lt_delta(graph, seed_idx, hops, base):
                         hop[v] = inf
                         lost.append(v)
                         level[t] -= 1
-                        count -= 1
                         weight -= node_weight[v]
                     nxt = soonest + 1 if b <= t else min(soonest + 1, b)
                     if nxt <= budget:
@@ -499,7 +498,6 @@ def _lt_delta(graph, seed_idx, hops, base):
                 changed.append(v)
                 level[t] += 1
                 if b < t or b > budget:
-                    count += 1
                     weight += node_weight[v]
                 else:
                     level[b] -= 1
@@ -515,13 +513,8 @@ def _lt_delta(graph, seed_idx, hops, base):
                 per_hop[h].append(i)
         return per_hop
 
-    if exact:
-        active = ActiveSet._deferred(levels, graph.node_ids)
-    else:
-        per_hop = levels()
-        weight = _tally(graph, per_hop)[1]
-        active = ActiveSet.from_indices(per_hop, graph.node_ids)
-    outcome = DiffusionOutcome(active, count, weight, used, (graph, hops))
+    active = ActiveSet._deferred(levels, graph.node_ids)
+    outcome = DiffusionOutcome(active, float(sum(level)), weight, used, (graph, hops))
     outcome._base_hops = (hop, level)
     return outcome
 
@@ -534,15 +527,18 @@ def lt_propagate(graph, seeds, hops, base=None):
 
     ``base`` is an earlier outcome of this function on the same graph
     and hop budget, from a subset of ``seeds``; anything else raises
-    ValueError.  The run then starts from the base's activation hops and
-    re-checks only the nodes the added seeds can reach
-    (:func:`_lt_delta`).  Its outcome equals the run without a base in
-    every field.
+    ValueError.  On a graph of whole node weights the run then starts
+    from the base's activation hops and re-checks only the nodes the
+    added seeds can reach (:func:`_lt_delta`); on any other graph it
+    runs in full.  Its outcome equals the run without a base in every
+    field.
     """
     require_hops(hops)
     seed_idx = _seed_indices(graph, seeds)
     if base is not None:
-        return _lt_delta(graph, seed_idx, hops, base)
+        if graph._integral_weights:
+            return _lt_delta(graph, seed_idx, hops, base)
+        _base_hops(graph, base, hops, seed_idx)  # check the base as a delta run would
     per_hop, hops_used = _lt_sweep(seed_idx, hops, ((graph.out, graph.bar),))
     outcome = _outcome(graph, per_hop, hops_used)
     outcome._lt_source = (graph, hops)

@@ -62,7 +62,10 @@ def _result(network, cfg, scheme, users, gains, coupled_fraction, shared_ms):
     for "direct" and "union", which have no coupled graph); it is also
     the record's ``achieved_fraction``, which is the replayed fraction
     otherwise.  ``wall_time_ms`` is ``shared_ms`` plus the replay's own
-    time.
+    time.  The replay is deterministic linear threshold under every
+    model (``replay_model``), so a greedy under a stochastic model meets
+    its target in expectation only (``target_in_expectation``); brute
+    force ("direct") reads no model and meets it on the replay itself.
     """
     started = time.perf_counter()
     replay = multiplex_lt_propagate(network, set(users), cfg.hops)
@@ -79,6 +82,8 @@ def _result(network, cfg, scheme, users, gains, coupled_fraction, shared_ms):
         "achieved_fraction": replayed_fraction if coupled_fraction is None else coupled_fraction,
         "coupled_fraction": coupled_fraction,
         "replayed_fraction": replayed_fraction,
+        "replay_model": LINEAR_THRESHOLD,
+        "target_in_expectation": scheme != "direct" and cfg.model.kind != LINEAR_THRESHOLD,
         "replay_outcome": replay,
         "wall_time_ms": shared_ms + _ms_since(started),
         "model": _model_record(cfg.model),

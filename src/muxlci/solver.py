@@ -80,17 +80,47 @@ class GreedyConfig:
             raise ValueError(f"model must be a DiffusionModel, not {self.model!r}")
 
 
+@dataclass(frozen=True)
+class GreedyIteration:
+    """The work of one lazy-greedy iteration: ``heavy`` when it
+    re-evaluated the whole heap, else light; ``evaluations``, the heap
+    entries it re-evaluated; ``stale``, the heap key of the node it
+    popped, and ``fresh``, that node's fresh gain.  ``kernel_calls``
+    counts the diffusion runs it made, its base and fresh runs included;
+    it is None where no evaluator counted them, and left out of
+    equality, so a loop over full reruns logs the same iterations.
+    """
+
+    heavy: bool
+    evaluations: int
+    stale: float
+    fresh: float
+    kernel_calls: int = field(default=None, compare=False)
+
+
 @dataclass
 class SeedSet:
     """Ordered selection with its per-selection marginal-gain log,
     ``coverages``, the coverage after each selection, and the ``total``
     its fractions are taken of.
+
+    A lazy greedy also logs its work: ``init_evaluations``, the heap
+    initialisation's evaluations (one per candidate), with
+    ``init_kernel_calls``, the diffusion runs they made (left out of
+    equality, like each iteration's), and one :class:`GreedyIteration`
+    per selection in ``iterations``.  Each iteration also evaluates its
+    base coverage and the popped node's fresh gain, so a run makes
+    ``init_evaluations + sum(it.evaluations + 2 for it in iterations)``
+    evaluations.  Brute force logs none.
     """
 
     users: list
     gains: list
     coverages: list
     total: float
+    init_evaluations: int = 0
+    iterations: list = field(default_factory=list)
+    init_kernel_calls: int = field(default=None, compare=False)
 
     @property
     def achieved_fraction(self):
@@ -102,11 +132,13 @@ class SeedSet:
 
         The greedies read beta only in their stop test, so a run at a
         target no larger than this run's stops at the shortest prefix
-        whose coverage meets it.
+        whose coverage meets it, and its log is the same prefix of this
+        run's.
         """
         for size, coverage in enumerate([0.0] + self.coverages):
             if meets_fraction(coverage, beta, self.total):
-                return SeedSet(self.users[:size], self.gains[:size], self.coverages[:size], self.total)
+                return replace(self, users=self.users[:size], gains=self.gains[:size],
+                               coverages=self.coverages[:size], iterations=self.iterations[:size])
         raise ValueError(f"target {beta} is beyond this run's coverage")
 
 
@@ -142,10 +174,12 @@ class _Evaluator:
         self.coverage = 0.0
         self.start = None  # the base run evaluations start from
         self.last = None  # the previous iteration's fresh run
+        self.calls = 0  # the diffusion runs made so far
 
     def _run(self, seed_nodes, base):
         """The outcome of ``seed_nodes``; ``base`` (deterministic linear
         threshold) is an earlier outcome of a subset of them."""
+        self.calls += 1
         model = self.model
         if model.kind == LINEAR_THRESHOLD:
             return lt_propagate(self.graph, seed_nodes, self.budget, base=base)
@@ -189,7 +223,8 @@ def improved_greedy(coupled, cfg):
     Every evaluation is one diffusion run, made by a per-solve
     ``_Evaluator``; the loop is the same under every model.  A full run
     costs O(m+n), so a light iteration costs O(T*(m+n)) against the
-    plain greedy's O(n*(m+n)).
+    plain greedy's O(n*(m+n)).  The returned ``SeedSet`` logs each
+    iteration's work (:class:`GreedyIteration`).
     """
     graph = coupled.graph
     total = graph.total_weight
@@ -198,27 +233,33 @@ def improved_greedy(coupled, cfg):
     domain = sorted(coupled.user_of, key=graph.index.__getitem__)
     heap = [(-evaluator.gain(node), graph.index[node], node) for node in domain]
     heapq.heapify(heap)
-    selected, gains, coverages = [], [], []
+    init_calls = evaluator.calls
+    selected, gains, coverages, log = [], [], [], []
     coverage = 0.0
     iteration = 0
     while not meets_fraction(coverage, cfg.beta, total):
         if not heap:
             raise ValueError("coverage target unreachable: candidate pool exhausted")
         iteration += 1
+        calls = evaluator.calls
         prior = evaluator.begin(iteration, selected)
-        if iteration % cfg.R == 0:
+        heavy = iteration % cfg.R == 0
+        if heavy:
+            evaluations = len(heap)
             heap = [(-evaluator.gain(node), idx, node) for _, idx, node in heap]
             heapq.heapify(heap)
         else:
-            for _, idx, node in [heapq.heappop(heap) for _ in range(min(cfg.T, len(heap)))]:
+            evaluations = min(cfg.T, len(heap))
+            for _, idx, node in [heapq.heappop(heap) for _ in range(evaluations)]:
                 heapq.heappush(heap, (-evaluator.gain(node), idx, node))
-        _, _, node = heapq.heappop(heap)
+        key, _, node = heapq.heappop(heap)
         gain = evaluator.select(node)
         selected.append(node)
         gains.append(gain)
         coverage = prior + gain
         coverages.append(coverage)
-    return SeedSet(coupled.users_of(selected), gains, coverages, total)
+        log.append(GreedyIteration(heavy, evaluations, -key, gain, evaluator.calls - calls))
+    return SeedSet(coupled.users_of(selected), gains, coverages, total, len(domain), log, init_calls)
 
 
 def brute_force_optimal(network, beta, hops):

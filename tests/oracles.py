@@ -60,7 +60,7 @@ from muxlci.diffusion import (
     multiplex_lt_propagate,
     st_propagate,
 )
-from muxlci.solver import SeedSet, meets_fraction
+from muxlci.solver import GreedyIteration, SeedSet, meets_fraction
 from muxlci.network import (
     IN_SUM_TOL, WEIGHT_EPS, LayerFormatError, LayerGraph, MultiplexNetwork, _require_complete, subseed,
 )
@@ -1014,10 +1014,11 @@ def _lazy_greedy(candidates, cover, beta, total, T, R):
     """improved_greedy's heap logic over full reruns: ``cover(seeds,
     iteration)`` is the coverage of ``seeds`` in greedy iteration
     ``iteration`` (0 fills the heap), and ties go to the earlier
-    candidate.  Returns (selected, gains, coverages)."""
+    candidate.  Returns (selected, gains, coverages, log), where log
+    holds each iteration's GreedyIteration without kernel calls."""
     heap = [(-cover([c], 0), i, c) for i, c in enumerate(candidates)]
     heapq.heapify(heap)
-    selected, gains, coverages, coverage, iteration = [], [], [], 0.0, 0
+    selected, gains, coverages, log, coverage, iteration = [], [], [], [], 0.0, 0
     while not meets_fraction(coverage, beta, total):
         if not heap:
             raise ValueError("coverage target unreachable: candidate pool exhausted")
@@ -1034,13 +1035,14 @@ def _lazy_greedy(candidates, cover, beta, total, T, R):
         else:
             for entry in fresh:
                 heapq.heappush(heap, entry)
-        _, _, c = heapq.heappop(heap)
+        key, _, c = heapq.heappop(heap)
         gain = cover(selected + [c], iteration) - base
         selected.append(c)
         gains.append(gain)
         coverage = base + gain
         coverages.append(coverage)
-    return selected, gains, coverages
+        log.append(GreedyIteration(iteration % R == 0, len(stale), -key, gain))
+    return selected, gains, coverages, log
 
 
 def coupled_lazy_greedy(coupled, cfg):
@@ -1055,8 +1057,8 @@ def coupled_lazy_greedy(coupled, cfg):
         return _reference_coverage(coupled, seeds, cfg, rng_seed + 7919 * iteration)
 
     total = graph.total_weight
-    selected, gains, coverages = _lazy_greedy(domain, cover, cfg.beta, total, cfg.T, cfg.R)
-    return SeedSet(coupled.users_of(selected), gains, coverages, total)
+    selected, gains, coverages, log = _lazy_greedy(domain, cover, cfg.beta, total, cfg.T, cfg.R)
+    return SeedSet(coupled.users_of(selected), gains, coverages, total, len(domain), log)
 
 
 def naive_greedy(coupled, cfg):
@@ -1075,5 +1077,5 @@ def multiplex_lazy_greedy(network, beta, hops, T, R):
     def cover(seeds, iteration):
         return multiplex_lt_propagate(network, seeds, hops).coverage_count
 
-    selected, gains, _ = _lazy_greedy(users, cover, beta, len(users), T, R)
+    selected, gains, _, _ = _lazy_greedy(users, cover, beta, len(users), T, R)
     return selected, gains

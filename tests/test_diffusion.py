@@ -3,8 +3,9 @@ import math
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+import muxlci.diffusion
 import muxlci.solver
 from muxlci.diffusion import SUM_SLACK, _hop_sum, _ic_single, _st_bars
 from muxlci.network import WEIGHT_EPS, single_layer_network
@@ -553,6 +554,42 @@ def out_of_order_case(seed):
     return graph, {"s", *(xs[i] for i in kept)}, {"s", *(xs[i] for i in early)}
 
 
+def lost_case(seed):
+    """A target v whose in-neighbours x0..x(m-1) are the base seeds but
+    for x(k), which x(j) reaches at hop 1, and are all joint seeds.  The
+    random weights are redrawn until the base's sum (the seeds by index,
+    then x(k)) rounds above the joint seeds' sum (all by index), and v's
+    bar is put on the base's sum: v activates at hop 2 in the base and
+    is lost at that hop in the joint run.  When ``later`` (half the
+    cases), x(j) -> p -> z -> v reaches v again a hop later; v -> y
+    carries the change on.  Returns the graph, the base seeds, the joint
+    seeds and ``later``."""
+    import random
+
+    rng = random.Random(seed)
+    m = rng.randint(3, 7)
+    k = rng.randrange(m - 1)  # before x(m-1), so the two orders differ
+    j = rng.choice([i for i in range(m) if i != k])
+    while True:
+        weights = [rng.uniform(0.01, 1.0) for _ in range(m)]
+        base_sum = joint_sum = 0.0
+        for i in [*(i for i in range(m) if i != k), k]:
+            base_sum += weights[i]
+        for w in weights:
+            joint_sum += w
+        theta = bar_at(base_sum)
+        if joint_sum < theta - WEIGHT_EPS:
+            break
+    xs = [f"x{i}" for i in range(m)]
+    later = rng.random() < 0.5
+    names = [*xs, "v", "y", *(["p", "z"] if later else [])]
+    edges = [(x, "v", w) for x, w in zip(xs, weights)] + [(xs[j], xs[k], 1.0), ("v", "y", 1.0)]
+    if later:
+        edges += [(xs[j], "p", 1.0), ("p", "z", 1.0), ("z", "v", 1.0)]
+    graph = InfluenceGraph(names, edges, {**dict.fromkeys(names, 0.5), "v": theta})
+    return graph, set(xs) - {xs[k]}, set(xs), later
+
+
 class TestDeltaMatchesFullRun:
     """A run started from a base outcome equals the run without one in
     every field, with no tolerance."""
@@ -697,6 +734,54 @@ class TestDeltaMatchesFullRun:
         model = DiffusionModel("stochastic_threshold", mc_samples=2)
         with pytest.raises(ValueError, match="lt_propagate outcome"):
             lt_propagate(graph, {"n0", "n1", "n2"}, 3, base=st_propagate(graph, {"n0"}, 3, model))
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_node_lost_at_its_base_hop(self, seed):
+        # the random counterpart of the pinned lost-node cases above
+        graph, base_seeds, seeds, later = lost_case(seed)
+        base = lt_propagate(graph, base_seeds, 4)
+        assert "v" in base.active.per_hop[2]
+        joint = lt_propagate(graph, seeds, 4, base=base)
+        per_hop = joint.active.per_hop
+        assert all("v" not in level for level in per_hop[:3])
+        assert ("v" in joint.active.members) == later
+        if later:
+            assert "v" in per_hop[3]
+        assert_same_outcome(joint, lt_propagate(graph, seeds, 4))
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=6),
+           st.sampled_from(["random", "active", "last-level"]))
+    def test_fractional_weights_never_start_from_the_base(self, seed, hops, added):
+        # the base weight plus and minus fractional node weights can round
+        # away from the full run's sum, so such a run is a full run
+        graph, base, seeds = delta_case(seed, hops, added, True)
+        assume(not graph._integral_weights)
+
+        def refuse(*args):
+            raise AssertionError("a run on fractional node weights started from its base")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(muxlci.diffusion, "_lt_delta", refuse)
+            delta = lt_propagate(graph, seeds, hops, base=base)
+        assert_same_outcome(delta, lt_propagate(graph, seeds, hops))
+        more = seeds | {graph.node_ids[seed % len(graph)]}
+        assert_same_outcome(lt_propagate(graph, more, hops, base=delta), lt_propagate(graph, more, hops))
+
+    def test_unfit_base_rejected_on_fractional_weights(self):
+        import random
+
+        def fractional():
+            return fractional_weights(small_random_graph(3), random.Random(3))
+
+        graph = fractional()
+        assert not graph._integral_weights
+        base = lt_propagate(graph, {"n0", "n1"}, 3)
+        with pytest.raises(ValueError, match="same graph"):
+            lt_propagate(fractional(), {"n0", "n1", "n2"}, 3, base=base)
+        with pytest.raises(ValueError, match="base ran 3 hops, not 4"):
+            lt_propagate(graph, {"n0", "n1", "n2"}, 4, base=base)
+        with pytest.raises(ValueError, match="subset"):
+            lt_propagate(graph, {"n0", "n2"}, 3, base=base)
 
 
 # in-weights of one node as (hop of its source, weight) in source order:

@@ -66,8 +66,20 @@ class TestSolvePipeline:
         assert set(result) == {
             "scheme", "beta", "hops", "T", "R", "seed_users", "gains", "seed_size",
             "achieved_fraction", "coupled_fraction", "replayed_fraction", "replay_outcome",
-            "wall_time_ms", "model", "network", "version",
+            "wall_time_ms", "model", "network", "version", "replay_model", "target_in_expectation",
         }
+
+    def test_record_names_its_replay_model(self, overlap_network):
+        # a greedy on a Monte Carlo mean meets its target in expectation;
+        # every replay is deterministic linear threshold, and brute force
+        # reads no model
+        st_model = DiffusionModel("stochastic_threshold", mc_samples=5)
+        for scheme, model, in_expectation in (("clique", st_model, True), ("clique", DiffusionModel(), False),
+                                              ("direct", st_model, False)):
+            network = random_network(151, max_users=8) if scheme == "direct" else overlap_network
+            result = solve_pipeline(network, scheme, GreedyConfig(0.4, 2, model=model))
+            assert result["replay_model"] == "linear_threshold"
+            assert result["target_in_expectation"] is in_expectation
 
     def test_direct_uses_brute_force(self):
         network = random_network(151, max_users=8)

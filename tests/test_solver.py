@@ -385,6 +385,89 @@ class TestOracleCallCount:
         assert draws == [5 + 7919 * i for i in range(selections + 1)]
 
 
+class TestEvaluationLog:
+    """The SeedSet of improved_greedy logs its own work: the heap
+    initialisation, and per iteration heavy or light, its re-evaluations,
+    the popped node's stale key and fresh gain, and its kernel calls."""
+
+    MODELS = {
+        "linear_threshold": ("lt_propagate", DiffusionModel()),
+        "independent_cascade": ("ic_propagate", DiffusionModel("independent_cascade", mc_samples=3, rng_seed=5)),
+        "stochastic_threshold": ("st_propagate", DiffusionModel("stochastic_threshold", mc_samples=3, rng_seed=5)),
+    }
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    @pytest.mark.parametrize("seed,scheme,T,R", [
+        (151, "clique", 8, 3), (152, "star", 3, 2), (153, "reduced-clique", 2, 4), (154, "reduced-star", 5, 1),
+    ])
+    def test_split_equals_the_derived_calls(self, kind, seed, scheme, T, R):
+        coupled = couple(random_network(seed, max_users=30), scheme)
+        domain = len(coupled.user_of)
+        seed_set = improved_greedy(coupled, GreedyConfig(0.6, 2, T=T, R=R, model=self.MODELS[kind][1]))
+        selections = len(seed_set.users)
+        assert seed_set.init_evaluations == domain and len(seed_set.iterations) == selections
+        split = []
+        for i in range(1, selections + 1):
+            heap = domain - (i - 1)
+            split.append((True, heap) if i % R == 0 else (False, min(T, heap)))
+        assert [(it.heavy, it.evaluations) for it in seed_set.iterations] == split
+        assert [it.fresh for it in seed_set.iterations] == seed_set.gains
+        evaluations = seed_set.init_evaluations + sum(it.evaluations + 2 for it in seed_set.iterations)
+        assert evaluations == expected_oracle_calls(domain, T, R, selections)
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_kernel_calls_equal_the_wrapped_calls(self, monkeypatch, kind):
+        # a marker per begin() splits the wrapped calls by iteration:
+        # heap initialisation follows begin(0), iteration i begin(i)
+        import muxlci.solver
+
+        name, model = self.MODELS[kind]
+        original, begin = getattr(muxlci.solver, name), muxlci.solver._Evaluator.begin
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        def marking(evaluator, iteration, selected):
+            calls.append(iteration)
+            return begin(evaluator, iteration, selected)
+
+        monkeypatch.setattr(muxlci.solver, name, counting)
+        monkeypatch.setattr(muxlci.solver._Evaluator, "begin", marking)
+        coupled = couple(random_network(157, max_users=25), "reduced-star")
+        seed_set = improved_greedy(coupled, GreedyConfig(0.8, 2, T=3, R=2, model=model))
+        assert len(seed_set.users) > DELTA_MIN_SEEDS
+        marks = [i for i, call in enumerate(calls) if call is not None] + [len(calls)]
+        assert [calls[i] for i in marks[:-1]] == list(range(len(seed_set.users) + 1))
+        per_iteration = [b - a - 1 for a, b in zip(marks, marks[1:])]
+        assert per_iteration == [seed_set.init_kernel_calls, *(it.kernel_calls for it in seed_set.iterations)]
+        assert seed_set.init_kernel_calls == len(coupled.user_of)
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    @pytest.mark.parametrize("seed", [91, 92])
+    def test_plain_greedy_pops_fresh_keys(self, kind, seed):
+        # at R = 1 every iteration rebuilds the heap from the same base
+        # and random numbers as the fresh gain, so no key is stale
+        coupled = couple(random_network(seed, max_users=30), "clique")
+        cfg = GreedyConfig(0.9, 2, R=1, model=self.MODELS[kind][1])
+        seed_set = improved_greedy(coupled, cfg)
+        assert all(it.heavy for it in seed_set.iterations)
+        assert [it.stale for it in seed_set.iterations] == [it.fresh for it in seed_set.iterations]
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    @pytest.mark.parametrize("seed,scheme,T,R", [(161, "clique", 3, 2), (162, "lossy-average", 2, 3)])
+    def test_full_rerun_greedy_logs_the_same_iterations(self, kind, seed, scheme, T, R):
+        coupled = couple(random_network(seed, max_users=25), scheme)
+        model = self.MODELS[kind][1]
+        if kind == "stochastic_threshold":
+            model = replace(model, st_bounds=1.0)  # lossy thresholds fold above 1
+        cfg = GreedyConfig(0.7, 2, T=T, R=R, model=model)
+        ours, theirs = improved_greedy(coupled, cfg), coupled_lazy_greedy(coupled, cfg)
+        assert ours.iterations == theirs.iterations and ours == theirs
+        assert all(it.kernel_calls is None for it in theirs.iterations)
+
+
 class TestFullRerunGreedy:
     """improved_greedy equals its heap loop over full reruns under every
     model: the evaluator's base runs, delta runs and per-iteration rng
