@@ -25,9 +25,21 @@ and end-to-end metric (from the change's ``BENCHMARK.json``), the two
 medians, the parent's quartiles (``statistics.quantiles``, exclusive
 method), the number of pairs in which the change was lower and in
 which the two were equal, the median and quartiles of the per-seed
-change/parent ratios, and a verdict (see ``compare``).  Quartiles
-need at least two seeds, so ``--seeds`` must name two or more distinct
-seeds; anything else is rejected before either side is unpacked.
+change/parent ratios and half their quartile distance, and a verdict
+(see ``compare``).  Quartiles need at least two seeds, so ``--seeds``
+must name two or more distinct seeds; anything else is rejected before
+either side is unpacked.
+
+``--parent X --change X`` unpacks one revision twice: an A/A run.  Its
+record is marked ``"aa": true``, and each metric also reports the ratio
+median as its ``side_bias``, ``biased`` when that lies further from 1
+than the ratios' half quartile distance (see ``calibrate``).  Given such
+a committed record as ``--aa`` (for example ``BENCH_AA.json``), every
+metric of a workload the A/A record measured gains a ``paired`` verdict
+beside the existing one (see ``paired_verdict``)::
+
+    python3 scripts/bench_pairs.py --parent X --change X --seeds 1-8 --out BENCH_AA.json
+    python3 scripts/bench_pairs.py --parent HEAD~1 --aa BENCH_AA.json --seeds 51-60 --out BENCH_9.json
 """
 
 from __future__ import annotations
@@ -110,9 +122,11 @@ def traced_metrics(report):
     return values, shares
 
 
-def compare(runs, metric, bound):
+def compare(runs, metric, bound, margin=None):
     """Medians, parent quartiles, pair counts, paired ratios and verdict
-    of one lower-is-better metric whose relative bound is ``bound``.
+    of one lower-is-better metric whose relative bound is ``bound``, and
+    with ``margin``, an A/A record's ``(half spread, pairs)`` of the
+    metric, its paired verdict.
 
     The verdict is "gain" when the change is lower in at least 9 of 10
     pairs and its median is below the parent's by more than the parent's
@@ -124,7 +138,8 @@ def compare(runs, metric, bound):
     Beside the verdict, and without changing it, stand the median and
     quartiles of the change/parent ratio of each seed's pair: each seed
     runs the same inputs on both sides, so the ratios carry less of the
-    spread between seeds than the two sides' medians do.
+    spread between seeds than the two sides' medians do.  Half their
+    quartile distance is the margin an A/A record's ratios set.
     """
     parent = {run["seed"]: run["result"]["metrics"][metric]["value"] for run in runs if run["side"] == "parent"}
     change = {run["seed"]: run["result"]["metrics"][metric]["value"] for run in runs if run["side"] == "change"}
@@ -132,6 +147,7 @@ def compare(runs, metric, bound):
     parent_median, change_median = statistics.median(parent.values()), statistics.median(change.values())
     lower = sum(change[seed] < parent[seed] for seed in parent)
     ratios = [change[seed] / parent[seed] for seed in parent]
+    ratio_low, _, ratio_high = statistics.quantiles(ratios, n=4)
     if 10 * lower >= 9 * len(parent) and parent_median - change_median > high - low:
         verdict = "gain"
     elif change_median > (1 + bound) * parent_median:
@@ -140,15 +156,55 @@ def compare(runs, metric, bound):
         verdict = "unresolved"
     else:
         verdict = "within bound"
-    return {
+    stats = {
         "parent_median": parent_median,
         "change_median": change_median,
         "parent_quartiles": [low, high],
         "change_lower_pairs": lower,
         "equal_pairs": sum(change[seed] == parent[seed] for seed in parent),
         "ratio_median": statistics.median(ratios),
-        "ratio_quartiles": statistics.quantiles(ratios, n=4)[::2],
+        "ratio_quartiles": [ratio_low, ratio_high],
+        "ratio_half_spread": (ratio_high - ratio_low) / 2,
         "verdict": verdict,
+    }
+    if margin is not None:
+        stats["paired"] = paired_verdict(ratios, *margin)
+    return stats
+
+
+def paired_verdict(ratios, half_spread, aa_pairs):
+    """The paired verdict of change/parent ``ratios`` against an A/A
+    record's ``half_spread`` of the same metric, measured on ``aa_pairs``
+    pairs: "gain" when the ratios' upper quartile is below
+    1 - half_spread, "loss" when their lower quartile is above
+    1 + half_spread, and "tie" otherwise."""
+    low, _, high = statistics.quantiles(ratios, n=4)
+    if high < 1 - half_spread:
+        verdict = "gain"
+    elif low > 1 + half_spread:
+        verdict = "loss"
+    else:
+        verdict = "tie"
+    return {"verdict": verdict, "pairs": len(ratios), "margin": half_spread, "aa_pairs": aa_pairs}
+
+
+def calibrate(stats):
+    """The side bias of one metric of an A/A run, whose two sides run
+    the same code: the ratio median, ``biased`` when it lies further
+    from 1 than the ratios' half quartile distance."""
+    bias = stats["ratio_median"]
+    return {"side_bias": bias, "biased": abs(bias - 1) > stats["ratio_half_spread"]}
+
+
+def aa_margins(record):
+    """Per workload and metric, the ``(ratio half spread, pairs)`` of an
+    A/A record; raise SystemExit unless ``record`` is one."""
+    if not record.get("aa"):
+        raise SystemExit("--aa must name a record whose two sides ran one revision")
+    return {
+        workload: {metric: (stats["ratio_half_spread"], len(entry["seeds"]))
+                   for metric, stats in entry.items() if isinstance(stats, dict) and "ratio_half_spread" in stats}
+        for workload, entry in record["summary"].items() if "seeds" in entry
     }
 
 
@@ -164,10 +220,13 @@ def main(argv=None):
     parser.add_argument("--claim", default="")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--workdir", default=None, help="where to unpack both sides (default: system temp)")
+    parser.add_argument("--aa", type=Path, default=None, help="A/A record that sets the paired verdict's margins")
     args = parser.parse_args(argv)
+    margins = aa_margins(json.loads(args.aa.read_text(encoding="utf-8"))) if args.aa else {}
 
     parent_commit = git(args.repo, "rev-parse", args.parent).decode().strip()
     change_rev = git(args.repo, "rev-parse", args.change).decode().strip()
+    aa = parent_commit == change_rev
     with tempfile.TemporaryDirectory(prefix="bench_pairs_", dir=args.workdir) as scratch:
         trees = {"parent": Path(scratch) / "parent", "change": Path(scratch) / "change"}
         unpack(args.repo, parent_commit, trees["parent"])
@@ -191,11 +250,10 @@ def main(argv=None):
                     values = " ".join(f"{metric} {result['metrics'][metric]['value']:.4g}" for metric in metrics)
                     print(f"{workload} seed {seed} {side}: {values}", file=sys.stderr)
             mine = [run for run in runs if run["workload"] == workload]
-            summary[workload] = {
-                "seeds": list(args.seeds),
-                "all_correct": all(run["result"]["correct"] for run in mine),
-                **{metric: compare(mine, metric, bounds[metric]) for metric in metrics},
-            }
+            summary[workload] = {"seeds": list(args.seeds), "all_correct": all(run["result"]["correct"] for run in mine)}
+            for metric in metrics:
+                stats = compare(mine, metric, bounds[metric], margins.get(workload, {}).get(metric))
+                summary[workload][metric] = {**stats, **calibrate(stats)} if aa else stats
         for workload in args.workloads.split(",") if args.traced_seed is not None else ():
             traced = {"parent": {}, "change": {}, "share_of_traced_wall": {}, "correct": {}}
             for side in ("parent", "change"):
@@ -207,6 +265,8 @@ def main(argv=None):
             summary[f"{workload}_traced_seed_{args.traced_seed}"] = traced
 
     record = {
+        "aa": aa,
+        "aa_record": str(args.aa) if args.aa else None,
         "what": args.what,
         "claim": args.claim,
         "command": f"python3 muxbench/run.py --workload W --seed S --seconds {seconds:g} --trace T",

@@ -13,7 +13,9 @@ must occur exactly once in its file, or the row is stale; then the
 tests the rows name must pass on the unmutated copy.  Then, one row at
 a time, the text is replaced and each of its tests runs in its own
 ``python -m pytest`` process with ``PYTHONPATH=src`` and a fixed
-hypothesis seed; the file is restored before the next row.
+hypothesis seed; the file is restored before the next row.  A test
+run is stopped after ``TIMEOUT_S`` seconds; on a mutant that counts as
+a kill, logged as ``killed (timeout)``, since a mutant may loop forever.
 
 A row survives when one of its tests passes on the mutant, and is
 broken when pytest exits with neither a pass (0) nor a failure (1): a
@@ -39,6 +41,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# an unmutated test run takes about 7 s; a run past this limit is stopped
+TIMEOUT_S = 60
+TIMED_OUT = "timed out"
 
 
 class Mutant(NamedTuple):
@@ -126,6 +132,23 @@ MUTANTS = (
         "float(sum(level))",
         "float(sum(level[1:]))",
         (DELTA + "test_same_seeds_give_the_base", DELTA + "test_delta_equals_full_run")),
+    Mutant(
+        "delta-lost-recheck-scheduled-before-now", DIFFUSION,
+        "nxt = soonest + 1 if b <= t else",
+        "nxt = soonest - 1 if b <= t else",
+        # a re-check due at or before hop t: t = min(later) stops advancing
+        (DELTA + "test_node_lost_at_its_base_hop", DELTA + "test_node_lost_at_its_base_hop_reached_again_later")),
+    Mutant(
+        "delta-lost-recheck-at-base-hop-misread", DIFFUSION,
+        "nxt = soonest + 1 if b <= t else",
+        "nxt = soonest + 1 if b < t else",
+        (DELTA + "test_node_lost_at_its_base_hop", DELTA + "test_node_lost_at_its_base_hop_reached_again_later")),
+    Mutant(
+        "monte-carlo-outcome-from-last-sample", DIFFUSION,
+        "DiffusionOutcome(active, count_total / model.mc_samples, weight_total / model.mc_samples, hops_used)",
+        "DiffusionOutcome(active, float(count), weight, hops_used)",
+        (MONTE_CARLO + "test_st_call_sequence_exact",
+         MONTE_CARLO + "test_ic_node_hit_twice_in_one_hop_consumes_both_draws")),
     Mutant(
         "ic-draw-only-branch-dropped", DIFFUSION,
         "                elif s == mark:\n"
@@ -309,11 +332,15 @@ def stale_rows(tree, mutants):
 
 
 def run_test(tree, test):
-    """The exit status of ``pytest`` on the one node id ``test`` in ``tree``."""
+    """The exit status of ``pytest`` on the one node id ``test`` in
+    ``tree``, or TIMED_OUT when it runs past ``TIMEOUT_S`` seconds."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                "--hypothesis-seed=0", test]
-    return subprocess.run(command, cwd=tree, env=env, capture_output=True).returncode
+    try:
+        return subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return TIMED_OUT
 
 
 def check(tree, mutants, log=print):
@@ -323,7 +350,9 @@ def check(tree, mutants, log=print):
         return problems
     for test in dict.fromkeys(test for mutant in mutants for test in mutant.tests):
         status = run_test(tree, test)
-        if status != 0:
+        if status == TIMED_OUT:
+            problems.append(f"{test} runs past {TIMEOUT_S} s on the unmutated tree")
+        elif status != 0:
             problems.append(f"{test} exits {status} on the unmutated tree")
     if problems:
         return problems
@@ -337,8 +366,11 @@ def check(tree, mutants, log=print):
             path.write_text(original, encoding="utf-8")
         survived = [f"{mutant.name} survives {test} (pytest exit 0)" for test, status in statuses if status == 0]
         broken = [f"{mutant.name} breaks the run of {test} (pytest exit {status}, neither a pass nor a failure)"
-                  for test, status in statuses if status not in (0, 1)]
-        log(f"{mutant.name}: {'survived' if survived else 'broken' if broken else 'killed'}")
+                  for test, status in statuses if status not in (0, 1, TIMED_OUT)]
+        verdict = "survived" if survived else "broken" if broken else "killed"
+        if verdict == "killed" and any(status == TIMED_OUT for _, status in statuses):
+            verdict = "killed (timeout)"
+        log(f"{mutant.name}: {verdict}")
         problems += survived + broken
     return problems
 

@@ -153,7 +153,7 @@ class ActiveSet:
     def __eq__(self, other):
         if not isinstance(other, ActiveSet):
             return NotImplemented
-        return self.members == other.members and self.per_hop == other.per_hop
+        return self.per_hop == other.per_hop  # members is their union
 
     def __repr__(self):
         return f"ActiveSet(members={self.members!r}, per_hop={self.per_hop!r})"
@@ -167,7 +167,8 @@ class DiffusionOutcome:
     are means over the samples and ``active`` holds the final sample's
     trace; for deterministic runs coverage_count == len(active.members).
     The two coverage numbers are tallied from node indices; the id sets
-    in ``active`` are built only when read.
+    in ``active`` are built only when read.  No field changes once built
+    but ``_base_hops``, which :func:`_base_hops` fills on first need.
     """
 
     active: ActiveSet
@@ -176,8 +177,9 @@ class DiffusionOutcome:
     hops_used: int
     # (graph, hop budget) of an lt_propagate run: what lets it serve as a base
     _lt_source: tuple = field(default=None, repr=False, compare=False)
-    # (activation hop per node, level sizes), built on first use as a base
-    _base_hops: tuple = field(default=None, init=False, repr=False, compare=False)
+    # (activation hop per node, level sizes): a delta run's own, or built
+    # on first use as a base
+    _base_hops: tuple = field(default=None, repr=False, compare=False)
 
 
 class InfluenceGraph:
@@ -297,12 +299,6 @@ def _tally(graph, per_hop_idx):
         return count, count and float(count)
     weight = graph.node_weight.__getitem__
     return count, sum(map(weight, chain.from_iterable(per_hop_idx)))
-
-
-def _outcome(graph, per_hop_idx, hops_used):
-    count, weight = _tally(graph, per_hop_idx)
-    active = ActiveSet.from_indices(per_hop_idx, graph.node_ids)
-    return DiffusionOutcome(active, float(count), weight, hops_used)
 
 
 def _lt_sweep(seed_idx, hops, lt_layers):
@@ -514,9 +510,7 @@ def _lt_delta(graph, seed_idx, hops, base):
         return per_hop
 
     active = ActiveSet._deferred(levels, graph.node_ids)
-    outcome = DiffusionOutcome(active, float(sum(level)), weight, used, (graph, hops))
-    outcome._base_hops = (hop, level)
-    return outcome
+    return DiffusionOutcome(active, float(sum(level)), weight, used, (graph, hops), (hop, level))
 
 
 def lt_propagate(graph, seeds, hops, base=None):
@@ -540,9 +534,9 @@ def lt_propagate(graph, seeds, hops, base=None):
             return _lt_delta(graph, seed_idx, hops, base)
         _base_hops(graph, base, hops, seed_idx)  # check the base as a delta run would
     per_hop, hops_used = _lt_sweep(seed_idx, hops, ((graph.out, graph.bar),))
-    outcome = _outcome(graph, per_hop, hops_used)
-    outcome._lt_source = (graph, hops)
-    return outcome
+    count, weight = _tally(graph, per_hop)
+    active = ActiveSet.from_indices(per_hop, graph.node_ids)
+    return DiffusionOutcome(active, float(count), weight, hops_used, (graph, hops))
 
 
 def multiplex_lt_propagate(network, seeds, hops):
@@ -581,10 +575,8 @@ def _monte_carlo(graph, model, run_sample, samples):
         count, weight = _tally(graph, per_hop)
         count_total += count
         weight_total += weight
-    outcome = _outcome(graph, per_hop, hops_used)
-    outcome.coverage_count = count_total / model.mc_samples
-    outcome.coverage_weight = weight_total / model.mc_samples
-    return outcome
+    active = ActiveSet.from_indices(per_hop, graph.node_ids)
+    return DiffusionOutcome(active, count_total / model.mc_samples, weight_total / model.mc_samples, hops_used)
 
 
 def _ic_single(graph, seed_idx, hops, rand):

@@ -54,15 +54,17 @@ def _network_record(network):
     }
 
 
-def _result(network, cfg, scheme, users, gains, coupled_fraction, shared_ms):
+def _result(network, cfg, scheme, users, gains, coupled_fraction, shared_ms, evaluations, max_stale_gap):
     """Replay ``users`` on the multiplex and build the JSON-ready result
     record shared by the pipeline and the baselines.
 
     ``coupled_fraction`` is the fraction a coupled solve reached (None
     for "direct" and "union", which have no coupled graph); it is also
     the record's ``achieved_fraction``, which is the replayed fraction
-    otherwise.  ``wall_time_ms`` is ``shared_ms`` plus the replay's own
-    time.  The replay is deterministic linear threshold under every
+    otherwise.  ``evaluations`` and ``max_stale_gap`` are the greedy
+    log's (``SeedSet.evaluations``, ``SeedSet.max_stale_gap``), None for
+    "direct", whose brute force keeps no log.  ``wall_time_ms`` is
+    ``shared_ms`` plus the replay's own time.  The replay is deterministic linear threshold under every
     model (``replay_model``), so a greedy under a stochastic model meets
     its target in expectation only (``target_in_expectation``); brute
     force ("direct") reads no model and meets it on the replay itself.
@@ -79,6 +81,8 @@ def _result(network, cfg, scheme, users, gains, coupled_fraction, shared_ms):
         "seed_users": list(users),
         "gains": list(gains),
         "seed_size": len(users),
+        "evaluations": evaluations,
+        "max_stale_gap": max_stale_gap,
         "achieved_fraction": replayed_fraction if coupled_fraction is None else coupled_fraction,
         "coupled_fraction": coupled_fraction,
         "replayed_fraction": replayed_fraction,
@@ -125,7 +129,8 @@ def _pipeline_results(network, scheme, cfgs):
     results = []
     for cfg, seed_set in zip(cfgs, seed_sets):
         coupled_fraction = None if scheme == "direct" else seed_set.achieved_fraction
-        result = _result(network, cfg, scheme, seed_set.users, seed_set.gains, coupled_fraction, shared_ms)
+        work = (None, None) if scheme == "direct" else (seed_set.evaluations, seed_set.max_stale_gap)
+        result = _result(network, cfg, scheme, seed_set.users, seed_set.gains, coupled_fraction, shared_ms, *work)
         if kind == LINEAR_THRESHOLD:
             _check_guarantee(scheme, cfg.beta, coupled_fraction, result["replayed_fraction"])
         results.append(result)
@@ -187,14 +192,17 @@ def union_baseline(network, cfgs, memo):
     """Per config, the union of each layer's own lossy-average seeds,
     replayed on the multiplex.  ``cfgs`` differ only in beta; each layer
     is solved once for all of them through ``memo``, under the contract
-    of ``_layer_results``, and that time counts in every row.  One
-    config alone is ``[cfg]`` with a fresh ``{}``."""
+    of ``_layer_results``, and that time and those evaluations count in
+    every row, whose stale gap is the layers' largest.  One config alone
+    is ``[cfg]`` with a fresh ``{}``."""
     per_layer = [_layer_results(network, layer.layer_index, cfgs, memo) for layer in network.layers]
     results = []
     for cfg, layer_results in zip(cfgs, zip(*per_layer)):
         pooled = list(dict.fromkeys(user for result in layer_results for user in result["seed_users"]))
         shared_ms = sum(result["wall_time_ms"] for result in layer_results)
-        results.append(_result(network, cfg, "union", pooled, [], None, shared_ms))
+        evaluations = sum(result["evaluations"] for result in layer_results)
+        max_stale_gap = max(result["max_stale_gap"] for result in layer_results)
+        results.append(_result(network, cfg, "union", pooled, [], None, shared_ms, evaluations, max_stale_gap))
     return results
 
 
@@ -204,7 +212,7 @@ def only_baseline(network, layer_index, cfgs, memo):
     and ``memo`` as in :func:`union_baseline`."""
     return [
         _result(network, cfg, f"only:{layer_index}", result["seed_users"], result["gains"],
-                result["coupled_fraction"], result["wall_time_ms"])
+                result["coupled_fraction"], result["wall_time_ms"], result["evaluations"], result["max_stale_gap"])
         for cfg, result in zip(cfgs, _layer_results(network, layer_index, cfgs, memo))
     ]
 
@@ -458,7 +466,8 @@ def _row(spec, network, head, result):
         "effective_beta": result["beta"],
         "seed_size": result["seed_size"],
         "wall_time_ms": round(result["wall_time_ms"], 3),
-        "coupled_fraction": "" if result["coupled_fraction"] is None else result["coupled_fraction"],
+        **{name: "" if result[name] is None else result[name]
+           for name in ("coupled_fraction", "evaluations", "max_stale_gap")},
         "replayed_fraction": result["replayed_fraction"],
         "overlap_seed_fraction": composition["overlap_seed_fraction"],
         "overlap_population_fraction": composition["overlap_population_fraction"],
@@ -493,7 +502,7 @@ def _group_rows(spec, network, label, betas, memo):
 
 CSV_FIELDS = [
     "sweep", "sweep_value", "repetition", "scheme", "beta", "effective_beta",
-    "seed_size", "wall_time_ms", "coupled_fraction", "replayed_fraction",
+    "seed_size", "wall_time_ms", "coupled_fraction", "replayed_fraction", "evaluations", "max_stale_gap",
     "overlap_seed_fraction", "overlap_population_fraction",
     "per_layer_seed_counts", "per_layer_influenced_counts",
     "external_influence_fraction", "seed_users", "status", "error",

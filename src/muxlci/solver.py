@@ -85,8 +85,9 @@ class GreedyIteration:
     """The work of one lazy-greedy iteration: ``heavy`` when it
     re-evaluated the whole heap, else light; ``evaluations``, the heap
     entries it re-evaluated; ``stale``, the heap key of the node it
-    popped, and ``fresh``, that node's fresh gain.  ``kernel_calls``
-    counts the diffusion runs it made, its base and fresh runs included;
+    popped, whose fresh gain is the selection's entry in
+    ``SeedSet.gains``.  ``kernel_calls`` counts the diffusion runs it
+    made, its base and fresh runs included;
     it is None where no evaluator counted them, and left out of
     equality, so a loop over full reruns logs the same iterations.
     """
@@ -94,7 +95,6 @@ class GreedyIteration:
     heavy: bool
     evaluations: int
     stale: float
-    fresh: float
     kernel_calls: int = field(default=None, compare=False)
 
 
@@ -109,9 +109,8 @@ class SeedSet:
     ``init_kernel_calls``, the diffusion runs they made (left out of
     equality, like each iteration's), and one :class:`GreedyIteration`
     per selection in ``iterations``.  Each iteration also evaluates its
-    base coverage and the popped node's fresh gain, so a run makes
-    ``init_evaluations + sum(it.evaluations + 2 for it in iterations)``
-    evaluations.  Brute force logs none.
+    base coverage and the popped node's fresh gain, which
+    :attr:`evaluations` counts.  Brute force logs none.
     """
 
     users: list
@@ -126,6 +125,16 @@ class SeedSet:
     def achieved_fraction(self):
         """The fraction of ``total`` the whole selection covers."""
         return (self.coverages[-1] if self.coverages else 0.0) / self.total
+
+    @property
+    def evaluations(self):
+        """The evaluations the run made: ``init_evaluations + sum(it.evaluations + 2 for it in iterations)``."""
+        return self.init_evaluations + sum(it.evaluations + 2 for it in self.iterations)
+
+    @property
+    def max_stale_gap(self):
+        """The largest |stale key - fresh gain| of a selection, 0.0 with none."""
+        return max((abs(it.stale - gain) for it, gain in zip(self.iterations, self.gains)), default=0.0)
 
     def prefix(self, beta):
         """The seed set the same greedy run returns at target ``beta``.
@@ -258,7 +267,7 @@ def improved_greedy(coupled, cfg):
         gains.append(gain)
         coverage = prior + gain
         coverages.append(coverage)
-        log.append(GreedyIteration(heavy, evaluations, -key, gain, evaluator.calls - calls))
+        log.append(GreedyIteration(heavy, evaluations, -key, evaluator.calls - calls))
     return SeedSet(coupled.users_of(selected), gains, coverages, total, len(domain), log, init_calls)
 
 

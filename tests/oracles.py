@@ -53,7 +53,6 @@ from muxlci.diffusion import (
     ActiveSet,
     DiffusionOutcome,
     InfluenceGraph,
-    _outcome,
     _seed_indices,
     ic_propagate,
     lt_propagate,
@@ -614,10 +613,8 @@ def reference_ic_propagate(graph, seeds, hops, model):
         count_total += count
         weight_total += weight
         last = (per_hop, hops_used)
-    outcome = _outcome(graph, last[0], last[1])
-    outcome.coverage_count = count_total / model.mc_samples
-    outcome.coverage_weight = weight_total / model.mc_samples
-    return outcome
+    active = ActiveSet.from_indices(last[0], graph.node_ids)
+    return DiffusionOutcome(active, count_total / model.mc_samples, weight_total / model.mc_samples, last[1])
 
 
 def _gateway(user):
@@ -965,6 +962,8 @@ def reference_run_experiment(spec):
                 "wall_time_ms": round(result["wall_time_ms"], 3),
                 "coupled_fraction": "" if result["coupled_fraction"] is None else result["coupled_fraction"],
                 "replayed_fraction": result["replayed_fraction"],
+                "evaluations": "" if result["evaluations"] is None else result["evaluations"],
+                "max_stale_gap": "" if result["max_stale_gap"] is None else result["max_stale_gap"],
                 "overlap_seed_fraction": composition["overlap_seed_fraction"],
                 "overlap_population_fraction": composition["overlap_population_fraction"],
                 "per_layer_seed_counts": ";".join(map(str, composition["per_layer_seed_counts"])),
@@ -1041,7 +1040,7 @@ def _lazy_greedy(candidates, cover, beta, total, T, R):
         gains.append(gain)
         coverage = base + gain
         coverages.append(coverage)
-        log.append(GreedyIteration(iteration % R == 0, len(stale), -key, gain))
+        log.append(GreedyIteration(iteration % R == 0, len(stale), -key))
     return selected, gains, coverages, log
 
 

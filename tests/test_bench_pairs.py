@@ -2,6 +2,7 @@
 parsing and the verdict it writes for each end-to-end metric."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -114,3 +115,50 @@ def test_a_host_twice_as_slow_doubles_seconds_but_not_shares():
     (fast_values, fast_shares), (slow_values, slow_shares) = map(bench_pairs.traced_metrics, (fast, slow))
     assert slow_values["coupling.read_s"] == 2 * fast_values["coupling.read_s"]
     assert slow_shares == pytest.approx(fast_shares)
+
+
+# change/parent ratios of an A/A run: both sides run one revision
+AA_NOISE = [1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.0, 1.01, 0.99, 1.0]
+
+
+def test_aa_set_reads_tie_against_its_own_margin():
+    stats = bench_pairs.compare(runs_of(PARENT, [p * r for p, r in zip(PARENT, AA_NOISE)]), "m", 0.25)
+    calibration = bench_pairs.calibrate(stats)
+    assert calibration["side_bias"] == pytest.approx(1.0)
+    assert not calibration["biased"]
+    assert bench_pairs.paired_verdict(AA_NOISE, stats["ratio_half_spread"], 10)["verdict"] == "tie"
+
+
+def test_set_at_095_reads_gain_at_its_pair_count():
+    change = [0.95 * p * (1 + (r - 1) / 4) for p, r in zip(PARENT, AA_NOISE)]
+    stats = bench_pairs.compare(runs_of(PARENT, change), "m", 0.25, margin=(0.02, 8))
+    assert stats["paired"] == {"verdict": "gain", "pairs": 10, "margin": 0.02, "aa_pairs": 8}
+    # the existing verdict keeps its rule beside it
+    assert stats["verdict"] == "gain"
+    # a margin as wide as the gap leaves a tie, and the mirror set is a loss
+    assert bench_pairs.compare(runs_of(PARENT, change), "m", 0.25, margin=(0.06, 8))["paired"]["verdict"] == "tie"
+    slower = [p / 0.95 for p in PARENT]
+    assert bench_pairs.compare(runs_of(PARENT, slower), "m", 0.25, margin=(0.02, 8))["paired"]["verdict"] == "loss"
+
+
+def test_constant_side_bias_reported():
+    # one side reads 5 % higher in every pair of an A/A run
+    stats = bench_pairs.compare(runs_of(PARENT, [1.05 * p * r for p, r in zip(PARENT, AA_NOISE)]), "m", 0.25)
+    calibration = bench_pairs.calibrate(stats)
+    assert calibration["side_bias"] == pytest.approx(1.05)
+    assert calibration["biased"]
+
+
+def test_margins_read_from_an_aa_record_alone():
+    entry = {"seeds": list(range(8)), "all_correct": True, "m": {"ratio_half_spread": 0.03}}
+    record = {"aa": True, "summary": {"w": entry, "w_traced_seed_17": {"parent": {}, "change": {}}}}
+    assert bench_pairs.aa_margins(record) == {"w": {"m": (0.03, 8)}}
+    with pytest.raises(SystemExit, match="one revision"):
+        bench_pairs.aa_margins({**record, "aa": False})
+
+
+def test_committed_aa_record_sets_margins_for_every_workload():
+    margins = bench_pairs.aa_margins(json.loads((ROOT / "BENCH_AA.json").read_text(encoding="utf-8")))
+    assert set(margins) == set(bench_pairs.WORKLOADS)
+    for workload in margins.values():
+        assert all(pairs >= 8 for _, pairs in workload.values())

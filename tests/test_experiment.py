@@ -17,6 +17,7 @@ from muxlci import (
     InfluenceGraph,
     couple,
     brute_force_optimal,
+    improved_greedy,
     multiplex_lt_propagate,
 )
 from muxlci.cli import main
@@ -67,6 +68,7 @@ class TestSolvePipeline:
             "scheme", "beta", "hops", "T", "R", "seed_users", "gains", "seed_size",
             "achieved_fraction", "coupled_fraction", "replayed_fraction", "replay_outcome",
             "wall_time_ms", "model", "network", "version", "replay_model", "target_in_expectation",
+            "evaluations", "max_stale_gap",
         }
 
     def test_record_names_its_replay_model(self, overlap_network):
@@ -89,6 +91,46 @@ class TestSolvePipeline:
         assert result["gains"] == optimum.gains
         assert result["achieved_fraction"] == result["replayed_fraction"] == optimum.achieved_fraction
         assert result["coupled_fraction"] is None
+
+
+class TestRecordedWork:
+    """Every record carries the greedy's work from its SeedSet log:
+    ``evaluations`` and ``max_stale_gap``."""
+
+    def test_solve_record_reads_the_greedy_log(self, overlap_network):
+        cfg = GreedyConfig(0.6, 2, T=3, R=2)
+        seed_set = improved_greedy(couple(overlap_network, "clique"), cfg)
+        result = solve_pipeline(overlap_network, "clique", cfg)
+        assert result["evaluations"] == seed_set.evaluations
+        assert result["evaluations"] == seed_set.init_evaluations + sum(
+            it.evaluations + 2 for it in seed_set.iterations)
+        assert result["max_stale_gap"] == seed_set.max_stale_gap == max(
+            abs(it.stale - gain) for it, gain in zip(seed_set.iterations, seed_set.gains))
+
+    def test_baselines_read_their_layers_logs(self, overlap_network):
+        cfgs = [GreedyConfig(0.3, 2), GreedyConfig(0.6, 2)]
+        memo = {}
+        layers = [only_baseline(overlap_network, i, cfgs, memo) for i in (1, 2)]
+        for row, *per_layer in zip(union_baseline(overlap_network, cfgs, memo), *layers):
+            assert row["evaluations"] == sum(result["evaluations"] for result in per_layer)
+            assert row["max_stale_gap"] == max(result["max_stale_gap"] for result in per_layer)
+        for i, results in zip((1, 2), layers):
+            alone = overlap_network.alone(i)
+            for cfg, result in zip(cfgs, results):
+                seed_set = improved_greedy(couple(alone, "lossy-average"), cfg)
+                assert (result["evaluations"], result["max_stale_gap"]) == (
+                    seed_set.evaluations, seed_set.max_stale_gap)
+
+    def test_direct_leaves_both_empty(self):
+        network = random_network(151, max_users=8)
+        result = solve_pipeline(network, "direct", GreedyConfig(0.6, 2))
+        assert result["evaluations"] is None and result["max_stale_gap"] is None
+        spec = ExperimentSpec(schemes=["direct", "clique"], betas=[0.6], hops=2,
+                              synth={"universe_size": 8, "layer_size": 6, "edge_prob": 0.3, "k": 2})
+        direct, clique = run_experiment(spec)
+        assert direct["status"] == clique["status"] == "ok"
+        assert direct["evaluations"] == direct["max_stale_gap"] == direct["coupled_fraction"] == ""
+        assert clique["evaluations"] > 0 and clique["max_stale_gap"] >= 0.0
 
 
 class TestGuaranteeCheck:

@@ -61,3 +61,18 @@ def test_broken_run_reported_apart_from_survivors(tmp_path):
     assert mutants.check(tmp_path, rows, logged.append) == [
         f"renamed breaks the run of {test} (pytest exit 4, neither a pass nor a failure)"]
     assert logged == ["renamed: broken"]
+
+
+def test_mutant_that_never_returns_is_killed_by_the_time_limit(tmp_path, monkeypatch):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "doubling.py").write_text("def double(x):\n    return 2 * x\n", encoding="utf-8")
+    (tmp_path / "test_doubling.py").write_text(
+        "from doubling import double\n\ndef test_double():\n    assert double(3) == 6\n", encoding="utf-8")
+    test = "test_doubling.py::test_double"
+    rows = [mutants.Mutant("endless", "src/doubling.py", "    return 2 * x\n", "    while True:\n        pass\n",
+                           (test,))]
+    monkeypatch.setattr(mutants, "TIMEOUT_S", 5)
+    logged = []
+    assert mutants.check(tmp_path, rows, logged.append) == []
+    assert logged == ["endless: killed (timeout)"]
+    assert "return 2 * x" in (tmp_path / "src" / "doubling.py").read_text(encoding="utf-8")
