@@ -33,13 +33,13 @@ either side is unpacked.
 ``--parent X --change X`` unpacks one revision twice: an A/A run.  Its
 record is marked ``"aa": true``, and each metric also reports the ratio
 median as its ``side_bias``, ``biased`` when that lies further from 1
-than the ratios' half quartile distance (see ``calibrate``).  Given such
-a committed record as ``--aa`` (for example ``BENCH_AA.json``), every
-metric of a workload the A/A record measured gains a ``paired`` verdict
-beside the existing one (see ``paired_verdict``)::
+than the ratios' half quartile distance (see ``calibrate``).  Any other
+run reads the committed A/A record ``BENCH_AA.json`` at the root of
+``--repo`` when there is one, and every metric of a workload that record
+measured gains a ``paired`` verdict beside the existing one (see
+``paired_verdict``).  Re-recording the A/A record overwrites it::
 
     python3 scripts/bench_pairs.py --parent X --change X --seeds 1-8 --out BENCH_AA.json
-    python3 scripts/bench_pairs.py --parent HEAD~1 --aa BENCH_AA.json --seeds 51-60 --out BENCH_9.json
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+AA_RECORD = "BENCH_AA.json"
 WORKLOADS = ("sweep", "lt-greedy", "mc-greedy", "couple-simulate")
 TRACED_METRICS = (
     "solver.evals", "solver.selections", "solver.greedy_s", "coupling.couple_s",
@@ -125,8 +126,8 @@ def traced_metrics(report):
 def compare(runs, metric, bound, margin=None):
     """Medians, parent quartiles, pair counts, paired ratios and verdict
     of one lower-is-better metric whose relative bound is ``bound``, and
-    with ``margin``, an A/A record's ``(half spread, pairs)`` of the
-    metric, its paired verdict.
+    with ``margin``, an A/A record's ``(half spread, pairs, biased)`` of
+    the metric, its paired verdict.
 
     The verdict is "gain" when the change is lower in at least 9 of 10
     pairs and its median is below the parent's by more than the parent's
@@ -168,24 +169,28 @@ def compare(runs, metric, bound, margin=None):
         "verdict": verdict,
     }
     if margin is not None:
-        stats["paired"] = paired_verdict(ratios, *margin)
+        stats["paired"] = paired_verdict((ratio_low, ratio_high), len(ratios), *margin)
     return stats
 
 
-def paired_verdict(ratios, half_spread, aa_pairs):
-    """The paired verdict of change/parent ``ratios`` against an A/A
-    record's ``half_spread`` of the same metric, measured on ``aa_pairs``
-    pairs: "gain" when the ratios' upper quartile is below
-    1 - half_spread, "loss" when their lower quartile is above
-    1 + half_spread, and "tie" otherwise."""
-    low, _, high = statistics.quantiles(ratios, n=4)
-    if high < 1 - half_spread:
+def paired_verdict(quartiles, pairs, half_spread, aa_pairs, biased):
+    """The paired verdict of the ``quartiles`` of ``pairs`` change/parent
+    ratios against an A/A record's ``half_spread`` of the same metric,
+    measured on ``aa_pairs`` pairs: "gain" when the upper quartile is
+    below 1 - half_spread, "loss" when the lower quartile is above
+    1 + half_spread, and "tie" otherwise.  When the A/A record read the
+    metric ``biased``, its two identical sides already differ by more
+    than the margin, so the verdict is "unresolved (biased A/A)"."""
+    low, high = quartiles
+    if biased:
+        verdict = "unresolved (biased A/A)"
+    elif high < 1 - half_spread:
         verdict = "gain"
     elif low > 1 + half_spread:
         verdict = "loss"
     else:
         verdict = "tie"
-    return {"verdict": verdict, "pairs": len(ratios), "margin": half_spread, "aa_pairs": aa_pairs}
+    return {"verdict": verdict, "pairs": pairs, "margin": half_spread, "aa_pairs": aa_pairs}
 
 
 def calibrate(stats):
@@ -197,12 +202,12 @@ def calibrate(stats):
 
 
 def aa_margins(record):
-    """Per workload and metric, the ``(ratio half spread, pairs)`` of an
-    A/A record; raise SystemExit unless ``record`` is one."""
+    """Per workload and metric, the ``(ratio half spread, pairs, biased)``
+    of an A/A record; raise SystemExit unless ``record`` is one."""
     if not record.get("aa"):
-        raise SystemExit("--aa must name a record whose two sides ran one revision")
+        raise SystemExit(f"{AA_RECORD} must be a record whose two sides ran one revision")
     return {
-        workload: {metric: (stats["ratio_half_spread"], len(entry["seeds"]))
+        workload: {metric: (stats["ratio_half_spread"], len(entry["seeds"]), stats["biased"])
                    for metric, stats in entry.items() if isinstance(stats, dict) and "ratio_half_spread" in stats}
         for workload, entry in record["summary"].items() if "seeds" in entry
     }
@@ -220,13 +225,13 @@ def main(argv=None):
     parser.add_argument("--claim", default="")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--workdir", default=None, help="where to unpack both sides (default: system temp)")
-    parser.add_argument("--aa", type=Path, default=None, help="A/A record that sets the paired verdict's margins")
     args = parser.parse_args(argv)
-    margins = aa_margins(json.loads(args.aa.read_text(encoding="utf-8"))) if args.aa else {}
 
     parent_commit = git(args.repo, "rev-parse", args.parent).decode().strip()
     change_rev = git(args.repo, "rev-parse", args.change).decode().strip()
     aa = parent_commit == change_rev
+    aa_record = args.repo / AA_RECORD
+    margins = {} if aa or not aa_record.exists() else aa_margins(json.loads(aa_record.read_text(encoding="utf-8")))
     with tempfile.TemporaryDirectory(prefix="bench_pairs_", dir=args.workdir) as scratch:
         trees = {"parent": Path(scratch) / "parent", "change": Path(scratch) / "change"}
         unpack(args.repo, parent_commit, trees["parent"])
@@ -266,7 +271,6 @@ def main(argv=None):
 
     record = {
         "aa": aa,
-        "aa_record": str(args.aa) if args.aa else None,
         "what": args.what,
         "claim": args.claim,
         "command": f"python3 muxbench/run.py --workload W --seed S --seconds {seconds:g} --trace T",

@@ -126,19 +126,20 @@ def test_aa_set_reads_tie_against_its_own_margin():
     calibration = bench_pairs.calibrate(stats)
     assert calibration["side_bias"] == pytest.approx(1.0)
     assert not calibration["biased"]
-    assert bench_pairs.paired_verdict(AA_NOISE, stats["ratio_half_spread"], 10)["verdict"] == "tie"
+    paired = bench_pairs.paired_verdict(stats["ratio_quartiles"], 10, stats["ratio_half_spread"], 10, False)
+    assert paired["verdict"] == "tie"
 
 
 def test_set_at_095_reads_gain_at_its_pair_count():
     change = [0.95 * p * (1 + (r - 1) / 4) for p, r in zip(PARENT, AA_NOISE)]
-    stats = bench_pairs.compare(runs_of(PARENT, change), "m", 0.25, margin=(0.02, 8))
+    stats = bench_pairs.compare(runs_of(PARENT, change), "m", 0.25, margin=(0.02, 8, False))
     assert stats["paired"] == {"verdict": "gain", "pairs": 10, "margin": 0.02, "aa_pairs": 8}
     # the existing verdict keeps its rule beside it
     assert stats["verdict"] == "gain"
     # a margin as wide as the gap leaves a tie, and the mirror set is a loss
-    assert bench_pairs.compare(runs_of(PARENT, change), "m", 0.25, margin=(0.06, 8))["paired"]["verdict"] == "tie"
+    assert bench_pairs.compare(runs_of(PARENT, change), "m", 0.25, margin=(0.06, 8, False))["paired"]["verdict"] == "tie"
     slower = [p / 0.95 for p in PARENT]
-    assert bench_pairs.compare(runs_of(PARENT, slower), "m", 0.25, margin=(0.02, 8))["paired"]["verdict"] == "loss"
+    assert bench_pairs.compare(runs_of(PARENT, slower), "m", 0.25, margin=(0.02, 8, False))["paired"]["verdict"] == "loss"
 
 
 def test_constant_side_bias_reported():
@@ -149,10 +150,19 @@ def test_constant_side_bias_reported():
     assert calibration["biased"]
 
 
+def test_biased_aa_metric_leaves_the_paired_verdict_unresolved():
+    # a set at 0.95 reads gain against a fair A/A margin, but not against
+    # one whose identical sides already read apart
+    change = [0.95 * p * (1 + (r - 1) / 4) for p, r in zip(PARENT, AA_NOISE)]
+    stats = bench_pairs.compare(runs_of(PARENT, change), "m", 0.25, margin=(0.02, 8, True))
+    assert stats["paired"] == {"verdict": "unresolved (biased A/A)", "pairs": 10, "margin": 0.02, "aa_pairs": 8}
+    assert stats["verdict"] == "gain"
+
+
 def test_margins_read_from_an_aa_record_alone():
-    entry = {"seeds": list(range(8)), "all_correct": True, "m": {"ratio_half_spread": 0.03}}
+    entry = {"seeds": list(range(8)), "all_correct": True, "m": {"ratio_half_spread": 0.03, "biased": True}}
     record = {"aa": True, "summary": {"w": entry, "w_traced_seed_17": {"parent": {}, "change": {}}}}
-    assert bench_pairs.aa_margins(record) == {"w": {"m": (0.03, 8)}}
+    assert bench_pairs.aa_margins(record) == {"w": {"m": (0.03, 8, True)}}
     with pytest.raises(SystemExit, match="one revision"):
         bench_pairs.aa_margins({**record, "aa": False})
 
@@ -161,4 +171,4 @@ def test_committed_aa_record_sets_margins_for_every_workload():
     margins = bench_pairs.aa_margins(json.loads((ROOT / "BENCH_AA.json").read_text(encoding="utf-8")))
     assert set(margins) == set(bench_pairs.WORKLOADS)
     for workload in margins.values():
-        assert all(pairs >= 8 for _, pairs in workload.values())
+        assert all(pairs >= 8 for _, pairs, _ in workload.values())

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from muxlci.cli import main
 from muxlci.coupling import couple, read_coupled, write_coupled
-from muxlci.experiment import ExperimentSpec
+from muxlci.experiment import SYNTH_FIELDS, ExperimentSpec
 from muxlci.network import LayerFormatError, _parse_file, load_alias_map, load_layer, serialize_layer
 
 from conftest import random_network
@@ -162,6 +162,20 @@ def test_coupled_files_load_or_name_their_line(tmp_path_factory, edit_edges, edg
     run_cli(directory, ["--coupled-edges", edges_path, "--coupled-manifest", manifest_path], f"{COUPLED_SEED}\n")
 
 
+# a spec or synth field by name, "betas" also as "beta"
+CONFIG_FIELD = re.compile(r"\b(%s)s?\b" % "|".join(
+    re.escape(name.removesuffix("s")) for name in [*ExperimentSpec.__dataclass_fields__, *SYNTH_FIELDS]))
+
+
+def names_its_field(exc, text):
+    """Whether a config fault names a field of the spec or of its synth
+    recipe, or by its repr a key of the config that is neither."""
+    data = json.loads(text)
+    synth = data.get("synth")
+    keys = [*data, *(synth if isinstance(synth, dict) else ())]
+    return CONFIG_FIELD.search(str(exc)) is not None or any(repr(key) in str(exc) for key in keys)
+
+
 @given(edits_of(CONFIG, " "))
 def test_experiment_config_loads_or_raises_value_error(tmp_path_factory, text):
     directory = tmp_path_factory.mktemp("config")
@@ -170,6 +184,6 @@ def test_experiment_config_loads_or_raises_value_error(tmp_path_factory, text):
         ExperimentSpec.from_json(_parse_file(path, "".join))
     except json.JSONDecodeError as exc:
         assert f"line {exc.lineno} " in str(exc), exc
-    except ValueError:
-        pass  # a field fault, which the spec names
+    except ValueError as exc:
+        assert names_its_field(exc, text), exc
     assert main(["experiment", "--config", path, "--out", str(directory / "table.csv")]) in CLI_EXITS
